@@ -70,6 +70,13 @@ echo "==> storage_scale --check"
 # validates the tracked BENCH_storage.json. No timing gates.
 cargo run -q --release -p bench --bin storage_scale -- --check > /dev/null
 
+echo "==> eqbench --check"
+# Benchmark smoke: a tiny run of every eqbench workload, traced and not,
+# each with its own result checks (scan-large's sums against the table,
+# dml-batch's final tables, the services' bodies). Exit is nonzero on any
+# wrong result. No timing gates.
+cargo run --release --offline --manifest-path eqbench/Cargo.toml -- --check
+
 echo "==> perf_pipeline --check"
 # Small-corpus sweep: asserts the bench harness runs end to end and emits
 # valid JSON. No timing gates — CI machines are too noisy for that.

@@ -44,34 +44,43 @@ pub fn encode_row(row: &[Value]) -> Vec<u8> {
     out
 }
 
-/// Decode a record produced by [`encode_row`]. Panics on malformed bytes —
-/// records only ever come back from a checksummed page, so corruption is
-/// caught at the pager layer first.
-pub fn decode_row(mut bytes: &[u8]) -> Row {
-    fn split(bytes: &mut &[u8], n: usize) -> Vec<u8> {
-        let (head, tail) = bytes.split_at(n);
-        *bytes = tail;
-        head.to_vec()
-    }
-    let mut row = Vec::new();
-    while !bytes.is_empty() {
-        let tag = bytes[0];
-        bytes = &bytes[1..];
+/// Decode every column of a record produced by [`encode_row`].
+pub fn decode_row(bytes: &[u8]) -> Row {
+    decode_row_masked(bytes, &[])
+}
+
+/// Decode a record produced by [`encode_row`], materializing column `i`
+/// only when `keep[i]` is true (columns past the end of `keep` are
+/// decoded). A skipped column reads as NULL and its payload is stepped
+/// over, never copied. Panics on malformed bytes — records only ever come
+/// back from a checksummed page, so corruption is caught at the pager
+/// layer first.
+pub fn decode_row_masked(mut bytes: &[u8], keep: &[bool]) -> Row {
+    let mut row = Vec::with_capacity(keep.len());
+    while let Some((&tag, rest)) = bytes.split_first() {
+        let len = match tag {
+            0 => 0,
+            1 => 1,
+            2 | 3 => 8,
+            4 => 4 + u32::from_le_bytes(rest[..4].try_into().expect("4-byte length")) as usize,
+            other => panic!("corrupt record: unknown value tag {other}"),
+        };
+        let (payload, tail) = rest.split_at(len);
+        bytes = tail;
+        if keep.get(row.len()) == Some(&false) {
+            row.push(Value::Null);
+            continue;
+        }
         row.push(match tag {
             0 => Value::Null,
-            1 => Value::Bool(split(&mut bytes, 1)[0] != 0),
-            2 => Value::Int(i64::from_le_bytes(
-                split(&mut bytes, 8).try_into().expect("8 bytes"),
-            )),
-            3 => Value::Float(f64::from_le_bytes(
-                split(&mut bytes, 8).try_into().expect("8 bytes"),
-            )),
-            4 => {
-                let len =
-                    u32::from_le_bytes(split(&mut bytes, 4).try_into().expect("4 bytes")) as usize;
-                Value::Str(String::from_utf8(split(&mut bytes, len)).expect("UTF-8 string"))
-            }
-            other => panic!("corrupt record: unknown value tag {other}"),
+            1 => Value::Bool(payload[0] != 0),
+            2 => Value::Int(i64::from_le_bytes(payload.try_into().expect("8 bytes"))),
+            3 => Value::Float(f64::from_le_bytes(payload.try_into().expect("8 bytes"))),
+            _ => Value::Str(
+                std::str::from_utf8(&payload[4..])
+                    .expect("UTF-8 string")
+                    .to_owned(),
+            ),
         });
     }
     row
@@ -160,10 +169,21 @@ impl PagedTable {
         self.len() == 0
     }
 
-    /// An ordered scan (insertion order) decoding each record.
+    /// An ordered scan (insertion order) decoding every column.
     pub fn scan(&self) -> PagedScan {
+        let ncols = self
+            .store
+            .column_count(&self.name)
+            .expect("scan stored table");
+        self.scan_columns(vec![true; ncols])
+    }
+
+    /// An ordered scan decoding only the columns `keep` marks; the others
+    /// read as NULL (see [`decode_row_masked`]).
+    pub fn scan_columns(&self, keep: Vec<bool>) -> PagedScan {
         PagedScan {
             cursor: self.store.scan(&self.name).expect("scan stored table"),
+            keep,
         }
     }
 
@@ -180,17 +200,19 @@ impl PagedTable {
     }
 }
 
-/// Iterator over a paged table's rows in insertion order.
+/// Iterator over a paged table's rows in insertion order, decoding each
+/// record straight out of the cursor's copy of its leaf page.
 pub struct PagedScan {
     cursor: storage::ScanCursor,
+    keep: Vec<bool>,
 }
 
 impl Iterator for PagedScan {
     type Item = Row;
 
     fn next(&mut self) -> Option<Row> {
-        let (_rowid, record) = self.cursor.next()?.expect("scan stored table");
-        Some(decode_row(&record))
+        let (_rowid, record) = self.cursor.next_record()?.expect("scan stored table");
+        Some(decode_row_masked(record, &self.keep))
     }
 }
 
@@ -210,6 +232,38 @@ mod tests {
         ];
         assert_eq!(decode_row(&encode_row(&row)), row);
         assert_eq!(decode_row(&[]), Vec::<Value>::new());
+    }
+
+    #[test]
+    fn masked_decode_skips_every_tag_and_stays_aligned() {
+        let row = vec![
+            Value::Null,
+            Value::Bool(true),
+            Value::Int(-42),
+            Value::Float(1.5),
+            Value::Str("héllo".into()),
+            Value::Str(String::new()),
+            Value::Int(7),
+        ];
+        let bytes = encode_row(&row);
+        // Skipping any one column leaves it NULL and every later column
+        // decoded from the right offset.
+        for skip in 0..row.len() {
+            let keep: Vec<bool> = (0..row.len()).map(|i| i != skip).collect();
+            let mut want = row.clone();
+            want[skip] = Value::Null;
+            assert_eq!(decode_row_masked(&bytes, &keep), want, "skip {skip}");
+        }
+        // Skipping everything but the last column steps over every tag.
+        let mut keep = vec![false; row.len()];
+        keep[row.len() - 1] = true;
+        let mut want = vec![Value::Null; row.len()];
+        want[row.len() - 1] = Value::Int(7);
+        assert_eq!(decode_row_masked(&bytes, &keep), want);
+        // Columns past the end of the mask are decoded.
+        let mut want = row.clone();
+        want[1] = Value::Null;
+        assert_eq!(decode_row_masked(&bytes, &[true, false]), want);
     }
 
     #[test]

@@ -97,6 +97,16 @@ impl Table {
         }
     }
 
+    /// [`Table::scan`] decoding only the columns `keep` marks: on a paged
+    /// table the others read as NULL and their bytes are skipped.
+    /// In-memory rows are cloned whole.
+    pub fn scan_columns(&self, keep: Vec<bool>) -> TableScan<'_> {
+        match &self.backing {
+            Backing::Mem(rows) => TableScan::Mem(rows.iter()),
+            Backing::Paged(t) => TableScan::Paged(t.scan_columns(keep)),
+        }
+    }
+
     /// All rows, materialized.
     pub fn rows_vec(&self) -> Vec<Row> {
         match &self.backing {

@@ -9,6 +9,10 @@
 //! ([`crate::eval`]) does. Sort is the exception: τ is a blocking
 //! operator and buffers its input, exactly as the paper treats it.
 //!
+//! The scan decodes only the columns the operators above it read (see
+//! [`scan_columns`]); the others read as NULL, which nothing above can
+//! observe. A γ with no GROUP BY feeds one accumulator set directly.
+//!
 //! The executor is semantically *identical* to the materializing
 //! evaluator — same order preservation, duplicate handling,
 //! first-occurrence grouping, NULL-first sorting, and NULL-on-error
@@ -75,13 +79,64 @@ pub fn plans_paged(ra: &RaExpr, db: &Database) -> bool {
 /// Execute a plannable pipeline, draining the operator tree into a
 /// [`Relation`].
 pub fn execute(ra: &RaExpr, db: &Database, params: &[Value]) -> Result<Relation, EvalError> {
-    let mut op = build(ra, db, params)?;
+    let columns = scan_columns(ra);
+    let mut op = build(ra, db, params, columns.as_deref())?;
     let fields = op.fields().to_vec();
     let mut rows = Vec::new();
     while let Some(row) = op.next()? {
         rows.push(row);
     }
     Ok(Relation { fields, rows })
+}
+
+/// The column names the operators above the base-table scan reference, or
+/// `None` when the scan must decode every column. Pruning needs a π or γ
+/// above the scan (otherwise the scan row itself is the result), no δ
+/// between them (δ compares whole rows), and no `EXISTS` or scalar
+/// subquery anywhere on the spine (a correlated subquery reads outer
+/// columns this walk does not see). Names are collected without their
+/// qualifiers, so the set may keep more columns than needed, never fewer.
+fn scan_columns(mut ra: &RaExpr) -> Option<Vec<String>> {
+    let mut names = Vec::new();
+    let mut replaced = false;
+    loop {
+        let (input, exprs): (&RaExpr, Vec<&Scalar>) = match ra {
+            RaExpr::Table { .. } => return replaced.then_some(names),
+            RaExpr::Select { input, pred } => (input, vec![pred]),
+            RaExpr::Sort { input, keys } => (input, keys.iter().map(|k| &k.expr).collect()),
+            RaExpr::Project { input, items } => {
+                replaced = true;
+                (input, items.iter().map(|i| &i.expr).collect())
+            }
+            RaExpr::Aggregate {
+                input,
+                group_by,
+                aggs,
+            } => {
+                replaced = true;
+                let keys = group_by.iter().map(|g| &g.expr);
+                (input, keys.chain(aggs.iter().map(|a| &a.arg)).collect())
+            }
+            RaExpr::Dedup { input } => {
+                replaced = false;
+                (input, Vec::new())
+            }
+            RaExpr::Limit { input, .. } | RaExpr::Aliased { input, .. } => (input, Vec::new()),
+            RaExpr::Values { .. } | RaExpr::Join { .. } | RaExpr::OuterApply { .. } => return None,
+        };
+        for e in exprs {
+            let mut subquery = false;
+            e.walk(&mut |s| match s {
+                Scalar::Col(c) => names.push(c.column.clone()),
+                Scalar::Exists(_) | Scalar::Subquery(_) => subquery = true,
+                _ => {}
+            });
+            if subquery {
+                return None;
+            }
+        }
+        ra = input;
+    }
 }
 
 /// One operator in the pipeline: exposes its output schema and yields
@@ -91,47 +146,60 @@ trait Op {
     fn next(&mut self) -> Result<Option<Row>, EvalError>;
 }
 
+/// Build the operator tree; `columns` is [`scan_columns`] of the whole
+/// plan, handed down to the scan.
 fn build<'a>(
     ra: &'a RaExpr,
     db: &'a Database,
     params: &'a [Value],
+    columns: Option<&[String]>,
 ) -> Result<Box<dyn Op + 'a>, EvalError> {
     match ra {
         RaExpr::Table { name, .. } => {
             let t = db
                 .table(name)
                 .ok_or_else(|| EvalError::UnknownTable(name.clone()))?;
+            let scan = match columns {
+                Some(cols) => t.scan_columns(
+                    t.schema
+                        .columns
+                        .iter()
+                        .map(|c| cols.contains(&c.name))
+                        .collect(),
+                ),
+                None => t.scan(),
+            };
             Ok(Box::new(SeqScan {
                 fields: fields_of(ra, db)?,
-                scan: t.scan(),
+                scan,
             }))
         }
         RaExpr::Select { input, pred } => Ok(Box::new(Filter {
-            input: build(input, db, params)?,
+            input: build(input, db, params, columns)?,
             pred,
             db,
             params,
         })),
         RaExpr::Project { input, items } => Ok(Box::new(Project {
-            input: build(input, db, params)?,
+            input: build(input, db, params, columns)?,
             items,
             fields: items.iter().map(|i| Field::new(i.alias.clone())).collect(),
             db,
             params,
         })),
         RaExpr::Sort { input, keys } => Ok(Box::new(Sort {
-            input: build(input, db, params)?,
+            input: build(input, db, params, columns)?,
             keys,
             buf: None,
             db,
             params,
         })),
         RaExpr::Dedup { input } => Ok(Box::new(Dedup {
-            input: build(input, db, params)?,
+            input: build(input, db, params, columns)?,
             seen: HashMap::new(),
         })),
         RaExpr::Limit { input, count } => Ok(Box::new(Limit {
-            input: build(input, db, params)?,
+            input: build(input, db, params, columns)?,
             remaining: *count as usize,
         })),
         RaExpr::Aggregate {
@@ -145,7 +213,7 @@ fn build<'a>(
                 .collect();
             fields.extend(aggs.iter().map(|a| Field::new(a.alias.clone())));
             Ok(Box::new(Aggregate {
-                input: build(input, db, params)?,
+                input: build(input, db, params, columns)?,
                 group_by,
                 aggs,
                 fields,
@@ -155,7 +223,7 @@ fn build<'a>(
             }))
         }
         RaExpr::Aliased { input, alias } => {
-            let input = build(input, db, params)?;
+            let input = build(input, db, params, columns)?;
             let fields = input
                 .fields()
                 .iter()
@@ -374,53 +442,84 @@ impl Op for Aggregate<'_> {
 
     fn next(&mut self) -> Result<Option<Row>, EvalError> {
         if self.out.is_none() {
-            let mut order: Vec<String> = Vec::new();
-            let mut groups: HashMap<String, (Vec<Value>, Vec<Accumulator>)> = HashMap::new();
-            let mut saw_rows = false;
-            while let Some(row) = self.input.next()? {
-                saw_rows = true;
-                let scope = Scope {
-                    fields: self.input.fields(),
-                    row: &row,
-                    parent: None,
-                };
-                let mut keys = Vec::with_capacity(self.group_by.len());
-                for g in self.group_by {
-                    keys.push(eval_scalar(&g.expr, self.db, self.params, Some(&scope))?);
-                }
-                let key: String = keys
-                    .iter()
-                    .map(|v| v.group_key())
-                    .collect::<Vec<_>>()
-                    .join("\u{1}");
-                if !groups.contains_key(&key) {
-                    order.push(key.clone());
-                    let accs = self.aggs.iter().map(|a| Accumulator::new(a.func)).collect();
-                    groups.insert(key.clone(), (keys, accs));
-                }
-                let entry = groups.get_mut(&key).expect("group just ensured");
-                for (acc, a) in entry.1.iter_mut().zip(self.aggs) {
-                    let v = eval_scalar(&a.arg, self.db, self.params, Some(&scope))?;
-                    acc.feed(&v)?;
-                }
-            }
-            let mut rows = Vec::with_capacity(order.len().max(1));
-            if !saw_rows && self.group_by.is_empty() {
-                // Empty input, no GROUP BY: one all-NULL/zero row.
-                rows.push(self.aggs.iter().map(|a| empty_agg(a.func)).collect());
+            let rows = if self.group_by.is_empty() {
+                vec![self.global()?]
             } else {
-                for key in &order {
-                    let (keys, accs) = groups.remove(key).expect("group present");
-                    let mut out = keys;
-                    for acc in accs {
-                        out.push(acc.finish());
-                    }
-                    rows.push(out);
-                }
-            }
+                self.grouped()?
+            };
             self.out = Some(rows.into_iter());
         }
         Ok(self.out.as_mut().expect("aggregate output").next())
+    }
+}
+
+impl Aggregate<'_> {
+    /// No GROUP BY: one accumulator set fed straight from the input, with
+    /// no group key and no hash lookup. Empty input yields the
+    /// all-NULL/zero row.
+    fn global(&mut self) -> Result<Row, EvalError> {
+        let mut accs: Vec<Accumulator> =
+            self.aggs.iter().map(|a| Accumulator::new(a.func)).collect();
+        let mut saw_rows = false;
+        while let Some(row) = self.input.next()? {
+            saw_rows = true;
+            let scope = Scope {
+                fields: self.input.fields(),
+                row: &row,
+                parent: None,
+            };
+            for (acc, a) in accs.iter_mut().zip(self.aggs) {
+                acc.feed(&eval_scalar(&a.arg, self.db, self.params, Some(&scope))?)?;
+            }
+        }
+        Ok(if saw_rows {
+            accs.into_iter().map(Accumulator::finish).collect()
+        } else {
+            self.aggs.iter().map(|a| empty_agg(a.func)).collect()
+        })
+    }
+
+    /// GROUP BY: per-group accumulators keyed by the group values, emitted
+    /// in first-occurrence order.
+    fn grouped(&mut self) -> Result<Vec<Row>, EvalError> {
+        let mut order: Vec<String> = Vec::new();
+        let mut groups: HashMap<String, (Vec<Value>, Vec<Accumulator>)> = HashMap::new();
+        while let Some(row) = self.input.next()? {
+            let scope = Scope {
+                fields: self.input.fields(),
+                row: &row,
+                parent: None,
+            };
+            let mut keys = Vec::with_capacity(self.group_by.len());
+            for g in self.group_by {
+                keys.push(eval_scalar(&g.expr, self.db, self.params, Some(&scope))?);
+            }
+            let key: String = keys
+                .iter()
+                .map(|v| v.group_key())
+                .collect::<Vec<_>>()
+                .join("\u{1}");
+            if !groups.contains_key(&key) {
+                order.push(key.clone());
+                let accs = self.aggs.iter().map(|a| Accumulator::new(a.func)).collect();
+                groups.insert(key.clone(), (keys, accs));
+            }
+            let entry = groups.get_mut(&key).expect("group just ensured");
+            for (acc, a) in entry.1.iter_mut().zip(self.aggs) {
+                let v = eval_scalar(&a.arg, self.db, self.params, Some(&scope))?;
+                acc.feed(&v)?;
+            }
+        }
+        let mut rows = Vec::with_capacity(order.len());
+        for key in &order {
+            let (keys, accs) = groups.remove(key).expect("group present");
+            let mut out = keys;
+            for acc in accs {
+                out.push(acc.finish());
+            }
+            rows.push(out);
+        }
+        Ok(rows)
     }
 }
 

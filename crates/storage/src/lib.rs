@@ -77,12 +77,19 @@ impl From<std::io::Error> for StorageError {
 /// Result alias for storage operations.
 pub type Result<T> = std::result::Result<T, StorageError>;
 
-/// FNV-1a over a byte slice; used for page checksums and value sketches.
+/// FNV-1a 64-bit offset basis.
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a 64-bit prime.
+pub(crate) const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// FNV-1a over a byte slice; feeds the value sketches (page checksums use
+/// the word-wise variant in [`pager`]).
 pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = FNV_OFFSET;
     for &b in bytes {
         h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        h = h.wrapping_mul(FNV_PRIME);
     }
     h
 }

@@ -6,7 +6,8 @@
 //!
 //! ```text
 //! offset  field
-//! 0..4    checksum   u32  FNV-1a of bytes[4..], sealed by the pager on write
+//! 0..4    checksum   u32  word-wise FNV-1a of bytes[4..] (`pager::checksum`),
+//!                         sealed by the pager on write, verified on read
 //! 4       kind       u8   free=0, leaf=1, internal=2, meta=3
 //! 5       (reserved)
 //! 6..8    nslots     u16  number of slot-directory entries

@@ -2,17 +2,17 @@
 //!
 //! The pager owns the backing medium — a file, or an in-memory vector for
 //! the fuzzer and unit tests — and moves whole pages across it. Every write
-//! seals the page by stamping `fnv64(bytes[4..])` (truncated to 32 bits)
-//! into the header's checksum field; every read verifies it, so torn or
-//! bit-rotted pages surface as [`StorageError::Corrupt`] instead of silent
-//! wrong answers.
+//! seals the page by stamping [`checksum`] of `bytes[4..]` into the
+//! header's checksum field; every read verifies it, so torn or bit-rotted
+//! pages surface as [`StorageError::Corrupt`] instead of silent wrong
+//! answers.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 use crate::page::{Page, PAGE_SIZE};
-use crate::{fnv64, Result, StorageError};
+use crate::{Result, StorageError, FNV_OFFSET, FNV_PRIME};
 
 /// Backing medium for a pager.
 enum Media {
@@ -29,10 +29,38 @@ pub struct Pager {
     page_count: u32,
 }
 
+/// Independent FNV-1a states in [`checksum`]: enough to keep the multiplier
+/// busy instead of waiting on one serial chain.
+const LANES: usize = 8;
+
 /// Checksum of a page image: FNV-1a over everything after the checksum
-/// field itself, truncated to 32 bits.
+/// field itself, taken a little-endian `u64` word at a time. Word `i` feeds
+/// lane `i % LANES`; the 4 bytes left after the last whole word form one
+/// zero-padded word that seeds the final state, into which the lanes are
+/// then folded in order. Multiplication only carries upward, so the low 32
+/// bits of `(h ^ w) * p` never depend on the high half of `w`: the high 32
+/// bits of the final state are folded into the low 32 before truncating.
 fn checksum(buf: &[u8; PAGE_SIZE]) -> u32 {
-    fnv64(&buf[4..]) as u32
+    let step = |h: u64, word: &[u8]| {
+        (h ^ u64::from_le_bytes(word.try_into().expect("8-byte word"))).wrapping_mul(FNV_PRIME)
+    };
+    let mut lanes = [FNV_OFFSET; LANES];
+    let mut blocks = buf[4..].chunks_exact(8 * LANES);
+    for block in &mut blocks {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = step(*lane, word);
+        }
+    }
+    let mut words = blocks.remainder().chunks_exact(8);
+    for (lane, word) in lanes.iter_mut().zip(&mut words) {
+        *lane = step(*lane, word);
+    }
+    let mut tail = [0u8; 8];
+    tail[..words.remainder().len()].copy_from_slice(words.remainder());
+    let h = lanes.iter().fold(step(FNV_OFFSET, &tail[..]), |h, lane| {
+        step(h, &lane.to_le_bytes()[..])
+    });
+    (h ^ (h >> 32)) as u32
 }
 
 /// Stamp the checksum into a page image.
@@ -203,6 +231,35 @@ mod tests {
             pages[id as usize][100] ^= 0xff;
         }
         assert!(matches!(p.read_page(id), Err(StorageError::Corrupt(_))));
+    }
+
+    #[test]
+    fn every_single_bit_flip_is_detected() {
+        let mut p = Pager::in_memory();
+        let id = p.allocate().unwrap();
+        let mut page = Page::init(PageKind::Leaf);
+        for (i, b) in page.0[8..].iter_mut().enumerate() {
+            *b = (i.wrapping_mul(131) >> 3) as u8;
+        }
+        p.write_page(id, &mut page).unwrap();
+        // Every bit after the checksum field, including the high half of
+        // every 8-byte word, which a multiply-only hash could miss.
+        let flip = |p: &mut Pager, byte: usize, bit: u32| {
+            if let Media::Mem(pages) = &mut p.media {
+                pages[id as usize][byte] ^= 1 << bit;
+            }
+        };
+        for byte in 4..PAGE_SIZE {
+            for bit in 0..8 {
+                flip(&mut p, byte, bit);
+                assert!(
+                    matches!(p.read_page(id), Err(StorageError::Corrupt(_))),
+                    "flip of byte {byte} bit {bit} went undetected"
+                );
+                flip(&mut p, byte, bit);
+            }
+        }
+        assert_eq!(p.read_page(id).unwrap().0, page.0);
     }
 
     #[test]

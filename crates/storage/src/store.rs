@@ -11,10 +11,10 @@
 //! layer clones whole `Database` values freely (the fuzzer runs the
 //! original and the extracted program against clones), and paged tables in
 //! those clones share this one store read-only. Scans lock per *leaf
-//! page*, not per row — a [`ScanCursor`] buffers one leaf's records at a
-//! time, so concurrent cursors (nested correlated loops) interleave
-//! without deadlock and memory stays bounded by the leaf size, not the
-//! table size.
+//! page*, not per row — a [`ScanCursor`] copies one leaf page at a time and
+//! lends records out of that copy, so concurrent cursors (nested correlated
+//! loops) interleave without deadlock and memory stays bounded by one page,
+//! not the table size.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -29,7 +29,10 @@ use crate::stats::{StatsBuilder, TableStatistics};
 use crate::{Result, StorageError};
 
 const MAGIC: u32 = 0x4551_5353; // "EQSS"
-const VERSION: u16 = 1;
+/// Store format version. 2: pages sealed with the word-wise checksum
+/// (`pager::checksum`); a version-1 file fails verification on its meta
+/// page and is refused as [`StorageError::Corrupt`].
+const VERSION: u16 = 2;
 
 /// Default buffer-pool frame budget (64 frames = 256 KiB of cache).
 pub const DEFAULT_FRAMES: usize = 64;
@@ -255,7 +258,7 @@ impl Store {
         Ok(ScanCursor {
             store: self.clone(),
             next_leaf: Some(leaf),
-            buf: Vec::new(),
+            page: Page::default(),
             idx: 0,
         })
     }
@@ -346,54 +349,48 @@ impl Store {
 
 /// An ordered cursor over one table's records.
 ///
-/// Buffers one leaf page of records at a time: the store lock is taken
-/// once per leaf, and memory held is one leaf's worth regardless of table
-/// size.
+/// Holds a private copy of one leaf page at a time: the store lock is
+/// taken once per leaf, memory held is one page regardless of table size,
+/// and [`ScanCursor::next_record`] lends records straight out of the copy.
 pub struct ScanCursor {
     store: Store,
     next_leaf: Option<u32>,
-    buf: Vec<(u64, Vec<u8>)>,
+    page: Page,
     idx: usize,
 }
 
+impl ScanCursor {
+    /// The next `(rowid, record)`, with the record borrowed from the
+    /// cursor's copy of the current leaf until the next call.
+    pub fn next_record(&mut self) -> Option<Result<(u64, &[u8])>> {
+        while self.idx >= self.page.nslots() {
+            let leaf = self.next_leaf.take()?;
+            let mut inner = self.store.lock();
+            let inner = &mut *inner;
+            let page = &mut self.page;
+            if let Err(e) = inner.pool.with_page(&mut inner.pager, leaf, |p| {
+                page.0.copy_from_slice(&p.0[..]);
+            }) {
+                return Some(Err(e));
+            }
+            let next = self.page.extra();
+            self.next_leaf = (next != 0).then_some(next);
+            self.idx = 0;
+        }
+        let (key, record) = self.page.cell(self.idx).split_at(8);
+        self.idx += 1;
+        let key = u64::from_le_bytes(key.try_into().expect("8-byte cell key"));
+        Some(Ok((key, record)))
+    }
+}
+
+/// Owned records, for callers that keep them past the next call.
 impl Iterator for ScanCursor {
     type Item = Result<(u64, Vec<u8>)>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if self.idx < self.buf.len() {
-                let item = std::mem::take(&mut self.buf[self.idx]);
-                self.idx += 1;
-                return Some(Ok(item));
-            }
-            let leaf = self.next_leaf?;
-            let mut inner = self.store.lock();
-            let inner = &mut *inner;
-            let loaded = inner.pool.with_page(&mut inner.pager, leaf, |p| {
-                let cells: Vec<(u64, Vec<u8>)> = (0..p.nslots())
-                    .map(|i| {
-                        let c = p.cell(i);
-                        let key = u64::from_le_bytes(c[..8].try_into().expect("key bytes"));
-                        (key, c[8..].to_vec())
-                    })
-                    .collect();
-                (cells, p.extra())
-            });
-            match loaded {
-                Err(e) => {
-                    self.next_leaf = None;
-                    return Some(Err(e));
-                }
-                Ok((cells, next)) => {
-                    self.buf = cells;
-                    self.idx = 0;
-                    self.next_leaf = if next == 0 { None } else { Some(next) };
-                    if self.buf.is_empty() && self.next_leaf.is_none() {
-                        return None;
-                    }
-                }
-            }
-        }
+        self.next_record()
+            .map(|r| r.map(|(key, record)| (key, record.to_vec())))
     }
 }
 
@@ -563,6 +560,32 @@ mod tests {
         let stats = s.statistics("t").unwrap();
         assert_eq!(stats.rows, 300);
         assert!(stats.columns.is_empty());
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn version_one_file_is_refused_with_a_typed_error() {
+        // A version-1 store sealed every page with the byte-serial `fnv64`;
+        // opening one must fail with `Corrupt`, never panic.
+        let path =
+            std::env::temp_dir().join(format!("eqsql-store-v1-test-{}.pages", std::process::id()));
+        {
+            let s = Store::create(&path, 4).unwrap();
+            s.create_table("t", 1).unwrap();
+            s.append("t", b"abc", &[Some(1)]).unwrap();
+            s.flush().unwrap();
+        }
+        let mut image = std::fs::read(&path).unwrap();
+        image[HEADER + 4..HEADER + 6].copy_from_slice(&1u16.to_le_bytes());
+        for page in image.chunks_exact_mut(PAGE_SIZE) {
+            let old = crate::fnv64(&page[4..]) as u32;
+            page[..4].copy_from_slice(&old.to_le_bytes());
+        }
+        std::fs::write(&path, &image).unwrap();
+        assert!(matches!(
+            Store::open(&path, 4),
+            Err(StorageError::Corrupt(_))
+        ));
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -140,6 +140,39 @@ fn volcano_agrees_on_multipage_table() {
     );
 }
 
+/// Projection pushdown: one case per rule deciding whether the scan may
+/// skip columns, on a table of several leaves. A wrongly pruned column
+/// reads as NULL, which every case below would expose.
+#[test]
+fn pruned_scans_agree_on_every_rule() {
+    let (mem, paged) = twin_dbs(600, 13);
+    let queries = [
+        // The scan row reaches the root: every column is decoded.
+        "SELECT * FROM emp WHERE salary > 150000",
+        // δ over π compares the projected rows only.
+        "SELECT DISTINCT dept FROM emp",
+        // A correlated subquery reads outer columns the projection drops.
+        "SELECT id FROM emp e WHERE EXISTS \
+         (SELECT id FROM emp d WHERE d.id = e.id + 1 AND d.dept = e.dept)",
+        // τ below π sorts on a column the projection drops.
+        "SELECT name FROM emp ORDER BY salary DESC, id",
+        // GROUP BY, and a global aggregate over several leaves.
+        "SELECT dept, MAX(name) AS hi, COUNT(*) AS n FROM emp GROUP BY dept",
+        "SELECT SUM(salary) AS total, MIN(name) AS lo, AVG(id) AS mean FROM emp",
+        // A global aggregate over empty input still yields one row.
+        "SELECT SUM(salary) AS total, COUNT(*) AS n FROM emp WHERE salary < 0",
+    ];
+    for sql in queries {
+        let q = algebra::parse::parse_sql(sql).unwrap();
+        assert_backends_agree(&q, &mem, &paged);
+    }
+    // δ *under* π dedups whole scan rows, so nothing may be pruned below it.
+    let dedup_below = RaExpr::table("emp")
+        .dedup()
+        .project(vec![ProjItem::col("dept")]);
+    assert_backends_agree(&dedup_below, &mem, &paged);
+}
+
 /// Flush/reopen persistence: rows written through the paged generator
 /// survive a process-boundary round trip (flush, drop, open) and still
 /// evaluate identically under the volcano executor.
