@@ -70,6 +70,18 @@ echo "==> storage_scale --check"
 # validates the tracked BENCH_storage.json. No timing gates.
 cargo run -q --release -p bench --bin storage_scale -- --check > /dev/null
 
+echo "==> paper figures vs golden"
+# The Fig. 8-11 harnesses print deterministic simulated costs and byte
+# counts; their stdout must stay byte-identical to the goldens captured
+# from the reference run (EXPERIMENTS.md quotes these tables).
+cargo build -q --release -p bench
+FIG_OUT="$(mktemp)"
+for fig in fig8_selection fig9_join fig10_aggregation fig11_comparison; do
+    target/release/"$fig" > "$FIG_OUT"
+    diff -u "tests/golden/figures/$fig.txt" "$FIG_OUT"
+done
+rm -f "$FIG_OUT"
+
 echo "==> eqbench --check"
 # Benchmark smoke: a tiny run of every eqbench workload, traced and not,
 # each with its own result checks (scan-large's sums against the table,

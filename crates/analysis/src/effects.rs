@@ -154,9 +154,8 @@ impl EffectSummary {
     /// `effects ⊑ pure` in the sense of the legacy boolean analysis: no
     /// database access, no output, no unknown calls. Receiver-local
     /// collection mutation (the `READ`/`WRITE` heap bits and the parameter
-    /// masks) is deliberately *not* counted — matching
-    /// [`crate::purity::pure_user_functions`], which treats `c.add(x)` as
-    /// pure regardless of where `c` came from.
+    /// masks) is deliberately *not* counted, so `c.add(x)` is pure
+    /// regardless of where `c` came from.
     pub fn is_externally_pure(&self) -> bool {
         !self.effects.contains(EffectSet::DB_READ)
             && !self.effects.contains(EffectSet::DB_WRITE)

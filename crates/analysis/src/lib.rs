@@ -63,7 +63,6 @@ pub mod purity;
 pub mod reaching;
 pub mod regions;
 pub mod slice;
-pub mod structural;
 pub mod taint;
 
 pub use callgraph::CallGraph;

@@ -1,4 +1,4 @@
-//! Purity analysis for user-defined functions.
+//! Purity of user-defined functions.
 //!
 //! The D-IR inlines user functions (paper Appendix D.6), so a call like
 //! `clampPositive(e.salary)` inside a loop body is algebraic. The dependence
@@ -6,40 +6,27 @@
 //! which calls are side-effect free, or every helper call would look like an
 //! external write and fail precondition P3.
 //!
-//! Since the interprocedural effect analysis landed, purity is a *view* of
-//! the effect summaries ([`crate::effects`]): a function is pure when its
-//! summary shows no external effects (database access, output, unknown
-//! calls). The joint callgraph fixpoint is strictly more precise than the
-//! legacy boolean increasing fixpoint — in particular, effect-free
-//! (mutually) recursive functions are now recognized as pure, where the old
-//! analysis conservatively rejected all recursion. The legacy algorithm is
-//! kept verbatim in [`reference`] so tests can assert the two agree
-//! everywhere the old one said "pure".
-
-use intern::Symbol;
-use std::collections::BTreeSet;
-
-use imp::ast::Program;
-
-/// The set of user-defined functions with no external effects, derived
-/// from the interprocedural effect summaries.
-pub fn pure_user_functions(p: &Program) -> BTreeSet<Symbol> {
-    crate::effects::effect_summaries(p)
-        .iter()
-        .filter(|(_, s)| s.is_externally_pure())
-        .map(|(f, _)| *f)
-        .collect()
-}
+//! Purity is a *view* of the effect summaries ([`crate::effects`]): a
+//! function is pure when `effect_summaries(..)` marks it
+//! [`is_externally_pure`](crate::effects::EffectSummary::is_externally_pure)
+//! — no database access, output or unknown calls. The joint callgraph
+//! fixpoint is strictly more precise than the legacy boolean increasing
+//! fixpoint: effect-free (mutually) recursive functions are pure, where the
+//! old analysis conservatively rejected all recursion. The legacy algorithm
+//! is kept verbatim in [`reference`] so tests can assert the summaries
+//! refine it everywhere the old one said "pure".
 
 /// The pre-effects boolean purity analysis, kept *only* as a test oracle
 /// (compiled under `cfg(test)` or the `test-oracles` feature, so release
-/// builds carry a single builtin-purity table): the summary-based
-/// [`pure_user_functions`] must classify every function this one calls
-/// pure as pure (it may additionally admit effect-free recursion).
+/// builds carry a single builtin-purity table): every function this one
+/// calls pure must have an externally pure effect summary (the summaries
+/// may additionally admit effect-free recursion).
 #[cfg(any(test, feature = "test-oracles"))]
 pub mod reference {
-    use super::*;
-    use imp::ast::{builtins, Block, Expr, StmtKind};
+    use std::collections::BTreeSet;
+
+    use imp::ast::{builtins, Block, Expr, Program, StmtKind};
+    use intern::Symbol;
 
     /// Legacy increasing-fixpoint purity (recursion conservatively impure).
     pub fn pure_user_functions(p: &Program) -> BTreeSet<Symbol> {
@@ -112,14 +99,27 @@ pub mod reference {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use std::collections::BTreeSet;
+
+    use crate::effects::effect_summaries;
+    use imp::ast::Program;
     use imp::parser::parse_program;
+    use intern::Symbol;
+
+    /// The functions of `p` whose effect summary is externally pure.
+    fn pure(p: &Program) -> BTreeSet<Symbol> {
+        effect_summaries(p)
+            .iter()
+            .filter(|(_, s)| s.is_externally_pure())
+            .map(|(f, _)| *f)
+            .collect()
+    }
 
     #[test]
     fn arithmetic_helper_is_pure() {
         let p = parse_program("fn clamp(x) { return max(x, 0); } fn main() { return clamp(1); }")
             .unwrap();
-        let pure = pure_user_functions(&p);
+        let pure = pure(&p);
         assert!(pure.contains(&Symbol::intern("clamp")));
         assert!(
             pure.contains(&Symbol::intern("main")),
@@ -133,7 +133,7 @@ mod tests {
             r#"fn fetch() { return executeQuery("SELECT * FROM t"); } fn m() { return fetch(); }"#,
         )
         .unwrap();
-        let pure = pure_user_functions(&p);
+        let pure = pure(&p);
         assert!(!pure.contains(&Symbol::intern("fetch")));
         assert!(!pure.contains(&Symbol::intern("m")), "transitively impure");
     }
@@ -141,7 +141,7 @@ mod tests {
     #[test]
     fn print_is_impure() {
         let p = parse_program("fn shout(x) { print(x); return x; }").unwrap();
-        assert!(pure_user_functions(&p).is_empty());
+        assert!(pure(&p).is_empty());
     }
 
     #[test]
@@ -149,9 +149,9 @@ mod tests {
         // The legacy increasing fixpoint could never admit a recursive
         // function; the effect fixpoint converges to "no effects" for it.
         let p = parse_program("fn s(x) { if (x == 0) return 0; return x + s(x - 1); }").unwrap();
-        assert!(pure_user_functions(&p).contains(&Symbol::intern("s")));
+        assert!(pure(&p).contains(&Symbol::intern("s")));
         assert!(
-            reference::pure_user_functions(&p).is_empty(),
+            super::reference::pure_user_functions(&p).is_empty(),
             "legacy oracle stays conservative on recursion"
         );
     }
@@ -160,7 +160,7 @@ mod tests {
     fn recursion_through_effects_stays_impure() {
         let p =
             parse_program("fn r(x) { print(x); if (x == 0) return 0; return r(x - 1); }").unwrap();
-        assert!(pure_user_functions(&p).is_empty());
+        assert!(pure(&p).is_empty());
     }
 
     #[test]
@@ -169,8 +169,7 @@ mod tests {
             "fn a(x) { return x + 1; } fn b(x) { return a(x) * 2; } fn c(x) { return b(a(x)); }",
         )
         .unwrap();
-        let pure = pure_user_functions(&p);
-        assert_eq!(pure.len(), 3);
+        assert_eq!(pure(&p).len(), 3);
     }
 
     #[test]
@@ -180,7 +179,7 @@ mod tests {
              fn odd(x) { if (x == 0) return 0; return even(x - 1); }",
         )
         .unwrap();
-        let pure = pure_user_functions(&p);
+        let pure = pure(&p);
         assert!(pure.contains(&Symbol::intern("even")));
         assert!(pure.contains(&Symbol::intern("odd")));
     }
@@ -198,13 +197,13 @@ mod tests {
              fn sink(x) { print(x); return top(x); }",
         )
         .unwrap();
-        let new = pure_user_functions(&p);
-        let old = reference::pure_user_functions(&p);
+        let new = pure(&p);
+        let old = super::reference::pure_user_functions(&p);
         assert!(old.is_subset(&new), "effects ⊑ pure refines the oracle");
         assert!(new.contains(&Symbol::intern("rec")), "the only gain");
         assert!(!new.contains(&Symbol::intern("sink")));
         assert_eq!(new.len(), old.len() + 1);
         // Convergence is deterministic: recomputing yields the same set.
-        assert_eq!(new, pure_user_functions(&p));
+        assert_eq!(new, pure(&p));
     }
 }

@@ -1,32 +1,49 @@
-//! Evaluator for the extended relational algebra.
+//! Scalar evaluation, and the spec of what every query observably does.
 //!
-//! Semantics notes:
+//! Every query runs on the volcano executor ([`crate::volcano`]); this
+//! module holds what its operators share — the scalar evaluator
+//! ([`eval_scalar`], [`eval_binop`]), column scopes for correlation, and
+//! the aggregate accumulators — and fixes the rules a result obeys,
+//! whether its tables are in memory or paged:
 //!
-//! * π is order preserving and keeps duplicates (paper Sec. 3.2.1);
-//! * δ keeps the first occurrence of each row;
+//! * π is order preserving and keeps duplicates (paper Sec. 3.2.1); σ, ⨝,
+//!   `OUTER APPLY` and LIMIT keep their input order too (a join emits the
+//!   pairs of each left row in right-input order);
+//! * δ keeps the first occurrence of each row; γ emits groups in
+//!   first-occurrence order. Both compare values by SQL equality, so
+//!   `Int(3)` and `Float(3.0)` meet and `NULL` groups with `NULL`, while
+//!   distinct integers and distinct strings never collide;
 //! * γ follows standard SQL `NULL` semantics (aggregates ignore `NULL`s;
-//!   `SUM` of an empty group is `NULL`, `COUNT` is `0`);
+//!   `SUM` of an empty group is `NULL`, `COUNT` is `0`), and a γ with no
+//!   GROUP BY over empty input still yields one row;
+//! * a left outer join and `OUTER APPLY` pad a left row with no partner
+//!   with `NULL`s (Appendix B);
 //! * `GREATEST`/`LEAST` ignore `NULL` arguments (PostgreSQL behaviour, which
 //!   the paper's Figure 3(d) targets);
-//! * correlation (`OUTER APPLY`, `EXISTS`) resolves columns against the
-//!   current row first, then outer scopes;
+//! * correlation (`OUTER APPLY`, `EXISTS`, scalar subqueries) resolves
+//!   columns against the current row first, then outer scopes; a scalar
+//!   subquery reads the first column of its first row, or `NULL`;
 //! * `ORDER BY` places `NULL`s first under `ASC` and last under `DESC`
-//!   ([`Value::sort_cmp`] is the single comparator both sides share);
+//!   ([`Value::sort_cmp`] is the single comparator both sides share), and
+//!   the sort is stable;
 //! * integer arithmetic errors — division/modulo by zero and `i64`
-//!   overflow — evaluate to `NULL` (NULL-on-error), never panic or wrap.
+//!   overflow — evaluate to `NULL` (NULL-on-error), never panic or wrap;
+//! * evaluation stops early: LIMIT, `EXISTS` and scalar subqueries pull
+//!   only the rows they need, so an error in a row never pulled (a type
+//!   error, a missing column) is not raised.
 //!
 //! This comment is the cross-crate semantics spec: the `interp` crate's
 //! `imp` operators must agree with it observably (see `tests/fuzz_repros.rs`
 //! and `crates/fuzz` for the differential harness that enforces this).
 
-use std::collections::HashMap;
 use std::fmt;
 
-use algebra::ra::{AggCall, AggFunc, JoinKind, RaExpr, SortOrder};
+use algebra::ra::{AggFunc, RaExpr};
 use algebra::scalar::{BinOp, Scalar, ScalarFunc, UnOp};
 
-use crate::table::{Database, Field, Relation, Row};
+use crate::table::{Database, Field};
 use crate::value::Value;
+use crate::volcano::first_row;
 
 /// An evaluation error.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,30 +88,9 @@ impl<'a> Scope<'a> {
     }
 }
 
-/// Evaluate a query against a database with positional parameters.
-///
-/// Single-table pipelines over a *paged* table are dispatched to the
-/// streaming volcano executor ([`crate::volcano`]), which produces
-/// byte-identical results while holding memory proportional to the
-/// operator state (one buffer-pool frame per scan, per-group accumulators)
-/// instead of the whole table. Everything else — joins, `OUTER APPLY`,
-/// in-memory tables — takes the materializing path.
-pub fn eval_query(ra: &RaExpr, db: &Database, params: &[Value]) -> Result<Relation, EvalError> {
-    if crate::volcano::plans_paged(ra, db) {
-        return crate::volcano::execute(ra, db, params);
-    }
-    eval_ra(ra, db, params, None)
-}
-
-/// Evaluate through the materializing evaluator unconditionally (the
-/// volcano differential sweep uses this as the reference side).
-pub fn eval_query_materialized(
-    ra: &RaExpr,
-    db: &Database,
-    params: &[Value],
-) -> Result<Relation, EvalError> {
-    eval_ra(ra, db, params, None)
-}
+/// Evaluate a query against a database with positional parameters: the
+/// volcano executor, [`crate::volcano::execute`], is the one evaluator.
+pub use crate::volcano::execute as eval_query;
 
 /// Output fields of an algebra expression, without evaluating it.
 pub fn fields_of(ra: &RaExpr, db: &Database) -> Result<Vec<Field>, EvalError> {
@@ -136,282 +132,6 @@ pub fn fields_of(ra: &RaExpr, db: &Database) -> Result<Vec<Field>, EvalError> {
             Ok(f)
         }
     }
-}
-
-pub(crate) fn eval_ra(
-    ra: &RaExpr,
-    db: &Database,
-    params: &[Value],
-    outer: Option<&Scope<'_>>,
-) -> Result<Relation, EvalError> {
-    match ra {
-        RaExpr::Table { name, .. } => {
-            let t = db
-                .table(name)
-                .ok_or_else(|| EvalError::UnknownTable(name.clone()))?;
-            Ok(Relation {
-                fields: fields_of(ra, db)?,
-                rows: t.rows_vec(),
-            })
-        }
-        RaExpr::Values { columns, rows } => Ok(Relation {
-            fields: columns.iter().map(Field::new).collect(),
-            rows: rows
-                .iter()
-                .map(|r| r.iter().map(Value::from_lit).collect())
-                .collect(),
-        }),
-        RaExpr::Select { input, pred } => {
-            let rel = eval_ra(input, db, params, outer)?;
-            let mut rows = Vec::new();
-            for row in &rel.rows {
-                let scope = Scope {
-                    fields: &rel.fields,
-                    row,
-                    parent: outer,
-                };
-                if eval_scalar(pred, db, params, Some(&scope))?.is_true() {
-                    rows.push(row.clone());
-                }
-            }
-            Ok(Relation {
-                fields: rel.fields,
-                rows,
-            })
-        }
-        RaExpr::Project { input, items } => {
-            let rel = eval_ra(input, db, params, outer)?;
-            let fields = items.iter().map(|i| Field::new(i.alias.clone())).collect();
-            let mut rows = Vec::with_capacity(rel.rows.len());
-            for row in &rel.rows {
-                let scope = Scope {
-                    fields: &rel.fields,
-                    row,
-                    parent: outer,
-                };
-                let mut out = Vec::with_capacity(items.len());
-                for i in items {
-                    out.push(eval_scalar(&i.expr, db, params, Some(&scope))?);
-                }
-                rows.push(out);
-            }
-            Ok(Relation { fields, rows })
-        }
-        RaExpr::Join {
-            left,
-            right,
-            pred,
-            kind,
-        } => {
-            let l = eval_ra(left, db, params, outer)?;
-            let r = eval_ra(right, db, params, outer)?;
-            let mut fields = l.fields.clone();
-            fields.extend(r.fields.clone());
-            let mut rows = Vec::new();
-            for lrow in &l.rows {
-                let mut matched = false;
-                for rrow in &r.rows {
-                    let mut combined = lrow.clone();
-                    combined.extend(rrow.iter().cloned());
-                    let scope = Scope {
-                        fields: &fields,
-                        row: &combined,
-                        parent: outer,
-                    };
-                    if eval_scalar(pred, db, params, Some(&scope))?.is_true() {
-                        matched = true;
-                        rows.push(combined);
-                    }
-                }
-                if !matched && *kind == JoinKind::LeftOuter {
-                    let mut combined = lrow.clone();
-                    combined.extend(std::iter::repeat_n(Value::Null, r.fields.len()));
-                    rows.push(combined);
-                }
-            }
-            Ok(Relation { fields, rows })
-        }
-        RaExpr::OuterApply { left, right } => {
-            let l = eval_ra(left, db, params, outer)?;
-            let right_fields = fields_of(right, db)?;
-            let mut fields = l.fields.clone();
-            fields.extend(right_fields.clone());
-            let mut rows = Vec::new();
-            for lrow in &l.rows {
-                let scope = Scope {
-                    fields: &l.fields,
-                    row: lrow,
-                    parent: outer,
-                };
-                let inner = eval_ra(right, db, params, Some(&scope))?;
-                if inner.rows.is_empty() {
-                    let mut combined = lrow.clone();
-                    combined.extend(std::iter::repeat_n(Value::Null, right_fields.len()));
-                    rows.push(combined);
-                } else {
-                    for irow in &inner.rows {
-                        let mut combined = lrow.clone();
-                        combined.extend(irow.iter().cloned());
-                        rows.push(combined);
-                    }
-                }
-            }
-            Ok(Relation { fields, rows })
-        }
-        RaExpr::Aggregate {
-            input,
-            group_by,
-            aggs,
-        } => {
-            let rel = eval_ra(input, db, params, outer)?;
-            eval_aggregate(&rel, group_by, aggs, db, params, outer)
-        }
-        RaExpr::Sort { input, keys } => {
-            let rel = eval_ra(input, db, params, outer)?;
-            // Decorate-sort-undecorate for stability and single evaluation.
-            let mut decorated: Vec<(Vec<Value>, Row)> = Vec::with_capacity(rel.rows.len());
-            for row in &rel.rows {
-                let scope = Scope {
-                    fields: &rel.fields,
-                    row,
-                    parent: outer,
-                };
-                let mut ks = Vec::with_capacity(keys.len());
-                for k in keys {
-                    ks.push(eval_scalar(&k.expr, db, params, Some(&scope))?);
-                }
-                decorated.push((ks, row.clone()));
-            }
-            decorated.sort_by(|(a, _), (b, _)| {
-                for (i, k) in keys.iter().enumerate() {
-                    let ord = a[i].sort_cmp(&b[i]);
-                    let ord = match k.order {
-                        SortOrder::Asc => ord,
-                        SortOrder::Desc => ord.reverse(),
-                    };
-                    if ord != std::cmp::Ordering::Equal {
-                        return ord;
-                    }
-                }
-                std::cmp::Ordering::Equal
-            });
-            Ok(Relation {
-                fields: rel.fields,
-                rows: decorated.into_iter().map(|(_, r)| r).collect(),
-            })
-        }
-        RaExpr::Dedup { input } => {
-            let rel = eval_ra(input, db, params, outer)?;
-            let mut seen: HashMap<String, ()> = HashMap::new();
-            let mut rows = Vec::new();
-            for row in &rel.rows {
-                let key: String = row
-                    .iter()
-                    .map(|v| v.group_key())
-                    .collect::<Vec<_>>()
-                    .join("\u{1}");
-                if seen.insert(key, ()).is_none() {
-                    rows.push(row.clone());
-                }
-            }
-            Ok(Relation {
-                fields: rel.fields,
-                rows,
-            })
-        }
-        RaExpr::Limit { input, count } => {
-            let mut rel = eval_ra(input, db, params, outer)?;
-            rel.rows.truncate(*count as usize);
-            Ok(rel)
-        }
-        RaExpr::Aliased { input, alias } => {
-            let rel = eval_ra(input, db, params, outer)?;
-            Ok(Relation {
-                fields: rel
-                    .fields
-                    .into_iter()
-                    .map(|f| Field::qualified(alias.clone(), f.name))
-                    .collect(),
-                rows: rel.rows,
-            })
-        }
-    }
-}
-
-fn eval_aggregate(
-    rel: &Relation,
-    group_by: &[algebra::ra::ProjItem],
-    aggs: &[AggCall],
-    db: &Database,
-    params: &[Value],
-    outer: Option<&Scope<'_>>,
-) -> Result<Relation, EvalError> {
-    let mut fields: Vec<Field> = group_by
-        .iter()
-        .map(|g| Field::new(g.alias.clone()))
-        .collect();
-    fields.extend(aggs.iter().map(|a| Field::new(a.alias.clone())));
-
-    // Group rows preserving first-occurrence order of groups.
-    let mut order: Vec<String> = Vec::new();
-    let mut groups: HashMap<String, (Vec<Value>, Vec<usize>)> = HashMap::new();
-    for (idx, row) in rel.rows.iter().enumerate() {
-        let scope = Scope {
-            fields: &rel.fields,
-            row,
-            parent: outer,
-        };
-        let mut keys = Vec::with_capacity(group_by.len());
-        for g in group_by {
-            keys.push(eval_scalar(&g.expr, db, params, Some(&scope))?);
-        }
-        let key: String = keys
-            .iter()
-            .map(|v| v.group_key())
-            .collect::<Vec<_>>()
-            .join("\u{1}");
-        match groups.get_mut(&key) {
-            Some((_, idxs)) => idxs.push(idx),
-            None => {
-                order.push(key.clone());
-                groups.insert(key, (keys, vec![idx]));
-            }
-        }
-    }
-
-    // Empty input with no GROUP BY still yields one (all-NULL/zero) row.
-    if rel.rows.is_empty() && group_by.is_empty() {
-        let mut out = Vec::new();
-        for a in aggs {
-            out.push(empty_agg(a.func));
-        }
-        return Ok(Relation {
-            fields,
-            rows: vec![out],
-        });
-    }
-
-    let mut rows = Vec::with_capacity(order.len());
-    for key in &order {
-        let (keys, idxs) = &groups[key];
-        let mut out = keys.clone();
-        for a in aggs {
-            let mut acc = Accumulator::new(a.func);
-            for &i in idxs {
-                let row = &rel.rows[i];
-                let scope = Scope {
-                    fields: &rel.fields,
-                    row,
-                    parent: outer,
-                };
-                let v = eval_scalar(&a.arg, db, params, Some(&scope))?;
-                acc.feed(&v)?;
-            }
-            out.push(acc.finish());
-        }
-        rows.push(out);
-    }
-    Ok(Relation { fields, rows })
 }
 
 pub(crate) fn empty_agg(f: AggFunc) -> Value {
@@ -590,18 +310,10 @@ pub fn eval_scalar(
             }
             eval_scalar(otherwise, db, params, scope)
         }
-        Scalar::Exists(q) => {
-            let rel = eval_ra(q, db, params, scope)?;
-            Ok(Value::Bool(!rel.rows.is_empty()))
-        }
-        Scalar::Subquery(q) => {
-            let rel = eval_ra(q, db, params, scope)?;
-            Ok(rel
-                .rows
-                .first()
-                .and_then(|r| r.first().cloned())
-                .unwrap_or(Value::Null))
-        }
+        Scalar::Exists(q) => Ok(Value::Bool(first_row(q, db, params, scope)?.is_some())),
+        Scalar::Subquery(q) => Ok(first_row(q, db, params, scope)?
+            .and_then(|r| r.into_iter().next())
+            .unwrap_or(Value::Null)),
     }
 }
 
@@ -744,6 +456,7 @@ fn str_func(vals: Vec<Value>, f: impl Fn(&str) -> String) -> Result<Value, EvalE
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::Relation;
     use algebra::parse::parse_sql;
     use algebra::schema::{SqlType, TableSchema};
 

@@ -206,21 +206,6 @@ pub fn gen_catalog_nulls(catalog: &Catalog, rows: usize, seed: u64, null_pct: u3
     db
 }
 
-/// [`gen_catalog`] into a paged database: generated rows stream straight
-/// into B-tree pages (identical data to the in-memory variant under the
-/// same seed — the two share [`RowGen`]).
-pub fn gen_catalog_paged(
-    catalog: &Catalog,
-    rows: usize,
-    seed: u64,
-    store: storage::Store,
-) -> Database {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut db = Database::new_paged(store);
-    fill_catalog(&mut db, catalog, rows, &mut rng, GenProfile::plain());
-    db
-}
-
 /// Matoso `board` table: `n` boards spread over `rounds` rounds, four player
 /// scores each (paper Fig. 2 / Experiment 7).
 pub fn gen_board(n: usize, rounds: i64, seed: u64) -> Database {

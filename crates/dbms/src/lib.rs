@@ -1,14 +1,19 @@
-//! `dbms` — an in-memory multiset relational database engine.
+//! `dbms` — a multiset relational database engine.
 //!
 //! This is the substrate the paper's evaluation ran against (MySQL 5.5 over
-//! JDBC/Hibernate). We implement an engine that executes the extended
-//! relational algebra of the `algebra` crate with the exact semantics the
-//! paper assumes:
+//! JDBC/Hibernate). It executes the extended relational algebra of the
+//! `algebra` crate with the exact semantics the paper assumes:
 //!
 //! * multiset relations; π preserves input order and keeps duplicates
 //!   (Sec. 3.2.1);
 //! * standard SQL `NULL` semantics for aggregates (Rule T5.2's note);
 //! * `OUTER APPLY` / lateral padding with NULLs (Appendix B).
+//!
+//! Tables live in memory or in `storage` pages ([`table`], [`paged`]).
+//! Every query, over either backing, runs on one executor: the volcano
+//! operator tree in [`volcano`], which [`eval_query`] names. [`eval`]
+//! holds the scalar evaluator and accumulators its operators share, and
+//! specifies the rules every result obeys.
 //!
 //! [`connection::Connection`] wraps the engine behind a simulated
 //! client/server boundary: each query costs one round-trip latency plus a

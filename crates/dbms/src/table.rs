@@ -3,7 +3,7 @@
 //! A [`Table`] is backed either by an in-memory `Vec<Row>` (the default)
 //! or by a page file through `crates/storage` ([`crate::paged`]). Both
 //! backings present the same observable contract — insertion-order scans,
-//! identical rows — so the evaluator treats them interchangeably; the
+//! identical rows — so the executor treats them interchangeably; the
 //! paged backing additionally keeps memory bounded by the buffer pool's
 //! frame budget and collects per-column statistics.
 
@@ -83,11 +83,6 @@ impl Table {
         self.len() == 0
     }
 
-    /// True when rows live in the paged store.
-    pub fn is_paged(&self) -> bool {
-        matches!(self.backing, Backing::Paged(_))
-    }
-
     /// Iterate rows in insertion order (owned; in-memory rows are cloned,
     /// paged rows are decoded one leaf page at a time).
     pub fn scan(&self) -> TableScan<'_> {
@@ -112,14 +107,6 @@ impl Table {
         match &self.backing {
             Backing::Mem(rows) => rows.clone(),
             Backing::Paged(t) => t.scan().collect(),
-        }
-    }
-
-    /// The in-memory row vector, when this table is memory-backed.
-    pub fn mem_rows_mut(&mut self) -> Option<&mut Vec<Row>> {
-        match &mut self.backing {
-            Backing::Mem(rows) => Some(rows),
-            Backing::Paged(_) => None,
         }
     }
 

@@ -1,92 +1,76 @@
-//! A volcano (iterator-model) executor for single-table pipelines.
+//! The relational executor: a volcano (iterator-model) operator tree that
+//! runs every plan the algebra can express, over in-memory and paged
+//! tables alike.
 //!
-//! Each operator pulls one row at a time from its child:
-//! `SeqScan → Filter → Project → Sort → Dedup → Limit → Aggregate`.
-//! Over a paged table this keeps memory bounded by operator state — the
-//! scan holds one B-tree leaf, filters and projections are stateless,
-//! aggregation holds one accumulator set per group — instead of
-//! materializing the whole table as the tree-walking evaluator
-//! ([`crate::eval`]) does. Sort is the exception: τ is a blocking
-//! operator and buffers its input, exactly as the paper treats it.
+//! Each operator pulls one row at a time from its child. Scans, σ, π, ρ
+//! and LIMIT stream; τ buffers its input (a blocking operator, as the
+//! paper treats it); δ and γ hold one entry per distinct row or group. A
+//! join materializes its right input once and streams its left; `OUTER
+//! APPLY` evaluates its right side once per left row, with that row as
+//! the outer scope; `VALUES` yields its literal rows. Over a paged table
+//! the scan holds one B-tree leaf at a time, so memory is bounded by
+//! operator state rather than by the table.
+//!
+//! Every operator evaluates its scalars under the outer scope the tree was
+//! built in, so a correlated subquery — `EXISTS`, a scalar subquery, the
+//! right side of an apply — is just a tree built under the current row.
+//! `EXISTS` and scalar subqueries pull a single row and stop
+//! ([`first_row`]).
 //!
 //! The scan decodes only the columns the operators above it read (see
 //! [`scan_columns`]); the others read as NULL, which nothing above can
 //! observe. A γ with no GROUP BY feeds one accumulator set directly.
 //!
-//! The executor is semantically *identical* to the materializing
-//! evaluator — same order preservation, duplicate handling,
-//! first-occurrence grouping, NULL-first sorting, and NULL-on-error
-//! arithmetic — because it reuses the same scalar evaluator, comparator,
-//! and aggregate accumulators. `tests/volcano_diff.rs` holds the two
-//! engines byte-identical across the query corpus on identical data.
-//!
-//! [`plans_paged`] decides dispatch: a query takes this path when its
-//! operator spine is a supported single-table pipeline *and* the base
-//! table is paged. Joins, `OUTER APPLY`, and `VALUES` fall back to the
-//! materializing evaluator (whose base-table scans still stream out of
-//! the store — they just materialize the scan result first).
+//! The observable rules — order preservation, duplicates, first-occurrence
+//! grouping, NULL-first sorting, NULL-on-error arithmetic, early
+//! termination — are specified in [`crate::eval`], whose scalar
+//! evaluator, comparator and accumulators every operator shares.
+//! `tests/volcano_diff.rs` holds the in-memory and paged backings
+//! byte-identical to each other and to the frozen output of the
+//! materializing evaluator this executor replaced.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
-use algebra::ra::{AggCall, RaExpr, SortOrder};
-use algebra::scalar::Scalar;
+use algebra::ra::{AggCall, JoinKind, ProjItem, RaExpr, SortKey, SortOrder};
+use algebra::scalar::{Lit, Scalar};
 
 use crate::eval::{empty_agg, eval_scalar, fields_of, Accumulator, EvalError, Scope};
 use crate::table::{Database, Field, Relation, Row, TableScan};
 use crate::value::Value;
 
-/// Is `ra` a single-table pipeline this executor supports? (Predicates
-/// and projections may still contain arbitrary subqueries — the scalar
-/// evaluator handles those.)
-pub fn plannable(ra: &RaExpr) -> bool {
-    match ra {
-        RaExpr::Table { .. } => true,
-        RaExpr::Select { input, .. }
-        | RaExpr::Project { input, .. }
-        | RaExpr::Sort { input, .. }
-        | RaExpr::Dedup { input }
-        | RaExpr::Limit { input, .. }
-        | RaExpr::Aliased { input, .. }
-        | RaExpr::Aggregate { input, .. } => plannable(input),
-        RaExpr::Values { .. } | RaExpr::Join { .. } | RaExpr::OuterApply { .. } => false,
-    }
-}
-
-/// The single base table under a plannable spine.
-fn base_table(ra: &RaExpr) -> Option<&str> {
-    match ra {
-        RaExpr::Table { name, .. } => Some(name),
-        RaExpr::Select { input, .. }
-        | RaExpr::Project { input, .. }
-        | RaExpr::Sort { input, .. }
-        | RaExpr::Dedup { input }
-        | RaExpr::Limit { input, .. }
-        | RaExpr::Aliased { input, .. }
-        | RaExpr::Aggregate { input, .. } => base_table(input),
-        RaExpr::Values { .. } | RaExpr::Join { .. } | RaExpr::OuterApply { .. } => None,
-    }
-}
-
-/// Should [`crate::eval::eval_query`] dispatch `ra` here? True when the
-/// spine is plannable and its base table is stored in pages.
-pub fn plans_paged(ra: &RaExpr, db: &Database) -> bool {
-    plannable(ra)
-        && base_table(ra)
-            .and_then(|name| db.table(name))
-            .is_some_and(|t| t.is_paged())
-}
-
-/// Execute a plannable pipeline, draining the operator tree into a
-/// [`Relation`].
+/// Execute a plan, draining the operator tree into a [`Relation`]. Every
+/// query runs here: [`crate::eval_query`] is this function.
 pub fn execute(ra: &RaExpr, db: &Database, params: &[Value]) -> Result<Relation, EvalError> {
     let columns = scan_columns(ra);
-    let mut op = build(ra, db, params, columns.as_deref())?;
+    let cx = Ctx {
+        db,
+        params,
+        outer: None,
+    };
+    let mut op = build(ra, cx, columns.as_deref())?;
     let fields = op.fields().to_vec();
+    let rows = drain(op.as_mut())?;
+    Ok(Relation { fields, rows })
+}
+
+/// Pull every remaining row out of `op`.
+fn drain(op: &mut dyn Op) -> Result<Vec<Row>, EvalError> {
     let mut rows = Vec::new();
     while let Some(row) = op.next()? {
         rows.push(row);
     }
-    Ok(Relation { fields, rows })
+    Ok(rows)
+}
+
+/// The first row of `ra` evaluated under `outer`, pulling nothing past
+/// it: all that `EXISTS` and a scalar subquery need.
+pub(crate) fn first_row<'a>(
+    ra: &'a RaExpr,
+    db: &'a Database,
+    params: &'a [Value],
+    outer: Option<&'a Scope<'a>>,
+) -> Result<Option<Row>, EvalError> {
+    build(ra, Ctx { db, params, outer }, None)?.next()
 }
 
 /// The column names the operators above the base-table scan reference, or
@@ -94,8 +78,9 @@ pub fn execute(ra: &RaExpr, db: &Database, params: &[Value]) -> Result<Relation,
 /// above the scan (otherwise the scan row itself is the result), no δ
 /// between them (δ compares whole rows), and no `EXISTS` or scalar
 /// subquery anywhere on the spine (a correlated subquery reads outer
-/// columns this walk does not see). Names are collected without their
-/// qualifiers, so the set may keep more columns than needed, never fewer.
+/// columns this walk does not see). Joins, applies and `VALUES` decode
+/// every column. Names are collected without their qualifiers, so the set
+/// may keep more columns than needed, never fewer.
 fn scan_columns(mut ra: &RaExpr) -> Option<Vec<String>> {
     let mut names = Vec::new();
     let mut replaced = false;
@@ -139,24 +124,47 @@ fn scan_columns(mut ra: &RaExpr) -> Option<Vec<String>> {
     }
 }
 
-/// One operator in the pipeline: exposes its output schema and yields
-/// rows one at a time.
+/// What every operator evaluates its scalars against: the database, the
+/// query parameters, and the enclosing row when the tree runs correlated.
+#[derive(Clone, Copy)]
+struct Ctx<'a> {
+    db: &'a Database,
+    params: &'a [Value],
+    outer: Option<&'a Scope<'a>>,
+}
+
+impl Ctx<'_> {
+    /// Evaluate `e` on `row` (laid out as `fields`), resolving columns the
+    /// row lacks in the outer scope.
+    fn eval(&self, e: &Scalar, fields: &[Field], row: &[Value]) -> Result<Value, EvalError> {
+        let scope = Scope {
+            fields,
+            row,
+            parent: self.outer,
+        };
+        eval_scalar(e, self.db, self.params, Some(&scope))
+    }
+}
+
+/// One operator in the tree: exposes its output schema and yields rows
+/// one at a time.
 trait Op {
     fn fields(&self) -> &[Field];
     fn next(&mut self) -> Result<Option<Row>, EvalError>;
 }
 
 /// Build the operator tree; `columns` is [`scan_columns`] of the whole
-/// plan, handed down to the scan.
+/// plan, handed down to the scan. An operator with a schema of its own
+/// takes it from [`fields_of`].
 fn build<'a>(
     ra: &'a RaExpr,
-    db: &'a Database,
-    params: &'a [Value],
+    cx: Ctx<'a>,
     columns: Option<&[String]>,
 ) -> Result<Box<dyn Op + 'a>, EvalError> {
-    match ra {
+    Ok(match ra {
         RaExpr::Table { name, .. } => {
-            let t = db
+            let t = cx
+                .db
                 .table(name)
                 .ok_or_else(|| EvalError::UnknownTable(name.clone()))?;
             let scan = match columns {
@@ -169,72 +177,85 @@ fn build<'a>(
                 ),
                 None => t.scan(),
             };
-            Ok(Box::new(SeqScan {
-                fields: fields_of(ra, db)?,
+            Box::new(SeqScan {
+                fields: fields_of(ra, cx.db)?,
                 scan,
-            }))
+            })
         }
-        RaExpr::Select { input, pred } => Ok(Box::new(Filter {
-            input: build(input, db, params, columns)?,
+        RaExpr::Values { rows, .. } => Box::new(Values {
+            fields: fields_of(ra, cx.db)?,
+            rows: rows.iter(),
+        }),
+        RaExpr::Select { input, pred } => Box::new(Filter {
+            input: build(input, cx, columns)?,
             pred,
-            db,
-            params,
-        })),
-        RaExpr::Project { input, items } => Ok(Box::new(Project {
-            input: build(input, db, params, columns)?,
+            cx,
+        }),
+        RaExpr::Project { input, items } => Box::new(Project {
+            input: build(input, cx, columns)?,
             items,
-            fields: items.iter().map(|i| Field::new(i.alias.clone())).collect(),
-            db,
-            params,
-        })),
-        RaExpr::Sort { input, keys } => Ok(Box::new(Sort {
-            input: build(input, db, params, columns)?,
+            fields: fields_of(ra, cx.db)?,
+            cx,
+        }),
+        RaExpr::Join {
+            left,
+            right,
+            pred,
+            kind,
+        } => {
+            let left = build(left, cx, None)?;
+            let mut right = build(right, cx, None)?;
+            Box::new(Join {
+                left_width: left.fields().len(),
+                left,
+                right: drain(right.as_mut())?,
+                pred,
+                kind: *kind,
+                fields: fields_of(ra, cx.db)?,
+                buf: Vec::new(),
+                pos: None,
+                matched: false,
+                cx,
+            })
+        }
+        RaExpr::OuterApply { left, right } => Box::new(Apply {
+            left: build(left, cx, None)?,
+            right,
+            fields: fields_of(ra, cx.db)?,
+            pending: Vec::new().into_iter(),
+            cx,
+        }),
+        RaExpr::Sort { input, keys } => Box::new(Sort {
+            input: build(input, cx, columns)?,
             keys,
             buf: None,
-            db,
-            params,
-        })),
-        RaExpr::Dedup { input } => Ok(Box::new(Dedup {
-            input: build(input, db, params, columns)?,
-            seen: HashMap::new(),
-        })),
-        RaExpr::Limit { input, count } => Ok(Box::new(Limit {
-            input: build(input, db, params, columns)?,
+            cx,
+        }),
+        RaExpr::Dedup { input } => Box::new(Dedup {
+            input: build(input, cx, columns)?,
+            seen: HashSet::new(),
+        }),
+        RaExpr::Limit { input, count } => Box::new(Limit {
+            input: build(input, cx, columns)?,
             remaining: *count as usize,
-        })),
+        }),
         RaExpr::Aggregate {
             input,
             group_by,
             aggs,
-        } => {
-            let mut fields: Vec<Field> = group_by
-                .iter()
-                .map(|g| Field::new(g.alias.clone()))
-                .collect();
-            fields.extend(aggs.iter().map(|a| Field::new(a.alias.clone())));
-            Ok(Box::new(Aggregate {
-                input: build(input, db, params, columns)?,
-                group_by,
-                aggs,
-                fields,
-                out: None,
-                db,
-                params,
-            }))
-        }
-        RaExpr::Aliased { input, alias } => {
-            let input = build(input, db, params, columns)?;
-            let fields = input
-                .fields()
-                .iter()
-                .map(|f| Field::qualified(alias.clone(), f.name.clone()))
-                .collect();
-            Ok(Box::new(Alias { input, fields }))
-        }
-        RaExpr::Values { .. } | RaExpr::Join { .. } | RaExpr::OuterApply { .. } => Err(
-            EvalError::Type("volcano executor: unsupported operator in pipeline".into()),
-        ),
-    }
+        } => Box::new(Aggregate {
+            input: build(input, cx, columns)?,
+            group_by,
+            aggs,
+            fields: fields_of(ra, cx.db)?,
+            out: None,
+            cx,
+        }),
+        RaExpr::Aliased { input, .. } => Box::new(Alias {
+            input: build(input, cx, columns)?,
+            fields: fields_of(ra, cx.db)?,
+        }),
+    })
 }
 
 /// Base-table scan in insertion order (one leaf page resident at a time
@@ -254,12 +275,30 @@ impl Op for SeqScan<'_> {
     }
 }
 
+/// `VALUES` — literal rows in order.
+struct Values<'a> {
+    fields: Vec<Field>,
+    rows: std::slice::Iter<'a, Vec<Lit>>,
+}
+
+impl Op for Values<'_> {
+    fn fields(&self) -> &[Field] {
+        &self.fields
+    }
+
+    fn next(&mut self) -> Result<Option<Row>, EvalError> {
+        Ok(self
+            .rows
+            .next()
+            .map(|r| r.iter().map(Value::from_lit).collect()))
+    }
+}
+
 /// σ — keep rows whose predicate is TRUE (not FALSE, not NULL).
 struct Filter<'a> {
     input: Box<dyn Op + 'a>,
     pred: &'a Scalar,
-    db: &'a Database,
-    params: &'a [Value],
+    cx: Ctx<'a>,
 }
 
 impl Op for Filter<'_> {
@@ -269,12 +308,8 @@ impl Op for Filter<'_> {
 
     fn next(&mut self) -> Result<Option<Row>, EvalError> {
         while let Some(row) = self.input.next()? {
-            let scope = Scope {
-                fields: self.input.fields(),
-                row: &row,
-                parent: None,
-            };
-            if eval_scalar(self.pred, self.db, self.params, Some(&scope))?.is_true() {
+            let keep = self.cx.eval(self.pred, self.input.fields(), &row)?;
+            if keep.is_true() {
                 return Ok(Some(row));
             }
         }
@@ -285,10 +320,9 @@ impl Op for Filter<'_> {
 /// π — order-preserving, duplicate-keeping projection.
 struct Project<'a> {
     input: Box<dyn Op + 'a>,
-    items: &'a [algebra::ra::ProjItem],
+    items: &'a [ProjItem],
     fields: Vec<Field>,
-    db: &'a Database,
-    params: &'a [Value],
+    cx: Ctx<'a>,
 }
 
 impl Op for Project<'_> {
@@ -300,27 +334,132 @@ impl Op for Project<'_> {
         let Some(row) = self.input.next()? else {
             return Ok(None);
         };
-        let scope = Scope {
-            fields: self.input.fields(),
-            row: &row,
-            parent: None,
-        };
         let mut out = Vec::with_capacity(self.items.len());
         for i in self.items {
-            out.push(eval_scalar(&i.expr, self.db, self.params, Some(&scope))?);
+            out.push(self.cx.eval(&i.expr, self.input.fields(), &row)?);
         }
         Ok(Some(out))
     }
 }
 
+/// ⨝ / ⟕ — nested-loop join. The right input is materialized when the
+/// operator is built and the left streams. Each candidate pair is laid
+/// out in one reused buffer and copied out only when the predicate holds;
+/// under a left outer join a left row with no partner is padded with
+/// NULLs.
+struct Join<'a> {
+    left: Box<dyn Op + 'a>,
+    left_width: usize,
+    right: Vec<Row>,
+    pred: &'a Scalar,
+    kind: JoinKind,
+    fields: Vec<Field>,
+    /// The current left row followed by the right row under test.
+    buf: Row,
+    /// The next right row to pair with the current left row; `None`
+    /// between left rows.
+    pos: Option<usize>,
+    /// Has the current left row found a partner?
+    matched: bool,
+    cx: Ctx<'a>,
+}
+
+impl Op for Join<'_> {
+    fn fields(&self) -> &[Field] {
+        &self.fields
+    }
+
+    fn next(&mut self) -> Result<Option<Row>, EvalError> {
+        loop {
+            let Some(pos) = self.pos else {
+                let Some(left) = self.left.next()? else {
+                    return Ok(None);
+                };
+                self.buf.clear();
+                self.buf.extend(left);
+                self.pos = Some(0);
+                self.matched = false;
+                continue;
+            };
+            if let Some(r) = self.right.get(pos) {
+                self.pos = Some(pos + 1);
+                self.buf.truncate(self.left_width);
+                self.buf.extend_from_slice(r);
+                if self.cx.eval(self.pred, &self.fields, &self.buf)?.is_true() {
+                    self.matched = true;
+                    return Ok(Some(self.buf.clone()));
+                }
+                continue;
+            }
+            self.pos = None;
+            if !self.matched && self.kind == JoinKind::LeftOuter {
+                self.buf.truncate(self.left_width);
+                self.buf.resize(self.fields.len(), Value::Null);
+                return Ok(Some(std::mem::take(&mut self.buf)));
+            }
+        }
+    }
+}
+
+/// `OUTER APPLY` — for each left row, run the right plan with that row as
+/// its outer scope and emit the left row joined to each result row, or
+/// padded with NULLs when there is none.
+struct Apply<'a> {
+    left: Box<dyn Op + 'a>,
+    right: &'a RaExpr,
+    fields: Vec<Field>,
+    /// Output rows of the current left row not yet returned.
+    pending: std::vec::IntoIter<Row>,
+    cx: Ctx<'a>,
+}
+
+impl Op for Apply<'_> {
+    fn fields(&self) -> &[Field] {
+        &self.fields
+    }
+
+    fn next(&mut self) -> Result<Option<Row>, EvalError> {
+        loop {
+            if let Some(row) = self.pending.next() {
+                return Ok(Some(row));
+            }
+            let Some(left) = self.left.next()? else {
+                return Ok(None);
+            };
+            let inner = {
+                let scope = Scope {
+                    fields: self.left.fields(),
+                    row: &left,
+                    parent: self.cx.outer,
+                };
+                let cx = Ctx {
+                    outer: Some(&scope),
+                    ..self.cx
+                };
+                let mut op = build(self.right, cx, None)?;
+                drain(op.as_mut())?
+            };
+            self.pending = if inner.is_empty() {
+                let mut row = left;
+                row.resize(self.fields.len(), Value::Null);
+                vec![row]
+            } else {
+                let joined = |r: Row| left.iter().cloned().chain(r).collect();
+                inner.into_iter().map(joined).collect::<Vec<_>>()
+            }
+            .into_iter();
+        }
+    }
+}
+
 /// τ — blocking sort; decorate-sort-undecorate with the shared
-/// NULLs-first comparator, stable like the materializing evaluator.
+/// NULLs-first comparator, stable.
 struct Sort<'a> {
     input: Box<dyn Op + 'a>,
-    keys: &'a [algebra::ra::SortKey],
-    buf: Option<std::vec::IntoIter<Row>>,
-    db: &'a Database,
-    params: &'a [Value],
+    keys: &'a [SortKey],
+    /// The input rows, each behind its sort key values, in sorted order.
+    buf: Option<std::vec::IntoIter<(Vec<Value>, Row)>>,
+    cx: Ctx<'a>,
 }
 
 impl Op for Sort<'_> {
@@ -332,14 +471,9 @@ impl Op for Sort<'_> {
         if self.buf.is_none() {
             let mut decorated: Vec<(Vec<Value>, Row)> = Vec::new();
             while let Some(row) = self.input.next()? {
-                let scope = Scope {
-                    fields: self.input.fields(),
-                    row: &row,
-                    parent: None,
-                };
                 let mut ks = Vec::with_capacity(self.keys.len());
                 for k in self.keys {
-                    ks.push(eval_scalar(&k.expr, self.db, self.params, Some(&scope))?);
+                    ks.push(self.cx.eval(&k.expr, self.input.fields(), &row)?);
                 }
                 decorated.push((ks, row));
             }
@@ -357,23 +491,52 @@ impl Op for Sort<'_> {
                 }
                 std::cmp::Ordering::Equal
             });
-            self.buf = Some(
-                decorated
-                    .into_iter()
-                    .map(|(_, r)| r)
-                    .collect::<Vec<_>>()
-                    .into_iter(),
-            );
+            self.buf = Some(decorated.into_iter());
         }
-        Ok(self.buf.as_mut().expect("sorted buffer").next())
+        let buf = self.buf.as_mut().expect("sorted buffer");
+        Ok(buf.next().map(|(_, row)| row))
     }
 }
 
-/// δ — streaming dedup keeping first occurrences; state is one group key
-/// per distinct row seen.
+/// One value of a δ or γ key. Integers stay exact, an integral float
+/// meets the equal integer (`Int(3)` and `Float(3.0)` group together, as
+/// SQL equality says), and strings are kept whole, so two different rows
+/// never share a key.
+#[derive(PartialEq, Eq, Hash)]
+enum GroupKey {
+    Null,
+    Bool(bool),
+    Int(i64),
+    Float(u64),
+    Str(String),
+}
+
+/// The key δ dedups a whole row by, and γ groups its GROUP BY values by.
+fn group_key(values: &[Value]) -> Vec<GroupKey> {
+    // ±2⁶³ are exact as `f64`; an integral float in [-2⁶³, 2⁶³) casts to
+    // `i64` without loss.
+    const I64_END: f64 = 9_223_372_036_854_775_808.0;
+    values
+        .iter()
+        .map(|v| match v {
+            Value::Null => GroupKey::Null,
+            Value::Bool(b) => GroupKey::Bool(*b),
+            Value::Int(i) => GroupKey::Int(*i),
+            Value::Float(f) if f.fract() == 0.0 && (-I64_END..I64_END).contains(f) => {
+                GroupKey::Int(*f as i64)
+            }
+            Value::Float(f) if f.is_nan() => GroupKey::Float(f64::NAN.to_bits()),
+            Value::Float(f) => GroupKey::Float(f.to_bits()),
+            Value::Str(s) => GroupKey::Str(s.clone()),
+        })
+        .collect()
+}
+
+/// δ — streaming dedup keeping first occurrences; state is one key per
+/// distinct row seen.
 struct Dedup<'a> {
     input: Box<dyn Op + 'a>,
-    seen: HashMap<String, ()>,
+    seen: HashSet<Vec<GroupKey>>,
 }
 
 impl Op for Dedup<'_> {
@@ -383,12 +546,7 @@ impl Op for Dedup<'_> {
 
     fn next(&mut self) -> Result<Option<Row>, EvalError> {
         while let Some(row) = self.input.next()? {
-            let key: String = row
-                .iter()
-                .map(|v| v.group_key())
-                .collect::<Vec<_>>()
-                .join("\u{1}");
-            if self.seen.insert(key, ()).is_none() {
+            if self.seen.insert(group_key(&row)) {
                 return Ok(Some(row));
             }
         }
@@ -427,12 +585,11 @@ impl Op for Limit<'_> {
 /// O(groups), not O(rows).
 struct Aggregate<'a> {
     input: Box<dyn Op + 'a>,
-    group_by: &'a [algebra::ra::ProjItem],
+    group_by: &'a [ProjItem],
     aggs: &'a [AggCall],
     fields: Vec<Field>,
     out: Option<std::vec::IntoIter<Row>>,
-    db: &'a Database,
-    params: &'a [Value],
+    cx: Ctx<'a>,
 }
 
 impl Op for Aggregate<'_> {
@@ -463,13 +620,8 @@ impl Aggregate<'_> {
         let mut saw_rows = false;
         while let Some(row) = self.input.next()? {
             saw_rows = true;
-            let scope = Scope {
-                fields: self.input.fields(),
-                row: &row,
-                parent: None,
-            };
             for (acc, a) in accs.iter_mut().zip(self.aggs) {
-                acc.feed(&eval_scalar(&a.arg, self.db, self.params, Some(&scope))?)?;
+                acc.feed(&self.cx.eval(&a.arg, self.input.fields(), &row)?)?;
             }
         }
         Ok(if saw_rows {
@@ -482,44 +634,30 @@ impl Aggregate<'_> {
     /// GROUP BY: per-group accumulators keyed by the group values, emitted
     /// in first-occurrence order.
     fn grouped(&mut self) -> Result<Vec<Row>, EvalError> {
-        let mut order: Vec<String> = Vec::new();
-        let mut groups: HashMap<String, (Vec<Value>, Vec<Accumulator>)> = HashMap::new();
+        let mut slots: HashMap<Vec<GroupKey>, usize> = HashMap::new();
+        let mut groups: Vec<(Row, Vec<Accumulator>)> = Vec::new();
         while let Some(row) = self.input.next()? {
-            let scope = Scope {
-                fields: self.input.fields(),
-                row: &row,
-                parent: None,
-            };
+            let fields = self.input.fields();
             let mut keys = Vec::with_capacity(self.group_by.len());
             for g in self.group_by {
-                keys.push(eval_scalar(&g.expr, self.db, self.params, Some(&scope))?);
+                keys.push(self.cx.eval(&g.expr, fields, &row)?);
             }
-            let key: String = keys
-                .iter()
-                .map(|v| v.group_key())
-                .collect::<Vec<_>>()
-                .join("\u{1}");
-            if !groups.contains_key(&key) {
-                order.push(key.clone());
+            let slot = *slots.entry(group_key(&keys)).or_insert_with(|| {
                 let accs = self.aggs.iter().map(|a| Accumulator::new(a.func)).collect();
-                groups.insert(key.clone(), (keys, accs));
-            }
-            let entry = groups.get_mut(&key).expect("group just ensured");
-            for (acc, a) in entry.1.iter_mut().zip(self.aggs) {
-                let v = eval_scalar(&a.arg, self.db, self.params, Some(&scope))?;
-                acc.feed(&v)?;
+                groups.push((keys, accs));
+                groups.len() - 1
+            });
+            for (acc, a) in groups[slot].1.iter_mut().zip(self.aggs) {
+                acc.feed(&self.cx.eval(&a.arg, fields, &row)?)?;
             }
         }
-        let mut rows = Vec::with_capacity(order.len());
-        for key in &order {
-            let (keys, accs) = groups.remove(key).expect("group present");
-            let mut out = keys;
-            for acc in accs {
-                out.push(acc.finish());
-            }
-            rows.push(out);
-        }
-        Ok(rows)
+        Ok(groups
+            .into_iter()
+            .map(|(mut out, accs)| {
+                out.extend(accs.into_iter().map(Accumulator::finish));
+                out
+            })
+            .collect())
     }
 }
 
@@ -572,16 +710,8 @@ mod tests {
         (mem, paged)
     }
 
-    #[test]
-    fn dispatch_goes_through_volcano_for_paged_only() {
-        let (mem, paged) = twin_dbs(10);
-        let q = parse_sql("SELECT * FROM t WHERE g = 2").unwrap();
-        assert!(!plans_paged(&q, &mem));
-        assert!(plans_paged(&q, &paged));
-        let j = parse_sql("SELECT * FROM t a JOIN t b ON a.id = b.id").unwrap();
-        assert!(!plans_paged(&j, &paged), "joins are not plannable");
-    }
-
+    /// "Materialized" is the in-memory backing: the same plans must come
+    /// out identical from rows held in a `Vec` and rows decoded from pages.
     #[test]
     fn volcano_matches_materialized_on_pipelines() {
         let (mem, paged) = twin_dbs(200);
@@ -593,15 +723,15 @@ mod tests {
             "SELECT DISTINCT g FROM t ORDER BY g DESC",
             "SELECT id FROM t ORDER BY x, id LIMIT 7",
             "SELECT COUNT(*) AS c FROM t WHERE id > 9999",
+            "SELECT a.id, b.id AS o FROM t a JOIN t b ON a.x = b.g AND b.id < 20",
         ] {
             let q = parse_sql(sql).unwrap();
-            let reference = crate::eval::eval_query_materialized(&q, &mem, &[]).unwrap();
-            let via_volcano = execute(&q, &paged, &[]).unwrap();
-            assert_eq!(reference, via_volcano, "{sql}");
-            // And the public entry point dispatches identically.
+            let in_memory = execute(&q, &mem, &[]).unwrap();
+            assert_eq!(in_memory, execute(&q, &paged, &[]).unwrap(), "{sql}");
+            // The public entry point is the same function.
             assert_eq!(
-                reference,
-                crate::eval::eval_query(&q, &paged, &[]).unwrap(),
+                in_memory,
+                crate::eval_query(&q, &paged, &[]).unwrap(),
                 "{sql}"
             );
         }
@@ -621,5 +751,29 @@ mod tests {
             after.hits + after.misses - (before.hits + before.misses) < 6,
             "LIMIT must not scan the whole table"
         );
+    }
+
+    #[test]
+    fn exists_pulls_one_row_and_stops() {
+        // Every row after the first fails the subquery's predicate with a
+        // type error (an integer compared with a string). EXISTS stops at
+        // the first row, so the error is never raised.
+        let (mem, _) = twin_dbs(3);
+        let q = parse_sql(
+            "SELECT id FROM t o WHERE EXISTS (SELECT id FROM t i WHERE i.id = 0 OR i.x < 'z')",
+        )
+        .unwrap();
+        assert_eq!(execute(&q, &mem, &[]).unwrap().len(), 3);
+    }
+
+    /// Edge values beyond the end-to-end cases in `tests/volcano_diff.rs`.
+    #[test]
+    fn group_keys_follow_sql_equality_at_the_edges() {
+        let key = |v: Value| group_key(&[v]);
+        assert!(key(Value::Int(0)) == key(Value::Float(-0.0)));
+        assert!(key(Value::Float(f64::NAN)) == key(Value::Float(-f64::NAN)));
+        assert!(key(Value::Float(1.5)) != key(Value::Float(2.5)));
+        assert!(key(Value::Null) != key(Value::Int(0)));
+        assert!(key(Value::Bool(true)) != key(Value::Int(1)));
     }
 }

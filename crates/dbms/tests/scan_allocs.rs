@@ -1,10 +1,12 @@
-//! Allocation gate for the paged read path. Unlike a timing, an allocation
-//! count repeats exactly on every machine, so a regression in the scan —
-//! a copy per cell, a `String` per unread text column, a group key per
-//! row — fails here instead of hiding in benchmark noise.
+//! Allocation gates for the read path, paged and in memory. Unlike a
+//! timing, an allocation count repeats exactly on every machine, so a
+//! regression in the scan — a copy per cell, a `String` per unread text
+//! column, a group key per row, a second clone of a kept row — fails here
+//! instead of hiding in benchmark noise.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// Counts allocations while switched on; otherwise a plain `System`.
 struct CountingAlloc;
@@ -44,8 +46,10 @@ fn bump() {
     }
 }
 
-/// Allocations made while `f` runs. This file holds a single test, so no
-/// other test thread allocates inside the bracket.
+/// Allocations made while `f` runs. Each test holds this lock for its
+/// whole body, so no other test thread allocates inside the bracket.
+static SERIAL: Mutex<()> = Mutex::new(());
+
 fn count<R>(f: impl FnOnce() -> R) -> (R, u64) {
     let before = COUNT.load(Ordering::Relaxed);
     ENABLED.store(true, Ordering::Relaxed);
@@ -61,6 +65,7 @@ const ROWS: usize = 20_000;
 /// columns are never read, so they must never be decoded.
 #[test]
 fn global_sum_allocates_one_row_buffer_per_row() {
+    let _serial = SERIAL.lock().unwrap();
     let db = dbms::gen::gen_emp_paged(ROWS, 7, storage::Store::in_memory(8));
     let pages = db.store().expect("paged database").page_count() as f64;
     let q = algebra::parse::parse_sql("SELECT SUM(salary) AS total FROM emp").unwrap();
@@ -70,5 +75,24 @@ fn global_sum_allocates_one_row_buffer_per_row() {
     assert!(
         allocs as f64 <= budget,
         "{allocs} allocations for {ROWS} rows on {pages} pages (budget {budget})"
+    );
+}
+
+/// A `WHERE` filter over an in-memory table: each scanned row is cloned
+/// once out of the table (its `Vec` plus one `String` per text column), a
+/// kept row moves into the result without a second copy, and the rest is
+/// the result vector's doubling and a fixed per-query setup.
+#[test]
+fn in_memory_filter_clones_each_scanned_row_once() {
+    let _serial = SERIAL.lock().unwrap();
+    let db = dbms::gen::gen_emp(ROWS, 7);
+    let text_columns = 2; // name, dept
+    let q = algebra::parse::parse_sql("SELECT * FROM emp WHERE salary > 150000").unwrap();
+    let (rel, allocs) = count(|| dbms::eval_query(&q, &db, &[]).unwrap());
+    assert!(rel.rows.len() > ROWS / 5, "the filter keeps a good share");
+    let budget = (1 + text_columns) * ROWS + 64;
+    assert!(
+        allocs as usize <= budget,
+        "{allocs} allocations for {ROWS} rows (budget {budget})"
     );
 }
