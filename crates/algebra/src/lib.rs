@@ -9,15 +9,19 @@
 //!   (Sec. 3.2.1): σ, π (order preserving, no duplicate elimination), ⨝,
 //!   γ (grouping/aggregation), τ (sort), δ (duplicate elimination), and the
 //!   `OUTER APPLY` construct of Rule T7 (Appendix B);
+//! * [`dml::Stmt`] — typed DML statements (`executeUpdate` strings and the
+//!   batched statements foreach-dml extraction emits);
 //! * [`schema`] — table schemas, keys, and catalogs used for binding;
 //! * [`render`] — dialect-aware SQL generation ([`dialect::Dialect`]);
 //! * [`parse`] — a parser for the SQL subset that appears in application
-//!   source code (`executeQuery("SELECT … WHERE x = ?")`).
+//!   source code (`executeQuery("SELECT … WHERE x = ?")`,
+//!   `executeUpdate("UPDATE … WHERE id = ?")`).
 //!
 //! Everything here is pure data + pure functions; execution lives in `dbms`.
 
 pub mod ddl;
 pub mod dialect;
+pub mod dml;
 pub mod parse;
 pub mod ra;
 pub mod render;

@@ -441,15 +441,19 @@ pub fn describe_external_write(
                     let n = name.as_str();
                     if n == builtins::EXECUTE_UPDATE {
                         // Name the concrete DML verb and written table when
-                        // the statement string is a recognizable template,
-                        // so blame output anchors to something real.
+                        // the statement string parses, so blame output
+                        // anchors to something real.
                         found = Some(match args.first() {
                             Some(Expr::Lit(imp::ast::Literal::Str(sql))) => {
-                                match crate::depend::parse_dml_template(sql) {
-                                    Some(t) => {
-                                        format!("executes `{}` on table `{}`", t.kind(), t.table())
+                                match algebra::parse::parse_statement(sql) {
+                                    Ok(st) => {
+                                        format!(
+                                            "executes `{}` on table `{}`",
+                                            st.verb(),
+                                            st.table()
+                                        )
                                     }
-                                    None => "executes a database update".to_string(),
+                                    Err(_) => "executes a database update".to_string(),
                                 }
                             }
                             _ => "executes a database update".to_string(),

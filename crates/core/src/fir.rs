@@ -518,7 +518,7 @@ pub fn whole_body_lcfd_count(ddg: &Ddg) -> usize {
 // ===========================================================================
 
 use algebra::scalar::{BinOp, ColRef, Lit, Scalar, ScalarFunc, UnOp};
-use analysis::depend::{DmlSite, DmlTemplate, TemplateVal};
+use analysis::depend::{DmlSite, DmlTemplate};
 use imp::ast::{BinaryOp, Expr, Literal, UnaryOp};
 
 /// The driving scan of a write loop: the cursor's source table, the alias
@@ -772,31 +772,6 @@ pub fn expr_to_scalar(
     }
 }
 
-/// Parse a raw template token (a SQL literal as it appeared in the DML
-/// string) into a scalar literal.
-fn template_lit(tok: &str) -> Result<Scalar, String> {
-    let t = tok.trim();
-    if t.eq_ignore_ascii_case("null") {
-        return Ok(Scalar::Lit(Lit::Null));
-    }
-    if t.eq_ignore_ascii_case("true") {
-        return Ok(Scalar::Lit(Lit::Bool(true)));
-    }
-    if t.eq_ignore_ascii_case("false") {
-        return Ok(Scalar::Lit(Lit::Bool(false)));
-    }
-    if let Some(s) = t.strip_prefix('\'').and_then(|s| s.strip_suffix('\'')) {
-        return Ok(Scalar::Lit(Lit::Str(s.to_string())));
-    }
-    if let Ok(i) = t.parse::<i64>() {
-        return Ok(Scalar::Lit(Lit::Int(i)));
-    }
-    if let Ok(v) = t.parse::<f64>() {
-        return Ok(Scalar::Lit(Lit::float(v)));
-    }
-    Err(format!("SQL literal `{t}` has no scalar translation"))
-}
-
 /// Convert a certified-batchable DML site into the F-IR `ForeachDml` form.
 ///
 /// `source` carries the driving scan (with any `?` ordinals of the driving
@@ -810,18 +785,18 @@ pub fn loop_to_dml(
     mut source: DmlSource,
 ) -> Result<ForeachDml, String> {
     let alias = source.alias.clone();
-    // A template value is either the raw SQL literal or `?i` resolved
-    // through the call's argument expressions.
-    let resolve = |v: &TemplateVal, params: &mut Vec<Expr>| -> Result<Scalar, String> {
+    // A template value is either a SQL literal or `?i` resolved through
+    // the call's argument expressions.
+    let resolve = |v: &Scalar, params: &mut Vec<Expr>| -> Result<Scalar, String> {
         match v {
-            TemplateVal::Lit(tok) => template_lit(tok),
-            TemplateVal::Param(i) => {
+            Scalar::Param(i) => {
                 let arg = site
                     .args
                     .get(*i)
                     .ok_or_else(|| format!("DML statement references missing argument ?{i}"))?;
                 expr_to_scalar(arg, cursor, &alias, params)
             }
+            lit => Ok(lit.clone()),
         }
     };
     // Guards become conjuncts of the driving predicate. A guard reached

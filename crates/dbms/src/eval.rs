@@ -80,6 +80,15 @@ pub struct Scope<'a> {
 }
 
 impl<'a> Scope<'a> {
+    /// The outermost scope: `row`, laid out as `fields`.
+    pub fn new(fields: &'a [Field], row: &'a [Value]) -> Scope<'a> {
+        Scope {
+            fields,
+            row,
+            parent: None,
+        }
+    }
+
     fn lookup(&self, qualifier: Option<&str>, name: &str) -> Option<Value> {
         if let Ok(i) = crate::table::resolve_fields(self.fields, qualifier, name) {
             return Some(self.row[i].clone());
