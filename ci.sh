@@ -82,12 +82,14 @@ for fig in fig8_selection fig9_join fig10_aggregation fig11_comparison; do
 done
 rm -f "$FIG_OUT"
 
-echo "==> eqbench --check"
-# Benchmark smoke: a tiny run of every eqbench workload, traced and not,
-# each with its own result checks (scan-large's sums against the table,
-# dml-batch's final tables, the services' bodies). Exit is nonzero on any
-# wrong result. No timing gates.
-cargo run --release --offline --manifest-path eqbench/Cargo.toml -- --check
+echo "==> eqbench tests (--check smoke + unit tests)"
+# Benchmark smoke: eqbench lives outside the root workspace, so its own
+# tests run here. tests/eqbench_check.rs runs `--check` (a tiny run of
+# every workload, traced and not, each with its own result checks:
+# scan-large's sums against the table, dml-batch's final tables, the
+# services' bodies) and requires it to print every metric BENCHMARK.json
+# declares, with its unit. No timing gates.
+cargo test --release --offline --manifest-path eqbench/Cargo.toml
 
 echo "==> perf_pipeline --check"
 # Small-corpus sweep: asserts the bench harness runs end to end and emits

@@ -24,7 +24,7 @@
 //!   conservatively).
 
 use intern::Symbol;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use imp::ast::{Block, Stmt, StmtId, StmtKind};
 
@@ -347,11 +347,6 @@ fn stmt_cond_externals(s: &Stmt, ctx: &DefUseCtx) -> (bool, bool) {
     } else {
         (false, false)
     }
-}
-
-/// Map from statement id to atom order, for tests and debugging.
-pub fn order_map(ddg: &Ddg) -> BTreeMap<StmtId, usize> {
-    ddg.atoms.iter().map(|a| (a.id, a.order)).collect()
 }
 
 #[cfg(test)]

@@ -41,17 +41,6 @@ impl DefUseCtx {
             summaries: crate::effects::effect_summaries(p),
         }
     }
-
-    /// The set of user functions with no external effects, derived from
-    /// the summaries (compatibility shim for callers that still think in
-    /// terms of a boolean pure set).
-    pub fn pure_functions(&self) -> BTreeSet<Symbol> {
-        self.summaries
-            .iter()
-            .filter(|(_, s)| s.is_externally_pure())
-            .map(|(f, _)| *f)
-            .collect()
-    }
 }
 
 /// Names of pure library functions that read nothing external.

@@ -41,7 +41,7 @@
 //! | `W007` | extraction blame: why a cursor loop was not extracted |
 //! | `W008` | loop-invariant query inside a loop (hoistable) |
 //! | `W009` | N+1 pattern: per-row query keyed only by the cursor row |
-//! | `W010` | DML loop batchable, but foreach-dml extraction disabled/failed |
+//! | `W010` | DML loop batchable, but foreach-dml extraction failed |
 //!
 //! Codes are append-only: a published code never changes meaning, so JSON
 //! consumers may match on `code` strings.
@@ -133,8 +133,8 @@ pub enum Code {
     /// into one set-oriented statement.
     DmlLoopNotBatchable,
     /// A DML loop is batchable (no loop-carried dependence), but the
-    /// foreach-dml extraction was disabled, failed to lower, or failed
-    /// certification; the message says why.
+    /// foreach-dml extraction failed to lower or failed certification;
+    /// the message says why.
     DmlLoopNotExtracted,
 }
 

@@ -26,7 +26,7 @@
 
 use std::collections::BTreeSet;
 
-use imp::ast::{builtins, Block, Expr, Function, Program, Stmt, StmtKind};
+use imp::ast::{Block, Expr, Function, Program, Stmt, StmtKind};
 
 use crate::ddg::Ddg;
 use crate::deadcode::eliminate_dead_code;
@@ -358,11 +358,6 @@ pub fn stmt_span(block: &Block, id: imp::ast::StmtId) -> Option<imp::token::Span
         }
     });
     out
-}
-
-/// True when an expression calls a database-writing builtin or prints.
-pub fn is_external_write_expr(e: &Expr) -> bool {
-    e.calls_any(&[builtins::EXECUTE_UPDATE])
 }
 
 #[cfg(test)]

@@ -179,16 +179,13 @@ fn sweep_json(s: &Sweep, n_units: usize, runs: usize) -> Json {
         ),
         (
             "stages_ns".into(),
-            Json::Obj(vec![
-                ("parse".into(), Json::int(s.parse_ns as i64)),
-                ("desugar".into(), Json::int(s.stage.desugar_ns as i64)),
-                ("dir".into(), Json::int(s.stage.dir_ns as i64)),
-                ("depend".into(), Json::int(s.stage.depend_ns as i64)),
-                ("rules".into(), Json::int(s.stage.rules_ns as i64)),
-                ("sqlgen".into(), Json::int(s.stage.sqlgen_ns as i64)),
-                ("rewrite".into(), Json::int(s.stage.rewrite_ns as i64)),
-                ("total".into(), Json::int(s.total_ns as i64)),
-            ]),
+            Json::Obj(
+                std::iter::once(("parse", s.parse_ns))
+                    .chain(s.stage.stages())
+                    .chain(std::iter::once(("total", s.total_ns)))
+                    .map(|(name, ns)| (name.into(), Json::int(ns as i64)))
+                    .collect(),
+            ),
         ),
         (
             "allocs".into(),

@@ -62,9 +62,6 @@ pub struct Obligation {
     pub before: NodeId,
     /// The node after the rewrite.
     pub after: NodeId,
-    /// Human-readable binding environment (name → rendered value) captured
-    /// at the rewrite site; purely informational.
-    pub binding: Vec<(String, String)>,
     /// The loop statement and variable the rewrite is anchored at, when
     /// the rewrite came from a fold with a known origin.
     pub origin: Option<(StmtId, Symbol)>,
@@ -78,7 +75,6 @@ impl Obligation {
             kind: ObligationKind::Rewrite,
             before,
             after,
-            binding: Vec::new(),
             origin: None,
         }
     }
@@ -90,7 +86,6 @@ impl Obligation {
             kind: ObligationKind::FoldIntro,
             before,
             after,
-            binding: Vec::new(),
             origin: Some(origin),
         }
     }
@@ -98,12 +93,6 @@ impl Obligation {
     /// Attach an origin (loop statement + variable).
     pub fn with_origin(mut self, origin: (StmtId, Symbol)) -> Obligation {
         self.origin = Some(origin);
-        self
-    }
-
-    /// Attach a binding-environment entry.
-    pub fn with_binding(mut self, name: impl Into<String>, value: impl Into<String>) -> Obligation {
-        self.binding.push((name.into(), value.into()));
         self
     }
 }
@@ -272,12 +261,6 @@ impl<'a> Certifier<'a> {
             sizes: vec![0, 1, 2, 3],
             reps: 2,
         }
-    }
-
-    /// Override the base seed.
-    pub fn with_seed(mut self, seed: u64) -> Certifier<'a> {
-        self.seed = seed;
-        self
     }
 
     /// Check every obligation and aggregate the outcomes.

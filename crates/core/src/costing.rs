@@ -135,15 +135,6 @@ impl DbStats {
         self
     }
 
-    /// Add a synthetic column statistic.
-    pub fn with_column(mut self, table: &str, column: &str, ndv: f64, null_frac: f64) -> DbStats {
-        self.columns
-            .entry(table.to_string())
-            .or_default()
-            .insert(column.to_string(), ColStats { ndv, null_frac });
-        self
-    }
-
     /// Canonical, deterministic encoding of the statistics.
     ///
     /// Feeds [`crate::ExtractorOptions::fingerprint`]: both maps are

@@ -53,13 +53,6 @@ pub struct ExtractorOptions {
     /// loop is kept. Off by default (certification costs differential
     /// trials per obligation).
     pub certify: bool,
-    /// Extract batchable DML (write) loops into single set-oriented
-    /// statements (foreach-dml, DESIGN.md §5i). The loop-carried dependence
-    /// pass (`analysis::depend`) must certify the loop `Batchable`; with
-    /// [`ExtractorOptions::certify`] also set, every such rewrite is
-    /// additionally validated by differential state comparison. When
-    /// disabled, batchable write loops are reported (`W010`) but kept.
-    pub extract_dml: bool,
 }
 
 impl Default for ExtractorOptions {
@@ -74,7 +67,6 @@ impl Default for ExtractorOptions {
             prefer_lateral: false,
             rule_cache: true,
             certify: false,
-            extract_dml: true,
         }
     }
 }
@@ -91,8 +83,7 @@ impl ExtractorOptions {
     pub fn fingerprint(&self) -> String {
         format!(
             "dialect={:?};ordered={};require_all_vars={};rewrite_prints={};\
-             dependent_agg={};prefer_lateral={};cost_based={};certify={};\
-             extract_dml={}",
+             dependent_agg={};prefer_lateral={};cost_based={};certify={}",
             self.dialect,
             self.ordered,
             self.require_all_vars,
@@ -104,7 +95,6 @@ impl ExtractorOptions {
                 None => "none".to_string(),
             },
             self.certify,
-            self.extract_dml,
         )
     }
 }
@@ -246,16 +236,28 @@ pub struct StageTimes {
     pub depend_ns: u64,
 }
 
+/// Number of timed stages in [`StageTimes::stages`].
+pub const STAGE_COUNT: usize = 7;
+
 impl StageTimes {
+    /// Every timed stage as `(name, ns)`, in pipeline order. This is the
+    /// one stage vocabulary: [`StageTimes::total_ns`], the service's
+    /// `eqsql_stage_ns_total` and `perf_pipeline`'s `stages_ns` all read it.
+    pub fn stages(&self) -> [(&'static str, u64); STAGE_COUNT] {
+        [
+            ("desugar", self.desugar_ns),
+            ("dir", self.dir_ns),
+            ("depend", self.depend_ns),
+            ("rules", self.rules_ns),
+            ("sqlgen", self.sqlgen_ns),
+            ("rewrite", self.rewrite_ns),
+            ("certify", self.certify_ns),
+        ]
+    }
+
     /// Sum of the per-stage times.
     pub fn total_ns(&self) -> u64 {
-        self.desugar_ns
-            + self.dir_ns
-            + self.rules_ns
-            + self.sqlgen_ns
-            + self.rewrite_ns
-            + self.certify_ns
-            + self.depend_ns
+        self.stages().iter().map(|(_, ns)| ns).sum()
     }
 
     /// Accumulate another run's counters into this one (peaks take the max).
@@ -980,46 +982,40 @@ impl Extractor {
         stage: &mut StageTimes,
         certification: Option<&mut CertSummary>,
     ) -> Option<DmlOutcome> {
-        use analysis::depend;
         let (cursor, iterable, body) = find_foreach(&f.body, loop_stmt)?;
         if !body_has_dml(body) {
             return None;
         }
-        let depend_started = Instant::now();
-        let w010 = |why: String| DmlOutcome {
-            replacement: None,
-            row: None,
-            diags: vec![Diagnostic::new(
+        let w010 = |why: String| {
+            Diagnostic::new(
                 Code::DmlLoopNotExtracted,
                 loop_span,
                 format!("DML loop not extracted: {why}"),
             )
             .with_primary_label("this write loop stays imperative")
             .with_function(fname)
-            .with_pass("depend")],
+            .with_pass("depend")
         };
-        // Resolve the driving scan; without it the dependence analysis has
-        // no key to prove write-disjointness against.
-        let driving = match dml_driving(f, iterable, &self.catalog) {
-            Ok(d) => d,
-            Err(why) => {
-                stage.depend_ns += depend_started.elapsed().as_nanos() as u64;
-                return Some(w010(why));
-            }
+        let kept = |diags: Vec<Diagnostic>| DmlOutcome {
+            replacement: None,
+            row: None,
+            diags,
         };
-        let info = depend::DrivingInfo {
-            cursor,
-            table: &driving.table,
-            key: driving.key.as_deref(),
-            loop_span,
-        };
-        let dep = depend::analyze_body(body, &info);
-        let site = match &dep.verdict {
-            depend::Verdict::NotDml => {
-                stage.depend_ns += depend_started.elapsed().as_nanos() as u64;
-                return None;
-            }
-            depend::Verdict::Blocked(b) => {
+        let depend_started = Instant::now();
+        let lowered = self.lower_dml_loop(f, cursor, iterable, body, loop_span, live_after);
+        stage.depend_ns += depend_started.elapsed().as_nanos() as u64;
+        let LoweredDml {
+            driving,
+            dml,
+            sql,
+            replacement,
+            fir_display,
+            rule_trace,
+        } = match lowered {
+            Ok(l) => l,
+            Err(DmlKept::NotDml) => return None,
+            Err(DmlKept::Unbatched(why)) => return Some(kept(vec![w010(why)])),
+            Err(DmlKept::Blocked(b)) => {
                 let mut d = Diagnostic::new(
                     Code::DmlLoopNotBatchable,
                     loop_span,
@@ -1034,91 +1030,9 @@ impl Extractor {
                 if b.span != loop_span && b.span.end != 0 {
                     d = d.with_label(b.span, "the blocking dependence arises here");
                 }
-                stage.depend_ns += depend_started.elapsed().as_nanos() as u64;
-                return Some(DmlOutcome {
-                    replacement: None,
-                    row: None,
-                    diags: vec![d],
-                });
-            }
-            depend::Verdict::Batchable => match &dep.site {
-                Some(s) => s,
-                None => {
-                    stage.depend_ns += depend_started.elapsed().as_nanos() as u64;
-                    return Some(w010(format!(
-                        "the loop is batchable but performs {} DML statements; \
-                         extraction supports exactly one",
-                        dep.sites_found
-                    )));
-                }
-            },
-        };
-        if !self.opts.extract_dml {
-            stage.depend_ns += depend_started.elapsed().as_nanos() as u64;
-            return Some(w010(
-                "the loop is batchable, but foreach-dml extraction is disabled".to_string(),
-            ));
-        }
-        // Removing the loop drops its scalar assignments too: every
-        // variable the body defines must be dead afterwards.
-        let defs = block_defs(body);
-        if let Some(v) = defs.iter().find(|v| live_after.contains(*v)) {
-            stage.depend_ns += depend_started.elapsed().as_nanos() as u64;
-            return Some(w010(format!(
-                "the loop is batchable, but `{v}` is assigned in the body \
-                 and still live after the loop"
-            )));
-        }
-        // Arguments of the batched statement are evaluated once, outside
-        // the loop — they must not reference loop-local scalars.
-        let mut arg_vars = std::collections::BTreeSet::new();
-        for a in &site.args {
-            expr_vars(a, &mut arg_vars);
-        }
-        for (g, _) in &site.guards {
-            expr_vars(g, &mut arg_vars);
-        }
-        arg_vars.remove(&cursor);
-        if let Some(v) = arg_vars.iter().find(|v| defs.contains(*v)) {
-            stage.depend_ns += depend_started.elapsed().as_nanos() as u64;
-            return Some(w010(format!(
-                "the DML statement depends on `{v}`, a scalar computed \
-                 inside the loop body"
-            )));
-        }
-        // Lower to the F-IR form, simplify, and generate SQL.
-        let source = crate::fir::DmlSource {
-            table: driving.table.clone(),
-            alias: driving.alias.clone(),
-            pred: driving.pred.clone(),
-            params: driving.params.clone(),
-            key: driving.key.clone().unwrap_or_default(),
-        };
-        let mut dml = match crate::fir::loop_to_dml(site, cursor, source) {
-            Ok(d) => d,
-            Err(why) => {
-                stage.depend_ns += depend_started.elapsed().as_nanos() as u64;
-                return Some(w010(format!("the loop is batchable, but {why}")));
+                return Some(kept(vec![d]));
             }
         };
-        let fir_display = dml.to_string();
-        let mut rule_trace = vec!["FOREACH-DML".to_string()];
-        rule_trace.extend(
-            crate::rules::fold_dml(&mut dml, &self.catalog)
-                .into_iter()
-                .map(|r| r.to_string()),
-        );
-        let (sql, args) = match crate::sqlgen::dml_to_sql(&dml, self.opts.dialect) {
-            Ok(r) => r,
-            Err(e) => {
-                stage.depend_ns += depend_started.elapsed().as_nanos() as u64;
-                return Some(w010(format!("the loop is batchable, but {e}")));
-            }
-        };
-        let mut call_args = vec![Expr::str(sql.clone())];
-        call_args.extend(args.iter().cloned());
-        let replacement = Expr::call("executeUpdate", call_args);
-        stage.depend_ns += depend_started.elapsed().as_nanos() as u64;
         // Differential certification: replay the original loop and the
         // extracted statement on cloned micro-databases and compare final
         // table states (certify::check_dml).
@@ -1153,12 +1067,14 @@ impl Extractor {
                         .with_function(fname)
                         .with_pass("certify"),
                     );
-                    let mut out = w010(
-                        "the loop is batchable, but a differential trial refuted the rewrite"
-                            .to_string(),
+                    diags.insert(
+                        0,
+                        w010(
+                            "the loop is batchable, but a differential trial refuted the rewrite"
+                                .to_string(),
+                        ),
                     );
-                    out.diags.extend(diags);
-                    return Some(out);
+                    return Some(kept(diags));
                 }
                 crate::certify::Verdict::Inconclusive { reason } => {
                     diags.push(
@@ -1189,6 +1105,96 @@ impl Extractor {
             replacement: Some(replacement),
             row: Some(row),
             diags,
+        })
+    }
+
+    /// The timed `depend` part of [`Extractor::try_foreach_dml`]: resolve
+    /// the driving scan, run the dependence analysis, and lower a
+    /// batchable loop to one statement. `Err` says why the loop stays.
+    fn lower_dml_loop(
+        &self,
+        f: &Function,
+        cursor: intern::Symbol,
+        iterable: &Expr,
+        body: &imp::ast::Block,
+        loop_span: imp::token::Span,
+        live_after: &std::collections::BTreeSet<intern::Symbol>,
+    ) -> Result<LoweredDml, DmlKept> {
+        use analysis::depend;
+        // Resolve the driving scan; without it the dependence analysis has
+        // no key to prove write-disjointness against.
+        let driving = dml_driving(f, iterable, &self.catalog).map_err(DmlKept::Unbatched)?;
+        let info = depend::DrivingInfo {
+            cursor,
+            table: &driving.table,
+            key: driving.key.as_deref(),
+            loop_span,
+        };
+        let dep = depend::analyze_body(body, &info);
+        let site = match &dep.verdict {
+            depend::Verdict::NotDml => return Err(DmlKept::NotDml),
+            depend::Verdict::Blocked(b) => return Err(DmlKept::Blocked(b.clone())),
+            depend::Verdict::Batchable => dep.site.as_ref().ok_or_else(|| {
+                DmlKept::Unbatched(format!(
+                    "the loop is batchable but performs {} DML statements; \
+                     extraction supports exactly one",
+                    dep.sites_found
+                ))
+            })?,
+        };
+        // Removing the loop drops its scalar assignments too: every
+        // variable the body defines must be dead afterwards.
+        let defs = block_defs(body);
+        if let Some(v) = defs.iter().find(|v| live_after.contains(*v)) {
+            return Err(DmlKept::Unbatched(format!(
+                "the loop is batchable, but `{v}` is assigned in the body \
+                 and still live after the loop"
+            )));
+        }
+        // Arguments of the batched statement are evaluated once, outside
+        // the loop — they must not reference loop-local scalars.
+        let mut arg_vars = std::collections::BTreeSet::new();
+        for a in &site.args {
+            expr_vars(a, &mut arg_vars);
+        }
+        for (g, _) in &site.guards {
+            expr_vars(g, &mut arg_vars);
+        }
+        arg_vars.remove(&cursor);
+        if let Some(v) = arg_vars.iter().find(|v| defs.contains(*v)) {
+            return Err(DmlKept::Unbatched(format!(
+                "the DML statement depends on `{v}`, a scalar computed \
+                 inside the loop body"
+            )));
+        }
+        // Lower to the F-IR form, simplify, and generate SQL.
+        let source = crate::fir::DmlSource {
+            table: driving.table.clone(),
+            alias: driving.alias.clone(),
+            pred: driving.pred.clone(),
+            params: driving.params.clone(),
+            key: driving.key.clone().unwrap_or_default(),
+        };
+        let mut dml = crate::fir::loop_to_dml(site, cursor, source)
+            .map_err(|why| DmlKept::Unbatched(format!("the loop is batchable, but {why}")))?;
+        let fir_display = dml.to_string();
+        let mut rule_trace = vec!["FOREACH-DML".to_string()];
+        rule_trace.extend(
+            crate::rules::fold_dml(&mut dml, &self.catalog)
+                .into_iter()
+                .map(|r| r.to_string()),
+        );
+        let (sql, args) = crate::sqlgen::dml_to_sql(&dml, self.opts.dialect)
+            .map_err(|e| DmlKept::Unbatched(format!("the loop is batchable, but {e}")))?;
+        let mut call_args = vec![Expr::str(sql.clone())];
+        call_args.extend(args);
+        Ok(LoweredDml {
+            driving,
+            dml,
+            sql,
+            replacement: Expr::call("executeUpdate", call_args),
+            fir_display,
+            rule_trace,
         })
     }
 }
@@ -1344,6 +1350,27 @@ fn collect_sql(e: &Expr) -> Vec<String> {
 // foreach-dml extraction (DESIGN.md §5i): batch a write loop into one
 // set-oriented DML statement, licensed by `analysis::depend`.
 // ===========================================================================
+
+/// A batchable write loop lowered to one statement, before certification.
+struct LoweredDml {
+    driving: DmlDriving,
+    dml: crate::fir::ForeachDml,
+    sql: String,
+    /// The replacement `executeUpdate(sql, args…)` expression.
+    replacement: Expr,
+    fir_display: String,
+    rule_trace: Vec<String>,
+}
+
+/// Why a write loop stays imperative.
+enum DmlKept {
+    /// The body performs no DML after all.
+    NotDml,
+    /// A loop-carried dependence blocks batching (`E010`).
+    Blocked(analysis::depend::Blocking),
+    /// The loop is not batched for the given reason (`W010`).
+    Unbatched(String),
+}
 
 /// The outcome of attempting foreach-dml extraction on one write loop.
 struct DmlOutcome {
@@ -2470,34 +2497,6 @@ mod foreach_dml_tests {
             "{}",
             w[0].message
         );
-    }
-
-    #[test]
-    fn extract_dml_disabled_reports_w010_and_keeps_loop() {
-        let p = parse_and_normalize(
-            r#"fn giveRaise() {
-                rows = executeQuery("SELECT * FROM emp");
-                for (e in rows) {
-                    executeUpdate("UPDATE emp SET salary = 0 WHERE id = ?", e.id);
-                }
-            }"#,
-        )
-        .unwrap();
-        let opts = ExtractorOptions {
-            extract_dml: false,
-            ..Default::default()
-        };
-        let r = Extractor::with_options(dml_catalog(), opts).extract_function(&p, "giveRaise");
-        assert_eq!(r.loops_rewritten, 0);
-        assert!(
-            r.diagnostics
-                .iter()
-                .any(|d| d.code == Code::DmlLoopNotExtracted && d.message.contains("disabled")),
-            "{:#?}",
-            r.diagnostics
-        );
-        let printed = imp::pretty_print(&r.program);
-        assert!(printed.contains("for ("), "loop must stay:\n{printed}");
     }
 
     #[test]

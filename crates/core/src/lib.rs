@@ -42,7 +42,7 @@ pub use certify::{CertReport, Certifier, Obligation, ObligationKind, Verdict};
 pub use costing::{DbStats, RewriteDecision};
 pub use extract::{
     CertSummary, ExtractionOutcome, ExtractionReport, Extractor, ExtractorOptions, StageTimes,
-    VarExtraction,
+    VarExtraction, STAGE_COUNT,
 };
 pub use lint::lint_program;
 pub use rules::RuleMiss;

@@ -20,13 +20,6 @@ pub fn pretty_print(p: &Program) -> String {
     out
 }
 
-/// Pretty-print a single function.
-pub fn pretty_function(f: &Function) -> String {
-    let mut out = String::new();
-    function(&mut out, f);
-    out
-}
-
 /// Pretty-print a single expression.
 pub fn pretty_expr(e: &Expr) -> String {
     let mut out = String::new();

@@ -45,25 +45,15 @@ impl HttpCounters {
 /// the timings describe work done, not requests served).
 #[derive(Debug, Default)]
 pub struct StageCounters {
-    /// AST clone + desugaring passes.
-    pub desugar_ns: AtomicU64,
-    /// Region tree + D-IR construction.
-    pub dir_ns: AtomicU64,
-    /// T1–T7 rule-engine fixpoint.
-    pub rules_ns: AtomicU64,
-    /// F-IR → SQL/imp expression generation.
-    pub sqlgen_ns: AtomicU64,
-    /// Plan application, dead-code elimination, renumbering.
-    pub rewrite_ns: AtomicU64,
+    /// Wall time per stage, in the order of
+    /// [`eqsql_core::StageTimes::stages`].
+    pub stage_ns: [AtomicU64; eqsql_core::STAGE_COUNT],
     /// Largest ee-DAG (in nodes) built by any job so far.
     pub peak_dag_nodes: AtomicU64,
     /// Rule-engine memo hits across all jobs.
     pub rule_cache_hits: AtomicU64,
     /// Rule-engine rewrites actually performed across all jobs.
     pub rule_cache_misses: AtomicU64,
-    /// Obligation certification time across all jobs (zero unless a
-    /// request sets `options.certify`).
-    pub certify_ns: AtomicU64,
     /// Proof obligations checked by the certifier across all jobs.
     pub obligations_checked: AtomicU64,
 }
@@ -71,18 +61,15 @@ pub struct StageCounters {
 impl StageCounters {
     /// Fold one job's stage breakdown into the running totals.
     pub fn absorb(&self, t: &eqsql_core::StageTimes) {
-        self.desugar_ns.fetch_add(t.desugar_ns, Ordering::Relaxed);
-        self.dir_ns.fetch_add(t.dir_ns, Ordering::Relaxed);
-        self.rules_ns.fetch_add(t.rules_ns, Ordering::Relaxed);
-        self.sqlgen_ns.fetch_add(t.sqlgen_ns, Ordering::Relaxed);
-        self.rewrite_ns.fetch_add(t.rewrite_ns, Ordering::Relaxed);
+        for (c, (_, ns)) in self.stage_ns.iter().zip(t.stages()) {
+            c.fetch_add(ns, Ordering::Relaxed);
+        }
         self.peak_dag_nodes
             .fetch_max(t.peak_dag_nodes, Ordering::Relaxed);
         self.rule_cache_hits
             .fetch_add(t.rule_cache_hits, Ordering::Relaxed);
         self.rule_cache_misses
             .fetch_add(t.rule_cache_misses, Ordering::Relaxed);
-        self.certify_ns.fetch_add(t.certify_ns, Ordering::Relaxed);
         self.obligations_checked
             .fetch_add(t.obligations_checked, Ordering::Relaxed);
     }
@@ -341,14 +328,10 @@ pub fn render(
          in nanoseconds (cache hits add nothing)."
     );
     let _ = writeln!(out, "# TYPE eqsql_stage_ns_total counter");
-    for (name, c) in [
-        ("desugar", &stages.desugar_ns),
-        ("dir", &stages.dir_ns),
-        ("rules", &stages.rules_ns),
-        ("sqlgen", &stages.sqlgen_ns),
-        ("rewrite", &stages.rewrite_ns),
-        ("certify", &stages.certify_ns),
-    ] {
+    let names = eqsql_core::StageTimes::default()
+        .stages()
+        .map(|(name, _)| name);
+    for (name, c) in names.into_iter().zip(&stages.stage_ns) {
         let v = if deterministic {
             0
         } else {
@@ -466,7 +449,7 @@ mod tests {
             ..Default::default()
         };
         let stages = StageCounters::default();
-        stages.dir_ns.store(12345, Ordering::Relaxed);
+        stages.stage_ns[1].store(12345, Ordering::Relaxed);
         stages.peak_dag_nodes.store(40, Ordering::Relaxed);
         stages.rule_cache_hits.store(7, Ordering::Relaxed);
         stages.obligations_checked.store(5, Ordering::Relaxed);

@@ -34,9 +34,6 @@ const MAGIC: u32 = 0x4551_5353; // "EQSS"
 /// page and is refused as [`StorageError::Corrupt`].
 const VERSION: u16 = 2;
 
-/// Default buffer-pool frame budget (64 frames = 256 KiB of cache).
-pub const DEFAULT_FRAMES: usize = 64;
-
 #[derive(Clone)]
 struct TableEntry {
     root: u32,
@@ -275,12 +272,6 @@ impl Store {
     /// Buffer-pool counters for this store.
     pub fn pool_stats(&self) -> BufPoolStats {
         self.lock().pool.stats()
-    }
-
-    /// The buffer pool's frame budget (frames × page size bounds cache
-    /// memory).
-    pub fn frame_budget(&self) -> usize {
-        self.lock().pool.budget()
     }
 
     /// Total pages in the backing file.
