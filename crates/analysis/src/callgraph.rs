@@ -11,7 +11,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use intern::Symbol;
 
-use imp::ast::{Block, Expr, Program, StmtKind};
+use imp::ast::{Expr, Program};
 
 /// The user-function call graph of a program.
 #[derive(Debug, Clone, Default)]
@@ -28,7 +28,13 @@ impl CallGraph {
         let mut callees = BTreeMap::new();
         for f in &p.functions {
             let mut out = BTreeSet::new();
-            collect_block(&f.body, &defined, &mut out);
+            f.body.walk_exprs(&mut |e| {
+                if let Expr::Call { name, .. } = e {
+                    if defined.contains(name) {
+                        out.insert(*name);
+                    }
+                }
+            });
             callees.insert(f.name, out);
         }
         CallGraph { callees }
@@ -67,53 +73,6 @@ impl CallGraph {
         state.insert(f, 2);
         order.push(f);
     }
-}
-
-fn collect_block(b: &Block, defined: &BTreeSet<Symbol>, out: &mut BTreeSet<Symbol>) {
-    for s in &b.stmts {
-        match &s.kind {
-            StmtKind::Assign { value, .. } => collect_expr(value, defined, out),
-            StmtKind::Expr(e) => collect_expr(e, defined, out),
-            StmtKind::If {
-                cond,
-                then_branch,
-                else_branch,
-            } => {
-                collect_expr(cond, defined, out);
-                collect_block(then_branch, defined, out);
-                collect_block(else_branch, defined, out);
-            }
-            StmtKind::ForEach { iterable, body, .. } => {
-                collect_expr(iterable, defined, out);
-                collect_block(body, defined, out);
-            }
-            StmtKind::While { cond, body } => {
-                collect_expr(cond, defined, out);
-                collect_block(body, defined, out);
-            }
-            StmtKind::Return(v) => {
-                if let Some(e) = v {
-                    collect_expr(e, defined, out);
-                }
-            }
-            StmtKind::Break | StmtKind::Continue => {}
-            StmtKind::Print(args) => {
-                for a in args {
-                    collect_expr(a, defined, out);
-                }
-            }
-        }
-    }
-}
-
-fn collect_expr(e: &Expr, defined: &BTreeSet<Symbol>, out: &mut BTreeSet<Symbol>) {
-    e.walk(&mut |x| {
-        if let Expr::Call { name, .. } = x {
-            if defined.contains(name) {
-                out.insert(*name);
-            }
-        }
-    });
 }
 
 #[cfg(test)]

@@ -31,7 +31,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use imp::ast::{Block, Function, Stmt, StmtId};
+use imp::ast::{Function, Stmt, StmtId};
 
 use crate::cfg::{BlockId, Cfg, Terminator};
 
@@ -123,30 +123,14 @@ impl<F> Solution<F> {
 /// renumber).
 pub fn stmt_index(f: &Function) -> BTreeMap<StmtId, &Stmt> {
     let mut map = BTreeMap::new();
-    fn walk<'a>(b: &'a Block, map: &mut BTreeMap<StmtId, &'a Stmt>) {
-        for s in &b.stmts {
-            assert!(
-                map.insert(s.id, s).is_none(),
-                "dataflow: duplicate StmtId {:?} in function body; \
-                 statements must be renumbered before analysis",
-                s.id
-            );
-            match &s.kind {
-                imp::ast::StmtKind::If {
-                    then_branch,
-                    else_branch,
-                    ..
-                } => {
-                    walk(then_branch, map);
-                    walk(else_branch, map);
-                }
-                imp::ast::StmtKind::ForEach { body, .. }
-                | imp::ast::StmtKind::While { body, .. } => walk(body, map),
-                _ => {}
-            }
-        }
-    }
-    walk(&f.body, &mut map);
+    f.body.walk(&mut |s, _| {
+        assert!(
+            map.insert(s.id, s).is_none(),
+            "dataflow: duplicate StmtId {:?} in function body; \
+             statements must be renumbered before analysis",
+            s.id
+        );
+    });
     map
 }
 
@@ -317,32 +301,16 @@ fn transfer_block<A: Analysis>(
 /// lattices, and hence their chain height.
 pub fn variable_universe(f: &Function) -> BTreeSet<intern::Symbol> {
     let mut vars: BTreeSet<intern::Symbol> = f.params.iter().copied().collect();
-    for (_, s) in stmt_index(f) {
-        match &s.kind {
-            imp::ast::StmtKind::Assign { target, value } => {
-                vars.insert(*target);
-                vars.extend(value.vars());
-            }
-            imp::ast::StmtKind::Expr(e) | imp::ast::StmtKind::Return(Some(e)) => {
-                vars.extend(e.vars());
-            }
-            imp::ast::StmtKind::If { cond, .. } | imp::ast::StmtKind::While { cond, .. } => {
-                vars.extend(cond.vars());
-            }
-            imp::ast::StmtKind::ForEach { var, iterable, .. } => {
-                vars.insert(*var);
-                vars.extend(iterable.vars());
-            }
-            imp::ast::StmtKind::Print(es) => {
-                for e in es {
-                    vars.extend(e.vars());
-                }
-            }
-            imp::ast::StmtKind::Return(None)
-            | imp::ast::StmtKind::Break
-            | imp::ast::StmtKind::Continue => {}
+    f.body.walk(&mut |s, _| {
+        if let imp::ast::StmtKind::Assign { target: v, .. }
+        | imp::ast::StmtKind::ForEach { var: v, .. } = &s.kind
+        {
+            vars.insert(*v);
         }
-    }
+        for e in s.kind.exprs() {
+            vars.extend(e.vars());
+        }
+    });
     vars
 }
 

@@ -198,15 +198,6 @@ impl Ddg {
             .map(|a| a.id)
             .collect()
     }
-
-    /// All variables defined by some atom of the body.
-    pub fn defined_vars(&self) -> BTreeSet<Symbol> {
-        let mut out = BTreeSet::new();
-        for a in &self.atoms {
-            out.extend(a.defs.iter().cloned());
-        }
-        out
-    }
 }
 
 fn flatten(
@@ -464,6 +455,5 @@ mod tests {
     fn writers_of_finds_updaters() {
         let (ddg, stmts) = ddg_of("fn f() { for (t in q) { s = s + t.x; c = c + 1; } }");
         assert_eq!(ddg.writers_of("s"), BTreeSet::from([stmts[0].id]));
-        assert_eq!(ddg.defined_vars(), BTreeSet::from(["s".into(), "c".into()]));
     }
 }

@@ -581,47 +581,12 @@ impl Analysis for DependAnalysis {
         // opaque reason; key lattices have height 2 and flags height 1.
         let mut tokens = 0usize;
         let mut stmts = 0usize;
-        fn count_expr(e: &Expr, tokens: &mut usize) {
-            e.walk(&mut |sub| {
-                if let Expr::Lit(Literal::Str(sql)) = sub {
-                    *tokens += sql.len();
-                }
-            });
-        }
-        fn walk_block(b: &Block, tokens: &mut usize, stmts: &mut usize) {
-            for s in &b.stmts {
-                *stmts += 1;
-                match &s.kind {
-                    StmtKind::Assign { value, .. } => count_expr(value, tokens),
-                    StmtKind::Expr(e) => count_expr(e, tokens),
-                    StmtKind::Print(es) => es.iter().for_each(|e| count_expr(e, tokens)),
-                    StmtKind::Return(v) => {
-                        if let Some(v) = v {
-                            count_expr(v, tokens)
-                        }
-                    }
-                    StmtKind::If {
-                        cond,
-                        then_branch,
-                        else_branch,
-                    } => {
-                        count_expr(cond, tokens);
-                        walk_block(then_branch, tokens, stmts);
-                        walk_block(else_branch, tokens, stmts);
-                    }
-                    StmtKind::ForEach { iterable, body, .. } => {
-                        count_expr(iterable, tokens);
-                        walk_block(body, tokens, stmts);
-                    }
-                    StmtKind::While { cond, body } => {
-                        count_expr(cond, tokens);
-                        walk_block(body, tokens, stmts);
-                    }
-                    StmtKind::Break | StmtKind::Continue => {}
-                }
+        f.body.walk(&mut |_, _| stmts += 1);
+        f.body.walk_exprs(&mut |e| {
+            if let Expr::Lit(Literal::Str(sql)) = e {
+                tokens += sql.len();
             }
-        }
-        walk_block(&f.body, &mut tokens, &mut stmts);
+        });
         dataflow::variable_universe(f).len() * 2 + tokens * 4 + stmts * 2 + 8
     }
 }

@@ -37,7 +37,7 @@ pub struct LoopQueryPass;
 fn subtree_ids(header: &Stmt) -> BTreeSet<imp::ast::StmtId> {
     let mut ids = BTreeSet::from([header.id]);
     if let StmtKind::ForEach { body, .. } | StmtKind::While { body, .. } = &header.kind {
-        crate::pass::walk_stmts(body, true, &mut |s, _| {
+        body.walk(&mut |s, _| {
             ids.insert(s.id);
         });
     }
@@ -49,7 +49,7 @@ fn subtree_ids(header: &Stmt) -> BTreeSet<imp::ast::StmtId> {
 /// as `(callee, variables feeding any argument)`.
 fn db_read_calls(s: &Stmt) -> Vec<(Symbol, BTreeSet<Symbol>)> {
     let mut out = Vec::new();
-    for e in crate::pass::stmt_exprs(&s.kind) {
+    for e in s.kind.exprs() {
         e.walk(&mut |sub| {
             if let Expr::Call { name, args } = sub {
                 if name.as_str() == builtins::EXECUTE_QUERY

@@ -3,7 +3,9 @@
 //! Each analysis in this crate can explain *why* extraction will or won't
 //! work; the pass framework gives them a common shape so the lint driver
 //! (and tests) can run any subset and aggregate findings. Passes are
-//! read-only: they never mutate the program.
+//! read-only: they never mutate the program, and they traverse it with the
+//! statement walker in `imp::ast` ([`imp::ast::Block::walk`] and its
+//! siblings) rather than one of their own.
 //!
 //! The built-in passes wrap the existing analyses:
 //!
@@ -26,7 +28,7 @@
 
 use std::collections::BTreeSet;
 
-use imp::ast::{Block, Expr, Function, Program, Stmt, StmtKind};
+use imp::ast::{Expr, Function, Program, Stmt, StmtKind};
 
 use crate::ddg::Ddg;
 use crate::deadcode::eliminate_dead_code;
@@ -134,41 +136,6 @@ impl<'p> PassManager<'p> {
     }
 }
 
-/// Walk all statements of a block, depth first, with a flag for whether the
-/// statement sits inside a cursor loop.
-pub fn walk_stmts<'a>(block: &'a Block, in_loop: bool, f: &mut impl FnMut(&'a Stmt, bool)) {
-    for s in &block.stmts {
-        f(s, in_loop);
-        match &s.kind {
-            StmtKind::If {
-                then_branch,
-                else_branch,
-                ..
-            } => {
-                walk_stmts(then_branch, in_loop, f);
-                walk_stmts(else_branch, in_loop, f);
-            }
-            StmtKind::ForEach { body, .. } => walk_stmts(body, true, f),
-            StmtKind::While { body, .. } => walk_stmts(body, true, f),
-            _ => {}
-        }
-    }
-}
-
-/// Top-level expressions of a statement (not recursive; use `Expr::walk`).
-pub fn stmt_exprs(kind: &StmtKind) -> Vec<&Expr> {
-    match kind {
-        StmtKind::Assign { value, .. } => vec![value],
-        StmtKind::Expr(e) => vec![e],
-        StmtKind::If { cond, .. } => vec![cond],
-        StmtKind::ForEach { iterable, .. } => vec![iterable],
-        StmtKind::While { cond, .. } => vec![cond],
-        StmtKind::Return(e) => e.iter().collect(),
-        StmtKind::Print(es) => es.iter().collect(),
-        StmtKind::Break | StmtKind::Continue => vec![],
-    }
-}
-
 /// `"purity"`: calls to impure user helpers inside cursor loops.
 ///
 /// A helper that touches the database or prints makes every expression that
@@ -183,11 +150,11 @@ impl Pass for PurityPass {
     fn run(&self, cx: &mut PassContext<'_>) {
         let summaries = crate::effects::effect_summaries(cx.program);
         let mut found: Vec<(imp::token::Span, String, crate::effects::EffectSummary)> = Vec::new();
-        walk_stmts(&cx.function.body, false, &mut |s, in_loop| {
+        cx.function.body.walk(&mut |s, in_loop| {
             if !in_loop {
                 return;
             }
-            for e in stmt_exprs(&s.kind) {
+            for e in s.kind.exprs() {
                 e.walk(&mut |sub| {
                     if let Expr::Call { name, .. } = sub {
                         if let Some(sum) = summaries.get(name) {
@@ -231,11 +198,11 @@ impl Pass for DeadCodePass {
             return;
         }
         let mut before = Vec::new();
-        walk_stmts(&cx.function.body, false, &mut |s, _| {
-            before.push((s.id, s.span))
-        });
+        cx.function
+            .body
+            .walk(&mut |s, _| before.push((s.id, s.span)));
         let mut after = BTreeSet::new();
-        walk_stmts(&clone.body, false, &mut |s, _| {
+        clone.body.walk(&mut |s, _| {
             after.insert(s.id);
         });
         for (id, span) in before {
@@ -271,7 +238,7 @@ impl Pass for LivenessPass {
             if let StmtKind::ForEach { var, body, .. } = &s.kind {
                 let after = live.after(s.id);
                 let mut updated = BTreeSet::new();
-                walk_stmts(body, true, &mut |inner, _| {
+                body.walk(&mut |inner, _| {
                     if let StmtKind::Assign { target, .. } = &inner.kind {
                         updated.insert(*target);
                     }
@@ -324,12 +291,12 @@ impl Pass for LoopEffectsPass {
                 }
                 let spans = writers
                     .iter()
-                    .filter_map(|id| stmt_span(body, *id))
+                    .filter_map(|id| body.find(*id).map(|s| s.span))
                     .collect::<Vec<_>>();
                 found.push((s.span, spans));
             }
         };
-        walk_stmts(&cx.function.body, false, &mut visit);
+        cx.function.body.walk(&mut visit);
         for (loop_span, writer_spans) in found {
             let mut d = Diagnostic::new(
                 Code::LoopSideEffects,
@@ -347,17 +314,6 @@ impl Pass for LoopEffectsPass {
             ));
         }
     }
-}
-
-/// Span of statement `id` anywhere inside `block` (depth first).
-pub fn stmt_span(block: &Block, id: imp::ast::StmtId) -> Option<imp::token::Span> {
-    let mut out = None;
-    walk_stmts(block, false, &mut |s, _| {
-        if s.id == id {
-            out = Some(s.span);
-        }
-    });
-    out
 }
 
 #[cfg(test)]

@@ -124,11 +124,11 @@ impl Pass for TaintPass {
     fn run(&self, cx: &mut PassContext<'_>) {
         let sol = dataflow::solve(&TaintAnalysis, cx.function);
         let mut found: Vec<(imp::token::Span, String, Option<String>)> = Vec::new();
-        crate::pass::walk_stmts(&cx.function.body, false, &mut |s, _| {
+        cx.function.body.walk(&mut |s, _| {
             let Some(tainted) = sol.before.get(&s.id) else {
                 return;
             };
-            for e in crate::pass::stmt_exprs(&s.kind) {
+            for e in s.kind.exprs() {
                 e.walk(&mut |sub| {
                     let Expr::Call { name, args } = sub else {
                         return;

@@ -9,7 +9,7 @@
 //! * "Prefetching is possible in all cases we examined" — any query whose
 //!   parameters are available earlier can be submitted ahead of its use.
 
-use imp::ast::{builtins, Block, Expr, Program, StmtKind};
+use imp::ast::{builtins, Expr, Program};
 
 /// True when batching \[11\] applies to some loop of `fname`: a loop (cursor
 /// or `while`) whose body executes a query.
@@ -17,65 +17,21 @@ pub fn batching_applicable(program: &Program, fname: &str) -> bool {
     let Some(f) = program.function(fname) else {
         return false;
     };
-    any_loop_with_inner_query(&f.body)
-}
-
-fn any_loop_with_inner_query(b: &Block) -> bool {
-    b.stmts.iter().any(|s| match &s.kind {
-        StmtKind::ForEach { body, .. } | StmtKind::While { body, .. } => {
-            block_has_query(body) || any_loop_with_inner_query(body)
-        }
-        StmtKind::If {
-            then_branch,
-            else_branch,
-            ..
-        } => any_loop_with_inner_query(then_branch) || any_loop_with_inner_query(else_branch),
-        _ => false,
-    })
-}
-
-fn block_has_query(b: &Block) -> bool {
     let mut found = false;
-    for s in &b.stmts {
-        visit_stmt_exprs(s, &mut |e| {
-            if let Expr::Call { name, .. } = e {
-                if name == builtins::EXECUTE_QUERY || name == builtins::EXECUTE_SCALAR {
-                    found = true;
-                }
+    f.body.walk(&mut |s, in_loop| {
+        if in_loop {
+            for e in s.kind.exprs() {
+                e.walk(&mut |x| found |= is_query(x));
             }
-        });
-        match &s.kind {
-            StmtKind::If {
-                then_branch,
-                else_branch,
-                ..
-            } => {
-                found |= block_has_query(then_branch) || block_has_query(else_branch);
-            }
-            StmtKind::ForEach { body, .. } | StmtKind::While { body, .. } => {
-                found |= block_has_query(body);
-            }
-            _ => {}
         }
-    }
+    });
     found
 }
 
-fn visit_stmt_exprs(s: &imp::ast::Stmt, f: &mut impl FnMut(&Expr)) {
-    match &s.kind {
-        StmtKind::Assign { value, .. } => value.walk(f),
-        StmtKind::Expr(e) => e.walk(f),
-        StmtKind::If { cond, .. } => cond.walk(f),
-        StmtKind::ForEach { iterable, .. } => iterable.walk(f),
-        StmtKind::While { cond, .. } => cond.walk(f),
-        StmtKind::Return(Some(v)) => v.walk(f),
-        StmtKind::Print(args) => {
-            for a in args {
-                a.walk(f);
-            }
-        }
-        _ => {}
-    }
+/// A call that runs a query (`executeQuery` or `executeScalar`).
+fn is_query(e: &Expr) -> bool {
+    matches!(e, Expr::Call { name, .. }
+        if name == builtins::EXECUTE_QUERY || name == builtins::EXECUTE_SCALAR)
 }
 
 /// True when prefetching \[19\] applies: the function executes at least one
@@ -85,18 +41,15 @@ pub fn prefetch_applicable(program: &Program, fname: &str) -> bool {
     let Some(f) = program.function(fname) else {
         return false;
     };
-    block_has_query(&f.body)
-        || f.body.stmts.iter().any(|s| {
-            let mut found = false;
-            visit_stmt_exprs(s, &mut |e| {
-                if let Expr::Call { name, .. } = e {
-                    if imp::ast::builtins::DB_FUNCTIONS.contains(&name.as_str()) {
-                        found = true;
-                    }
-                }
-            });
-            found
-        })
+    let mut found = false;
+    f.body.walk_exprs(&mut |e| found |= is_query(e));
+    for e in f.body.stmts.iter().flat_map(|s| s.kind.exprs()) {
+        e.walk(&mut |x| {
+            found |= matches!(x, Expr::Call { name, .. }
+                if builtins::DB_FUNCTIONS.contains(&name.as_str()));
+        });
+    }
+    found
 }
 
 #[cfg(test)]

@@ -376,8 +376,11 @@ fn query_time_us(e: QueryEstimate, stats: &DbStats) -> f64 {
 /// Estimated cost (µs) of executing the original cursor loop: its iterable
 /// query plus, per estimated outer row, every query issued in the body.
 pub fn estimate_loop_original(f: &Function, loop_stmt: StmtId, stats: &DbStats) -> Option<f64> {
-    let (iterable, body) = find_loop(&f.body, loop_stmt)?;
-    let outer_sqls = collect_sql_strings_expr(iterable);
+    let Some(StmtKind::ForEach { iterable, body, .. }) = f.body.find(loop_stmt).map(|s| &s.kind)
+    else {
+        return None;
+    };
+    let outer_sqls = collect_sql(iterable);
     let outer_ra = outer_sqls.first().and_then(|s| parse_sql(s).ok());
     // The iterable may be a variable bound to an earlier query: search the
     // whole function for its defining SQL as a fallback.
@@ -390,12 +393,11 @@ pub fn estimate_loop_original(f: &Function, loop_stmt: StmtId, stats: &DbStats) 
     })?;
     let outer_est = estimate_query(&outer_ra, stats);
     let mut cost = query_time_us(outer_est, stats);
-    for sql in collect_sql_strings_block(body) {
-        if let Ok(inner) = parse_sql(&sql) {
-            let e = estimate_query(&inner, stats);
-            cost += outer_est.rows * query_time_us(e, stats);
+    body.walk_exprs(&mut |e| {
+        if let Some(inner) = query_sql(e).and_then(|sql| parse_sql(sql).ok()) {
+            cost += outer_est.rows * query_time_us(estimate_query(&inner, stats), stats);
         }
-    }
+    });
     Some(cost)
 }
 
@@ -404,7 +406,7 @@ pub fn estimate_loop_original(f: &Function, loop_stmt: StmtId, stats: &DbStats) 
 pub fn estimate_replacement(assigns: &[(intern::Symbol, Expr)], stats: &DbStats) -> f64 {
     let mut cost = 0.0;
     for (_, e) in assigns {
-        for sql in collect_sql_strings_expr(e) {
+        for sql in collect_sql(e) {
             if let Ok(ra) = parse_sql(&sql) {
                 cost += query_time_us(estimate_query(&ra, stats), stats);
             }
@@ -440,92 +442,40 @@ pub fn decide(
     }
 }
 
-fn find_loop(b: &Block, id: StmtId) -> Option<(&Expr, &Block)> {
-    for s in &b.stmts {
-        match &s.kind {
-            StmtKind::ForEach { iterable, body, .. } if s.id == id => {
-                return Some((iterable, body))
-            }
-            StmtKind::If {
-                then_branch,
-                else_branch,
-                ..
-            } => {
-                if let Some(r) = find_loop(then_branch, id).or_else(|| find_loop(else_branch, id)) {
-                    return Some(r);
-                }
-            }
-            StmtKind::ForEach { body, .. } | StmtKind::While { body, .. } => {
-                if let Some(r) = find_loop(body, id) {
-                    return Some(r);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
+/// The SQL assigned to `var` by its last defining `executeQuery` or
+/// `executeScalar` in source order, anywhere in the function.
 fn defining_sql(b: &Block, var: &str) -> Option<String> {
     let mut found = None;
-    for s in &b.stmts {
+    b.walk(&mut |s, _| {
         if let StmtKind::Assign { target, value } = &s.kind {
             if target == var {
-                if let Some(sql) = collect_sql_strings_expr(value).into_iter().next() {
+                if let Some(sql) = collect_sql(value).into_iter().next() {
                     found = Some(sql);
                 }
             }
         }
-    }
+    });
     found
 }
 
-fn collect_sql_strings_expr(e: &Expr) -> Vec<String> {
-    let mut out = Vec::new();
-    e.walk(&mut |x| {
-        if let Expr::Call { name, args } = x {
-            if name == "executeQuery" || name == "executeScalar" {
-                if let Some(Expr::Lit(imp::ast::Literal::Str(s))) = args.first() {
-                    out.push(s.clone());
-                }
+/// The literal SQL of `e` when it is itself an `executeQuery` or
+/// `executeScalar` call over a string literal.
+fn query_sql(e: &Expr) -> Option<&str> {
+    match e {
+        Expr::Call { name, args } if name == "executeQuery" || name == "executeScalar" => {
+            match args.first() {
+                Some(Expr::Lit(imp::ast::Literal::Str(s))) => Some(s),
+                _ => None,
             }
         }
-    });
-    out
+        _ => None,
+    }
 }
 
-fn collect_sql_strings_block(b: &Block) -> Vec<String> {
+/// Every literal SQL string queried anywhere in `e`, in pre-order.
+pub(crate) fn collect_sql(e: &Expr) -> Vec<String> {
     let mut out = Vec::new();
-    for s in &b.stmts {
-        match &s.kind {
-            StmtKind::Assign { value, .. } => out.extend(collect_sql_strings_expr(value)),
-            StmtKind::Expr(e) => out.extend(collect_sql_strings_expr(e)),
-            StmtKind::If {
-                cond,
-                then_branch,
-                else_branch,
-            } => {
-                out.extend(collect_sql_strings_expr(cond));
-                out.extend(collect_sql_strings_block(then_branch));
-                out.extend(collect_sql_strings_block(else_branch));
-            }
-            StmtKind::ForEach { iterable, body, .. } => {
-                out.extend(collect_sql_strings_expr(iterable));
-                out.extend(collect_sql_strings_block(body));
-            }
-            StmtKind::While { cond, body } => {
-                out.extend(collect_sql_strings_expr(cond));
-                out.extend(collect_sql_strings_block(body));
-            }
-            StmtKind::Return(Some(v)) => out.extend(collect_sql_strings_expr(v)),
-            StmtKind::Print(args) => {
-                for a in args {
-                    out.extend(collect_sql_strings_expr(a));
-                }
-            }
-            _ => {}
-        }
-    }
+    e.walk(&mut |x| out.extend(query_sql(x).map(str::to_string)));
     out
 }
 
@@ -642,6 +592,37 @@ mod tests {
             (intern::Symbol::intern("c"), fetch_all),
         ];
         let d = decide(f, loop_id, &assigns, &stats());
+        assert!(!d.beneficial, "{d:?}");
+    }
+
+    #[test]
+    fn decide_finds_driving_query_assigned_in_a_block() {
+        // The same costlier rewrite as above, with the driving query and
+        // its loop nested in an `if`: the defining SQL must still be found.
+        let p = parse_program(
+            r#"fn f(flag) {
+                s = 0;
+                if (flag) {
+                    rows = executeQuery("SELECT * FROM emp");
+                    for (r in rows) { s = s + r.salary; }
+                }
+                return s;
+            }"#,
+        )
+        .unwrap();
+        let f = &p.functions[0];
+        let StmtKind::If { then_branch, .. } = &f.body.stmts[1].kind else {
+            panic!("expected the if statement");
+        };
+        let loop_id = then_branch.stmts[1].id;
+        let fetch_all = Expr::call("executeQuery", vec![Expr::str("SELECT * FROM emp")]);
+        let assigns = vec![
+            (intern::Symbol::intern("a"), fetch_all.clone()),
+            (intern::Symbol::intern("b"), fetch_all.clone()),
+            (intern::Symbol::intern("c"), fetch_all),
+        ];
+        let d = decide(f, loop_id, &assigns, &stats());
+        assert!(d.original_us.is_finite(), "{d:?}");
         assert!(!d.beneficial, "{d:?}");
     }
 

@@ -226,8 +226,13 @@ impl<'a> DirBuilder<'a> {
                 // Locate the loop's body block in the AST for dependence
                 // analysis.
                 let stmt_id = *stmt_id;
-                let body_block = find_foreach_body(&f.body, stmt_id)
-                    .expect("loop statement must exist in its function");
+                let loop_stmt = f.body.find(stmt_id);
+                let Some(StmtKind::ForEach {
+                    body: body_block, ..
+                }) = loop_stmt.map(|s| &s.kind)
+                else {
+                    panic!("loop statement must exist in its function");
+                };
                 let mut out = VeMap::new();
                 let loop_node = self.dag.intern(Node::Loop {
                     source,
@@ -236,7 +241,7 @@ impl<'a> DirBuilder<'a> {
                     stmt: stmt_id,
                 });
                 let _ = loop_node; // recorded for completeness/debugging
-                let loop_span = analysis::pass::stmt_span(&f.body, stmt_id).unwrap_or_default();
+                let loop_span = loop_stmt.map(|s| s.span).unwrap_or_default();
                 let attempts = fir::loop_to_fold(
                     &mut self.dag,
                     &body_ve,
@@ -623,34 +628,6 @@ impl<'a> DirBuilder<'a> {
                 }
         )
     }
-}
-
-/// Find the body block of the `ForEach` statement with the given id.
-pub fn find_foreach_body(b: &Block, id: imp::ast::StmtId) -> Option<&Block> {
-    for s in &b.stmts {
-        match &s.kind {
-            StmtKind::ForEach { body, .. } if s.id == id => return Some(body),
-            StmtKind::If {
-                then_branch,
-                else_branch,
-                ..
-            } => {
-                if let Some(found) = find_foreach_body(then_branch, id) {
-                    return Some(found);
-                }
-                if let Some(found) = find_foreach_body(else_branch, id) {
-                    return Some(found);
-                }
-            }
-            StmtKind::ForEach { body, .. } | StmtKind::While { body, .. } => {
-                if let Some(found) = find_foreach_body(body, id) {
-                    return Some(found);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
 }
 
 /// Build the D-IR for one function of a program.

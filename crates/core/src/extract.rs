@@ -6,7 +6,6 @@ use algebra::schema::Catalog;
 use algebra::Dialect;
 use analysis::diag::{dedup_sort, Code, Diagnostic, Severity};
 use analysis::liveness::Liveness;
-use analysis::pass::{stmt_span, walk_stmts};
 use analysis::regions::{RegionKind, RegionTree};
 use imp::ast::{Expr, Function, Program, StmtId};
 
@@ -581,7 +580,7 @@ impl Extractor {
         // Cursor loops (`for`), the extraction targets; every one that stays
         // imperative gets exactly one `W007` blame diagnostic below.
         let mut cursor_loops: std::collections::BTreeSet<StmtId> = Default::default();
-        walk_stmts(&f.body, false, &mut |s, _| {
+        f.body.walk(&mut |s, _| {
             if matches!(s.kind, imp::ast::StmtKind::ForEach { .. }) {
                 cursor_loops.insert(s.id);
             }
@@ -589,7 +588,8 @@ impl Extractor {
 
         for cand in candidates {
             let live_after = liveness.after(cand.stmt);
-            let loop_span = stmt_span(&f.body, cand.stmt).unwrap_or_default();
+            let loop_stmt = f.body.find(cand.stmt);
+            let loop_span = loop_stmt.map(|s| s.span).unwrap_or_default();
             // A loop with residual external writes (updates, prints) must
             // never be removed: SQL may still be reported for its variables
             // (Sec. 7.1, partial optimization), but the loop stays. The same
@@ -597,8 +597,10 @@ impl Extractor {
             // a `return` nested in an inner loop escapes the outer loop's
             // per-variable precondition checks, but removing the loop would
             // drop the early exit.
-            let has_side_effects = loop_has_external_write(&f, cand.stmt, &du_ctx)
-                || loop_has_function_exit(&f, cand.stmt);
+            let has_external_write = loop_stmt.is_some_and(|s| {
+                analysis::defuse::DefUse::of_stmt_recursive_in(s, &du_ctx).ext_write
+            });
+            let has_side_effects = has_external_write || loop_stmt.is_some_and(has_function_exit);
             let mut assigns: Vec<(intern::Symbol, Expr)> = Vec::new();
             let mut loop_ok = true;
             let mut loop_vars: Vec<VarExtraction> = Vec::new();
@@ -668,7 +670,7 @@ impl Extractor {
                         if let Some(c) = certification.as_mut() {
                             c.absorb(&rep);
                         }
-                        let span_of = |id: StmtId| stmt_span(&f.body, id);
+                        let span_of = |id: StmtId| f.body.find(id).map(|s| s.span);
                         for d in rep.diagnostics(&dag, &span_of) {
                             let d = d.with_function(fname);
                             if d.code == Code::CertCounterexample && cert_fail.is_none() {
@@ -682,7 +684,7 @@ impl Extractor {
                     stage.sqlgen_ns += sqlgen_started.elapsed().as_nanos() as u64;
                     match lowered {
                         Ok(expr) => {
-                            sql = collect_sql(&expr);
+                            sql = crate::costing::collect_sql(&expr);
                             replacement = Some(imp::pretty::pretty_expr(&expr));
                             let inputs = dag.inputs_of(transformed);
                             if let Some(d) = cert_fail.take() {
@@ -766,8 +768,7 @@ impl Extractor {
             // diagnostic on the loop (replacing the generic W007).
             let mut dml_plan: Option<Expr> = None;
             let mut dml_handled = false;
-            if cursor_loops.contains(&cand.stmt) && loop_has_external_write(&f, cand.stmt, &du_ctx)
-            {
+            if cursor_loops.contains(&cand.stmt) && has_external_write {
                 if let Some(out) = self.try_foreach_dml(
                     &f,
                     fname,
@@ -982,8 +983,23 @@ impl Extractor {
         stage: &mut StageTimes,
         certification: Option<&mut CertSummary>,
     ) -> Option<DmlOutcome> {
-        let (cursor, iterable, body) = find_foreach(&f.body, loop_stmt)?;
-        if !body_has_dml(body) {
+        let imp::ast::StmtKind::ForEach {
+            var: cursor,
+            iterable,
+            body,
+        } = &f.body.find(loop_stmt)?.kind
+        else {
+            return None;
+        };
+        let cursor = *cursor;
+        // Only a body that calls `executeUpdate` takes the foreach-dml path
+        // (and its E010/W010 blame contract); other side-effecting loops
+        // keep the generic W004 handling.
+        let mut has_dml = false;
+        body.walk_exprs(&mut |e| {
+            has_dml |= matches!(e, Expr::Call { name, .. } if name == "executeUpdate");
+        });
+        if !has_dml {
             return None;
         }
         let w010 = |why: String| {
@@ -1154,11 +1170,12 @@ impl Extractor {
         // Arguments of the batched statement are evaluated once, outside
         // the loop — they must not reference loop-local scalars.
         let mut arg_vars = std::collections::BTreeSet::new();
-        for a in &site.args {
-            expr_vars(a, &mut arg_vars);
-        }
-        for (g, _) in &site.guards {
-            expr_vars(g, &mut arg_vars);
+        for e in site.args.iter().chain(site.guards.iter().map(|(g, _)| g)) {
+            e.walk(&mut |x| {
+                if let Expr::Var(v) = x {
+                    arg_vars.insert(*v);
+                }
+            });
         }
         arg_vars.remove(&cursor);
         if let Some(v) = arg_vars.iter().find(|v| defs.contains(*v)) {
@@ -1249,101 +1266,15 @@ fn collect(
     }
 }
 
-/// Whether the loop statement's subtree writes an external location.
-fn loop_has_external_write(f: &Function, loop_stmt: StmtId, ctx: &analysis::DefUseCtx) -> bool {
-    fn find(b: &imp::ast::Block, id: StmtId, ctx: &analysis::DefUseCtx) -> Option<bool> {
-        for s in &b.stmts {
-            if s.id == id {
-                return Some(analysis::defuse::DefUse::of_stmt_recursive_in(s, ctx).ext_write);
-            }
-            match &s.kind {
-                imp::ast::StmtKind::If {
-                    then_branch,
-                    else_branch,
-                    ..
-                } => {
-                    if let Some(r) =
-                        find(then_branch, id, ctx).or_else(|| find(else_branch, id, ctx))
-                    {
-                        return Some(r);
-                    }
-                }
-                imp::ast::StmtKind::ForEach { body, .. }
-                | imp::ast::StmtKind::While { body, .. } => {
-                    if let Some(r) = find(body, id, ctx) {
-                        return Some(r);
-                    }
-                }
-                _ => {}
-            }
-        }
-        None
-    }
-    find(&f.body, loop_stmt, ctx).unwrap_or(false)
-}
-
-/// Whether the loop statement's subtree contains a `return` (which would
-/// exit the whole function, not just the loop).
-fn loop_has_function_exit(f: &Function, loop_stmt: StmtId) -> bool {
-    fn has_return(b: &imp::ast::Block) -> bool {
-        b.stmts.iter().any(|s| match &s.kind {
-            imp::ast::StmtKind::Return(_) => true,
-            imp::ast::StmtKind::If {
-                then_branch,
-                else_branch,
-                ..
-            } => has_return(then_branch) || has_return(else_branch),
-            imp::ast::StmtKind::ForEach { body, .. } | imp::ast::StmtKind::While { body, .. } => {
-                has_return(body)
-            }
-            _ => false,
-        })
-    }
-    fn find(b: &imp::ast::Block, id: StmtId) -> Option<bool> {
-        for s in &b.stmts {
-            if s.id == id {
-                if let imp::ast::StmtKind::ForEach { body, .. } = &s.kind {
-                    return Some(has_return(body));
-                }
-                return Some(false);
-            }
-            match &s.kind {
-                imp::ast::StmtKind::If {
-                    then_branch,
-                    else_branch,
-                    ..
-                } => {
-                    if let Some(r) = find(then_branch, id).or_else(|| find(else_branch, id)) {
-                        return Some(r);
-                    }
-                }
-                imp::ast::StmtKind::ForEach { body, .. }
-                | imp::ast::StmtKind::While { body, .. } => {
-                    if let Some(r) = find(body, id) {
-                        return Some(r);
-                    }
-                }
-                _ => {}
-            }
-        }
-        None
-    }
-    find(&f.body, loop_stmt).unwrap_or(false)
-}
-
-/// All SQL strings appearing in a replacement expression.
-fn collect_sql(e: &Expr) -> Vec<String> {
-    let mut out = Vec::new();
-    e.walk(&mut |x| {
-        if let Expr::Call { name, args } = x {
-            if name == "executeQuery" || name == "executeScalar" {
-                if let Some(Expr::Lit(imp::ast::Literal::Str(s))) = args.first() {
-                    out.push(s.clone());
-                }
-            }
-        }
-    });
-    out
+/// Whether a `for` loop's body contains a `return` (which would exit the
+/// whole function, not just the loop).
+fn has_function_exit(loop_stmt: &imp::ast::Stmt) -> bool {
+    let imp::ast::StmtKind::ForEach { body, .. } = &loop_stmt.kind else {
+        return false;
+    };
+    let mut found = false;
+    body.walk(&mut |s, _| found |= matches!(s.kind, imp::ast::StmtKind::Return(_)));
+    found
 }
 
 // ===========================================================================
@@ -1383,41 +1314,6 @@ struct DmlOutcome {
     diags: Vec<Diagnostic>,
 }
 
-/// Locate a `ForEach` statement and borrow its pieces.
-fn find_foreach(
-    b: &imp::ast::Block,
-    id: StmtId,
-) -> Option<(intern::Symbol, &Expr, &imp::ast::Block)> {
-    for s in &b.stmts {
-        if s.id == id {
-            if let imp::ast::StmtKind::ForEach {
-                var,
-                iterable,
-                body,
-            } = &s.kind
-            {
-                return Some((*var, iterable, body));
-            }
-            return None;
-        }
-        let found = match &s.kind {
-            imp::ast::StmtKind::If {
-                then_branch,
-                else_branch,
-                ..
-            } => find_foreach(then_branch, id).or_else(|| find_foreach(else_branch, id)),
-            imp::ast::StmtKind::ForEach { body, .. } | imp::ast::StmtKind::While { body, .. } => {
-                find_foreach(body, id)
-            }
-            _ => None,
-        };
-        if found.is_some() {
-            return found;
-        }
-    }
-    None
-}
-
 /// The driving scan of a write loop, resolved from its iterable.
 struct DmlDriving {
     /// The driving query's literal SQL, verbatim.
@@ -1445,7 +1341,7 @@ fn dml_driving(f: &Function, iterable: &Expr, catalog: &Catalog) -> Result<DmlDr
         },
         Expr::Var(v) => {
             let mut defs: Vec<&Expr> = Vec::new();
-            walk_stmts(&f.body, false, &mut |s, _| {
+            f.body.walk(&mut |s, _| {
                 if let imp::ast::StmtKind::Assign { target, value } = &s.kind {
                     if target == v {
                         defs.push(value);
@@ -1504,51 +1400,6 @@ fn block_defs(b: &imp::ast::Block) -> std::collections::BTreeSet<intern::Symbol>
     out
 }
 
-/// Free variables read by an expression.
-fn expr_vars(e: &Expr, out: &mut std::collections::BTreeSet<intern::Symbol>) {
-    e.walk(&mut |x| {
-        if let Expr::Var(v) = x {
-            out.insert(*v);
-        }
-    });
-}
-
-/// Does any expression inside the block call `executeUpdate`? Decides
-/// whether the foreach-dml path (and its `E010`/`W010` blame contract)
-/// applies to a side-effecting loop, or the generic `W004` handling does.
-fn body_has_dml(b: &imp::ast::Block) -> bool {
-    fn expr_has(e: &Expr) -> bool {
-        let mut found = false;
-        e.walk(&mut |x| {
-            if let Expr::Call { name, .. } = x {
-                if name == "executeUpdate" {
-                    found = true;
-                }
-            }
-        });
-        found
-    }
-    fn block_has(b: &imp::ast::Block) -> bool {
-        b.stmts.iter().any(|s| match &s.kind {
-            imp::ast::StmtKind::Assign { value, .. } => expr_has(value),
-            imp::ast::StmtKind::Expr(e) => expr_has(e),
-            imp::ast::StmtKind::If {
-                cond,
-                then_branch,
-                else_branch,
-            } => expr_has(cond) || block_has(then_branch) || block_has(else_branch),
-            imp::ast::StmtKind::ForEach { iterable, body, .. } => {
-                expr_has(iterable) || block_has(body)
-            }
-            imp::ast::StmtKind::While { cond, body } => expr_has(cond) || block_has(body),
-            imp::ast::StmtKind::Return(e) => e.as_ref().is_some_and(expr_has),
-            imp::ast::StmtKind::Print(es) => es.iter().any(expr_has),
-            imp::ast::StmtKind::Break | imp::ast::StmtKind::Continue => false,
-        })
-    }
-    block_has(b)
-}
-
 /// Synthesize the two single-function programs a foreach-dml rewrite is
 /// certified against: `orig` re-runs the driving query and the verbatim
 /// loop body; `batch` executes only the extracted set-oriented statement.
@@ -1568,7 +1419,11 @@ fn build_dml_obligation(
     // read that are neither loop-local nor the cursor/rows bindings.
     let mut free = std::collections::BTreeSet::new();
     for a in &driving.params {
-        expr_vars(a, &mut free);
+        a.walk(&mut |x| {
+            if let Expr::Var(v) = x {
+                free.insert(*v);
+            }
+        });
     }
     for s in &body.stmts {
         free.extend(analysis::defuse::DefUse::of_stmt_recursive(s).uses);

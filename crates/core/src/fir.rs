@@ -36,9 +36,8 @@ use intern::Symbol;
 use analysis::ddg::{Ddg, DepKind};
 use analysis::defuse::DefUseCtx;
 use analysis::diag::{Code, Diagnostic};
-use analysis::pass::stmt_span;
 use analysis::slice::slice_for_var;
-use imp::ast::{Block, Stmt, StmtId, StmtKind};
+use imp::ast::{Block, StmtId, StmtKind};
 use imp::token::Span;
 
 use crate::certify::Obligation;
@@ -147,7 +146,7 @@ struct ConvertCx<'a> {
 impl ConvertCx<'_> {
     /// Span of a body statement, falling back to the loop header.
     fn span_of(&self, id: StmtId) -> Span {
-        stmt_span(self.body, id).unwrap_or(self.loop_span)
+        self.body.find(id).map_or(self.loop_span, |s| s.span)
     }
 
     /// Span of the first (lowest-id) statement in `ids`.
@@ -306,7 +305,7 @@ fn convert_var(
         // rejection should say *what* writes, not just where.
         if let Some(why) = writers
             .first()
-            .and_then(|id| find_stmt(cx.body, *id))
+            .and_then(|id| cx.body.find(*id))
             .and_then(|s| analysis::effects::describe_external_write(s, &cx.ctx.summaries))
         {
             d = d.with_note(format!("the statement {why}"));
@@ -428,33 +427,6 @@ fn convert_var(
         cursor: cx.cursor,
         origin: (cx.loop_stmt, var),
     }))
-}
-
-/// Find a statement (recursively) by id.
-fn find_stmt(b: &Block, id: StmtId) -> Option<&Stmt> {
-    for s in &b.stmts {
-        if s.id == id {
-            return Some(s);
-        }
-        match &s.kind {
-            StmtKind::If {
-                then_branch,
-                else_branch,
-                ..
-            } => {
-                if let Some(r) = find_stmt(then_branch, id).or_else(|| find_stmt(else_branch, id)) {
-                    return Some(r);
-                }
-            }
-            StmtKind::ForEach { body, .. } | StmtKind::While { body, .. } => {
-                if let Some(r) = find_stmt(body, id) {
-                    return Some(r);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
 }
 
 /// The reason string of the first `Opaque` node under `id`, if any.

@@ -347,83 +347,34 @@ pub fn run_case_with(case: &Case, opts: &OracleOptions) -> CaseOutcome {
     }
 }
 
-/// Outermost cursor (`for`) loops in `f` — exactly the candidates the
-/// extractor considers, and hence the loops owed a `W007` blame diagnostic
-/// when they stay imperative.
-fn outermost_cursor_loops(f: &imp::ast::Function) -> usize {
+/// Outermost cursor (`for`) loops in `f` whose body satisfies `keep`. With
+/// every body kept these are exactly the candidates the extractor
+/// considers, and hence the loops owed a `W007` blame diagnostic when they
+/// stay imperative.
+fn outermost_cursor_loops(
+    f: &imp::ast::Function,
+    keep: &impl Fn(&imp::ast::Block) -> bool,
+) -> usize {
     use imp::ast::{Block, StmtKind};
-    fn walk(b: &Block, n: &mut usize) {
+    fn walk(b: &Block, keep: &impl Fn(&Block) -> bool, n: &mut usize) {
         for s in &b.stmts {
             match &s.kind {
-                StmtKind::ForEach { .. } => *n += 1,
+                StmtKind::ForEach { body, .. } => *n += usize::from(keep(body)),
                 StmtKind::While { .. } => {}
                 StmtKind::If {
                     then_branch,
                     else_branch,
                     ..
                 } => {
-                    walk(then_branch, n);
-                    walk(else_branch, n);
+                    walk(then_branch, keep, n);
+                    walk(else_branch, keep, n);
                 }
                 _ => {}
             }
         }
     }
     let mut n = 0;
-    walk(&f.body, &mut n);
-    n
-}
-
-/// Outermost cursor loops whose body calls `executeUpdate` — the loops the
-/// foreach-dml pipeline owes exactly one `E010`/`W010` verdict each when
-/// they stay imperative.
-fn outermost_write_loops(f: &imp::ast::Function) -> usize {
-    use imp::ast::{Block, Expr, StmtKind};
-    fn expr_has(e: &Expr) -> bool {
-        let mut found = false;
-        e.walk(&mut |x| {
-            if let Expr::Call { name, .. } = x {
-                if name == "executeUpdate" {
-                    found = true;
-                }
-            }
-        });
-        found
-    }
-    fn has_dml(b: &Block) -> bool {
-        b.stmts.iter().any(|s| match &s.kind {
-            StmtKind::Assign { value, .. } => expr_has(value),
-            StmtKind::Expr(e) => expr_has(e),
-            StmtKind::If {
-                cond,
-                then_branch,
-                else_branch,
-            } => expr_has(cond) || has_dml(then_branch) || has_dml(else_branch),
-            StmtKind::ForEach { iterable, body, .. } => expr_has(iterable) || has_dml(body),
-            StmtKind::While { cond, body } => expr_has(cond) || has_dml(body),
-            StmtKind::Return(e) => e.as_ref().is_some_and(expr_has),
-            StmtKind::Print(es) => es.iter().any(expr_has),
-            StmtKind::Break | StmtKind::Continue => false,
-        })
-    }
-    fn walk(b: &Block, n: &mut usize) {
-        for s in &b.stmts {
-            match &s.kind {
-                StmtKind::ForEach { body, .. } if has_dml(body) => *n += 1,
-                StmtKind::If {
-                    then_branch,
-                    else_branch,
-                    ..
-                } => {
-                    walk(then_branch, n);
-                    walk(else_branch, n);
-                }
-                _ => {}
-            }
-        }
-    }
-    let mut n = 0;
-    walk(&f.body, &mut n);
+    walk(&f.body, keep, &mut n);
     n
 }
 
@@ -456,7 +407,7 @@ fn check_lint(
     };
     use analysis::diag::Code;
     let f = program.function(&case.function)?;
-    let kept = outermost_cursor_loops(f).saturating_sub(report.loops_rewritten);
+    let kept = outermost_cursor_loops(f, &|_| true).saturating_sub(report.loops_rewritten);
     let ours =
         |d: &&analysis::diag::Diagnostic| d.function.as_deref() == Some(case.function.as_str());
     let blamed = diags
@@ -482,7 +433,17 @@ fn check_lint(
         // Exactness: the generator emits no nested loops, so every kept
         // write loop must carry exactly one E010/W010 verdict — duplicates
         // or W007 fallbacks on write loops are contract violations.
-        let kept_write = outermost_write_loops(f).saturating_sub(report.loops_rewritten);
+        // Outermost loops whose body calls `executeUpdate` are each owed
+        // one `E010`/`W010` verdict by the foreach-dml pipeline.
+        let calls_update = |body: &imp::ast::Block| {
+            let mut found = false;
+            body.walk_exprs(&mut |e| {
+                found |= matches!(e, imp::ast::Expr::Call { name, .. } if name == "executeUpdate");
+            });
+            found
+        };
+        let kept_write =
+            outermost_cursor_loops(f, &calls_update).saturating_sub(report.loops_rewritten);
         let dml_blamed = diags
             .iter()
             .filter(ours)

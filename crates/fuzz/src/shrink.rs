@@ -97,24 +97,6 @@ fn rerender(case: &Case, program: &Program) -> Case {
     cand
 }
 
-/// Count statements (preorder) in a block tree.
-fn stmt_count(b: &Block) -> usize {
-    b.stmts
-        .iter()
-        .map(|s| {
-            1 + match &s.kind {
-                StmtKind::If {
-                    then_branch,
-                    else_branch,
-                    ..
-                } => stmt_count(then_branch) + stmt_count(else_branch),
-                StmtKind::ForEach { body, .. } | StmtKind::While { body, .. } => stmt_count(body),
-                _ => 0,
-            }
-        })
-        .sum()
-}
-
 /// Apply `edit` to the statement at preorder index `idx`; returns `false`
 /// when `idx` is out of range. `edit` may mutate the owning block (deletion,
 /// replacement by the statement's own body, …).
@@ -153,7 +135,10 @@ fn edit_stmt_at(
 fn shrink_stmts(best: &mut Case, check: &mut dyn FnMut(&Case) -> bool, budget: &mut usize) {
     loop {
         let Some(program) = parsed(best) else { return };
-        let total: usize = program.functions.iter().map(|f| stmt_count(&f.body)).sum();
+        let mut total = 0;
+        for f in &program.functions {
+            f.body.walk(&mut |_, _| total += 1);
+        }
         let mut adopted = false;
         for idx in 0..total {
             if *budget == 0 {
@@ -293,7 +278,10 @@ fn stmt_expr_mut(kind: &mut StmtKind, slot: usize) -> Option<&mut Expr> {
 fn shrink_exprs(best: &mut Case, check: &mut dyn FnMut(&Case) -> bool, budget: &mut usize) {
     loop {
         let Some(program) = parsed(best) else { return };
-        let total: usize = program.functions.iter().map(|f| stmt_count(&f.body)).sum();
+        let mut total = 0;
+        for f in &program.functions {
+            f.body.walk(&mut |_, _| total += 1);
+        }
         let mut adopted = false;
         'outer: for idx in 0..total {
             for slot in 0..4 {

@@ -6,6 +6,7 @@
 //! these ids.
 
 use std::fmt;
+use std::ops::ControlFlow;
 
 use intern::Symbol;
 
@@ -87,6 +88,67 @@ impl Block {
     pub fn new() -> Self {
         Block::default()
     }
+
+    /// Visit every statement of the block, nested ones included, in
+    /// pre-order: a then-branch before its else-branch, a loop header
+    /// before its body. The flag is true inside a `for`/`while` body.
+    pub fn walk<'a>(&'a self, f: &mut impl FnMut(&'a Stmt, bool)) {
+        let _: ControlFlow<()> = self.visit(false, &mut |s, in_loop| {
+            f(s, in_loop);
+            ControlFlow::Continue(())
+        });
+    }
+
+    /// The first statement with id `id`, in [`Block::walk`] order.
+    pub fn find(&self, id: StmtId) -> Option<&Stmt> {
+        match self.visit(false, &mut |s, _| {
+            if s.id == id {
+                ControlFlow::Break(s)
+            } else {
+                ControlFlow::Continue(())
+            }
+        }) {
+            ControlFlow::Break(s) => Some(s),
+            ControlFlow::Continue(()) => None,
+        }
+    }
+
+    /// The one recursion behind [`Block::walk`] and [`Block::find`]: stops
+    /// at the first `Break`.
+    fn visit<'a, B>(
+        &'a self,
+        in_loop: bool,
+        f: &mut impl FnMut(&'a Stmt, bool) -> ControlFlow<B>,
+    ) -> ControlFlow<B> {
+        for s in &self.stmts {
+            f(s, in_loop)?;
+            match &s.kind {
+                StmtKind::If {
+                    then_branch,
+                    else_branch,
+                    ..
+                } => {
+                    then_branch.visit(in_loop, f)?;
+                    else_branch.visit(in_loop, f)?;
+                }
+                StmtKind::ForEach { body, .. } | StmtKind::While { body, .. } => {
+                    body.visit(true, f)?
+                }
+                _ => {}
+            }
+        }
+        ControlFlow::Continue(())
+    }
+
+    /// Visit every sub-expression of every statement, nested ones included:
+    /// [`Block::walk`], then [`StmtKind::exprs`], then [`Expr::walk`].
+    pub fn walk_exprs(&self, f: &mut impl FnMut(&Expr)) {
+        self.walk(&mut |s, _| {
+            for e in s.kind.exprs() {
+                e.walk(f);
+            }
+        });
+    }
 }
 
 /// Unique identifier of a statement within a program.
@@ -156,6 +218,24 @@ pub enum StmtKind {
     Continue,
     /// `print(e1, e2, …);`
     Print(Vec<Expr>),
+}
+
+impl StmtKind {
+    /// The statement's own top-level expressions (value, condition,
+    /// iterable, return value or print arguments), not those of nested
+    /// statements; use [`Expr::walk`] to descend into each.
+    pub fn exprs(&self) -> &[Expr] {
+        match self {
+            StmtKind::Assign { value: e, .. }
+            | StmtKind::Expr(e)
+            | StmtKind::If { cond: e, .. }
+            | StmtKind::ForEach { iterable: e, .. }
+            | StmtKind::While { cond: e, .. } => std::slice::from_ref(e),
+            StmtKind::Return(e) => e.as_slice(),
+            StmtKind::Print(es) => es,
+            StmtKind::Break | StmtKind::Continue => &[],
+        }
+    }
 }
 
 /// Literal values.
@@ -342,19 +422,6 @@ impl Expr {
         });
         out
     }
-
-    /// True when this expression (or a sub-expression) calls one of `names`.
-    pub fn calls_any(&self, names: &[&str]) -> bool {
-        let mut found = false;
-        self.walk(&mut |e| {
-            if let Expr::Call { name, .. } = e {
-                if names.contains(&name.as_str()) {
-                    found = true;
-                }
-            }
-        });
-        found
-    }
 }
 
 /// Names of built-in database access functions, and the single shared
@@ -452,20 +519,6 @@ mod tests {
     }
 
     #[test]
-    fn calls_any_detects_nested_calls() {
-        let e = Expr::Binary(
-            BinaryOp::Add,
-            Box::new(Expr::int(1)),
-            Box::new(Expr::call(
-                "executeQuery",
-                vec![Expr::str("SELECT * FROM t")],
-            )),
-        );
-        assert!(e.calls_any(&builtins::DB_FUNCTIONS));
-        assert!(!Expr::int(1).calls_any(&builtins::DB_FUNCTIONS));
-    }
-
-    #[test]
     fn renumber_assigns_unique_ids() {
         use crate::parser::parse_program;
         let mut p = parse_program(
@@ -474,29 +527,133 @@ mod tests {
         .unwrap();
         p.renumber();
         let mut ids = Vec::new();
-        fn collect(b: &Block, ids: &mut Vec<u32>) {
-            for s in &b.stmts {
-                ids.push(s.id.0);
-                match &s.kind {
-                    StmtKind::If {
-                        then_branch,
-                        else_branch,
-                        ..
-                    } => {
-                        collect(then_branch, ids);
-                        collect(else_branch, ids);
-                    }
-                    StmtKind::ForEach { body, .. } | StmtKind::While { body, .. } => {
-                        collect(body, ids)
-                    }
-                    _ => {}
-                }
-            }
-        }
-        collect(&p.functions[0].body, &mut ids);
+        p.functions[0].body.walk(&mut |s, _| ids.push(s.id.0));
         let mut sorted = ids.clone();
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted.len(), ids.len(), "ids must be unique");
+    }
+
+    /// One program nesting `if`/`else`, `for` and `while`, covering every
+    /// statement kind.
+    fn nested() -> Program {
+        crate::parser::parse_program(
+            "fn f(q) {
+                x = 1;
+                if (x > 0) {
+                    for (t in q) {
+                        while (x < 3) {
+                            x = x + t.a;
+                            if (x == 2) { break; } else { continue; }
+                        }
+                    }
+                } else {
+                    print(x, 2);
+                    return x;
+                }
+                g(x);
+                return;
+            }",
+        )
+        .unwrap()
+    }
+
+    fn tag(k: &StmtKind) -> &'static str {
+        match k {
+            StmtKind::Assign { .. } => "assign",
+            StmtKind::Expr(_) => "expr",
+            StmtKind::If { .. } => "if",
+            StmtKind::ForEach { .. } => "for",
+            StmtKind::While { .. } => "while",
+            StmtKind::Return(_) => "return",
+            StmtKind::Break => "break",
+            StmtKind::Continue => "continue",
+            StmtKind::Print(_) => "print",
+        }
+    }
+
+    #[test]
+    fn walk_visits_in_pre_order_with_loop_flag() {
+        let p = nested();
+        let mut seen = Vec::new();
+        p.functions[0]
+            .body
+            .walk(&mut |s, in_loop| seen.push((tag(&s.kind), in_loop)));
+        assert_eq!(
+            seen,
+            vec![
+                ("assign", false),
+                ("if", false),
+                ("for", false),
+                ("while", true),
+                ("assign", true),
+                ("if", true),
+                ("break", true),
+                ("continue", true),
+                ("print", false),
+                ("return", false),
+                ("expr", false),
+                ("return", false),
+            ]
+        );
+    }
+
+    #[test]
+    fn find_reaches_nested_ids_and_misses_absent_ones() {
+        let p = nested();
+        let body = &p.functions[0].body;
+        let mut all = Vec::new();
+        body.walk(&mut |s, _| all.push(s));
+        let deepest = all
+            .iter()
+            .find(|s| matches!(s.kind, StmtKind::Continue))
+            .unwrap();
+        assert!(std::ptr::eq(body.find(deepest.id).unwrap(), *deepest));
+        for s in &all {
+            assert_eq!(body.find(s.id).map(|f| f.id), Some(s.id));
+        }
+        assert!(body.find(StmtId(u32::MAX)).is_none());
+    }
+
+    #[test]
+    fn exprs_returns_each_statements_own_expressions() {
+        let p = nested();
+        let mut got = Vec::new();
+        p.functions[0]
+            .body
+            .walk(&mut |s, _| got.push((tag(&s.kind), s.kind.exprs().to_vec())));
+        let x = || Expr::var("x");
+        let bin = |op, l, r| Expr::Binary(op, Box::new(l), Box::new(r));
+        let t_a = Expr::Field(Box::new(Expr::var("t")), "a".into());
+        assert_eq!(
+            got,
+            vec![
+                ("assign", vec![Expr::int(1)]),
+                ("if", vec![bin(BinaryOp::Gt, x(), Expr::int(0))]),
+                ("for", vec![Expr::var("q")]),
+                ("while", vec![bin(BinaryOp::Lt, x(), Expr::int(3))]),
+                ("assign", vec![bin(BinaryOp::Add, x(), t_a)]),
+                ("if", vec![bin(BinaryOp::Eq, x(), Expr::int(2))]),
+                ("break", vec![]),
+                ("continue", vec![]),
+                ("print", vec![x(), Expr::int(2)]),
+                ("return", vec![x()]),
+                ("expr", vec![Expr::call("g", vec![x()])]),
+                ("return", vec![]),
+            ]
+        );
+    }
+
+    #[test]
+    fn walk_exprs_visits_every_sub_expression() {
+        let p = nested();
+        let mut vars = Vec::new();
+        p.functions[0].body.walk_exprs(&mut |e| {
+            if let Expr::Var(v) = e {
+                vars.push(v.to_string());
+            }
+        });
+        let expected = ["x", "q", "x", "x", "t", "x", "x", "x", "x"];
+        assert_eq!(vars, expected);
     }
 }

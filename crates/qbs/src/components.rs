@@ -6,7 +6,7 @@ use std::collections::BTreeSet;
 
 use algebra::parse::parse_sql;
 use algebra::schema::{Catalog, SqlType};
-use imp::ast::{Expr, Literal, Program, StmtKind};
+use imp::ast::{Expr, Literal, Program};
 
 /// Mined components for one function.
 #[derive(Debug, Clone, Default)]
@@ -35,7 +35,7 @@ pub fn mine(program: &Program, fname: &str, catalog: &Catalog) -> Components {
     let mut ints: BTreeSet<i64> = BTreeSet::new();
     let mut strs: BTreeSet<String> = BTreeSet::new();
 
-    visit_block(&f.body, &mut |e: &Expr| match e {
+    f.body.walk_exprs(&mut |e| match e {
         Expr::Lit(Literal::Int(i)) => {
             ints.insert(*i);
         }
@@ -79,7 +79,7 @@ pub fn has_updates(program: &Program, fname: &str) -> bool {
         return false;
     };
     let mut found = false;
-    visit_block(&f.body, &mut |e: &Expr| {
+    f.body.walk_exprs(&mut |e| {
         if let Expr::Call { name, .. } = e {
             if name == imp::ast::builtins::EXECUTE_UPDATE {
                 found = true;
@@ -87,39 +87,6 @@ pub fn has_updates(program: &Program, fname: &str) -> bool {
         }
     });
     found
-}
-
-fn visit_block(b: &imp::ast::Block, f: &mut impl FnMut(&Expr)) {
-    for s in &b.stmts {
-        match &s.kind {
-            StmtKind::Assign { value, .. } => value.walk(f),
-            StmtKind::Expr(e) => e.walk(f),
-            StmtKind::If {
-                cond,
-                then_branch,
-                else_branch,
-            } => {
-                cond.walk(f);
-                visit_block(then_branch, f);
-                visit_block(else_branch, f);
-            }
-            StmtKind::ForEach { iterable, body, .. } => {
-                iterable.walk(f);
-                visit_block(body, f);
-            }
-            StmtKind::While { cond, body } => {
-                cond.walk(f);
-                visit_block(body, f);
-            }
-            StmtKind::Return(Some(v)) => v.walk(f),
-            StmtKind::Print(args) => {
-                for a in args {
-                    a.walk(f);
-                }
-            }
-            _ => {}
-        }
-    }
 }
 
 #[cfg(test)]

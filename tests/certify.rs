@@ -50,7 +50,7 @@ fn assert_fully_certified(label: &str, report: &ExtractionReport) -> CertSummary
         .filter(scalar)
         .filter(|v| v.fir.is_some())
         .count();
-    let dml = report.vars.iter().filter(|v| !scalar(&v)).count();
+    let dml = report.vars.iter().filter(|v| !scalar(v)).count();
     assert!(
         c.total >= rule_apps + folds + dml,
         "{label}: {} rule application(s) + {folds} fold(s) + {dml} dml loop(s) but only {} obligation(s)",

@@ -37,7 +37,7 @@ fn extract_source(k: usize) -> String {
 
 fn extract_body(k: usize) -> String {
     Json::Obj(vec![
-        ("source".into(), Json::str(&extract_source(k))),
+        ("source".into(), Json::str(extract_source(k))),
         ("schema".into(), Json::str(SCHEMA)),
     ])
     .render()
