@@ -10,6 +10,12 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc (rustdoc warnings are errors)"
+# Broken or ambiguous intra-doc links fail here. `--lib` documents each
+# package's library only: the `eqsql` CLI binary and library share an
+# output name, which rustdoc would otherwise report as a collision.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib
+
 echo "==> cargo test -q"
 cargo test -q
 

@@ -4,7 +4,7 @@
 //! "a set of nodes that includes a header that dominates all other nodes in
 //! the region, and has a single entry and exit"). We use the classic
 //! iterative dataflow formulation (Aho et al., "Compilers: Principles,
-//! Techniques, and Tools", cited as [1] in the paper).
+//! Techniques, and Tools", cited as \[1\] in the paper).
 
 use std::collections::BTreeSet;
 

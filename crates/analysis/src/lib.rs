@@ -1,6 +1,6 @@
 //! Program analyses over `imp` ASTs (paper Sec. 3.1 and 4.2).
 //!
-//! * [`cfg`] — control-flow graph construction over basic blocks, with the
+//! * [`cfg`](mod@cfg) — control-flow graph construction over basic blocks, with the
 //!   designated `Start`/`End` nodes of the paper;
 //! * [`dominators`] — iterative dominator computation, used to check the
 //!   single-entry/single-exit region property;
@@ -14,10 +14,10 @@
 //! * [`ddg`] — the data-dependence graph of a loop body, with loop-carried
 //!   flow-dependence (lcfd) and external-dependence edges, used to check
 //!   preconditions P1–P3 of `loopToFold` (Fig. 6);
-//! * [`slice`] — backward program slices `slice(R, l, v)` (Weiser-style,
+//! * [`slice`](mod@slice) — backward program slices `slice(R, l, v)` (Weiser-style,
 //!   including control predicates);
 //! * [`dataflow`] — the reusable monotone-framework engine (forward or
-//!   backward worklist over [`cfg`] with a configurable join-semilattice,
+//!   backward worklist over [`cfg`](mod@cfg) with a configurable join-semilattice,
 //!   height-bounded termination, deterministic iteration order);
 //! * [`depend`] — loop-carried dependence analysis for DML (write) loops,
 //!   a forward [`dataflow`] client: per-iteration abstract read/write sets

@@ -25,6 +25,7 @@
 //! reproduce the original loop-body expression.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::ops::ControlFlow;
 
 use algebra::scalar::{BinOp, Lit};
 use algebra::schema::{Catalog, SqlType};
@@ -702,7 +703,7 @@ fn fold_const(op: OpKind, args: &[CLit]) -> Option<CLit> {
 /// Replace `AccParam(var)` by `Input(var)` and `TupleParam(cursor)` by
 /// `Input(cursor)` throughout `id`, interning the rebuilt nodes. A nested
 /// fold (or argmax) whose own binder reuses one of these symbols shadows
-/// it inside its folding function, so the substitution is suspended there
+/// it inside its bound operands, so the substitution is suspended there
 /// (`None`); the memo is keyed by the active binder context because the
 /// same shared node can need different rewrites under different binders.
 fn unsubstitute_params(
@@ -715,143 +716,26 @@ fn unsubstitute_params(
     if let Some(r) = memo.get(&(id, var, cursor)) {
         return *r;
     }
-    let result = match dag.node(id).clone() {
+    // Under a bound operand: a fold binds its accumulator and cursor, an
+    // argmax only its cursor. Init and source are outside the binder.
+    let (bound_var, bound_cursor) = match dag.node(id) {
+        Node::Fold {
+            cursor: fc, origin, ..
+        } => (var.filter(|v| *v != origin.1), cursor.filter(|c| c != fc)),
+        Node::ArgExtreme { cursor: ac, .. } => (var, cursor.filter(|c| c != ac)),
+        _ => (var, cursor),
+    };
+    let result = match *dag.node(id) {
         Node::AccParam(v) if Some(v) == var => dag.input(v),
         Node::TupleParam(c) if Some(c) == cursor => dag.input(c),
-        Node::Const(_)
-        | Node::Input(_)
-        | Node::AccParam(_)
-        | Node::TupleParam(_)
-        | Node::EmptyColl(_)
-        | Node::NotDetermined => id,
-        Node::FieldOf { base, field } => {
-            let b = unsubstitute_params(dag, base, var, cursor, memo);
-            if b == base {
-                id
-            } else {
-                dag.intern(Node::FieldOf { base: b, field })
-            }
-        }
-        Node::Op { op, ref args } => {
-            let new: NodeList = args
-                .iter()
-                .map(|a| unsubstitute_params(dag, *a, var, cursor, memo))
-                .collect();
-            if new == *args {
-                id
-            } else {
-                dag.op(op, new)
-            }
-        }
-        Node::Opaque { reason, ref args } => {
-            let new: NodeList = args
-                .iter()
-                .map(|a| unsubstitute_params(dag, *a, var, cursor, memo))
-                .collect();
-            if new == *args {
-                id
-            } else {
-                dag.intern(Node::Opaque { reason, args: new })
-            }
-        }
-        Node::Cond {
-            cond,
-            then_val,
-            else_val,
-        } => {
-            let c = unsubstitute_params(dag, cond, var, cursor, memo);
-            let t = unsubstitute_params(dag, then_val, var, cursor, memo);
-            let e = unsubstitute_params(dag, else_val, var, cursor, memo);
-            if c == cond && t == then_val && e == else_val {
-                id
-            } else {
-                dag.cond(c, t, e)
-            }
-        }
-        Node::Query { ra, ref params } => {
-            let new: NodeList = params
-                .iter()
-                .map(|p| unsubstitute_params(dag, *p, var, cursor, memo))
-                .collect();
-            if new == *params {
-                id
-            } else {
-                dag.intern(Node::Query { ra, params: new })
-            }
-        }
-        Node::ScalarQuery { ra, ref params } => {
-            let new: NodeList = params
-                .iter()
-                .map(|p| unsubstitute_params(dag, *p, var, cursor, memo))
-                .collect();
-            if new == *params {
-                id
-            } else {
-                dag.intern(Node::ScalarQuery { ra, params: new })
-            }
-        }
-        // A nested fold's folding function runs under its own binders: if
-        // it rebinds the same accumulator variable or cursor symbol, those
-        // occurrences belong to the inner fold and must stay parameters.
-        // Its init and source are evaluated outside the binder.
-        Node::Fold {
-            func,
-            init,
-            source,
-            cursor: fc,
-            origin,
-        } => {
-            let fvar = if Some(origin.1) == var { None } else { var };
-            let fcur = if Some(fc) == cursor { None } else { cursor };
-            let f = unsubstitute_params(dag, func, fvar, fcur, memo);
-            let i = unsubstitute_params(dag, init, var, cursor, memo);
-            let s = unsubstitute_params(dag, source, var, cursor, memo);
-            if f == func && i == init && s == source {
-                id
-            } else {
-                dag.intern(Node::Fold {
-                    func: f,
-                    init: i,
-                    source: s,
-                    cursor: fc,
-                    origin,
-                })
-            }
-        }
-        Node::ArgExtreme {
-            source,
-            is_max,
-            key,
-            value,
-            v_init,
-            w_init,
-            cursor: ac,
-            origin,
-        } => {
-            // Argmax binds only its tuple cursor; key/value sit under that
-            // binder, the inits and source outside it.
-            let kcur = if Some(ac) == cursor { None } else { cursor };
-            let s = unsubstitute_params(dag, source, var, cursor, memo);
-            let k = unsubstitute_params(dag, key, var, kcur, memo);
-            let v = unsubstitute_params(dag, value, var, kcur, memo);
-            let vi = unsubstitute_params(dag, v_init, var, cursor, memo);
-            let wi = unsubstitute_params(dag, w_init, var, cursor, memo);
-            if s == source && k == key && v == value && vi == v_init && wi == w_init {
-                id
-            } else {
-                dag.intern(Node::ArgExtreme {
-                    source: s,
-                    is_max,
-                    key: k,
-                    value: v,
-                    v_init: vi,
-                    w_init: wi,
-                    cursor: ac,
-                    origin,
-                })
-            }
-        }
         Node::Loop { .. } => id,
+        _ => dag.rebuild(id, |dag, c, bound| {
+            if bound {
+                unsubstitute_params(dag, c, bound_var, bound_cursor, memo)
+            } else {
+                unsubstitute_params(dag, c, var, cursor, memo)
+            }
+        }),
     };
     memo.insert((id, var, cursor), result);
     result
@@ -969,33 +853,36 @@ fn input_types(dag: &EeDag, roots: &[NodeId]) -> BTreeMap<Symbol, InTy> {
         }
     };
     for &root in roots {
-        dag.walk(root, &mut |_, n| match n {
-            Node::Input(s) => {
-                tys.entry(*s).or_insert(InTy::Int);
-            }
-            Node::Op { op, args } => match op {
-                OpKind::And | OpKind::Or | OpKind::Not => {
-                    for a in args.iter() {
-                        note(&mut tys, dag, *a, InTy::Bool);
-                    }
+        let _: ControlFlow<()> = dag.walk(root, |_, n| {
+            match n {
+                Node::Input(s) => {
+                    tys.entry(*s).or_insert(InTy::Int);
                 }
-                OpKind::Concat | OpKind::Lower | OpKind::Upper | OpKind::Length => {
-                    for a in args.iter() {
-                        note(&mut tys, dag, *a, InTy::Str);
+                Node::Op { op, args } => match op {
+                    OpKind::And | OpKind::Or | OpKind::Not => {
+                        for a in args.iter() {
+                            note(&mut tys, dag, *a, InTy::Bool);
+                        }
                     }
-                }
-                OpKind::Append | OpKind::Insert | OpKind::MultisetInsert => {
-                    if let Some(first) = args.iter().next() {
-                        note(&mut tys, dag, *first, InTy::Coll);
+                    OpKind::Concat | OpKind::Lower | OpKind::Upper | OpKind::Length => {
+                        for a in args.iter() {
+                            note(&mut tys, dag, *a, InTy::Str);
+                        }
                     }
-                }
+                    OpKind::Append | OpKind::Insert | OpKind::MultisetInsert => {
+                        if let Some(first) = args.iter().next() {
+                            note(&mut tys, dag, *first, InTy::Coll);
+                        }
+                    }
+                    _ => {}
+                },
+                Node::Cond { cond, .. } => note(&mut tys, dag, *cond, InTy::Bool),
+                Node::Fold { source, .. }
+                | Node::Loop { source, .. }
+                | Node::ArgExtreme { source, .. } => note(&mut tys, dag, *source, InTy::Coll),
                 _ => {}
-            },
-            Node::Cond { cond, .. } => note(&mut tys, dag, *cond, InTy::Bool),
-            Node::Fold { source, .. }
-            | Node::Loop { source, .. }
-            | Node::ArgExtreme { source, .. } => note(&mut tys, dag, *source, InTy::Coll),
-            _ => {}
+            }
+            ControlFlow::Continue(())
         });
     }
     tys
@@ -1040,29 +927,32 @@ fn param_usage(
     let mut accs: BTreeMap<Symbol, InTy> = BTreeMap::new();
     let mut tups: BTreeMap<Symbol, BTreeSet<String>> = BTreeMap::new();
     for &root in roots {
-        dag.walk(root, &mut |_, n| match n {
-            Node::AccParam(s) => {
-                accs.entry(*s).or_insert(InTy::Int);
-            }
-            Node::TupleParam(s) => {
-                tups.entry(*s).or_default();
-            }
-            Node::FieldOf { base, field } => {
-                if let Node::TupleParam(s) = dag.node(*base) {
-                    tups.entry(*s).or_default().insert(field.to_string());
+        let _: ControlFlow<()> = dag.walk(root, |_, n| {
+            match n {
+                Node::AccParam(s) => {
+                    accs.entry(*s).or_insert(InTy::Int);
                 }
-            }
-            Node::Op {
-                op: OpKind::Append | OpKind::Insert | OpKind::MultisetInsert,
-                args,
-            } => {
-                if let Some(&first) = args.iter().next() {
-                    if let Node::AccParam(s) = dag.node(first) {
-                        accs.insert(*s, InTy::Coll);
+                Node::TupleParam(s) => {
+                    tups.entry(*s).or_default();
+                }
+                Node::FieldOf { base, field } => {
+                    if let Node::TupleParam(s) = dag.node(*base) {
+                        tups.entry(*s).or_default().insert(field.to_string());
                     }
                 }
+                Node::Op {
+                    op: OpKind::Append | OpKind::Insert | OpKind::MultisetInsert,
+                    args,
+                } => {
+                    if let Some(&first) = args.iter().next() {
+                        if let Node::AccParam(s) = dag.node(first) {
+                            accs.insert(*s, InTy::Coll);
+                        }
+                    }
+                }
+                _ => {}
             }
-            _ => {}
+            ControlFlow::Continue(())
         });
     }
     (accs, tups)

@@ -12,12 +12,18 @@
 //! DESIGN.md "ee-DAG hashing scheme").
 
 use std::collections::{BTreeMap, HashMap};
+use std::fmt::{self, Write as _};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::ops::ControlFlow;
 
 use algebra::ra::RaExpr;
 use algebra::scalar::Lit;
 use imp::ast::StmtId;
 use intern::Symbol;
+
+/// Longest [`EeDag::display`] string, in bytes, before the `…` that marks
+/// a cut.
+pub const DISPLAY_CAP: usize = 4096;
 
 /// Index of a node in an [`EeDag`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -142,6 +148,17 @@ impl<'a> IntoIterator for &'a NodeList {
     type IntoIter = std::slice::Iter<'a, NodeId>;
     fn into_iter(self) -> Self::IntoIter {
         self.as_slice().iter()
+    }
+}
+
+impl<'a> IntoIterator for &'a mut NodeList {
+    type Item = &'a mut NodeId;
+    type IntoIter = std::slice::IterMut<'a, NodeId>;
+    fn into_iter(self) -> Self::IntoIter {
+        match self {
+            NodeList::Inline { len, buf } => buf[..*len as usize].iter_mut(),
+            NodeList::Heap(v) => v.iter_mut(),
+        }
     }
 }
 
@@ -339,6 +356,87 @@ pub enum Node {
     },
 }
 
+/// Call `$f(operand, bound)` on each operand of `$node`, in the one fixed
+/// order of [`Node::children`]. `$node` is `&Node` or `&mut Node`, so the
+/// operands are lent shared or mutably: the two walks cannot drift apart.
+macro_rules! for_each_operand {
+    ($node:expr, $f:expr) => {{
+        let mut f = $f;
+        match $node {
+            Node::Const(_)
+            | Node::Input(_)
+            | Node::AccParam(_)
+            | Node::TupleParam(_)
+            | Node::EmptyColl(_)
+            | Node::NotDetermined => {}
+            Node::FieldOf { base, .. } => f(base, false),
+            Node::Op { args, .. }
+            | Node::Opaque { args, .. }
+            | Node::Query { params: args, .. }
+            | Node::ScalarQuery { params: args, .. } => {
+                for a in args {
+                    f(a, false);
+                }
+            }
+            Node::Cond {
+                cond,
+                then_val,
+                else_val,
+            } => {
+                f(cond, false);
+                f(then_val, false);
+                f(else_val, false);
+            }
+            Node::Loop {
+                source, body_ve, ..
+            } => {
+                f(source, false);
+                for (_, e) in body_ve {
+                    f(e, true);
+                }
+            }
+            Node::Fold {
+                func, init, source, ..
+            } => {
+                f(func, true);
+                f(init, false);
+                f(source, false);
+            }
+            Node::ArgExtreme {
+                source,
+                key,
+                value,
+                v_init,
+                w_init,
+                ..
+            } => {
+                f(source, false);
+                f(key, true);
+                f(value, true);
+                f(v_init, false);
+                f(w_init, false);
+            }
+        }
+    }};
+}
+
+impl Node {
+    /// Visit the node's operands, the one place that lists them. The order
+    /// is fixed: a `Fold`'s func, init, source; an `ArgExtreme`'s source,
+    /// key, value, v_init, w_init; a `Loop`'s source, then its `body_ve`
+    /// values; every other node's operands as stored. The flag is `true`
+    /// for an operand under the node's own binder: a fold's `func`, an
+    /// argmax's `key` and `value`, a loop's `body_ve`.
+    pub fn children(&self, mut f: impl FnMut(NodeId, bool)) {
+        for_each_operand!(self, |c: &NodeId, bound| f(*c, bound))
+    }
+
+    /// [`Node::children`], lending each operand mutably.
+    fn children_mut(&mut self, f: impl FnMut(&mut NodeId, bool)) {
+        for_each_operand!(self, f)
+    }
+}
+
 /// The ve-Map: variable name → ee-DAG node (paper Sec. 3.2.2).
 ///
 /// Keyed by [`Symbol`], whose `Ord` compares the *resolved names* — so
@@ -508,79 +606,45 @@ impl EeDag {
 
     // Traversals. ----------------------------------------------------------
 
-    /// Visit `id` and all reachable nodes (pre-order, may revisit shared
-    /// subtrees — fine for predicates).
-    pub fn walk(&self, id: NodeId, f: &mut impl FnMut(NodeId, &Node)) {
-        let n = self.node(id);
-        f(id, n);
-        match n {
-            Node::Const(_)
-            | Node::Input(_)
-            | Node::AccParam(_)
-            | Node::TupleParam(_)
-            | Node::EmptyColl(_)
-            | Node::NotDetermined => {}
-            Node::FieldOf { base, .. } => self.walk(*base, f),
-            Node::Op { args, .. } | Node::Opaque { args, .. } => {
-                for a in args {
-                    self.walk(*a, f);
-                }
+    /// Visit `id` and every node reachable from it, each exactly once, in
+    /// pre-order: a node before its operands, operands in
+    /// [`Node::children`] order. A shared node is visited where a tree walk
+    /// would first meet it and skipped after that, so the cost is linear in
+    /// the DAG, not in its unfolding. Stops at the first
+    /// [`ControlFlow::Break`] the visitor returns.
+    pub fn walk<B>(
+        &self,
+        id: NodeId,
+        mut f: impl FnMut(NodeId, &Node) -> ControlFlow<B>,
+    ) -> ControlFlow<B> {
+        let mut seen = vec![0u64; self.nodes.len().div_ceil(64)];
+        let mut stack = vec![id];
+        while let Some(id) = stack.pop() {
+            let (word, bit) = (id.0 as usize / 64, 1u64 << (id.0 % 64));
+            if seen[word] & bit != 0 {
+                continue;
             }
-            Node::Cond {
-                cond,
-                then_val,
-                else_val,
-            } => {
-                self.walk(*cond, f);
-                self.walk(*then_val, f);
-                self.walk(*else_val, f);
-            }
-            Node::Query { params, .. } | Node::ScalarQuery { params, .. } => {
-                for p in params {
-                    self.walk(*p, f);
-                }
-            }
-            Node::Loop {
-                source, body_ve, ..
-            } => {
-                self.walk(*source, f);
-                for (_, e) in body_ve {
-                    self.walk(*e, f);
-                }
-            }
-            Node::Fold {
-                func, init, source, ..
-            } => {
-                self.walk(*func, f);
-                self.walk(*init, f);
-                self.walk(*source, f);
-            }
-            Node::ArgExtreme {
-                source,
-                key,
-                value,
-                v_init,
-                w_init,
-                ..
-            } => {
-                self.walk(*source, f);
-                self.walk(*key, f);
-                self.walk(*value, f);
-                self.walk(*v_init, f);
-                self.walk(*w_init, f);
-            }
+            seen[word] |= bit;
+            let n = self.node(id);
+            f(id, n)?;
+            // Push in reverse so the first operand is popped first.
+            let first = stack.len();
+            n.children(|c, _| stack.push(c));
+            stack[first..].reverse();
         }
+        ControlFlow::Continue(())
     }
 
-    /// True when any reachable node satisfies `pred`.
+    /// True when any reachable node satisfies `pred`; stops at the first.
     pub fn any(&self, id: NodeId, pred: impl Fn(&Node) -> bool) -> bool {
-        let mut found = false;
-        self.walk(id, &mut |_, n| {
+        self.walk(id, |_, n| {
             if pred(n) {
-                found = true;
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
             }
-        });
-        found
+        })
+        .is_break()
     }
 
     /// True when the expression is poisoned (contains `Opaque`/`ND`).
@@ -590,17 +654,45 @@ impl EeDag {
         })
     }
 
-    /// Region-input names referenced by the expression.
+    /// Region-input names referenced by the expression, each once, in
+    /// first-visit order.
     pub fn inputs_of(&self, id: NodeId) -> Vec<Symbol> {
         let mut out = Vec::new();
-        self.walk(id, &mut |_, n| {
+        let _: ControlFlow<()> = self.walk(id, |_, n| {
             if let Node::Input(name) = n {
-                if !out.contains(name) {
-                    out.push(*name);
-                }
+                out.push(*name);
             }
+            ControlFlow::Continue(())
         });
         out
+    }
+
+    /// `id` with each operand mapped through `f`, which is also told whether
+    /// the operand is under the node's binder (see [`Node::children`]). A
+    /// node without operands is returned without a clone; otherwise the
+    /// rebuilt node is interned only if some operand changed.
+    pub fn rebuild(
+        &mut self,
+        id: NodeId,
+        mut f: impl FnMut(&mut EeDag, NodeId, bool) -> NodeId,
+    ) -> NodeId {
+        let mut leaf = true;
+        self.node(id).children(|_, _| leaf = false);
+        if leaf {
+            return id;
+        }
+        let mut node = self.node(id).clone();
+        let mut changed = false;
+        node.children_mut(|c, bound| {
+            let new = f(self, *c, bound);
+            changed |= new != *c;
+            *c = new;
+        });
+        if changed {
+            self.intern(node)
+        } else {
+            id
+        }
     }
 
     /// Substitute region inputs by expressions: every `Input(v)` with an
@@ -622,243 +714,129 @@ impl EeDag {
         if let Some(r) = memo.get(&id) {
             return *r;
         }
-        // Fast path for leaves: no clone, no re-intern.
+        // Loop body expressions reference per-iteration inputs; only the
+        // source is resolved against the enclosing region. A folding
+        // function may read region inputs (loop-invariant values), so it is
+        // substituted like any other operand.
+        let is_loop = matches!(self.node(id), Node::Loop { .. });
         let result = match self.node(id) {
-            Node::Input(name) => match subs.get(name) {
-                Some(replacement) => *replacement,
-                None => id,
-            },
-            Node::Const(_)
-            | Node::AccParam(_)
-            | Node::TupleParam(_)
-            | Node::EmptyColl(_)
-            | Node::NotDetermined => id,
-            _ => {
-                let node = self.node(id).clone();
-                match node {
-                    Node::FieldOf { base, field } => {
-                        let b = self.subst_rec(base, subs, memo);
-                        if b == base {
-                            id
-                        } else {
-                            self.intern(Node::FieldOf { base: b, field })
-                        }
-                    }
-                    Node::Op { op, ref args } => {
-                        let new: NodeList = args
-                            .iter()
-                            .map(|a| self.subst_rec(*a, subs, memo))
-                            .collect();
-                        if new == *args {
-                            id
-                        } else {
-                            self.intern(Node::Op { op, args: new })
-                        }
-                    }
-                    Node::Opaque { reason, ref args } => {
-                        let new: NodeList = args
-                            .iter()
-                            .map(|a| self.subst_rec(*a, subs, memo))
-                            .collect();
-                        if new == *args {
-                            id
-                        } else {
-                            self.intern(Node::Opaque { reason, args: new })
-                        }
-                    }
-                    Node::Cond {
-                        cond,
-                        then_val,
-                        else_val,
-                    } => {
-                        let c = self.subst_rec(cond, subs, memo);
-                        let t = self.subst_rec(then_val, subs, memo);
-                        let e = self.subst_rec(else_val, subs, memo);
-                        if c == cond && t == then_val && e == else_val {
-                            id
-                        } else {
-                            self.intern(Node::Cond {
-                                cond: c,
-                                then_val: t,
-                                else_val: e,
-                            })
-                        }
-                    }
-                    Node::Query { ra, ref params } => {
-                        let new: NodeList = params
-                            .iter()
-                            .map(|p| self.subst_rec(*p, subs, memo))
-                            .collect();
-                        if new == *params {
-                            id
-                        } else {
-                            self.intern(Node::Query { ra, params: new })
-                        }
-                    }
-                    Node::ScalarQuery { ra, ref params } => {
-                        let new: NodeList = params
-                            .iter()
-                            .map(|p| self.subst_rec(*p, subs, memo))
-                            .collect();
-                        if new == *params {
-                            id
-                        } else {
-                            self.intern(Node::ScalarQuery { ra, params: new })
-                        }
-                    }
-                    Node::Loop {
-                        source,
-                        cursor,
-                        body_ve,
-                        stmt,
-                    } => {
-                        let s = self.subst_rec(source, subs, memo);
-                        // Body expressions reference per-iteration inputs;
-                        // only the source is resolved against the enclosing
-                        // region.
-                        if s == source {
-                            id
-                        } else {
-                            self.intern(Node::Loop {
-                                source: s,
-                                cursor,
-                                body_ve,
-                                stmt,
-                            })
-                        }
-                    }
-                    Node::Fold {
-                        func,
-                        init,
-                        source,
-                        cursor,
-                        origin,
-                    } => {
-                        let i = self.subst_rec(init, subs, memo);
-                        let s = self.subst_rec(source, subs, memo);
-                        // The folding function is closed over Acc/Tuple
-                        // params plus possibly region inputs (loop-invariant
-                        // values).
-                        let fn_ = self.subst_rec(func, subs, memo);
-                        if i == init && s == source && fn_ == func {
-                            id
-                        } else {
-                            self.intern(Node::Fold {
-                                func: fn_,
-                                init: i,
-                                source: s,
-                                cursor,
-                                origin,
-                            })
-                        }
-                    }
-                    Node::ArgExtreme {
-                        source,
-                        is_max,
-                        key,
-                        value,
-                        v_init,
-                        w_init,
-                        cursor,
-                        origin,
-                    } => {
-                        let s = self.subst_rec(source, subs, memo);
-                        let k = self.subst_rec(key, subs, memo);
-                        let val = self.subst_rec(value, subs, memo);
-                        let vi = self.subst_rec(v_init, subs, memo);
-                        let wi = self.subst_rec(w_init, subs, memo);
-                        if s == source && k == key && val == value && vi == v_init && wi == w_init {
-                            id
-                        } else {
-                            self.intern(Node::ArgExtreme {
-                                source: s,
-                                is_max,
-                                key: k,
-                                value: val,
-                                v_init: vi,
-                                w_init: wi,
-                                cursor,
-                                origin,
-                            })
-                        }
-                    }
-                    Node::Const(_)
-                    | Node::Input(_)
-                    | Node::AccParam(_)
-                    | Node::TupleParam(_)
-                    | Node::EmptyColl(_)
-                    | Node::NotDetermined => unreachable!("leaves handled above"),
+            Node::Input(name) => subs.get(name).copied().unwrap_or(id),
+            _ => self.rebuild(id, |dag, c, bound| {
+                if is_loop && bound {
+                    c
+                } else {
+                    dag.subst_rec(c, subs, memo)
                 }
-            }
+            }),
         };
         memo.insert(id, result);
         result
     }
 
-    /// Pretty-print an expression for diagnostics.
+    /// Pretty-print an expression for diagnostics. A shared node prints at
+    /// each use, so the text can be exponential in the DAG's size: it is
+    /// cut at [`DISPLAY_CAP`] bytes, on a char boundary, and then ends in
+    /// `…`.
     pub fn display(&self, id: NodeId) -> String {
+        let mut out = String::new();
+        self.display_into(id, &mut out)
+            .expect("writing to a String cannot fail");
+        if out.len() > DISPLAY_CAP {
+            let mut cut = DISPLAY_CAP;
+            while !out.is_char_boundary(cut) {
+                cut -= 1;
+            }
+            out.truncate(cut);
+            out.push('…');
+        }
+        out
+    }
+
+    /// Append the display of `id` to `out`, descending no further once
+    /// `out` is past [`DISPLAY_CAP`].
+    fn display_into(&self, id: NodeId, out: &mut String) -> fmt::Result {
+        if out.len() > DISPLAY_CAP {
+            return Ok(());
+        }
         match self.node(id) {
-            Node::Const(l) => l.to_string(),
-            Node::Input(v) => format!("{v}₀"),
-            Node::AccParam(v) => format!("⟨{v}⟩"),
-            Node::TupleParam(t) => format!("⟨{t}⟩"),
-            Node::FieldOf { base, field } => format!("{}.{field}", self.display(*base)),
+            Node::Const(l) => write!(out, "{l}"),
+            Node::Input(v) => write!(out, "{v}₀"),
+            Node::AccParam(v) | Node::TupleParam(v) => write!(out, "⟨{v}⟩"),
+            Node::FieldOf { base, field } => {
+                self.display_into(*base, out)?;
+                write!(out, ".{field}")
+            }
             Node::Op { op, args } => {
-                let parts: Vec<String> = args.iter().map(|a| self.display(*a)).collect();
-                format!("{op:?}[{}]", parts.join(", "))
+                write!(out, "{op:?}[")?;
+                self.display_list(args, out)?;
+                out.write_str("]")
             }
             Node::Cond {
                 cond,
                 then_val,
                 else_val,
-            } => format!(
-                "?[{}, {}, {}]",
-                self.display(*cond),
-                self.display(*then_val),
-                self.display(*else_val)
-            ),
+            } => {
+                out.write_str("?[")?;
+                self.display_list(&[*cond, *then_val, *else_val], out)?;
+                out.write_str("]")
+            }
             Node::Query { ra, params } | Node::ScalarQuery { ra, params } => {
                 let tag = if matches!(self.node(id), Node::ScalarQuery { .. }) {
                     "q"
                 } else {
                     "Q"
                 };
-                if params.is_empty() {
-                    format!("{tag}⟨{ra}⟩")
-                } else {
-                    let ps: Vec<String> = params.iter().map(|p| self.display(*p)).collect();
-                    format!("{tag}⟨{ra}⟩({})", ps.join(", "))
+                write!(out, "{tag}⟨{ra}⟩")?;
+                if !params.is_empty() {
+                    out.write_str("(")?;
+                    self.display_list(params, out)?;
+                    out.write_str(")")?;
                 }
+                Ok(())
             }
-            Node::EmptyColl(CollKind::List) => "[]".to_string(),
-            Node::EmptyColl(CollKind::Set) => "{}".to_string(),
+            Node::EmptyColl(CollKind::List) => out.write_str("[]"),
+            Node::EmptyColl(CollKind::Set) => out.write_str("{}"),
             Node::Loop { source, cursor, .. } => {
-                format!("Loop[{} in {}]", cursor, self.display(*source))
+                write!(out, "Loop[{cursor} in ")?;
+                self.display_into(*source, out)?;
+                out.write_str("]")
             }
             Node::Fold {
                 func, init, source, ..
-            } => format!(
-                "fold[{}, {}, {}]",
-                self.display(*func),
-                self.display(*init),
-                self.display(*source)
-            ),
+            } => {
+                out.write_str("fold[")?;
+                self.display_list(&[*func, *init, *source], out)?;
+                out.write_str("]")
+            }
             Node::ArgExtreme {
                 source,
                 is_max,
                 key,
                 value,
                 ..
-            } => format!(
-                "arg{}[{} by {}]({})",
-                if *is_max { "max" } else { "min" },
-                self.display(*value),
-                self.display(*key),
-                self.display(*source)
-            ),
-            Node::NotDetermined => "ND".to_string(),
-            Node::Opaque { reason, .. } => format!("opaque⟨{reason}⟩"),
+            } => {
+                write!(out, "arg{}[", if *is_max { "max" } else { "min" })?;
+                self.display_into(*value, out)?;
+                out.write_str(" by ")?;
+                self.display_into(*key, out)?;
+                out.write_str("](")?;
+                self.display_into(*source, out)?;
+                out.write_str(")")
+            }
+            Node::NotDetermined => out.write_str("ND"),
+            Node::Opaque { reason, .. } => write!(out, "opaque⟨{reason}⟩"),
         }
+    }
+
+    /// [`EeDag::display_into`] for each of `ids`, comma-separated.
+    fn display_list(&self, ids: &[NodeId], out: &mut String) -> fmt::Result {
+        for (i, a) in ids.iter().enumerate() {
+            if i > 0 {
+                out.write_str(", ")?;
+            }
+            self.display_into(*a, out)?;
+        }
+        Ok(())
     }
 }
 
@@ -1018,6 +996,98 @@ mod tests {
             origin: (StmtId(2), "v".into()),
         });
         assert_ne!(f1, f2);
+    }
+
+    /// `x_k = Add[x_{k-1}, x_{k-1}]` for k = 1..=depth over `x_0 = x₀`:
+    /// depth + 1 nodes whose unfolding as a tree has 2^(depth+1) - 1.
+    fn diamond_chain(d: &mut EeDag, depth: usize) -> NodeId {
+        let mut x = d.input("x");
+        for _ in 0..depth {
+            x = d.op(OpKind::Add, vec![x, x]);
+        }
+        x
+    }
+
+    #[test]
+    fn walk_visits_a_shared_node_once() {
+        let mut d = EeDag::new();
+        let root = diamond_chain(&mut d, 20);
+        let mut visits = 0;
+        let _: ControlFlow<()> = d.walk(root, |_, _| {
+            visits += 1;
+            ControlFlow::Continue(())
+        });
+        assert_eq!(visits, 21);
+    }
+
+    #[test]
+    fn walk_keeps_pre_order_first_visits() {
+        let mut d = EeDag::new();
+        let x = d.input("x");
+        let y = d.input("y");
+        let a = d.op(OpKind::Add, vec![x, y]);
+        let root = d.cond(a, y, a);
+        let mut order = Vec::new();
+        let _: ControlFlow<()> = d.walk(root, |id, _| {
+            order.push(id);
+            ControlFlow::Continue(())
+        });
+        assert_eq!(order, vec![root, a, x, y]);
+    }
+
+    #[test]
+    fn any_stops_at_the_first_hit() {
+        let mut d = EeDag::new();
+        let root = diamond_chain(&mut d, 20);
+        let calls = std::cell::Cell::new(0);
+        assert!(d.any(root, |_| {
+            calls.set(calls.get() + 1);
+            true
+        }));
+        assert_eq!(calls.get(), 1);
+    }
+
+    #[test]
+    fn display_is_capped() {
+        let mut d = EeDag::new();
+        let root = diamond_chain(&mut d, 20);
+        let s = d.display(root);
+        assert!(s.len() <= DISPLAY_CAP + '…'.len_utf8(), "{} bytes", s.len());
+        assert!(s.ends_with('…'));
+        assert!(s.starts_with("Add[Add[Add["));
+    }
+
+    #[test]
+    fn rebuild_interns_only_on_change() {
+        let mut d = EeDag::new();
+        let x = d.input("x");
+        let one = d.int(1);
+        let e = d.op(OpKind::Add, vec![x, one]);
+        let before = d.len();
+        assert_eq!(d.rebuild(e, |_, c, _| c), e);
+        assert_eq!(d.rebuild(x, |_, _, _| unreachable!("a leaf")), x);
+        assert_eq!(d.len(), before);
+        let two = d.int(2);
+        let out = d.rebuild(e, |_, c, _| if c == one { two } else { c });
+        assert_eq!(d.display(out), "Add[x₀, 2]");
+    }
+
+    #[test]
+    fn children_flag_binder_operands() {
+        let mut d = EeDag::new();
+        let f = d.intern(Node::AccParam("v".into()));
+        let i = d.int(0);
+        let s = d.input("q");
+        let fold = Node::Fold {
+            func: f,
+            init: i,
+            source: s,
+            cursor: "t".into(),
+            origin: (StmtId(1), "v".into()),
+        };
+        let mut seen = Vec::new();
+        fold.children(|c, bound| seen.push((c, bound)));
+        assert_eq!(seen, vec![(f, true), (i, false), (s, false)]);
     }
 
     #[test]

@@ -150,7 +150,9 @@ pub struct VarExtraction {
     /// The replacement expression, pretty-printed.
     pub replacement: Option<String>,
     /// The F-IR expression before rule application (paper Fig. 3(b)-style
-    /// display), for diagnostics.
+    /// display), for diagnostics. A shared sub-expression is printed at
+    /// each use, so the text is cut at [`crate::eedag::DISPLAY_CAP`] bytes
+    /// and then ends in `…`.
     pub fir: Option<String>,
     /// Names of the transformation rules applied, in order.
     pub rule_trace: Vec<String>,

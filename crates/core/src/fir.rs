@@ -30,6 +30,7 @@
 #![allow(clippy::result_large_err)]
 
 use std::collections::BTreeSet;
+use std::ops::ControlFlow;
 
 use intern::Symbol;
 
@@ -388,8 +389,9 @@ fn convert_var(
     // Safety net: the folding function must not read any *other*
     // loop-updated variable's iteration-start value (P2 should have caught
     // this; an Input surviving here would silently capture a stale value).
+    let func_inputs = dag.inputs_of(func);
     for w in all_updated {
-        if *w != var && dag.inputs_of(func).contains(w) {
+        if *w != var && func_inputs.contains(w) {
             let w_writers = ddg.writers_of(*w);
             return Err(Diagnostic::new(
                 Code::ExtraLoopDependence,
@@ -431,15 +433,11 @@ fn convert_var(
 
 /// The reason string of the first `Opaque` node under `id`, if any.
 fn first_opaque_reason(dag: &EeDag, id: NodeId) -> Option<String> {
-    let mut found = None;
-    dag.walk(id, &mut |_, n| {
-        if found.is_none() {
-            if let Node::Opaque { reason, .. } = n {
-                found = Some(reason.clone());
-            }
-        }
-    });
-    found
+    dag.walk(id, |_, n| match n {
+        Node::Opaque { reason, .. } => ControlFlow::Break(reason.clone()),
+        _ => ControlFlow::Continue(()),
+    })
+    .break_value()
 }
 
 /// Detect `break`/`continue`/`return` anywhere in a loop body; returns the

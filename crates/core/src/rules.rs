@@ -25,6 +25,7 @@
 //! pass cap is kept as a defensive bound.
 
 use std::collections::{HashMap, HashSet};
+use std::ops::ControlFlow;
 
 use intern::Symbol;
 
@@ -33,7 +34,7 @@ use algebra::scalar::{BinOp, ColRef, Lit, Scalar, ScalarFunc, UnOp};
 use algebra::schema::Catalog;
 
 use crate::certify::Obligation;
-use crate::eedag::{EeDag, Node, NodeId, NodeList, OpKind};
+use crate::eedag::{EeDag, Node, NodeId, OpKind};
 
 /// Options controlling rule application.
 #[derive(Debug, Clone)]
@@ -196,118 +197,25 @@ impl<'c> RuleEngine<'c> {
             _ => {}
         }
         self.cache_misses += 1;
-        let node = dag.node(id).clone();
-        let rebuilt = match node {
-            Node::FieldOf { base, field } => {
-                let b = self.rewrite(dag, base, memo);
-                if b == base {
-                    id
-                } else {
-                    dag.intern(Node::FieldOf { base: b, field })
-                }
+        // An argmax's bound key and value are left as built (they reach SQL
+        // through `try_arg_extreme`'s scalar translation); a fold's bound
+        // function is rewritten like its other operands.
+        let keep_bound = matches!(dag.node(id), Node::ArgExtreme { .. });
+        let node = dag.rebuild(id, |dag, c, bound| {
+            if keep_bound && bound {
+                c
+            } else {
+                self.rewrite(dag, c, memo)
             }
-            Node::Op { op, ref args } => {
-                let new: NodeList = args.iter().map(|a| self.rewrite(dag, *a, memo)).collect();
-                let n = if new == *args {
-                    id
-                } else {
-                    dag.intern(Node::Op { op, args: new })
-                };
-                self.simplify_op(dag, n)
-            }
-            Node::Cond {
-                cond,
-                then_val,
-                else_val,
-            } => {
-                let c = self.rewrite(dag, cond, memo);
-                let t = self.rewrite(dag, then_val, memo);
-                let e = self.rewrite(dag, else_val, memo);
-                if c == cond && t == then_val && e == else_val {
-                    id
-                } else {
-                    dag.intern(Node::Cond {
-                        cond: c,
-                        then_val: t,
-                        else_val: e,
-                    })
-                }
-            }
-            Node::Query { ra, ref params } => {
-                let new: NodeList = params.iter().map(|p| self.rewrite(dag, *p, memo)).collect();
-                if new == *params {
-                    id
-                } else {
-                    dag.intern(Node::Query { ra, params: new })
-                }
-            }
-            Node::ScalarQuery { ra, ref params } => {
-                let new: NodeList = params.iter().map(|p| self.rewrite(dag, *p, memo)).collect();
-                if new == *params {
-                    id
-                } else {
-                    dag.intern(Node::ScalarQuery { ra, params: new })
-                }
-            }
-            Node::Fold {
-                func,
-                init,
-                source,
-                cursor,
-                origin,
-            } => {
-                let f = self.rewrite(dag, func, memo);
-                let i = self.rewrite(dag, init, memo);
-                let s = self.rewrite(dag, source, memo);
-                let fold = if f == func && i == init && s == source {
-                    id
-                } else {
-                    dag.intern(Node::Fold {
-                        func: f,
-                        init: i,
-                        source: s,
-                        cursor,
-                        origin,
-                    })
-                };
-                match self.try_fold_rules(dag, fold) {
-                    Some(n) => n,
-                    None => fold,
-                }
-            }
-            Node::ArgExtreme {
-                source,
-                is_max,
-                key,
-                value,
-                v_init,
-                w_init,
-                cursor,
-                origin,
-            } => {
-                let s = self.rewrite(dag, source, memo);
-                let vi = self.rewrite(dag, v_init, memo);
-                let wi = self.rewrite(dag, w_init, memo);
-                let node = if s == source && vi == v_init && wi == w_init {
-                    id
-                } else {
-                    dag.intern(Node::ArgExtreme {
-                        source: s,
-                        is_max,
-                        key,
-                        value,
-                        v_init: vi,
-                        w_init: wi,
-                        cursor,
-                        origin,
-                    })
-                };
-                match self.try_arg_extreme(dag, node) {
-                    Some(n) => self.certified(node, n, origin),
-                    None => node,
-                }
-            }
-            _ => id,
+        });
+        let rebuilt = match *dag.node(node) {
+            Node::Op { .. } => self.simplify_op(dag, node),
+            Node::Fold { .. } => self.try_fold_rules(dag, node).unwrap_or(node),
+            Node::ArgExtreme { origin, .. } => match self.try_arg_extreme(dag, node) {
+                Some(n) => self.certified(node, n, origin),
+                None => node,
+            },
+            _ => node,
         };
         if rebuilt == id && self.cache_enabled {
             // Rebuilt to itself: the whole subdag is in normal form and can
@@ -1306,15 +1214,16 @@ fn default_proj_alias(s: &Scalar) -> String {
 /// one parameter references the given cursor's tuple), in discovery order.
 fn correlated_scalar_queries(dag: &EeDag, root: NodeId, cursor: Symbol) -> Vec<NodeId> {
     let mut out = Vec::new();
-    dag.walk(root, &mut |id, n| {
+    let _: ControlFlow<()> = dag.walk(root, |id, n| {
         if let Node::ScalarQuery { params, .. } = n {
             let correlated = params
                 .iter()
                 .any(|p| dag.any(*p, |x| matches!(x, Node::TupleParam(c) if *c == cursor)));
-            if correlated && !out.contains(&id) {
+            if correlated {
                 out.push(id);
             }
         }
+        ControlFlow::Continue(())
     });
     out
 }

@@ -475,7 +475,7 @@ pub fn gen_emp(n: usize, seed: u64) -> Database {
 
 /// [`gen_emp`] into a paged database: the scale experiment's table, with
 /// rows streamed straight into B-tree pages (identical data to [`gen_emp`]
-/// under the same seed — they share [`gen_emp_into`]).
+/// under the same seed — they share `gen_emp_into`).
 pub fn gen_emp_paged(n: usize, seed: u64, store: storage::Store) -> Database {
     let mut db = Database::new_paged(store);
     gen_emp_into(&mut db, n, seed);

@@ -15,10 +15,10 @@
 //! built in, so a correlated subquery — `EXISTS`, a scalar subquery, the
 //! right side of an apply — is just a tree built under the current row.
 //! `EXISTS` and scalar subqueries pull a single row and stop
-//! ([`first_row`]).
+//! (`first_row`).
 //!
 //! The scan decodes only the columns the operators above it read (see
-//! [`scan_columns`]); the others read as NULL, which nothing above can
+//! `scan_columns`); the others read as NULL, which nothing above can
 //! observe. A γ with no GROUP BY feeds one accumulator set directly.
 //!
 //! The observable rules — order preservation, duplicates, first-occurrence

@@ -2,7 +2,7 @@
 //!
 //! The pager owns the backing medium — a file, or an in-memory vector for
 //! the fuzzer and unit tests — and moves whole pages across it. Every write
-//! seals the page by stamping [`checksum`] of `bytes[4..]` into the
+//! seals the page by stamping `checksum` of `bytes[4..]` into the
 //! header's checksum field; every read verifies it, so torn or bit-rotted
 //! pages surface as [`StorageError::Corrupt`] instead of silent wrong
 //! answers.
