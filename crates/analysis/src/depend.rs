@@ -20,7 +20,8 @@
 //! * The summary fact at the body's exit is classified into the classic
 //!   loop-carried dependences:
 //!   - **flow** — an iteration reads state (a table or a scalar) a
-//!     previous iteration may have written;
+//!     previous iteration may have written, or an `UPDATE` matches on a
+//!     key column it also rewrites;
 //!   - **anti** — an iteration writes state the loop itself still reads
 //!     (an `INSERT` into the driving table);
 //!   - **output** — two iterations may write the same rows (a write not
@@ -952,6 +953,25 @@ pub fn analyze_body(body: &Block, drv: &DrivingInfo) -> LoopDependence {
             }
             DmlKind::Update | DmlKind::Delete => match &w.key {
                 KeyPred::CursorKey { column, field } => {
+                    // An UPDATE that rewrites its own key column moves
+                    // rows into a later iteration's key, which the
+                    // batched statement matches on pre-statement keys.
+                    let rewrites_key = match &w.columns {
+                        ColSet::Cols(cols) => cols.contains(column),
+                        ColSet::All => true,
+                    };
+                    if kind == DmlKind::Update && rewrites_key {
+                        dep.verdict = blocked(
+                            DependenceKind::Flow,
+                            format!(
+                                "`UPDATE {table}` rewrites `{column}`, the column its `WHERE` \
+                                 matches, so a later iteration's key selects rows an earlier \
+                                 one rewrote"
+                            ),
+                            span,
+                        );
+                        return dep;
+                    }
                     // DELETE commutes with itself (deleting the same rows
                     // twice is idempotent), so any cursor-derived key
                     // suffices; UPDATE needs key-disjoint iterations:
@@ -1202,6 +1222,25 @@ mod tests {
                 assert!(b.detail.contains("dept"), "{}", b.detail);
             }
             v => panic!("expected output dependence, got {v:?}"),
+        }
+    }
+
+    /// `shiftIds`: each iteration's new key is a later iteration's `WHERE`
+    /// key. The loop gives `[4, 4, 4]` on ids 1, 2, 3 with `d = 1`; the
+    /// batched statement would give `[2, 3, 4]`.
+    const SHIFT_IDS: &str = "fn shiftIds(d) {\n    \
+        for (e in executeQuery(\"SELECT * FROM emp WHERE dept = 'eng'\")) {\n        \
+        executeUpdate(\"UPDATE emp SET id = ? WHERE id = ?\", e.id + d, e.id);\n    \
+        }\n    return 0;\n}\n";
+
+    #[test]
+    fn update_that_rewrites_its_key_is_flow_dependence() {
+        match analyze(SHIFT_IDS).verdict {
+            Verdict::Blocked(b) => {
+                assert_eq!(b.kind, DependenceKind::Flow);
+                assert!(b.detail.contains("rewrites `id`"), "{}", b.detail);
+            }
+            v => panic!("expected flow dependence, got {v:?}"),
         }
     }
 

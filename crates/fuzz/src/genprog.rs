@@ -314,10 +314,11 @@ pub fn gen_case(seed: u64) -> Case {
 /// The body shapes cover the whole verdict space: keyed UPDATEs, INSERTs
 /// into a keyless `log` table, and keyed DELETEs are batchable — the
 /// extracted statement must leave identical final table contents — while
-/// carried-scalar, non-key-UPDATE, and two-site shapes must be kept and
-/// blamed with exactly one `E010`/`W010`. Every program has exactly one
-/// non-nested loop and no prints inside its body, so the oracle's
-/// exactness contract on blame diagnostics is checkable by counting.
+/// carried-scalar, non-key-UPDATE, key-rewriting-UPDATE, and two-site
+/// shapes must be kept and blamed with exactly one `E010`/`W010`. Every
+/// program has exactly one non-nested loop and no prints inside its body,
+/// so the oracle's exactness contract on blame diagnostics is checkable by
+/// counting.
 pub fn gen_dml_case(seed: u64) -> Case {
     let mut rng = StdRng::seed_from_u64(seed);
 
@@ -425,10 +426,15 @@ pub fn gen_dml_case(seed: u64) -> Case {
              executeUpdate(\"UPDATE t SET a = ? WHERE id = ?\", acc, r.id);"
                 .to_string()
         }
-        // UPDATE keyed on a non-key column: output dependence, expect E010.
+        // UPDATE keyed on a non-key column (output dependence) or
+        // rewriting its own key column (flow dependence): expect E010.
         17 | 18 => {
             let v = gen_int_expr(&mut rng, &s, has_param);
-            format!("executeUpdate(\"UPDATE t SET a = ? WHERE g = ?\", {v}, r.g);")
+            if rng.gen_bool(0.5) {
+                format!("executeUpdate(\"UPDATE t SET a = ? WHERE g = ?\", {v}, r.g);")
+            } else {
+                format!("executeUpdate(\"UPDATE t SET id = ? WHERE id = ?\", r.id + ({v}), r.id);")
+            }
         }
         // Two DML sites in one body: extraction refuses, expect W010.
         _ => {
@@ -487,6 +493,19 @@ mod tests {
             );
             assert_eq!(p.functions.len(), 1);
         }
+    }
+
+    /// Arm 17 | 18 emits both E010 update shapes: keyed on a non-key
+    /// column, and rewriting its own key.
+    #[test]
+    fn dml_cases_cover_both_kept_update_shapes() {
+        let count = |needle: &str| {
+            (0..200)
+                .filter(|seed| gen_dml_case(*seed).program.contains(needle))
+                .count()
+        };
+        let (non_key, key_rewrite) = (count("WHERE g = ?"), count("SET id = ?"));
+        assert!(non_key > 0 && key_rewrite > 0, "{non_key} / {key_rewrite}");
     }
 
     #[test]

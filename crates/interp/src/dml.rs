@@ -14,21 +14,28 @@
 //!   pre-statement state**, before any mutation (Halloween protection —
 //!   exactly the snapshot a materialized cursor loop sees). An evaluation
 //!   error leaves the table untouched.
-//! * `UPDATE … FROM` applies subquery rows **in order**; when two source
-//!   rows hit the same target row the last writer wins, which is the
-//!   per-row loop's behaviour.
+//! * `UPDATE … FROM` and `DELETE … IN` match target rows against their
+//!   source rows through one hash build over the source keys per
+//!   statement, never a nested loop. Target rows match on their
+//!   **pre-statement** keys, as in SQL: a key an earlier source row
+//!   rewrites is not matched again by a later one. When several source
+//!   rows match one target row, the last of them in source order wins,
+//!   which is the per-row loop's behaviour; the affected count counts
+//!   every (source, target) match pair.
 //! * `WHERE col = <literal or ?>` and key matches compare by column index
 //!   with SQL equality: `NULL` matches nothing, even another `NULL`. Any
 //!   other predicate is evaluated per row; `NULL` counts as not taken.
 //! * Both backings run every form: paged tables rewrite through
 //!   [`dbms::Table::mutate_rows`] and end identical to in-memory ones.
 
+use std::collections::HashMap;
+
 use algebra::dml::{InsertSource, Stmt};
 use algebra::parse::parse_statement;
 use algebra::scalar::{BinOp, ColRef, Scalar};
 use algebra::RaExpr;
 use dbms::eval::{eval_query, eval_scalar, fields_of, Scope};
-use dbms::{Database, EvalError, Table, Value};
+use dbms::{Database, EvalError, Row, Table, Value};
 
 /// A DML execution error.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,6 +58,79 @@ impl From<EvalError> for DmlError {
 /// SQL equality: `NULL` compares equal to nothing (not even `NULL`).
 fn sql_eq(a: &Value, b: &Value) -> bool {
     !a.is_null() && !b.is_null() && a.group_eq(b)
+}
+
+/// A hash bucket that coarsens [`sql_eq`]: values it calls equal share a
+/// bucket. Numbers bucket by their `f64` value, so `Int(3)`, `Float(3.0)`
+/// and `Bool(true)`/`Int(1)` meet, while two `Int`s past ±2⁵³ may share a
+/// bucket without being equal.
+#[derive(PartialEq, Eq, Hash)]
+enum Bucket<'a> {
+    Num(u64),
+    Str(&'a str),
+}
+
+/// The bucket of a value; `NULL` and NaN equal nothing and get none.
+fn bucket(v: &Value) -> Option<Bucket<'_>> {
+    match v {
+        Value::Null => None,
+        Value::Str(s) => Some(Bucket::Str(s)),
+        v => {
+            let x = v.as_f64()?;
+            // `-0.0 == 0.0`, so both take the bits of `0.0`.
+            (!x.is_nan()).then(|| Bucket::Num(if x == 0.0 { 0 } else { x.to_bits() }))
+        }
+    }
+}
+
+/// End of a [`KeyIndex`] chain.
+const END: usize = usize::MAX;
+
+/// An equality index over column `col` of a statement's source rows,
+/// built once per statement: two allocations, not one per key.
+struct KeyIndex<'a> {
+    rows: &'a [Row],
+    col: usize,
+    /// Each bucket's newest source row.
+    heads: HashMap<Bucket<'a>, usize>,
+    /// `next[i]`: the next older source row in row `i`'s bucket, or [`END`].
+    next: Vec<usize>,
+}
+
+impl<'a> KeyIndex<'a> {
+    fn build(rows: &'a [Row], col: usize) -> KeyIndex<'a> {
+        let mut heads = HashMap::with_capacity(rows.len());
+        let mut next = vec![END; rows.len()];
+        for (i, row) in rows.iter().enumerate() {
+            if let Some(prev) = bucket(&row[col]).and_then(|b| heads.insert(b, i)) {
+                next[i] = prev;
+            }
+        }
+        KeyIndex {
+            rows,
+            col,
+            heads,
+            next,
+        }
+    }
+
+    /// The source rows whose key is [`sql_eq`] to `key`, newest first:
+    /// the first one is `key`'s last writer.
+    fn matches<'s>(&'s self, key: &'s Value) -> impl Iterator<Item = usize> + 's {
+        let mut at = bucket(key)
+            .and_then(|b| self.heads.get(&b).copied())
+            .unwrap_or(END);
+        std::iter::from_fn(move || {
+            while at != END {
+                let i = at;
+                at = self.next[i];
+                if sql_eq(&self.rows[i][self.col], key) {
+                    return Some(i);
+                }
+            }
+            None
+        })
+    }
 }
 
 /// Execute a DML statement; returns the number of affected rows.
@@ -314,19 +394,17 @@ fn exec_update_from(
         .iter()
         .map(|(c, s)| Ok((column(t, c)?, rel.resolve(None, s).map_err(DmlError)?)))
         .collect::<Result<Vec<_>, DmlError>>()?;
+    let index = KeyIndex::build(&rel.rows, key_src);
     Ok(table_mut(db, name).mutate_rows(|rows| {
         let mut affected = 0;
-        // Source rows apply in order: last writer wins, matching the
-        // per-row loop this statement replaces.
-        for srow in &rel.rows {
-            let key = &srow[key_src];
-            for row in rows.iter_mut() {
-                if sql_eq(&row[key_idx], key) {
-                    for (tc, sc) in &set_idxs {
-                        row[*tc] = srow[*sc].clone();
-                    }
-                    affected += 1;
-                }
+        for row in rows.iter_mut() {
+            // Match on the pre-statement key, before the row is written.
+            let mut hits = index.matches(&row[key_idx]);
+            let Some(last) = hits.next() else { continue };
+            affected += 1 + hits.count() as i64;
+            let srow = &rel.rows[last];
+            for (tc, sc) in &set_idxs {
+                row[*tc] = srow[*sc].clone();
             }
         }
         affected
@@ -379,11 +457,11 @@ fn exec_delete_in(
             rel.fields.len()
         )));
     }
-    let keys: Vec<Value> = rel.rows.into_iter().map(|mut r| r.remove(0)).collect();
+    let index = KeyIndex::build(&rel.rows, 0);
     let idx = column(table(db, name)?, column_name)?;
     Ok(table_mut(db, name).mutate_rows(|rows| {
         let before = rows.len();
-        rows.retain(|r| !keys.iter().any(|k| sql_eq(&r[idx], k)));
+        rows.retain(|r| index.matches(&r[idx]).next().is_none());
         (before - rows.len()) as i64
     }))
 }
@@ -555,33 +633,262 @@ mod tests {
         assert!(execute_update(&mut d, "MERGE INTO log USING x", &[]).is_err());
     }
 
-    /// Run `stmts` on an in-memory and a paged copy of one table. Each
+    /// `db` with `tables` created and filled.
+    fn load(mut db: Database, tables: &[(TableSchema, Vec<Row>)]) -> Database {
+        for (schema, rows) in tables {
+            db.create_table(schema.clone());
+            for row in rows {
+                db.insert(&schema.name, row.clone());
+            }
+        }
+        db
+    }
+
+    /// Run `stmts` on an in-memory and a paged copy of `tables`. Each
     /// statement must give the expected affected count (`None`: an error)
     /// on both backings and leave them with identical contents.
     fn agree_on_both_backings(
-        schema: TableSchema,
-        rows: Vec<Vec<Value>>,
+        tables: Vec<(TableSchema, Vec<Row>)>,
         stmts: &[(&str, Option<i64>)],
     ) -> (Database, Database) {
-        let name = schema.name.clone();
-        let mut mem = Database::new().with_table(schema.clone());
-        let mut paged = Database::paged_in_memory(4).with_table(schema);
-        for row in rows {
-            mem.insert(&name, row.clone());
-            paged.insert(&name, row);
-        }
+        let mut mem = load(Database::new(), &tables);
+        let mut paged = load(Database::paged_in_memory(4), &tables);
+        let names: Vec<&str> = tables.iter().map(|(s, _)| s.name.as_str()).collect();
         for (sql, want) in stmts {
             let a = execute_update(&mut mem, sql, &[]).ok();
             let b = execute_update(&mut paged, sql, &[]).ok();
             assert_eq!(a, *want, "in-memory count on `{sql}`");
             assert_eq!(b, *want, "paged count on `{sql}`");
-            assert_eq!(
-                mem.table(&name).unwrap(),
-                paged.table(&name).unwrap(),
-                "contents diverge after `{sql}`"
-            );
+            for name in &names {
+                assert_eq!(
+                    mem.table(name).unwrap(),
+                    paged.table(name).unwrap(),
+                    "`{name}` diverges after `{sql}`"
+                );
+            }
         }
         (mem, paged)
+    }
+
+    /// `(k, v)` tables `t` (the target) and `src` (the source), keys
+    /// untyped so a test can mix value kinds.
+    fn kv_tables(t: Vec<Vec<Value>>, src: Vec<Vec<Value>>) -> Vec<(TableSchema, Vec<Vec<Value>>)> {
+        let schema = |name| TableSchema::new(name, &[("k", SqlType::Int), ("v", SqlType::Int)]);
+        vec![(schema("t"), t), (schema("src"), src)]
+    }
+
+    /// `[k, v]` rows.
+    fn kv(rows: &[(Value, i64)]) -> Vec<Vec<Value>> {
+        rows.iter()
+            .map(|(k, v)| vec![k.clone(), Value::Int(*v)])
+            .collect()
+    }
+
+    const UPDATE_T_FROM_SRC: &str =
+        "UPDATE t SET v = s.v FROM (SELECT k, v FROM src) AS s WHERE t.k = s.k";
+    const DELETE_T_IN_SRC: &str = "DELETE FROM t WHERE k IN (SELECT k FROM src)";
+
+    fn column_of(db: &Database, table: &str, col: usize) -> Vec<Value> {
+        db.table(table)
+            .unwrap()
+            .scan()
+            .map(|r| r[col].clone())
+            .collect()
+    }
+
+    #[test]
+    fn update_from_matches_pre_statement_keys() {
+        // Row 1 takes key 2 from the first source row; the second source
+        // row (key 2) must still hit only the row whose key *was* 2.
+        let schema = TableSchema::new("emp", &[("id", SqlType::Int), ("salary", SqlType::Int)]);
+        let rows = (1..=3)
+            .map(|i| vec![Value::Int(i), Value::Int(0)])
+            .collect();
+        let dbs = agree_on_both_backings(
+            vec![(schema, rows)],
+            &[(
+                "UPDATE emp SET id = s.v FROM (SELECT id AS k, id + 1 AS v FROM emp) AS s \
+                 WHERE id = s.k",
+                Some(3),
+            )],
+        );
+        for db in [dbs.0, dbs.1] {
+            assert_eq!(column_of(&db, "emp", 0), [2, 3, 4].map(Value::Int));
+        }
+    }
+
+    #[test]
+    fn update_from_last_writer_wins_and_counts_pairs() {
+        let t = kv(&[(Value::Int(1), 0), (Value::Int(2), 0), (Value::Int(3), 0)]);
+        let src = kv(&[
+            (Value::Int(1), 10),
+            (Value::Int(2), 20),
+            (Value::Int(1), 11),
+            (Value::Int(1), 12),
+        ]);
+        // Key 1 matches three source rows, key 2 one: four pairs.
+        let dbs = agree_on_both_backings(kv_tables(t, src), &[(UPDATE_T_FROM_SRC, Some(4))]);
+        for db in [dbs.0, dbs.1] {
+            assert_eq!(column_of(&db, "t", 1), [12, 20, 0].map(Value::Int));
+        }
+    }
+
+    #[test]
+    fn update_from_null_and_nan_keys_match_nothing() {
+        let t = kv(&[(Value::Null, 0), (Value::Int(1), 0)]);
+        let src = kv(&[(Value::Null, 1), (Value::Int(1), 2)]);
+        let dbs = agree_on_both_backings(kv_tables(t, src), &[(UPDATE_T_FROM_SRC, Some(1))]);
+        for db in [dbs.0, dbs.1] {
+            assert_eq!(column_of(&db, "t", 1), [0, 2].map(Value::Int));
+        }
+        // NaN keys, on one backing: `NaN <> NaN` would fail the content
+        // comparison of `agree_on_both_backings` itself.
+        let nan = Value::Float(f64::NAN);
+        let tables = kv_tables(kv(&[(nan.clone(), 0)]), kv(&[(nan, 1)]));
+        let mut db = load(Database::new(), &tables);
+        assert_eq!(execute_update(&mut db, UPDATE_T_FROM_SRC, &[]), Ok(0));
+        assert_eq!(column_of(&db, "t", 1), [Value::Int(0)]);
+        assert_eq!(execute_update(&mut db, DELETE_T_IN_SRC, &[]), Ok(0));
+    }
+
+    #[test]
+    fn update_from_matches_as_sql_eq_does_across_kinds() {
+        let t = kv(&[
+            (Value::Int(3), 0),
+            (Value::Int(1), 0),
+            (Value::Int(1), 0),
+            (Value::Float(-0.0), 0),
+        ]);
+        let src = kv(&[
+            (Value::Float(3.0), 1),
+            (Value::Bool(true), 2),
+            ("1".into(), 3),
+            (Value::Int(0), 4),
+        ]);
+        // `'1'` is not `1`; `Int(0)` is `-0.0`.
+        let dbs = agree_on_both_backings(kv_tables(t, src), &[(UPDATE_T_FROM_SRC, Some(4))]);
+        for db in [dbs.0, dbs.1] {
+            assert_eq!(column_of(&db, "t", 1), [1, 2, 2, 4].map(Value::Int));
+        }
+        // Past 2⁵³ two `Int`s share an `f64` bucket but are not equal.
+        let big = 1i64 << 53;
+        let t = kv(&[(Value::Int(big), 0), (Value::Int(big + 1), 0)]);
+        let src = kv(&[(Value::Int(big + 1), 1)]);
+        let dbs = agree_on_both_backings(kv_tables(t, src), &[(UPDATE_T_FROM_SRC, Some(1))]);
+        assert_eq!(column_of(&dbs.0, "t", 1), [0, 1].map(Value::Int));
+    }
+
+    #[test]
+    fn delete_in_with_duplicate_and_null_keys() {
+        let t = kv(&[
+            (Value::Int(1), 0),
+            (Value::Int(2), 0),
+            (Value::Null, 0),
+            (Value::Int(1), 0),
+        ]);
+        let src = kv(&[(Value::Int(1), 0), (Value::Null, 0), (Value::Int(1), 0)]);
+        // Both key-1 rows go once each; the NULL row survives a NULL in
+        // the list.
+        let dbs = agree_on_both_backings(kv_tables(t, src), &[(DELETE_T_IN_SRC, Some(2))]);
+        for db in [dbs.0, dbs.1] {
+            assert_eq!(column_of(&db, "t", 0), [Value::Int(2), Value::Null]);
+        }
+    }
+
+    /// `UPDATE t SET k = s.nk, v = s.v …` on `(k, nk, v)` source rows:
+    /// rewritten keys collide with later source keys.
+    const UPDATE_T_KEYS_FROM_SRC: &str =
+        "UPDATE t SET k = s.nk, v = s.v FROM (SELECT k, nk, v FROM src) AS s WHERE t.k = s.k";
+
+    /// The nested-loop matcher the executor's key index replaces, for
+    /// [`UPDATE_T_KEYS_FROM_SRC`]: each target row takes its last matching
+    /// source row, matched on pre-statement keys; returns the new rows
+    /// and the pair count.
+    fn reference_update_from(t: &[Row], src: &[Row]) -> (Vec<Row>, i64) {
+        let mut out = t.to_vec();
+        let mut pairs = 0;
+        for (row, old) in out.iter_mut().zip(t) {
+            for s in src {
+                if sql_eq(&old[0], &s[0]) {
+                    row[0] = s[1].clone();
+                    row[1] = s[2].clone();
+                    pairs += 1;
+                }
+            }
+        }
+        (out, pairs)
+    }
+
+    fn reference_delete_in(t: &[Row], src: &[Row]) -> (Vec<Row>, i64) {
+        let out: Vec<Row> = t
+            .iter()
+            .filter(|r| !src.iter().any(|s| sql_eq(&r[0], &s[0])))
+            .cloned()
+            .collect();
+        let gone = (t.len() - out.len()) as i64;
+        (out, gone)
+    }
+
+    #[test]
+    fn key_index_agrees_with_the_nested_loop_reference() {
+        use dbms::prng::StdRng;
+        let pool = [
+            Value::Null,
+            Value::Int(0),
+            Value::Int(1),
+            Value::Int(2),
+            Value::Float(1.0),
+            Value::Float(-0.0),
+            Value::Float(2.5),
+            Value::Float(f64::NAN),
+            Value::Bool(true),
+            Value::Bool(false),
+            Value::Str("1".into()),
+            Value::Str("a".into()),
+        ];
+        // Up to 7 rows: `keys` columns drawn from `pool`, then `v`
+        // numbered from `base`.
+        let gen_rows = |rng: &mut StdRng, keys: usize, base: i64| -> Vec<Row> {
+            (0..rng.gen_range(0..8i64))
+                .map(|i| {
+                    let mut row: Row = (0..keys)
+                        .map(|_| pool[rng.gen_range(0..pool.len())].clone())
+                        .collect();
+                    row.push(Value::Int(base + i));
+                    row
+                })
+                .collect()
+        };
+        let int = |c| (c, SqlType::Int);
+        let t_schema = TableSchema::new("t", &[int("k"), int("v")]);
+        let src_schema = TableSchema::new("src", &[int("k"), int("nk"), int("v")]);
+        let mut rng = StdRng::seed_from_u64(42);
+        for case in 0..300 {
+            let t = gen_rows(&mut rng, 1, 0);
+            let src = gen_rows(&mut rng, 2, 100);
+            let tables = [
+                (t_schema.clone(), t.clone()),
+                (src_schema.clone(), src.clone()),
+            ];
+            for (sql, reference) in [
+                (
+                    UPDATE_T_KEYS_FROM_SRC,
+                    reference_update_from as fn(&[Row], &[Row]) -> _,
+                ),
+                (DELETE_T_IN_SRC, reference_delete_in),
+            ] {
+                let mut db = load(Database::new(), &tables);
+                let n = execute_update(&mut db, sql, &[]).unwrap();
+                let (want, pairs) = reference(&t, &src);
+                // Debug text compares NaN keys equal to themselves.
+                let got: Vec<Row> = db.table("t").unwrap().scan().collect();
+                assert_eq!(
+                    (format!("{got:?}"), n),
+                    (format!("{want:?}"), pairs),
+                    "case {case}: `{sql}` on t = {t:?}, src = {src:?}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -594,8 +901,7 @@ mod tests {
             .map(|i| vec![Value::Int(i), Value::Int(i * 10)])
             .collect();
         let (_, mut paged) = agree_on_both_backings(
-            schema,
-            rows,
+            vec![(schema, rows)],
             &[
                 ("INSERT INTO emp VALUES (999, 1)", Some(1)),
                 ("UPDATE emp SET salary = 7 WHERE id = 3", Some(1)),
@@ -621,8 +927,7 @@ mod tests {
             .map(|(i, m)| vec![Value::Int(i), m.into()])
             .collect();
         let dbs = agree_on_both_backings(
-            log,
-            rows,
+            vec![(log, rows)],
             &[
                 ("DELETE FROM log WHERE msg = 'a' OR id = 2", Some(2)),
                 ("INSERT INTO log VALUES (1, 'a')", Some(1)),

@@ -2,7 +2,7 @@
 //! (`analysis::depend`) that certifies batchable write loops.
 //!
 //! The verdicts rest on a forward monotone dataflow pass whose facts are
-//! joined over the body's CFG. Four properties pin the pass down:
+//! joined over the body's CFG. Five properties pin the pass down:
 //!
 //! 1. **Prefix monotonicity.** Every blocking feature — early exits,
 //!    opaque effects, carried scalars, write conflicts — is monotone in
@@ -19,6 +19,9 @@
 //! 4. **Schedule independence.** The verdict is a function of the AST
 //!    alone: re-analyzing, re-parsing, and renumbering statement ids (the
 //!    raw material of any worklist priority) all yield identical results.
+//! 5. **Key rewrites block.** A keyed `UPDATE` that also writes its
+//!    `WHERE` column moves rows under a later iteration's key; adding one
+//!    anywhere in a body never leaves the loop `Batchable`.
 
 use analysis::depend::{analyze_body, DependenceKind, DrivingInfo, LoopDependence, Verdict};
 use imp::ast::StmtKind;
@@ -39,6 +42,9 @@ enum WStmt {
     Acc(u8),
     /// `executeUpdate("UPDATE emp SET salary = ? WHERE id = ?", <expr>, e.id);`
     KeyedUpdate(u8),
+    /// `executeUpdate("UPDATE emp SET id = ? WHERE id = ?", e.id + 1, e.id);`
+    /// — rewrites its own key column (with `salary` too when `true`).
+    KeyRewrite(bool),
     /// `executeUpdate("UPDATE emp SET salary = ? WHERE dept = ?", …)` —
     /// keyed by a non-unique cursor field.
     DeptUpdate,
@@ -91,6 +97,13 @@ fn render(stmts: &[WStmt], out: &mut String, indent: usize) {
                 "{pad}executeUpdate(\"UPDATE emp SET salary = ? WHERE id = ?\", {}, e.id);\n",
                 expr(*e)
             )),
+            WStmt::KeyRewrite(false) => out.push_str(&format!(
+                "{pad}executeUpdate(\"UPDATE emp SET id = ? WHERE id = ?\", e.id + 1, e.id);\n"
+            )),
+            WStmt::KeyRewrite(true) => out.push_str(&format!(
+                "{pad}executeUpdate(\"UPDATE emp SET salary = ?, id = ? WHERE id = ?\", \
+                 e.salary, e.id + 1, e.id);\n"
+            )),
             WStmt::DeptUpdate => out.push_str(&format!(
                 "{pad}executeUpdate(\"UPDATE emp SET salary = ? WHERE dept = ?\", \
                  e.salary, e.dept);\n"
@@ -133,6 +146,7 @@ fn arb_body() -> impl Strategy<Value = Vec<WStmt>> {
         (0u8..3).prop_map(WStmt::Acc),
         (0u8..5).prop_map(WStmt::KeyedUpdate),
         (0u8..5).prop_map(WStmt::KeyedUpdate),
+        any::<bool>().prop_map(WStmt::KeyRewrite),
         Just(WStmt::DeptUpdate),
         (0u8..5).prop_map(WStmt::InsertPayout),
         Just(WStmt::InsertDriving),
@@ -299,6 +313,32 @@ proptest! {
         );
         prop_assert_eq!(da.reads, db.reads, "read summary changed under branch swap");
         prop_assert_eq!(da.writes, db.writes, "write summary changed under branch swap");
+    }
+
+    /// Adding a keyed `UPDATE` whose `SET` list holds its `WHERE` column,
+    /// at any position and under any guard, never yields `Batchable`,
+    /// whatever the driving key.
+    #[test]
+    fn a_key_rewriting_update_is_never_batchable(
+        mut body in arb_body(),
+        at in 0usize..8,
+        guard in 0u8..4,
+        with_salary in any::<bool>(),
+    ) {
+        let update = WStmt::KeyRewrite(with_salary);
+        // `guard` 3 leaves the update unguarded.
+        let stmt = match guard {
+            3 => update,
+            c => WStmt::If(c, vec![update], vec![WStmt::Assign(0, 4)]),
+        };
+        body.insert(at % (body.len() + 1), stmt);
+        let src = program_src(&body);
+        for key in [Some("id"), None] {
+            prop_assert!(
+                !matches!(analyze_src(&src, key).verdict, Verdict::Batchable),
+                "a key-rewriting UPDATE was batched (key {:?})\n{}", key, src
+            );
+        }
     }
 
     /// The verdict is a pure function of the AST: repeated analysis,

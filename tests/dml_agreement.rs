@@ -342,3 +342,46 @@ fn executor_folded_delete_matches_row_at_a_time() {
         &[Value::Int(60)],
     );
 }
+
+#[test]
+fn key_rewriting_update_loop_is_kept_and_runs_the_same() {
+    // Each iteration's new id is the next iteration's key: the loop
+    // gives [4, 4, 4], while one batched statement matching pre-statement
+    // keys would give [2, 3, 4]. The loop must stay, blamed with E010.
+    let src = "fn shiftIds(d) {\n\
+         \x20   for (e in executeQuery(\"SELECT * FROM emp WHERE dept = 'eng'\")) {\n\
+         \x20       executeUpdate(\"UPDATE emp SET id = ? WHERE id = ?\", e.id + d, e.id);\n\
+         \x20   }\n\
+         \x20   return 0;\n}\n";
+    let program = imp::parse_program(src).expect("test program parses");
+    let report = Extractor::with_options(catalog(), ExtractorOptions::default())
+        .extract_function(&program, "shiftIds");
+    assert!(!report.changed(), "the loop must be kept\n{src}");
+    let blame: Vec<_> =
+        eqsql_core::lint_program(&program, &catalog(), &ExtractorOptions::default())
+            .into_iter()
+            .filter(|d| d.code.as_str() == "E010")
+            .collect();
+    assert_eq!(blame.len(), 1, "{blame:#?}");
+    assert!(blame[0].message.contains("rewrites `id`"), "{blame:#?}");
+
+    let mut db = Database::new();
+    for schema in catalog().tables() {
+        db.create_table(schema.clone());
+    }
+    for (id, dept) in [(1, "eng"), (2, "eng"), (3, "eng"), (10, "sales")] {
+        db.insert(
+            "emp",
+            vec![Value::Int(id), Value::Int(0), Value::Str(dept.to_string())],
+        );
+    }
+    for program in [None, Some(&report.program)] {
+        let ids: Vec<Value> = run(src, program, "shiftIds", &[1], &db)
+            .table("emp")
+            .unwrap()
+            .scan()
+            .map(|r| r[0].clone())
+            .collect();
+        assert_eq!(ids, [4, 4, 4, 10].map(Value::Int));
+    }
+}
