@@ -37,6 +37,13 @@
 //!
 //! `?` placeholders are numbered left to right into [`Scalar::Param`],
 //! over the whole query or statement.
+//!
+//! Nesting is capped at [`MAX_DEPTH`] levels: each parenthesised
+//! expression, subquery, derived table, function call, `CASE`, `NOT` and
+//! unary minus opens one. The parser and every pass over its output
+//! recurse once per level, so a deeper input is a [`SqlError`] at the
+//! token that opens the level past the cap rather than a stack overflow.
+//! A chain of binary operators is read in a loop and is not counted.
 
 #![allow(clippy::if_same_then_else)] // `AS alias` vs bare-alias parse paths are intentionally parallel
 
@@ -234,10 +241,18 @@ fn operator(rest: &str) -> Option<Tok<'static>> {
     })
 }
 
+/// The deepest nesting a query or statement may have (see the module
+/// comment). Nested subqueries are the costliest level to parse: about
+/// 100 of them fill a 2 MiB thread stack in a debug build, so a query at
+/// this cap parses, binds and executes there with room to spare.
+pub const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
     tokens: Vec<SpTok<'a>>,
     pos: usize,
     params: usize,
+    /// Nesting levels open at `pos`.
+    depth: usize,
 }
 
 /// A select item before aggregate/projection splitting.
@@ -261,7 +276,27 @@ impl<'a> Parser<'a> {
             tokens: lex(input)?,
             pos: 0,
             params: 0,
+            depth: 0,
         })
+    }
+
+    /// Run `f` one nesting level deeper; `at` is the offset of the token
+    /// that opens the level, where the error points past [`MAX_DEPTH`].
+    fn nested<T>(
+        &mut self,
+        at: usize,
+        f: impl FnOnce(&mut Self) -> Result<T, SqlError>,
+    ) -> Result<T, SqlError> {
+        if self.depth == MAX_DEPTH {
+            return Err(SqlError {
+                message: format!("nesting deeper than {MAX_DEPTH} levels"),
+                offset: at,
+            });
+        }
+        self.depth += 1;
+        let out = f(self);
+        self.depth -= 1;
+        out
     }
 
     fn peek(&self) -> Option<&Tok<'a>> {
@@ -606,9 +641,12 @@ impl<'a> Parser<'a> {
     fn table_ref(&mut self) -> Result<RaExpr, SqlError> {
         if matches!(self.peek(), Some(Tok::Punct('('))) {
             // Derived table `(SELECT …) [AS] alias`.
-            self.pos += 1;
-            let inner = self.query()?;
-            self.expect_punct(')')?;
+            let inner = self.nested(self.offset(), |p| {
+                p.pos += 1;
+                let inner = p.query()?;
+                p.expect_punct(')')?;
+                Ok(inner)
+            })?;
             let alias = if self.eat_kw("as") {
                 Some(self.ident()?)
             } else if matches!(self.peek(), Some(Tok::Ident(s)) if !is_keyword(s)) {
@@ -659,8 +697,9 @@ impl<'a> Parser<'a> {
     }
 
     fn not_expr(&mut self) -> Result<Scalar, SqlError> {
+        let at = self.offset();
         if self.eat_kw("not") {
-            let e = self.not_expr()?;
+            let e = self.nested(at, Self::not_expr)?;
             Ok(Scalar::Un(UnOp::Not, Box::new(e)))
         } else {
             self.cmp_expr()
@@ -742,14 +781,17 @@ impl<'a> Parser<'a> {
 
     fn unary_expr(&mut self) -> Result<Scalar, SqlError> {
         if matches!(self.peek(), Some(Tok::Punct('-'))) {
-            self.pos += 1;
-            let e = self.unary_expr()?;
+            let e = self.nested(self.offset(), |p| {
+                p.pos += 1;
+                p.unary_expr()
+            })?;
             return Ok(Scalar::Un(UnOp::Neg, Box::new(e)));
         }
         self.atom()
     }
 
     fn atom(&mut self) -> Result<Scalar, SqlError> {
+        let at = self.offset();
         match self.bump() {
             Some(Tok::Int(i)) => Ok(Scalar::Lit(Lit::Int(i))),
             Some(Tok::Float(v)) => Ok(Scalar::Lit(Lit::float(v))),
@@ -759,16 +801,16 @@ impl<'a> Parser<'a> {
                 self.params += 1;
                 Ok(Scalar::Param(idx))
             }
-            Some(Tok::Punct('(')) => {
-                if self.at_kw("select") || self.at_kw("from") {
-                    let q = self.query()?;
-                    self.expect_punct(')')?;
+            Some(Tok::Punct('(')) => self.nested(at, |p| {
+                if p.at_kw("select") || p.at_kw("from") {
+                    let q = p.query()?;
+                    p.expect_punct(')')?;
                     return Ok(Scalar::Subquery(Box::new(q)));
                 }
-                let e = self.expr()?;
-                self.expect_punct(')')?;
+                let e = p.expr()?;
+                p.expect_punct(')')?;
                 Ok(e)
-            }
+            }),
             Some(Tok::Ident(name)) => {
                 let keyword = ["null", "true", "false", "exists", "case"]
                     .into_iter()
@@ -778,29 +820,35 @@ impl<'a> Parser<'a> {
                     "true" => return Ok(Scalar::Lit(Lit::Bool(true))),
                     "false" => return Ok(Scalar::Lit(Lit::Bool(false))),
                     "exists" => {
-                        self.expect_punct('(')?;
-                        let q = self.query()?;
-                        self.expect_punct(')')?;
+                        let q = self.nested(at, |p| {
+                            p.expect_punct('(')?;
+                            let q = p.query()?;
+                            p.expect_punct(')')?;
+                            Ok(q)
+                        })?;
                         return Ok(Scalar::Exists(Box::new(q)));
                     }
-                    "case" => return self.case_expr(),
+                    "case" => return self.nested(at, Self::case_expr),
                     _ => {}
                 }
                 if matches!(self.peek(), Some(Tok::Punct('('))) {
                     // Scalar function call.
-                    self.pos += 1;
-                    let mut args = Vec::new();
-                    if !matches!(self.peek(), Some(Tok::Punct(')'))) {
-                        loop {
-                            args.push(self.expr()?);
-                            if matches!(self.peek(), Some(Tok::Punct(','))) {
-                                self.pos += 1;
-                            } else {
-                                break;
+                    let args = self.nested(at, |p| {
+                        p.pos += 1;
+                        let mut args = Vec::new();
+                        if !matches!(p.peek(), Some(Tok::Punct(')'))) {
+                            loop {
+                                args.push(p.expr()?);
+                                if matches!(p.peek(), Some(Tok::Punct(','))) {
+                                    p.pos += 1;
+                                } else {
+                                    break;
+                                }
                             }
                         }
-                    }
-                    self.expect_punct(')')?;
+                        p.expect_punct(')')?;
+                        Ok(args)
+                    })?;
                     let f = scalar_func(&name.to_ascii_lowercase())
                         .ok_or_else(|| self.err(format!("unknown function {name}")))?;
                     return Ok(Scalar::Func(f, args));
@@ -1197,6 +1245,46 @@ mod tests {
         assert!(err.offset <= "SELECT FROM".len());
         let err2 = parse_sql("SELECT * FROM t WHERE @").unwrap_err();
         assert!(err2.message.contains("unexpected character"));
+        // Nesting past the cap points at the token that opens the level
+        // one past it, in queries and statements alike; at the cap it
+        // parses.
+        for (head, open, leaf, close, tail) in [
+            ("SELECT * FROM t WHERE ", "(", "a", ")", ""),
+            ("SELECT * FROM t WHERE ", "NOT ", "a", "", ""),
+            ("SELECT * FROM t WHERE a = ", "-", "1", "", ""),
+            ("SELECT ", "ABS(", "a", ")", " FROM t"),
+            (
+                "SELECT * FROM t WHERE ",
+                "EXISTS (SELECT * FROM t WHERE ",
+                "a",
+                ")",
+                "",
+            ),
+            ("SELECT * FROM ", "(SELECT * FROM ", "t", ")", ""),
+            (
+                "DELETE FROM t WHERE a = ",
+                "CASE WHEN a THEN ",
+                "1",
+                " ELSE 2 END",
+                "",
+            ),
+        ] {
+            let parse = |depth: usize| {
+                let sql = format!(
+                    "{head}{}{leaf}{}{tail}",
+                    open.repeat(depth),
+                    close.repeat(depth)
+                );
+                match head {
+                    "DELETE FROM t WHERE a = " => parse_statement(&sql).map(|_| ()),
+                    _ => parse_sql(&sql).map(|_| ()),
+                }
+            };
+            assert_eq!(parse(MAX_DEPTH), Ok(()), "{open}");
+            let err = parse(MAX_DEPTH + 1).unwrap_err();
+            assert!(err.message.contains("nesting"), "{err}");
+            assert_eq!(err.offset, head.len() + open.len() * MAX_DEPTH, "{open}");
+        }
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Scalar evaluation, and the spec of what every query observably does.
 //!
 //! Every query runs on the volcano executor ([`crate::volcano`]); this
-//! module holds what its operators share — the scalar evaluator
-//! ([`eval_scalar`], [`eval_binop`]), column scopes for correlation, and
-//! the aggregate accumulators — and fixes the rules a result obeys,
+//! module holds what its operators share — scalars bound to their input's
+//! columns ([`Bound`], with [`eval_scalar`] for one-off use, and
+//! [`eval_binop`]), column scopes for correlation, and the aggregate
+//! accumulators — and fixes the rules a result obeys,
 //! whether its tables are in memory or paged:
 //!
 //! * π is order preserving and keeps duplicates (paper Sec. 3.2.1); σ, ⨝,
@@ -36,10 +37,11 @@
 //! `imp` operators must agree with it observably (see `tests/fuzz_repros.rs`
 //! and `crates/fuzz` for the differential harness that enforces this).
 
+use std::borrow::Cow;
 use std::fmt;
 
 use algebra::ra::{AggFunc, RaExpr};
-use algebra::scalar::{BinOp, Scalar, ScalarFunc, UnOp};
+use algebra::scalar::{BinOp, ColRef, Scalar, ScalarFunc, UnOp};
 
 use crate::table::{Database, Field};
 use crate::value::Value;
@@ -71,7 +73,8 @@ impl fmt::Display for EvalError {
 
 impl std::error::Error for EvalError {}
 
-/// A lexical scope for column resolution during correlated evaluation.
+/// A row and its layout, inside the scopes enclosing it: what a [`Bound`]
+/// evaluates on, and where a correlated column is looked up by name.
 #[derive(Clone, Copy)]
 pub struct Scope<'a> {
     pub(crate) fields: &'a [Field],
@@ -240,41 +243,142 @@ impl Accumulator {
     }
 }
 
-/// Evaluate a scalar expression in a scope.
+/// Evaluate a scalar expression in a scope: [`Bound::new`] against the
+/// scope's own fields, then [`Bound::eval`], for callers that evaluate an
+/// expression once. Anything evaluated per row binds once and reuses the
+/// [`Bound`].
 pub fn eval_scalar(
     e: &Scalar,
     db: &Database,
     params: &[Value],
     scope: Option<&Scope<'_>>,
 ) -> Result<Value, EvalError> {
-    match e {
-        Scalar::Lit(l) => Ok(Value::from_lit(l)),
-        Scalar::Col(c) => {
-            let found = scope.and_then(|s| s.lookup(c.qualifier.as_deref(), &c.column));
-            found.ok_or_else(|| EvalError::UnknownColumn(c.to_string()))
+    let top = Scope::new(&[], &[]);
+    let scope = scope.unwrap_or(&top);
+    Ok(Bound::new(e, scope.fields)
+        .eval(db, params, scope)?
+        .into_owned())
+}
+
+/// A scalar bound to one row layout: each column the layout has becomes
+/// its slot index, so evaluating on a row compares no names. A column the
+/// layout lacks keeps its name and is looked up in the enclosing scopes
+/// only when it is evaluated, so an outer column resolves, and an unknown
+/// one errors, exactly where the by-name lookup did — never on a row that
+/// is not evaluated. An ambiguous unqualified name binds leftmost.
+/// `EXISTS` and scalar subqueries stay plans, built under the current row
+/// each time they are evaluated.
+pub struct Bound<'a>(Expr<'a>);
+
+enum Expr<'a> {
+    Lit(Value),
+    /// A column of the bound layout.
+    Slot(usize),
+    /// A column the bound layout lacks: resolved by name in the enclosing
+    /// scopes when evaluated.
+    Outer(&'a ColRef),
+    Param(usize),
+    Bin(BinOp, Box<Expr<'a>>, Box<Expr<'a>>),
+    Un(UnOp, Box<Expr<'a>>),
+    Func(ScalarFunc, Vec<Expr<'a>>),
+    Case(Vec<(Expr<'a>, Expr<'a>)>, Box<Expr<'a>>),
+    Exists(&'a RaExpr),
+    Subquery(&'a RaExpr),
+}
+
+impl<'a> Bound<'a> {
+    /// Bind `e` to rows laid out as `fields`.
+    pub fn new(e: &'a Scalar, fields: &[Field]) -> Bound<'a> {
+        Bound(bind(e, fields))
+    }
+
+    /// The slot of a bare column of the bound layout.
+    pub(crate) fn column(&self) -> Option<usize> {
+        match self.0 {
+            Expr::Slot(i) => Some(i),
+            _ => None,
         }
-        Scalar::Param(i) => params.get(*i).cloned().ok_or(EvalError::MissingParam(*i)),
-        Scalar::Bin(op, l, r) => {
-            let lv = eval_scalar(l, db, params, scope)?;
+    }
+
+    /// Evaluate on `scope.row`, which must be laid out as the fields this
+    /// was bound to; columns outside them resolve in `scope.parent`. A
+    /// column, literal or parameter comes back borrowed, so reading or
+    /// comparing it copies nothing.
+    pub fn eval<'r>(
+        &'r self,
+        db: &Database,
+        params: &'r [Value],
+        scope: &Scope<'r>,
+    ) -> Result<Cow<'r, Value>, EvalError> {
+        eval(&self.0, db, params, scope)
+    }
+}
+
+fn bind<'a>(e: &'a Scalar, fields: &[Field]) -> Expr<'a> {
+    let sub = |x: &'a Scalar| Box::new(bind(x, fields));
+    match e {
+        Scalar::Lit(l) => Expr::Lit(Value::from_lit(l)),
+        Scalar::Col(c) => {
+            match crate::table::resolve_fields(fields, c.qualifier.as_deref(), &c.column) {
+                Ok(i) => Expr::Slot(i),
+                Err(_) => Expr::Outer(c),
+            }
+        }
+        Scalar::Param(i) => Expr::Param(*i),
+        Scalar::Bin(op, l, r) => Expr::Bin(*op, sub(l), sub(r)),
+        Scalar::Un(op, x) => Expr::Un(*op, sub(x)),
+        Scalar::Func(f, args) => Expr::Func(*f, args.iter().map(|a| bind(a, fields)).collect()),
+        Scalar::Case { arms, otherwise } => Expr::Case(
+            arms.iter()
+                .map(|(c, v)| (bind(c, fields), bind(v, fields)))
+                .collect(),
+            sub(otherwise),
+        ),
+        Scalar::Exists(q) => Expr::Exists(q),
+        Scalar::Subquery(q) => Expr::Subquery(q),
+    }
+}
+
+fn eval<'r>(
+    e: &'r Expr<'_>,
+    db: &Database,
+    params: &'r [Value],
+    scope: &Scope<'r>,
+) -> Result<Cow<'r, Value>, EvalError> {
+    let owned = |v: Value| Ok(Cow::Owned(v));
+    match e {
+        Expr::Lit(v) => Ok(Cow::Borrowed(v)),
+        Expr::Slot(i) => Ok(Cow::Borrowed(&scope.row[*i])),
+        Expr::Outer(c) => scope
+            .parent
+            .and_then(|p| p.lookup(c.qualifier.as_deref(), &c.column))
+            .map(Cow::Owned)
+            .ok_or_else(|| EvalError::UnknownColumn(c.to_string())),
+        Expr::Param(i) => params
+            .get(*i)
+            .map(Cow::Borrowed)
+            .ok_or(EvalError::MissingParam(*i)),
+        Expr::Bin(op, l, r) => {
+            let lv = eval(l, db, params, scope)?;
             // Short-circuit three-valued AND/OR.
             match op {
                 BinOp::And => {
-                    if lv == Value::Bool(false) {
-                        return Ok(Value::Bool(false));
+                    if *lv == Value::Bool(false) {
+                        return owned(Value::Bool(false));
                     }
-                    let rv = eval_scalar(r, db, params, scope)?;
-                    return Ok(match (lv, rv) {
+                    let rv = eval(r, db, params, scope)?;
+                    return owned(match (&*lv, &*rv) {
                         (_, Value::Bool(false)) => Value::Bool(false),
                         (Value::Bool(true), Value::Bool(true)) => Value::Bool(true),
                         _ => Value::Null,
                     });
                 }
                 BinOp::Or => {
-                    if lv == Value::Bool(true) {
-                        return Ok(Value::Bool(true));
+                    if *lv == Value::Bool(true) {
+                        return owned(Value::Bool(true));
                     }
-                    let rv = eval_scalar(r, db, params, scope)?;
-                    return Ok(match (lv, rv) {
+                    let rv = eval(r, db, params, scope)?;
+                    return owned(match (&*lv, &*rv) {
                         (_, Value::Bool(true)) => Value::Bool(true),
                         (Value::Bool(false), Value::Bool(false)) => Value::Bool(false),
                         _ => Value::Null,
@@ -282,47 +386,51 @@ pub fn eval_scalar(
                 }
                 _ => {}
             }
-            let rv = eval_scalar(r, db, params, scope)?;
-            eval_binop(*op, lv, rv)
+            let rv = eval(r, db, params, scope)?;
+            binop(*op, &lv, &rv).map(Cow::Owned)
         }
-        Scalar::Un(op, x) => {
-            let v = eval_scalar(x, db, params, scope)?;
-            Ok(match op {
-                UnOp::Neg => match v {
+        Expr::Un(op, x) => {
+            let v = eval(x, db, params, scope)?;
+            owned(match op {
+                UnOp::Neg => match *v {
                     Value::Null => Value::Null,
                     // checked_neg: -i64::MIN overflows → NULL-on-error.
                     Value::Int(i) => i.checked_neg().map_or(Value::Null, Value::Int),
                     Value::Float(f) => Value::Float(-f),
-                    other => return Err(EvalError::Type(format!("cannot negate {other}"))),
+                    ref other => return Err(EvalError::Type(format!("cannot negate {other}"))),
                 },
-                UnOp::Not => match v {
+                UnOp::Not => match *v {
                     Value::Null => Value::Null,
                     Value::Bool(b) => Value::Bool(!b),
-                    other => return Err(EvalError::Type(format!("cannot NOT {other}"))),
+                    ref other => return Err(EvalError::Type(format!("cannot NOT {other}"))),
                 },
                 UnOp::IsNull => Value::Bool(v.is_null()),
                 UnOp::IsNotNull => Value::Bool(!v.is_null()),
             })
         }
-        Scalar::Func(f, args) => {
+        Expr::Func(f, args) => {
             let mut vals = Vec::with_capacity(args.len());
             for a in args {
-                vals.push(eval_scalar(a, db, params, scope)?);
+                vals.push(eval(a, db, params, scope)?.into_owned());
             }
-            eval_func(*f, vals)
+            eval_func(*f, vals).map(Cow::Owned)
         }
-        Scalar::Case { arms, otherwise } => {
+        Expr::Case(arms, otherwise) => {
             for (c, v) in arms {
-                if eval_scalar(c, db, params, scope)?.is_true() {
-                    return eval_scalar(v, db, params, scope);
+                if eval(c, db, params, scope)?.is_true() {
+                    return eval(v, db, params, scope);
                 }
             }
-            eval_scalar(otherwise, db, params, scope)
+            eval(otherwise, db, params, scope)
         }
-        Scalar::Exists(q) => Ok(Value::Bool(first_row(q, db, params, scope)?.is_some())),
-        Scalar::Subquery(q) => Ok(first_row(q, db, params, scope)?
-            .and_then(|r| r.into_iter().next())
-            .unwrap_or(Value::Null)),
+        Expr::Exists(q) => owned(Value::Bool(
+            first_row(q, db, params, Some(scope))?.is_some(),
+        )),
+        Expr::Subquery(q) => owned(
+            first_row(q, db, params, Some(scope))?
+                .and_then(|r| r.into_iter().next())
+                .unwrap_or(Value::Null),
+        ),
     }
 }
 
@@ -330,11 +438,16 @@ pub fn eval_scalar(
 /// propagation, mixed numeric widening, integer division-by-zero → NULL).
 /// Exposed for the `interp` crate, whose `imp` arithmetic matches.
 pub fn eval_binop(op: BinOp, l: Value, r: Value) -> Result<Value, EvalError> {
+    binop(op, &l, &r)
+}
+
+/// [`eval_binop`] on borrowed operands.
+fn binop(op: BinOp, l: &Value, r: &Value) -> Result<Value, EvalError> {
     if l.is_null() || r.is_null() {
         return Ok(Value::Null);
     }
     if op.is_comparison() {
-        let ord = l.sql_cmp(&r);
+        let ord = l.sql_cmp(r);
         return Ok(match ord {
             None => {
                 // Comparable-but-mixed types: only (in)equality is defined.
@@ -358,7 +471,7 @@ pub fn eval_binop(op: BinOp, l: Value, r: Value) -> Result<Value, EvalError> {
     // Arithmetic. Integer errors (overflow, division by zero) yield NULL —
     // one defined behaviour shared with the interpreter instead of the
     // panic-in-debug / wrap-in-release split of native `i64` arithmetic.
-    match (op, &l, &r) {
+    match (op, l, r) {
         (BinOp::Add, Value::Int(a), Value::Int(b)) => {
             Ok(a.checked_add(*b).map_or(Value::Null, Value::Int))
         }

@@ -55,35 +55,60 @@ pub fn decode_row(bytes: &[u8]) -> Row {
 /// over, never copied. Panics on malformed bytes — records only ever come
 /// back from a checksummed page, so corruption is caught at the pager
 /// layer first.
-pub fn decode_row_masked(mut bytes: &[u8], keep: &[bool]) -> Row {
+pub fn decode_row_masked(bytes: &[u8], keep: &[bool]) -> Row {
     let mut row = Vec::with_capacity(keep.len());
+    decode_into(bytes, keep, &mut row);
+    row
+}
+
+/// [`decode_row_masked`] into a reused buffer: `row` ends up holding
+/// exactly that row, and a kept text column overwrites the `String`
+/// already in its slot, so decoding into a warm buffer allocates only
+/// when a string outgrows the buffer it lands in.
+pub fn decode_into(mut bytes: &[u8], keep: &[bool], row: &mut Row) {
+    // A buffer a caller has just taken a row out of is empty: size it once.
+    row.reserve(keep.len().saturating_sub(row.len()));
+    let mut col = 0;
     while let Some((&tag, rest)) = bytes.split_first() {
-        let len = match tag {
-            0 => 0,
-            1 => 1,
-            2 | 3 => 8,
-            4 => 4 + u32::from_le_bytes(rest[..4].try_into().expect("4-byte length")) as usize,
-            other => panic!("corrupt record: unknown value tag {other}"),
+        let len = if tag == 2 || tag == 3 {
+            8
+        } else if tag == 4 {
+            4 + u32::from_le_bytes(rest[..4].try_into().expect("4-byte length")) as usize
+        } else if tag <= 1 {
+            tag as usize
+        } else {
+            panic!("corrupt record: unknown value tag {tag}")
         };
         let (payload, tail) = rest.split_at(len);
         bytes = tail;
-        if keep.get(row.len()) == Some(&false) {
+        if col == row.len() {
             row.push(Value::Null);
-            continue;
         }
-        row.push(match tag {
-            0 => Value::Null,
-            1 => Value::Bool(payload[0] != 0),
-            2 => Value::Int(i64::from_le_bytes(payload.try_into().expect("8 bytes"))),
-            3 => Value::Float(f64::from_le_bytes(payload.try_into().expect("8 bytes"))),
-            _ => Value::Str(
-                std::str::from_utf8(&payload[4..])
-                    .expect("UTF-8 string")
-                    .to_owned(),
-            ),
-        });
+        let slot = &mut row[col];
+        let kept = keep.get(col) != Some(&false);
+        col += 1;
+        if !kept || tag == 0 {
+            if !slot.is_null() {
+                *slot = Value::Null;
+            }
+        } else if tag == 2 {
+            *slot = Value::Int(i64::from_le_bytes(payload.try_into().expect("8 bytes")));
+        } else if tag == 4 {
+            let text = std::str::from_utf8(&payload[4..]).expect("UTF-8 string");
+            match slot {
+                Value::Str(s) => {
+                    s.clear();
+                    s.push_str(text);
+                }
+                _ => *slot = Value::Str(text.to_owned()),
+            }
+        } else if tag == 3 {
+            *slot = Value::Float(f64::from_le_bytes(payload.try_into().expect("8 bytes")));
+        } else {
+            *slot = Value::Bool(payload[0] != 0);
+        }
     }
-    row
+    row.truncate(col);
 }
 
 /// Hash a value for the NDV sketch; `None` for SQL NULL. Hashes go through
@@ -207,6 +232,21 @@ pub struct PagedScan {
     keep: Vec<bool>,
 }
 
+impl PagedScan {
+    /// Decode the next row into `row` (see [`decode_into`]); `false` at
+    /// the end of the table.
+    pub fn next_into(&mut self, row: &mut Row) -> bool {
+        match self.cursor.next_record() {
+            Some(r) => {
+                let (_rowid, record) = r.expect("scan stored table");
+                decode_into(record, &self.keep, row);
+                true
+            }
+            None => false,
+        }
+    }
+}
+
 impl Iterator for PagedScan {
     type Item = Row;
 
@@ -264,6 +304,26 @@ mod tests {
         let mut want = row.clone();
         want[1] = Value::Null;
         assert_eq!(decode_row_masked(&bytes, &[true, false]), want);
+        // One buffer reused across records of every width, tag and string
+        // length, under every mask above, decodes what a fresh one does.
+        let mut records = vec![row.clone(), Vec::new(), vec![Value::Str("x".into())]];
+        for n in 0..row.len() {
+            let mut r: Vec<Value> = row.iter().cycle().skip(n).take(n + 2).cloned().collect();
+            r.push(Value::Str("w".repeat(n * 5)));
+            records.push(r);
+        }
+        let masks: Vec<Vec<bool>> = (0..4)
+            .map(|m| (0..row.len() + 2).map(|i| (i + m) % 3 != 0).collect())
+            .chain([Vec::new()])
+            .collect();
+        let mut buf = Vec::new();
+        for (i, record) in records.iter().enumerate() {
+            for mask in &masks {
+                let bytes = encode_row(record);
+                decode_into(&bytes, mask, &mut buf);
+                assert_eq!(buf, decode_row_masked(&bytes, mask), "record {i}");
+            }
+        }
     }
 
     #[test]

@@ -160,6 +160,18 @@ pub enum TableScan<'a> {
     Paged(crate::paged::PagedScan),
 }
 
+impl TableScan<'_> {
+    /// Write the next row into `row`, reusing its allocations (a paged row
+    /// decodes into it, an in-memory row is copied with `clone_from`);
+    /// `false` at the end of the table.
+    pub fn next_into(&mut self, row: &mut Row) -> bool {
+        match self {
+            TableScan::Mem(it) => it.next().map(|r| row.clone_from(r)).is_some(),
+            TableScan::Paged(it) => it.next_into(row),
+        }
+    }
+}
+
 impl Iterator for TableScan<'_> {
     type Item = Row;
 

@@ -6,7 +6,7 @@ use std::fmt;
 use algebra::scalar::Lit;
 
 /// A runtime SQL value.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub enum Value {
     /// SQL `NULL`.
     Null,
@@ -18,6 +18,28 @@ pub enum Value {
     Float(f64),
     /// String.
     Str(String),
+}
+
+impl Clone for Value {
+    fn clone(&self) -> Value {
+        match self {
+            Value::Null => Value::Null,
+            Value::Bool(b) => Value::Bool(*b),
+            Value::Int(i) => Value::Int(*i),
+            Value::Float(f) => Value::Float(*f),
+            Value::Str(s) => Value::Str(s.clone()),
+        }
+    }
+
+    /// Reuses this value's string buffer when both sides are strings, so
+    /// copying a row into a reused row buffer allocates nothing per text
+    /// column once the buffer is warm.
+    fn clone_from(&mut self, source: &Value) {
+        match (self, source) {
+            (Value::Str(dst), Value::Str(src)) => dst.clone_from(src),
+            (dst, src) => *dst = src.clone(),
+        }
+    }
 }
 
 impl Value {

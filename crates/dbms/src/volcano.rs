@@ -2,19 +2,25 @@
 //! runs every plan the algebra can express, over in-memory and paged
 //! tables alike.
 //!
-//! Each operator pulls one row at a time from its child. Scans, σ, π, ρ
-//! and LIMIT stream; τ buffers its input (a blocking operator, as the
-//! paper treats it); δ and γ hold one entry per distinct row or group. A
-//! join materializes its right input once and streams its left; `OUTER
-//! APPLY` evaluates its right side once per left row, with that row as
-//! the outer scope; `VALUES` yields its literal rows. Over a paged table
-//! the scan holds one B-tree leaf at a time, so memory is bounded by
-//! operator state rather than by the table.
+//! Each operator pulls one row at a time from its child, into a row buffer
+//! the caller owns: `next` overwrites the buffer it is handed, so a row
+//! that flows through σ, LIMIT, ρ or δ is the scan's own buffer, and a
+//! pipeline allocates per row only for what it keeps (a result row, a
+//! sorted row, a δ key) or computes (a string). Scans, σ, π, ρ and LIMIT
+//! stream; τ buffers its input (a blocking operator, as the paper treats
+//! it); δ and γ hold one entry per distinct row or group. A join
+//! materializes its right input once and streams its left; `OUTER APPLY`
+//! evaluates its right side once per left row, with that row as the outer
+//! scope; `VALUES` yields its literal rows. Over a paged table the scan
+//! holds one B-tree leaf at a time, so memory is bounded by operator state
+//! rather than by the table.
 //!
-//! Every operator evaluates its scalars under the outer scope the tree was
-//! built in, so a correlated subquery — `EXISTS`, a scalar subquery, the
-//! right side of an apply — is just a tree built under the current row.
-//! `EXISTS` and scalar subqueries pull a single row and stop
+//! Each operator binds its scalars to its input's fields when the tree is
+//! built ([`Bound`]): a column is a slot index from then on, and only a
+//! column the input lacks is looked up by name, in the outer scope the
+//! tree was built in. A correlated subquery — `EXISTS`, a scalar subquery,
+//! the right side of an apply — is just a tree built under the current
+//! row. `EXISTS` and scalar subqueries pull a single row and stop
 //! (`first_row`).
 //!
 //! The scan decodes only the columns the operators above it read (see
@@ -29,12 +35,13 @@
 //! byte-identical to each other and to the frozen output of the
 //! materializing evaluator this executor replaced.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 
-use algebra::ra::{AggCall, JoinKind, ProjItem, RaExpr, SortKey, SortOrder};
+use algebra::ra::{AggCall, JoinKind, RaExpr, SortKey, SortOrder};
 use algebra::scalar::{Lit, Scalar};
 
-use crate::eval::{empty_agg, eval_scalar, fields_of, Accumulator, EvalError, Scope};
+use crate::eval::{empty_agg, fields_of, Accumulator, Bound, EvalError, Scope};
 use crate::table::{Database, Field, Relation, Row, TableScan};
 use crate::value::Value;
 
@@ -56,8 +63,9 @@ pub fn execute(ra: &RaExpr, db: &Database, params: &[Value]) -> Result<Relation,
 /// Pull every remaining row out of `op`.
 fn drain(op: &mut dyn Op) -> Result<Vec<Row>, EvalError> {
     let mut rows = Vec::new();
-    while let Some(row) = op.next()? {
-        rows.push(row);
+    let mut row = Row::new();
+    while op.next(&mut row)? {
+        rows.push(std::mem::take(&mut row));
     }
     Ok(rows)
 }
@@ -70,7 +78,9 @@ pub(crate) fn first_row<'a>(
     params: &'a [Value],
     outer: Option<&'a Scope<'a>>,
 ) -> Result<Option<Row>, EvalError> {
-    build(ra, Ctx { db, params, outer }, None)?.next()
+    let mut row = Row::new();
+    let found = build(ra, Ctx { db, params, outer }, None)?.next(&mut row)?;
+    Ok(found.then_some(row))
 }
 
 /// The column names the operators above the base-table scan reference, or
@@ -134,15 +144,19 @@ struct Ctx<'a> {
 }
 
 impl Ctx<'_> {
-    /// Evaluate `e` on `row` (laid out as `fields`), resolving columns the
-    /// row lacks in the outer scope.
-    fn eval(&self, e: &Scalar, fields: &[Field], row: &[Value]) -> Result<Value, EvalError> {
+    /// Evaluate `e`, bound to `fields`, on `row`.
+    fn eval<'r>(
+        &'r self,
+        e: &'r Bound<'_>,
+        fields: &'r [Field],
+        row: &'r [Value],
+    ) -> Result<Cow<'r, Value>, EvalError> {
         let scope = Scope {
             fields,
             row,
             parent: self.outer,
         };
-        eval_scalar(e, self.db, self.params, Some(&scope))
+        e.eval(self.db, self.params, &scope)
     }
 }
 
@@ -150,12 +164,20 @@ impl Ctx<'_> {
 /// one at a time.
 trait Op {
     fn fields(&self) -> &[Field];
-    fn next(&mut self) -> Result<Option<Row>, EvalError>;
+
+    /// Overwrite `row` with the next row, reusing its allocations; `false`
+    /// once the operator is exhausted, leaving `row` unspecified.
+    fn next(&mut self, row: &mut Row) -> Result<bool, EvalError>;
+}
+
+/// Bind each of `exprs` to `fields`.
+fn bind_all<'a>(exprs: impl IntoIterator<Item = &'a Scalar>, fields: &[Field]) -> Vec<Bound<'a>> {
+    exprs.into_iter().map(|e| Bound::new(e, fields)).collect()
 }
 
 /// Build the operator tree; `columns` is [`scan_columns`] of the whole
 /// plan, handed down to the scan. An operator with a schema of its own
-/// takes it from [`fields_of`].
+/// takes it from [`fields_of`], and binds its scalars to its input's.
 fn build<'a>(
     ra: &'a RaExpr,
     cx: Ctx<'a>,
@@ -186,17 +208,24 @@ fn build<'a>(
             fields: fields_of(ra, cx.db)?,
             rows: rows.iter(),
         }),
-        RaExpr::Select { input, pred } => Box::new(Filter {
-            input: build(input, cx, columns)?,
-            pred,
-            cx,
-        }),
-        RaExpr::Project { input, items } => Box::new(Project {
-            input: build(input, cx, columns)?,
-            items,
-            fields: fields_of(ra, cx.db)?,
-            cx,
-        }),
+        RaExpr::Select { input, pred } => {
+            let input = build(input, cx, columns)?;
+            Box::new(Filter {
+                pred: Bound::new(pred, input.fields()),
+                input,
+                cx,
+            })
+        }
+        RaExpr::Project { input, items } => {
+            let input = build(input, cx, columns)?;
+            Box::new(Project {
+                items: bind_all(items.iter().map(|i| &i.expr), input.fields()),
+                input,
+                buf: Row::new(),
+                fields: fields_of(ra, cx.db)?,
+                cx,
+            })
+        }
         RaExpr::Join {
             left,
             right,
@@ -205,14 +234,15 @@ fn build<'a>(
         } => {
             let left = build(left, cx, None)?;
             let mut right = build(right, cx, None)?;
+            let fields = fields_of(ra, cx.db)?;
             Box::new(Join {
                 left_width: left.fields().len(),
                 left,
                 right: drain(right.as_mut())?,
-                pred,
+                pred: Bound::new(pred, &fields),
                 kind: *kind,
-                fields: fields_of(ra, cx.db)?,
-                buf: Vec::new(),
+                fields,
+                buf: Row::new(),
                 pos: None,
                 matched: false,
                 cx,
@@ -222,15 +252,20 @@ fn build<'a>(
             left: build(left, cx, None)?,
             right,
             fields: fields_of(ra, cx.db)?,
+            left_row: Row::new(),
             pending: Vec::new().into_iter(),
             cx,
         }),
-        RaExpr::Sort { input, keys } => Box::new(Sort {
-            input: build(input, cx, columns)?,
-            keys,
-            buf: None,
-            cx,
-        }),
+        RaExpr::Sort { input, keys } => {
+            let input = build(input, cx, columns)?;
+            Box::new(Sort {
+                exprs: bind_all(keys.iter().map(|k| &k.expr), input.fields()),
+                input,
+                keys,
+                buf: None,
+                cx,
+            })
+        }
         RaExpr::Dedup { input } => Box::new(Dedup {
             input: build(input, cx, columns)?,
             seen: HashSet::new(),
@@ -243,14 +278,19 @@ fn build<'a>(
             input,
             group_by,
             aggs,
-        } => Box::new(Aggregate {
-            input: build(input, cx, columns)?,
-            group_by,
-            aggs,
-            fields: fields_of(ra, cx.db)?,
-            out: None,
-            cx,
-        }),
+        } => {
+            let input = build(input, cx, columns)?;
+            Box::new(Aggregate {
+                keys: bind_all(group_by.iter().map(|g| &g.expr), input.fields()),
+                args: bind_all(aggs.iter().map(|a| &a.arg), input.fields()),
+                input,
+                aggs,
+                buf: Row::new(),
+                fields: fields_of(ra, cx.db)?,
+                out: None,
+                cx,
+            })
+        }
         RaExpr::Aliased { input, .. } => Box::new(Alias {
             input: build(input, cx, columns)?,
             fields: fields_of(ra, cx.db)?,
@@ -259,7 +299,7 @@ fn build<'a>(
 }
 
 /// Base-table scan in insertion order (one leaf page resident at a time
-/// for paged tables).
+/// for paged tables), decoding or copying into the caller's buffer.
 struct SeqScan<'a> {
     fields: Vec<Field>,
     scan: TableScan<'a>,
@@ -270,8 +310,8 @@ impl Op for SeqScan<'_> {
         &self.fields
     }
 
-    fn next(&mut self) -> Result<Option<Row>, EvalError> {
-        Ok(self.scan.next())
+    fn next(&mut self, row: &mut Row) -> Result<bool, EvalError> {
+        Ok(self.scan.next_into(row))
     }
 }
 
@@ -286,18 +326,20 @@ impl Op for Values<'_> {
         &self.fields
     }
 
-    fn next(&mut self) -> Result<Option<Row>, EvalError> {
-        Ok(self
-            .rows
-            .next()
-            .map(|r| r.iter().map(Value::from_lit).collect()))
+    fn next(&mut self, row: &mut Row) -> Result<bool, EvalError> {
+        let Some(lits) = self.rows.next() else {
+            return Ok(false);
+        };
+        row.clear();
+        row.extend(lits.iter().map(Value::from_lit));
+        Ok(true)
     }
 }
 
 /// σ — keep rows whose predicate is TRUE (not FALSE, not NULL).
 struct Filter<'a> {
     input: Box<dyn Op + 'a>,
-    pred: &'a Scalar,
+    pred: Bound<'a>,
     cx: Ctx<'a>,
 }
 
@@ -306,21 +348,26 @@ impl Op for Filter<'_> {
         self.input.fields()
     }
 
-    fn next(&mut self) -> Result<Option<Row>, EvalError> {
-        while let Some(row) = self.input.next()? {
-            let keep = self.cx.eval(self.pred, self.input.fields(), &row)?;
-            if keep.is_true() {
-                return Ok(Some(row));
+    fn next(&mut self, row: &mut Row) -> Result<bool, EvalError> {
+        while self.input.next(row)? {
+            if self
+                .cx
+                .eval(&self.pred, self.input.fields(), row)?
+                .is_true()
+            {
+                return Ok(true);
             }
         }
-        Ok(None)
+        Ok(false)
     }
 }
 
 /// π — order-preserving, duplicate-keeping projection.
 struct Project<'a> {
     input: Box<dyn Op + 'a>,
-    items: &'a [ProjItem],
+    items: Vec<Bound<'a>>,
+    /// The input row being projected.
+    buf: Row,
     fields: Vec<Field>,
     cx: Ctx<'a>,
 }
@@ -330,15 +377,19 @@ impl Op for Project<'_> {
         &self.fields
     }
 
-    fn next(&mut self) -> Result<Option<Row>, EvalError> {
-        let Some(row) = self.input.next()? else {
-            return Ok(None);
-        };
-        let mut out = Vec::with_capacity(self.items.len());
-        for i in self.items {
-            out.push(self.cx.eval(&i.expr, self.input.fields(), &row)?);
+    fn next(&mut self, row: &mut Row) -> Result<bool, EvalError> {
+        if !self.input.next(&mut self.buf)? {
+            return Ok(false);
         }
-        Ok(Some(out))
+        row.clear();
+        for item in &self.items {
+            row.push(
+                self.cx
+                    .eval(item, self.input.fields(), &self.buf)?
+                    .into_owned(),
+            );
+        }
+        Ok(true)
     }
 }
 
@@ -351,7 +402,7 @@ struct Join<'a> {
     left: Box<dyn Op + 'a>,
     left_width: usize,
     right: Vec<Row>,
-    pred: &'a Scalar,
+    pred: Bound<'a>,
     kind: JoinKind,
     fields: Vec<Field>,
     /// The current left row followed by the right row under test.
@@ -369,14 +420,12 @@ impl Op for Join<'_> {
         &self.fields
     }
 
-    fn next(&mut self) -> Result<Option<Row>, EvalError> {
+    fn next(&mut self, row: &mut Row) -> Result<bool, EvalError> {
         loop {
             let Some(pos) = self.pos else {
-                let Some(left) = self.left.next()? else {
-                    return Ok(None);
-                };
-                self.buf.clear();
-                self.buf.extend(left);
+                if !self.left.next(&mut self.buf)? {
+                    return Ok(false);
+                }
                 self.pos = Some(0);
                 self.matched = false;
                 continue;
@@ -385,9 +434,10 @@ impl Op for Join<'_> {
                 self.pos = Some(pos + 1);
                 self.buf.truncate(self.left_width);
                 self.buf.extend_from_slice(r);
-                if self.cx.eval(self.pred, &self.fields, &self.buf)?.is_true() {
+                if self.cx.eval(&self.pred, &self.fields, &self.buf)?.is_true() {
                     self.matched = true;
-                    return Ok(Some(self.buf.clone()));
+                    row.clone_from(&self.buf);
+                    return Ok(true);
                 }
                 continue;
             }
@@ -395,7 +445,8 @@ impl Op for Join<'_> {
             if !self.matched && self.kind == JoinKind::LeftOuter {
                 self.buf.truncate(self.left_width);
                 self.buf.resize(self.fields.len(), Value::Null);
-                return Ok(Some(std::mem::take(&mut self.buf)));
+                row.clone_from(&self.buf);
+                return Ok(true);
             }
         }
     }
@@ -408,7 +459,9 @@ struct Apply<'a> {
     left: Box<dyn Op + 'a>,
     right: &'a RaExpr,
     fields: Vec<Field>,
-    /// Output rows of the current left row not yet returned.
+    /// The current left row.
+    left_row: Row,
+    /// Right rows for the current left row not yet returned.
     pending: std::vec::IntoIter<Row>,
     cx: Ctx<'a>,
 }
@@ -418,18 +471,20 @@ impl Op for Apply<'_> {
         &self.fields
     }
 
-    fn next(&mut self) -> Result<Option<Row>, EvalError> {
+    fn next(&mut self, row: &mut Row) -> Result<bool, EvalError> {
         loop {
-            if let Some(row) = self.pending.next() {
-                return Ok(Some(row));
+            if let Some(right) = self.pending.next() {
+                row.clone_from(&self.left_row);
+                row.extend(right);
+                return Ok(true);
             }
-            let Some(left) = self.left.next()? else {
-                return Ok(None);
-            };
+            if !self.left.next(&mut self.left_row)? {
+                return Ok(false);
+            }
             let inner = {
                 let scope = Scope {
                     fields: self.left.fields(),
-                    row: &left,
+                    row: &self.left_row,
                     parent: self.cx.outer,
                 };
                 let cx = Ctx {
@@ -439,15 +494,12 @@ impl Op for Apply<'_> {
                 let mut op = build(self.right, cx, None)?;
                 drain(op.as_mut())?
             };
-            self.pending = if inner.is_empty() {
-                let mut row = left;
+            if inner.is_empty() {
+                row.clone_from(&self.left_row);
                 row.resize(self.fields.len(), Value::Null);
-                vec![row]
-            } else {
-                let joined = |r: Row| left.iter().cloned().chain(r).collect();
-                inner.into_iter().map(joined).collect::<Vec<_>>()
+                return Ok(true);
             }
-            .into_iter();
+            self.pending = inner.into_iter();
         }
     }
 }
@@ -457,6 +509,8 @@ impl Op for Apply<'_> {
 struct Sort<'a> {
     input: Box<dyn Op + 'a>,
     keys: &'a [SortKey],
+    /// `keys`' expressions, bound to the input.
+    exprs: Vec<Bound<'a>>,
     /// The input rows, each behind its sort key values, in sorted order.
     buf: Option<std::vec::IntoIter<(Vec<Value>, Row)>>,
     cx: Ctx<'a>,
@@ -467,15 +521,15 @@ impl Op for Sort<'_> {
         self.input.fields()
     }
 
-    fn next(&mut self) -> Result<Option<Row>, EvalError> {
+    fn next(&mut self, row: &mut Row) -> Result<bool, EvalError> {
         if self.buf.is_none() {
             let mut decorated: Vec<(Vec<Value>, Row)> = Vec::new();
-            while let Some(row) = self.input.next()? {
-                let mut ks = Vec::with_capacity(self.keys.len());
-                for k in self.keys {
-                    ks.push(self.cx.eval(&k.expr, self.input.fields(), &row)?);
+            while self.input.next(row)? {
+                let mut ks = Vec::with_capacity(self.exprs.len());
+                for e in &self.exprs {
+                    ks.push(self.cx.eval(e, self.input.fields(), row)?.into_owned());
                 }
-                decorated.push((ks, row));
+                decorated.push((ks, std::mem::take(row)));
             }
             let keys = self.keys;
             decorated.sort_by(|(a, _), (b, _)| {
@@ -494,7 +548,13 @@ impl Op for Sort<'_> {
             self.buf = Some(decorated.into_iter());
         }
         let buf = self.buf.as_mut().expect("sorted buffer");
-        Ok(buf.next().map(|(_, row)| row))
+        Ok(match buf.next() {
+            Some((_, sorted)) => {
+                *row = sorted;
+                true
+            }
+            None => false,
+        })
     }
 }
 
@@ -544,13 +604,13 @@ impl Op for Dedup<'_> {
         self.input.fields()
     }
 
-    fn next(&mut self) -> Result<Option<Row>, EvalError> {
-        while let Some(row) = self.input.next()? {
-            if self.seen.insert(group_key(&row)) {
-                return Ok(Some(row));
+    fn next(&mut self, row: &mut Row) -> Result<bool, EvalError> {
+        while self.input.next(row)? {
+            if self.seen.insert(group_key(row)) {
+                return Ok(true);
             }
         }
-        Ok(None)
+        Ok(false)
     }
 }
 
@@ -566,17 +626,12 @@ impl Op for Limit<'_> {
         self.input.fields()
     }
 
-    fn next(&mut self) -> Result<Option<Row>, EvalError> {
-        if self.remaining == 0 {
-            return Ok(None);
+    fn next(&mut self, row: &mut Row) -> Result<bool, EvalError> {
+        if self.remaining == 0 || !self.input.next(row)? {
+            return Ok(false);
         }
-        match self.input.next()? {
-            Some(row) => {
-                self.remaining -= 1;
-                Ok(Some(row))
-            }
-            None => Ok(None),
-        }
+        self.remaining -= 1;
+        Ok(true)
     }
 }
 
@@ -585,8 +640,13 @@ impl Op for Limit<'_> {
 /// O(groups), not O(rows).
 struct Aggregate<'a> {
     input: Box<dyn Op + 'a>,
-    group_by: &'a [ProjItem],
     aggs: &'a [AggCall],
+    /// The GROUP BY expressions and each aggregate's argument, bound to
+    /// the input.
+    keys: Vec<Bound<'a>>,
+    args: Vec<Bound<'a>>,
+    /// The input row being aggregated.
+    buf: Row,
     fields: Vec<Field>,
     out: Option<std::vec::IntoIter<Row>>,
     cx: Ctx<'a>,
@@ -597,16 +657,22 @@ impl Op for Aggregate<'_> {
         &self.fields
     }
 
-    fn next(&mut self) -> Result<Option<Row>, EvalError> {
+    fn next(&mut self, row: &mut Row) -> Result<bool, EvalError> {
         if self.out.is_none() {
-            let rows = if self.group_by.is_empty() {
+            let rows = if self.keys.is_empty() {
                 vec![self.global()?]
             } else {
                 self.grouped()?
             };
             self.out = Some(rows.into_iter());
         }
-        Ok(self.out.as_mut().expect("aggregate output").next())
+        Ok(match self.out.as_mut().expect("aggregate output").next() {
+            Some(out) => {
+                *row = out;
+                true
+            }
+            None => false,
+        })
     }
 }
 
@@ -618,11 +684,9 @@ impl Aggregate<'_> {
         let mut accs: Vec<Accumulator> =
             self.aggs.iter().map(|a| Accumulator::new(a.func)).collect();
         let mut saw_rows = false;
-        while let Some(row) = self.input.next()? {
+        while self.input.next(&mut self.buf)? {
             saw_rows = true;
-            for (acc, a) in accs.iter_mut().zip(self.aggs) {
-                acc.feed(&self.cx.eval(&a.arg, self.input.fields(), &row)?)?;
-            }
+            self.feed(&mut accs)?;
         }
         Ok(if saw_rows {
             accs.into_iter().map(Accumulator::finish).collect()
@@ -631,25 +695,37 @@ impl Aggregate<'_> {
         })
     }
 
+    /// Feed each accumulator its argument on the buffered row. A bare
+    /// column, the usual argument, is read straight from the row rather
+    /// than through the evaluator's result: in the scan loop of a global
+    /// aggregate that saves about a fifth of the time per row.
+    fn feed(&self, accs: &mut [Accumulator]) -> Result<(), EvalError> {
+        for (acc, arg) in accs.iter_mut().zip(&self.args) {
+            match arg.column() {
+                Some(i) => acc.feed(&self.buf[i])?,
+                None => acc.feed(&*self.cx.eval(arg, self.input.fields(), &self.buf)?)?,
+            }
+        }
+        Ok(())
+    }
+
     /// GROUP BY: per-group accumulators keyed by the group values, emitted
     /// in first-occurrence order.
     fn grouped(&mut self) -> Result<Vec<Row>, EvalError> {
         let mut slots: HashMap<Vec<GroupKey>, usize> = HashMap::new();
         let mut groups: Vec<(Row, Vec<Accumulator>)> = Vec::new();
-        while let Some(row) = self.input.next()? {
+        while self.input.next(&mut self.buf)? {
             let fields = self.input.fields();
-            let mut keys = Vec::with_capacity(self.group_by.len());
-            for g in self.group_by {
-                keys.push(self.cx.eval(&g.expr, fields, &row)?);
+            let mut keys = Vec::with_capacity(self.keys.len());
+            for k in &self.keys {
+                keys.push(self.cx.eval(k, fields, &self.buf)?.into_owned());
             }
             let slot = *slots.entry(group_key(&keys)).or_insert_with(|| {
                 let accs = self.aggs.iter().map(|a| Accumulator::new(a.func)).collect();
                 groups.push((keys, accs));
                 groups.len() - 1
             });
-            for (acc, a) in groups[slot].1.iter_mut().zip(self.aggs) {
-                acc.feed(&self.cx.eval(&a.arg, fields, &row)?)?;
-            }
+            self.feed(&mut groups[slot].1)?;
         }
         Ok(groups
             .into_iter()
@@ -672,8 +748,8 @@ impl Op for Alias<'_> {
         &self.fields
     }
 
-    fn next(&mut self) -> Result<Option<Row>, EvalError> {
-        self.input.next()
+    fn next(&mut self, row: &mut Row) -> Result<bool, EvalError> {
+        self.input.next(row)
     }
 }
 
@@ -735,6 +811,30 @@ mod tests {
                 "{sql}"
             );
         }
+        // Binding: a subquery's own column shadows the outer one of the
+        // same name (consecutive rows never share `x`), and an unqualified
+        // name two join inputs share binds to the leftmost.
+        let ids =
+            |r: Relation| -> Vec<Value> { r.rows.into_iter().map(|r| r[0].clone()).collect() };
+        for (sql, want) in [
+            (
+                "SELECT id FROM t o WHERE EXISTS \
+                 (SELECT id FROM t i WHERE i.id = o.id + 1 AND x = o.x)",
+                vec![],
+            ),
+            (
+                "SELECT id FROM t a JOIN t b ON b.id = a.id + 1 WHERE id < 3",
+                vec![Value::Int(0), Value::Int(1), Value::Int(2)],
+            ),
+            (
+                "SELECT b.id FROM t a JOIN t b ON id = 3 AND b.id < 2",
+                vec![Value::Int(0), Value::Int(1)],
+            ),
+        ] {
+            let q = parse_sql(sql).unwrap();
+            assert_eq!(ids(execute(&q, &mem, &[]).unwrap()), want, "{sql}");
+            assert_eq!(ids(execute(&q, &paged, &[]).unwrap()), want, "{sql}");
+        }
     }
 
     #[test]
@@ -764,6 +864,64 @@ mod tests {
         )
         .unwrap();
         assert_eq!(execute(&q, &mem, &[]).unwrap().len(), 3);
+        // An unknown column is an error only on a row that evaluates it:
+        // none under LIMIT 0, none over an empty table, and every row
+        // otherwise.
+        let (empty, empty_paged) = twin_dbs(0);
+        let unknown = "SELECT nope FROM t WHERE zzz = 1";
+        for (sql, db) in [
+            (format!("{unknown} LIMIT 0"), &mem),
+            (unknown.to_string(), &empty),
+            (unknown.to_string(), &empty_paged),
+        ] {
+            let q = parse_sql(&sql).unwrap();
+            assert_eq!(execute(&q, db, &[]).map(|r| r.len()), Ok(0), "{sql}");
+        }
+        let q = parse_sql(unknown).unwrap();
+        assert_eq!(
+            execute(&q, &mem, &[]),
+            Err(EvalError::UnknownColumn("zzz".into()))
+        );
+    }
+
+    /// The parser's nesting cap bounds every recursion over a query: one
+    /// exactly at the cap parses, binds and runs on a 2 MiB stack, as a
+    /// scalar nested that deep and as subqueries nested that deep, and one
+    /// level more is a parse error.
+    #[test]
+    fn queries_at_the_nesting_cap_run_on_a_small_stack() {
+        use algebra::parse::MAX_DEPTH;
+        let scalar = |depth: usize| {
+            format!(
+                "SELECT id FROM t WHERE x <= {}x{}",
+                "ABS(".repeat(depth),
+                ")".repeat(depth)
+            )
+        };
+        let subqueries = |depth: usize| {
+            let mut q = "SELECT id FROM t".to_string();
+            for _ in 0..depth {
+                q = format!("SELECT id FROM t WHERE EXISTS ({q})");
+            }
+            q
+        };
+        for sql in [scalar(MAX_DEPTH), subqueries(MAX_DEPTH)] {
+            let run = std::thread::Builder::new()
+                .stack_size(2 << 20)
+                .spawn(move || {
+                    let (mem, paged) = twin_dbs(1);
+                    let q = parse_sql(&sql).unwrap();
+                    let rows = execute(&q, &mem, &[]).unwrap();
+                    assert_eq!(rows, execute(&q, &paged, &[]).unwrap());
+                    rows.len()
+                })
+                .unwrap();
+            assert_eq!(run.join().unwrap(), 1);
+        }
+        for sql in [scalar(MAX_DEPTH + 1), subqueries(MAX_DEPTH + 1)] {
+            let err = parse_sql(&sql).unwrap_err();
+            assert!(err.message.contains("nesting"), "{err}");
+        }
     }
 
     /// Edge values beyond the end-to-end cases in `tests/volcano_diff.rs`.

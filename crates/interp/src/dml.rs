@@ -28,13 +28,15 @@
 //! * Both backings run every form: paged tables rewrite through
 //!   [`dbms::Table::mutate_rows`] and end identical to in-memory ones.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use algebra::dml::{InsertSource, Stmt};
 use algebra::parse::parse_statement;
 use algebra::scalar::{BinOp, ColRef, Scalar};
 use algebra::RaExpr;
-use dbms::eval::{eval_query, eval_scalar, fields_of, Scope};
+use dbms::eval::{eval_query, eval_scalar, fields_of, Bound, Scope};
+use dbms::table::Field;
 use dbms::{Database, EvalError, Row, Table, Value};
 
 /// A DML execution error.
@@ -195,18 +197,25 @@ fn constant(e: &Scalar, params: &[Value]) -> Option<Result<Value, DmlError>> {
     }
 }
 
-/// Evaluate `f` on every row of `t`, in scan order, against the
-/// pre-statement state.
+/// The fields a statement's scalars bind to: `t`'s columns, qualified by
+/// its name.
+fn table_fields(db: &Database, t: &Table) -> Result<Vec<Field>, DmlError> {
+    Ok(fields_of(&RaExpr::table(t.schema.name.clone()), db)?)
+}
+
+/// Evaluate `f` on every row of `t` (laid out as `fields`), in scan order,
+/// against the pre-statement state. Rows are read into one reused buffer.
 fn per_row<T>(
-    db: &Database,
     t: &Table,
+    fields: &[Field],
     mut f: impl FnMut(&Scope<'_>, &[Value]) -> Result<T, EvalError>,
 ) -> Result<Vec<T>, DmlError> {
-    let fields = fields_of(&RaExpr::table(t.schema.name.clone()), db)?;
-    let out = t
-        .scan()
-        .map(|row| f(&Scope::new(&fields, &row), &row))
-        .collect::<Result<_, _>>()?;
+    let mut out = Vec::with_capacity(t.len());
+    let mut scan = t.scan();
+    let mut row = Row::new();
+    while scan.next_into(&mut row) {
+        out.push(f(&Scope::new(fields, &row), &row)?);
+    }
     Ok(out)
 }
 
@@ -235,26 +244,13 @@ impl<'a> Filter<'a> {
         Ok(Filter::Pred(pred))
     }
 
-    /// Whether an `All`/`Key` filter takes `row`; `Pred` needs [`Filter::takes`].
+    /// Whether an `All`/`Key` filter takes `row`; a `Pred` is bound and
+    /// evaluated per row instead.
     fn takes_row(&self, row: &[Value]) -> bool {
         match self {
             Filter::All => true,
             Filter::Key(i, v) => sql_eq(&row[*i], v),
             Filter::Pred(_) => unreachable!("a predicate is evaluated in a scope"),
-        }
-    }
-
-    /// Whether the filter takes `row`, whose columns `scope` binds.
-    fn takes(
-        &self,
-        db: &Database,
-        params: &[Value],
-        scope: &Scope<'_>,
-        row: &[Value],
-    ) -> Result<bool, EvalError> {
-        match self {
-            Filter::Pred(p) => Ok(eval_scalar(p, db, params, Some(scope))?.is_true()),
-            _ => Ok(self.takes_row(row)),
         }
     }
 }
@@ -355,12 +351,23 @@ fn exec_update(
         }));
     }
     // Each taken row's new values, computed against the pre-statement state.
-    let updates = per_row(db, t, |scope, row| {
-        if !filter.takes(db, params, scope, row)? {
+    let fields = table_fields(db, t)?;
+    let pred = match filter {
+        Filter::Pred(p) => Some(Bound::new(p, &fields)),
+        _ => None,
+    };
+    let values: Vec<Bound<'_>> = sets.iter().map(|(_, e)| Bound::new(e, &fields)).collect();
+    let updates = per_row(t, &fields, |scope, row| {
+        let taken = match &pred {
+            Some(p) => p.eval(db, params, scope)?.is_true(),
+            None => filter.takes_row(row),
+        };
+        if !taken {
             return Ok(None);
         }
-        sets.iter()
-            .map(|(_, e)| eval_scalar(e, db, params, Some(scope)))
+        values
+            .iter()
+            .map(|v| v.eval(db, params, scope).map(Cow::into_owned))
             .collect::<Result<Vec<_>, _>>()
             .map(Some)
     })?;
@@ -422,9 +429,13 @@ fn exec_delete(
     let t = table(db, name)?;
     let filter = Filter::of(t, filter, params)?;
     let doomed = match filter {
-        Filter::Pred(_) => Some(per_row(db, t, |scope, row| {
-            filter.takes(db, params, scope, row)
-        })?),
+        Filter::Pred(p) => {
+            let fields = table_fields(db, t)?;
+            let pred = Bound::new(p, &fields);
+            Some(per_row(t, &fields, |scope, _| {
+                Ok(pred.eval(db, params, scope)?.is_true())
+            })?)
+        }
         _ => None,
     };
     Ok(table_mut(db, name).mutate_rows(|rows| {

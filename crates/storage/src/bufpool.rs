@@ -56,6 +56,9 @@ impl BufPoolStats {
     }
 }
 
+/// The id of a frame that holds no page.
+const UNMAPPED: u32 = u32::MAX;
+
 struct Frame {
     id: u32,
     page: Page,
@@ -128,7 +131,10 @@ impl BufferPool {
         Ok(out)
     }
 
-    /// Fetch page `id` into a frame (evicting if needed) and pin it.
+    /// Fetch page `id` into a frame (evicting if needed) and pin it. A
+    /// miss reads straight into the frame it will occupy: a new one while
+    /// the pool is under budget, else the evicted victim's. A failed read
+    /// leaves that frame unmapped, so no later access sees its bytes.
     fn acquire(&mut self, pager: &mut Pager, id: u32) -> Result<usize> {
         self.clock += 1;
         if let Some(&slot) = self.map.get(&id) {
@@ -141,11 +147,10 @@ impl BufferPool {
         }
         self.stats.misses += 1;
         GLOBAL_MISSES.fetch_add(1, Ordering::Relaxed);
-        let page = pager.read_page(id)?;
         let slot = if self.frames.len() < self.budget {
             self.frames.push(Frame {
-                id,
-                page,
+                id: UNMAPPED,
+                page: Page::default(),
                 dirty: false,
                 pins: 0,
                 last_used: 0,
@@ -154,19 +159,15 @@ impl BufferPool {
         } else {
             let victim = self.pick_victim();
             self.evict(pager, victim)?;
-            self.frames[victim] = Frame {
-                id,
-                page,
-                dirty: false,
-                pins: 0,
-                last_used: 0,
-            };
             victim
         };
-        self.map.insert(id, slot);
+        // The frame is unmapped here and stays so if the read fails.
         let frame = &mut self.frames[slot];
+        pager.read_into(id, &mut frame.page)?;
+        frame.id = id;
         frame.last_used = self.clock;
         frame.pins += 1;
+        self.map.insert(id, slot);
         Ok(slot)
     }
 
@@ -184,15 +185,21 @@ impl BufferPool {
             .expect("buffer pool: every frame pinned")
     }
 
+    /// Write back and unmap the frame in `slot`; a frame a failed read left
+    /// unmapped is simply reused.
     fn evict(&mut self, pager: &mut Pager, slot: usize) -> Result<()> {
+        let frame = &mut self.frames[slot];
+        if frame.id == UNMAPPED {
+            return Ok(());
+        }
         self.stats.evictions += 1;
         GLOBAL_EVICTIONS.fetch_add(1, Ordering::Relaxed);
-        let frame = &mut self.frames[slot];
         if frame.dirty {
             pager.write_page(frame.id, &mut frame.page)?;
             frame.dirty = false;
         }
         self.map.remove(&frame.id);
+        frame.id = UNMAPPED;
         Ok(())
     }
 
@@ -205,16 +212,6 @@ impl BufferPool {
             }
         }
         Ok(())
-    }
-
-    /// Drop a page's frame without writing it back (used when the caller
-    /// has just rewritten the page through the pager directly).
-    pub fn discard(&mut self, id: u32) {
-        if let Some(slot) = self.map.remove(&id) {
-            self.frames[slot].dirty = false;
-            self.frames[slot].id = u32::MAX;
-            self.frames[slot].last_used = 0;
-        }
     }
 }
 

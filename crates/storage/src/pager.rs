@@ -8,7 +8,7 @@
 //! answers.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 
 use crate::page::{Page, PAGE_SIZE};
@@ -61,6 +61,11 @@ fn checksum(buf: &[u8; PAGE_SIZE]) -> u32 {
         step(h, &lane.to_le_bytes()[..])
     });
     (h ^ (h >> 32)) as u32
+}
+
+/// Byte offset of page `id` in a page file.
+fn offset(id: u32) -> u64 {
+    id as u64 * PAGE_SIZE as u64
 }
 
 /// Stamp the checksum into a page image.
@@ -134,24 +139,28 @@ impl Pager {
         Ok(id)
     }
 
-    /// Read and checksum-verify page `id`.
+    /// Read and checksum-verify page `id` into a fresh page.
     pub fn read_page(&mut self, id: u32) -> Result<Page> {
+        let mut page = Page::default();
+        self.read_into(id, &mut page)?;
+        Ok(page)
+    }
+
+    /// Read and checksum-verify page `id` into `page`, one positioned read
+    /// for a file. On error `page` holds unverified bytes and must not be
+    /// used as page `id`.
+    pub fn read_into(&mut self, id: u32, page: &mut Page) -> Result<()> {
         if id >= self.page_count {
             return Err(StorageError::Corrupt(format!(
                 "page {id} out of range (have {})",
                 self.page_count
             )));
         }
-        let mut page = Page::default();
-        match &mut self.media {
-            Media::File(f) => {
-                f.seek(SeekFrom::Start(id as u64 * PAGE_SIZE as u64))?;
-                f.read_exact(&mut page.0[..])?;
-            }
+        match &self.media {
+            Media::File(f) => f.read_exact_at(&mut page.0[..], offset(id))?,
             Media::Mem(pages) => page.0.copy_from_slice(&pages[id as usize][..]),
         }
-        verify(&page.0, id)?;
-        Ok(page)
+        verify(&page.0, id)
     }
 
     /// Seal and write page `id`.
@@ -162,10 +171,7 @@ impl Pager {
 
     fn write_raw(&mut self, id: u32, buf: &[u8; PAGE_SIZE]) -> Result<()> {
         match &mut self.media {
-            Media::File(f) => {
-                f.seek(SeekFrom::Start(id as u64 * PAGE_SIZE as u64))?;
-                f.write_all(&buf[..])?;
-            }
+            Media::File(f) => f.write_all_at(&buf[..], offset(id))?,
             Media::Mem(pages) => {
                 let idx = id as usize;
                 if idx == pages.len() {
@@ -196,8 +202,7 @@ impl Pager {
 
     /// Flush the medium (file sync; no-op for memory backing).
     pub fn sync(&mut self) -> Result<()> {
-        if let Media::File(f) = &mut self.media {
-            f.flush()?;
+        if let Media::File(f) = &self.media {
             f.sync_all()?;
         }
         Ok(())

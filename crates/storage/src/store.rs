@@ -580,6 +580,53 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
+    /// A page that fails its checksum on a file-backed store: the read
+    /// lands in an evicted frame, fails, and leaves that frame unmapped, so
+    /// a retry reads the page again and fails again rather than serving the
+    /// bad bytes. Other tables still scan.
+    #[test]
+    fn corrupt_page_fails_every_scan_and_spares_other_tables() {
+        let path = std::env::temp_dir().join(format!(
+            "eqsql-store-corrupt-test-{}.pages",
+            std::process::id()
+        ));
+        {
+            let s = Store::create(&path, 4).unwrap();
+            s.create_table("t", 1).unwrap(); // root leaf: page 1
+            s.create_table("u", 1).unwrap(); // root leaf: page 2
+            for i in 0..600u64 {
+                s.append("t", &record(i), &[Some(i)]).unwrap();
+                s.append("u", &record(i), &[Some(i)]).unwrap();
+            }
+            s.flush().unwrap();
+        }
+        // Page 1 stays `t`'s first leaf through every split.
+        let mut image = std::fs::read(&path).unwrap();
+        image[PAGE_SIZE + 100] ^= 0xff;
+        std::fs::write(&path, &image).unwrap();
+        let s = Store::open(&path, 4).unwrap();
+        let scan_all = |name: &str| -> Result<usize> {
+            let mut cursor = s.scan(name)?;
+            let mut n = 0;
+            while let Some(r) = cursor.next_record() {
+                r?;
+                n += 1;
+            }
+            Ok(n)
+        };
+        // Fill the pool with `u`'s pages first, so `t`'s read evicts.
+        assert_eq!(scan_all("u").unwrap(), 600);
+        for attempt in 0..2 {
+            assert!(
+                matches!(scan_all("t"), Err(StorageError::Corrupt(_))),
+                "attempt {attempt} must see the corrupt page"
+            );
+        }
+        assert_eq!(scan_all("u").unwrap(), 600);
+        drop(s);
+        std::fs::remove_file(&path).unwrap();
+    }
+
     #[test]
     fn fork_is_independent() {
         let s = Store::in_memory(4);

@@ -526,3 +526,41 @@ fn print_flush_survives_early_return() {
     j.call("f", vec![RtValue::int(-1)]).unwrap();
     assert_eq!(j.output, vec!["start", "end"]);
 }
+
+#[test]
+fn deeply_nested_query_string_is_a_diagnostic() {
+    // 50,000 nested parentheses in a query string once overflowed the SQL
+    // parser's stack and aborted the process. Past `MAX_DEPTH` the string
+    // is unparsable SQL like any other: the loop stays, with the same
+    // diagnostics as a query string with a syntax error.
+    let program = |condition: &str| {
+        let src = format!(
+            r#"
+            fn total() {{
+                s = 0;
+                for (e in executeQuery("SELECT * FROM emp WHERE {condition}")) {{
+                    s = s + e.salary;
+                }}
+                return s;
+            }}
+        "#
+        );
+        imp::parse_and_normalize(&src).unwrap()
+    };
+    let diagnostics = |condition: &str| {
+        let db = gen_emp(10, 5);
+        let report = Extractor::new(db.catalog()).extract_program(&program(condition));
+        assert_eq!(report.loops_rewritten, 0);
+        let codes: Vec<_> = report
+            .diagnostics
+            .iter()
+            .map(|d| (d.code, d.message.clone()))
+            .collect();
+        codes
+    };
+    let depth = 50_000;
+    let nested = format!("{}salary > 0{}", "(".repeat(depth), ")".repeat(depth));
+    let found = diagnostics(&nested);
+    assert!(!found.is_empty());
+    assert_eq!(found, diagnostics("(salary > 0"));
+}

@@ -150,12 +150,35 @@ fn arb_query() -> impl Strategy<Value = RaExpr> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// The corpus sweep at sizes from empty through several pages.
+    /// The corpus sweep at sizes from empty through several pages, with
+    /// the pages in memory and in a file: a file-backed pool reads every
+    /// missed page from disk into the frame it evicts.
     #[test]
     fn volcano_agrees_on_query_corpus(q in arb_query(), n in 0usize..400, seed in any::<u64>()) {
         let (mem, paged) = twin_dbs(n, seed);
         assert_backends_agree("corpus", n, seed, &q, &mem, &paged);
+        let file = file_backed(n, seed);
+        let misses = file.store().unwrap().pool_stats().misses;
+        assert_backends_agree("corpus", n, seed, &q, &mem, &file);
+        prop_assert!(file.store().unwrap().pool_stats().misses > misses, "read from the file");
     }
+}
+
+/// [`gen_emp_paged`] into a file-backed store with the same small pool,
+/// then a ballast table twice the pool's size, so that every `emp` page
+/// has been evicted to the file before the query reads it back.
+fn file_backed(n: usize, seed: u64) -> Database {
+    use algebra::schema::{SqlType, TableSchema};
+    use dbms::Value;
+
+    let store = storage::Store::temp(FRAMES).expect("temp store");
+    let mut db = gen_emp_paged(n, seed, store);
+    db.create_table(TableSchema::new("ballast", &[("pad", SqlType::Text)]));
+    // Four 1000-byte rows fill a page.
+    for _ in 0..8 * FRAMES {
+        db.insert("ballast", vec![Value::Str("x".repeat(1000))]);
+    }
+    db
 }
 
 /// Multi-page stress: 20 000 rows is ~260 pages against an 8-frame pool,
