@@ -4,6 +4,17 @@ set -eu
 
 cd "$(dirname "$0")"
 
+echo "==> every tests/*.rs has a [[test]] entry"
+# The root tests/ directory belongs to no package: a file there runs only
+# through a `[[test]]` entry in crates/eqsql/Cargo.toml, and one without an
+# entry silently never runs.
+for t in tests/*.rs; do
+    if ! grep -qxF "path = \"../../$t\"" crates/eqsql/Cargo.toml; then
+        echo "error: $t has no [[test]] entry in crates/eqsql/Cargo.toml" >&2
+        exit 1
+    fi
+done
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 

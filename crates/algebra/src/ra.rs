@@ -8,7 +8,7 @@
 
 use std::fmt;
 
-use crate::scalar::{ColRef, Lit, Scalar};
+use crate::scalar::{Lit, Scalar};
 use crate::schema::Catalog;
 
 /// Aggregate functions supported by γ.
@@ -711,15 +711,6 @@ impl fmt::Display for RaExpr {
             RaExpr::Aliased { input, alias } => write!(f, "({input}) AS {alias}"),
         }
     }
-}
-
-/// Convenience: an equality join predicate `l.a = r.b`.
-pub fn eq_join(l: ColRef, r: ColRef) -> Scalar {
-    Scalar::Bin(
-        crate::scalar::BinOp::Eq,
-        Box::new(Scalar::Col(l)),
-        Box::new(Scalar::Col(r)),
-    )
 }
 
 #[cfg(test)]

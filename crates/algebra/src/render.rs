@@ -573,7 +573,7 @@ fn is_plain(b: &Block) -> bool {
 mod tests {
     use super::*;
     use crate::ra::{AggCall, AggFunc, ProjItem, SortKey};
-    use crate::scalar::{BinOp, ColRef};
+    use crate::scalar::BinOp;
 
     fn q() -> RaExpr {
         RaExpr::table("board").select(Scalar::cmp(
@@ -639,9 +639,10 @@ mod tests {
     fn join_renders_on_clause() {
         let e = RaExpr::table_as("wilos_user", "u").join(
             RaExpr::table_as("role", "r"),
-            crate::ra::eq_join(
-                ColRef::qualified("u", "role_id"),
-                ColRef::qualified("r", "id"),
+            Scalar::cmp(
+                BinOp::Eq,
+                Scalar::qcol("u", "role_id"),
+                Scalar::qcol("r", "id"),
             ),
         );
         assert_eq!(

@@ -136,11 +136,6 @@ impl DefUse {
         self.ext_read |= other.ext_read;
         self.ext_write |= other.ext_write;
     }
-
-    /// True when this statement touches any external location.
-    pub fn touches_external(&self) -> bool {
-        self.ext_read || self.ext_write
-    }
 }
 
 /// Accumulate uses from an expression in value position.
@@ -241,7 +236,7 @@ mod tests {
         let du = first_stmt_du("fn f() { x = a + b; }");
         assert!(du.defs.contains(&Symbol::intern("x")));
         assert!(du.uses.contains(&Symbol::intern("a")) && du.uses.contains(&Symbol::intern("b")));
-        assert!(!du.touches_external());
+        assert!(!du.ext_read && !du.ext_write);
     }
 
     #[test]
@@ -270,7 +265,7 @@ mod tests {
             "whole collection is also read"
         );
         assert!(du.uses.contains(&Symbol::intern("u")));
-        assert!(!du.touches_external());
+        assert!(!du.ext_read && !du.ext_write);
     }
 
     #[test]
@@ -283,7 +278,7 @@ mod tests {
     #[test]
     fn pure_functions_are_not_external() {
         let du = first_stmt_du("fn f() { m = max(a, b); }");
-        assert!(!du.touches_external());
+        assert!(!du.ext_read && !du.ext_write);
     }
 
     #[test]
@@ -331,7 +326,7 @@ mod tests {
         .unwrap();
         let ctx = DefUseCtx::of_program(&p);
         let du = DefUse::of_stmt_in(&p.functions[1].body.stmts[0], &ctx);
-        assert!(!du.touches_external());
+        assert!(!du.ext_read && !du.ext_write);
         assert!(
             du.defs.contains(&Symbol::intern("names")),
             "parameter escape surfaces as a def of the argument"
@@ -341,7 +336,7 @@ mod tests {
     #[test]
     fn reading_methods_are_pure() {
         let du = first_stmt_du("fn f() { n = names.size(); }");
-        assert!(!du.touches_external());
+        assert!(!du.ext_read && !du.ext_write);
         assert!(du.uses.contains(&Symbol::intern("names")));
         assert!(!du.defs.contains(&Symbol::intern("names")));
     }

@@ -247,6 +247,7 @@ pub fn effect_summaries(p: &Program) -> BTreeMap<Symbol, EffectSummary> {
 fn summarize_function(f: &Function, summaries: &BTreeMap<Symbol, EffectSummary>) -> EffectSummary {
     let mut cx = FnCx {
         aliases: BTreeMap::new(),
+        grown: 0,
         summaries,
         out: EffectSummary::pure(),
     };
@@ -264,9 +265,11 @@ fn summarize_function(f: &Function, summaries: &BTreeMap<Symbol, EffectSummary>)
 struct FnCx<'a> {
     /// For each variable, the set of parameters it may alias (bitmask).
     /// Grows monotonically over the (single) structural walk — good enough
-    /// because `imp` has no backward jumps other than loops, which we walk
-    /// twice to propagate loop-carried aliases.
+    /// because `imp` has no backward jumps other than loops, whose bodies
+    /// are walked again while a walk grows a mask.
     aliases: BTreeMap<Symbol, u32>,
+    /// How many times a mask in `aliases` has grown.
+    grown: usize,
     summaries: &'a BTreeMap<Symbol, EffectSummary>,
     out: EffectSummary,
 }
@@ -279,7 +282,11 @@ impl FnCx<'_> {
                     self.expr(value);
                     let mask = self.alias_mask(value);
                     if mask != 0 {
-                        *self.aliases.entry(*target).or_insert(0) |= mask;
+                        let slot = self.aliases.entry(*target).or_insert(0);
+                        if *slot | mask != *slot {
+                            *slot |= mask;
+                            self.grown += 1;
+                        }
                     }
                 }
                 StmtKind::Expr(e) => self.expr(e),
@@ -294,15 +301,11 @@ impl FnCx<'_> {
                 }
                 StmtKind::ForEach { iterable, body, .. } => {
                     self.expr(iterable);
-                    // Two passes so aliases established late in the body
-                    // apply to effects earlier in the next iteration.
-                    self.block(body);
-                    self.block(body);
+                    self.loop_body(body);
                 }
                 StmtKind::While { cond, body } => {
                     self.expr(cond);
-                    self.block(body);
-                    self.block(body);
+                    self.loop_body(body);
                 }
                 StmtKind::Return(v) => {
                     if let Some(e) = v {
@@ -316,6 +319,20 @@ impl FnCx<'_> {
                         self.expr(a);
                     }
                 }
+            }
+        }
+    }
+
+    /// Walk a loop body until a walk grows no alias mask, so aliases
+    /// established late in the body apply to effects earlier in the next
+    /// iteration. A walk that grows no mask adds nothing a repeat would, so
+    /// a loop nested k deep is not walked 2^k times.
+    fn loop_body(&mut self, body: &Block) {
+        loop {
+            let grown = self.grown;
+            self.block(body);
+            if self.grown == grown {
+                return;
             }
         }
     }

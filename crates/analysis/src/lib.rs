@@ -2,12 +2,6 @@
 //!
 //! * [`cfg`](mod@cfg) — control-flow graph construction over basic blocks, with the
 //!   designated `Start`/`End` nodes of the paper;
-//! * [`dominators`] — iterative dominator computation, used to check the
-//!   single-entry/single-exit region property;
-//! * [`regions`] — the hierarchical region tree (basic block, sequential,
-//!   conditional, loop regions; Fig. 4/5). Built from the AST, as the paper
-//!   permits ("Alternatively, it is possible to use an abstract syntax tree
-//!   to identify program regions"), and cross-validated against the CFG;
 //! * [`defuse`] — per-statement def/use/external-access sets. The whole
 //!   database is conservatively one external location, and accessing any
 //!   element of a collection accesses the whole collection (Sec. 4.2);
@@ -53,7 +47,6 @@ pub mod deadcode;
 pub mod defuse;
 pub mod depend;
 pub mod diag;
-pub mod dominators;
 pub mod effects;
 pub mod json;
 pub mod liveness;
@@ -61,7 +54,6 @@ pub mod loopquery;
 pub mod pass;
 pub mod purity;
 pub mod reaching;
-pub mod regions;
 pub mod slice;
 pub mod taint;
 
@@ -74,4 +66,3 @@ pub use diag::{Code, Diagnostic, Label, Severity};
 pub use effects::{effect_summaries, EffectSet, EffectSummary};
 pub use pass::{Pass, PassContext, PassManager};
 pub use reaching::ReachingDefs;
-pub use regions::{Region, RegionId, RegionKind, RegionTree};

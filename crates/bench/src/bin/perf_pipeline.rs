@@ -2,7 +2,7 @@
 //!
 //! Sweeps `examples/corpus/*.imp` plus the whole `workloads` crate (wilos,
 //! RuBiS, RuBBoS, AcadPortal, matoso, jobportal) through the full pipeline
-//! (parse → regions → D-IR → F-IR → rules → SQL → rewrite) and reports
+//! (parse → D-IR → F-IR → rules → SQL → rewrite) and reports
 //! per-stage wall time, allocation counts, and peak ee-DAG size. Writes
 //! `BENCH_extract.json` at the repo root (see DESIGN.md "Benchmark
 //! baseline" for the format and its stability promise).

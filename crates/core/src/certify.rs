@@ -478,7 +478,7 @@ fn nf(dag: &EeDag, id: NodeId) -> Nf {
         // Atoms keyed by node identity: hash-consing guarantees identical
         // structure ⇔ identical id, so this is sound (never equates
         // distinct expressions) and cheap.
-        Node::Loop { .. } | Node::Fold { .. } | Node::ArgExtreme { .. } | Node::Opaque { .. } => {
+        Node::Fold { .. } | Node::ArgExtreme { .. } | Node::Opaque { .. } => {
             Nf::Atom(format!("#{}", id.0))
         }
         Node::FieldOf { base, field } => Nf::App(format!("field.{field}"), vec![nf(dag, *base)]),
@@ -728,7 +728,6 @@ fn unsubstitute_params(
     let result = match *dag.node(id) {
         Node::AccParam(v) if Some(v) == var => dag.input(v),
         Node::TupleParam(c) if Some(c) == cursor => dag.input(c),
-        Node::Loop { .. } => id,
         _ => dag.rebuild(id, |dag, c, bound| {
             if bound {
                 unsubstitute_params(dag, c, bound_var, bound_cursor, memo)
@@ -877,9 +876,9 @@ fn input_types(dag: &EeDag, roots: &[NodeId]) -> BTreeMap<Symbol, InTy> {
                     _ => {}
                 },
                 Node::Cond { cond, .. } => note(&mut tys, dag, *cond, InTy::Bool),
-                Node::Fold { source, .. }
-                | Node::Loop { source, .. }
-                | Node::ArgExtreme { source, .. } => note(&mut tys, dag, *source, InTy::Coll),
+                Node::Fold { source, .. } | Node::ArgExtreme { source, .. } => {
+                    note(&mut tys, dag, *source, InTy::Coll)
+                }
                 _ => {}
             }
             ControlFlow::Continue(())
@@ -1026,7 +1025,6 @@ impl Eval<'_> {
             Node::EmptyColl(_) => Ok(CVal::Coll(Vec::new())),
             Node::NotDetermined => Err("not-determined node".into()),
             Node::Opaque { reason, .. } => Err(format!("opaque node ({reason})")),
-            Node::Loop { .. } => Err("un-folded loop node".into()),
             Node::FieldOf { base, field } => {
                 let b = self.eval(base)?;
                 match b {

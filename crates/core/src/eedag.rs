@@ -288,19 +288,6 @@ pub enum Node {
     },
     /// An empty collection literal.
     EmptyColl(CollKind),
-    /// The non-algebraic `Loop` operator (paper Sec. 3.2.1): records the
-    /// loop for later `loopToFold` processing; `body_ve` is the loop body's
-    /// ve-Map (one iteration, inputs = values at iteration start).
-    Loop {
-        /// The iterated collection expression.
-        source: NodeId,
-        /// Cursor variable name.
-        cursor: Symbol,
-        /// Per-iteration variable expressions.
-        body_ve: Vec<(Symbol, NodeId)>,
-        /// The `ForEach` statement this came from.
-        stmt: StmtId,
-    },
     /// F-IR `fold[func, init, source]` (paper Sec. 4.1). `func` is expressed
     /// over [`Node::AccParam`] and [`Node::TupleParam`].
     Fold {
@@ -387,14 +374,6 @@ macro_rules! for_each_operand {
                 f(then_val, false);
                 f(else_val, false);
             }
-            Node::Loop {
-                source, body_ve, ..
-            } => {
-                f(source, false);
-                for (_, e) in body_ve {
-                    f(e, true);
-                }
-            }
             Node::Fold {
                 func, init, source, ..
             } => {
@@ -423,10 +402,9 @@ macro_rules! for_each_operand {
 impl Node {
     /// Visit the node's operands, the one place that lists them. The order
     /// is fixed: a `Fold`'s func, init, source; an `ArgExtreme`'s source,
-    /// key, value, v_init, w_init; a `Loop`'s source, then its `body_ve`
-    /// values; every other node's operands as stored. The flag is `true`
-    /// for an operand under the node's own binder: a fold's `func`, an
-    /// argmax's `key` and `value`, a loop's `body_ve`.
+    /// key, value, v_init, w_init; every other node's operands as stored.
+    /// The flag is `true` for an operand under the node's own binder: a
+    /// fold's `func`, an argmax's `key` and `value`.
     pub fn children(&self, mut f: impl FnMut(NodeId, bool)) {
         for_each_operand!(self, |c: &NodeId, bound| f(*c, bound))
     }
@@ -537,13 +515,6 @@ impl EeDag {
             },
         }
         id
-    }
-
-    /// Fixed per-node index overhead in bytes: the stored structural hash
-    /// plus one (hash, bucket) index entry. Independent of `Node`'s size —
-    /// the regression test below keeps it that way.
-    pub fn per_node_index_overhead() -> usize {
-        std::mem::size_of::<u64>() + std::mem::size_of::<(u64, Bucket)>()
     }
 
     /// Look up a node by id.
@@ -714,20 +685,11 @@ impl EeDag {
         if let Some(r) = memo.get(&id) {
             return *r;
         }
-        // Loop body expressions reference per-iteration inputs; only the
-        // source is resolved against the enclosing region. A folding
-        // function may read region inputs (loop-invariant values), so it is
-        // substituted like any other operand.
-        let is_loop = matches!(self.node(id), Node::Loop { .. });
+        // A folding function may read region inputs (loop-invariant
+        // values), so it is substituted like any other operand.
         let result = match self.node(id) {
             Node::Input(name) => subs.get(name).copied().unwrap_or(id),
-            _ => self.rebuild(id, |dag, c, bound| {
-                if is_loop && bound {
-                    c
-                } else {
-                    dag.subst_rec(c, subs, memo)
-                }
-            }),
+            _ => self.rebuild(id, |dag, c, _| dag.subst_rec(c, subs, memo)),
         };
         memo.insert(id, result);
         result
@@ -796,11 +758,6 @@ impl EeDag {
             }
             Node::EmptyColl(CollKind::List) => out.write_str("[]"),
             Node::EmptyColl(CollKind::Set) => out.write_str("{}"),
-            Node::Loop { source, cursor, .. } => {
-                write!(out, "Loop[{cursor} in ")?;
-                self.display_into(*source, out)?;
-                out.write_str("]")
-            }
             Node::Fold {
                 func, init, source, ..
             } => {
@@ -863,14 +820,10 @@ mod tests {
         // which kept a full clone of every interned node as its key. The
         // per-node bookkeeping is now a structural hash plus a fixed-size
         // bucket entry — independent of (and much smaller than) `Node`.
-        assert_eq!(
-            EeDag::per_node_index_overhead(),
-            std::mem::size_of::<u64>() + std::mem::size_of::<(u64, Bucket)>()
-        );
+        let per_node = std::mem::size_of::<u64>() + std::mem::size_of::<(u64, Bucket)>();
         assert!(
-            EeDag::per_node_index_overhead() < std::mem::size_of::<Node>(),
-            "index entry ({} B) must not embed a Node ({} B)",
-            EeDag::per_node_index_overhead(),
+            per_node < std::mem::size_of::<Node>(),
+            "index entry ({per_node} B) must not embed a Node ({} B)",
             std::mem::size_of::<Node>()
         );
     }

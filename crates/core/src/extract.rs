@@ -6,11 +6,10 @@ use algebra::schema::Catalog;
 use algebra::Dialect;
 use analysis::diag::{dedup_sort, Code, Diagnostic, Severity};
 use analysis::liveness::Liveness;
-use analysis::regions::{RegionKind, RegionTree};
 use imp::ast::{Expr, Function, Program, StmtId};
 
-use crate::dir::DirBuilder;
-use crate::eedag::{Node, NodeId, VeMap};
+use crate::dir::{DirBuilder, DirResult};
+use crate::eedag::Node;
 use crate::rewrite::{apply_plans, inputs_safe, RewritePlan};
 use crate::rules::{RuleEngine, RuleOptions};
 use crate::sqlgen::node_to_imp;
@@ -285,8 +284,7 @@ pub struct ExtractionReport {
     /// Per-variable records.
     pub vars: Vec<VarExtraction>,
     /// All diagnostics, aggregated per loop, sorted by source position and
-    /// deduplicated (a loop visited through several region paths reports
-    /// each failure once).
+    /// deduplicated.
     pub diagnostics: Vec<Diagnostic>,
     /// Number of loops replaced by queries.
     pub loops_rewritten: usize,
@@ -467,12 +465,6 @@ pub struct Extractor {
     pub opts: ExtractorOptions,
 }
 
-struct LoopCandidate {
-    stmt: StmtId,
-    /// (var, resolved fold-or-ND node).
-    entries: Vec<(intern::Symbol, NodeId)>,
-}
-
 impl Extractor {
     /// Create an extractor with default options.
     pub fn new(catalog: Catalog) -> Extractor {
@@ -547,27 +539,21 @@ impl Extractor {
             };
         };
 
-        // Build D-IR over the region hierarchy, collecting per-loop fold
-        // expressions resolved against everything preceding the loop.
+        // Build the D-IR, collecting per-loop fold expressions resolved
+        // against everything preceding the loop.
         let dir_started = Instant::now();
-        let tree = RegionTree::build(&f);
-        let mut builder =
-            DirBuilder::new(&work, &self.catalog).with_fir_options(crate::fir::FirOptions {
+        let DirResult {
+            mut dag,
+            fold_notes,
+            loops: candidates,
+            du_ctx,
+            ..
+        } = DirBuilder::new(&work, &self.catalog)
+            .with_fir_options(crate::fir::FirOptions {
                 dependent_agg: self.opts.dependent_agg,
-            });
-        builder.prepare(&f);
-        let mut candidates = Vec::new();
-        let _final_ve = collect(
-            &mut builder,
-            &tree,
-            tree.root,
-            VeMap::new(),
-            &f,
-            &mut candidates,
-        );
-        let fold_notes = std::mem::take(&mut builder.fold_notes);
-        let du_ctx = builder.take_du_ctx();
-        let mut dag = builder.into_dag();
+            })
+            .build_function(fname)
+            .expect("the function exists");
         stage.dir_ns = dir_started.elapsed().as_nanos() as u64;
         let liveness = Liveness::compute(&f, &Default::default());
         let certifier = self
@@ -1218,56 +1204,6 @@ impl Extractor {
     }
 }
 
-/// Region-tree walk accumulating a running ve-Map and collecting loop
-/// candidates with their fold expressions resolved against the prefix.
-fn collect(
-    builder: &mut DirBuilder<'_>,
-    tree: &RegionTree,
-    rid: analysis::regions::RegionId,
-    prefix: VeMap,
-    f: &Function,
-    out: &mut Vec<LoopCandidate>,
-) -> VeMap {
-    match &tree.region(rid).kind {
-        RegionKind::Sequential { children } => {
-            let mut running = prefix;
-            for c in children {
-                running = collect(builder, tree, *c, running, f, out);
-            }
-            running
-        }
-        RegionKind::Conditional {
-            then_region,
-            else_region,
-            ..
-        } => {
-            // Collect loop plans nested in the branches with the prefix at
-            // the branch entry, then merge the conditional's own ve.
-            let _ = collect(builder, tree, *then_region, prefix.clone(), f, out);
-            let _ = collect(builder, tree, *else_region, prefix.clone(), f, out);
-            let ve = builder.region_ve(tree, rid, f);
-            builder.merge_with(prefix, ve)
-        }
-        RegionKind::Loop { stmt_id, .. } => {
-            let ve = builder.region_ve(tree, rid, f);
-            let mut entries = Vec::new();
-            for (v, n) in &ve {
-                let resolved = builder.dag.substitute_inputs(*n, &prefix);
-                entries.push((*v, resolved));
-            }
-            out.push(LoopCandidate {
-                stmt: *stmt_id,
-                entries,
-            });
-            builder.merge_with(prefix, ve)
-        }
-        _ => {
-            let ve = builder.region_ve(tree, rid, f);
-            builder.merge_with(prefix, ve)
-        }
-    }
-}
-
 /// Whether a `for` loop's body contains a `return` (which would exit the
 /// whole function, not just the loop).
 fn has_function_exit(loop_stmt: &imp::ast::Stmt) -> bool {
@@ -1881,11 +1817,54 @@ mod tests {
         assert_eq!(starts, sorted, "diagnostics must be ordered by span");
     }
 
+    /// A cursor loop under two nested `if`s: its filter reads `lo`, set
+    /// before the outer `if`, and `hi`, set inside the inner branch.
+    const NESTED_LOOP: &str = r#"fn band(flag, mode) {
+        rows = executeQuery("SELECT * FROM emp");
+        lo = 10;
+        total = 0;
+        if (flag > 0) {
+            if (mode > 1) {
+                hi = lo * 10;
+                for (e in rows) {
+                    if (e.salary > lo && e.salary < hi) { total = total + e.salary; }
+                }
+            }
+        }
+        return total;
+    }"#;
+
+    #[test]
+    fn loop_under_nested_ifs_resolves_against_the_function_prefix() {
+        let r = extract(NESTED_LOOP, "band");
+        assert_eq!(r.vars.len(), 1, "{:#?}", r.vars);
+        assert_eq!(
+            r.vars[0].sql,
+            ["SELECT SUM(salary) AS agg0 FROM emp WHERE ((salary > 10) AND (salary < (10 * 10)))"]
+        );
+        assert_eq!(r.vars[0].outcome, ExtractionOutcome::Extracted);
+        assert_eq!(r.loops_rewritten, 1);
+    }
+
+    #[test]
+    fn loop_under_nested_ifs_is_converted_once() {
+        let p = parse_and_normalize(NESTED_LOOP).unwrap();
+        let c = catalog();
+        let dir = DirBuilder::new(&p, &c).build_function("band").unwrap();
+        let notes: Vec<_> = dir
+            .fold_notes
+            .iter()
+            .map(|n| (n.loop_stmt, n.var.as_str()))
+            .collect();
+        assert_eq!(dir.loops.len(), 1);
+        assert_eq!(notes, [(dir.loops[0].stmt, "total")]);
+    }
+
     #[test]
     fn duplicate_fold_notes_collapse_to_one_diagnostic() {
-        // A loop nested in a conditional is reached through more than one
-        // region walk, so the D-IR builder can record its fold failure
-        // repeatedly; the report must surface it once.
+        // A loop nested in a conditional is converted once, so its fold
+        // failure is one note; the report must surface it as one
+        // diagnostic.
         let r = extract(
             r#"fn cond(flag) {
                 rows = executeQuery("SELECT * FROM emp");

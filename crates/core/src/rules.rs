@@ -189,7 +189,6 @@ impl<'c> RuleEngine<'c> {
             | Node::TupleParam(_)
             | Node::EmptyColl(_)
             | Node::NotDetermined
-            | Node::Loop { .. }
             | Node::Opaque { .. } => {
                 memo.insert(id, id);
                 return id;
@@ -1533,7 +1532,6 @@ impl<'d, 'c> ScalarBuild<'d, 'c> {
             | Node::AccParam(_)
             | Node::Query { .. }
             | Node::EmptyColl(_)
-            | Node::Loop { .. }
             | Node::Fold { .. }
             | Node::ArgExtreme { .. }
             | Node::NotDetermined
@@ -1567,7 +1565,6 @@ impl<'d, 'c> ScalarBuild<'d, 'c> {
                 n,
                 Node::TupleParam(_)
                     | Node::AccParam(_)
-                    | Node::Loop { .. }
                     | Node::Fold { .. }
                     | Node::NotDetermined
                     | Node::Opaque { .. }

@@ -100,7 +100,6 @@ pub fn node_to_imp(dag: &EeDag, id: NodeId, dialect: Dialect) -> Result<Expr, Sq
         Node::TupleParam(t) => Err(SqlGenError::NonAlgebraic(format!(
             "free tuple parameter ⟨{t}⟩"
         ))),
-        Node::Loop { .. } => Err(SqlGenError::NoRule("untranslated loop".to_string())),
         Node::Fold { origin, .. } => Err(SqlGenError::NoRule(format!(
             "untranslated fold for {} (no rule matched)",
             origin.1

@@ -116,11 +116,6 @@ impl Connection {
         Ok(out)
     }
 
-    /// Reset statistics (keeps the database).
-    pub fn reset_stats(&mut self) {
-        self.stats = Stats::default();
-    }
-
     fn charge(&mut self, rel: &Relation) {
         let bytes = rel.wire_size() as u64;
         self.stats.queries += 1;
@@ -166,7 +161,7 @@ mod tests {
         let q_agg = parse_sql("SELECT MAX(x) AS m FROM t").unwrap();
         c.execute(&q_all, &[]).unwrap();
         let full = c.stats.bytes;
-        c.reset_stats();
+        c.stats = Stats::default();
         c.execute(&q_agg, &[]).unwrap();
         assert!(c.stats.bytes < full, "aggregate moves less data");
         assert_eq!(c.stats.rows, 1);
@@ -180,7 +175,7 @@ mod tests {
         c.execute_overlapped(&batch).unwrap();
         let overlapped = c.stats.sim_us;
         assert_eq!(c.stats.queries, 5);
-        c.reset_stats();
+        c.stats = Stats::default();
         for i in 0..5 {
             c.execute(&q, &[Value::Int(i)]).unwrap();
         }
@@ -189,14 +184,5 @@ mod tests {
             overlapped < sequential,
             "overlap {overlapped} must beat sequential {sequential}"
         );
-    }
-
-    #[test]
-    fn reset_stats_zeroes() {
-        let mut c = conn();
-        let q = parse_sql("SELECT * FROM t").unwrap();
-        c.execute(&q, &[]).unwrap();
-        c.reset_stats();
-        assert_eq!(c.stats, Stats::default());
     }
 }

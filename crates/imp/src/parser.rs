@@ -1,4 +1,12 @@
 //! Recursive-descent parser for the `imp` language.
+//!
+//! Nesting is capped at [`MAX_DEPTH`] levels: each block (braced, a
+//! single-statement body or an `else if`), parenthesised expression, unary
+//! operator, call's argument list and ternary opens one. The parser and
+//! every pass over the AST recurse once per level, so a deeper input is a
+//! [`ParseError`] at the token that opens the level past the cap rather
+//! than a stack overflow. A chain of binary operators or field accesses is
+//! read in a loop and is not counted.
 
 use std::fmt;
 
@@ -34,6 +42,11 @@ impl From<LexError> for ParseError {
     }
 }
 
+/// The deepest nesting [`parse_program`] accepts, counted over blocks and
+/// expressions together (see the module comment). A program at this cap
+/// parses, extracts and lints on a 2 MiB thread stack in a debug build.
+pub const MAX_DEPTH: usize = 64;
+
 /// Parse a full program (a sequence of `fn` definitions).
 pub fn parse_program(src: &str) -> Result<Program, ParseError> {
     let tokens = lex(src)?;
@@ -41,6 +54,7 @@ pub fn parse_program(src: &str) -> Result<Program, ParseError> {
         tokens,
         pos: 0,
         next_id: 0,
+        depth: 0,
     };
     let mut functions = Vec::new();
     while !p.at(&TokenKind::Eof) {
@@ -53,9 +67,26 @@ struct Parser {
     tokens: Vec<Token>,
     pos: usize,
     next_id: u32,
+    /// Nesting levels open at `pos`.
+    depth: usize,
 }
 
 impl Parser {
+    /// Run `f` one nesting level deeper; the level opens at the current
+    /// token, where the error points past [`MAX_DEPTH`].
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let out = f(self);
+        self.depth -= 1;
+        out
+    }
+
     fn peek(&self) -> &TokenKind {
         &self.tokens[self.pos].kind
     }
@@ -152,16 +183,24 @@ impl Parser {
     }
 
     fn block(&mut self) -> Result<Block, ParseError> {
-        self.expect(&TokenKind::LBrace)?;
-        let mut stmts = Vec::new();
-        while !self.at(&TokenKind::RBrace) {
-            if self.at(&TokenKind::Eof) {
-                return Err(self.err("unexpected end of input inside block"));
+        self.nested(|p| {
+            p.expect(&TokenKind::LBrace)?;
+            let mut stmts = Vec::new();
+            while !p.at(&TokenKind::RBrace) {
+                if p.at(&TokenKind::Eof) {
+                    return Err(p.err("unexpected end of input inside block"));
+                }
+                stmts.push(p.stmt()?);
             }
-            stmts.push(self.stmt()?);
-        }
-        self.expect(&TokenKind::RBrace)?;
-        Ok(Block { stmts })
+            p.expect(&TokenKind::RBrace)?;
+            Ok(Block { stmts })
+        })
+    }
+
+    /// A block of the one statement at `pos`.
+    fn single(&mut self) -> Result<Block, ParseError> {
+        let s = self.nested(Self::stmt)?;
+        Ok(Block { stmts: vec![s] })
     }
 
     fn stmt(&mut self) -> Result<Stmt, ParseError> {
@@ -178,10 +217,7 @@ impl Parser {
                     self.bump();
                     if self.at_kw(Keyword::If) {
                         // `else if` — wrap the nested if in a block.
-                        let nested = self.stmt()?;
-                        Block {
-                            stmts: vec![nested],
-                        }
+                        self.single()?
                     } else {
                         self.block_or_single()?
                     }
@@ -279,8 +315,7 @@ impl Parser {
         if self.at(&TokenKind::LBrace) {
             self.block()
         } else {
-            let s = self.stmt()?;
-            Ok(Block { stmts: vec![s] })
+            self.single()
         }
     }
 
@@ -292,10 +327,12 @@ impl Parser {
     fn ternary(&mut self) -> Result<Expr, ParseError> {
         let cond = self.or_expr()?;
         if self.at(&TokenKind::Question) {
-            self.bump();
-            let a = self.expr()?;
-            self.expect(&TokenKind::Colon)?;
-            let b = self.expr()?;
+            let (a, b) = self.nested(|p| {
+                p.bump();
+                let a = p.expr()?;
+                p.expect(&TokenKind::Colon)?;
+                Ok((a, p.expr()?))
+            })?;
             Ok(Expr::Ternary(Box::new(cond), Box::new(a), Box::new(b)))
         } else {
             Ok(cond)
@@ -387,18 +424,19 @@ impl Parser {
 
     fn unary(&mut self) -> Result<Expr, ParseError> {
         match self.peek() {
-            TokenKind::Minus => {
-                self.bump();
-                let e = self.unary()?;
-                Ok(Expr::Unary(UnaryOp::Neg, Box::new(e)))
-            }
-            TokenKind::Bang => {
-                self.bump();
-                let e = self.unary()?;
-                Ok(Expr::Unary(UnaryOp::Not, Box::new(e)))
-            }
+            TokenKind::Minus => self.prefix(UnaryOp::Neg),
+            TokenKind::Bang => self.prefix(UnaryOp::Not),
             _ => self.postfix(),
         }
+    }
+
+    /// The operand of the prefix operator at `pos`.
+    fn prefix(&mut self, op: UnaryOp) -> Result<Expr, ParseError> {
+        let e = self.nested(|p| {
+            p.bump();
+            p.unary()
+        })?;
+        Ok(Expr::Unary(op, Box::new(e)))
     }
 
     fn postfix(&mut self) -> Result<Expr, ParseError> {
@@ -425,20 +463,22 @@ impl Parser {
     }
 
     fn call_args(&mut self) -> Result<Vec<Expr>, ParseError> {
-        self.expect(&TokenKind::LParen)?;
-        let mut args = Vec::new();
-        if !self.at(&TokenKind::RParen) {
-            loop {
-                args.push(self.expr()?);
-                if self.at(&TokenKind::Comma) {
-                    self.bump();
-                } else {
-                    break;
+        self.nested(|p| {
+            p.expect(&TokenKind::LParen)?;
+            let mut args = Vec::new();
+            if !p.at(&TokenKind::RParen) {
+                loop {
+                    args.push(p.expr()?);
+                    if p.at(&TokenKind::Comma) {
+                        p.bump();
+                    } else {
+                        break;
+                    }
                 }
             }
-        }
-        self.expect(&TokenKind::RParen)?;
-        Ok(args)
+            p.expect(&TokenKind::RParen)?;
+            Ok(args)
+        })
     }
 
     fn primary(&mut self) -> Result<Expr, ParseError> {
@@ -467,12 +507,12 @@ impl Parser {
                 self.bump();
                 Ok(Expr::Lit(Literal::Null))
             }
-            TokenKind::LParen => {
-                self.bump();
-                let e = self.expr()?;
-                self.expect(&TokenKind::RParen)?;
+            TokenKind::LParen => self.nested(|p| {
+                p.bump();
+                let e = p.expr()?;
+                p.expect(&TokenKind::RParen)?;
                 Ok(e)
-            }
+            }),
             TokenKind::Ident(name) => {
                 self.bump();
                 if self.at(&TokenKind::LParen) {
@@ -637,6 +677,61 @@ mod tests {
             }
             other => panic!("expected for-each, got {other:?}"),
         }
+    }
+
+    /// `prefix`, `open` × n, `body`, `close` × n, `suffix`. The function's
+    /// own block is one level, so n = `MAX_DEPTH` - 1 is at the cap.
+    fn nest(shape: &(&str, &str, &str, &str, &str, usize), n: usize) -> String {
+        let (prefix, open, body, close, suffix, _) = shape;
+        format!(
+            "{prefix}{}{body}{}{suffix}",
+            open.repeat(n),
+            close.repeat(n)
+        )
+    }
+
+    /// One shape per kind of level: (prefix, open, body, close, suffix, at),
+    /// where `at` is the offset in `open` of the token opening the level.
+    const SHAPES: [(&str, &str, &str, &str, &str, usize); 7] = [
+        ("fn f(x) { y = ", "(", "x", ")", "; }", 0),
+        ("fn f(x) { y = ", "-", "x", "", "; }", 0),
+        ("fn f(x) { y = ", "!", "x", "", "; }", 0),
+        ("fn f(x) { y = ", "g(", "x", ")", "; }", 1),
+        ("fn f(x) { y = ", "x ? ", "x", " : x", "; }", 2),
+        ("fn f(x) { ", "if (x) {", "y = x;", "}", " }", 7),
+        // A single-statement body opens its level at the statement.
+        ("fn f(x) { ", "while (x) ", "y = x;", "", " }", 10),
+    ];
+
+    #[test]
+    fn nesting_is_capped_at_the_opening_token() {
+        for shape in &SHAPES {
+            let src = nest(shape, MAX_DEPTH - 1);
+            parse_program(&src).unwrap_or_else(|e| panic!("{e}: {src}"));
+            let err = parse_program(&nest(shape, MAX_DEPTH)).unwrap_err();
+            assert!(err.message.contains("nesting"), "{err}");
+            let (prefix, open, .., at) = shape;
+            assert_eq!(
+                err.offset,
+                prefix.len() + open.len() * (MAX_DEPTH - 1) + at,
+                "{open}"
+            );
+        }
+        // `else if` chains nest too: each `else` body is one level deeper.
+        let chain = |n: usize| format!("fn f(x) {{ {}y = 0; }}", "if (x) y = 1; else ".repeat(n));
+        parse_program(&chain(MAX_DEPTH - 1)).unwrap();
+        assert!(parse_program(&chain(MAX_DEPTH)).is_err());
+    }
+
+    #[test]
+    fn five_thousand_parentheses_are_an_error_not_an_abort() {
+        let src = format!(
+            "fn f(x) {{ y = {}x{}; return y; }}",
+            "(".repeat(5000),
+            ")".repeat(5000)
+        );
+        let err = parse_program(&src).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
     }
 
     #[test]

@@ -223,11 +223,6 @@ impl<V> ShardedCache<V> {
         }
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Look up `key` in its shard.
     pub fn get(&self, key: &CacheKey) -> Option<Arc<V>> {
         self.shards[key.shard_index(self.shards.len())].get(key)
@@ -338,7 +333,7 @@ mod tests {
     #[test]
     fn sharded_cache_routes_by_key_bits_deterministically() {
         let cache: ShardedCache<u32> = ShardedCache::new(64, 4);
-        assert_eq!(cache.shard_count(), 4);
+        assert_eq!(cache.shard_hits().len(), 4);
         let keys: Vec<CacheKey> = (0..32)
             .map(|i| CacheKey::derive(&[&format!("key-{i}")]))
             .collect();
@@ -369,7 +364,7 @@ mod tests {
     fn sharded_cache_clamps_degenerate_geometry() {
         // Zero shards clamps to one; zero capacity disables storage.
         let one: ShardedCache<u8> = ShardedCache::new(4, 0);
-        assert_eq!(one.shard_count(), 1);
+        assert_eq!(one.shard_hits().len(), 1);
         let off: ShardedCache<u8> = ShardedCache::new(0, 8);
         let key = CacheKey::derive(&["x"]);
         off.put(key, 1);
