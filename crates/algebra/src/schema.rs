@@ -6,6 +6,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// SQL column types supported by the in-memory engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -114,9 +115,13 @@ impl TableSchema {
 }
 
 /// A collection of table schemas, looked up by name.
+///
+/// The tables sit behind an [`Arc`], so cloning a catalog (every
+/// extractor and lint pass takes one by value) bumps a reference count;
+/// [`Catalog::add`] copies the tables first only while they are shared.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Catalog {
-    tables: BTreeMap<String, TableSchema>,
+    tables: Arc<BTreeMap<String, TableSchema>>,
 }
 
 impl Catalog {
@@ -127,7 +132,7 @@ impl Catalog {
 
     /// Add (or replace) a table schema.
     pub fn add(&mut self, schema: TableSchema) {
-        self.tables.insert(schema.name.clone(), schema);
+        Arc::make_mut(&mut self.tables).insert(schema.name.clone(), schema);
     }
 
     /// Builder-style `add`.
@@ -206,5 +211,19 @@ mod tests {
         ));
         assert_eq!(c.get("t").unwrap().columns.len(), 2);
         assert_eq!(c.len(), 1);
+    }
+
+    #[test]
+    fn catalog_clone_shares_until_written() {
+        let c = Catalog::new().with(board());
+        let mut copy = c.clone();
+        assert!(std::ptr::eq(
+            c.get("board").unwrap(),
+            copy.get("board").unwrap()
+        ));
+        assert_eq!(format!("{c:?}"), format!("{copy:?}"));
+        copy.add(TableSchema::new("t", &[("a", SqlType::Int)]));
+        assert_eq!((c.len(), copy.len()), (1, 2), "the original is untouched");
+        assert!(format!("{c:?}").starts_with("Catalog { tables: {\"board\": TableSchema"));
     }
 }

@@ -11,19 +11,22 @@ use std::collections::BTreeSet;
 
 use imp::ast::{Block, Expr, Function, StmtId, StmtKind};
 
+use crate::dataflow::BitSet;
+
 /// Index of a basic block in a [`Cfg`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BlockId(pub usize);
 
-/// What ends a basic block.
+/// What ends a basic block. Expressions are borrowed from the function
+/// the CFG was built from.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Terminator {
+pub enum Terminator<'f> {
     /// Unconditional jump.
     Goto(BlockId),
     /// Two-way branch on a condition expression.
     Branch {
         /// Branch condition.
-        cond: Expr,
+        cond: &'f Expr,
         /// Successor when true.
         then_to: BlockId,
         /// Successor when false.
@@ -35,42 +38,53 @@ pub enum Terminator {
         /// Loop variable.
         var: Symbol,
         /// Iterated expression.
-        iterable: Expr,
+        iterable: &'f Expr,
         /// Body entry.
         body: BlockId,
         /// Loop exit.
         exit: BlockId,
     },
     /// Function return.
-    Return(Option<Expr>),
+    Return(Option<&'f Expr>),
     /// Falls into the End node.
     End,
 }
 
 /// A basic block: a maximal straight-line statement sequence.
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct BasicBlock {
+pub struct BasicBlock<'f> {
     /// Ids of the statements in the block, in order.
     pub stmts: Vec<StmtId>,
     /// Block terminator (`End` by default until sealed).
-    pub terminator: Option<Terminator>,
+    pub terminator: Option<Terminator<'f>>,
 }
 
-/// A control-flow graph for one function.
+/// A control-flow graph for one function, borrowing its expressions.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Cfg {
+pub struct Cfg<'f> {
     /// Basic blocks; `blocks[0]` is the Start node.
-    pub blocks: Vec<BasicBlock>,
+    pub blocks: Vec<BasicBlock<'f>>,
     /// The designated Start node (always `BlockId(0)`).
     pub start: BlockId,
     /// The designated End node.
     pub end: BlockId,
 }
 
-impl Cfg {
+impl<'f> Cfg<'f> {
     /// Build the CFG of a function body.
-    pub fn build(f: &Function) -> Cfg {
-        let mut b = Builder { blocks: Vec::new() };
+    pub fn build(f: &'f Function) -> Cfg<'f> {
+        // Start and End, then three blocks per compound statement; only
+        // code after a `return`/`break` may need more.
+        let mut compound = 0;
+        f.body.walk(&mut |s, _| {
+            compound += usize::from(matches!(
+                s.kind,
+                StmtKind::If { .. } | StmtKind::ForEach { .. } | StmtKind::While { .. }
+            ));
+        });
+        let mut b = Builder {
+            blocks: Vec::with_capacity(2 + 3 * compound),
+        };
         let start = b.new_block();
         let end = b.new_block();
         let last = b.lower_block(&f.body, start, end, None);
@@ -90,22 +104,28 @@ impl Cfg {
 
     /// Successor block ids of `id`.
     pub fn successors(&self, id: BlockId) -> Vec<BlockId> {
-        match &self.blocks[id.0].terminator {
-            Some(Terminator::Goto(t)) => vec![*t],
+        self.successors_iter(id).collect()
+    }
+
+    /// Successor block ids of `id`, without allocating.
+    pub fn successors_iter(&self, id: BlockId) -> impl Iterator<Item = BlockId> {
+        let (first, second) = match &self.blocks[id.0].terminator {
+            Some(Terminator::Goto(t)) => (Some(*t), None),
             Some(Terminator::Branch {
                 then_to, else_to, ..
-            }) => vec![*then_to, *else_to],
-            Some(Terminator::ForDispatch { body, exit, .. }) => vec![*body, *exit],
-            Some(Terminator::Return(_)) => vec![self.end],
-            Some(Terminator::End) | None => vec![],
-        }
+            }) => (Some(*then_to), Some(*else_to)),
+            Some(Terminator::ForDispatch { body, exit, .. }) => (Some(*body), Some(*exit)),
+            Some(Terminator::Return(_)) => (Some(self.end), None),
+            Some(Terminator::End) | None => (None, None),
+        };
+        first.into_iter().chain(second)
     }
 
     /// Predecessor sets for all blocks.
     pub fn predecessors(&self) -> Vec<BTreeSet<BlockId>> {
         let mut preds = vec![BTreeSet::new(); self.blocks.len()];
-        for (i, _) in self.blocks.iter().enumerate() {
-            for s in self.successors(BlockId(i)) {
+        for i in 0..self.blocks.len() {
+            for s in self.successors_iter(BlockId(i)) {
                 preds[s.0].insert(BlockId(i));
             }
         }
@@ -124,30 +144,29 @@ impl Cfg {
 
     /// Blocks in reverse post-order from Start.
     pub fn reverse_postorder(&self) -> Vec<BlockId> {
-        let mut visited = vec![false; self.blocks.len()];
-        let mut order = Vec::new();
+        let mut visited = BitSet::new(self.blocks.len());
+        let mut order = Vec::with_capacity(self.blocks.len());
         self.dfs(self.start, &mut visited, &mut order);
         order.reverse();
         order
     }
 
-    fn dfs(&self, b: BlockId, visited: &mut [bool], order: &mut Vec<BlockId>) {
-        if visited[b.0] {
+    fn dfs(&self, b: BlockId, visited: &mut BitSet, order: &mut Vec<BlockId>) {
+        if !visited.insert(b.0) {
             return;
         }
-        visited[b.0] = true;
-        for s in self.successors(b) {
+        for s in self.successors_iter(b) {
             self.dfs(s, visited, order);
         }
         order.push(b);
     }
 }
 
-struct Builder {
-    blocks: Vec<BasicBlock>,
+struct Builder<'f> {
+    blocks: Vec<BasicBlock<'f>>,
 }
 
-impl Builder {
+impl<'f> Builder<'f> {
     fn new_block(&mut self) -> BlockId {
         self.blocks.push(BasicBlock::default());
         BlockId(self.blocks.len() - 1)
@@ -158,7 +177,7 @@ impl Builder {
     /// Returns the block that is open at the end.
     fn lower_block(
         &mut self,
-        block: &Block,
+        block: &'f Block,
         mut current: BlockId,
         fn_end: BlockId,
         loop_ctx: Option<(BlockId, BlockId)>,
@@ -175,7 +194,7 @@ impl Builder {
                 }
                 StmtKind::Return(v) => {
                     self.blocks[current.0].stmts.push(s.id);
-                    self.blocks[current.0].terminator = Some(Terminator::Return(v.clone()));
+                    self.blocks[current.0].terminator = Some(Terminator::Return(v.as_ref()));
                 }
                 StmtKind::Break => {
                     // Jump to the innermost loop's exit; outside any loop
@@ -202,7 +221,7 @@ impl Builder {
                     // clients get a per-statement fact at the condition.
                     self.blocks[current.0].stmts.push(s.id);
                     self.blocks[current.0].terminator = Some(Terminator::Branch {
-                        cond: cond.clone(),
+                        cond,
                         then_to: then_b,
                         else_to: else_b,
                     });
@@ -228,7 +247,7 @@ impl Builder {
                     self.blocks[header.0].stmts.push(s.id);
                     self.blocks[header.0].terminator = Some(Terminator::ForDispatch {
                         var: *var,
-                        iterable: iterable.clone(),
+                        iterable,
                         body: body_b,
                         exit,
                     });
@@ -245,7 +264,7 @@ impl Builder {
                     self.blocks[current.0].terminator = Some(Terminator::Goto(header));
                     self.blocks[header.0].stmts.push(s.id);
                     self.blocks[header.0].terminator = Some(Terminator::Branch {
-                        cond: cond.clone(),
+                        cond,
                         then_to: body_b,
                         else_to: exit,
                     });
@@ -266,8 +285,9 @@ mod tests {
     use super::*;
     use imp::parser::parse_program;
 
-    fn cfg_of(src: &str) -> Cfg {
-        let p = parse_program(src).unwrap();
+    /// The CFG borrows the function, so the test leaks it.
+    fn cfg_of(src: &str) -> Cfg<'static> {
+        let p = Box::leak(Box::new(parse_program(src).unwrap()));
         Cfg::build(&p.functions[0])
     }
 

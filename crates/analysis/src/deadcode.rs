@@ -13,7 +13,7 @@
 use intern::Symbol;
 use std::collections::BTreeSet;
 
-use imp::ast::{Block, Expr, Function, StmtKind};
+use imp::ast::{Block, Expr, Function, StmtId, StmtKind};
 
 use crate::liveness::Liveness;
 
@@ -24,8 +24,8 @@ use crate::liveness::Liveness;
 pub fn eliminate_dead_code(f: &mut Function, protected: &BTreeSet<Symbol>) -> usize {
     let mut removed_total = 0;
     loop {
-        let live = Liveness::compute(f, protected);
-        let removed = sweep_block(&mut f.body, &live);
+        let dead = dead_writes(f, protected);
+        let removed = sweep_block(&mut f.body, &dead);
         removed_total += removed;
         if removed == 0 {
             return removed_total;
@@ -33,7 +33,35 @@ pub fn eliminate_dead_code(f: &mut Function, protected: &BTreeSet<Symbol>) -> us
     }
 }
 
-fn sweep_block(b: &mut Block, live: &Liveness) -> usize {
+/// The assignments, and the mutations of a variable receiver, whose
+/// variable is dead after them, sorted by id. One liveness replay of every
+/// block.
+fn dead_writes(f: &Function, protected: &BTreeSet<Symbol>) -> Vec<StmtId> {
+    let live = Liveness::compute(f, protected);
+    let mut dead = Vec::new();
+    live.replay(|s, is_live| {
+        let written = match &s.kind {
+            StmtKind::Assign { target, .. } => *target,
+            StmtKind::Expr(Expr::MethodCall { recv, name, .. })
+                if crate::defuse::MUTATING_METHODS.contains(&name.as_str()) =>
+            {
+                match recv.as_ref() {
+                    Expr::Var(v) => *v,
+                    _ => return,
+                }
+            }
+            _ => return,
+        };
+        if !is_live(written) {
+            dead.push(s.id);
+        }
+    });
+    dead.sort_unstable();
+    dead
+}
+
+/// Remove the dead statements of `b`; `dead` is [`dead_writes`]' answer.
+fn sweep_block(b: &mut Block, dead: &[StmtId]) -> usize {
     let mut removed = 0;
     // First recurse so emptied bodies can be detected below.
     for s in &mut b.stmts {
@@ -43,21 +71,20 @@ fn sweep_block(b: &mut Block, live: &Liveness) -> usize {
                 else_branch,
                 ..
             } => {
-                removed += sweep_block(then_branch, live);
-                removed += sweep_block(else_branch, live);
+                removed += sweep_block(then_branch, dead);
+                removed += sweep_block(else_branch, dead);
             }
             StmtKind::ForEach { body, .. } | StmtKind::While { body, .. } => {
-                removed += sweep_block(body, live);
+                removed += sweep_block(body, dead);
             }
             _ => {}
         }
     }
     let before = b.stmts.len();
+    let is_live = |id: &StmtId| dead.binary_search(id).is_err();
     b.stmts.retain(|s| {
         let keep = match &s.kind {
-            StmtKind::Assign { target, value } => {
-                live.after(s.id).contains(target) || has_side_effect(value)
-            }
+            StmtKind::Assign { value, .. } => is_live(&s.id) || has_side_effect(value),
             StmtKind::Expr(e) => match e {
                 // A mutation of a dead collection is dead.
                 Expr::MethodCall {
@@ -66,7 +93,7 @@ fn sweep_block(b: &mut Block, live: &Liveness) -> usize {
                     ..
                 } if crate::defuse::MUTATING_METHODS.contains(&name.as_str()) => {
                     match box_recv.as_ref() {
-                        Expr::Var(v) => live.after(s.id).contains(v) || has_side_effect(e),
+                        Expr::Var(_) => is_live(&s.id) || has_side_effect(e),
                         _ => true,
                     }
                 }

@@ -68,34 +68,20 @@ impl DefUse {
         DefUse::of_stmt_in(s, &DefUseCtx::default())
     }
 
-    /// [`DefUse::of_stmt`] with purity context.
+    /// [`DefUse::of_stmt`] with purity context: the set-valued view of
+    /// [`for_each_access`].
     pub fn of_stmt_in(s: &Stmt, ctx: &DefUseCtx) -> DefUse {
         let mut du = DefUse::default();
-        match &s.kind {
-            StmtKind::Assign { target, value } => {
-                du.defs.insert(*target);
-                expr_uses(value, &mut du, ctx);
+        for_each_access(s, ctx, &mut |a| match a {
+            Access::Def(v) => {
+                du.defs.insert(v);
             }
-            StmtKind::Expr(e) => expr_uses(e, &mut du, ctx),
-            StmtKind::If { cond, .. } => expr_uses(cond, &mut du, ctx),
-            StmtKind::ForEach { var, iterable, .. } => {
-                du.defs.insert(*var);
-                expr_uses(iterable, &mut du, ctx);
+            Access::Use(v) => {
+                du.uses.insert(v);
             }
-            StmtKind::While { cond, .. } => expr_uses(cond, &mut du, ctx),
-            StmtKind::Return(v) => {
-                if let Some(v) = v {
-                    expr_uses(v, &mut du, ctx);
-                }
-            }
-            StmtKind::Break | StmtKind::Continue => {}
-            StmtKind::Print(args) => {
-                du.ext_write = true;
-                for a in args {
-                    expr_uses(a, &mut du, ctx);
-                }
-            }
-        }
+            Access::ExtRead => du.ext_read = true,
+            Access::ExtWrite => du.ext_write = true,
+        });
         du
     }
 
@@ -138,84 +124,111 @@ impl DefUse {
     }
 }
 
-/// Accumulate uses from an expression in value position.
-fn expr_uses(e: &Expr, du: &mut DefUse, ctx: &DefUseCtx) {
+/// One thing a statement does, as reported by [`for_each_access`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Access {
+    /// The statement may write this variable.
+    Def(Symbol),
+    /// The statement reads this variable.
+    Use(Symbol),
+    /// The statement reads an external location.
+    ExtRead,
+    /// The statement writes an external location.
+    ExtWrite,
+}
+
+/// Report every access of `s` to `f`, not descending into nested blocks
+/// (the same scope as [`DefUse::of_stmt_in`]). A variable or effect may be
+/// reported more than once. Nothing is allocated, so the dataflow clients
+/// can tabulate a whole function's gen/kill sets from it.
+pub fn for_each_access(s: &Stmt, ctx: &DefUseCtx, f: &mut impl FnMut(Access)) {
+    match &s.kind {
+        StmtKind::Assign { target, .. } | StmtKind::ForEach { var: target, .. } => {
+            f(Access::Def(*target))
+        }
+        StmtKind::Print(_) => f(Access::ExtWrite),
+        _ => {}
+    }
+    for e in s.kind.exprs() {
+        expr_accesses(e, ctx, f);
+    }
+}
+
+/// Report the accesses of an expression in value position.
+fn expr_accesses(e: &Expr, ctx: &DefUseCtx, f: &mut impl FnMut(Access)) {
     match e {
         Expr::Lit(_) => {}
-        Expr::Var(v) => {
-            du.uses.insert(*v);
-        }
-        Expr::Unary(_, x) => expr_uses(x, du, ctx),
+        Expr::Var(v) => f(Access::Use(*v)),
+        Expr::Unary(_, x) | Expr::Field(x, _) => expr_accesses(x, ctx, f),
         Expr::Binary(_, l, r) => {
-            expr_uses(l, du, ctx);
-            expr_uses(r, du, ctx);
+            expr_accesses(l, ctx, f);
+            expr_accesses(r, ctx, f);
         }
         Expr::Ternary(c, a, b) => {
-            expr_uses(c, du, ctx);
-            expr_uses(a, du, ctx);
-            expr_uses(b, du, ctx);
+            expr_accesses(c, ctx, f);
+            expr_accesses(a, ctx, f);
+            expr_accesses(b, ctx, f);
         }
-        Expr::Field(o, _) => expr_uses(o, du, ctx),
         Expr::Call { name, args } => {
             for a in args {
-                expr_uses(a, du, ctx);
+                expr_accesses(a, ctx, f);
             }
             match builtins::function_effect(name.as_str()) {
                 Some(builtins::FnEffect::Pure) => {}
-                Some(builtins::FnEffect::DbRead) => du.ext_read = true,
+                Some(builtins::FnEffect::DbRead) => f(Access::ExtRead),
                 Some(builtins::FnEffect::DbWrite) => {
-                    du.ext_read = true;
-                    du.ext_write = true;
+                    f(Access::ExtRead);
+                    f(Access::ExtWrite);
                 }
                 None => match ctx.summaries.get(name) {
                     Some(s) => {
                         // Summarized user function: contribute exactly its
                         // effects instead of assuming read+write.
                         if s.effects.contains(EffectSet::DB_READ) {
-                            du.ext_read = true;
+                            f(Access::ExtRead);
                         }
                         if s.effects.contains(EffectSet::DB_WRITE)
                             || s.effects.contains(EffectSet::UNKNOWN)
                         {
-                            du.ext_read = true;
-                            du.ext_write = true;
+                            f(Access::ExtRead);
+                            f(Access::ExtWrite);
                         }
                         if s.effects.contains(EffectSet::OUTPUT) {
-                            du.ext_write = true;
+                            f(Access::ExtWrite);
                         }
                         // A mutated parameter is a def (and a read) of the
                         // argument variable, like `v.add(x)` on the receiver.
                         for (i, a) in args.iter().enumerate() {
                             if s.mutates_param(i) {
                                 if let Expr::Var(v) = a {
-                                    du.defs.insert(*v);
+                                    f(Access::Def(*v));
                                 }
                             }
                         }
                     }
                     None => {
                         // Unknown call: conservatively external read+write.
-                        du.ext_read = true;
-                        du.ext_write = true;
+                        f(Access::ExtRead);
+                        f(Access::ExtWrite);
                     }
                 },
             }
         }
         Expr::MethodCall { recv, name, args } => {
-            expr_uses(recv, du, ctx);
+            expr_accesses(recv, ctx, f);
             for a in args {
-                expr_uses(a, du, ctx);
+                expr_accesses(a, ctx, f);
             }
             if MUTATING_METHODS.contains(&name.as_str()) {
                 // Mutation in value position: also a def of the receiver
                 // variable when the receiver is a variable.
                 if let Expr::Var(v) = recv.as_ref() {
-                    du.defs.insert(*v);
+                    f(Access::Def(*v));
                 }
             } else if !READING_METHODS.contains(&name.as_str()) {
                 // Unknown method: conservative external access.
-                du.ext_read = true;
-                du.ext_write = true;
+                f(Access::ExtRead);
+                f(Access::ExtWrite);
             }
         }
     }

@@ -50,7 +50,7 @@ use imp::ast::{builtins, Block, Expr, Function, Literal, Stmt, StmtId, StmtKind}
 use imp::token::Span;
 use intern::Symbol;
 
-use crate::cfg::{Cfg, Terminator};
+use crate::cfg::Terminator;
 use crate::dataflow::{self, Analysis, Direction};
 
 // ---------------------------------------------------------------------------
@@ -885,9 +885,9 @@ pub fn analyze_body(body: &Block, drv: &DrivingInfo) -> LoopDependence {
         span: drv.loop_span,
     };
     let a = DependAnalysis { cursor: drv.cursor };
-    let cfg = Cfg::build(&f);
-    let sol = dataflow::solve_cfg(&a, &f, &cfg);
-    let summary = sol.entry[cfg.end.0].clone();
+    let ix = dataflow::FnIndex::build(&f, []);
+    let sol = dataflow::solve_in(&a, &ix);
+    let summary = sol.entry[ix.cfg().end.0].clone();
     dep.reads = summary.reads.clone();
     dep.writes = summary.writes.clone();
 

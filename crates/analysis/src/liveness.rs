@@ -4,8 +4,10 @@
 //! Used by [`crate::deadcode`] to find statements rendered dead after SQL
 //! extraction (paper Sec. 5.2), and by the extractor to skip accumulators
 //! that are dead after their loop. The lattice is the powerset of the
-//! function's variables with union as join; transfers are the classic
-//! `(live − def) ∪ use` with three `imp`-specific refinements:
+//! function's variables with union as join, a [`BitSet`] over the
+//! [`FnIndex`] numbering; each statement's gen and kill rows are tabulated
+//! once per function. Transfers are the classic `(live − def) ∪ use` with
+//! three `imp`-specific refinements:
 //!
 //! * an `Assign` whose RHS reads the target (`s = s + x`) keeps the use —
 //!   only pure defs kill liveness;
@@ -20,35 +22,147 @@
 //! predecessor implementation, kept as a test oracle in [`reference`],
 //! conservatively treated them as fall-through) and keeps loop-header
 //! reads — `while` conditions and `for` iterables — live around back
-//! edges, which the oracle under-approximated. `If` statement ids carry
-//! no fact — their conditions live on `Branch` terminators — and no
-//! consumer queries them; [`Liveness::after`] returns the empty set there.
+//! edges, which the oracle under-approximated. An `If` id sits in the
+//! block that evaluates its condition; no consumer queries it.
+//!
+//! The solution keeps block-level facts only. [`Liveness::after`] replays
+//! one block into a name-ordered set; [`Liveness::is_live_after`] follows
+//! one variable back and allocates nothing; [`Liveness::replay`] walks
+//! every block once for callers that read every statement.
 
 use intern::Symbol;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use imp::ast::{Expr, Function, Stmt, StmtId, StmtKind};
 
-use crate::cfg::{Cfg, Terminator};
-use crate::dataflow::{self, Analysis, Direction};
-use crate::defuse::DefUse;
+use crate::cfg::{BlockId, Terminator};
+use crate::dataflow::{self, bit, set_bit, Analysis, BitSet, Direction, FnIndex};
+use crate::defuse::{for_each_access, Access, DefUseCtx};
 
-/// Per-statement liveness results.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Liveness {
-    /// Variables live immediately *after* each statement (program order;
-    /// for a loop statement: after the whole loop).
-    pub live_after: BTreeMap<StmtId, BTreeSet<Symbol>>,
+/// Per-statement liveness of one function: block-level facts, replayed on
+/// demand.
+#[derive(Debug, Clone)]
+pub struct Liveness<'f> {
+    a: LiveAnalysis<'f>,
+    sol: dataflow::Solution<BitSet>,
 }
 
-/// The dataflow client: backward, powerset-of-variables lattice.
-struct LiveAnalysis {
+/// The dataflow client: backward, bitset over the function's variables.
+/// Row `at` of `rows` is statement position `at`; row `stmt_count + b` is
+/// block `b`'s terminator. A row is a kill set then a gen set, `width`
+/// words each, and a fact flows through it as `(fact − kill) ∪ gen`.
+#[derive(Debug, Clone)]
+struct LiveAnalysis<'f> {
+    ix: FnIndex<'f>,
     /// Variables live at function exit besides `return` reads.
-    extra_live_out: BTreeSet<Symbol>,
+    boundary: BitSet,
+    width: usize,
+    rows: Vec<u64>,
 }
 
-impl Analysis for LiveAnalysis {
-    type Fact = BTreeSet<Symbol>;
+impl<'f> LiveAnalysis<'f> {
+    fn new(f: &'f Function, extra_live_out: &BTreeSet<Symbol>) -> LiveAnalysis<'f> {
+        let ix = FnIndex::build(f, extra_live_out.iter().copied());
+        let vars = ix.var_count();
+        let width = BitSet::words_for(vars);
+        let stmts = ix.stmt_count();
+        let mut rows = vec![0; (stmts + ix.cfg().blocks.len()) * 2 * width];
+        for (r, row) in rows.chunks_exact_mut(2 * width).enumerate() {
+            let (kill, gen) = row.split_at_mut(width);
+            if r < stmts {
+                stmt_rows(&ix, ix.stmt(r), gen, kill);
+            } else if let Some(t) = &ix.cfg().blocks[r - stmts].terminator {
+                terminator_rows(&ix, t, gen, kill);
+            }
+        }
+        let mut boundary = BitSet::new(vars);
+        for v in extra_live_out {
+            boundary.insert(ix.var(*v).expect("extra live-out variables are indexed"));
+        }
+        LiveAnalysis {
+            ix,
+            boundary,
+            width,
+            rows,
+        }
+    }
+
+    /// The `(kill, gen)` sets of row `r`.
+    fn row(&self, r: usize) -> (&[u64], &[u64]) {
+        self.rows[r * 2 * self.width..(r + 1) * 2 * self.width].split_at(self.width)
+    }
+
+    fn empty_rows(&self) -> (Vec<u64>, Vec<u64>) {
+        (vec![0; self.width], vec![0; self.width])
+    }
+}
+
+/// Set the bits of every variable `e` reads.
+fn gen_reads(ix: &FnIndex<'_>, e: &Expr, gen: &mut [u64]) {
+    e.walk(&mut |x| {
+        if let Expr::Var(v) = x {
+            set_bit(gen, ix.var(*v).expect("indexed"));
+        }
+    });
+}
+
+/// Fill statement `s`'s gen and kill rows (both zero on entry).
+fn stmt_rows(ix: &FnIndex<'_>, s: &Stmt, gen: &mut [u64], kill: &mut [u64]) {
+    match &s.kind {
+        StmtKind::Return(v) => {
+            // Nothing after a return is live through it (the `Return`
+            // terminator row does the same; both are idempotent).
+            kill.fill(!0);
+            if let Some(v) = v {
+                gen_reads(ix, v, gen);
+            }
+        }
+        StmtKind::ForEach { var, iterable, .. } => {
+            set_bit(kill, ix.var(*var).expect("indexed"));
+            gen_reads(ix, iterable, gen);
+        }
+        StmtKind::Expr(Expr::MethodCall { recv, name, args })
+            if crate::defuse::MUTATING_METHODS.contains(&name.as_str())
+                && matches!(recv.as_ref(), Expr::Var(_)) =>
+        {
+            // A partial def of the receiver: neither killed nor used.
+            for a in args {
+                gen_reads(ix, a, gen);
+            }
+        }
+        // An `If` or `While` id sits in the block that evaluates its
+        // condition; reading the condition is all it does here, so the
+        // default case is exact for it.
+        _ => {
+            // `(live − (defs − uses)) ∪ uses`: only pure defs kill.
+            for_each_access(s, &DefUseCtx::default(), &mut |a| match a {
+                Access::Def(v) => set_bit(kill, ix.var(v).expect("indexed")),
+                Access::Use(v) => set_bit(gen, ix.var(v).expect("indexed")),
+                Access::ExtRead | Access::ExtWrite => {}
+            });
+            for (k, g) in kill.iter_mut().zip(gen.iter()) {
+                *k &= !g;
+            }
+        }
+    }
+}
+
+/// Fill terminator `t`'s gen and kill rows (both zero on entry).
+fn terminator_rows(ix: &FnIndex<'_>, t: &Terminator, gen: &mut [u64], kill: &mut [u64]) {
+    match t {
+        Terminator::Branch { cond, .. } => gen_reads(ix, cond, gen),
+        Terminator::Return(v) => {
+            kill.fill(!0);
+            if let Some(v) = v {
+                gen_reads(ix, v, gen);
+            }
+        }
+        Terminator::ForDispatch { .. } | Terminator::Goto(_) | Terminator::End => {}
+    }
+}
+
+impl Analysis for LiveAnalysis<'_> {
+    type Fact = BitSet;
 
     fn name(&self) -> &'static str {
         "liveness"
@@ -58,113 +172,138 @@ impl Analysis for LiveAnalysis {
         Direction::Backward
     }
 
-    fn bottom(&self) -> Self::Fact {
-        BTreeSet::new()
+    fn bottom(&self) -> BitSet {
+        BitSet::new(self.ix.var_count())
     }
 
-    fn boundary(&self, _f: &Function) -> Self::Fact {
-        self.extra_live_out.clone()
+    fn boundary(&self, _f: &Function) -> BitSet {
+        self.boundary.clone()
     }
 
-    fn join(&self, a: &Self::Fact, b: &Self::Fact) -> Self::Fact {
-        a.union(b).cloned().collect()
+    fn join(&self, a: &BitSet, b: &BitSet) -> BitSet {
+        let mut out = a.clone();
+        out.union_with(b);
+        out
     }
 
-    fn transfer_stmt(&self, s: &Stmt, live_after: &Self::Fact) -> Self::Fact {
-        match &s.kind {
-            StmtKind::Return(v) => {
-                // Nothing after a return is live through it (the `Return`
-                // terminator transfer does the same; both are idempotent).
-                v.as_ref()
-                    .map(|v| v.vars().into_iter().collect())
-                    .unwrap_or_default()
-            }
-            StmtKind::ForEach { var, iterable, .. } => {
-                let mut live = live_after.clone();
-                live.remove(var);
-                live.extend(iterable.vars());
-                live
-            }
-            StmtKind::Expr(Expr::MethodCall { recv, name, args })
-                if crate::defuse::MUTATING_METHODS.contains(&name.as_str())
-                    && matches!(recv.as_ref(), Expr::Var(_)) =>
-            {
-                let mut live = live_after.clone();
-                for a in args {
-                    live.extend(a.vars());
-                }
-                live
-            }
-            // `If` never reaches here (its id sits in no block); a `While`
-            // id does, but its condition is read by the `Branch` terminator
-            // and it defines nothing, so the default case is exact for it.
-            _ => {
-                let du = DefUse::of_stmt(s);
-                let mut live = live_after.clone();
-                for d in &du.defs {
-                    if !du.uses.contains(d) {
-                        live.remove(d);
-                    }
-                }
-                live.extend(du.uses.iter().cloned());
-                live
-            }
-        }
+    fn join_into(&self, into: &mut BitSet, other: &BitSet) -> bool {
+        into.union_with(other)
     }
 
-    fn transfer_terminator(&self, t: &Terminator, fact: &Self::Fact) -> Self::Fact {
-        match t {
-            Terminator::Branch { cond, .. } => {
-                let mut live = fact.clone();
-                live.extend(cond.vars());
-                live
-            }
-            Terminator::Return(v) => v
-                .as_ref()
-                .map(|v| v.vars().into_iter().collect())
-                .unwrap_or_default(),
-            Terminator::ForDispatch { .. } | Terminator::Goto(_) | Terminator::End => fact.clone(),
-        }
+    fn transfer_stmt(&self, s: &Stmt, live_after: &BitSet) -> BitSet {
+        let (mut gen, mut kill) = self.empty_rows();
+        stmt_rows(&self.ix, s, &mut gen, &mut kill);
+        let mut live = live_after.clone();
+        live.apply(&kill, &gen);
+        live
     }
 
-    fn height(&self, f: &Function) -> usize {
-        dataflow::variable_universe(f).len() + self.extra_live_out.len() + 1
+    fn transfer_terminator(&self, t: &Terminator, live_after: &BitSet) -> BitSet {
+        let (mut gen, mut kill) = self.empty_rows();
+        terminator_rows(&self.ix, t, &mut gen, &mut kill);
+        let mut live = live_after.clone();
+        live.apply(&kill, &gen);
+        live
+    }
+
+    fn apply_stmt(&self, at: usize, _s: &Stmt, live: &mut BitSet) {
+        let (kill, gen) = self.row(at);
+        live.apply(kill, gen);
+    }
+
+    fn apply_terminator(&self, b: BlockId, _t: &Terminator, live: &mut BitSet) {
+        let (kill, gen) = self.row(self.ix.stmt_count() + b.0);
+        live.apply(kill, gen);
+    }
+
+    fn height(&self, _f: &Function) -> usize {
+        self.ix.var_count() + 1
     }
 }
 
-impl Liveness {
+impl<'f> Liveness<'f> {
     /// Compute liveness for a function. `extra_live_out` names variables
     /// considered live at function exit besides those used by `return`
     /// (e.g. out-parameters of an inlined procedure).
-    pub fn compute(f: &Function, extra_live_out: &BTreeSet<Symbol>) -> Liveness {
-        let cfg = Cfg::build(f);
-        let a = LiveAnalysis {
-            extra_live_out: extra_live_out.clone(),
-        };
-        let sol = dataflow::solve_cfg(&a, f, &cfg);
-        let mut live_after = sol.after.clone();
-        // A loop header's replayed fact is the live set at the loop *top*
-        // (it joins the body's live-in); consumers want the program-order
-        // set after the whole statement, which is the exit block's entry.
-        let stmts = dataflow::stmt_index(f);
-        for b in &cfg.blocks {
-            let Some(&id) = b.stmts.last() else { continue };
-            match (&b.terminator, stmts.get(&id).map(|s| &s.kind)) {
-                (Some(Terminator::ForDispatch { exit, .. }), Some(StmtKind::ForEach { .. })) => {
-                    live_after.insert(id, sol.entry[exit.0].clone());
-                }
-                (Some(Terminator::Branch { else_to, .. }), Some(StmtKind::While { .. })) => {
-                    live_after.insert(id, sol.entry[else_to.0].clone());
-                }
-                _ => {}
-            }
-        }
-        Liveness { live_after }
+    pub fn compute(f: &'f Function, extra_live_out: &BTreeSet<Symbol>) -> Liveness<'f> {
+        let a = LiveAnalysis::new(f, extra_live_out);
+        let sol = dataflow::solve_in(&a, &a.ix);
+        Liveness { a, sol }
     }
 
-    /// Variables live after statement `id`, empty set when unknown.
+    /// A loop header's replayed fact is the live set at the loop *top* (it
+    /// joins the body's live-in); the program-order set after the whole
+    /// loop is the entry of its exit block, which this returns for a
+    /// header at position `at`.
+    fn loop_exit(&self, at: usize) -> Option<BlockId> {
+        let b = self.a.ix.block_of(at);
+        if self.a.ix.block_range(b).end != at + 1 {
+            return None;
+        }
+        match (
+            &self.a.ix.cfg().blocks[b.0].terminator,
+            &self.a.ix.stmt(at).kind,
+        ) {
+            (Some(Terminator::ForDispatch { exit, .. }), StmtKind::ForEach { .. }) => Some(*exit),
+            (Some(Terminator::Branch { else_to, .. }), StmtKind::While { .. }) => Some(*else_to),
+            _ => None,
+        }
+    }
+
+    /// The variables of `live`, in name order.
+    fn names(&self, live: &BitSet) -> BTreeSet<Symbol> {
+        live.iter().map(|i| self.a.ix.var_symbol(i)).collect()
+    }
+
+    /// Variables live after statement `id` (program order; for a loop
+    /// statement: after the whole loop), in name order; empty when unknown.
+    /// Replays `id`'s block.
     pub fn after(&self, id: StmtId) -> BTreeSet<Symbol> {
-        self.live_after.get(&id).cloned().unwrap_or_default()
+        let Some(at) = self.a.ix.locate(id) else {
+            return BTreeSet::new();
+        };
+        if let Some(exit) = self.loop_exit(at) {
+            return self.names(&self.sol.entry[exit.0]);
+        }
+        self.sol
+            .after(&self.a, &self.a.ix, id)
+            .map(|live| self.names(&live))
+            .unwrap_or_default()
+    }
+
+    /// Is `var` live after statement `id` (as [`Liveness::after`])? Follows
+    /// the one variable back from the end of `id`'s block and allocates
+    /// nothing.
+    pub fn is_live_after(&self, id: StmtId, var: Symbol) -> bool {
+        let (Some(at), Some(v)) = (self.a.ix.locate(id), self.a.ix.var(var)) else {
+            return false;
+        };
+        if let Some(exit) = self.loop_exit(at) {
+            return self.sol.entry[exit.0].contains(v);
+        }
+        let b = self.a.ix.block_of(at);
+        let through =
+            |live: bool, (kill, gen): (&[u64], &[u64])| (live && !bit(kill, v)) || bit(gen, v);
+        // A block without a terminator has an all-zero (identity) row.
+        let mut live = through(
+            self.sol.exit[b.0].contains(v),
+            self.a.row(self.a.ix.stmt_count() + b.0),
+        );
+        for later in (at + 1..self.a.ix.block_range(b).end).rev() {
+            live = through(live, self.a.row(later));
+        }
+        live
+    }
+
+    /// Call `visit(stmt, is_live)` for every statement, each block replayed
+    /// once, where `is_live(v)` says whether `v` is live after `stmt`. For a
+    /// loop header that is the live set at the loop top, not
+    /// [`Liveness::after`]'s.
+    pub fn replay(&self, mut visit: impl FnMut(&'f Stmt, &dyn Fn(Symbol) -> bool)) {
+        let ix = &self.a.ix;
+        self.sol.replay(&self.a, ix, |_, s, live| {
+            visit(s, &|v| ix.var(v).is_some_and(|i| live.contains(i)))
+        });
     }
 }
 
@@ -177,7 +316,9 @@ impl Liveness {
 #[cfg(any(test, feature = "test-oracles"))]
 pub mod reference {
     use super::*;
+    use crate::defuse::DefUse;
     use imp::ast::Block;
+    use std::collections::BTreeMap;
 
     /// Per-statement liveness results of the structured-AST oracle.
     #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -303,11 +444,11 @@ mod tests {
     use super::*;
     use imp::parser::parse_program;
 
-    fn live(src: &str) -> (imp::ast::Function, Liveness) {
+    /// The results borrow the function, so the test leaks it.
+    fn live(src: &str) -> (&'static imp::ast::Function, Liveness<'static>) {
         let p = parse_program(src).unwrap();
-        let f = p.functions[0].clone();
-        let l = Liveness::compute(&f, &BTreeSet::new());
-        (f, l)
+        let f: &'static imp::ast::Function = Box::leak(Box::new(p.functions[0].clone()));
+        (f, Liveness::compute(f, &BTreeSet::new()))
     }
 
     #[test]
@@ -405,7 +546,7 @@ mod tests {
         };
         let upd = body.stmts[1].id;
         assert!(l.after(upd).contains(&Symbol::intern("lim")));
-        let oracle = reference::Liveness::compute(&f, &BTreeSet::new());
+        let oracle = reference::Liveness::compute(f, &BTreeSet::new());
         assert!(
             !oracle.after(upd).contains(&Symbol::intern("lim")),
             "the oracle under-approximates here; keep this assert as \

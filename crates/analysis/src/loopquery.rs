@@ -20,13 +20,17 @@
 //! of scope here — the purity pass (`W003`) already points at those calls.
 
 use intern::Symbol;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
-use imp::ast::{builtins, Block, Expr, Stmt, StmtKind};
+use imp::ast::{builtins, Block, Expr, Stmt, StmtId, StmtKind};
 
 use crate::diag::{Code, Diagnostic};
 use crate::pass::{Pass, PassContext};
-use crate::reaching::ReachingDefs;
+use crate::reaching::{DefSite, ReachingDefs};
+
+/// The definition sites reaching each statement that makes a database
+/// read.
+type ReadSites = BTreeMap<StmtId, Vec<DefSite>>;
 
 /// `"loopquery"`: per-iteration database reads that are loop-invariant
 /// (hoistable) or row-keyed (N+1 join candidates).
@@ -75,7 +79,7 @@ impl LoopQueryPass {
     fn scan_loop(
         &self,
         cx: &mut PassContext<'_>,
-        reach: &ReachingDefs,
+        reach: &ReadSites,
         header: &Stmt,
         cursor: Option<Symbol>,
         body: &Block,
@@ -117,7 +121,7 @@ impl LoopQueryPass {
     fn check_stmt(
         &self,
         cx: &mut PassContext<'_>,
-        reach: &ReachingDefs,
+        reach: &ReadSites,
         header: &Stmt,
         cursor: Option<Symbol>,
         s: &Stmt,
@@ -127,11 +131,11 @@ impl LoopQueryPass {
             // Variables feeding the call whose value may have been defined
             // inside the loop (observed just before `s` runs).
             let mut loop_dependent: BTreeSet<Symbol> = BTreeSet::new();
+            let sites = reach.get(&s.id).map(Vec::as_slice).unwrap_or_default();
             for v in arg_vars {
-                let internal = reach
-                    .defs_of(s.id, v)
-                    .into_iter()
-                    .any(|site| site.is_some_and(|d| loop_ids.contains(&d)));
+                let internal = sites
+                    .iter()
+                    .any(|(var, site)| *var == v && site.is_some_and(|d| loop_ids.contains(&d)));
                 if internal {
                     loop_dependent.insert(v);
                 }
@@ -179,7 +183,13 @@ impl Pass for LoopQueryPass {
 
     fn run(&self, cx: &mut PassContext<'_>) {
         let ctx = crate::defuse::DefUseCtx::of_program(cx.program);
-        let reach = ReachingDefs::compute_in(cx.function, &ctx);
+        // One replay of every block collects what the checks below read.
+        let mut reach = ReadSites::new();
+        ReachingDefs::compute_in(cx.function, &ctx).replay(|s, sites| {
+            if !db_read_calls(s).is_empty() {
+                reach.insert(s.id, sites.collect());
+            }
+        });
         // Find top-level loops; statements outside any loop cannot fire.
         let body = &cx.function.body;
         let mut stack: Vec<&Block> = vec![body];

@@ -23,26 +23,104 @@ use std::collections::BTreeSet;
 
 use imp::ast::{Function, Stmt, StmtId, StmtKind};
 
-use crate::dataflow::{self, Analysis, Direction};
-use crate::defuse::{DefUse, DefUseCtx};
+use crate::dataflow::{self, Analysis, BitSet, Direction, FnIndex};
+use crate::defuse::{for_each_access, Access, DefUseCtx};
 
 /// One definition site: the variable and the statement that may define it
 /// (`None` = the function-entry definition of a parameter).
 pub type DefSite = (Symbol, Option<StmtId>);
 
-/// Per-statement reaching-definitions results.
+/// Per-statement reaching-definitions results: block-level facts, replayed
+/// on demand.
 #[derive(Debug, Clone)]
-pub struct ReachingDefs {
-    sol: dataflow::Solution<BTreeSet<DefSite>>,
+pub struct ReachingDefs<'f> {
+    a: ReachAnalysis<'f>,
+    sol: dataflow::Solution<BitSet>,
 }
 
-/// The dataflow client.
-struct ReachAnalysis<'a> {
-    ctx: &'a DefUseCtx,
+/// The dataflow client: forward, a bitset over the function's numbered
+/// definition sites. Parameter sites come first; then each statement's
+/// sites, in position order, are the contiguous range
+/// `site_start[at]..site_start[at + 1]`.
+#[derive(Debug, Clone)]
+struct ReachAnalysis<'f> {
+    ix: FnIndex<'f>,
+    sites: Vec<DefSite>,
+    params: usize,
+    site_start: Vec<u32>,
+    /// The target variable of the `Assign` at each position, if any: it
+    /// strongly kills every other site of that variable.
+    assigns: Vec<Option<u32>>,
+    /// Row `v` (of `width` words) holds every site of variable `v`.
+    width: usize,
+    var_sites: Vec<u64>,
+}
+
+impl<'f> ReachAnalysis<'f> {
+    fn new(f: &'f Function, ctx: &DefUseCtx) -> ReachAnalysis<'f> {
+        let ix = FnIndex::build(f, []);
+        // Most statements define at most one variable.
+        let mut sites: Vec<DefSite> = Vec::with_capacity(f.params.len() + ix.stmt_count());
+        let mut site_vars: Vec<usize> = Vec::with_capacity(sites.capacity());
+        let mut seen = BitSet::new(ix.var_count());
+        for p in &f.params {
+            let v = ix.var(*p).expect("parameters are indexed");
+            if seen.insert(v) {
+                sites.push((*p, None));
+                site_vars.push(v);
+            }
+        }
+        let params = sites.len();
+        let mut site_start = Vec::with_capacity(ix.stmt_count() + 1);
+        let mut assigns = Vec::with_capacity(ix.stmt_count());
+        // One site per (statement, variable) pair, in name order like the
+        // def set of `DefUse::of_stmt_in`.
+        let mut defs: Vec<Symbol> = Vec::new();
+        for at in 0..ix.stmt_count() {
+            let s = ix.stmt(at);
+            site_start.push(sites.len() as u32);
+            defs.clear();
+            if let StmtKind::Assign { target, .. } = &s.kind {
+                // Only the target: other writes in the value are ignored.
+                defs.push(*target);
+                assigns.push(Some(ix.var(*target).expect("indexed") as u32));
+            } else {
+                // Everything else gens without killing (partial
+                // definitions).
+                for_each_access(s, ctx, &mut |a| {
+                    if let Access::Def(v) = a {
+                        defs.push(v);
+                    }
+                });
+                assigns.push(None);
+            }
+            defs.sort_unstable();
+            defs.dedup();
+            for v in &defs {
+                sites.push((*v, Some(s.id)));
+                site_vars.push(ix.var(*v).expect("indexed"));
+            }
+        }
+        site_start.push(sites.len() as u32);
+        let width = BitSet::words_for(sites.len());
+        let mut var_sites = vec![0; ix.var_count() * width];
+        for (site, v) in site_vars.into_iter().enumerate() {
+            dataflow::set_bit(&mut var_sites[v * width..(v + 1) * width], site);
+        }
+        ReachAnalysis {
+            ix,
+            sites,
+            params,
+            site_start,
+            assigns,
+            width,
+            var_sites,
+        }
+    }
 }
 
 impl Analysis for ReachAnalysis<'_> {
-    type Fact = BTreeSet<DefSite>;
+    type Fact = BitSet;
 
     fn name(&self) -> &'static str {
         "reaching-defs"
@@ -52,61 +130,81 @@ impl Analysis for ReachAnalysis<'_> {
         Direction::Forward
     }
 
-    fn bottom(&self) -> Self::Fact {
-        BTreeSet::new()
+    fn bottom(&self) -> BitSet {
+        BitSet::new(self.sites.len())
     }
 
-    fn boundary(&self, f: &Function) -> Self::Fact {
-        f.params.iter().map(|p| (*p, None)).collect()
-    }
-
-    fn join(&self, a: &Self::Fact, b: &Self::Fact) -> Self::Fact {
-        a.union(b).cloned().collect()
-    }
-
-    fn transfer_stmt(&self, s: &Stmt, fact: &Self::Fact) -> Self::Fact {
-        let mut out = fact.clone();
-        if let StmtKind::Assign { target, .. } = &s.kind {
-            out.retain(|(v, _)| v != target);
-            out.insert((*target, Some(s.id)));
-            return out;
+    fn boundary(&self, _f: &Function) -> BitSet {
+        let mut entry = self.bottom();
+        for site in 0..self.params {
+            entry.insert(site);
         }
-        // Everything else gens without killing (partial definitions).
-        for d in DefUse::of_stmt_in(s, self.ctx).defs {
-            out.insert((d, Some(s.id)));
-        }
+        entry
+    }
+
+    fn join(&self, a: &BitSet, b: &BitSet) -> BitSet {
+        let mut out = a.clone();
+        out.union_with(b);
         out
     }
 
-    fn height(&self, f: &Function) -> usize {
-        // At most one site per (statement, defined variable) pair plus the
-        // parameters; statements × variables is a safe overcount.
-        let stmts = dataflow::stmt_index(f).len();
-        let vars = dataflow::variable_universe(f).len().max(1);
-        stmts * vars + f.params.len() + 1
+    fn join_into(&self, into: &mut BitSet, other: &BitSet) -> bool {
+        into.union_with(other)
+    }
+
+    fn transfer_stmt(&self, s: &Stmt, fact: &BitSet) -> BitSet {
+        let at = self
+            .ix
+            .locate(s.id)
+            .expect("a statement of the analysed function");
+        let mut out = fact.clone();
+        self.apply_stmt(at, s, &mut out);
+        out
+    }
+
+    fn apply_stmt(&self, at: usize, _s: &Stmt, fact: &mut BitSet) {
+        if let Some(v) = self.assigns[at] {
+            let v = v as usize;
+            let row = &self.var_sites[v * self.width..(v + 1) * self.width];
+            fact.subtract(row);
+        }
+        for site in self.site_start[at]..self.site_start[at + 1] {
+            fact.insert(site as usize);
+        }
+    }
+
+    fn height(&self, _f: &Function) -> usize {
+        self.sites.len() + 1
     }
 }
 
-impl ReachingDefs {
+impl<'f> ReachingDefs<'f> {
     /// Compute reaching definitions with the default (summary-free,
     /// conservative) def/use context.
-    pub fn compute(f: &Function) -> ReachingDefs {
+    pub fn compute(f: &'f Function) -> ReachingDefs<'f> {
         ReachingDefs::compute_in(f, &DefUseCtx::default())
     }
 
     /// Compute reaching definitions with interprocedural effect summaries
     /// (mutated-argument escapes become gen-only definition sites).
-    pub fn compute_in(f: &Function, ctx: &DefUseCtx) -> ReachingDefs {
-        let a = ReachAnalysis { ctx };
-        ReachingDefs {
-            sol: dataflow::solve(&a, f),
-        }
+    pub fn compute_in(f: &'f Function, ctx: &DefUseCtx) -> ReachingDefs<'f> {
+        let a = ReachAnalysis::new(f, ctx);
+        let sol = dataflow::solve_in(&a, &a.ix);
+        ReachingDefs { a, sol }
+    }
+
+    /// The sites of `fact`, in `(variable name, site)` order.
+    fn sites(&self, fact: &BitSet) -> BTreeSet<DefSite> {
+        fact.iter().map(|i| self.a.sites[i]).collect()
     }
 
     /// Definition sites reaching the program point just before `id`
-    /// (empty when the statement is unknown).
+    /// (empty when the statement is unknown). Replays `id`'s block.
     pub fn before(&self, id: StmtId) -> BTreeSet<DefSite> {
-        self.sol.before.get(&id).cloned().unwrap_or_default()
+        self.sol
+            .before(&self.a, &self.a.ix, id)
+            .map(|fact| self.sites(&fact))
+            .unwrap_or_default()
     }
 
     /// The statements that may have defined `var` last, observed just
@@ -118,6 +216,15 @@ impl ReachingDefs {
             .map(|(_, site)| site)
             .collect()
     }
+
+    /// Call `visit(stmt, sites)` with the definition sites reaching each
+    /// statement, each block replayed once.
+    pub fn replay(&self, mut visit: impl FnMut(&'f Stmt, &mut dyn Iterator<Item = DefSite>)) {
+        let sites = &self.a.sites;
+        self.sol.replay(&self.a, &self.a.ix, |_, s, fact| {
+            visit(s, &mut fact.iter().map(|i| sites[i]))
+        });
+    }
 }
 
 #[cfg(test)]
@@ -125,11 +232,11 @@ mod tests {
     use super::*;
     use imp::parser::parse_program;
 
-    fn reach(src: &str) -> (imp::ast::Function, ReachingDefs) {
+    /// The results borrow the function, so the test leaks it.
+    fn reach(src: &str) -> (&'static imp::ast::Function, ReachingDefs<'static>) {
         let p = parse_program(src).unwrap();
-        let f = p.functions[0].clone();
-        let r = ReachingDefs::compute(&f);
-        (f, r)
+        let f: &'static imp::ast::Function = Box::leak(Box::new(p.functions[0].clone()));
+        (f, ReachingDefs::compute(f))
     }
 
     #[test]

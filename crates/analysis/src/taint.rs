@@ -19,45 +19,119 @@
 use intern::Symbol;
 use std::collections::BTreeSet;
 
-use imp::ast::{builtins, Expr, Function, Stmt, StmtKind};
+use imp::ast::{builtins, Expr, Function, Stmt, StmtId, StmtKind};
 
-use crate::dataflow::{self, Analysis, Direction};
+use crate::dataflow::{self, set_bit, Analysis, BitSet, Direction, FnIndex};
 use crate::diag::{Code, Diagnostic};
 use crate::pass::{Pass, PassContext};
 
-/// The dataflow client: forward, powerset-of-variables lattice, parameters
-/// tainted at the boundary.
-struct TaintAnalysis;
+/// What a statement does to the taint of its target variable.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Effect {
+    /// `target = value`: tainted exactly when a source variable is.
+    Strong,
+    /// `target.add(args)`: becomes tainted when a source variable is.
+    Weak,
+    /// A cursor variable: rows come from the database, not from inputs.
+    Clear,
+}
 
-/// May `e` evaluate to a value derived from a tainted variable?
-fn expr_tainted(e: &Expr, tainted: &BTreeSet<Symbol>) -> bool {
+/// The dataflow client: forward, a bitset over the function's variables,
+/// parameters tainted at the boundary. Statement position `at` has effect
+/// `effects[at]` on its target variable, if any, and reads the source row
+/// `at` of `sources`.
+#[derive(Debug, Clone)]
+struct TaintAnalysis<'f> {
+    ix: FnIndex<'f>,
+    effects: Vec<Option<(Effect, u32)>>,
+    width: usize,
+    sources: Vec<u64>,
+}
+
+/// Report every variable whose taint would taint the value of `e`.
+fn taint_sources(e: &Expr, f: &mut impl FnMut(Symbol)) {
     match e {
-        Expr::Lit(_) => false,
-        Expr::Var(v) => tainted.contains(v),
-        Expr::Unary(_, x) => expr_tainted(x, tainted),
-        Expr::Binary(_, l, r) => expr_tainted(l, tainted) || expr_tainted(r, tainted),
+        Expr::Lit(_) => {}
+        Expr::Var(v) => f(*v),
+        Expr::Unary(_, x) | Expr::Field(x, _) => taint_sources(x, f),
+        Expr::Binary(_, l, r) => {
+            taint_sources(l, f);
+            taint_sources(r, f);
+        }
         // The chosen value carries the taint; the condition does not flow
         // into the value (no implicit flows in this model).
-        Expr::Ternary(_, a, b) => expr_tainted(a, tainted) || expr_tainted(b, tainted),
-        Expr::Field(base, _) => expr_tainted(base, tainted),
+        Expr::Ternary(_, a, b) => {
+            taint_sources(a, f);
+            taint_sources(b, f);
+        }
         Expr::Call { name, args } => {
-            if builtins::DB_FUNCTIONS.contains(&name.as_str()) {
-                // Database results are not sources in this first-order model.
-                false
-            } else {
-                // Pure library functions and user helpers propagate their
-                // arguments' taint (conservative for helpers).
-                args.iter().any(|a| expr_tainted(a, tainted))
+            // Database results are not sources in this first-order model;
+            // pure library functions and user helpers propagate their
+            // arguments' taint (conservative for helpers).
+            if !builtins::DB_FUNCTIONS.contains(&name.as_str()) {
+                for a in args {
+                    taint_sources(a, f);
+                }
             }
         }
         Expr::MethodCall { recv, args, .. } => {
-            expr_tainted(recv, tainted) || args.iter().any(|a| expr_tainted(a, tainted))
+            taint_sources(recv, f);
+            for a in args {
+                taint_sources(a, f);
+            }
         }
     }
 }
 
-impl Analysis for TaintAnalysis {
-    type Fact = BTreeSet<Symbol>;
+/// May `e` evaluate to a value derived from a variable `tainted` accepts?
+fn expr_tainted(e: &Expr, tainted: impl Fn(Symbol) -> bool) -> bool {
+    let mut hit = false;
+    taint_sources(e, &mut |v| hit |= tainted(v));
+    hit
+}
+
+impl<'f> TaintAnalysis<'f> {
+    fn new(f: &'f Function) -> TaintAnalysis<'f> {
+        let ix = FnIndex::build(f, []);
+        let width = BitSet::words_for(ix.var_count());
+        let mut sources = vec![0; ix.stmt_count() * width];
+        let mut effects = Vec::with_capacity(ix.stmt_count());
+        for at in 0..ix.stmt_count() {
+            let row = &mut sources[at * width..(at + 1) * width];
+            let mut read =
+                |e: &Expr| taint_sources(e, &mut |v| set_bit(row, ix.var(v).expect("indexed")));
+            let effect = match &ix.stmt(at).kind {
+                StmtKind::Assign { target, value } => {
+                    read(value);
+                    Some((Effect::Strong, *target))
+                }
+                StmtKind::ForEach { var, .. } => Some((Effect::Clear, *var)),
+                StmtKind::Expr(Expr::MethodCall { recv, name, args })
+                    if builtins::MUTATING_METHODS.contains(&name.as_str()) =>
+                {
+                    match recv.as_ref() {
+                        Expr::Var(v) => {
+                            args.iter().for_each(&mut read);
+                            Some((Effect::Weak, *v))
+                        }
+                        _ => None,
+                    }
+                }
+                _ => None,
+            };
+            effects.push(effect.map(|(e, v)| (e, ix.var(v).expect("indexed") as u32)));
+        }
+        TaintAnalysis {
+            ix,
+            effects,
+            width,
+            sources,
+        }
+    }
+}
+
+impl Analysis for TaintAnalysis<'_> {
+    type Fact = BitSet;
 
     fn name(&self) -> &'static str {
         "taint"
@@ -67,48 +141,88 @@ impl Analysis for TaintAnalysis {
         Direction::Forward
     }
 
-    fn bottom(&self) -> Self::Fact {
-        BTreeSet::new()
+    fn bottom(&self) -> BitSet {
+        BitSet::new(self.ix.var_count())
     }
 
-    fn boundary(&self, f: &Function) -> Self::Fact {
-        f.params.iter().copied().collect()
-    }
-
-    fn join(&self, a: &Self::Fact, b: &Self::Fact) -> Self::Fact {
-        a.union(b).copied().collect()
-    }
-
-    fn transfer_stmt(&self, s: &Stmt, fact: &Self::Fact) -> Self::Fact {
-        let mut out = fact.clone();
-        match &s.kind {
-            StmtKind::Assign { target, value } => {
-                if expr_tainted(value, fact) {
-                    out.insert(*target);
-                } else {
-                    out.remove(target);
-                }
-            }
-            StmtKind::ForEach { var, .. } => {
-                // Cursor rows come from the database, not from inputs.
-                out.remove(var);
-            }
-            StmtKind::Expr(Expr::MethodCall { recv, name, args })
-                if builtins::MUTATING_METHODS.contains(&name.as_str()) =>
-            {
-                if let Expr::Var(v) = recv.as_ref() {
-                    if args.iter().any(|a| expr_tainted(a, fact)) {
-                        out.insert(*v);
-                    }
-                }
-            }
-            _ => {}
+    fn boundary(&self, f: &Function) -> BitSet {
+        let mut tainted = self.bottom();
+        for p in &f.params {
+            tainted.insert(self.ix.var(*p).expect("parameters are indexed"));
         }
+        tainted
+    }
+
+    fn join(&self, a: &BitSet, b: &BitSet) -> BitSet {
+        let mut out = a.clone();
+        out.union_with(b);
         out
     }
 
-    fn height(&self, f: &Function) -> usize {
-        dataflow::variable_universe(f).len() + 1
+    fn join_into(&self, into: &mut BitSet, other: &BitSet) -> bool {
+        into.union_with(other)
+    }
+
+    fn transfer_stmt(&self, s: &Stmt, fact: &BitSet) -> BitSet {
+        let at = self
+            .ix
+            .locate(s.id)
+            .expect("a statement of the analysed function");
+        let mut out = fact.clone();
+        self.apply_stmt(at, s, &mut out);
+        out
+    }
+
+    fn apply_stmt(&self, at: usize, _s: &Stmt, fact: &mut BitSet) {
+        let Some((effect, target)) = self.effects[at] else {
+            return;
+        };
+        let target = target as usize;
+        let reads = || fact.intersects(&self.sources[at * self.width..(at + 1) * self.width]);
+        match effect {
+            Effect::Strong => {
+                if reads() {
+                    fact.insert(target);
+                } else {
+                    fact.remove(target);
+                }
+            }
+            Effect::Weak => {
+                if reads() {
+                    fact.insert(target);
+                }
+            }
+            Effect::Clear => fact.remove(target),
+        }
+    }
+
+    fn height(&self, _f: &Function) -> usize {
+        self.ix.var_count() + 1
+    }
+}
+
+/// Per-statement taint facts of one function: block-level facts, replayed
+/// on demand.
+pub struct Taint<'f> {
+    a: TaintAnalysis<'f>,
+    sol: dataflow::Solution<BitSet>,
+}
+
+impl<'f> Taint<'f> {
+    /// Solve taint over `f`, parameters tainted at entry.
+    pub fn compute(f: &'f Function) -> Taint<'f> {
+        let a = TaintAnalysis::new(f);
+        let sol = dataflow::solve_in(&a, &a.ix);
+        Taint { a, sol }
+    }
+
+    /// Variables that may be tainted just before `id`, in name order
+    /// (empty when unknown). Replays `id`'s block.
+    pub fn before(&self, id: StmtId) -> BTreeSet<Symbol> {
+        self.sol
+            .before(&self.a, &self.a.ix, id)
+            .map(|fact| fact.iter().map(|i| self.a.ix.var_symbol(i)).collect())
+            .unwrap_or_default()
     }
 }
 
@@ -122,12 +236,11 @@ impl Pass for TaintPass {
     }
 
     fn run(&self, cx: &mut PassContext<'_>) {
-        let sol = dataflow::solve(&TaintAnalysis, cx.function);
+        let taint = Taint::compute(cx.function);
+        let ix = &taint.a.ix;
         let mut found: Vec<(imp::token::Span, String, Option<String>)> = Vec::new();
-        cx.function.body.walk(&mut |s, _| {
-            let Some(tainted) = sol.before.get(&s.id) else {
-                return;
-            };
+        taint.sol.replay(&taint.a, ix, |_, s, tainted| {
+            let is_tainted = |v| ix.var(v).is_some_and(|i| tainted.contains(i));
             for e in s.kind.exprs() {
                 e.walk(&mut |sub| {
                     let Expr::Call { name, args } = sub else {
@@ -139,7 +252,7 @@ impl Pass for TaintPass {
                     let Some(sql_arg) = args.first() else {
                         return;
                     };
-                    if expr_tainted(sql_arg, tainted) {
+                    if expr_tainted(sql_arg, is_tainted) {
                         let var = match sql_arg {
                             Expr::Var(v) => Some(v.to_string()),
                             _ => None,

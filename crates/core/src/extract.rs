@@ -213,6 +213,9 @@ pub struct StageTimes {
     /// Region tree + D-IR construction (ee-DAG/ve-Map build, including the
     /// loopToFold F-IR conversion that runs inside the builder).
     pub dir_ns: u64,
+    /// Live-variable analysis of the function (`analysis::liveness`),
+    /// which decides the accumulators that are dead after their loop.
+    pub liveness_ns: u64,
     /// T1–T7 rule-engine fixpoint.
     pub rules_ns: u64,
     /// F-IR → SQL/imp expression generation.
@@ -237,7 +240,7 @@ pub struct StageTimes {
 }
 
 /// Number of timed stages in [`StageTimes::stages`].
-pub const STAGE_COUNT: usize = 7;
+pub const STAGE_COUNT: usize = 8;
 
 impl StageTimes {
     /// Every timed stage as `(name, ns)`, in pipeline order. This is the
@@ -247,6 +250,7 @@ impl StageTimes {
         [
             ("desugar", self.desugar_ns),
             ("dir", self.dir_ns),
+            ("liveness", self.liveness_ns),
             ("depend", self.depend_ns),
             ("rules", self.rules_ns),
             ("sqlgen", self.sqlgen_ns),
@@ -264,6 +268,7 @@ impl StageTimes {
     pub fn absorb(&mut self, other: &StageTimes) {
         self.desugar_ns += other.desugar_ns;
         self.dir_ns += other.dir_ns;
+        self.liveness_ns += other.liveness_ns;
         self.rules_ns += other.rules_ns;
         self.sqlgen_ns += other.sqlgen_ns;
         self.rewrite_ns += other.rewrite_ns;
@@ -274,6 +279,16 @@ impl StageTimes {
         self.obligations_checked += other.obligations_checked;
         self.depend_ns += other.depend_ns;
     }
+}
+
+/// [`Extractor::extract_in`]'s findings for one function: an
+/// [`ExtractionReport`] without the program, which was rewritten in place.
+struct FunctionRun {
+    vars: Vec<VarExtraction>,
+    diagnostics: Vec<Diagnostic>,
+    loops_rewritten: usize,
+    stage: StageTimes,
+    certification: Option<CertSummary>,
 }
 
 /// The report for one extraction run.
@@ -479,19 +494,21 @@ impl Extractor {
         Extractor { catalog, opts }
     }
 
-    /// Extract from every function of the program.
+    /// Extract from every function of the program. The program is cloned
+    /// once and each function is rewritten in that copy.
     pub fn extract_program(&self, program: &Program) -> ExtractionReport {
         let started = Instant::now();
-        let mut out = program.clone();
+        let mut work = program.clone();
         let mut vars = Vec::new();
         let mut diagnostics = Vec::new();
         let mut loops_rewritten = 0;
-        let mut stage = StageTimes::default();
+        let mut stage = StageTimes {
+            desugar_ns: started.elapsed().as_nanos() as u64,
+            ..StageTimes::default()
+        };
         let mut certification: Option<CertSummary> = None;
-        let names: Vec<intern::Symbol> = program.functions.iter().map(|f| f.name).collect();
-        for name in names {
-            let r = self.extract_function(&out, &name);
-            out = r.program;
+        for f in &program.functions {
+            let r = self.extract_in(&mut work, &f.name, Instant::now());
             vars.extend(r.vars);
             diagnostics.extend(r.diagnostics);
             loops_rewritten += r.loops_rewritten;
@@ -502,7 +519,7 @@ impl Extractor {
         }
         dedup_sort(&mut diagnostics);
         ExtractionReport {
-            program: out,
+            program: work,
             vars,
             diagnostics,
             loops_rewritten,
@@ -516,10 +533,25 @@ impl Extractor {
     /// rewritten (other functions untouched).
     pub fn extract_function(&self, program: &Program, fname: &str) -> ExtractionReport {
         let started = Instant::now();
-        let mut stage = StageTimes::default();
         let mut work = program.clone();
-        imp::desugar::normalize_minmax(&mut work);
-        imp::desugar::normalize_bool_flags(&mut work);
+        let r = self.extract_in(&mut work, fname, started);
+        ExtractionReport {
+            program: work,
+            vars: r.vars,
+            diagnostics: r.diagnostics,
+            loops_rewritten: r.loops_rewritten,
+            elapsed: started.elapsed(),
+            stage: r.stage,
+            certification: r.certification,
+        }
+    }
+
+    /// Extract from function `fname` of `work`, rewriting it in place.
+    /// `started` opens the desugar stage's clock.
+    fn extract_in(&self, work: &mut Program, fname: &str, started: Instant) -> FunctionRun {
+        let mut stage = StageTimes::default();
+        imp::desugar::normalize_minmax(work);
+        imp::desugar::normalize_bool_flags(work);
         if self.opts.rewrite_prints {
             if let Some(f) = work.function_mut(fname) {
                 imp::desugar::rewrite_prints(f);
@@ -528,12 +560,10 @@ impl Extractor {
         }
         stage.desugar_ns = started.elapsed().as_nanos() as u64;
         let Some(f) = work.function(fname).cloned() else {
-            return ExtractionReport {
-                program: work,
+            return FunctionRun {
                 vars: Vec::new(),
                 diagnostics: Vec::new(),
                 loops_rewritten: 0,
-                elapsed: started.elapsed(),
                 stage,
                 certification: self.opts.certify.then(CertSummary::default),
             };
@@ -548,14 +578,16 @@ impl Extractor {
             loops: candidates,
             du_ctx,
             ..
-        } = DirBuilder::new(&work, &self.catalog)
+        } = DirBuilder::new(work, &self.catalog)
             .with_fir_options(crate::fir::FirOptions {
                 dependent_agg: self.opts.dependent_agg,
             })
             .build_function(fname)
             .expect("the function exists");
         stage.dir_ns = dir_started.elapsed().as_nanos() as u64;
+        let liveness_started = Instant::now();
         let liveness = Liveness::compute(&f, &Default::default());
+        stage.liveness_ns = liveness_started.elapsed().as_nanos() as u64;
         let certifier = self
             .opts
             .certify
@@ -575,7 +607,6 @@ impl Extractor {
         });
 
         for cand in candidates {
-            let live_after = liveness.after(cand.stmt);
             let loop_stmt = f.body.find(cand.stmt);
             let loop_span = loop_stmt.map(|s| s.span).unwrap_or_default();
             // A loop with residual external writes (updates, prints) must
@@ -593,7 +624,7 @@ impl Extractor {
             let mut loop_ok = true;
             let mut loop_vars: Vec<VarExtraction> = Vec::new();
             for (var, node) in &cand.entries {
-                if !live_after.contains(var) {
+                if !liveness.is_live_after(cand.stmt, *var) {
                     continue; // dead after the loop; nothing to extract
                 }
                 let outcome;
@@ -762,7 +793,7 @@ impl Extractor {
                     fname,
                     cand.stmt,
                     loop_span,
-                    &live_after,
+                    &liveness,
                     &mut stage,
                     certification.as_mut(),
                 ) {
@@ -933,8 +964,10 @@ impl Extractor {
             vars_report.extend(loop_vars);
         }
 
+        // The liveness borrows `f`; the rewrite takes it by value.
+        drop(liveness);
         let rewrite_started = Instant::now();
-        let mut new_f = f.clone();
+        let mut new_f = f;
         let loops_rewritten = apply_plans(&mut new_f, &plans);
         if let Some(slot) = work.function_mut(fname) {
             *slot = new_f;
@@ -943,12 +976,10 @@ impl Extractor {
         stage.rewrite_ns = rewrite_started.elapsed().as_nanos() as u64;
         stage.peak_dag_nodes = dag.len() as u64;
         dedup_sort(&mut diagnostics);
-        ExtractionReport {
-            program: work,
+        FunctionRun {
             vars: vars_report,
             diagnostics,
             loops_rewritten,
-            elapsed: started.elapsed(),
             stage,
             certification,
         }
@@ -967,7 +998,7 @@ impl Extractor {
         fname: &str,
         loop_stmt: StmtId,
         loop_span: imp::token::Span,
-        live_after: &std::collections::BTreeSet<intern::Symbol>,
+        liveness: &Liveness<'_>,
         stage: &mut StageTimes,
         certification: Option<&mut CertSummary>,
     ) -> Option<DmlOutcome> {
@@ -1006,7 +1037,8 @@ impl Extractor {
             diags,
         };
         let depend_started = Instant::now();
-        let lowered = self.lower_dml_loop(f, cursor, iterable, body, loop_span, live_after);
+        let live_after = |v| liveness.is_live_after(loop_stmt, v);
+        let lowered = self.lower_dml_loop(f, cursor, iterable, body, loop_span, &live_after);
         stage.depend_ns += depend_started.elapsed().as_nanos() as u64;
         let LoweredDml {
             driving,
@@ -1122,7 +1154,7 @@ impl Extractor {
         iterable: &Expr,
         body: &imp::ast::Block,
         loop_span: imp::token::Span,
-        live_after: &std::collections::BTreeSet<intern::Symbol>,
+        live_after: &dyn Fn(intern::Symbol) -> bool,
     ) -> Result<LoweredDml, DmlKept> {
         use analysis::depend;
         // Resolve the driving scan; without it the dependence analysis has
@@ -1149,7 +1181,7 @@ impl Extractor {
         // Removing the loop drops its scalar assignments too: every
         // variable the body defines must be dead afterwards.
         let defs = block_defs(body);
-        if let Some(v) = defs.iter().find(|v| live_after.contains(*v)) {
+        if let Some(v) = defs.iter().find(|v| live_after(**v)) {
             return Err(DmlKept::Unbatched(format!(
                 "the loop is batchable, but `{v}` is assigned in the body \
                  and still live after the loop"
