@@ -21,6 +21,11 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo fmt --check + cargo clippy on eqbench"
+# eqbench is a separate workspace, so the two steps above do not reach it.
+cargo fmt --check --manifest-path eqbench/Cargo.toml
+cargo clippy --offline --manifest-path eqbench/Cargo.toml --all-targets -- -D warnings
+
 echo "==> cargo doc (rustdoc warnings are errors)"
 # Broken or ambiguous intra-doc links fail here. `--lib` documents each
 # package's library only: the `eqsql` CLI binary and library share an

@@ -1,9 +1,10 @@
 //! A reusable monotone dataflow framework over [`crate::cfg`].
 //!
 //! Classic Kildall/Kam-Ullman setup: a client implements [`Analysis`] by
-//! choosing a direction, a join-semilattice of facts (`bottom` + `join`),
-//! and monotone transfer functions for statements and terminators; the
-//! [`solve`] driver runs a deterministic worklist to the least fixpoint.
+//! choosing a direction, a join-semilattice of facts (`bottom` +
+//! `join_into`), and monotone in-place transfers for statements and
+//! terminators; the [`solve`] driver runs a deterministic worklist to the
+//! least fixpoint over a [`FnIndex`] its caller built.
 //!
 //! Design points:
 //!
@@ -14,7 +15,8 @@
 //!   Set-valued clients ([`crate::liveness`], [`crate::reaching`],
 //!   [`crate::taint`]) use [`BitSet`] facts over that numbering and
 //!   tabulate each statement's gen/kill once per function; the solver
-//!   hands them the position through [`Analysis::apply_stmt`].
+//!   hands them the position through [`Analysis::apply_stmt`]. A client
+//!   borrows the index, so one build serves every analysis of a function.
 //! * **Deterministic iteration.** The worklist is a [`BitSet`] of
 //!   reverse-postorder indexes (postorder for backward problems), popped
 //!   lowest first, so the fixpoint — and, more importantly, the *work
@@ -39,7 +41,7 @@
 //! backward analysis the flow input of a block is `exit[b]` and the result
 //! of its transfers is `entry[b]`.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Range;
 
@@ -59,10 +61,10 @@ pub enum Direction {
 
 /// A monotone dataflow problem over a join-semilattice.
 ///
-/// `join` must be commutative, associative, and idempotent with `bottom`
-/// as its identity; `transfer_stmt`/`transfer_terminator` must be monotone
-/// with respect to the induced partial order. Violations are caught at run
-/// time by the height guard in [`solve`].
+/// `join_into` must be commutative, associative, and idempotent with
+/// `bottom` as its identity; `apply_stmt`/`apply_terminator` must be
+/// monotone with respect to the induced partial order. Violations are
+/// caught at run time by the height guard in [`solve`].
 pub trait Analysis {
     /// Lattice element.
     type Fact: Clone + Eq + std::fmt::Debug;
@@ -73,58 +75,33 @@ pub trait Analysis {
     /// Flow direction.
     fn direction(&self) -> Direction;
 
-    /// The least lattice element (identity of [`Analysis::join`]).
+    /// The least lattice element (identity of [`Analysis::join_into`]).
     fn bottom(&self) -> Self::Fact;
 
-    /// The fact holding at the boundary: entry of Start for forward
-    /// problems, exit of End for backward ones. Defaults to `bottom`.
-    fn boundary(&self, _f: &Function) -> Self::Fact {
+    /// The fact holding at the boundary of the function `ix` indexes:
+    /// entry of Start for forward problems, exit of End for backward ones.
+    /// Defaults to `bottom`.
+    fn boundary(&self, _ix: &FnIndex<'_>) -> Self::Fact {
         self.bottom()
     }
 
-    /// Least upper bound of two facts.
-    fn join(&self, a: &Self::Fact, b: &Self::Fact) -> Self::Fact;
-
-    /// Transfer one statement, receiving the fact flowing *into* it
-    /// (program-order before for forward problems, program-order after for
-    /// backward ones).
-    fn transfer_stmt(&self, stmt: &Stmt, fact: &Self::Fact) -> Self::Fact;
-
-    /// Transfer a block terminator; defaults to the identity.
-    fn transfer_terminator(&self, _t: &Terminator, fact: &Self::Fact) -> Self::Fact {
-        fact.clone()
-    }
-
-    /// An upper bound on the length of strictly-ascending chains the
-    /// fixpoint can climb in `f` (e.g. the number of variables for a
-    /// powerset-of-variables lattice). Used only for the termination guard.
-    fn height(&self, f: &Function) -> usize;
-
-    /// `into ⊔= other` in place; true when `into` grew. Defaults to
-    /// [`Analysis::join`].
-    fn join_into(&self, into: &mut Self::Fact, other: &Self::Fact) -> bool {
-        let joined = self.join(into, other);
-        if joined == *into {
-            false
-        } else {
-            *into = joined;
-            true
-        }
-    }
+    /// `into ⊔= other` in place; true when `into` grew.
+    fn join_into(&self, into: &mut Self::Fact, other: &Self::Fact) -> bool;
 
     /// Transfer `stmt`, at position `at` of the function's [`FnIndex`], in
-    /// place. This is what the solver calls; a client with per-position
-    /// gen/kill tables overrides it. Defaults to
-    /// [`Analysis::transfer_stmt`].
-    fn apply_stmt(&self, _at: usize, stmt: &Stmt, fact: &mut Self::Fact) {
-        *fact = self.transfer_stmt(stmt, fact);
-    }
+    /// place. `fact` is the fact flowing *into* it (program-order before
+    /// for forward problems, program-order after for backward ones).
+    fn apply_stmt(&self, at: usize, stmt: &Stmt, fact: &mut Self::Fact);
 
-    /// Transfer block `b`'s terminator `t` in place. Defaults to
-    /// [`Analysis::transfer_terminator`].
-    fn apply_terminator(&self, _b: BlockId, t: &Terminator, fact: &mut Self::Fact) {
-        *fact = self.transfer_terminator(t, fact);
-    }
+    /// Transfer block `b`'s terminator `t` in place; defaults to the
+    /// identity.
+    fn apply_terminator(&self, _b: BlockId, _t: &Terminator, _fact: &mut Self::Fact) {}
+
+    /// An upper bound on the length of strictly-ascending chains the
+    /// fixpoint can climb in the function `ix` indexes (e.g. the number of
+    /// variables for a powerset-of-variables lattice). Used only for the
+    /// termination guard.
+    fn height(&self, ix: &FnIndex<'_>) -> usize;
 }
 
 /// Sets of up to this many 64-bit words live inline in a [`BitSet`].
@@ -318,14 +295,13 @@ pub struct FnIndex<'f> {
 }
 
 impl<'f> FnIndex<'f> {
-    /// Index `f`. `extra_vars` join the variable numbering (liveness's
-    /// out-parameters may not occur in the body).
+    /// Index `f`.
     ///
     /// Panics when two statements share an id: facts are located by
     /// `StmtId`, so duplicates would silently alias statements and corrupt
     /// every client (the usual culprit is a rewrite that forgot to
     /// renumber).
-    pub fn build(f: &'f Function, extra_vars: impl IntoIterator<Item = Symbol>) -> FnIndex<'f> {
+    pub fn build(f: &'f Function) -> FnIndex<'f> {
         let cfg = Cfg::build(f);
         let n = cfg.blocks.len();
 
@@ -352,7 +328,6 @@ impl<'f> FnIndex<'f> {
         let mut stmts: Vec<Option<&'f Stmt>> = vec![None; count];
         let mut vars: Vec<Symbol> = Vec::with_capacity(f.params.len() + 32);
         vars.extend(&f.params);
-        vars.extend(extra_vars);
         // One pass: place each statement, and collect the variables it
         // assigns and (as `Block::walk_exprs` would) reads.
         f.body.walk(&mut |s, _| {
@@ -403,6 +378,11 @@ impl<'f> FnIndex<'f> {
             pred_start,
             vars,
         }
+    }
+
+    /// The indexed function.
+    pub(crate) fn function(&self) -> &'f Function {
+        self.function
     }
 
     /// Its control-flow graph.
@@ -587,13 +567,8 @@ pub fn stmt_index(f: &Function) -> BTreeMap<StmtId, &Stmt> {
     map
 }
 
-/// Solve `a` over `f`, indexing it internally.
-pub fn solve<A: Analysis>(a: &A, f: &Function) -> Solution<A::Fact> {
-    solve_in(a, &FnIndex::build(f, []))
-}
-
 /// Solve `a` over an indexed function.
-pub fn solve_in<A: Analysis>(a: &A, ix: &FnIndex<'_>) -> Solution<A::Fact> {
+pub fn solve<A: Analysis>(a: &A, ix: &FnIndex<'_>) -> Solution<A::Fact> {
     let cfg = &ix.cfg;
     let n = cfg.blocks.len();
     let forward = a.direction() == Direction::Forward;
@@ -620,12 +595,12 @@ pub fn solve_in<A: Analysis>(a: &A, ix: &FnIndex<'_>) -> Solution<A::Fact> {
     let mut entry: Vec<A::Fact> = (0..n).map(|_| a.bottom()).collect();
     let mut exit: Vec<A::Fact> = (0..n).map(|_| a.bottom()).collect();
     if forward {
-        entry[cfg.start.0] = a.boundary(ix.function);
+        entry[cfg.start.0] = a.boundary(ix);
     } else {
-        exit[cfg.end.0] = a.boundary(ix.function);
+        exit[cfg.end.0] = a.boundary(ix);
     }
 
-    let height = a.height(ix.function);
+    let height = a.height(ix);
     // Each re-processing of a block is caused by a strict lattice climb of
     // its flow input, so `height + 2` visits (initial + climbs + slack)
     // suffice for any monotone client.
@@ -675,35 +650,18 @@ pub fn solve_in<A: Analysis>(a: &A, ix: &FnIndex<'_>) -> Solution<A::Fact> {
     Solution { entry, exit }
 }
 
-/// Every variable a function mentions (parameters, assignment targets,
-/// loop variables, and reads) — the universe for powerset-of-variables
-/// lattices, and hence their chain height.
-pub fn variable_universe(f: &Function) -> BTreeSet<intern::Symbol> {
-    let mut vars: BTreeSet<intern::Symbol> = f.params.iter().copied().collect();
-    f.body.walk(&mut |s, _| {
-        if let StmtKind::Assign { target: v, .. } | StmtKind::ForEach { var: v, .. } = &s.kind {
-            vars.insert(*v);
-        }
-    });
-    f.body.walk_exprs(&mut |e| {
-        if let Expr::Var(v) = e {
-            vars.insert(*v);
-        }
-    });
-    vars
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use imp::parser::parse_program;
+    use std::collections::BTreeSet;
 
     /// A toy forward analysis: the set of variables assigned a constant
-    /// literal somewhere on every… no — *some* path so far (may analysis).
+    /// literal on *some* path so far (a may analysis).
     struct ConstAssigned;
 
     impl Analysis for ConstAssigned {
-        type Fact = BTreeSet<intern::Symbol>;
+        type Fact = BTreeSet<Symbol>;
         fn name(&self) -> &'static str {
             "const-assigned"
         }
@@ -713,22 +671,22 @@ mod tests {
         fn bottom(&self) -> Self::Fact {
             BTreeSet::new()
         }
-        fn join(&self, a: &Self::Fact, b: &Self::Fact) -> Self::Fact {
-            a.union(b).copied().collect()
+        fn join_into(&self, into: &mut Self::Fact, other: &Self::Fact) -> bool {
+            let before = into.len();
+            into.extend(other);
+            into.len() != before
         }
-        fn transfer_stmt(&self, stmt: &Stmt, fact: &Self::Fact) -> Self::Fact {
-            let mut out = fact.clone();
+        fn apply_stmt(&self, _at: usize, stmt: &Stmt, fact: &mut Self::Fact) {
             if let StmtKind::Assign { target, value } = &stmt.kind {
-                if matches!(value, imp::ast::Expr::Lit(_)) {
-                    out.insert(*target);
+                if matches!(value, Expr::Lit(_)) {
+                    fact.insert(*target);
                 } else {
-                    out.remove(target);
+                    fact.remove(target);
                 }
             }
-            out
         }
-        fn height(&self, f: &Function) -> usize {
-            variable_universe(f).len() + 1
+        fn height(&self, ix: &FnIndex<'_>) -> usize {
+            ix.var_count() + 1
         }
     }
 
@@ -736,10 +694,12 @@ mod tests {
     fn forward_fixpoint_reaches_loop_exit() {
         let p =
             parse_program("fn f() { a = 1; for (t in q) { b = 2; c = t.x; } return a; }").unwrap();
-        let f = &p.functions[0];
-        let sol = solve(&ConstAssigned, f);
-        let cfg = Cfg::build(f);
-        let at_end: Vec<String> = sol.entry[cfg.end.0].iter().map(|s| s.to_string()).collect();
+        let ix = FnIndex::build(&p.functions[0]);
+        let sol = solve(&ConstAssigned, &ix);
+        let at_end: Vec<String> = sol.entry[ix.cfg().end.0]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
         assert!(at_end.contains(&"a".to_string()), "{at_end:?}");
         assert!(at_end.contains(&"b".to_string()), "loop body reaches end");
         assert!(!at_end.contains(&"c".to_string()), "c is not constant");
@@ -749,8 +709,8 @@ mod tests {
     fn per_stmt_replay_is_program_ordered() {
         let p = parse_program("fn f() { a = 1; b = a; }").unwrap();
         let f = &p.functions[0];
-        let ix = FnIndex::build(f, []);
-        let sol = solve_in(&ConstAssigned, &ix);
+        let ix = FnIndex::build(f);
+        let sol = solve(&ConstAssigned, &ix);
         let id_a = f.body.stmts[0].id;
         let id_b = f.body.stmts[1].id;
         assert!(sol.before(&ConstAssigned, &ix, id_a).unwrap().is_empty());
@@ -763,7 +723,7 @@ mod tests {
         let p =
             parse_program("fn f(n) { s = 0; for (t in q) { s = s + t.x; } return s; }").unwrap();
         let f = &p.functions[0];
-        let ix = FnIndex::build(f, [Symbol::intern("out")]);
+        let ix = FnIndex::build(f);
         for (id, s) in stmt_index(f) {
             let at = ix.locate(id).expect("every statement has a position");
             assert_eq!(ix.stmt(at).id, s.id);
@@ -772,7 +732,7 @@ mod tests {
         let names: BTreeSet<&str> = (0..ix.var_count())
             .map(|i| ix.var_symbol(i).as_str())
             .collect();
-        assert_eq!(names, BTreeSet::from(["n", "out", "q", "s", "t"]));
+        assert_eq!(names, BTreeSet::from(["n", "q", "s", "t"]));
         assert_eq!(
             ix.var(Symbol::intern("s")).map(|i| ix.var_symbol(i)),
             Some(Symbol::intern("s"))
@@ -821,7 +781,7 @@ mod tests {
         let mut p = parse_program("fn f() { a = 1; b = 2; }").unwrap();
         let id = p.functions[0].body.stmts[0].id;
         p.functions[0].body.stmts[1].id = id;
-        FnIndex::build(&p.functions[0], []);
+        FnIndex::build(&p.functions[0]);
     }
 
     #[test]
@@ -841,17 +801,19 @@ mod tests {
             fn bottom(&self) -> Self::Fact {
                 0
             }
-            fn join(&self, a: &Self::Fact, b: &Self::Fact) -> Self::Fact {
-                *a.max(b)
+            fn join_into(&self, into: &mut Self::Fact, other: &Self::Fact) -> bool {
+                let grew = *other > *into;
+                *into = (*into).max(*other);
+                grew
             }
-            fn transfer_stmt(&self, _stmt: &Stmt, fact: &Self::Fact) -> Self::Fact {
-                fact + 1
+            fn apply_stmt(&self, _at: usize, _stmt: &Stmt, fact: &mut Self::Fact) {
+                *fact += 1;
             }
-            fn height(&self, _f: &Function) -> usize {
+            fn height(&self, _ix: &FnIndex<'_>) -> usize {
                 4
             }
         }
         let p = parse_program("fn f() { for (t in q) { a = t.x; } return a; }").unwrap();
-        solve(&Broken, &p.functions[0]);
+        solve(&Broken, &FnIndex::build(&p.functions[0]));
     }
 }

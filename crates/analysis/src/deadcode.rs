@@ -10,21 +10,17 @@
 //! external *write* effect. Pure external *reads* (queries) are removable:
 //! eliminating an unused query round trip is precisely the optimization.
 
-use intern::Symbol;
-use std::collections::BTreeSet;
-
 use imp::ast::{Block, Expr, Function, StmtId, StmtKind};
 
+use crate::dataflow::FnIndex;
 use crate::liveness::Liveness;
 
 /// Remove dead statements from `f` until fixpoint. Returns the number of
 /// statements removed.
-///
-/// `protected` variables are treated as live at function exit.
-pub fn eliminate_dead_code(f: &mut Function, protected: &BTreeSet<Symbol>) -> usize {
+pub fn eliminate_dead_code(f: &mut Function) -> usize {
     let mut removed_total = 0;
     loop {
-        let dead = dead_writes(f, protected);
+        let dead = dead_writes(f);
         let removed = sweep_block(&mut f.body, &dead);
         removed_total += removed;
         if removed == 0 {
@@ -36,8 +32,9 @@ pub fn eliminate_dead_code(f: &mut Function, protected: &BTreeSet<Symbol>) -> us
 /// The assignments, and the mutations of a variable receiver, whose
 /// variable is dead after them, sorted by id. One liveness replay of every
 /// block.
-fn dead_writes(f: &Function, protected: &BTreeSet<Symbol>) -> Vec<StmtId> {
-    let live = Liveness::compute(f, protected);
+fn dead_writes(f: &Function) -> Vec<StmtId> {
+    let ix = FnIndex::build(f);
+    let live = Liveness::compute(&ix);
     let mut dead = Vec::new();
     live.replay(|s, is_live| {
         let written = match &s.kind {
@@ -179,7 +176,7 @@ mod tests {
     fn dce(src: &str) -> String {
         let mut p = parse_program(src).unwrap();
         let mut f = p.functions.remove(0);
-        eliminate_dead_code(&mut f, &BTreeSet::new());
+        eliminate_dead_code(&mut f);
         p.functions.push(f);
         pretty_print(&p)
     }

@@ -50,8 +50,8 @@ use imp::ast::{builtins, Block, Expr, Function, Literal, Stmt, StmtId, StmtKind}
 use imp::token::Span;
 use intern::Symbol;
 
-use crate::cfg::Terminator;
-use crate::dataflow::{self, Analysis, Direction};
+use crate::cfg::{BlockId, Terminator};
+use crate::dataflow::{self, Analysis, Direction, FnIndex};
 
 // ---------------------------------------------------------------------------
 // DML statement templates
@@ -498,60 +498,57 @@ impl Analysis for DependAnalysis {
         }
     }
 
-    fn boundary(&self, _f: &Function) -> AccessFact {
+    fn boundary(&self, _ix: &FnIndex<'_>) -> AccessFact {
         AccessFact {
             assigned: MustSet::Only(BTreeSet::new()),
             ..self.bottom()
         }
     }
 
-    fn join(&self, a: &AccessFact, b: &AccessFact) -> AccessFact {
-        let mut writes = a.writes.clone();
+    fn join_into(&self, into: &mut AccessFact, b: &AccessFact) -> bool {
+        let before = into.clone();
         for (t, w) in &b.writes {
-            match writes.get_mut(t) {
+            match into.writes.get_mut(t) {
                 Some(e) => {
                     e.kinds.extend(w.kinds.iter().cloned());
                     e.columns = e.columns.join(&w.columns);
                     e.key = e.key.join(&w.key);
                 }
                 None => {
-                    writes.insert(t.clone(), w.clone());
+                    into.writes.insert(t.clone(), w.clone());
                 }
             }
         }
-        AccessFact {
-            reads: a.reads.union(&b.reads).cloned().collect(),
-            writes,
-            carried: a.carried.union(&b.carried).cloned().collect(),
-            assigned: a.assigned.join(&b.assigned),
-            prints: a.prints || b.prints,
-            opaque: a.opaque.union(&b.opaque).cloned().collect(),
-        }
+        into.reads.extend(b.reads.iter().cloned());
+        into.carried.extend(b.carried.iter().cloned());
+        into.assigned = into.assigned.join(&b.assigned);
+        into.prints |= b.prints;
+        into.opaque.extend(b.opaque.iter().cloned());
+        *into != before
     }
 
-    fn transfer_stmt(&self, s: &Stmt, fact: &AccessFact) -> AccessFact {
-        let mut out = fact.clone();
+    fn apply_stmt(&self, _at: usize, s: &Stmt, out: &mut AccessFact) {
         match &s.kind {
             StmtKind::Assign { target, value } => {
-                self.scan_expr(value, &mut out);
+                self.scan_expr(value, out);
                 out.assigned.insert(*target);
             }
-            StmtKind::Expr(e) => self.scan_expr(e, &mut out),
+            StmtKind::Expr(e) => self.scan_expr(e, out),
             StmtKind::Print(es) => {
                 for e in es {
-                    self.scan_expr(e, &mut out);
+                    self.scan_expr(e, out);
                 }
                 out.prints = true;
             }
             StmtKind::Return(v) => {
                 if let Some(v) = v {
-                    self.scan_expr(v, &mut out);
+                    self.scan_expr(v, out);
                 }
             }
             // Nested loops are rejected syntactically before solving; keep
             // the transfer total (and conservative) anyway.
             StmtKind::ForEach { iterable, .. } => {
-                self.scan_expr(iterable, &mut out);
+                self.scan_expr(iterable, out);
                 out.opaque.insert("contains a nested loop".to_string());
             }
             StmtKind::While { .. } => {
@@ -561,25 +558,23 @@ impl Analysis for DependAnalysis {
             // before solving.
             StmtKind::If { .. } | StmtKind::Break | StmtKind::Continue => {}
         }
-        out
     }
 
-    fn transfer_terminator(&self, t: &Terminator, fact: &AccessFact) -> AccessFact {
-        let mut out = fact.clone();
+    fn apply_terminator(&self, _b: BlockId, t: &Terminator, out: &mut AccessFact) {
         match t {
-            Terminator::Branch { cond, .. } => self.scan_expr(cond, &mut out),
-            Terminator::ForDispatch { iterable, .. } => self.scan_expr(iterable, &mut out),
-            Terminator::Return(Some(v)) => self.scan_expr(v, &mut out),
+            Terminator::Branch { cond, .. } => self.scan_expr(cond, out),
+            Terminator::ForDispatch { iterable, .. } => self.scan_expr(iterable, out),
+            Terminator::Return(Some(v)) => self.scan_expr(v, out),
             Terminator::Return(None) | Terminator::Goto(_) | Terminator::End => {}
         }
-        out
     }
 
-    fn height(&self, f: &Function) -> usize {
+    fn height(&self, ix: &FnIndex<'_>) -> usize {
         // Chains are bounded by the syntactic material: every byte of a
         // SQL literal can add at most one read/write/column element, every
         // variable one `carried`/`assigned` element, every statement one
         // opaque reason; key lattices have height 2 and flags height 1.
+        let f = ix.function();
         let mut tokens = 0usize;
         let mut stmts = 0usize;
         f.body.walk(&mut |_, _| stmts += 1);
@@ -588,7 +583,7 @@ impl Analysis for DependAnalysis {
                 tokens += sql.len();
             }
         });
-        dataflow::variable_universe(f).len() * 2 + tokens * 4 + stmts * 2 + 8
+        ix.var_count() * 2 + tokens * 4 + stmts * 2 + 8
     }
 }
 
@@ -885,8 +880,8 @@ pub fn analyze_body(body: &Block, drv: &DrivingInfo) -> LoopDependence {
         span: drv.loop_span,
     };
     let a = DependAnalysis { cursor: drv.cursor };
-    let ix = dataflow::FnIndex::build(&f, []);
-    let sol = dataflow::solve_in(&a, &ix);
+    let ix = FnIndex::build(&f);
+    let sol = dataflow::solve(&a, &ix);
     let summary = sol.entry[ix.cfg().end.0].clone();
     dep.reads = summary.reads.clone();
     dep.writes = summary.writes.clone();

@@ -15,8 +15,7 @@
 //!   receiver — the mutation matters only if `c` is read downstream (this
 //!   "faint variable" treatment lets dead loop-carried mutation cycles be
 //!   swept; the DDG keeps the read-modify-write view);
-//! * `return` kills everything (including `extra_live_out`) except the
-//!   returned expression's reads.
+//! * `return` kills everything except the returned expression's reads.
 //!
 //! Solving on the CFG makes `break`/`continue` paths exact (the structured
 //! predecessor implementation, kept as a test oracle in [`reference`],
@@ -25,15 +24,16 @@
 //! edges, which the oracle under-approximated. An `If` id sits in the
 //! block that evaluates its condition; no consumer queries it.
 //!
-//! The solution keeps block-level facts only. [`Liveness::after`] replays
-//! one block into a name-ordered set; [`Liveness::is_live_after`] follows
-//! one variable back and allocates nothing; [`Liveness::replay`] walks
-//! every block once for callers that read every statement.
+//! The analysis borrows the [`FnIndex`] its caller built. The solution
+//! keeps block-level facts only. [`Liveness::after`] replays one block
+//! into a name-ordered set; [`Liveness::is_live_after`] follows one
+//! variable back and allocates nothing; [`Liveness::replay`] walks every
+//! block once for callers that read every statement.
 
 use intern::Symbol;
 use std::collections::BTreeSet;
 
-use imp::ast::{Expr, Function, Stmt, StmtId, StmtKind};
+use imp::ast::{Expr, Stmt, StmtId, StmtKind};
 
 use crate::cfg::{BlockId, Terminator};
 use crate::dataflow::{self, bit, set_bit, Analysis, BitSet, Direction, FnIndex};
@@ -42,8 +42,8 @@ use crate::defuse::{for_each_access, Access, DefUseCtx};
 /// Per-statement liveness of one function: block-level facts, replayed on
 /// demand.
 #[derive(Debug, Clone)]
-pub struct Liveness<'f> {
-    a: LiveAnalysis<'f>,
+pub struct Liveness<'a> {
+    a: LiveAnalysis<'a>,
     sol: dataflow::Solution<BitSet>,
 }
 
@@ -52,48 +52,31 @@ pub struct Liveness<'f> {
 /// block `b`'s terminator. A row is a kill set then a gen set, `width`
 /// words each, and a fact flows through it as `(fact − kill) ∪ gen`.
 #[derive(Debug, Clone)]
-struct LiveAnalysis<'f> {
-    ix: FnIndex<'f>,
-    /// Variables live at function exit besides `return` reads.
-    boundary: BitSet,
+struct LiveAnalysis<'a> {
+    ix: &'a FnIndex<'a>,
     width: usize,
     rows: Vec<u64>,
 }
 
-impl<'f> LiveAnalysis<'f> {
-    fn new(f: &'f Function, extra_live_out: &BTreeSet<Symbol>) -> LiveAnalysis<'f> {
-        let ix = FnIndex::build(f, extra_live_out.iter().copied());
-        let vars = ix.var_count();
-        let width = BitSet::words_for(vars);
+impl<'a> LiveAnalysis<'a> {
+    fn new(ix: &'a FnIndex<'a>) -> LiveAnalysis<'a> {
+        let width = BitSet::words_for(ix.var_count());
         let stmts = ix.stmt_count();
         let mut rows = vec![0; (stmts + ix.cfg().blocks.len()) * 2 * width];
         for (r, row) in rows.chunks_exact_mut(2 * width).enumerate() {
             let (kill, gen) = row.split_at_mut(width);
             if r < stmts {
-                stmt_rows(&ix, ix.stmt(r), gen, kill);
+                stmt_rows(ix, ix.stmt(r), gen, kill);
             } else if let Some(t) = &ix.cfg().blocks[r - stmts].terminator {
-                terminator_rows(&ix, t, gen, kill);
+                terminator_rows(ix, t, gen, kill);
             }
         }
-        let mut boundary = BitSet::new(vars);
-        for v in extra_live_out {
-            boundary.insert(ix.var(*v).expect("extra live-out variables are indexed"));
-        }
-        LiveAnalysis {
-            ix,
-            boundary,
-            width,
-            rows,
-        }
+        LiveAnalysis { ix, width, rows }
     }
 
     /// The `(kill, gen)` sets of row `r`.
     fn row(&self, r: usize) -> (&[u64], &[u64]) {
         self.rows[r * 2 * self.width..(r + 1) * 2 * self.width].split_at(self.width)
-    }
-
-    fn empty_rows(&self) -> (Vec<u64>, Vec<u64>) {
-        (vec![0; self.width], vec![0; self.width])
     }
 }
 
@@ -176,34 +159,8 @@ impl Analysis for LiveAnalysis<'_> {
         BitSet::new(self.ix.var_count())
     }
 
-    fn boundary(&self, _f: &Function) -> BitSet {
-        self.boundary.clone()
-    }
-
-    fn join(&self, a: &BitSet, b: &BitSet) -> BitSet {
-        let mut out = a.clone();
-        out.union_with(b);
-        out
-    }
-
     fn join_into(&self, into: &mut BitSet, other: &BitSet) -> bool {
         into.union_with(other)
-    }
-
-    fn transfer_stmt(&self, s: &Stmt, live_after: &BitSet) -> BitSet {
-        let (mut gen, mut kill) = self.empty_rows();
-        stmt_rows(&self.ix, s, &mut gen, &mut kill);
-        let mut live = live_after.clone();
-        live.apply(&kill, &gen);
-        live
-    }
-
-    fn transfer_terminator(&self, t: &Terminator, live_after: &BitSet) -> BitSet {
-        let (mut gen, mut kill) = self.empty_rows();
-        terminator_rows(&self.ix, t, &mut gen, &mut kill);
-        let mut live = live_after.clone();
-        live.apply(&kill, &gen);
-        live
     }
 
     fn apply_stmt(&self, at: usize, _s: &Stmt, live: &mut BitSet) {
@@ -216,18 +173,16 @@ impl Analysis for LiveAnalysis<'_> {
         live.apply(kill, gen);
     }
 
-    fn height(&self, _f: &Function) -> usize {
-        self.ix.var_count() + 1
+    fn height(&self, ix: &FnIndex<'_>) -> usize {
+        ix.var_count() + 1
     }
 }
 
-impl<'f> Liveness<'f> {
-    /// Compute liveness for a function. `extra_live_out` names variables
-    /// considered live at function exit besides those used by `return`
-    /// (e.g. out-parameters of an inlined procedure).
-    pub fn compute(f: &'f Function, extra_live_out: &BTreeSet<Symbol>) -> Liveness<'f> {
-        let a = LiveAnalysis::new(f, extra_live_out);
-        let sol = dataflow::solve_in(&a, &a.ix);
+impl<'a> Liveness<'a> {
+    /// Compute liveness for the function `ix` indexes.
+    pub fn compute(ix: &'a FnIndex<'a>) -> Liveness<'a> {
+        let a = LiveAnalysis::new(ix);
+        let sol = dataflow::solve(&a, ix);
         Liveness { a, sol }
     }
 
@@ -266,7 +221,7 @@ impl<'f> Liveness<'f> {
             return self.names(&self.sol.entry[exit.0]);
         }
         self.sol
-            .after(&self.a, &self.a.ix, id)
+            .after(&self.a, self.a.ix, id)
             .map(|live| self.names(&live))
             .unwrap_or_default()
     }
@@ -299,8 +254,8 @@ impl<'f> Liveness<'f> {
     /// once, where `is_live(v)` says whether `v` is live after `stmt`. For a
     /// loop header that is the live set at the loop top, not
     /// [`Liveness::after`]'s.
-    pub fn replay(&self, mut visit: impl FnMut(&'f Stmt, &dyn Fn(Symbol) -> bool)) {
-        let ix = &self.a.ix;
+    pub fn replay(&self, mut visit: impl FnMut(&'a Stmt, &dyn Fn(Symbol) -> bool)) {
+        let ix = self.a.ix;
         self.sol.replay(&self.a, ix, |_, s, live| {
             visit(s, &|v| ix.var(v).is_some_and(|i| live.contains(i)))
         });
@@ -317,7 +272,7 @@ impl<'f> Liveness<'f> {
 pub mod reference {
     use super::*;
     use crate::defuse::DefUse;
-    use imp::ast::Block;
+    use imp::ast::{Block, Function};
     use std::collections::BTreeMap;
 
     /// Per-statement liveness results of the structured-AST oracle.
@@ -329,9 +284,9 @@ pub mod reference {
 
     impl Liveness {
         /// Compute liveness for a function (structured recursion).
-        pub fn compute(f: &Function, extra_live_out: &BTreeSet<Symbol>) -> Liveness {
+        pub fn compute(f: &Function) -> Liveness {
             let mut l = Liveness::default();
-            l.block(&f.body, extra_live_out.clone());
+            l.block(&f.body, BTreeSet::new());
             l
         }
 
@@ -444,11 +399,12 @@ mod tests {
     use super::*;
     use imp::parser::parse_program;
 
-    /// The results borrow the function, so the test leaks it.
+    /// The results borrow the function and its index, so the test leaks
+    /// both.
     fn live(src: &str) -> (&'static imp::ast::Function, Liveness<'static>) {
         let p = parse_program(src).unwrap();
         let f: &'static imp::ast::Function = Box::leak(Box::new(p.functions[0].clone()));
-        (f, Liveness::compute(f, &BTreeSet::new()))
+        (f, Liveness::compute(Box::leak(Box::new(FnIndex::build(f)))))
     }
 
     #[test]
@@ -503,16 +459,6 @@ mod tests {
     }
 
     #[test]
-    fn extra_live_out_respected() {
-        let p = parse_program("fn f() { x = 1; }").unwrap();
-        let f = p.functions[0].clone();
-        let l = Liveness::compute(&f, &BTreeSet::from([Symbol::intern("x")]));
-        assert!(l.after(f.body.stmts[0].id).contains(&Symbol::intern("x")));
-        let l2 = Liveness::compute(&f, &BTreeSet::new());
-        assert!(!l2.after(f.body.stmts[0].id).contains(&Symbol::intern("x")));
-    }
-
-    #[test]
     fn break_path_is_exact_on_the_cfg() {
         // `found` flows out of the loop along the break edge only; the
         // conservative oracle keeps it live around the back edge too, so
@@ -546,7 +492,7 @@ mod tests {
         };
         let upd = body.stmts[1].id;
         assert!(l.after(upd).contains(&Symbol::intern("lim")));
-        let oracle = reference::Liveness::compute(f, &BTreeSet::new());
+        let oracle = reference::Liveness::compute(f);
         assert!(
             !oracle.after(upd).contains(&Symbol::intern("lim")),
             "the oracle under-approximates here; keep this assert as \
@@ -572,8 +518,9 @@ mod tests {
         for src in cases {
             let p = parse_program(src).unwrap();
             let f = &p.functions[0];
-            let ported = Liveness::compute(f, &BTreeSet::new());
-            let oracle = reference::Liveness::compute(f, &BTreeSet::new());
+            let ix = FnIndex::build(f);
+            let ported = Liveness::compute(&ix);
+            let oracle = reference::Liveness::compute(f);
             let mut header_reads: BTreeSet<Symbol> = BTreeSet::new();
             for (_, s) in dataflow::stmt_index(f) {
                 match &s.kind {

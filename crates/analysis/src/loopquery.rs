@@ -182,10 +182,9 @@ impl Pass for LoopQueryPass {
     }
 
     fn run(&self, cx: &mut PassContext<'_>) {
-        let ctx = crate::defuse::DefUseCtx::of_program(cx.program);
         // One replay of every block collects what the checks below read.
         let mut reach = ReadSites::new();
-        ReachingDefs::compute_in(cx.function, &ctx).replay(|s, sites| {
+        ReachingDefs::compute(cx.index(), cx.du_ctx()).replay(|s, sites| {
             if !db_read_calls(s).is_empty() {
                 reach.insert(s.id, sites.collect());
             }

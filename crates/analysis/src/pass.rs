@@ -25,22 +25,32 @@
 //!
 //! The extraction pipeline itself (fir/slice/rules) plugs in from
 //! `eqsql-core` through the same [`Pass`] trait.
+//!
+//! Every pass over one function shares one [`PassContext`], which builds
+//! the facts several passes read at most once: the function's
+//! [`FnIndex`] and the program's [`DefUseCtx`].
 
+use std::cell::OnceCell;
 use std::collections::BTreeSet;
 
 use imp::ast::{Expr, Function, Program, Stmt, StmtKind};
 
+use crate::dataflow::FnIndex;
 use crate::ddg::Ddg;
 use crate::deadcode::eliminate_dead_code;
+use crate::defuse::DefUseCtx;
 use crate::diag::{Code, Diagnostic};
 use crate::liveness::Liveness;
 
-/// Shared input and diagnostic sink for one function under one pass.
+/// Shared input, lazily built facts and diagnostic sink for one function
+/// under every pass.
 pub struct PassContext<'a> {
     /// The whole program (for interprocedural facts).
     pub program: &'a Program,
     /// The function being analyzed.
     pub function: &'a Function,
+    index: OnceCell<FnIndex<'a>>,
+    du_ctx: OnceCell<DefUseCtx>,
     /// Findings accumulate here.
     diags: Vec<Diagnostic>,
     pass: &'static str,
@@ -52,9 +62,23 @@ impl<'a> PassContext<'a> {
         PassContext {
             program,
             function,
+            index: OnceCell::new(),
+            du_ctx: OnceCell::new(),
             diags: Vec::new(),
             pass: "",
         }
+    }
+
+    /// The function's dataflow index, built on first use.
+    pub(crate) fn index(&self) -> &FnIndex<'a> {
+        self.index.get_or_init(|| FnIndex::build(self.function))
+    }
+
+    /// The program's def/use context (its interprocedural effect
+    /// summaries), built on first use.
+    pub(crate) fn du_ctx(&self) -> &DefUseCtx {
+        self.du_ctx
+            .get_or_init(|| DefUseCtx::of_program(self.program))
     }
 
     /// Record a finding; the current pass name and enclosing function are
@@ -111,16 +135,15 @@ impl<'p> PassManager<'p> {
         self.passes.push(p);
     }
 
-    /// Run every pass over one function; findings are deduplicated and
-    /// deterministically ordered.
+    /// Run every pass over one function, sharing one [`PassContext`];
+    /// findings are deduplicated and deterministically ordered.
     pub fn run_function(&self, program: &Program, function: &Function) -> Vec<Diagnostic> {
-        let mut out = Vec::new();
+        let mut cx = PassContext::new(program, function);
         for p in &self.passes {
-            let mut cx = PassContext::new(program, function);
             cx.pass = p.name();
             p.run(&mut cx);
-            out.extend(cx.diags);
         }
+        let mut out = cx.diags;
         crate::diag::dedup_sort(&mut out);
         out
     }
@@ -148,7 +171,7 @@ impl Pass for PurityPass {
     }
 
     fn run(&self, cx: &mut PassContext<'_>) {
-        let summaries = crate::effects::effect_summaries(cx.program);
+        let summaries = &cx.du_ctx().summaries;
         let mut found: Vec<(imp::token::Span, String, crate::effects::EffectSummary)> = Vec::new();
         cx.function.body.walk(&mut |s, in_loop| {
             if !in_loop {
@@ -193,7 +216,7 @@ impl Pass for DeadCodePass {
 
     fn run(&self, cx: &mut PassContext<'_>) {
         let mut clone = cx.function.clone();
-        let removed = eliminate_dead_code(&mut clone, &BTreeSet::new());
+        let removed = eliminate_dead_code(&mut clone);
         if removed == 0 {
             return;
         }
@@ -224,6 +247,8 @@ impl Pass for DeadCodePass {
 ///
 /// The extractor skips such variables (their fold has no consumer), so an
 /// accumulation that looks extractable may silently be ignored — surface it.
+/// Every `for` outside another loop's body is checked, under an `if` too:
+/// those are the loops the extractor treats as candidates.
 pub struct LivenessPass;
 
 impl Pass for LivenessPass {
@@ -232,24 +257,25 @@ impl Pass for LivenessPass {
     }
 
     fn run(&self, cx: &mut PassContext<'_>) {
-        let live = Liveness::compute(cx.function, &BTreeSet::new());
+        let live = Liveness::compute(cx.index());
         let mut found: Vec<(imp::token::Span, String)> = Vec::new();
-        for s in &cx.function.body.stmts {
-            if let StmtKind::ForEach { var, body, .. } = &s.kind {
-                let mut updated = BTreeSet::new();
-                body.walk(&mut |inner, _| {
-                    if let StmtKind::Assign { target, .. } = &inner.kind {
-                        updated.insert(*target);
-                    }
-                });
-                updated.remove(var);
-                for v in updated {
-                    if !live.is_live_after(s.id, v) {
-                        found.push((s.span, v.to_string()));
-                    }
+        cx.function.body.walk(&mut |s, in_loop| {
+            let (StmtKind::ForEach { var, body, .. }, false) = (&s.kind, in_loop) else {
+                return;
+            };
+            let mut updated = BTreeSet::new();
+            body.walk(&mut |inner, _| {
+                if let StmtKind::Assign { target, .. } = &inner.kind {
+                    updated.insert(*target);
+                }
+            });
+            updated.remove(var);
+            for v in updated {
+                if !live.is_live_after(s.id, v) {
+                    found.push((s.span, v.to_string()));
                 }
             }
-        }
+        });
         for (span, v) in found {
             cx.emit(
                 Diagnostic::new(
@@ -279,10 +305,11 @@ impl Pass for LoopEffectsPass {
     }
 
     fn run(&self, cx: &mut PassContext<'_>) {
+        let ctx = cx.du_ctx();
         let mut found: Vec<(imp::token::Span, Vec<imp::token::Span>)> = Vec::new();
         let mut visit = |s: &Stmt, _in_loop: bool| {
             if let StmtKind::ForEach { var, body, .. } = &s.kind {
-                let ddg = Ddg::build(body, var, &BTreeSet::new());
+                let ddg = Ddg::build_with(body, var, &BTreeSet::new(), ctx);
                 let scope: BTreeSet<_> = ddg.atoms.iter().map(|a| a.id).collect();
                 let writers = ddg.external_writers_within(&scope);
                 if writers.is_empty() {

@@ -21,7 +21,7 @@
 use intern::Symbol;
 use std::collections::BTreeSet;
 
-use imp::ast::{Function, Stmt, StmtId, StmtKind};
+use imp::ast::{Stmt, StmtId, StmtKind};
 
 use crate::dataflow::{self, Analysis, BitSet, Direction, FnIndex};
 use crate::defuse::{for_each_access, Access, DefUseCtx};
@@ -33,8 +33,8 @@ pub type DefSite = (Symbol, Option<StmtId>);
 /// Per-statement reaching-definitions results: block-level facts, replayed
 /// on demand.
 #[derive(Debug, Clone)]
-pub struct ReachingDefs<'f> {
-    a: ReachAnalysis<'f>,
+pub struct ReachingDefs<'a> {
+    a: ReachAnalysis<'a>,
     sol: dataflow::Solution<BitSet>,
 }
 
@@ -43,8 +43,8 @@ pub struct ReachingDefs<'f> {
 /// sites, in position order, are the contiguous range
 /// `site_start[at]..site_start[at + 1]`.
 #[derive(Debug, Clone)]
-struct ReachAnalysis<'f> {
-    ix: FnIndex<'f>,
+struct ReachAnalysis<'a> {
+    ix: &'a FnIndex<'a>,
     sites: Vec<DefSite>,
     params: usize,
     site_start: Vec<u32>,
@@ -56,9 +56,9 @@ struct ReachAnalysis<'f> {
     var_sites: Vec<u64>,
 }
 
-impl<'f> ReachAnalysis<'f> {
-    fn new(f: &'f Function, ctx: &DefUseCtx) -> ReachAnalysis<'f> {
-        let ix = FnIndex::build(f, []);
+impl<'a> ReachAnalysis<'a> {
+    fn new(ix: &'a FnIndex<'a>, ctx: &DefUseCtx) -> ReachAnalysis<'a> {
+        let f = ix.function();
         // Most statements define at most one variable.
         let mut sites: Vec<DefSite> = Vec::with_capacity(f.params.len() + ix.stmt_count());
         let mut site_vars: Vec<usize> = Vec::with_capacity(sites.capacity());
@@ -134,7 +134,7 @@ impl Analysis for ReachAnalysis<'_> {
         BitSet::new(self.sites.len())
     }
 
-    fn boundary(&self, _f: &Function) -> BitSet {
+    fn boundary(&self, _ix: &FnIndex<'_>) -> BitSet {
         let mut entry = self.bottom();
         for site in 0..self.params {
             entry.insert(site);
@@ -142,24 +142,8 @@ impl Analysis for ReachAnalysis<'_> {
         entry
     }
 
-    fn join(&self, a: &BitSet, b: &BitSet) -> BitSet {
-        let mut out = a.clone();
-        out.union_with(b);
-        out
-    }
-
     fn join_into(&self, into: &mut BitSet, other: &BitSet) -> bool {
         into.union_with(other)
-    }
-
-    fn transfer_stmt(&self, s: &Stmt, fact: &BitSet) -> BitSet {
-        let at = self
-            .ix
-            .locate(s.id)
-            .expect("a statement of the analysed function");
-        let mut out = fact.clone();
-        self.apply_stmt(at, s, &mut out);
-        out
     }
 
     fn apply_stmt(&self, at: usize, _s: &Stmt, fact: &mut BitSet) {
@@ -173,23 +157,19 @@ impl Analysis for ReachAnalysis<'_> {
         }
     }
 
-    fn height(&self, _f: &Function) -> usize {
+    fn height(&self, _ix: &FnIndex<'_>) -> usize {
         self.sites.len() + 1
     }
 }
 
-impl<'f> ReachingDefs<'f> {
-    /// Compute reaching definitions with the default (summary-free,
-    /// conservative) def/use context.
-    pub fn compute(f: &'f Function) -> ReachingDefs<'f> {
-        ReachingDefs::compute_in(f, &DefUseCtx::default())
-    }
-
-    /// Compute reaching definitions with interprocedural effect summaries
-    /// (mutated-argument escapes become gen-only definition sites).
-    pub fn compute_in(f: &'f Function, ctx: &DefUseCtx) -> ReachingDefs<'f> {
-        let a = ReachAnalysis::new(f, ctx);
-        let sol = dataflow::solve_in(&a, &a.ix);
+impl<'a> ReachingDefs<'a> {
+    /// Compute reaching definitions over the function `ix` indexes. With
+    /// interprocedural effect summaries in `ctx`, mutated-argument escapes
+    /// become gen-only definition sites; `DefUseCtx::default()` treats
+    /// every user call conservatively.
+    pub fn compute(ix: &'a FnIndex<'a>, ctx: &DefUseCtx) -> ReachingDefs<'a> {
+        let a = ReachAnalysis::new(ix, ctx);
+        let sol = dataflow::solve(&a, ix);
         ReachingDefs { a, sol }
     }
 
@@ -202,7 +182,7 @@ impl<'f> ReachingDefs<'f> {
     /// (empty when the statement is unknown). Replays `id`'s block.
     pub fn before(&self, id: StmtId) -> BTreeSet<DefSite> {
         self.sol
-            .before(&self.a, &self.a.ix, id)
+            .before(&self.a, self.a.ix, id)
             .map(|fact| self.sites(&fact))
             .unwrap_or_default()
     }
@@ -219,9 +199,9 @@ impl<'f> ReachingDefs<'f> {
 
     /// Call `visit(stmt, sites)` with the definition sites reaching each
     /// statement, each block replayed once.
-    pub fn replay(&self, mut visit: impl FnMut(&'f Stmt, &mut dyn Iterator<Item = DefSite>)) {
+    pub fn replay(&self, mut visit: impl FnMut(&'a Stmt, &mut dyn Iterator<Item = DefSite>)) {
         let sites = &self.a.sites;
-        self.sol.replay(&self.a, &self.a.ix, |_, s, fact| {
+        self.sol.replay(&self.a, self.a.ix, |_, s, fact| {
             visit(s, &mut fact.iter().map(|i| sites[i]))
         });
     }
@@ -232,11 +212,13 @@ mod tests {
     use super::*;
     use imp::parser::parse_program;
 
-    /// The results borrow the function, so the test leaks it.
+    /// The results borrow the function and its index, so the test leaks
+    /// both.
     fn reach(src: &str) -> (&'static imp::ast::Function, ReachingDefs<'static>) {
         let p = parse_program(src).unwrap();
         let f: &'static imp::ast::Function = Box::leak(Box::new(p.functions[0].clone()));
-        (f, ReachingDefs::compute(f))
+        let ix = Box::leak(Box::new(FnIndex::build(f)));
+        (f, ReachingDefs::compute(ix, &DefUseCtx::default()))
     }
 
     #[test]

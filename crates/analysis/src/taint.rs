@@ -19,7 +19,7 @@
 use intern::Symbol;
 use std::collections::BTreeSet;
 
-use imp::ast::{builtins, Expr, Function, Stmt, StmtId, StmtKind};
+use imp::ast::{builtins, Expr, Stmt, StmtId, StmtKind};
 
 use crate::dataflow::{self, set_bit, Analysis, BitSet, Direction, FnIndex};
 use crate::diag::{Code, Diagnostic};
@@ -41,8 +41,8 @@ enum Effect {
 /// `effects[at]` on its target variable, if any, and reads the source row
 /// `at` of `sources`.
 #[derive(Debug, Clone)]
-struct TaintAnalysis<'f> {
-    ix: FnIndex<'f>,
+struct TaintAnalysis<'a> {
+    ix: &'a FnIndex<'a>,
     effects: Vec<Option<(Effect, u32)>>,
     width: usize,
     sources: Vec<u64>,
@@ -90,9 +90,8 @@ fn expr_tainted(e: &Expr, tainted: impl Fn(Symbol) -> bool) -> bool {
     hit
 }
 
-impl<'f> TaintAnalysis<'f> {
-    fn new(f: &'f Function) -> TaintAnalysis<'f> {
-        let ix = FnIndex::build(f, []);
+impl<'a> TaintAnalysis<'a> {
+    fn new(ix: &'a FnIndex<'a>) -> TaintAnalysis<'a> {
         let width = BitSet::words_for(ix.var_count());
         let mut sources = vec![0; ix.stmt_count() * width];
         let mut effects = Vec::with_capacity(ix.stmt_count());
@@ -145,32 +144,16 @@ impl Analysis for TaintAnalysis<'_> {
         BitSet::new(self.ix.var_count())
     }
 
-    fn boundary(&self, f: &Function) -> BitSet {
+    fn boundary(&self, ix: &FnIndex<'_>) -> BitSet {
         let mut tainted = self.bottom();
-        for p in &f.params {
-            tainted.insert(self.ix.var(*p).expect("parameters are indexed"));
+        for p in &ix.function().params {
+            tainted.insert(ix.var(*p).expect("parameters are indexed"));
         }
         tainted
     }
 
-    fn join(&self, a: &BitSet, b: &BitSet) -> BitSet {
-        let mut out = a.clone();
-        out.union_with(b);
-        out
-    }
-
     fn join_into(&self, into: &mut BitSet, other: &BitSet) -> bool {
         into.union_with(other)
-    }
-
-    fn transfer_stmt(&self, s: &Stmt, fact: &BitSet) -> BitSet {
-        let at = self
-            .ix
-            .locate(s.id)
-            .expect("a statement of the analysed function");
-        let mut out = fact.clone();
-        self.apply_stmt(at, s, &mut out);
-        out
     }
 
     fn apply_stmt(&self, at: usize, _s: &Stmt, fact: &mut BitSet) {
@@ -196,23 +179,24 @@ impl Analysis for TaintAnalysis<'_> {
         }
     }
 
-    fn height(&self, _f: &Function) -> usize {
-        self.ix.var_count() + 1
+    fn height(&self, ix: &FnIndex<'_>) -> usize {
+        ix.var_count() + 1
     }
 }
 
 /// Per-statement taint facts of one function: block-level facts, replayed
 /// on demand.
-pub struct Taint<'f> {
-    a: TaintAnalysis<'f>,
+pub struct Taint<'a> {
+    a: TaintAnalysis<'a>,
     sol: dataflow::Solution<BitSet>,
 }
 
-impl<'f> Taint<'f> {
-    /// Solve taint over `f`, parameters tainted at entry.
-    pub fn compute(f: &'f Function) -> Taint<'f> {
-        let a = TaintAnalysis::new(f);
-        let sol = dataflow::solve_in(&a, &a.ix);
+impl<'a> Taint<'a> {
+    /// Solve taint over the function `ix` indexes, parameters tainted at
+    /// entry.
+    pub fn compute(ix: &'a FnIndex<'a>) -> Taint<'a> {
+        let a = TaintAnalysis::new(ix);
+        let sol = dataflow::solve(&a, ix);
         Taint { a, sol }
     }
 
@@ -220,7 +204,7 @@ impl<'f> Taint<'f> {
     /// (empty when unknown). Replays `id`'s block.
     pub fn before(&self, id: StmtId) -> BTreeSet<Symbol> {
         self.sol
-            .before(&self.a, &self.a.ix, id)
+            .before(&self.a, self.a.ix, id)
             .map(|fact| fact.iter().map(|i| self.a.ix.var_symbol(i)).collect())
             .unwrap_or_default()
     }
@@ -236,8 +220,8 @@ impl Pass for TaintPass {
     }
 
     fn run(&self, cx: &mut PassContext<'_>) {
-        let taint = Taint::compute(cx.function);
-        let ix = &taint.a.ix;
+        let ix = cx.index();
+        let taint = Taint::compute(ix);
         let mut found: Vec<(imp::token::Span, String, Option<String>)> = Vec::new();
         taint.sol.replay(&taint.a, ix, |_, s, tainted| {
             let is_tainted = |v| ix.var(v).is_some_and(|i| tainted.contains(i));

@@ -4,6 +4,7 @@ use std::time::{Duration, Instant};
 
 use algebra::schema::Catalog;
 use algebra::Dialect;
+use analysis::dataflow::FnIndex;
 use analysis::diag::{dedup_sort, Code, Diagnostic, Severity};
 use analysis::liveness::Liveness;
 use imp::ast::{Expr, Function, Program, StmtId};
@@ -210,11 +211,13 @@ impl CertSummary {
 pub struct StageTimes {
     /// AST clone + desugaring passes.
     pub desugar_ns: u64,
-    /// Region tree + D-IR construction (ee-DAG/ve-Map build, including the
-    /// loopToFold F-IR conversion that runs inside the builder).
+    /// D-IR construction (ee-DAG/ve-Map build in one walk over the AST,
+    /// including the loopToFold F-IR conversion that runs inside the
+    /// builder).
     pub dir_ns: u64,
-    /// Live-variable analysis of the function (`analysis::liveness`),
-    /// which decides the accumulators that are dead after their loop.
+    /// Dataflow index and live-variable analysis of the function
+    /// (`analysis::liveness`), which decides the accumulators that are dead
+    /// after their loop.
     pub liveness_ns: u64,
     /// T1–T7 rule-engine fixpoint.
     pub rules_ns: u64,
@@ -586,7 +589,8 @@ impl Extractor {
             .expect("the function exists");
         stage.dir_ns = dir_started.elapsed().as_nanos() as u64;
         let liveness_started = Instant::now();
-        let liveness = Liveness::compute(&f, &Default::default());
+        let ix = FnIndex::build(&f);
+        let liveness = Liveness::compute(&ix);
         stage.liveness_ns = liveness_started.elapsed().as_nanos() as u64;
         let certifier = self
             .opts

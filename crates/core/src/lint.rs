@@ -1,13 +1,13 @@
 //! The lint driver: extraction-failure diagnostics, end to end.
 //!
 //! Combines the advisory pipeline of [`analysis::pass`] (purity, deadcode,
-//! liveness, ddg) with the extraction pipeline itself, run dry: every loop
-//! that fails — or declines — extraction yields a typed, span-anchored
-//! diagnostic (`E0xx` hard failures, `W0xx` advisories). This is what the
-//! `eqsql lint` subcommand calls.
+//! liveness, ddg, taint, loopquery) with the extraction pipeline itself,
+//! run dry: every loop that fails — or declines — extraction yields a
+//! typed, span-anchored diagnostic (`E0xx` hard failures, `W0xx`
+//! advisories). This is what the `eqsql lint` subcommand calls.
 
 use algebra::schema::Catalog;
-use analysis::diag::{dedup_sort, Diagnostic};
+use analysis::diag::Diagnostic;
 use analysis::pass::{Pass, PassContext, PassManager};
 use imp::ast::Program;
 
@@ -47,9 +47,9 @@ impl Pass for ExtractionPass {
 
 /// Run the full lint pipeline over a program.
 ///
-/// The standard advisory passes run first, then the extraction pass; the
-/// result is deduplicated and ordered by source position, so output is
-/// deterministic across runs.
+/// The standard advisory passes run first, then the extraction pass;
+/// [`PassManager::run_program`] deduplicates the result and orders it by
+/// source position, so output is deterministic across runs.
 pub fn lint_program(
     program: &Program,
     catalog: &Catalog,
@@ -57,9 +57,7 @@ pub fn lint_program(
 ) -> Vec<Diagnostic> {
     let mut pm = PassManager::standard();
     pm.register(Box::new(ExtractionPass::new(catalog.clone(), opts.clone())));
-    let mut diags = pm.run_program(program);
-    dedup_sort(&mut diags);
-    diags
+    pm.run_program(program)
 }
 
 #[cfg(test)]

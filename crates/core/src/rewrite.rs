@@ -106,7 +106,7 @@ pub fn apply_plans(f: &mut Function, plans: &[RewritePlan]) -> usize {
         }
     }
     if replaced > 0 {
-        eliminate_dead_code(f, &BTreeSet::new());
+        eliminate_dead_code(f);
     }
     replaced
 }

@@ -3,10 +3,12 @@
 //! a solver that stores or clones a fact per statement allocates in
 //! proportion to `n`, and one that keeps block-level facts does not. The
 //! gate counts allocations, which repeat exactly on every machine, rather
-//! than time.
+//! than time. Each count covers the index build and the solve together.
 
-use std::collections::BTreeSet;
+use std::hint::black_box;
 
+use analysis::dataflow::FnIndex;
+use analysis::defuse::DefUseCtx;
 use analysis::liveness::Liveness;
 use analysis::reaching::ReachingDefs;
 use imp::ast::Function;
@@ -54,13 +56,21 @@ fn gate(what: &str, allocs: impl Fn(&Function) -> u64) {
 #[test]
 fn liveness_allocations_do_not_grow_with_the_block() {
     gate("Liveness::compute", |f| {
-        count(|| Liveness::compute(f, &BTreeSet::new())).1
+        count(|| {
+            let ix = FnIndex::build(f);
+            black_box(Liveness::compute(&ix));
+        })
+        .1
     });
 }
 
 #[test]
 fn reaching_defs_allocations_do_not_grow_with_the_block() {
     gate("ReachingDefs::compute", |f| {
-        count(|| ReachingDefs::compute(f)).1
+        count(|| {
+            let ix = FnIndex::build(f);
+            black_box(ReachingDefs::compute(&ix, &DefUseCtx::default()));
+        })
+        .1
     });
 }

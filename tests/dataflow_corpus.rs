@@ -13,9 +13,9 @@
 //!
 //! Sets print in name order. Run with `BLESS=1` to regenerate.
 
-use std::collections::BTreeSet;
 use std::fmt::Write;
 
+use analysis::dataflow::FnIndex;
 use analysis::defuse::DefUseCtx;
 use analysis::liveness::Liveness;
 use analysis::reaching::ReachingDefs;
@@ -83,9 +83,10 @@ fn render(program: &Program, out: &mut String) {
     let ctx = DefUseCtx::of_program(program);
     for f in &program.functions {
         writeln!(out, "fn {}", f.name).unwrap();
-        let live = Liveness::compute(f, &BTreeSet::new());
-        let reach = ReachingDefs::compute_in(f, &ctx);
-        let taint = Taint::compute(f);
+        let ix = FnIndex::build(f);
+        let live = Liveness::compute(&ix);
+        let reach = ReachingDefs::compute(&ix, &ctx);
+        let taint = Taint::compute(&ix);
         f.body.walk(&mut |s, in_loop| {
             if matches!(
                 s.kind,

@@ -1,25 +1,26 @@
 //! Property tests for the monotone dataflow framework
 //! (`analysis::dataflow`) and the clients ported onto it.
 //!
-//! Three guarantees pin the framework down:
+//! Two guarantees pin the framework down:
 //!
 //! 1. **Fixpoint order-independence.** `solve` schedules blocks by a
 //!    reverse-postorder priority worklist; the least fixpoint of a monotone
 //!    problem must not depend on that schedule. A naive chaotic-iteration
 //!    solver re-visits blocks in freshly shuffled orders every sweep and
 //!    must land on identical entry/exit facts for random programs.
-//! 2. **Client monotonicity, end to end.** Enlarging the liveness boundary
-//!    (`extra_live_out`) may only enlarge the solution pointwise — the
-//!    observable consequence of `join`/transfer monotonicity.
-//! 3. **Ported-vs-reference agreement.** On every corpus program the CFG
+//! 2. **Ported-vs-reference agreement.** On every corpus program the CFG
 //!    port of liveness refines the structured reference oracle up to
 //!    loop-header reads, and every reaching-definition site is a statement
 //!    that can actually define the variable.
+//!
+//! Client monotonicity is checked by the solver itself: its height guard
+//! panics on a non-monotone transfer, and every corpus and random program
+//! here is solved under it.
 
 use std::collections::BTreeSet;
 
-use analysis::cfg::{BlockId, Cfg, Terminator};
-use analysis::dataflow::{self, Analysis, Direction};
+use analysis::cfg::{BlockId, Terminator};
+use analysis::dataflow::{self, Analysis, Direction, FnIndex};
 use analysis::defuse::{DefUse, DefUseCtx};
 use analysis::liveness::{reference, Liveness};
 use analysis::reaching::ReachingDefs;
@@ -127,6 +128,13 @@ fn parse(src: &str) -> Function {
 
 // --- Test-local analysis clients ----------------------------------------
 
+/// `into ∪= other`; true when `into` grew.
+fn union_into(into: &mut BTreeSet<Symbol>, other: &BTreeSet<Symbol>) -> bool {
+    let before = into.len();
+    into.extend(other);
+    into.len() != before
+}
+
 /// Forward may-analysis: variables assigned a literal on some path.
 struct ConstOnSomePath;
 
@@ -141,22 +149,20 @@ impl Analysis for ConstOnSomePath {
     fn bottom(&self) -> Self::Fact {
         BTreeSet::new()
     }
-    fn join(&self, a: &Self::Fact, b: &Self::Fact) -> Self::Fact {
-        a.union(b).copied().collect()
+    fn join_into(&self, into: &mut Self::Fact, other: &Self::Fact) -> bool {
+        union_into(into, other)
     }
-    fn transfer_stmt(&self, s: &Stmt, fact: &Self::Fact) -> Self::Fact {
-        let mut out = fact.clone();
+    fn apply_stmt(&self, _at: usize, s: &Stmt, fact: &mut Self::Fact) {
         if let StmtKind::Assign { target, value } = &s.kind {
             if matches!(value, Expr::Lit(_)) {
-                out.insert(*target);
+                fact.insert(*target);
             } else {
-                out.remove(target);
+                fact.remove(target);
             }
         }
-        out
     }
-    fn height(&self, f: &Function) -> usize {
-        dataflow::variable_universe(f).len() + 1
+    fn height(&self, ix: &FnIndex<'_>) -> usize {
+        ix.var_count() + 1
     }
 }
 
@@ -174,33 +180,28 @@ impl Analysis for UsedLater {
     fn bottom(&self) -> Self::Fact {
         BTreeSet::new()
     }
-    fn join(&self, a: &Self::Fact, b: &Self::Fact) -> Self::Fact {
-        a.union(b).copied().collect()
+    fn join_into(&self, into: &mut Self::Fact, other: &Self::Fact) -> bool {
+        union_into(into, other)
     }
-    fn transfer_stmt(&self, s: &Stmt, after: &Self::Fact) -> Self::Fact {
-        let mut out = after.clone();
-        let du = DefUse::of_stmt(s);
+    fn apply_stmt(&self, _at: usize, s: &Stmt, fact: &mut Self::Fact) {
         if let StmtKind::Assign { target, .. } = &s.kind {
-            out.remove(target);
+            fact.remove(target);
         }
-        out.extend(du.uses.iter().copied());
-        out
+        fact.extend(DefUse::of_stmt(s).uses);
     }
-    fn transfer_terminator(&self, t: &Terminator, after: &Self::Fact) -> Self::Fact {
-        let mut out = after.clone();
+    fn apply_terminator(&self, _b: BlockId, t: &Terminator, fact: &mut Self::Fact) {
         match t {
-            Terminator::Branch { cond, .. } => out.extend(cond.vars()),
+            Terminator::Branch { cond, .. } => fact.extend(cond.vars()),
             Terminator::ForDispatch { var, iterable, .. } => {
-                out.remove(var);
-                out.extend(iterable.vars());
+                fact.remove(var);
+                fact.extend(iterable.vars());
             }
-            Terminator::Return(Some(e)) => out.extend(e.vars()),
+            Terminator::Return(Some(e)) => fact.extend(e.vars()),
             _ => {}
         }
-        out
     }
-    fn height(&self, f: &Function) -> usize {
-        dataflow::variable_universe(f).len() + 1
+    fn height(&self, ix: &FnIndex<'_>) -> usize {
+        ix.var_count() + 1
     }
 }
 
@@ -210,17 +211,16 @@ impl Analysis for UsedLater {
 /// visiting blocks in a freshly shuffled order each sweep. Any schedule of
 /// a monotone problem reaches the same least fixpoint as `solve`'s
 /// priority worklist.
-fn chaotic_solve<A: Analysis>(a: &A, f: &Function, seed: u64) -> (Vec<A::Fact>, Vec<A::Fact>) {
-    let cfg = Cfg::build(f);
-    let stmts = dataflow::stmt_index(f);
+fn chaotic_solve<A: Analysis>(a: &A, ix: &FnIndex<'_>, seed: u64) -> (Vec<A::Fact>, Vec<A::Fact>) {
+    let cfg = ix.cfg();
     let n = cfg.blocks.len();
     let forward = a.direction() == Direction::Forward;
     let mut entry: Vec<A::Fact> = (0..n).map(|_| a.bottom()).collect();
     let mut exit: Vec<A::Fact> = (0..n).map(|_| a.bottom()).collect();
     if forward {
-        entry[cfg.start.0] = a.boundary(f);
+        entry[cfg.start.0] = a.boundary(ix);
     } else {
-        exit[cfg.end.0] = a.boundary(f);
+        exit[cfg.end.0] = a.boundary(ix);
     }
     let preds = cfg.predecessors();
 
@@ -241,29 +241,29 @@ fn chaotic_solve<A: Analysis>(a: &A, f: &Function, seed: u64) -> (Vec<A::Fact>, 
             let b = BlockId(i);
             if forward {
                 let mut inp = if b == cfg.start {
-                    a.boundary(f)
+                    a.boundary(ix)
                 } else {
                     a.bottom()
                 };
                 for p in &preds[i] {
-                    inp = a.join(&inp, &exit[p.0]);
+                    a.join_into(&mut inp, &exit[p.0]);
                 }
-                let out = transfer_block(a, &cfg, &stmts, b, inp.clone(), true);
+                let out = transfer_block(a, ix, b, inp.clone(), true);
                 if inp != entry[i] || out != exit[i] {
-                    changed = changed || out != exit[i] || inp != entry[i];
+                    changed = true;
                     entry[i] = inp;
                     exit[i] = out;
                 }
             } else {
                 let mut inp = if b == cfg.end {
-                    a.boundary(f)
+                    a.boundary(ix)
                 } else {
                     a.bottom()
                 };
                 for s in cfg.successors(b) {
-                    inp = a.join(&inp, &entry[s.0]);
+                    a.join_into(&mut inp, &entry[s.0]);
                 }
-                let out = transfer_block(a, &cfg, &stmts, b, inp.clone(), false);
+                let out = transfer_block(a, ix, b, inp.clone(), false);
                 if inp != exit[i] || out != entry[i] {
                     changed = true;
                     exit[i] = inp;
@@ -277,33 +277,30 @@ fn chaotic_solve<A: Analysis>(a: &A, f: &Function, seed: u64) -> (Vec<A::Fact>, 
     }
 }
 
+/// Push `fact` through block `b` in flow order, at the statement
+/// positions `ix` assigns.
 fn transfer_block<A: Analysis>(
     a: &A,
-    cfg: &Cfg,
-    stmts: &std::collections::BTreeMap<imp::ast::StmtId, &Stmt>,
+    ix: &FnIndex<'_>,
     b: BlockId,
-    input: A::Fact,
+    mut fact: A::Fact,
     forward: bool,
 ) -> A::Fact {
-    let block = &cfg.blocks[b.0];
-    let mut fact = input;
+    let term = &ix.cfg().blocks[b.0].terminator;
+    let range = ix.block_range(b);
     if forward {
-        for id in &block.stmts {
-            if let Some(s) = stmts.get(id) {
-                fact = a.transfer_stmt(s, &fact);
-            }
+        for at in range {
+            a.apply_stmt(at, ix.stmt(at), &mut fact);
         }
-        if let Some(t) = &block.terminator {
-            fact = a.transfer_terminator(t, &fact);
+        if let Some(t) = term {
+            a.apply_terminator(b, t, &mut fact);
         }
     } else {
-        if let Some(t) = &block.terminator {
-            fact = a.transfer_terminator(t, &fact);
+        if let Some(t) = term {
+            a.apply_terminator(b, t, &mut fact);
         }
-        for id in block.stmts.iter().rev() {
-            if let Some(s) = stmts.get(id) {
-                fact = a.transfer_stmt(s, &fact);
-            }
+        for at in range.rev() {
+            a.apply_stmt(at, ix.stmt(at), &mut fact);
         }
     }
     fact
@@ -365,43 +362,16 @@ proptest! {
     #[test]
     fn fixpoint_is_schedule_independent(src in arb_program(), seed in any::<u64>()) {
         let f = parse(&src);
-        let fwd = dataflow::solve(&ConstOnSomePath, &f);
-        let (entry, exit) = chaotic_solve(&ConstOnSomePath, &f, seed);
+        let ix = FnIndex::build(&f);
+        let fwd = dataflow::solve(&ConstOnSomePath, &ix);
+        let (entry, exit) = chaotic_solve(&ConstOnSomePath, &ix, seed);
         prop_assert_eq!(&fwd.entry, &entry, "forward entry facts differ\n{}", &src);
         prop_assert_eq!(&fwd.exit, &exit, "forward exit facts differ\n{}", &src);
 
-        let bwd = dataflow::solve(&UsedLater, &f);
-        let (entry, exit) = chaotic_solve(&UsedLater, &f, seed.rotate_left(17));
+        let bwd = dataflow::solve(&UsedLater, &ix);
+        let (entry, exit) = chaotic_solve(&UsedLater, &ix, seed.rotate_left(17));
         prop_assert_eq!(&bwd.entry, &entry, "backward entry facts differ\n{}", &src);
         prop_assert_eq!(&bwd.exit, &exit, "backward exit facts differ\n{}", &src);
-    }
-
-    /// Join monotonicity, observed end to end: a larger liveness boundary
-    /// can only grow the per-statement facts, never shrink them.
-    #[test]
-    fn liveness_is_monotone_in_its_boundary(
-        src in arb_program(),
-        small in proptest::collection::vec(0usize..5, 0..3),
-        extra in proptest::collection::vec(0usize..5, 0..3),
-    ) {
-        let universe = ["a", "b", "c", "d", "n"];
-        let small: BTreeSet<Symbol> =
-            small.iter().map(|i| Symbol::intern(universe[*i])).collect();
-        let mut large = small.clone();
-        large.extend(extra.iter().map(|i| Symbol::intern(universe[*i])));
-
-        let f = parse(&src);
-        let lo = Liveness::compute(&f, &small);
-        let hi = Liveness::compute(&f, &large);
-        for (id, _) in dataflow::stmt_index(&f) {
-            let a = lo.after(id);
-            let b = hi.after(id);
-            prop_assert!(
-                a.is_subset(&b),
-                "boundary grew but fact shrank at {:?}: {:?} ⊄ {:?}\n{}",
-                id, a, b, &src
-            );
-        }
     }
 
     /// The CFG-ported liveness refines the structured reference oracle on
@@ -413,8 +383,9 @@ proptest! {
         if has_abrupt_exit(&f) {
             return;
         }
-        let ported = Liveness::compute(&f, &BTreeSet::new());
-        let oracle = reference::Liveness::compute(&f, &BTreeSet::new());
+        let ix = FnIndex::build(&f);
+        let ported = Liveness::compute(&ix);
+        let oracle = reference::Liveness::compute(&f);
         let headers = header_reads(&f);
         for (id, s) in dataflow::stmt_index(&f) {
             if !matches!(
@@ -447,8 +418,9 @@ fn ported_liveness_refines_reference_on_corpus() {
             if has_abrupt_exit(f) {
                 continue;
             }
-            let ported = Liveness::compute(f, &BTreeSet::new());
-            let oracle = reference::Liveness::compute(f, &BTreeSet::new());
+            let ix = FnIndex::build(f);
+            let ported = Liveness::compute(&ix);
+            let oracle = reference::Liveness::compute(f);
             let headers = header_reads(f);
             for (id, s) in dataflow::stmt_index(f) {
                 if !matches!(
@@ -482,7 +454,8 @@ fn reaching_defs_cover_uses_on_corpus() {
     for (name, program) in corpus_programs() {
         let ctx = DefUseCtx::of_program(&program);
         for f in &program.functions {
-            let reach = ReachingDefs::compute_in(f, &ctx);
+            let ix = FnIndex::build(f);
+            let reach = ReachingDefs::compute(&ix, &ctx);
             let stmts = dataflow::stmt_index(f);
             for (id, s) in &stmts {
                 // `If` ids carry no CFG fact (their conditions live on

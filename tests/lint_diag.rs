@@ -276,3 +276,63 @@ fn e006_no_rule_applies() {
 }"#,
     );
 }
+
+/// The lint's diagnostics for `src`, without a golden file.
+fn lint(src: &str) -> Vec<Diagnostic> {
+    let program = imp::parse_and_normalize(src).unwrap();
+    lint_program(&program, &catalog(), &ExtractorOptions::default())
+}
+
+#[test]
+fn w004_silent_for_a_db_reading_helper() {
+    // The helper only reads the database, so by its effect summary the
+    // loop writes nothing external: the ddg pass agrees with the extractor,
+    // which keeps no effect and extracts the count.
+    let diags = lint(
+        r#"fn minSalary() {
+    return executeScalar("SELECT MIN(salary) FROM emp");
+}
+
+fn aboveMin() {
+    rows = executeQuery("SELECT * FROM emp");
+    n = 0;
+    for (e in rows) {
+        if (e.salary > minSalary()) {
+            n = n + 1;
+        }
+    }
+    return n;
+}"#,
+    );
+    assert!(
+        diags.iter().any(|d| d.code == Code::ImpureHelper),
+        "the db read still shows as W003: {diags:#?}"
+    );
+    assert!(
+        !diags.iter().any(|d| d.code == Code::LoopSideEffects),
+        "a db-reading helper is not an external write: {diags:#?}"
+    );
+}
+
+#[test]
+fn w002_reports_a_dead_accumulator_of_a_loop_under_if() {
+    // The loop sits under an `if`, not at the top level of the body; it is
+    // still an extraction candidate, so its dead accumulator is reported.
+    let diags = lint(
+        r#"fn total(c) {
+    rows = executeQuery("SELECT * FROM emp");
+    s = 0;
+    if (c > 0) {
+        for (e in rows) {
+            s = s + e.salary;
+        }
+    }
+    return 0;
+}"#,
+    );
+    let hit = diags
+        .iter()
+        .find(|d| d.code == Code::DeadStatement && d.pass == "liveness")
+        .unwrap_or_else(|| panic!("expected W002 from the liveness pass: {diags:#?}"));
+    assert_eq!(hit.var.as_deref(), Some("s"));
+}
