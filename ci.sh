@@ -62,14 +62,19 @@ echo "==> eqsql fuzz (deterministic smoke)"
 # Differential-fuzzing gate (DESIGN.md §5f): 200 generated programs run
 # under the interpreter and through the extractor must agree exactly. The
 # fixed seed makes the sweep deterministic; failures print the minimized
-# program and exit nonzero.
-target/release/eqsql fuzz --seed 42 --iters 200
+# program and exit nonzero. Each of the four runs below also appends its
+# output to FUZZ_OUT, which must equal tests/golden/fuzz_seed42.txt (one
+# summary line per run), so a drop in extraction coverage fails CI like a
+# divergence does; the diff also catches a failed run, whose exit status
+# the `tee` pipe hides.
+FUZZ_OUT="$(mktemp)"
+target/release/eqsql fuzz --seed 42 --iters 200 | tee -a "$FUZZ_OUT"
 
 echo "==> eqsql fuzz --store (paged-backend smoke)"
 # The same differential oracle over the paged storage engine: tables live
 # in B-tree pages behind an 8-frame buffer pool and queries run on the
 # volcano executor, amplified with extra generated rows so scans evict.
-target/release/eqsql fuzz --seed 42 --iters 50 --store --store-rows 256
+target/release/eqsql fuzz --seed 42 --iters 50 --store --store-rows 256 | tee -a "$FUZZ_OUT"
 
 echo "==> eqsql fuzz --dml (write-loop differential smoke)"
 # Write-loop gate (DESIGN.md §5i): generated DML loops run row-at-a-time
@@ -78,13 +83,17 @@ echo "==> eqsql fuzz --dml (write-loop differential smoke)"
 # write loop must carry exactly one E010/W010 blame diagnostic. The
 # depend-pass proptests (tests/depend_props.rs) already ran under the
 # `cargo test` step above.
-target/release/eqsql fuzz --seed 42 --iters 200 --dml
+target/release/eqsql fuzz --seed 42 --iters 200 --dml | tee -a "$FUZZ_OUT"
 
 echo "==> eqsql fuzz --dml --store (forked-pager differential smoke)"
 # Regression gate for the pager-aliasing fix: with --store each side of
 # the write-loop differential mutates a deep-forked page image
 # (Database::fork / Pager::fork_image) instead of aliasing one pager.
-target/release/eqsql fuzz --seed 42 --iters 100 --dml --store
+target/release/eqsql fuzz --seed 42 --iters 100 --dml --store | tee -a "$FUZZ_OUT"
+
+echo "==> eqsql fuzz summaries vs golden"
+diff -u tests/golden/fuzz_seed42.txt "$FUZZ_OUT"
+rm -f "$FUZZ_OUT"
 
 echo "==> storage_scale --check"
 # Larger-than-memory gate: streams the 10⁴-row size through the paged

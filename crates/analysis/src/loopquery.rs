@@ -184,7 +184,7 @@ impl Pass for LoopQueryPass {
     fn run(&self, cx: &mut PassContext<'_>) {
         // One replay of every block collects what the checks below read.
         let mut reach = ReadSites::new();
-        ReachingDefs::compute(cx.index(), cx.du_ctx()).replay(|s, sites| {
+        ReachingDefs::compute(cx.index(), cx.du_ctx).replay(|s, sites| {
             if !db_read_calls(s).is_empty() {
                 reach.insert(s.id, sites.collect());
             }
@@ -229,7 +229,7 @@ mod tests {
         let p = imp::parser::parse_program(src).unwrap();
         let mut pm = PassManager::new();
         pm.register(Box::new(LoopQueryPass));
-        pm.run_function(&p, &p.functions[0])
+        pm.run_program(&p, &crate::defuse::DefUseCtx::of_program(&p))
     }
 
     #[test]

@@ -23,12 +23,13 @@
 //!   ([`Code::HoistableQuery`], [`Code::NPlusOneQuery`], see
 //!   [`crate::loopquery`]).
 //!
-//! The extraction pipeline itself (fir/slice/rules) plugs in from
-//! `eqsql-core` through the same [`Pass`] trait.
+//! The lint driver in `eqsql-core` adds the extraction planner's own
+//! diagnostics to these passes' findings.
 //!
-//! Every pass over one function shares one [`PassContext`], which builds
-//! the facts several passes read at most once: the function's
-//! [`FnIndex`] and the program's [`DefUseCtx`].
+//! The caller builds the program's [`DefUseCtx`] once and lends it to
+//! [`PassManager::run_program`]. Every pass over one function shares one
+//! [`PassContext`], which borrows that context and builds the function's
+//! [`FnIndex`] at most once.
 
 use std::cell::OnceCell;
 use std::collections::BTreeSet;
@@ -45,45 +46,25 @@ use crate::liveness::Liveness;
 /// Shared input, lazily built facts and diagnostic sink for one function
 /// under every pass.
 pub struct PassContext<'a> {
-    /// The whole program (for interprocedural facts).
-    pub program: &'a Program,
     /// The function being analyzed.
     pub function: &'a Function,
+    /// The program's def/use context (its interprocedural effect
+    /// summaries), built once by the caller.
+    pub(crate) du_ctx: &'a DefUseCtx,
     index: OnceCell<FnIndex<'a>>,
-    du_ctx: OnceCell<DefUseCtx>,
     /// Findings accumulate here.
     diags: Vec<Diagnostic>,
     pass: &'static str,
 }
 
 impl<'a> PassContext<'a> {
-    /// Build a context for `function`.
-    pub fn new(program: &'a Program, function: &'a Function) -> Self {
-        PassContext {
-            program,
-            function,
-            index: OnceCell::new(),
-            du_ctx: OnceCell::new(),
-            diags: Vec::new(),
-            pass: "",
-        }
-    }
-
     /// The function's dataflow index, built on first use.
     pub(crate) fn index(&self) -> &FnIndex<'a> {
         self.index.get_or_init(|| FnIndex::build(self.function))
     }
 
-    /// The program's def/use context (its interprocedural effect
-    /// summaries), built on first use.
-    pub(crate) fn du_ctx(&self) -> &DefUseCtx {
-        self.du_ctx
-            .get_or_init(|| DefUseCtx::of_program(self.program))
-    }
-
     /// Record a finding; the current pass name and enclosing function are
-    /// filled in when the diagnostic does not carry them already (a wrapped
-    /// pipeline like extraction pre-tags with its internal stage names).
+    /// filled in when the diagnostic does not carry them already.
     pub fn emit(&mut self, d: Diagnostic) {
         let mut d = if d.pass.is_empty() {
             d.with_pass(self.pass)
@@ -135,26 +116,27 @@ impl<'p> PassManager<'p> {
         self.passes.push(p);
     }
 
-    /// Run every pass over one function, sharing one [`PassContext`];
-    /// findings are deduplicated and deterministically ordered.
-    pub fn run_function(&self, program: &Program, function: &Function) -> Vec<Diagnostic> {
-        let mut cx = PassContext::new(program, function);
-        for p in &self.passes {
-            cx.pass = p.name();
-            p.run(&mut cx);
-        }
-        let mut out = cx.diags;
-        crate::diag::dedup_sort(&mut out);
-        out
-    }
-
-    /// Run every pass over every function of the program.
-    pub fn run_program(&self, program: &Program) -> Vec<Diagnostic> {
+    /// Run every pass over every function of the program, whose effect
+    /// summaries `du_ctx` holds, sharing one [`PassContext`] per function.
+    /// Findings come in function order, then pass order; the caller
+    /// deduplicates and sorts them ([`crate::diag::dedup_sort`]) once,
+    /// after adding any of its own.
+    pub fn run_program(&self, program: &Program, du_ctx: &DefUseCtx) -> Vec<Diagnostic> {
         let mut out = Vec::new();
         for f in &program.functions {
-            out.extend(self.run_function(program, f));
+            let mut cx = PassContext {
+                function: f,
+                du_ctx,
+                index: OnceCell::new(),
+                diags: Vec::new(),
+                pass: "",
+            };
+            for p in &self.passes {
+                cx.pass = p.name();
+                p.run(&mut cx);
+            }
+            out.extend(cx.diags);
         }
-        crate::diag::dedup_sort(&mut out);
         out
     }
 }
@@ -171,7 +153,7 @@ impl Pass for PurityPass {
     }
 
     fn run(&self, cx: &mut PassContext<'_>) {
-        let summaries = &cx.du_ctx().summaries;
+        let summaries = &cx.du_ctx.summaries;
         let mut found: Vec<(imp::token::Span, String, crate::effects::EffectSummary)> = Vec::new();
         cx.function.body.walk(&mut |s, in_loop| {
             if !in_loop {
@@ -305,7 +287,7 @@ impl Pass for LoopEffectsPass {
     }
 
     fn run(&self, cx: &mut PassContext<'_>) {
-        let ctx = cx.du_ctx();
+        let ctx = cx.du_ctx;
         let mut found: Vec<(imp::token::Span, Vec<imp::token::Span>)> = Vec::new();
         let mut visit = |s: &Stmt, _in_loop: bool| {
             if let StmtKind::ForEach { var, body, .. } = &s.kind {
@@ -351,6 +333,10 @@ mod tests {
         imp::parse_and_normalize(src).unwrap()
     }
 
+    fn lint(p: &Program) -> Vec<Diagnostic> {
+        PassManager::standard().run_program(p, &DefUseCtx::of_program(p))
+    }
+
     #[test]
     fn purity_pass_flags_impure_helper_calls_in_loops() {
         let p = program(
@@ -364,8 +350,7 @@ mod tests {
             }
             "#,
         );
-        let pm = PassManager::standard();
-        let diags = pm.run_function(&p, p.function("f").unwrap());
+        let diags = lint(&p);
         let hit = diags
             .iter()
             .find(|d| d.code == Code::ImpureHelper)
@@ -378,7 +363,7 @@ mod tests {
     #[test]
     fn deadcode_pass_reports_unused_assignment() {
         let p = program("fn f() { x = 1; y = 2; return y; }");
-        let diags = PassManager::standard().run_function(&p, p.function("f").unwrap());
+        let diags = lint(&p);
         assert!(
             diags
                 .iter()
@@ -400,7 +385,7 @@ mod tests {
             }
             "#,
         );
-        let diags = PassManager::standard().run_function(&p, p.function("f").unwrap());
+        let diags = lint(&p);
         let hit = diags
             .iter()
             .find(|d| d.pass == "liveness" && d.var.as_deref() == Some("s"))
@@ -421,7 +406,7 @@ mod tests {
             }
             "#,
         );
-        let diags = PassManager::standard().run_function(&p, p.function("f").unwrap());
+        let diags = lint(&p);
         let hit = diags
             .iter()
             .find(|d| d.code == Code::LoopSideEffects)
@@ -443,8 +428,8 @@ mod tests {
             "#;
         let p = program(src);
         let before = p.clone();
-        let a = PassManager::standard().run_program(&p);
-        let b = PassManager::standard().run_program(&p);
+        let a = lint(&p);
+        let b = lint(&p);
         assert_eq!(p, before, "passes must not mutate the program");
         assert_eq!(a, b, "pass output must be deterministic");
     }

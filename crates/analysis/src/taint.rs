@@ -275,7 +275,7 @@ mod tests {
         let p = parse_program(src).unwrap();
         let mut pm = crate::pass::PassManager::new();
         pm.register(Box::new(TaintPass));
-        let diags = pm.run_function(&p, &p.functions[0]);
+        let diags = pm.run_program(&p, &crate::defuse::DefUseCtx::of_program(&p));
         (p.clone(), diags)
     }
 

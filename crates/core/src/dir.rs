@@ -47,9 +47,6 @@ pub struct DirResult {
     /// The function's cursor loops outside any loop body, in source order:
     /// the loops extraction may replace.
     pub loops: Vec<LoopCandidate>,
-    /// The def/use context (interprocedural effect summaries, computed once
-    /// per program), so callers need not re-run the fixpoint.
-    pub du_ctx: DefUseCtx,
 }
 
 /// A diagnostic record from one `loopToFold` attempt.
@@ -88,8 +85,9 @@ pub struct DirBuilder<'a> {
     coll_kinds: HashMap<Symbol, CollKind>,
     /// Remaining inlining depth (guards recursion).
     inline_budget: usize,
-    /// Purity context for the dependence analyses.
-    du_ctx: DefUseCtx,
+    /// Purity context for the dependence analyses (the program's effect
+    /// summaries, built once by the caller).
+    du_ctx: &'a DefUseCtx,
     /// F-IR conversion options.
     fir_opts: fir::FirOptions,
     fold_notes: Vec<FoldNote>,
@@ -97,15 +95,20 @@ pub struct DirBuilder<'a> {
 }
 
 impl<'a> DirBuilder<'a> {
-    /// Create a builder.
-    pub fn new(program: &'a Program, catalog: &'a Catalog) -> DirBuilder<'a> {
+    /// Create a builder over `program`, whose effect summaries `du_ctx`
+    /// holds.
+    pub fn new(
+        program: &'a Program,
+        catalog: &'a Catalog,
+        du_ctx: &'a DefUseCtx,
+    ) -> DirBuilder<'a> {
         DirBuilder {
             dag: EeDag::new(),
             program,
             catalog,
             coll_kinds: HashMap::new(),
             inline_budget: 8,
-            du_ctx: DefUseCtx::of_program(program),
+            du_ctx,
             fir_opts: fir::FirOptions::default(),
             fold_notes: Vec::new(),
             loops: Vec::new(),
@@ -119,9 +122,8 @@ impl<'a> DirBuilder<'a> {
         self
     }
 
-    /// Build the D-IR for a whole function.
-    pub fn build_function(mut self, fname: &str) -> Option<DirResult> {
-        let f = self.program.function(fname)?;
+    /// Build the D-IR for `f`, a function of the builder's program.
+    pub fn build(mut self, f: &Function) -> DirResult {
         // Record `x = list()` / `x = set()` initializations so that
         // `x.add(e)` maps to `append`/`insert` wherever it appears.
         f.body.walk(&mut |s, _| {
@@ -142,13 +144,12 @@ impl<'a> DirBuilder<'a> {
             }
         });
         let ve = self.block_ve(f, &f.body, Some(&VeMap::new()));
-        Some(DirResult {
+        DirResult {
             dag: self.dag,
             ve,
             fold_notes: self.fold_notes,
             loops: self.loops,
-            du_ctx: self.du_ctx,
-        })
+        }
     }
 
     /// The ve-Map of a block of `f`: each modified variable's value at
@@ -272,7 +273,7 @@ impl<'a> DirBuilder<'a> {
             source,
             s.id,
             s.span,
-            &self.du_ctx,
+            self.du_ctx,
             self.fir_opts,
         );
         let mut out = VeMap::new();
@@ -639,9 +640,12 @@ impl<'a> DirBuilder<'a> {
     }
 }
 
-/// Build the D-IR for one function of a program.
+/// Build the D-IR for one function of a program, computing the program's
+/// effect summaries for this one call (a test and bench helper; the
+/// extractor builds them once per run and calls [`DirBuilder::new`]).
 pub fn build_function_dir(program: &Program, catalog: &Catalog, fname: &str) -> Option<DirResult> {
-    DirBuilder::new(program, catalog).build_function(fname)
+    let du_ctx = DefUseCtx::of_program(program);
+    Some(DirBuilder::new(program, catalog, &du_ctx).build(program.function(fname)?))
 }
 
 #[cfg(test)]

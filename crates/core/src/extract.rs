@@ -5,6 +5,7 @@ use std::time::{Duration, Instant};
 use algebra::schema::Catalog;
 use algebra::Dialect;
 use analysis::dataflow::FnIndex;
+use analysis::defuse::DefUseCtx;
 use analysis::diag::{dedup_sort, Code, Diagnostic, Severity};
 use analysis::liveness::Liveness;
 use imp::ast::{Expr, Function, Program, StmtId};
@@ -209,11 +210,12 @@ impl CertSummary {
 /// remain byte-identical across machines and cache replays.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageTimes {
-    /// AST clone + desugaring passes.
+    /// AST clone + desugaring passes, once per run (not per function).
     pub desugar_ns: u64,
-    /// D-IR construction (ee-DAG/ve-Map build in one walk over the AST,
-    /// including the loopToFold F-IR conversion that runs inside the
-    /// builder).
+    /// D-IR construction: the program's effect summaries, built once per
+    /// run, then per function the ee-DAG/ve-Map build in one walk over the
+    /// AST, including the loopToFold F-IR conversion that runs inside the
+    /// builder.
     pub dir_ns: u64,
     /// Dataflow index and live-variable analysis of the function
     /// (`analysis::liveness`), which decides the accumulators that are dead
@@ -284,12 +286,12 @@ impl StageTimes {
     }
 }
 
-/// [`Extractor::extract_in`]'s findings for one function: an
-/// [`ExtractionReport`] without the program, which was rewritten in place.
-struct FunctionRun {
+/// One function's extraction plan: the loops to replace, with every
+/// variable's record and diagnostics, before the program is rewritten.
+pub(crate) struct FunctionPlan {
     vars: Vec<VarExtraction>,
-    diagnostics: Vec<Diagnostic>,
-    loops_rewritten: usize,
+    pub(crate) diagnostics: Vec<Diagnostic>,
+    plans: Vec<RewritePlan>,
     stage: StageTimes,
     certification: Option<CertSummary>,
 }
@@ -497,29 +499,61 @@ impl Extractor {
         Extractor { catalog, opts }
     }
 
-    /// Extract from every function of the program. The program is cloned
-    /// once and each function is rewritten in that copy.
+    /// Extract from every function of the program: each function is
+    /// planned against the desugared input, then every plan is applied.
+    ///
+    /// Each function is reported as [`Extractor::extract_function`]
+    /// reports it: statement ids are in the input's numbering, and a callee
+    /// is analysed as given, not as rewritten for its own loops. Only the
+    /// returned program is renumbered. With
+    /// [`ExtractorOptions::rewrite_prints`] every function's prints are
+    /// rewritten first and the copy renumbered, so ids are in that copy's
+    /// numbering.
     pub fn extract_program(&self, program: &Program) -> ExtractionReport {
+        self.run(program, None)
+    }
+
+    /// Extract from one function; the returned program has that function's
+    /// loops rewritten. Desugaring applies to the whole returned program
+    /// (min/max and boolean-flag normalisation run over every function),
+    /// but prints are rewritten in `fname` alone, and every statement is
+    /// renumbered.
+    pub fn extract_function(&self, program: &Program, fname: &str) -> ExtractionReport {
+        self.run(program, Some(fname))
+    }
+
+    /// One extraction run over the functions in `scope` (every function
+    /// when `None`): desugar a copy of the program once, build its effect
+    /// summaries once, plan each function read-only against that copy,
+    /// then apply every plan and renumber once.
+    fn run(&self, program: &Program, scope: Option<&str>) -> ExtractionReport {
         let started = Instant::now();
-        let mut work = program.clone();
-        let mut vars = Vec::new();
-        let mut diagnostics = Vec::new();
-        let mut loops_rewritten = 0;
+        let mut work = self.desugar(program, scope);
         let mut stage = StageTimes {
             desugar_ns: started.elapsed().as_nanos() as u64,
             ..StageTimes::default()
         };
-        let mut certification: Option<CertSummary> = None;
-        for f in &program.functions {
-            let r = self.extract_in(&mut work, &f.name, Instant::now());
-            vars.extend(r.vars);
-            diagnostics.extend(r.diagnostics);
-            loops_rewritten += r.loops_rewritten;
-            stage.absorb(&r.stage);
-            if let Some(c) = &r.certification {
-                certification.get_or_insert_with(Default::default).merge(c);
+        // The effect summaries are part of building the D-IR.
+        let dir_started = Instant::now();
+        let du_ctx = DefUseCtx::of_program(&work);
+        stage.dir_ns = dir_started.elapsed().as_nanos() as u64;
+        let planned = self.plan(&work, &du_ctx, scope);
+        let mut vars = Vec::new();
+        let mut diagnostics = Vec::new();
+        let mut certification = self.opts.certify.then(CertSummary::default);
+        let rewrite_started = Instant::now();
+        let mut loops_rewritten = 0;
+        for (i, plan) in planned {
+            loops_rewritten += apply_plans(&mut work.functions[i], &plan.plans);
+            vars.extend(plan.vars);
+            diagnostics.extend(plan.diagnostics);
+            stage.absorb(&plan.stage);
+            if let (Some(c), Some(p)) = (certification.as_mut(), &plan.certification) {
+                c.merge(p);
             }
         }
+        work.renumber();
+        stage.rewrite_ns = rewrite_started.elapsed().as_nanos() as u64;
         dedup_sort(&mut diagnostics);
         ExtractionReport {
             program: work,
@@ -532,46 +566,48 @@ impl Extractor {
         }
     }
 
-    /// Extract from one function; the returned program has that function
-    /// rewritten (other functions untouched).
-    pub fn extract_function(&self, program: &Program, fname: &str) -> ExtractionReport {
-        let started = Instant::now();
+    /// A copy of `program` with the source normalisations extraction
+    /// relies on, and prints rewritten in the functions of `scope` when
+    /// [`ExtractorOptions::rewrite_prints`] is set.
+    pub(crate) fn desugar(&self, program: &Program, scope: Option<&str>) -> Program {
         let mut work = program.clone();
-        let r = self.extract_in(&mut work, fname, started);
-        ExtractionReport {
-            program: work,
-            vars: r.vars,
-            diagnostics: r.diagnostics,
-            loops_rewritten: r.loops_rewritten,
-            elapsed: started.elapsed(),
-            stage: r.stage,
-            certification: r.certification,
-        }
-    }
-
-    /// Extract from function `fname` of `work`, rewriting it in place.
-    /// `started` opens the desugar stage's clock.
-    fn extract_in(&self, work: &mut Program, fname: &str, started: Instant) -> FunctionRun {
-        let mut stage = StageTimes::default();
-        imp::desugar::normalize_minmax(work);
-        imp::desugar::normalize_bool_flags(work);
+        imp::desugar::normalize_minmax(&mut work);
+        imp::desugar::normalize_bool_flags(&mut work);
         if self.opts.rewrite_prints {
-            if let Some(f) = work.function_mut(fname) {
-                imp::desugar::rewrite_prints(f);
+            for f in &mut work.functions {
+                if scope.is_none_or(|name| f.name == name) {
+                    imp::desugar::rewrite_prints(f);
+                }
             }
             work.renumber();
         }
-        stage.desugar_ns = started.elapsed().as_nanos() as u64;
-        let Some(f) = work.function(fname).cloned() else {
-            return FunctionRun {
-                vars: Vec::new(),
-                diagnostics: Vec::new(),
-                loops_rewritten: 0,
-                stage,
-                certification: self.opts.certify.then(CertSummary::default),
-            };
-        };
+        work
+    }
 
+    /// The planning half of a run: plan every function of `work` in
+    /// `scope`, in program order, each paired with its index. `work` is the
+    /// desugared program and is only read; `du_ctx` holds its effect
+    /// summaries.
+    pub(crate) fn plan(
+        &self,
+        work: &Program,
+        du_ctx: &DefUseCtx,
+        scope: Option<&str>,
+    ) -> Vec<(usize, FunctionPlan)> {
+        work.functions
+            .iter()
+            .enumerate()
+            .filter(|(_, f)| scope.is_none_or(|name| f.name == name))
+            .map(|(i, f)| (i, self.plan_function(work, f, du_ctx)))
+            .collect()
+    }
+
+    /// Plan the cursor loops of `f`, a function of the desugared `work`:
+    /// which to replace and by what, with every variable's outcome and
+    /// diagnostics. Nothing is rewritten.
+    fn plan_function(&self, work: &Program, f: &Function, du_ctx: &DefUseCtx) -> FunctionPlan {
+        let fname = f.name.as_str();
+        let mut stage = StageTimes::default();
         // Build the D-IR, collecting per-loop fold expressions resolved
         // against everything preceding the loop.
         let dir_started = Instant::now();
@@ -579,17 +615,15 @@ impl Extractor {
             mut dag,
             fold_notes,
             loops: candidates,
-            du_ctx,
             ..
-        } = DirBuilder::new(work, &self.catalog)
+        } = DirBuilder::new(work, &self.catalog, du_ctx)
             .with_fir_options(crate::fir::FirOptions {
                 dependent_agg: self.opts.dependent_agg,
             })
-            .build_function(fname)
-            .expect("the function exists");
+            .build(f);
         stage.dir_ns = dir_started.elapsed().as_nanos() as u64;
         let liveness_started = Instant::now();
-        let ix = FnIndex::build(&f);
+        let ix = FnIndex::build(f);
         let liveness = Liveness::compute(&ix);
         stage.liveness_ns = liveness_started.elapsed().as_nanos() as u64;
         let certifier = self
@@ -601,15 +635,8 @@ impl Extractor {
         let mut diagnostics: Vec<Diagnostic> = Vec::new();
         let mut plans = Vec::new();
 
-        // Cursor loops (`for`), the extraction targets; every one that stays
+        // Every candidate is a cursor loop (`for`); each one that stays
         // imperative gets exactly one `W007` blame diagnostic below.
-        let mut cursor_loops: std::collections::BTreeSet<StmtId> = Default::default();
-        f.body.walk(&mut |s, _| {
-            if matches!(s.kind, imp::ast::StmtKind::ForEach { .. }) {
-                cursor_loops.insert(s.id);
-            }
-        });
-
         for cand in candidates {
             let loop_stmt = f.body.find(cand.stmt);
             let loop_span = loop_stmt.map(|s| s.span).unwrap_or_default();
@@ -621,7 +648,7 @@ impl Extractor {
             // per-variable precondition checks, but removing the loop would
             // drop the early exit.
             let has_external_write = loop_stmt.is_some_and(|s| {
-                analysis::defuse::DefUse::of_stmt_recursive_in(s, &du_ctx).ext_write
+                analysis::defuse::DefUse::of_stmt_recursive_in(s, du_ctx).ext_write
             });
             let has_side_effects = has_external_write || loop_stmt.is_some_and(has_function_exit);
             let mut assigns: Vec<(intern::Symbol, Expr)> = Vec::new();
@@ -715,7 +742,7 @@ impl Extractor {
                                 // extracted SQL is reported, the loop stays.
                                 outcome = ExtractionOutcome::ExtractedNotRewritten(d);
                                 loop_ok = false;
-                            } else if !inputs_safe(&f, cand.stmt, &inputs) {
+                            } else if !inputs_safe(f, cand.stmt, &inputs) {
                                 outcome = ExtractionOutcome::ExtractedNotRewritten(
                                     Diagnostic::new(
                                         Code::RewriteDeclined,
@@ -791,9 +818,9 @@ impl Extractor {
             // diagnostic on the loop (replacing the generic W007).
             let mut dml_plan: Option<Expr> = None;
             let mut dml_handled = false;
-            if cursor_loops.contains(&cand.stmt) && has_external_write {
+            if has_external_write {
                 if let Some(out) = self.try_foreach_dml(
-                    &f,
+                    f,
                     fname,
                     cand.stmt,
                     loop_span,
@@ -817,7 +844,7 @@ impl Extractor {
             let mut cost_rejected = false;
             if rewrite && !dml_rewritten {
                 if let Some(stats) = &self.opts.cost_based {
-                    let d = crate::costing::decide(&f, cand.stmt, &assigns, stats);
+                    let d = crate::costing::decide(f, cand.stmt, &assigns, stats);
                     if !d.beneficial {
                         rewrite = false;
                         cost_rejected = true;
@@ -871,9 +898,8 @@ impl Extractor {
             // is never silently rejected. Trace the decisive reason — the
             // first hard (E-code) per-variable failure, else the rewrite
             // demotion, else the loop-level condition — and anchor a label
-            // chain at the offending statements. `while` loops are exempt
-            // (they are never cursor-extraction targets).
-            if !rewrite && !dml_handled && cursor_loops.contains(&cand.stmt) {
+            // chain at the offending statements.
+            if !rewrite && !dml_handled {
                 let underlying = loop_vars
                     .iter()
                     .filter_map(|v| v.outcome.diagnostic())
@@ -968,22 +994,12 @@ impl Extractor {
             vars_report.extend(loop_vars);
         }
 
-        // The liveness borrows `f`; the rewrite takes it by value.
-        drop(liveness);
-        let rewrite_started = Instant::now();
-        let mut new_f = f;
-        let loops_rewritten = apply_plans(&mut new_f, &plans);
-        if let Some(slot) = work.function_mut(fname) {
-            *slot = new_f;
-        }
-        work.renumber();
-        stage.rewrite_ns = rewrite_started.elapsed().as_nanos() as u64;
         stage.peak_dag_nodes = dag.len() as u64;
         dedup_sort(&mut diagnostics);
-        FunctionRun {
+        FunctionPlan {
             vars: vars_report,
             diagnostics,
-            loops_rewritten,
+            plans,
             stage,
             certification,
         }
@@ -1886,7 +1902,7 @@ mod tests {
     fn loop_under_nested_ifs_is_converted_once() {
         let p = parse_and_normalize(NESTED_LOOP).unwrap();
         let c = catalog();
-        let dir = DirBuilder::new(&p, &c).build_function("band").unwrap();
+        let dir = crate::dir::build_function_dir(&p, &c, "band").unwrap();
         let notes: Vec<_> = dir
             .fold_notes
             .iter()

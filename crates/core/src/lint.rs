@@ -1,63 +1,50 @@
 //! The lint driver: extraction-failure diagnostics, end to end.
 //!
 //! Combines the advisory pipeline of [`analysis::pass`] (purity, deadcode,
-//! liveness, ddg, taint, loopquery) with the extraction pipeline itself,
-//! run dry: every loop that fails — or declines — extraction yields a
-//! typed, span-anchored diagnostic (`E0xx` hard failures, `W0xx`
-//! advisories). This is what the `eqsql lint` subcommand calls.
+//! liveness, ddg, taint, loopquery) with the planning half of an
+//! extraction run: every loop that fails — or declines — extraction yields
+//! a typed, span-anchored diagnostic (`E0xx` hard failures, `W0xx`
+//! advisories), and nothing is rewritten. Both halves read one set of
+//! effect summaries, built once per program. This is what the
+//! `eqsql lint` subcommand calls.
 
 use algebra::schema::Catalog;
-use analysis::diag::Diagnostic;
-use analysis::pass::{Pass, PassContext, PassManager};
+use analysis::defuse::DefUseCtx;
+use analysis::diag::{dedup_sort, Diagnostic};
+use analysis::pass::PassManager;
 use imp::ast::Program;
 
 use crate::extract::{Extractor, ExtractorOptions};
 
-/// The extraction pipeline as a named [`Pass`] (`"extract"`).
-///
-/// Runs [`Extractor::extract_function`] without keeping the rewritten
-/// program and reports the per-variable failure diagnostics. Diagnostics
-/// produced deeper in the pipeline keep their own stage names (`"fir"`,
-/// `"sqlgen"`); only untagged ones pick up `"extract"`.
-pub struct ExtractionPass {
-    catalog: Catalog,
-    opts: ExtractorOptions,
-}
-
-impl ExtractionPass {
-    /// Build the pass for a schema catalog and extractor options.
-    pub fn new(catalog: Catalog, opts: ExtractorOptions) -> ExtractionPass {
-        ExtractionPass { catalog, opts }
-    }
-}
-
-impl Pass for ExtractionPass {
-    fn name(&self) -> &'static str {
-        "extract"
-    }
-
-    fn run(&self, cx: &mut PassContext<'_>) {
-        let ex = Extractor::with_options(self.catalog.clone(), self.opts.clone());
-        let report = ex.extract_function(cx.program, &cx.function.name);
-        for d in report.diagnostics {
-            cx.emit(d);
-        }
-    }
-}
-
 /// Run the full lint pipeline over a program.
 ///
-/// The standard advisory passes run first, then the extraction pass;
-/// [`PassManager::run_program`] deduplicates the result and orders it by
-/// source position, so output is deterministic across runs.
+/// Builds the program's effect summaries once, runs the standard advisory
+/// passes over every function with them, then plans extraction of every
+/// function against the desugared program with the same summaries (no
+/// rewrite, dead-code elimination or renumbering). Planner diagnostics
+/// keep their stage names (`"fir"`, `"sqlgen"`, …); an untagged one is
+/// tagged `"extract"`. All findings are then deduplicated and ordered by
+/// source position once, so output is deterministic across runs.
 pub fn lint_program(
     program: &Program,
     catalog: &Catalog,
     opts: &ExtractorOptions,
 ) -> Vec<Diagnostic> {
-    let mut pm = PassManager::standard();
-    pm.register(Box::new(ExtractionPass::new(catalog.clone(), opts.clone())));
-    pm.run_program(program)
+    let du_ctx = DefUseCtx::of_program(program);
+    let mut diags = PassManager::standard().run_program(program, &du_ctx);
+    let ex = Extractor::with_options(catalog.clone(), opts.clone());
+    let work = ex.desugar(program, None);
+    for (_, plan) in ex.plan(&work, &du_ctx, None) {
+        diags.extend(plan.diagnostics.into_iter().map(|d| {
+            if d.pass.is_empty() {
+                d.with_pass("extract")
+            } else {
+                d
+            }
+        }));
+    }
+    dedup_sort(&mut diags);
+    diags
 }
 
 #[cfg(test)]

@@ -128,6 +128,77 @@ fn extract_program_handles_all_functions() {
     assert_eq!(report.loops_rewritten, 2);
 }
 
+/// A function's extraction must not depend on which functions come before
+/// it: `extract_program` reports, for every function, exactly what
+/// `extract_function` reports for it alone, with statement ids in the
+/// input's numbering and callees analysed as written.
+#[test]
+fn extraction_does_not_depend_on_function_order() {
+    let three = r#"
+        fn a() {
+            q = executeQuery("SELECT * FROM emp");
+            s = 0;
+            for (e in q) { s = s + e.salary; }
+            return s;
+        }
+        fn b() {
+            q = executeQuery("SELECT * FROM emp");
+            n = 0;
+            for (e in q) { n = n + 1; }
+            return n;
+        }
+        fn c() {
+            base = a();
+            q = executeQuery("SELECT * FROM emp");
+            s = 0;
+            for (e in q) { s = s + e.salary; }
+            return s + base;
+        }
+    "#;
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/corpus");
+    let catalog =
+        algebra::ddl::parse_ddl(&std::fs::read_to_string(dir.join("schema.sql")).unwrap()).unwrap();
+    let mut sources = vec![("three".to_string(), three.to_string())];
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.extension().is_some_and(|x| x == "imp") {
+            let name = path.file_name().unwrap().to_string_lossy().to_string();
+            sources.push((name, std::fs::read_to_string(&path).unwrap()));
+        }
+    }
+    let row = |v: &eqsql_core::VarExtraction| {
+        (
+            v.function.clone(),
+            v.var.clone(),
+            v.loop_stmt,
+            v.sql.clone(),
+            v.outcome.clone(),
+        )
+    };
+    let extractor = Extractor::new(catalog);
+    for (name, src) in &sources {
+        let program = imp::parse_and_normalize(src).unwrap();
+        let whole = extractor.extract_program(&program);
+        let mut vars = Vec::new();
+        let mut diagnostics = Vec::new();
+        for f in &program.functions {
+            let one = extractor.extract_function(&program, f.name.as_str());
+            vars.extend(one.vars.iter().map(row));
+            diagnostics.extend(one.diagnostics);
+        }
+        analysis::diag::dedup_sort(&mut diagnostics);
+        assert_eq!(
+            whole.vars.iter().map(row).collect::<Vec<_>>(),
+            vars,
+            "{name}"
+        );
+        assert_eq!(whole.diagnostics, diagnostics, "{name}");
+        if name == "three" {
+            assert_eq!(whole.loops_rewritten, 3);
+        }
+    }
+}
+
 #[test]
 fn update_loop_partial_extraction_reports_sql_but_keeps_loop() {
     // Sec. 7.1: "our tool partially optimizes such code fragments by
