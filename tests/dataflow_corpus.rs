@@ -22,46 +22,10 @@ use analysis::reaching::ReachingDefs;
 use analysis::taint::Taint;
 use imp::ast::{Expr, Program, StmtKind};
 
-/// `(name, source)` of every program in the sweep, corpus first.
-fn sweep() -> Vec<(String, String)> {
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/corpus");
-    let mut paths: Vec<_> = std::fs::read_dir(&dir)
-        .unwrap_or_else(|e| panic!("missing corpus dir {}: {e}", dir.display()))
-        .map(|e| e.unwrap().path())
-        .filter(|p| p.extension().is_some_and(|x| x == "imp"))
-        .collect();
-    paths.sort();
-    let mut out: Vec<(String, String)> = paths
-        .iter()
-        .map(|p| {
-            (
-                format!("corpus/{}", p.file_name().unwrap().to_string_lossy()),
-                std::fs::read_to_string(p).unwrap(),
-            )
-        })
-        .collect();
-    for s in workloads::wilos::samples() {
-        out.push((format!("wilos/{}", s.label), s.source.to_string()));
-    }
-    for (app, servlets) in [
-        ("rubis", workloads::servlets::rubis()),
-        ("rubbos", workloads::servlets::rubbos()),
-        ("acadportal", workloads::servlets::acadportal()),
-    ] {
-        for s in servlets {
-            out.push((format!("{app}/{}", s.name), s.source));
-        }
-    }
-    out.push((
-        "matoso/find_max_score".into(),
-        workloads::matoso::FIND_MAX_SCORE.to_string(),
-    ));
-    out.push((
-        "jobportal/applicant_report".into(),
-        workloads::jobportal::APPLICANT_REPORT.to_string(),
-    ));
-    out
-}
+// The dataflow answers need no schema: each unit's catalog goes unread.
+#[allow(dead_code)]
+#[path = "support/sweep.rs"]
+mod sweep;
 
 fn names<T: std::fmt::Display>(set: impl IntoIterator<Item = T>) -> String {
     set.into_iter()
@@ -115,11 +79,10 @@ fn render(program: &Program, out: &mut String) {
 #[test]
 fn dataflow_answers_match_golden() {
     let mut got = String::new();
-    let programs = sweep();
-    assert_eq!(programs.len(), 158, "the sweep is 158 programs");
-    for (name, src) in &programs {
-        let program =
-            imp::parse_and_normalize(src).unwrap_or_else(|e| panic!("{name} does not parse: {e}"));
+    for unit in sweep::units() {
+        let name = &unit.name;
+        let program = imp::parse_and_normalize(&unit.source)
+            .unwrap_or_else(|e| panic!("{name} does not parse: {e}"));
         writeln!(got, "== {name}").unwrap();
         render(&program, &mut got);
     }
