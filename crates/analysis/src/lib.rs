@@ -64,5 +64,5 @@ pub use ddg::{Ddg, DepKind};
 pub use defuse::{DefUse, DefUseCtx};
 pub use diag::{Code, Diagnostic, Label, Severity};
 pub use effects::{effect_summaries, EffectSet, EffectSummary};
-pub use pass::{Pass, PassContext, PassManager};
+pub use pass::{FnFacts, Pass, PassContext, PassManager};
 pub use reaching::ReachingDefs;

@@ -101,8 +101,12 @@ pub fn loop_to_fold(
         }
         return out;
     }
-    let ddg = Ddg::build_with(body, cursor, &BTreeSet::new(), ctx);
     let updated: Vec<Symbol> = body_ve.keys().filter(|v| **v != cursor).copied().collect();
+    if updated.is_empty() {
+        // Nothing to fold: the dependence graph would go unread.
+        return out;
+    }
+    let ddg = Ddg::build_with(body, cursor, &BTreeSet::new(), ctx);
     for var in &updated {
         let cx = ConvertCx {
             body,

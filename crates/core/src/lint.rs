@@ -5,37 +5,57 @@
 //! extraction run: every loop that fails — or declines — extraction yields
 //! a typed, span-anchored diagnostic (`E0xx` hard failures, `W0xx`
 //! advisories), and nothing is rewritten. Both halves read one set of
-//! effect summaries, built once per program. This is what the
+//! effect summaries, built once per program, and one [`FnFacts`] per
+//! function: its dataflow index and liveness, built once. This is what the
 //! `eqsql lint` subcommand calls.
 
+use std::borrow::Cow;
+
 use algebra::schema::Catalog;
+use analysis::dataflow::FnIndex;
 use analysis::defuse::DefUseCtx;
 use analysis::diag::{dedup_sort, Diagnostic};
-use analysis::pass::PassManager;
+use analysis::pass::{FnFacts, PassManager};
 use imp::ast::Program;
 
 use crate::extract::{Extractor, ExtractorOptions};
 
 /// Run the full lint pipeline over a program.
 ///
-/// Builds the program's effect summaries once, runs the standard advisory
-/// passes over every function with them, then plans extraction of every
-/// function against the desugared program with the same summaries (no
-/// rewrite, dead-code elimination or renumbering). Planner diagnostics
-/// keep their stage names (`"fir"`, `"sqlgen"`, …); an untagged one is
-/// tagged `"extract"`. All findings are then deduplicated and ordered by
-/// source position once, so output is deterministic across runs.
+/// Builds the program's effect summaries once and, per function, one
+/// [`FnFacts`]: the standard advisory passes read it, and so does the
+/// extraction planner, which plans the function of the desugared program
+/// with the same summaries (no rewrite, dead-code elimination or
+/// renumbering). Desugaring leaves a normalised program as it is, so the
+/// planner builds facts of its own only for a function that desugaring
+/// changed (a printing one under [`ExtractorOptions::rewrite_prints`], or
+/// any of an input that was never normalised); the passes always read the
+/// program as written. Planner diagnostics keep their stage names
+/// (`"fir"`, `"sqlgen"`, …); an untagged one is tagged `"extract"`. All
+/// findings are then deduplicated and ordered by source position once, so
+/// output is deterministic across runs.
 pub fn lint_program(
     program: &Program,
     catalog: &Catalog,
     opts: &ExtractorOptions,
 ) -> Vec<Diagnostic> {
     let du_ctx = DefUseCtx::of_program(program);
-    let mut diags = PassManager::standard().run_program(program, &du_ctx);
+    let passes = PassManager::standard();
     let ex = Extractor::with_options(catalog.clone(), opts.clone());
     let work = ex.desugar(program, None);
-    for (_, plan) in ex.plan(&work, &du_ctx, None) {
-        diags.extend(plan.diagnostics.into_iter().map(|d| {
+    let mut diags = Vec::new();
+    let mut planned = Vec::new();
+    for (f, desugared) in program.functions.iter().zip(&work.functions) {
+        let ix = FnIndex::build(f);
+        let facts = FnFacts::new(&ix, &du_ctx);
+        diags.extend(passes.run(&facts));
+        let plan = if matches!(work, Cow::Borrowed(_)) || desugared == f {
+            ex.plan_function(&work, &facts)
+        } else {
+            let ix = FnIndex::build(desugared);
+            ex.plan_function(&work, &FnFacts::new(&ix, &du_ctx))
+        };
+        planned.extend(plan.diagnostics.into_iter().map(|d| {
             if d.pass.is_empty() {
                 d.with_pass("extract")
             } else {
@@ -43,6 +63,7 @@ pub fn lint_program(
             }
         }));
     }
+    diags.append(&mut planned);
     dedup_sort(&mut diags);
     diags
 }

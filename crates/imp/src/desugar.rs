@@ -52,33 +52,26 @@ fn bool_flags_block(b: &mut Block) -> usize {
                 then_branch,
                 else_branch,
             } => {
-                if else_branch.stmts.is_empty() && then_branch.stmts.len() == 1 {
-                    if let StmtKind::Assign {
-                        target,
-                        value: Expr::Lit(crate::ast::Literal::Bool(bv)),
-                    } = &then_branch.stmts[0].kind
-                    {
-                        let target = *target;
-                        let value = if *bv {
-                            Expr::Binary(
-                                BinaryOp::Or,
-                                Box::new(Expr::Var(target)),
+                if let Some((target, bv)) = bool_flag(then_branch, else_branch) {
+                    let value = if bv {
+                        Expr::Binary(
+                            BinaryOp::Or,
+                            Box::new(Expr::Var(target)),
+                            Box::new(cond.clone()),
+                        )
+                    } else {
+                        Expr::Binary(
+                            BinaryOp::And,
+                            Box::new(Expr::Var(target)),
+                            Box::new(Expr::Unary(
+                                crate::ast::UnaryOp::Not,
                                 Box::new(cond.clone()),
-                            )
-                        } else {
-                            Expr::Binary(
-                                BinaryOp::And,
-                                Box::new(Expr::Var(target)),
-                                Box::new(Expr::Unary(
-                                    crate::ast::UnaryOp::Not,
-                                    Box::new(cond.clone()),
-                                )),
-                            )
-                        };
-                        s.kind = StmtKind::Assign { target, value };
-                        count += 1;
-                        continue;
-                    }
+                            )),
+                        )
+                    };
+                    s.kind = StmtKind::Assign { target, value };
+                    count += 1;
+                    continue;
                 }
                 count += bool_flags_block(then_branch);
                 count += bool_flags_block(else_branch);
@@ -101,15 +94,14 @@ fn normalize_block(b: &mut Block) -> usize {
                 then_branch,
                 else_branch,
             } => {
-                if else_branch.stmts.is_empty() {
-                    if let Some((target, call)) = minmax_rewrite(cond, then_branch) {
-                        s.kind = StmtKind::Assign {
-                            target,
-                            value: call,
-                        };
-                        count += 1;
-                        continue;
-                    }
+                if let Some((target, func, expr_side)) = minmax(cond, then_branch, else_branch) {
+                    let value = Expr::Call {
+                        name: func.into(),
+                        args: vec![Expr::Var(target), expr_side.clone()],
+                    };
+                    s.kind = StmtKind::Assign { target, value };
+                    count += 1;
+                    continue;
                 }
                 count += normalize_block(then_branch);
                 count += normalize_block(else_branch);
@@ -123,14 +115,19 @@ fn normalize_block(b: &mut Block) -> usize {
     count
 }
 
-/// Recognize `if (a OP b) v = e;` where one comparison side is `v` and the
-/// other equals `e`; return the replacement `v = max/min(v, e)`.
-fn minmax_rewrite(cond: &Expr, then_branch: &Block) -> Option<(intern::Symbol, Expr)> {
-    if then_branch.stmts.len() != 1 {
+/// Recognize `if (a OP b) v = e;` (no `else`) where one comparison side
+/// is `v` and the other equals `e`; return `v`, the aggregate (`"max"` or
+/// `"min"`) and `e` for the replacement `v = max/min(v, e)`.
+fn minmax<'e>(
+    cond: &'e Expr,
+    then_branch: &Block,
+    else_branch: &Block,
+) -> Option<(intern::Symbol, &'static str, &'e Expr)> {
+    if !else_branch.stmts.is_empty() || then_branch.stmts.len() != 1 {
         return None;
     }
     let (target, value) = match &then_branch.stmts[0].kind {
-        StmtKind::Assign { target, value } => (*target, value.clone()),
+        StmtKind::Assign { target, value } => (*target, value),
         _ => return None,
     };
     let (op, lhs, rhs) = match cond {
@@ -138,9 +135,9 @@ fn minmax_rewrite(cond: &Expr, then_branch: &Block) -> Option<(intern::Symbol, E
         _ => return None,
     };
     // Normalize to the form `expr OP v`.
-    let (op, expr_side) = if *rhs == Expr::Var(target) && *lhs == value {
+    let (op, expr_side) = if *rhs == Expr::Var(target) && lhs == value {
         (op, lhs)
-    } else if *lhs == Expr::Var(target) && *rhs == value {
+    } else if *lhs == Expr::Var(target) && rhs == value {
         // `v OP expr` — flip the comparison (paper Sec. 4.2 last paragraph).
         let flipped = match op {
             BinaryOp::Lt => BinaryOp::Gt,
@@ -158,13 +155,44 @@ fn minmax_rewrite(cond: &Expr, then_branch: &Block) -> Option<(intern::Symbol, E
         BinaryOp::Lt | BinaryOp::Le => "min",
         _ => return None,
     };
-    Some((
-        target,
-        Expr::Call {
-            name: func.into(),
-            args: vec![Expr::Var(target), expr_side.clone()],
-        },
-    ))
+    Some((target, func, expr_side))
+}
+
+/// Recognize `if (c) v = true;` / `if (c) v = false;` (no `else`); return
+/// `v` and the literal.
+fn bool_flag(then_branch: &Block, else_branch: &Block) -> Option<(intern::Symbol, bool)> {
+    if !else_branch.stmts.is_empty() || then_branch.stmts.len() != 1 {
+        return None;
+    }
+    match &then_branch.stmts[0].kind {
+        StmtKind::Assign {
+            target,
+            value: Expr::Lit(crate::ast::Literal::Bool(bv)),
+        } => Some((*target, *bv)),
+        _ => None,
+    }
+}
+
+/// Would [`normalize_minmax`] or [`normalize_bool_flags`] rewrite
+/// anything in `p`? Reads `p` only, so a caller can skip copying a
+/// program the two leave unchanged. (When the first rewrites nothing, the
+/// second sees `p` as it is.)
+pub fn needs_normalizing(p: &Program) -> bool {
+    let mut found = false;
+    for f in &p.functions {
+        f.body.walk(&mut |s, _| {
+            if let StmtKind::If {
+                cond,
+                then_branch,
+                else_branch,
+            } = &s.kind
+            {
+                found |= minmax(cond, then_branch, else_branch).is_some()
+                    || bool_flag(then_branch, else_branch).is_some();
+            }
+        });
+    }
+    found
 }
 
 /// Replace every `print(e1, …)` in `f` with `__out.add(e)` appends to a
@@ -274,6 +302,22 @@ mod tests {
         assert_eq!(normalize_minmax(&mut p), 1);
         let printed = pretty_print(&p);
         assert!(printed.contains("best = max(best, t.score);"), "{printed}");
+    }
+
+    #[test]
+    fn needs_normalizing_agrees_with_the_rewrite_counts() {
+        for src in [
+            "fn f() { for (t in q) { if (t.score > best) best = t.score; } return best; }",
+            "fn f() { for (t in q) { if (t.x > 0) found = true; } return found; }",
+            "fn f() { for (t in q) { if (t.x > best) { best = t.x; n = 1; } } return best; }",
+            "fn f() { if (a > 0) { x = true; } else { x = false; } return x; }",
+        ] {
+            let mut p = parse_program(src).unwrap();
+            let predicted = needs_normalizing(&p);
+            let rewrites = normalize_minmax(&mut p) + normalize_bool_flags(&mut p);
+            assert_eq!(predicted, rewrites > 0, "{src}");
+            assert!(!needs_normalizing(&p), "{src}");
+        }
     }
 
     #[test]
