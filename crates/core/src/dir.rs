@@ -85,6 +85,11 @@ pub struct DirBuilder<'a> {
     coll_kinds: HashMap<Symbol, CollKind>,
     /// Remaining inlining depth (guards recursion).
     inline_budget: usize,
+    /// Each inlined callee's return value over its formals, per
+    /// (callee, remaining `inline_budget`); `None` when it returns none.
+    /// The DAG is hash-consed, so a second build at the same budget would
+    /// yield the same node: one build serves every call site.
+    inlined: HashMap<(Symbol, usize), Option<NodeId>>,
     /// Purity context for the dependence analyses (the program's effect
     /// summaries, built once by the caller).
     du_ctx: &'a DefUseCtx,
@@ -108,6 +113,7 @@ impl<'a> DirBuilder<'a> {
             catalog,
             coll_kinds: HashMap::new(),
             inline_budget: 8,
+            inlined: HashMap::new(),
             du_ctx,
             fir_opts: fir::FirOptions::default(),
             fold_notes: Vec::new(),
@@ -575,7 +581,9 @@ impl<'a> DirBuilder<'a> {
 
     /// Inline a user-defined function call (Appendix D.6): build the
     /// callee's D-IR with formals as region inputs, then substitute actual
-    /// parameter expressions.
+    /// parameter expressions. The callee is built once per remaining
+    /// depth, so its loops' fold notes are recorded once, and a call tree
+    /// costs one build per (callee, depth) instead of one per call site.
     fn inline_user_function(&mut self, name: &str, args: &[Expr], ve: &VeMap) -> NodeId {
         let program = self.program;
         let Some(callee) = program.function(name) else {
@@ -592,10 +600,19 @@ impl<'a> DirBuilder<'a> {
                 .dag
                 .opaque(format!("arity mismatch calling {name}"), vec![]);
         }
-        self.inline_budget -= 1;
-        let callee_ve = self.block_ve(callee, &callee.body, None);
-        self.inline_budget += 1;
-        let Some(ret) = callee_ve.get(&Symbol::intern(RET_VAR)).copied() else {
+        let key = (callee.name, self.inline_budget);
+        let ret = match self.inlined.get(&key) {
+            Some(ret) => *ret,
+            None => {
+                self.inline_budget -= 1;
+                let callee_ve = self.block_ve(callee, &callee.body, None);
+                self.inline_budget += 1;
+                let ret = callee_ve.get(&Symbol::intern(RET_VAR)).copied();
+                self.inlined.insert(key, ret);
+                ret
+            }
+        };
+        let Some(ret) = ret else {
             return self.dag.opaque(format!("{name} returns no value"), vec![]);
         };
         // Map formal inputs to actual argument expressions.
