@@ -17,6 +17,10 @@
 //! * `--baseline FILE` — embed a previously recorded run (e.g. the
 //!   pre-optimization numbers) under `"baseline"` and report the
 //!   end-to-end speedup against it.
+//!
+//! Every mode also times `lint_program` over the same programs, parsed
+//! beforehand, and reports the fastest of `--runs` lint sweeps under
+//! `"lint"`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::{Path, PathBuf};
@@ -24,7 +28,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use analysis::json::Json;
-use eqsql_core::{Extractor, ExtractorOptions, StageTimes};
+use eqsql_core::{lint_program, Extractor, ExtractorOptions, StageTimes};
 
 /// A `System` wrapper counting every allocation the sweep performs.
 struct CountingAlloc;
@@ -163,6 +167,26 @@ fn sweep(units: &[Unit]) -> Sweep {
     out
 }
 
+/// Lint every unit once; `(ns, allocations)` of the `lint_program` calls,
+/// parsing excluded.
+fn lint_sweep(units: &[Unit]) -> (u64, u64) {
+    let programs: Vec<imp::ast::Program> = units
+        .iter()
+        .map(|u| {
+            imp::parse_and_normalize(&u.source)
+                .unwrap_or_else(|e| panic!("{} fails to parse: {e}", u.name))
+        })
+        .collect();
+    let opts = ExtractorOptions::default();
+    let allocs0 = ALLOC_COUNT.load(Ordering::Relaxed);
+    let started = Instant::now();
+    for (u, program) in units.iter().zip(&programs) {
+        std::hint::black_box(lint_program(program, &u.catalog, &opts));
+    }
+    let ns = started.elapsed().as_nanos() as u64;
+    (ns, ALLOC_COUNT.load(Ordering::Relaxed) - allocs0)
+}
+
 fn sweep_json(s: &Sweep, n_units: usize, runs: usize) -> Json {
     Json::Obj(vec![
         ("runs".into(), Json::int(runs as i64)),
@@ -262,6 +286,10 @@ fn main() {
         }
     }
     let best = best.unwrap();
+    let lint = (0..runs)
+        .map(|_| lint_sweep(&units))
+        .min_by_key(|(ns, _)| *ns)
+        .expect("at least one run");
 
     let mut fields = vec![
         ("schema_version".into(), Json::int(1)),
@@ -271,6 +299,13 @@ fn main() {
         unreachable!()
     };
     fields.extend(body);
+    fields.push((
+        "lint".into(),
+        Json::Obj(vec![
+            ("ns".into(), Json::int(lint.0 as i64)),
+            ("allocs".into(), Json::int(lint.1 as i64)),
+        ]),
+    ));
     if let Some(p) = &baseline_path {
         let text = std::fs::read_to_string(p).expect("baseline file readable");
         let doc = analysis::json::parse(&text).expect("baseline is valid JSON");
@@ -287,8 +322,19 @@ fn main() {
     let doc = Json::Obj(fields).render();
 
     if check {
-        // Prove the emitted document parses back; print it for inspection.
-        analysis::json::parse(&doc).expect("perf_pipeline emits valid JSON");
+        // Prove the emitted document parses back, with its lint line;
+        // print it for inspection.
+        let parsed = analysis::json::parse(&doc).expect("perf_pipeline emits valid JSON");
+        for key in ["ns", "allocs"] {
+            let value = parsed
+                .get("lint")
+                .and_then(|l| l.get(key))
+                .and_then(|v| v.as_i64());
+            assert!(
+                value.is_some_and(|v| v > 0),
+                "perf_pipeline: lint.{key} missing or not a positive integer"
+            );
+        }
         println!("{doc}");
         eprintln!("perf_pipeline --check: ok");
     } else {
