@@ -13,7 +13,10 @@
 //!   renderer ([`Json::render`]) and a recursive-descent parser
 //!   ([`parse`]). Objects preserve insertion order, so rendering the same
 //!   value twice yields the same bytes — the property every golden-file
-//!   test and the content-addressed result cache rely on.
+//!   test and the content-addressed result cache rely on. Decoding is
+//!   linear in the input: a string's unescaped runs are validated and
+//!   copied a run at a time, so a multi-megabyte request body costs
+//!   milliseconds, not minutes.
 //!
 //! The model is deliberately small: it exists so the service layer can
 //! parse request bodies and build response documents without pulling in a
@@ -113,7 +116,11 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(x) => out.push_str(&fmt_number(*x)),
-            Json::Str(s) => out.push_str(&escape(s)),
+            Json::Str(s) => {
+                out.push('"');
+                write_escaped(out, s);
+                out.push('"');
+            }
             Json::Arr(items) => {
                 out.push('[');
                 for (i, v) in items.iter().enumerate() {
@@ -130,8 +137,9 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push_str(&escape(k));
-                    out.push(':');
+                    out.push('"');
+                    write_escaped(out, k);
+                    out.push_str("\":");
                     v.render_into(out);
                 }
                 out.push('}');
@@ -144,6 +152,19 @@ impl Json {
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// Move the first field named `key` out of an object, leaving
+    /// [`Json::Null`] in its place; `None` on non-objects or when absent.
+    /// Lets a decoder keep a large string without copying it.
+    pub fn take(&mut self, key: &str) -> Option<Json> {
+        match self {
+            Json::Obj(fields) => fields
+                .iter_mut()
+                .find(|(k, _)| k == key)
+                .map(|(_, v)| std::mem::replace(v, Json::Null)),
             _ => None,
         }
     }
@@ -377,12 +398,19 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next `"` or `\` at once.
+                    // Both are ASCII, so they never fall inside a multi-byte
+                    // sequence and the run is whole UTF-8 scalars; it is
+                    // still validated, which costs one pass over its bytes.
+                    let rest = &self.bytes[self.pos..];
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let run =
+                        std::str::from_utf8(&rest[..len]).map_err(|_| self.err("invalid UTF-8"))?;
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -470,6 +498,51 @@ mod tests {
     fn parse_handles_unicode_escapes() {
         let v = parse("\"\\u00e9\\ud83d\\ude00\"").unwrap();
         assert_eq!(v.as_str(), Some("é😀"));
+    }
+
+    #[test]
+    fn raw_multibyte_runs_round_trip_beside_every_escape() {
+        let escapes = [
+            ("\\\"", "\""),
+            ("\\\\", "\\"),
+            ("\\/", "/"),
+            ("\\n", "\n"),
+            ("\\r", "\r"),
+            ("\\t", "\t"),
+            ("\\b", "\u{8}"),
+            ("\\f", "\u{c}"),
+            ("\\u00e9", "é"),
+            ("\\ud83d\\ude00", "😀"),
+        ];
+        for (esc, decoded) in escapes {
+            for raw in ["é", "😀", "aé😀z"] {
+                let src = format!("\"{raw}{esc}{raw}{esc}{esc}{raw}\"");
+                let want = format!("{raw}{decoded}{raw}{decoded}{decoded}{raw}");
+                let v = parse(&src).unwrap_or_else(|e| panic!("{src}: {e}"));
+                assert_eq!(v.as_str(), Some(want.as_str()), "{src}");
+                assert_eq!(parse(&v.render()).unwrap(), v, "{src}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_one_mebibyte_string_decodes_to_the_same_bytes() {
+        let text: String = "fn f() { return 1; } // é😀\n"
+            .chars()
+            .cycle()
+            .take(1 << 20)
+            .collect();
+        let v = parse(&escape(&text)).unwrap();
+        assert_eq!(v.as_str(), Some(text.as_str()));
+    }
+
+    #[test]
+    fn take_moves_the_first_match_out() {
+        let mut v = parse("{\"s\":\"a\",\"s\":\"b\",\"n\":1}").unwrap();
+        assert_eq!(v.take("s"), Some(Json::str("a")));
+        assert_eq!(v.get("s"), Some(&Json::Null));
+        assert_eq!(v.take("missing"), None);
+        assert_eq!(Json::Null.take("s"), None);
     }
 
     #[test]

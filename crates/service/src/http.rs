@@ -20,7 +20,12 @@
 //! drain back out through the same readiness discipline. Connections are
 //! persistent (HTTP/1.1 keep-alive) and pipelined requests are parsed
 //! eagerly but processed strictly in order, so responses always come back
-//! in request order.
+//! in request order. That holds for a protocol error too: its 400 or 413
+//! waits behind the responses of the requests before it, and a connection
+//! with a job in flight is never closed for being finished.
+//!
+//! Each response is written once, head and body, straight into the
+//! connection's output buffer; a cached document is shared, not copied.
 //!
 //! Cheap routes (`/healthz`, `/metrics`, parse errors, shed requests) are
 //! answered inline on the loop thread. Extraction, lint, and fuzz work is
@@ -175,6 +180,15 @@ struct Request {
     keep_alive: bool,
 }
 
+/// A connection's next piece of work, in request order.
+enum Pending {
+    /// A parsed request awaiting processing.
+    Request(Request),
+    /// The answer to the protocol error that ended parsing: queued after
+    /// every response before it, and the connection's last.
+    Refusal(Response),
+}
+
 /// What the incremental parser produced from the front of a read buffer.
 enum Parsed {
     /// Not enough bytes yet.
@@ -308,16 +322,36 @@ fn try_parse(buf: &mut Vec<u8>) -> Parsed {
 struct Response {
     status: u16,
     content_type: &'static str,
-    extra_headers: Vec<(String, String)>,
-    body: String,
+    /// `X-Eqsql-Cache`, on an `/extract` or `/lint` document.
+    cache: Option<CacheStatus>,
+    /// `Retry-After` seconds, on a 429.
+    retry_after: Option<u32>,
+    body: Body,
+}
+
+/// A response body: rendered for this response, or a cached document
+/// shared with the result cache.
+enum Body {
+    Owned(String),
+    Shared(Arc<String>),
+}
+
+impl Body {
+    fn as_bytes(&self) -> &[u8] {
+        match self {
+            Body::Owned(s) => s.as_bytes(),
+            Body::Shared(s) => s.as_bytes(),
+        }
+    }
 }
 
 fn json_response(status: u16, body: String) -> Response {
     Response {
         status,
         content_type: "application/json",
-        extra_headers: Vec::new(),
-        body,
+        cache: None,
+        retry_after: None,
+        body: Body::Owned(body),
     }
 }
 
@@ -352,21 +386,27 @@ fn status_text(status: u16) -> &'static str {
     }
 }
 
-fn render_response(r: &Response, keep_alive: bool) -> Vec<u8> {
-    let mut out = format!(
+/// Append `r`, head then body, to `out`.
+fn write_response(out: &mut Vec<u8>, r: &Response, keep_alive: bool) {
+    let body = r.body.as_bytes();
+    // Writes into a `Vec` cannot fail.
+    let _ = write!(
+        out,
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
         r.status,
         status_text(r.status),
         r.content_type,
-        r.body.len(),
+        body.len(),
         if keep_alive { "keep-alive" } else { "close" },
     );
-    for (k, v) in &r.extra_headers {
-        out.push_str(&format!("{k}: {v}\r\n"));
+    if let Some(cache) = r.cache {
+        let _ = write!(out, "X-Eqsql-Cache: {}\r\n", cache.as_str());
     }
-    out.push_str("\r\n");
-    out.push_str(&r.body);
-    out.into_bytes()
+    if let Some(secs) = r.retry_after {
+        let _ = write!(out, "Retry-After: {secs}\r\n");
+    }
+    out.extend_from_slice(b"\r\n");
+    out.extend_from_slice(body);
 }
 
 /// Per-connection state machine driven by the event loop.
@@ -379,8 +419,9 @@ struct Conn {
     /// cursor (compacted opportunistically).
     out: Vec<u8>,
     out_at: usize,
-    /// Parsed requests awaiting processing (pipelining).
-    pending: VecDeque<Request>,
+    /// Parsed requests awaiting processing (pipelining), possibly ending
+    /// in a refusal.
+    pending: VecDeque<Pending>,
     /// A dispatched job is in flight for this connection's head request.
     busy: bool,
     busy_since: Option<Instant>,
@@ -403,6 +444,12 @@ struct Conn {
 impl Conn {
     fn out_done(&self) -> bool {
         self.out_at >= self.out.len()
+    }
+
+    /// Whether input past what was parsed is unwanted: the last response
+    /// is queued, or a protocol error ended parsing.
+    fn refusing(&self) -> bool {
+        self.close_after_write || matches!(self.pending.back(), Some(Pending::Refusal(_)))
     }
 
     /// The instant after which this connection should be closed, given its
@@ -436,7 +483,7 @@ impl Conn {
                         bytes = &bytes[skip..];
                     }
                     if !bytes.is_empty() {
-                        if self.close_after_write {
+                        if self.refusing() {
                             // Refused connection: swallow trailing bytes.
                             continue;
                         }
@@ -482,13 +529,13 @@ impl Conn {
         }
     }
 
-    /// Queue a rendered response (in request order) and count errors.
+    /// Queue a response (in request order) and count errors.
     fn queue_response(&mut self, resp: &Response, keep_alive: bool, state: &ServerState) {
         if resp.status >= 400 {
             state.http.errors.fetch_add(1, Ordering::Relaxed);
         }
         let keep = keep_alive && !self.close_after_write;
-        self.out.extend_from_slice(&render_response(resp, keep));
+        write_response(&mut self.out, resp, keep);
         if !keep {
             self.close_after_write = true;
         }
@@ -635,10 +682,12 @@ fn event_loop(listener: TcpListener, state: Arc<ServerState>, wake: Arc<Wakeup>)
             // A refused request (413) is still owed a drain of its
             // advertised body: closing early would reset the peer mid-send.
             // The peer going away (or the deadline) overrides the drain.
+            // A connection with a job in flight still owes its response.
             let drained = conn.discard == 0 || conn.peer_closed;
             let finished = conn.out_done()
+                && !conn.busy
                 && ((conn.close_after_write && drained)
-                    || (conn.peer_closed && !conn.busy && conn.pending.is_empty()));
+                    || (conn.peer_closed && conn.pending.is_empty()));
             if conn.broken || expired || finished {
                 dead.push(conn.token);
             }
@@ -669,23 +718,22 @@ fn step_conn(
 ) {
     let cfg_keep_alive = state.service.config().keep_alive;
     // Parse as many complete requests as are buffered.
-    while conn.pending.len() < MAX_PIPELINE && !conn.close_after_write {
+    while conn.pending.len() < MAX_PIPELINE && !conn.refusing() {
         match try_parse(&mut conn.buf) {
             Parsed::NeedMore => break,
-            Parsed::Request(req) => conn.pending.push_back(*req),
+            Parsed::Request(req) => conn.pending.push_back(Pending::Request(*req)),
             Parsed::Error {
                 status,
                 message,
                 drain,
             } => {
-                conn.discard = drain;
-                let resp = error_response(status, &message);
                 // Protocol errors always end the connection: framing is
-                // no longer trustworthy past this point.
-                conn.queue_response(&resp, false, state);
-                conn.close_after_write = true;
+                // no longer trustworthy past this point. The refusal is
+                // answered in turn, after any request still in flight.
+                conn.discard = drain;
                 conn.buf.clear();
-                break;
+                conn.pending
+                    .push_back(Pending::Refusal(error_response(status, &message)));
             }
         }
     }
@@ -694,11 +742,16 @@ fn step_conn(
     // queue_response flips close_after_write, which both ends this loop
     // and drops any pipelined stragglers.
     while !conn.busy && !conn.close_after_write {
-        let Some(req) = conn.pending.pop_front() else {
-            break;
+        let req = match conn.pending.pop_front() {
+            None => break,
+            Some(Pending::Refusal(resp)) => {
+                conn.queue_response(&resp, false, state);
+                break;
+            }
+            Some(Pending::Request(req)) => req,
         };
         let keep_alive = cfg_keep_alive && req.keep_alive;
-        match dispatch(&req, conn.token, state, completions, wake) {
+        match dispatch(req, conn.token, state, completions, wake) {
             Dispatched::Inline(resp) => {
                 conn.queue_response(&resp, keep_alive, state);
             }
@@ -722,7 +775,7 @@ enum Dispatched {
 }
 
 fn dispatch(
-    req: &Request,
+    req: Request,
     token: u64,
     state: &Arc<ServerState>,
     completions: &Completions,
@@ -751,21 +804,20 @@ fn dispatch(
             let wake = Arc::clone(wake);
             let done = move |result: Result<(Arc<String>, CacheStatus), ServiceError>| {
                 let resp = match result {
-                    Ok((doc, cache)) => {
-                        let mut r = json_response(200, doc.as_str().to_string());
-                        r.extra_headers
-                            .push(("X-Eqsql-Cache".into(), cache.as_str().into()));
-                        r
-                    }
+                    Ok((doc, cache)) => Response {
+                        cache: Some(cache),
+                        body: Body::Shared(doc),
+                        ..json_response(200, String::new())
+                    },
                     Err(e) => service_error_response(&e),
                 };
                 completions.lock().unwrap().push((token, resp));
                 wake.notify();
             };
             if is_extract {
-                state.service.extract_async(&parsed, done);
+                state.service.extract_async(parsed, done);
             } else {
-                state.service.lint_async(&parsed, done);
+                state.service.lint_async(parsed, done);
             }
             Dispatched::InFlight
         }
@@ -792,20 +844,22 @@ fn dispatch(
         ("GET", "/metrics") => {
             state.http.metrics.fetch_add(1, Ordering::Relaxed);
             Dispatched::Inline(Response {
-                status: 200,
                 content_type: metrics::CONTENT_TYPE,
-                extra_headers: Vec::new(),
-                body: metrics::render(
-                    &state.http,
-                    &state.service.scheduler_stats(),
-                    &state.service.cache_stats(),
-                    &state.service.cache_shard_hits(),
-                    &state.admission.snapshot(),
-                    state.service.stage_counters(),
-                    &state.fuzz,
-                    state.service.lint_counters(),
-                    state.service.config().deterministic_metrics,
-                ),
+                ..json_response(
+                    200,
+                    metrics::render(
+                        &state.http,
+                        &state.service.scheduler_stats(),
+                        &state.service.cache_stats(),
+                        &state.service.cache_shard_hits(),
+                        &state.service.catalog_cache_stats(),
+                        &state.admission.snapshot(),
+                        state.service.stage_counters(),
+                        &state.fuzz,
+                        state.service.lint_counters(),
+                        state.service.config().deterministic_metrics,
+                    ),
+                )
             })
         }
         ("POST", "/fuzz") => {
@@ -813,7 +867,7 @@ fn dispatch(
             if let Decision::Shed { retry_after_secs } = state.admission.check(&req.tenant) {
                 return Dispatched::Inline(shed_response(retry_after_secs));
             }
-            let body = req.body.clone();
+            let body = req.body;
             let job_state = Arc::clone(state);
             let completions = Arc::clone(completions);
             let wake = Arc::clone(wake);
@@ -858,10 +912,10 @@ fn dispatch(
 }
 
 fn shed_response(retry_after_secs: u32) -> Response {
-    let mut r = error_response(429, "quota exceeded; retry later");
-    r.extra_headers
-        .push(("Retry-After".into(), retry_after_secs.to_string()));
-    r
+    Response {
+        retry_after: Some(retry_after_secs),
+        ..error_response(429, "quota exceeded; retry later")
+    }
 }
 
 /// Hard ceiling on `POST /fuzz` iterations: one request must stay bounded

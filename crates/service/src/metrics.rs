@@ -168,13 +168,14 @@ fn gauge(out: &mut String, name: &str, help: &str, value: u64) {
 /// `admission` is the per-tenant `(tenant, admitted, shed)` snapshot from
 /// [`crate::admission::Admission::snapshot`] (already sorted by tenant);
 /// `shard_hits` is the per-shard cache hit counter vector, indexed by
-/// shard.
+/// shard; `catalogs` counts the parsed-schema cache.
 #[allow(clippy::too_many_arguments)]
 pub fn render(
     http: &HttpCounters,
     sched: &SchedulerStats,
     cache: &CacheStats,
     shard_hits: &[u64],
+    catalogs: &CacheStats,
     admission: &[(String, u64, u64)],
     stages: &StageCounters,
     fuzz: &FuzzCounters,
@@ -321,6 +322,18 @@ pub fn render(
     for (i, hits) in shard_hits.iter().enumerate() {
         let _ = writeln!(out, "eqsql_cache_shard_hits_total{{shard=\"{i}\"}} {hits}");
     }
+    counter(
+        &mut out,
+        "eqsql_catalog_cache_hits_total",
+        "Parsed-schema cache lookups that found an entry.",
+        catalogs.hits,
+    );
+    counter(
+        &mut out,
+        "eqsql_catalog_cache_misses_total",
+        "Parsed-schema cache lookups that found nothing.",
+        catalogs.misses,
+    );
 
     let _ = writeln!(
         out,
@@ -463,12 +476,18 @@ mod tests {
         );
         lints.absorb(&LintCounters::tally(&[d.clone(), d]));
         let shard_hits = vec![1, 0, 3, 0];
+        let catalogs = CacheStats {
+            hits: 4,
+            misses: 2,
+            ..Default::default()
+        };
         let admission = vec![("acme".to_string(), 5, 2), ("default".to_string(), 9, 0)];
         let a = render(
             &http,
             &sched,
             &cache,
             &shard_hits,
+            &catalogs,
             &admission,
             &stages,
             &fuzz,
@@ -480,6 +499,7 @@ mod tests {
             &sched,
             &cache,
             &shard_hits,
+            &catalogs,
             &admission,
             &stages,
             &fuzz,
@@ -490,6 +510,8 @@ mod tests {
         assert!(a.contains("eqsql_http_requests_total{path=\"/extract\"} 2"));
         assert!(a.contains("eqsql_cache_hits_total 1"));
         assert!(a.contains("eqsql_cache_shard_hits_total{shard=\"2\"} 3"));
+        assert!(a.contains("eqsql_catalog_cache_hits_total 4"));
+        assert!(a.contains("eqsql_catalog_cache_misses_total 2"));
         assert!(a.contains("eqsql_admission_admitted_total{tenant=\"acme\"} 5"));
         assert!(a.contains("eqsql_admission_shed_total{tenant=\"acme\"} 2"));
         assert!(a.contains("eqsql_admission_admitted_total{tenant=\"default\"} 9"));
@@ -519,6 +541,7 @@ mod tests {
             &sched,
             &cache,
             &shard_hits,
+            &catalogs,
             &admission,
             &stages,
             &fuzz,

@@ -8,16 +8,22 @@
 //! replay. Cache status is reported to the caller so transports can expose
 //! it (the HTTP layer sets an `X-Eqsql-Cache: hit|miss` header — the body
 //! is byte-identical either way, which is the whole point).
+//!
+//! Each parsed schema is kept too: a second, bounded cache maps the DDL
+//! text to its `Catalog`, so the requests of one application, which share
+//! a schema, parse it once between them. A schema that fails to parse is
+//! never cached.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use algebra::ddl::parse_ddl;
+use algebra::schema::Catalog;
 use analysis::json::{Json, JsonError};
 use eqsql_core::{lint_program, Extractor, ExtractorOptions};
 
 use crate::admission::Quota;
-use crate::cache::{CacheKey, CacheStats, ShardedCache};
+use crate::cache::{CacheKey, CacheStats, ResultCache, ShardedCache};
 use crate::scheduler::{JobResult, Scheduler, SchedulerConfig, SchedulerStats, SubmitError};
 
 /// Service construction parameters.
@@ -141,27 +147,23 @@ impl ExtractRequest {
     ///
     /// Only `source` is required; everything else defaults.
     pub fn from_json(body: &str) -> Result<ExtractRequest, ServiceError> {
-        let doc = analysis::json::parse(body)
+        let mut doc = analysis::json::parse(body)
             .map_err(|e: JsonError| ServiceError::BadRequest(format!("invalid JSON: {e}")))?;
-        let source = doc
-            .get("source")
-            .and_then(Json::as_str)
-            .ok_or_else(|| ServiceError::BadRequest("missing string field `source`".into()))?
-            .to_string();
-        let schema = match doc.get("schema") {
-            None | Some(Json::Null) => String::new(),
-            Some(v) => v
-                .as_str()
-                .ok_or_else(|| ServiceError::BadRequest("`schema` must be a string".into()))?
-                .to_string(),
+        // The strings are moved out of the parsed document, not copied.
+        let bad = |m: &str| ServiceError::BadRequest(m.into());
+        let source = match doc.take("source") {
+            Some(Json::Str(s)) => s,
+            _ => return Err(bad("missing string field `source`")),
         };
-        let function = match doc.get("function") {
+        let schema = match doc.take("schema") {
+            None | Some(Json::Null) => String::new(),
+            Some(Json::Str(s)) => s,
+            Some(_) => return Err(bad("`schema` must be a string")),
+        };
+        let function = match doc.take("function") {
             None | Some(Json::Null) => None,
-            Some(v) => Some(
-                v.as_str()
-                    .ok_or_else(|| ServiceError::BadRequest("`function` must be a string".into()))?
-                    .to_string(),
-            ),
+            Some(Json::Str(s)) => Some(s),
+            Some(_) => return Err(bad("`function` must be a string")),
         };
         let mut options = ExtractorOptions::default();
         if let Some(o) = doc.get("options") {
@@ -208,10 +210,21 @@ impl ExtractRequest {
     }
 }
 
-/// Scheduler + cache. See the module docs.
+/// Parsed schemas kept by [`ExtractionService`]. A fixed bound: an
+/// application has a handful of schemas, and a catalog is small.
+const CATALOG_ENTRIES: usize = 64;
+
+/// The parsed-schema cache the scheduler jobs share.
+type Catalogs = ResultCache<Catalog>;
+
+/// A request's computation, run inside a scheduler job.
+type Compute = fn(&ExtractRequest, &Catalogs) -> Result<ComputeOutput, ServiceError>;
+
+/// Scheduler + caches. See the module docs.
 pub struct ExtractionService {
     scheduler: Scheduler,
     cache: Arc<ShardedCache<String>>,
+    catalogs: Arc<Catalogs>,
     config: ServiceConfig,
     stages: Arc<crate::metrics::StageCounters>,
     lints: Arc<crate::metrics::LintCounters>,
@@ -227,6 +240,7 @@ impl ExtractionService {
                 default_timeout: config.job_timeout,
             }),
             cache: Arc::new(ShardedCache::new(config.cache_entries, config.cache_shards)),
+            catalogs: Arc::new(ResultCache::new(CATALOG_ENTRIES)),
             config,
             stages: Arc::new(crate::metrics::StageCounters::default()),
             lints: Arc::new(crate::metrics::LintCounters::default()),
@@ -252,6 +266,11 @@ impl ExtractionService {
     /// Cache counters aggregated across shards (for `/metrics`).
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
+    }
+
+    /// Parsed-schema cache counters (for `/metrics`).
+    pub fn catalog_cache_stats(&self) -> CacheStats {
+        self.catalogs.stats()
     }
 
     /// Per-shard cache hit counters (for `/metrics`).
@@ -289,7 +308,7 @@ impl ExtractionService {
         &self,
         req: &ExtractRequest,
         endpoint: &str,
-        compute: fn(&ExtractRequest) -> Result<ComputeOutput, ServiceError>,
+        compute: Compute,
     ) -> Result<(Arc<String>, CacheStatus), ServiceError> {
         let key = req.key(endpoint);
         if let Some(doc) = self.cache.get(&key) {
@@ -298,9 +317,10 @@ impl ExtractionService {
             return Ok((doc, CacheStatus::Hit));
         }
         let job_req = req.clone();
+        let catalogs = Arc::clone(&self.catalogs);
         let handle = self
             .scheduler
-            .submit(move |_ctx| compute(&job_req))
+            .submit(move |_ctx| compute(&job_req, &catalogs))
             .map_err(|e: SubmitError| ServiceError::Overloaded(e.to_string()))?;
         match handle.wait() {
             JobResult::Completed(Ok(out)) => {
@@ -326,7 +346,7 @@ impl ExtractionService {
     /// nudges the wakeup pipe.
     pub fn extract_async(
         &self,
-        req: &ExtractRequest,
+        req: ExtractRequest,
         done: impl FnOnce(Result<(Arc<String>, CacheStatus), ServiceError>) + Send + 'static,
     ) {
         self.cached_async(req, "extract", compute_extract, Box::new(done));
@@ -336,7 +356,7 @@ impl ExtractionService {
     /// [`ExtractionService::extract_async`].
     pub fn lint_async(
         &self,
-        req: &ExtractRequest,
+        req: ExtractRequest,
         done: impl FnOnce(Result<(Arc<String>, CacheStatus), ServiceError>) + Send + 'static,
     ) {
         self.cached_async(req, "lint", compute_lint, Box::new(done));
@@ -344,16 +364,16 @@ impl ExtractionService {
 
     fn cached_async(
         &self,
-        req: &ExtractRequest,
+        req: ExtractRequest,
         endpoint: &str,
-        compute: fn(&ExtractRequest) -> Result<ComputeOutput, ServiceError>,
+        compute: Compute,
         done: DoneCallback,
     ) {
         let key = req.key(endpoint);
         if let Some(doc) = self.cache.get(&key) {
             return done(Ok((doc, CacheStatus::Hit)));
         }
-        let job_req = req.clone();
+        let catalogs = Arc::clone(&self.catalogs);
         let cache = Arc::clone(&self.cache);
         let stages = Arc::clone(&self.stages);
         let lints = Arc::clone(&self.lints);
@@ -363,7 +383,7 @@ impl ExtractionService {
         let done = Arc::new(std::sync::Mutex::new(Some(done)));
         let done_cb = Arc::clone(&done);
         let submitted = self.scheduler.submit_callback(
-            move |_ctx| compute(&job_req),
+            move |_ctx| compute(&req, &catalogs),
             self.config.job_timeout,
             move |outcome: JobResult<Result<ComputeOutput, ServiceError>>| {
                 let result = match outcome {
@@ -411,8 +431,11 @@ struct ComputeOutput {
 }
 
 /// Parse + extract + render; runs inside a scheduler job.
-fn compute_extract(req: &ExtractRequest) -> Result<ComputeOutput, ServiceError> {
-    let (program, catalog) = parse_inputs(req)?;
+fn compute_extract(
+    req: &ExtractRequest,
+    catalogs: &Catalogs,
+) -> Result<ComputeOutput, ServiceError> {
+    let (program, catalog) = parse_inputs(req, catalogs)?;
     let extractor = Extractor::with_options(catalog, req.options.clone());
     let report = match &req.function {
         Some(f) => {
@@ -431,9 +454,9 @@ fn compute_extract(req: &ExtractRequest) -> Result<ComputeOutput, ServiceError> 
 /// Parse + lint + render; runs inside a scheduler job. Document shape:
 /// `{"diagnostics":[…],"errors":N,"warnings":N}` with the diagnostics array
 /// in `analysis::diag::render_json`'s published layout.
-fn compute_lint(req: &ExtractRequest) -> Result<ComputeOutput, ServiceError> {
+fn compute_lint(req: &ExtractRequest, catalogs: &Catalogs) -> Result<ComputeOutput, ServiceError> {
     use analysis::diag::Severity;
-    let (program, catalog) = parse_inputs(req)?;
+    let (program, catalog) = parse_inputs(req, catalogs)?;
     let mut diags = lint_program(&program, &catalog, &req.options);
     if let Some(f) = &req.function {
         require_function(&program, f)?;
@@ -460,17 +483,32 @@ fn compute_lint(req: &ExtractRequest) -> Result<ComputeOutput, ServiceError> {
 
 fn parse_inputs(
     req: &ExtractRequest,
-) -> Result<(imp::ast::Program, algebra::schema::Catalog), ServiceError> {
+    catalogs: &Catalogs,
+) -> Result<(imp::ast::Program, Catalog), ServiceError> {
     let program = imp::parse_and_normalize(&req.source).map_err(|e| {
         let (line, col) = imp::token::line_col(&req.source, e.offset);
         ServiceError::BadRequest(format!("source:{line}:{col}: {}", e.message))
     })?;
     let catalog = if req.schema.trim().is_empty() {
-        algebra::schema::Catalog::new()
+        Catalog::new()
     } else {
-        parse_ddl(&req.schema).map_err(|e| ServiceError::BadRequest(format!("schema: {e}")))?
+        catalog_for(&req.schema, catalogs)?
     };
     Ok((program, catalog))
+}
+
+/// The catalog of `schema`, parsed once per distinct text while it stays
+/// in `catalogs`. The key hashes the whole text, under the result cache's
+/// trust model ([`CacheKey`]). Cloning a `Catalog` bumps a reference
+/// count.
+fn catalog_for(schema: &str, catalogs: &Catalogs) -> Result<Catalog, ServiceError> {
+    let key = CacheKey::derive(&["schema", schema]);
+    if let Some(catalog) = catalogs.get(&key) {
+        return Ok(Catalog::clone(&catalog));
+    }
+    let catalog =
+        parse_ddl(schema).map_err(|e| ServiceError::BadRequest(format!("schema: {e}")))?;
+    Ok(Catalog::clone(&catalogs.put(key, catalog)))
 }
 
 fn require_function(program: &imp::ast::Program, name: &str) -> Result<(), ServiceError> {
@@ -568,17 +606,51 @@ mod tests {
     }
 
     #[test]
+    fn one_schema_text_is_parsed_once_and_documents_match_the_uncached_path() {
+        let svc = service();
+        let first = request();
+        let mut second = request();
+        second.source = SRC.replace("total", "payroll");
+        let (doc_a, _) = svc.extract(&first).unwrap();
+        let (doc_b, _) = svc.extract(&second).unwrap();
+        let cs = svc.catalog_cache_stats();
+        assert_eq!((cs.misses, cs.hits, cs.entries), (1, 1, 1));
+        for (req, doc) in [(&first, doc_a), (&second, doc_b)] {
+            let program = imp::parse_and_normalize(&req.source).unwrap();
+            let uncached = Extractor::with_options(parse_ddl(DDL).unwrap(), req.options.clone())
+                .extract_program(&program)
+                .render_json(&req.source);
+            assert_eq!(*doc, uncached);
+        }
+        svc.shutdown();
+    }
+
+    #[test]
+    fn a_bad_schema_is_a_400_every_time_and_never_cached() {
+        let svc = service();
+        let mut req = request();
+        req.schema = "CREATE TABLE emp (id INT PRIMARY KEY,".into();
+        for _ in 0..2 {
+            let err = svc.extract(&req).unwrap_err();
+            assert!(matches!(&err, ServiceError::BadRequest(m) if m.starts_with("schema:")));
+        }
+        let cs = svc.catalog_cache_stats();
+        assert_eq!((cs.misses, cs.hits, cs.entries), (2, 0, 0));
+        svc.shutdown();
+    }
+
+    #[test]
     fn extract_async_delivers_miss_then_synchronous_hit() {
         use std::sync::mpsc;
         let svc = service();
         let (tx, rx) = mpsc::channel();
-        svc.extract_async(&request(), move |r| tx.send(r).unwrap());
+        svc.extract_async(request(), move |r| tx.send(r).unwrap());
         let (doc_a, st_a) = rx.recv_timeout(Duration::from_secs(10)).unwrap().unwrap();
         assert_eq!(st_a, CacheStatus::Miss);
         // The hit path invokes the callback synchronously on this thread,
         // so the result is available without waiting.
         let (tx2, rx2) = mpsc::channel();
-        svc.extract_async(&request(), move |r| {
+        svc.extract_async(request(), move |r| {
             tx2.send(r).unwrap();
         });
         let (doc_b, st_b) = rx2.try_recv().expect("hit delivers synchronously").unwrap();

@@ -462,3 +462,66 @@ fn stalled_reader_hits_write_deadline_and_shutdown_still_completes() {
     rx.recv_timeout(Duration::from_secs(10))
         .expect("shutdown must complete despite the stalled connection");
 }
+
+#[test]
+fn pipelined_protocol_error_waits_for_the_in_flight_response() {
+    // A valid `/extract` and a request with a bad Content-Length in one
+    // write: the extract goes to a worker, and the refusal must follow its
+    // 200 rather than overtake it and close the connection under it.
+    let server = Server::start("127.0.0.1:0", test_config()).unwrap();
+    let mut stream = connect(server.addr());
+    let batch = format!(
+        "{}POST /extract HTTP/1.1\r\nHost: t\r\nContent-Length: nope\r\n\r\n",
+        raw_request("POST", "/extract", &extract_body(0), "")
+    );
+    stream.write_all(batch.as_bytes()).unwrap();
+
+    let mut carry = Vec::new();
+    let (status, headers, body) = read_response(&mut stream, &mut carry);
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(header(&headers, "x-eqsql-cache"), Some("miss"));
+    assert!(body.contains("\"loops_rewritten\":1"), "{body}");
+    let (status, headers, body) = read_response(&mut stream, &mut carry);
+    assert_eq!(status, 400, "{body}");
+    assert_eq!(header(&headers, "connection"), Some("close"));
+    assert_closed_within(&mut stream, Duration::from_secs(5));
+    server.shutdown();
+}
+
+#[test]
+fn a_one_mebibyte_body_does_not_stall_other_connections() {
+    // Request bodies are decoded on the event-loop thread, so decoding
+    // must be linear: a 1 MiB `/extract` on connection A may not hold up
+    // `/healthz` on connection B. A quadratic decoder kept the loop busy
+    // for about half a minute on this body in a release build.
+    let server = Server::start("127.0.0.1:0", test_config()).unwrap();
+    let source = format!("{}\n// {}\n", extract_source(0), "x".repeat(1 << 20));
+    let body = Json::Obj(vec![
+        ("source".into(), Json::str(source)),
+        ("schema".into(), Json::str(SCHEMA)),
+    ])
+    .render();
+    let mut a = connect(server.addr());
+    a.write_all(raw_request("POST", "/extract", &body, "").as_bytes())
+        .unwrap();
+
+    let mut b = connect(server.addr());
+    b.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+    let started = Instant::now();
+    b.write_all(raw_request("GET", "/healthz", "", "").as_bytes())
+        .unwrap();
+    let mut carry = Vec::new();
+    let (status, _, _) = read_response(&mut b, &mut carry);
+    assert_eq!(status, 200);
+    assert!(
+        started.elapsed() < Duration::from_secs(2),
+        "/healthz took {:?}",
+        started.elapsed()
+    );
+
+    let mut carry = Vec::new();
+    let (status, _, body) = read_response(&mut a, &mut carry);
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("\"loops_rewritten\":1"), "{body}");
+    server.shutdown();
+}
