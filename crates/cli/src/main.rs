@@ -68,6 +68,7 @@
 //!     --certify            certify rewrites during extract/explain/batch
 //! ```
 
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 use algebra::ddl::parse_ddl;
@@ -79,11 +80,44 @@ use interp::{Interp, RtValue};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+    let mut out = io::stdout().lock();
+    match run(&args, &mut out).and_then(|()| Ok(out.flush()?)) {
+        // A reader that closes the pipe early (`eqsql extract … | head`)
+        // wants no more output; that is not an error.
+        Ok(()) | Err(Fail::Closed) => ExitCode::SUCCESS,
+        Err(Fail::Error(e)) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+/// Why a command stopped.
+enum Fail {
+    /// An error to report on stderr.
+    Error(String),
+    /// Standard output's reader went away.
+    Closed,
+}
+
+impl From<String> for Fail {
+    fn from(e: String) -> Fail {
+        Fail::Error(e)
+    }
+}
+
+impl From<&str> for Fail {
+    fn from(e: &str) -> Fail {
+        Fail::Error(e.to_string())
+    }
+}
+
+/// A failed write to standard output.
+impl From<io::Error> for Fail {
+    fn from(e: io::Error) -> Fail {
+        match e.kind() {
+            io::ErrorKind::BrokenPipe => Fail::Closed,
+            _ => Fail::Error(format!("stdout: {e}")),
         }
     }
 }
@@ -264,16 +298,16 @@ fn next(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<String, Str
         .ok_or_else(|| format!("{flag} needs a value"))
 }
 
-fn run(args: &[String]) -> Result<(), String> {
+fn run(args: &[String], out: &mut impl Write) -> Result<(), Fail> {
     let Some(cmd) = args.first() else {
         print_usage();
         return Ok(());
     };
     let opts = parse_opts(&args[1..])?;
     match cmd.as_str() {
-        "serve" => return run_serve(&opts),
-        "batch" => return run_batch_cmd(&opts),
-        "fuzz" => return run_fuzz_cmd(&opts),
+        "serve" => return Ok(run_serve(&opts)?),
+        "batch" => return run_batch_cmd(&opts, out),
+        "fuzz" => return run_fuzz_cmd(&opts, out),
         _ => {}
     }
     if opts.file.is_empty() {
@@ -301,7 +335,8 @@ fn run(args: &[String]) -> Result<(), String> {
         return Err(format!(
             "function `{fname}` not found; available: {}",
             available.join(", ")
-        ));
+        )
+        .into());
     }
     let extractor = Extractor::with_options(catalog.clone(), extractor_options(&opts));
 
@@ -310,10 +345,10 @@ fn run(args: &[String]) -> Result<(), String> {
             let report = extractor.extract_function(&program, &fname);
             for v in &report.vars {
                 for sql in &v.sql {
-                    println!("-- {}: {sql}", v.var);
+                    writeln!(out, "-- {}: {sql}", v.var)?;
                 }
             }
-            println!("{}", imp::pretty_print(&report.program));
+            writeln!(out, "{}", imp::pretty_print(&report.program))?;
             for d in &report.diagnostics {
                 eprintln!("{}", d.render_human(&source, &opts.file));
             }
@@ -343,7 +378,8 @@ fn run(args: &[String]) -> Result<(), String> {
                     | ExtractionOutcome::FoldFailed(d)
                     | ExtractionOutcome::SqlFailed(d) => d.code.as_str().to_string(),
                 };
-                println!(
+                writeln!(
+                    out,
                     "{}::{} ({}): {outcome}{}",
                     v.function,
                     v.var,
@@ -353,7 +389,7 @@ fn run(args: &[String]) -> Result<(), String> {
                     } else {
                         format!("  [{}]", v.rule_trace.join(" → "))
                     }
-                );
+                )?;
             }
             for d in report.diagnostics.iter().filter(|d| d.pass == "certify") {
                 eprintln!("{}", d.render_human(&source, &opts.file));
@@ -361,45 +397,47 @@ fn run(args: &[String]) -> Result<(), String> {
             let c = report
                 .certification
                 .expect("certify run always carries a summary");
-            println!("{}", cert_summary_line(&c));
+            writeln!(out, "{}", cert_summary_line(&c))?;
             if c.counterexamples > 0 || c.inconclusive > 0 {
                 return Err(format!(
                     "{} obligation(s) undischarged ({} counterexample(s), {} inconclusive)",
                     c.counterexamples + c.inconclusive,
                     c.counterexamples,
                     c.inconclusive
-                ));
+                )
+                .into());
             }
             Ok(())
         }
         "explain" => {
             let report = extractor.extract_function(&program, &fname);
-            println!(
+            writeln!(
+                out,
                 "function {fname}: {} loop(s) rewritten",
                 report.loops_rewritten
-            );
+            )?;
             for v in &report.vars {
-                println!("\nvariable `{}` (loop {}):", v.var, v.loop_stmt);
+                writeln!(out, "\nvariable `{}` (loop {}):", v.var, v.loop_stmt)?;
                 match &v.outcome {
-                    ExtractionOutcome::Extracted => println!("  outcome: extracted"),
+                    ExtractionOutcome::Extracted => writeln!(out, "  outcome: extracted")?,
                     other => {
                         let d = other
                             .diagnostic()
                             .expect("non-extracted carries a diagnostic");
-                        println!("  outcome: {d}");
+                        writeln!(out, "  outcome: {d}")?;
                     }
                 }
                 for sql in &v.sql {
-                    println!("  sql: {sql}");
+                    writeln!(out, "  sql: {sql}")?;
                 }
                 if let Some(fir) = &v.fir {
-                    println!("  F-IR: {fir}");
+                    writeln!(out, "  F-IR: {fir}")?;
                 }
                 if !v.rule_trace.is_empty() {
-                    println!("  rules: {}", v.rule_trace.join(" → "));
+                    writeln!(out, "  rules: {}", v.rule_trace.join(" → "))?;
                 }
                 if let Some(r) = &v.replacement {
-                    println!("  replacement: {r}");
+                    writeln!(out, "  replacement: {r}")?;
                 }
             }
             Ok(())
@@ -410,7 +448,7 @@ fn run(args: &[String]) -> Result<(), String> {
                 diags.retain(|d| d.function.as_deref() == Some(fname.as_str()));
             }
             if opts.json {
-                println!("{}", render_json(&diags, &source));
+                writeln!(out, "{}", render_json(&diags, &source))?;
             } else {
                 let errors = diags
                     .iter()
@@ -418,7 +456,7 @@ fn run(args: &[String]) -> Result<(), String> {
                     .count();
                 let warnings = diags.len() - errors;
                 for d in &diags {
-                    println!("{}", d.render_human(&source, &opts.file));
+                    writeln!(out, "{}", d.render_human(&source, &opts.file))?;
                 }
                 eprintln!("{errors} error(s), {warnings} warning(s)");
             }
@@ -444,40 +482,42 @@ fn run(args: &[String]) -> Result<(), String> {
 
             let mut orig = Interp::new(&program, Connection::new(db.clone()));
             let v1 = orig.call(&fname, args.clone()).map_err(|e| e.to_string())?;
-            println!("original : result = {v1}");
+            writeln!(out, "original : result = {v1}")?;
             for line in &orig.output {
-                println!("  | {line}");
+                writeln!(out, "  | {line}")?;
             }
-            println!(
+            writeln!(
+                out,
                 "  {} queries, {} rows, {} bytes, {:.2} ms simulated",
                 orig.conn.stats.queries,
                 orig.conn.stats.rows,
                 orig.conn.stats.bytes,
                 orig.conn.stats.sim_ms()
-            );
+            )?;
 
             let report = extractor.extract_function(&program, &fname);
             if !report.changed() {
-                println!("rewritten: (no rewrite applied)");
+                writeln!(out, "rewritten: (no rewrite applied)")?;
                 return Ok(());
             }
             let mut new = Interp::new(&report.program, Connection::new(db));
             let v2 = new.call(&fname, args).map_err(|e| e.to_string())?;
-            println!("rewritten: result = {v2}");
-            println!(
+            writeln!(out, "rewritten: result = {v2}")?;
+            writeln!(
+                out,
                 "  {} queries, {} rows, {} bytes, {:.2} ms simulated ({:.1}x)",
                 new.conn.stats.queries,
                 new.conn.stats.rows,
                 new.conn.stats.bytes,
                 new.conn.stats.sim_ms(),
                 orig.conn.stats.sim_us / new.conn.stats.sim_us.max(1e-9),
-            );
+            )?;
             let _ = Value::Null;
             Ok(())
         }
         other => {
             print_usage();
-            Err(format!("unknown command {other}"))
+            Err(format!("unknown command {other}").into())
         }
     }
 }
@@ -537,7 +577,7 @@ fn run_serve(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-fn run_batch_cmd(opts: &Opts) -> Result<(), String> {
+fn run_batch_cmd(opts: &Opts, out: &mut impl Write) -> Result<(), Fail> {
     if opts.file.is_empty() {
         return Err("batch needs a corpus directory".into());
     }
@@ -549,11 +589,11 @@ fn run_batch_cmd(opts: &Opts) -> Result<(), String> {
             options: extractor_options(opts),
         },
     )?;
-    print!("{report}");
+    write!(out, "{report}")?;
     Ok(())
 }
 
-fn run_fuzz_cmd(opts: &Opts) -> Result<(), String> {
+fn run_fuzz_cmd(opts: &Opts, out: &mut impl Write) -> Result<(), Fail> {
     let cfg = fuzz::FuzzConfig {
         seed: opts.seed,
         iters: opts.iters,
@@ -573,18 +613,23 @@ fn run_fuzz_cmd(opts: &Opts) -> Result<(), String> {
     std::panic::set_hook(hook);
 
     for d in &report.divergences {
-        println!(
+        writeln!(
+            out,
             "divergence (seed {}): [{}] {}",
             d.seed, d.divergence.kind, d.divergence.detail
-        );
+        )?;
         if let Some(stem) = &d.repro {
-            println!("  repro written: {stem}.imp / {stem}.schema.sql / {stem}.data.sql");
+            writeln!(
+                out,
+                "  repro written: {stem}.imp / {stem}.schema.sql / {stem}.data.sql"
+            )?;
         }
         for line in d.case.program.lines() {
-            println!("  | {line}");
+            writeln!(out, "  | {line}")?;
         }
     }
-    println!(
+    writeln!(
+        out,
         "fuzz: {} iteration(s), {} extracted, {} skipped, {} divergence(s), {} panic(s) \
          [seed {}]",
         report.iterations,
@@ -593,11 +638,11 @@ fn run_fuzz_cmd(opts: &Opts) -> Result<(), String> {
         report.divergences.len(),
         report.panics,
         opts.seed,
-    );
+    )?;
     if report.clean() {
         Ok(())
     } else {
-        Err(format!("{} divergence(s) found", report.divergences.len()))
+        Err(format!("{} divergence(s) found", report.divergences.len()).into())
     }
 }
 

@@ -1,5 +1,6 @@
 //! The interpreter proper.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
@@ -8,6 +9,7 @@ use algebra::parse::parse_sql;
 use dbms::eval::eval_binop;
 use dbms::{Connection, Value};
 use imp::ast::{BinaryOp, Block, Expr, Literal, Program, StmtKind, UnaryOp};
+use intern::Symbol;
 
 use crate::dml::execute_update;
 use crate::value::{loose_eq, RtValue};
@@ -45,7 +47,43 @@ enum Flow {
     Continue,
 }
 
-type Env = HashMap<intern::Symbol, RtValue>;
+type Env = HashMap<Symbol, RtValue>;
+
+/// Collection methods that change their receiver variable in place.
+const MUTATING_METHODS: [&str; 6] = ["add", "insert", "append", "remove", "clear", "addAll"];
+
+fn lookup(env: &Env, v: Symbol) -> Result<&RtValue, RtError> {
+    env.get(&v)
+        .ok_or_else(|| RtError::Undefined(format!("variable {v}")))
+}
+
+/// Whether evaluating `e` can change a variable of the current frame: only
+/// a mutating method call can (assignments are statements, and a user
+/// function runs in a frame of its own).
+fn mutates_env(e: &Expr) -> bool {
+    let mut found = false;
+    e.walk(&mut |x| {
+        found |= matches!(x, Expr::MethodCall { name, .. }
+            if MUTATING_METHODS.contains(&name.as_str()));
+    });
+    found
+}
+
+/// The receiver of a non-mutating method: a variable read in place, or the
+/// value of any other expression.
+enum Recv {
+    Var(Symbol),
+    Value(RtValue),
+}
+
+impl Recv {
+    fn get<'a>(&'a self, env: &'a Env) -> &'a RtValue {
+        match self {
+            Recv::Var(v) => &env[v],
+            Recv::Value(x) => x,
+        }
+    }
+}
 
 /// Three-valued truth of a runtime value: `None` for SQL NULL, otherwise
 /// the same truthiness `is_true` uses (only `Bool(true)` is true).
@@ -148,11 +186,13 @@ impl<'a> Interp<'a> {
                     iterable,
                     body,
                 } => {
-                    let coll = self.eval(iterable, env)?;
-                    let elems = coll
-                        .as_elements()
-                        .ok_or_else(|| RtError::Type(format!("cannot iterate over {coll}")))?
-                        .to_vec();
+                    // An owned iterable is consumed; a variable is copied
+                    // once, so the body may change it without affecting
+                    // the iteration.
+                    let elems = match self.eval(iterable, env)? {
+                        RtValue::List(xs) | RtValue::Set(xs) => xs,
+                        other => return Err(RtError::Type(format!("cannot iterate over {other}"))),
+                    };
                     'iters: for el in elems {
                         env.insert(*var, el);
                         match self.exec_block(body, env)? {
@@ -223,10 +263,7 @@ impl<'a> Interp<'a> {
                 Literal::Str(s) => Value::Str(s.clone()),
                 Literal::Null => Value::Null,
             })),
-            Expr::Var(v) => env
-                .get(v)
-                .cloned()
-                .ok_or_else(|| RtError::Undefined(format!("variable {v}"))),
+            Expr::Var(v) => lookup(env, *v).cloned(),
             Expr::Unary(op, x) => {
                 let v = self.eval(x, env)?;
                 match (op, v) {
@@ -254,12 +291,24 @@ impl<'a> Interp<'a> {
                 }
             }
             Expr::Field(o, name) => {
-                let v = self.eval(o, env)?;
+                let v = self.read(o, env)?;
                 v.field(name)
                     .ok_or_else(|| RtError::Type(format!("no field {name} on {v}")))
             }
             Expr::Call { name, args } => self.eval_call(name, args, env),
             Expr::MethodCall { recv, name, args } => self.eval_method(recv, name, args, env),
+        }
+    }
+
+    /// Evaluate `e` for reading: a variable is borrowed in place, with the
+    /// same step charged as [`Self::eval`] charges for it.
+    fn read<'e>(&mut self, e: &Expr, env: &'e mut Env) -> Result<Cow<'e, RtValue>, RtError> {
+        match e {
+            Expr::Var(v) => {
+                self.tick()?;
+                lookup(env, *v).map(Cow::Borrowed)
+            }
+            _ => self.eval(e, env).map(Cow::Owned),
         }
     }
 
@@ -314,9 +363,9 @@ impl<'a> Interp<'a> {
             let eq = loose_eq(&lv, &rv);
             return Ok(RtValue::bool(if op == BinaryOp::Eq { eq } else { !eq }));
         }
-        let (a, b) = match (lv.as_scalar(), rv.as_scalar()) {
-            (Some(a), Some(b)) => (a.clone(), b.clone()),
-            _ => {
+        let (a, b) = match (lv, rv) {
+            (RtValue::Scalar(a), RtValue::Scalar(b)) => (a, b),
+            (lv, rv) => {
                 return Err(RtError::Type(format!(
                     "operator {} needs scalars, got {lv} and {rv}",
                     op.as_str()
@@ -349,11 +398,10 @@ impl<'a> Interp<'a> {
     fn eval_call(&mut self, name: &str, args: &[Expr], env: &mut Env) -> Result<RtValue, RtError> {
         match name {
             "executeQuery" => {
-                let rel = self.run_query(args, env)?;
-                let fields = Rc::new(rel.fields.clone());
+                let dbms::Relation { fields, rows } = self.run_query(args, env)?;
+                let fields = Rc::new(fields);
                 Ok(RtValue::List(
-                    rel.rows
-                        .into_iter()
+                    rows.into_iter()
                         .map(|values| RtValue::Row {
                             fields: Rc::clone(&fields),
                             values,
@@ -593,11 +641,7 @@ impl<'a> Interp<'a> {
     ) -> Result<RtValue, RtError> {
         // Mutating methods require a variable receiver so the mutation is
         // visible (matching the analysis crate's model).
-        let mutating = matches!(
-            name,
-            "add" | "insert" | "append" | "remove" | "clear" | "addAll"
-        );
-        if mutating {
+        if MUTATING_METHODS.contains(&name) {
             let var = match recv {
                 Expr::Var(v) => *v,
                 other => {
@@ -640,25 +684,41 @@ impl<'a> Interp<'a> {
             }
             return Ok(RtValue::Unit);
         }
-        let rv = self.eval(recv, env)?;
-        match (name, &rv) {
-            ("size", RtValue::List(v) | RtValue::Set(v)) => Ok(RtValue::int(v.len() as i64)),
-            ("isEmpty", RtValue::List(v) | RtValue::Set(v)) => Ok(RtValue::bool(v.is_empty())),
-            ("contains", RtValue::List(v) | RtValue::Set(v)) => {
-                let needle = self.eval(&args[0], env)?;
-                Ok(RtValue::bool(v.iter().any(|e| loose_eq(e, &needle))))
+        // The receiver is evaluated before the arguments. A variable is
+        // read in place unless an argument could change it, in which case
+        // it is copied first.
+        let recv = match recv {
+            Expr::Var(v) if !args.iter().any(mutates_env) => {
+                self.tick()?;
+                lookup(env, *v)?;
+                Recv::Var(*v)
             }
-            ("get", RtValue::List(v)) => {
-                let idx = self.eval(&args[0], env)?;
-                match idx.as_scalar() {
-                    Some(Value::Int(i)) if (*i as usize) < v.len() => Ok(v[*i as usize].clone()),
-                    other => Err(RtError::Type(format!("bad index {other:?}"))),
-                }
-            }
-            ("first", RtValue::List(v) | RtValue::Set(v)) => {
+            _ => Recv::Value(self.eval(recv, env)?),
+        };
+        let takes_arg = match (name, recv.get(env)) {
+            ("size" | "isEmpty" | "first", RtValue::List(_) | RtValue::Set(_)) => false,
+            ("contains", RtValue::List(_) | RtValue::Set(_)) | ("get", RtValue::List(_)) => true,
+            (m, r) => return Err(RtError::Type(format!("unknown method {m} on {r}"))),
+        };
+        let arg = if takes_arg {
+            Some(self.eval(&args[0], env)?)
+        } else {
+            None
+        };
+        match (name, recv.get(env), arg) {
+            ("size", RtValue::List(v) | RtValue::Set(v), _) => Ok(RtValue::int(v.len() as i64)),
+            ("isEmpty", RtValue::List(v) | RtValue::Set(v), _) => Ok(RtValue::bool(v.is_empty())),
+            ("first", RtValue::List(v) | RtValue::Set(v), _) => {
                 Ok(v.first().cloned().unwrap_or(RtValue::null()))
             }
-            (m, r) => Err(RtError::Type(format!("unknown method {m} on {r}"))),
+            ("contains", RtValue::List(v) | RtValue::Set(v), Some(needle)) => {
+                Ok(RtValue::bool(v.iter().any(|e| loose_eq(e, &needle))))
+            }
+            ("get", RtValue::List(v), Some(idx)) => match idx.as_scalar() {
+                Some(Value::Int(i)) if (*i as usize) < v.len() => Ok(v[*i as usize].clone()),
+                other => Err(RtError::Type(format!("bad index {other:?}"))),
+            },
+            _ => unreachable!("the receiver's shape was checked above"),
         }
     }
 }

@@ -3,7 +3,7 @@
 use std::fmt;
 use std::rc::Rc;
 
-use dbms::table::Field;
+use dbms::table::{resolve_fields, Field};
 use dbms::Value;
 
 /// A runtime value.
@@ -62,26 +62,12 @@ impl RtValue {
         matches!(self, RtValue::Scalar(Value::Bool(true)))
     }
 
-    /// Iterable view (lists and sets).
-    pub fn as_elements(&self) -> Option<&[RtValue]> {
-        match self {
-            RtValue::List(v) | RtValue::Set(v) => Some(v),
-            _ => None,
-        }
-    }
-
     /// Field access on rows; pairs expose `first`/`second`.
     pub fn field(&self, name: &str) -> Option<RtValue> {
         match self {
-            RtValue::Row { fields, values } => {
-                let rel = dbms::Relation {
-                    fields: (**fields).clone(),
-                    rows: vec![],
-                };
-                rel.resolve(None, name)
-                    .ok()
-                    .map(|i| RtValue::Scalar(values[i].clone()))
-            }
+            RtValue::Row { fields, values } => resolve_fields(fields, None, name)
+                .ok()
+                .map(|i| RtValue::Scalar(values[i].clone())),
             RtValue::Pair(a, b) => match name {
                 "first" => Some((**a).clone()),
                 "second" => Some((**b).clone()),
@@ -189,8 +175,7 @@ pub fn loose_eq(a: &RtValue, b: &RtValue) -> bool {
         | (RtValue::Row { values, .. }, RtValue::Pair(a1, a2))
             if values.len() == 2 =>
         {
-            loose_eq(a1, &RtValue::Scalar(values[0].clone()))
-                && loose_eq(a2, &RtValue::Scalar(values[1].clone()))
+            loose_eq_scalar(a1, &values[0]) && loose_eq_scalar(a2, &values[1])
         }
         (RtValue::Row { values: x, .. }, RtValue::Row { values: y, .. }) => {
             // Rows compare by values; field *names* may differ between an
@@ -199,6 +184,15 @@ pub fn loose_eq(a: &RtValue, b: &RtValue) -> bool {
         }
         (RtValue::Scalar(x), RtValue::Scalar(y)) => x.group_eq(y),
         _ => a == b,
+    }
+}
+
+/// `loose_eq(a, &RtValue::Scalar(y.clone()))` without building the scalar.
+fn loose_eq_scalar(a: &RtValue, y: &Value) -> bool {
+    match a {
+        RtValue::Scalar(x) => x.group_eq(y),
+        RtValue::Row { values, .. } if values.len() == 1 => y.group_eq(&values[0]),
+        _ => false,
     }
 }
 
