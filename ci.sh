@@ -134,7 +134,8 @@ target/release/eqsql serve --addr 127.0.0.1:0 --port-file "$PORT_FILE" &
 SERVE_PID=$!
 trap 'kill "$SERVE_PID" 2>/dev/null || true; rm -f "$PORT_FILE"' EXIT
 # The smoke client waits for the port file, then drives the whole
-# endpoint sequence (/healthz, /extract + cached replay, /fuzz, /metrics
+# endpoint sequence (/healthz, /extract + cached replay, /fuzz, a
+# 10,000-term /extract that needs the workers' stated stack, /metrics
 # with admission counters) over ONE keep-alive connection before POSTing
 # /shutdown for a graceful stop.
 target/release/eqsql-smoke "@$PORT_FILE"

@@ -78,7 +78,21 @@ use dbms::{Connection, Database, Value};
 use eqsql_core::{lint_program, ExtractionOutcome, Extractor, ExtractorOptions};
 use interp::{Interp, RtValue};
 
+/// Run the command on a thread of the scheduler workers' stack size, so
+/// the depth a program may reach is a stated fact, the same for every
+/// command and for `serve`'s workers, not the platform's main-thread
+/// default.
 fn main() -> ExitCode {
+    std::thread::Builder::new()
+        .name("eqsql".into())
+        .stack_size(service::WORKER_STACK_BYTES)
+        .spawn(command)
+        .expect("spawn the command thread")
+        .join()
+        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+}
+
+fn command() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut out = io::stdout().lock();
     match run(&args, &mut out).and_then(|()| Ok(out.flush()?)) {

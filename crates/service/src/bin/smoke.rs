@@ -6,12 +6,14 @@
 //!
 //! Connects to a running `eqsql serve` instance and drives the whole
 //! sequence over **one persistent keep-alive connection** — `GET /healthz`,
-//! `POST /extract`, a small `POST /fuzz` sweep, `GET /metrics` (checking
-//! the fuzz counters it just incremented), then `POST /shutdown` so the
-//! server exits cleanly. Responses are framed by `Content-Length` rather
-//! than connection close, and the client verifies the server actually
-//! honored keep-alive by completing every request on the same socket. Exit
-//! code 0 on success, 1 with a message on any failure — see `ci.sh`.
+//! `POST /extract`, a small `POST /fuzz` sweep, a 10,000-term `POST
+//! /extract` (deep recursion on the worker's stack), `GET /metrics`
+//! (checking the fuzz counters it just incremented), then `POST /shutdown`
+//! so the server exits cleanly. Responses are framed by `Content-Length`
+//! rather than connection close, and the client verifies the server
+//! actually honored keep-alive by completing every request on the same
+//! socket. Exit code 0 on success, 1 with a message on any failure — see
+//! `ci.sh`.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -76,6 +78,13 @@ fn run(target: &str) -> Result<(), String> {
         return Err(format!("/fuzz iteration count wrong: {body}"));
     }
 
+    // `y = x + x + … + x` lowers into a left-deep tree that later passes
+    // recurse over: the worker's stack must hold it.
+    let chain = vec!["x"; 10_000].join(" + ");
+    let chain_body = format!("{{\"source\":\"fn f(x) {{ y = {chain}; return y; }}\"}}");
+    let (status, body) = conn.request("POST", "/extract", Some(&chain_body))?;
+    expect_json_200("/extract (10,000-term chain)", status, &body)?;
+
     let (status, body) = conn.request("GET", "/metrics", None)?;
     if status != 200 {
         return Err(format!("/metrics returned {status}"));
@@ -89,9 +98,9 @@ fn run(target: &str) -> Result<(), String> {
         return Err(format!("/metrics missing admission counters:\n{body}"));
     }
 
-    if conn.requests_served() != 5 {
+    if conn.requests_served() != 6 {
         return Err(format!(
-            "expected 5 requests on one connection before shutdown, served {}",
+            "expected 6 requests on one connection before shutdown, served {}",
             conn.requests_served()
         ));
     }

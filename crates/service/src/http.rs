@@ -66,6 +66,7 @@ use analysis::json::Json;
 use crate::admission::{Admission, Decision, DEFAULT_TENANT};
 use crate::metrics::{self, FuzzCounters, HttpCounters};
 use crate::poll::{Poller, Wakeup};
+use crate::scheduler::JobResult;
 use crate::service::{CacheStatus, ExtractRequest, ExtractionService, ServiceConfig, ServiceError};
 
 /// Largest accepted request body; bigger requests get a 413.
@@ -874,25 +875,23 @@ fn dispatch(
             // Fuzz sweeps are bounded by MAX_FUZZ_ITERS, not by the
             // extract/lint job timeout: a 10k-iteration run legitimately
             // outlives a 30s deadline on slow builds.
-            let submitted = state.service.scheduler().submit_callback(
-                move |_ctx| run_fuzz(&body, &job_state),
+            state.service.scheduler().submit(
+                move || run_fuzz(&body, &job_state),
                 None,
                 move |outcome| {
                     let resp = match outcome {
-                        crate::scheduler::JobResult::Completed(r) => r,
-                        crate::scheduler::JobResult::Panicked(m) => {
+                        JobResult::Completed(r) => r,
+                        JobResult::Panicked(m) => {
                             error_response(500, &format!("fuzz job panicked: {m}"))
                         }
-                        _ => error_response(503, "fuzz job did not complete"),
+                        JobResult::Rejected(e) => error_response(503, &format!("overloaded: {e}")),
+                        JobResult::TimedOut => error_response(503, "fuzz job did not complete"),
                     };
                     completions.lock().unwrap().push((token, resp));
                     wake.notify();
                 },
             );
-            match submitted {
-                Ok(()) => Dispatched::InFlight,
-                Err(e) => Dispatched::Inline(error_response(503, &format!("overloaded: {e}"))),
-            }
+            Dispatched::InFlight
         }
         ("POST", "/shutdown") => {
             state.shutdown.store(true, Ordering::Release);

@@ -7,18 +7,20 @@
 //! chews through a corpus concurrently and answers repeated queries
 //! cheaply):
 //!
-//! * [`scheduler`] — a std-only thread-pool with a bounded job queue,
-//!   per-job timeout/cancellation, callback-style completion for event
-//!   loops, and graceful draining shutdown, plus
-//!   [`scheduler::parallel_map`] for deterministic fan-out;
+//! * [`scheduler`] — a std-only thread-pool with a bounded job queue and
+//!   one non-blocking entry point, `submit`, whose callback receives every
+//!   outcome (result, queued-past-deadline timeout, panic or refusal);
+//!   graceful draining shutdown; and [`scheduler::parallel_map`] for
+//!   deterministic fan-out;
 //! * [`cache`] — a content-addressed result cache (128-bit FNV-1a over
 //!   length-prefixed inputs) with LRU eviction and hit/miss/eviction
 //!   counters, sharded N ways by key bits ([`cache::ShardedCache`]); cached
 //!   `ExtractionReport` documents replay byte-for-byte, diagnostics JSON
 //!   included;
 //! * [`service`] — [`service::ExtractionService`], the scheduler+cache
-//!   façade shared by every driver, with blocking and callback-style
-//!   (`extract_async`) entry points;
+//!   façade shared by every driver: one callback-style job path
+//!   (`extract_async`), which the blocking `extract` waits on through a
+//!   channel;
 //! * [`poll`] — a std-only readiness poller (epoll on Linux via a thin
 //!   syscall shim, level-triggered) and the self-pipe wakeup;
 //! * [`admission`] — per-tenant token-bucket admission control
@@ -49,8 +51,8 @@ pub use batch::{run_batch, BatchOptions};
 pub use cache::{CacheKey, CacheStats, ResultCache, ShardedCache};
 pub use http::Server;
 pub use scheduler::{
-    parallel_map, JobCtx, JobHandle, JobResult, Scheduler, SchedulerConfig, SchedulerStats,
-    SubmitError,
+    parallel_map, JobResult, Scheduler, SchedulerConfig, SchedulerStats, SubmitError,
+    WORKER_STACK_BYTES,
 };
 pub use service::{CacheStatus, ExtractRequest, ExtractionService, ServiceConfig, ServiceError};
 

@@ -255,12 +255,6 @@ pub fn render(
     );
     counter(
         &mut out,
-        "eqsql_jobs_cancelled_total",
-        "Jobs cancelled before producing a result.",
-        sched.cancelled,
-    );
-    counter(
-        &mut out,
         "eqsql_jobs_panicked_total",
         "Jobs whose closure panicked.",
         sched.panicked,

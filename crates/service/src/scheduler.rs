@@ -1,34 +1,47 @@
 //! A std-only thread-pool job scheduler with a bounded run queue.
 //!
 //! All workers pull from one shared MPMC deque guarded by a mutex and a
-//! pair of condvars — effectively every worker "steals" from the same
-//! queue, which for the coarse-grained jobs the service runs (one full
-//! extraction per job) performs within noise of per-worker deques while
-//! staying small enough to audit.
+//! condvar — effectively every worker "steals" from the same queue, which
+//! for the coarse-grained jobs the service runs (one full extraction per
+//! job) performs within noise of per-worker deques while staying small
+//! enough to audit.
 //!
 //! Semantics:
 //!
-//! * **Bounded queue.** [`Scheduler::submit`] blocks while the queue is
-//!   full (backpressure); [`Scheduler::try_submit`] returns
-//!   [`SubmitError::QueueFull`] instead.
-//! * **Per-job timeout.** A job carries an optional deadline. A job still
-//!   queued when its deadline passes is *never run* — the worker popping it
-//!   resolves it to [`JobResult::TimedOut`]. A waiter blocked in
-//!   [`JobHandle::wait`] past the deadline resolves the job to `TimedOut`
-//!   and flags cooperative cancellation; the running closure observes that
-//!   via [`JobCtx::cancelled`] / [`JobCtx::timed_out`] and should return
-//!   early. Outcomes are first-writer-wins, so a completion racing the
-//!   deadline is never overwritten.
+//! * **One entry point.** [`Scheduler::submit`] never blocks and hands
+//!   every outcome of a job to its callback, exactly once: the result, a
+//!   timeout, a panic, or a refusal ([`JobResult::Rejected`], delivered on
+//!   the submitting thread before `submit` returns) when the queue is full
+//!   or shut down. A caller that wants to wait pairs it with a channel, as
+//!   [`parallel_map`] does.
+//! * **Per-job deadline.** A job still queued when its deadline passes is
+//!   *never run*: the worker popping it resolves it to
+//!   [`JobResult::TimedOut`]. A job that has started runs to the end.
 //! * **Graceful shutdown.** [`Scheduler::shutdown`] closes the queue to new
 //!   submissions, lets workers drain every job already queued, and joins
 //!   them. Dropping the scheduler does the same.
+//! * **Known stack.** Workers run on [`WORKER_STACK_BYTES`] of stack, not
+//!   the platform's default for spawned threads.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// Stack of every worker, and of the thread the `eqsql` CLI runs its
+/// command on, so `eqsql serve` accepts whatever `eqsql extract` accepts.
+/// 8 MiB is the usual main-thread stack on Linux; a spawned thread gets
+/// 2 MiB by default, which a 10,000-term `x + x + … + x` overflows. An
+/// unoptimised build's frames are about four times larger (a release
+/// build passes 25,000 terms on 8 MiB, a debug build on 32 MiB), so it
+/// gets four times the stack.
+pub const WORKER_STACK_BYTES: usize = if cfg!(debug_assertions) {
+    32 << 20
+} else {
+    8 << 20
+};
 
 /// Scheduler construction parameters.
 #[derive(Debug, Clone)]
@@ -37,9 +50,6 @@ pub struct SchedulerConfig {
     pub workers: usize,
     /// Maximum number of queued (not yet running) jobs (clamped to ≥ 1).
     pub queue_capacity: usize,
-    /// Default per-job timeout; `None` = no deadline. Overridable per job
-    /// via [`Scheduler::submit_with_timeout`].
-    pub default_timeout: Option<Duration>,
 }
 
 impl Default for SchedulerConfig {
@@ -49,7 +59,6 @@ impl Default for SchedulerConfig {
                 .map(|n| n.get().min(8))
                 .unwrap_or(4),
             queue_capacity: 256,
-            default_timeout: None,
         }
     }
 }
@@ -57,7 +66,7 @@ impl Default for SchedulerConfig {
 /// Why a submission was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubmitError {
-    /// `try_submit` found the queue at capacity.
+    /// The queue was at capacity.
     QueueFull,
     /// The scheduler is shutting down.
     Shutdown,
@@ -72,113 +81,17 @@ impl std::fmt::Display for SubmitError {
     }
 }
 
-/// Final outcome of a job.
+/// Final outcome of a job, as its callback receives it.
 #[derive(Debug)]
 pub enum JobResult<T> {
     /// The closure ran to completion.
     Completed(T),
-    /// The deadline passed before the job finished (or before it started).
+    /// The deadline passed while the job was still queued; it never ran.
     TimedOut,
-    /// The job was cancelled before it produced a result.
-    Cancelled,
     /// The closure panicked; the payload is the panic message.
     Panicked(String),
-}
-
-/// Cooperative-cancellation context passed to every job closure.
-pub struct JobCtx {
-    control: Arc<Control>,
-}
-
-impl JobCtx {
-    /// True once the job has been cancelled (explicitly or by timeout).
-    /// Long-running closures should poll this and return early.
-    pub fn cancelled(&self) -> bool {
-        self.control.cancelled.load(Ordering::Acquire)
-    }
-
-    /// True once the job's deadline has passed (or it was cancelled).
-    pub fn timed_out(&self) -> bool {
-        self.cancelled() || self.control.deadline.is_some_and(|d| Instant::now() >= d)
-    }
-}
-
-/// Cancellation flag + deadline, shared by handle, context, and queue entry.
-struct Control {
-    cancelled: AtomicBool,
-    deadline: Option<Instant>,
-}
-
-/// The typed result slot a job fulfils and a handle waits on.
-struct Slot<T> {
-    outcome: Mutex<Option<JobResult<T>>>,
-    done: Condvar,
-    control: Arc<Control>,
-}
-
-impl<T> Slot<T> {
-    /// Write `outcome` if no outcome has been recorded yet (first writer
-    /// wins) and bump the matching counter. Returns nothing on purpose:
-    /// losers of the race simply discard their outcome.
-    fn fulfill(&self, outcome: JobResult<T>, stats: &StatsCells) {
-        let mut slot = self.outcome.lock().unwrap();
-        if slot.is_none() {
-            match &outcome {
-                JobResult::Completed(_) => &stats.completed,
-                JobResult::TimedOut => &stats.timed_out,
-                JobResult::Cancelled => &stats.cancelled,
-                JobResult::Panicked(_) => &stats.panicked,
-            }
-            .fetch_add(1, Ordering::Relaxed);
-            *slot = Some(outcome);
-            self.done.notify_all();
-        }
-    }
-}
-
-/// Handle to one submitted job. Consume it with [`JobHandle::wait`]; drop
-/// it to let the job finish unobserved.
-pub struct JobHandle<T> {
-    slot: Arc<Slot<T>>,
-    stats: Arc<StatsCells>,
-}
-
-impl<T> JobHandle<T> {
-    /// Flag the job for cooperative cancellation. A still-queued job will
-    /// resolve to [`JobResult::Cancelled`] without running; a running job
-    /// sees [`JobCtx::cancelled`] and decides for itself.
-    pub fn cancel(&self) {
-        self.slot.control.cancelled.store(true, Ordering::Release);
-    }
-
-    /// Block until the job resolves.
-    ///
-    /// If the job has a deadline and it passes first, the job is flagged
-    /// cancelled and this returns [`JobResult::TimedOut`] — the closure may
-    /// still be running, but its eventual result is discarded.
-    pub fn wait(self) -> JobResult<T> {
-        let deadline = self.slot.control.deadline;
-        let mut guard = self.slot.outcome.lock().unwrap();
-        loop {
-            if let Some(o) = guard.take() {
-                return o;
-            }
-            match deadline {
-                None => guard = self.slot.done.wait(guard).unwrap(),
-                Some(d) => {
-                    let now = Instant::now();
-                    if now >= d {
-                        drop(guard);
-                        self.cancel();
-                        self.slot.fulfill(JobResult::TimedOut, &self.stats);
-                        let mut g = self.slot.outcome.lock().unwrap();
-                        return g.take().expect("fulfill guarantees an outcome");
-                    }
-                    guard = self.slot.done.wait_timeout(guard, d - now).unwrap().0;
-                }
-            }
-        }
-    }
+    /// The scheduler refused the job; it never ran.
+    Rejected(SubmitError),
 }
 
 /// Monotonic job counters.
@@ -187,9 +100,21 @@ struct StatsCells {
     submitted: AtomicU64,
     completed: AtomicU64,
     timed_out: AtomicU64,
-    cancelled: AtomicU64,
     panicked: AtomicU64,
     rejected: AtomicU64,
+}
+
+impl StatsCells {
+    /// Count one final outcome.
+    fn count<T>(&self, outcome: &JobResult<T>) {
+        match outcome {
+            JobResult::Completed(_) => &self.completed,
+            JobResult::TimedOut => &self.timed_out,
+            JobResult::Panicked(_) => &self.panicked,
+            JobResult::Rejected(_) => &self.rejected,
+        }
+        .fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 /// Snapshot of the scheduler's counters and gauges.
@@ -201,8 +126,6 @@ pub struct SchedulerStats {
     pub completed: u64,
     /// Jobs whose final outcome was `TimedOut`.
     pub timed_out: u64,
-    /// Jobs whose final outcome was `Cancelled`.
-    pub cancelled: u64,
     /// Jobs whose closure panicked.
     pub panicked: u64,
     /// Submissions refused (`QueueFull` / `Shutdown`).
@@ -213,9 +136,9 @@ pub struct SchedulerStats {
     pub queue_depth: u64,
 }
 
-struct QueuedJob {
-    run: Box<dyn FnOnce() + Send>,
-}
+/// A queued job: runs the closure (or not, past its deadline) and hands
+/// the outcome to the callback.
+type QueuedJob = Box<dyn FnOnce() + Send>;
 
 struct State {
     queue: VecDeque<QueuedJob>,
@@ -225,16 +148,24 @@ struct State {
 struct Inner {
     state: Mutex<State>,
     not_empty: Condvar,
-    not_full: Condvar,
     capacity: usize,
     stats: Arc<StatsCells>,
+}
+
+impl Inner {
+    /// Lock the queue. Jobs and callbacks run outside the lock, so no
+    /// panic can poison it.
+    fn state(&self) -> MutexGuard<'_, State> {
+        self.state
+            .lock()
+            .expect("the scheduler lock is never poisoned")
+    }
 }
 
 /// The thread pool. See the module docs for semantics.
 pub struct Scheduler {
     inner: Arc<Inner>,
     workers: Vec<JoinHandle<()>>,
-    default_timeout: Option<Duration>,
 }
 
 impl Scheduler {
@@ -246,7 +177,6 @@ impl Scheduler {
                 closed: false,
             }),
             not_empty: Condvar::new(),
-            not_full: Condvar::new(),
             capacity: config.queue_capacity.max(1),
             stats: Arc::new(StatsCells::default()),
         });
@@ -255,181 +185,60 @@ impl Scheduler {
                 let inner = Arc::clone(&inner);
                 std::thread::Builder::new()
                     .name(format!("eqsql-worker-{i}"))
+                    .stack_size(WORKER_STACK_BYTES)
                     .spawn(move || worker_loop(&inner))
                     .expect("spawn worker thread")
             })
             .collect();
-        Scheduler {
-            inner,
-            workers,
-            default_timeout: config.default_timeout,
-        }
+        Scheduler { inner, workers }
     }
 
-    /// Submit a job with the scheduler's default timeout, blocking while
-    /// the queue is full.
-    pub fn submit<T, F>(&self, f: F) -> Result<JobHandle<T>, SubmitError>
-    where
-        T: Send + 'static,
-        F: FnOnce(&JobCtx) -> T + Send + 'static,
-    {
-        self.enqueue(f, self.default_timeout, true)
-    }
-
-    /// Submit with an explicit timeout (`None` = no deadline), blocking
-    /// while the queue is full.
-    pub fn submit_with_timeout<T, F>(
-        &self,
-        f: F,
-        timeout: Option<Duration>,
-    ) -> Result<JobHandle<T>, SubmitError>
-    where
-        T: Send + 'static,
-        F: FnOnce(&JobCtx) -> T + Send + 'static,
-    {
-        self.enqueue(f, timeout, true)
-    }
-
-    /// Non-blocking submit: a full queue yields [`SubmitError::QueueFull`].
-    pub fn try_submit<T, F>(&self, f: F) -> Result<JobHandle<T>, SubmitError>
-    where
-        T: Send + 'static,
-        F: FnOnce(&JobCtx) -> T + Send + 'static,
-    {
-        self.enqueue(f, self.default_timeout, false)
-    }
-
-    /// Non-blocking submit that delivers the outcome to `cb` on the worker
-    /// thread instead of through a [`JobHandle`].
+    /// Queue `f` to run on a worker, with an optional deadline, and hand
+    /// its outcome to `cb`. Never blocks.
     ///
-    /// This is the event loop's path: the loop thread must never block in
-    /// [`JobHandle::wait`], so completion is pushed to it (the callback
-    /// typically queues a response and nudges a wakeup pipe). Timeout
-    /// semantics match handle-based jobs — a job still queued past its
-    /// deadline resolves to [`JobResult::TimedOut`] without running — but
-    /// with nobody waiting, a deadline can only fire when a worker finally
-    /// pops the job. On `Err` the callback is dropped without being
-    /// invoked; the caller still owns the failure path.
-    pub fn submit_callback<T, F, C>(
-        &self,
-        f: F,
-        timeout: Option<Duration>,
-        cb: C,
-    ) -> Result<(), SubmitError>
+    /// `cb` is called exactly once: on the worker thread once the job has
+    /// run (or expired in the queue), or on this thread, before `submit`
+    /// returns, with [`JobResult::Rejected`] when the queue is full or the
+    /// scheduler is shutting down. The event loop's callback typically
+    /// queues a response and nudges a wakeup pipe.
+    pub fn submit<T, F, C>(&self, f: F, timeout: Option<Duration>, cb: C)
     where
         T: Send + 'static,
-        F: FnOnce(&JobCtx) -> T + Send + 'static,
+        F: FnOnce() -> T + Send + 'static,
         C: FnOnce(JobResult<T>) + Send + 'static,
     {
-        let control = Arc::new(Control {
-            cancelled: AtomicBool::new(false),
-            deadline: timeout.map(|t| Instant::now() + t),
-        });
-        let stats = Arc::clone(&self.inner.stats);
-        let job_stats = Arc::clone(&stats);
-        let run = Box::new(move || {
-            let outcome = if control.cancelled.load(Ordering::Acquire) {
-                JobResult::Cancelled
-            } else if control.deadline.is_some_and(|d| Instant::now() >= d) {
+        let deadline = timeout.map(|t| Instant::now() + t);
+        let stats = &self.inner.stats;
+        let mut st = self.inner.state();
+        let refused = if st.closed {
+            Some(SubmitError::Shutdown)
+        } else if st.queue.len() >= self.inner.capacity {
+            Some(SubmitError::QueueFull)
+        } else {
+            None
+        };
+        if let Some(e) = refused {
+            drop(st);
+            let outcome = JobResult::Rejected(e);
+            stats.count(&outcome);
+            return cb(outcome);
+        }
+        let job_stats = Arc::clone(stats);
+        st.queue.push_back(Box::new(move || {
+            let outcome = if deadline.is_some_and(|d| Instant::now() >= d) {
                 JobResult::TimedOut
             } else {
-                let ctx = JobCtx {
-                    control: Arc::clone(&control),
-                };
-                match catch_unwind(AssertUnwindSafe(|| f(&ctx))) {
+                match catch_unwind(AssertUnwindSafe(f)) {
                     Ok(v) => JobResult::Completed(v),
                     Err(p) => JobResult::Panicked(panic_message(&*p)),
                 }
             };
-            match &outcome {
-                JobResult::Completed(_) => &job_stats.completed,
-                JobResult::TimedOut => &job_stats.timed_out,
-                JobResult::Cancelled => &job_stats.cancelled,
-                JobResult::Panicked(_) => &job_stats.panicked,
-            }
-            .fetch_add(1, Ordering::Relaxed);
+            job_stats.count(&outcome);
             cb(outcome);
-        });
-
-        let mut st = self.inner.state.lock().unwrap();
-        if st.closed {
-            stats.rejected.fetch_add(1, Ordering::Relaxed);
-            return Err(SubmitError::Shutdown);
-        }
-        if st.queue.len() >= self.inner.capacity {
-            stats.rejected.fetch_add(1, Ordering::Relaxed);
-            return Err(SubmitError::QueueFull);
-        }
-        st.queue.push_back(QueuedJob { run });
+        }));
         stats.submitted.fetch_add(1, Ordering::Relaxed);
         drop(st);
         self.inner.not_empty.notify_one();
-        Ok(())
-    }
-
-    fn enqueue<T, F>(
-        &self,
-        f: F,
-        timeout: Option<Duration>,
-        block: bool,
-    ) -> Result<JobHandle<T>, SubmitError>
-    where
-        T: Send + 'static,
-        F: FnOnce(&JobCtx) -> T + Send + 'static,
-    {
-        let control = Arc::new(Control {
-            cancelled: AtomicBool::new(false),
-            deadline: timeout.map(|t| Instant::now() + t),
-        });
-        let slot = Arc::new(Slot {
-            outcome: Mutex::new(None),
-            done: Condvar::new(),
-            control,
-        });
-        let stats = Arc::clone(&self.inner.stats);
-        let job_slot = Arc::clone(&slot);
-        let job_stats = Arc::clone(&stats);
-        let run = Box::new(move || {
-            let outcome = if job_slot.control.cancelled.load(Ordering::Acquire) {
-                JobResult::Cancelled
-            } else if job_slot
-                .control
-                .deadline
-                .is_some_and(|d| Instant::now() >= d)
-            {
-                JobResult::TimedOut
-            } else {
-                let ctx = JobCtx {
-                    control: Arc::clone(&job_slot.control),
-                };
-                match catch_unwind(AssertUnwindSafe(|| f(&ctx))) {
-                    Ok(v) => JobResult::Completed(v),
-                    Err(p) => JobResult::Panicked(panic_message(&*p)),
-                }
-            };
-            job_slot.fulfill(outcome, &job_stats);
-        });
-
-        let mut st = self.inner.state.lock().unwrap();
-        loop {
-            if st.closed {
-                stats.rejected.fetch_add(1, Ordering::Relaxed);
-                return Err(SubmitError::Shutdown);
-            }
-            if st.queue.len() < self.inner.capacity {
-                break;
-            }
-            if !block {
-                stats.rejected.fetch_add(1, Ordering::Relaxed);
-                return Err(SubmitError::QueueFull);
-            }
-            st = self.inner.not_full.wait(st).unwrap();
-        }
-        st.queue.push_back(QueuedJob { run });
-        stats.submitted.fetch_add(1, Ordering::Relaxed);
-        drop(st);
-        self.inner.not_empty.notify_one();
-        Ok(JobHandle { slot, stats })
     }
 
     /// Counter/gauge snapshot.
@@ -439,11 +248,10 @@ impl Scheduler {
             submitted: s.submitted.load(Ordering::Relaxed),
             completed: s.completed.load(Ordering::Relaxed),
             timed_out: s.timed_out.load(Ordering::Relaxed),
-            cancelled: s.cancelled.load(Ordering::Relaxed),
             panicked: s.panicked.load(Ordering::Relaxed),
             rejected: s.rejected.load(Ordering::Relaxed),
             workers: self.workers.len() as u64,
-            queue_depth: self.inner.state.lock().unwrap().queue.len() as u64,
+            queue_depth: self.inner.state().queue.len() as u64,
         }
     }
 
@@ -453,12 +261,8 @@ impl Scheduler {
     }
 
     fn shutdown_in_place(&mut self) {
-        {
-            let mut st = self.inner.state.lock().unwrap();
-            st.closed = true;
-        }
+        self.inner.state().closed = true;
         self.inner.not_empty.notify_all();
-        self.inner.not_full.notify_all();
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
@@ -474,20 +278,22 @@ impl Drop for Scheduler {
 fn worker_loop(inner: &Inner) {
     loop {
         let job = {
-            let mut st = inner.state.lock().unwrap();
+            let mut st = inner.state();
             loop {
                 if let Some(j) = st.queue.pop_front() {
-                    inner.not_full.notify_one();
                     break Some(j);
                 }
                 if st.closed {
                     break None;
                 }
-                st = inner.not_empty.wait(st).unwrap();
+                st = inner
+                    .not_empty
+                    .wait(st)
+                    .expect("the scheduler lock is never poisoned");
             }
         };
         match job {
-            Some(j) => (j.run)(),
+            Some(run) => run(),
             None => return,
         }
     }
@@ -514,53 +320,81 @@ where
     T: Send + 'static,
     F: Fn(I) -> T + Send + Sync + 'static,
 {
+    let n = items.len();
     let sched = Scheduler::new(SchedulerConfig {
         workers: jobs,
-        queue_capacity: items.len().max(1),
-        default_timeout: None,
+        queue_capacity: n.max(1),
     });
     let f = Arc::new(f);
-    let handles: Vec<JobHandle<T>> = items
-        .into_iter()
-        .map(|item| {
-            let f = Arc::clone(&f);
-            sched
-                .submit(move |_ctx| f(item))
-                .expect("queue sized to the item count")
-        })
-        .collect();
-    handles
-        .into_iter()
-        .map(|h| match h.wait() {
-            JobResult::Completed(v) => v,
+    let (tx, rx) = mpsc::channel();
+    for (i, item) in items.into_iter().enumerate() {
+        let f = Arc::clone(&f);
+        let tx = tx.clone();
+        sched.submit(
+            move || f(item),
+            None,
+            move |outcome| {
+                let _ = tx.send((i, outcome));
+            },
+        );
+    }
+    drop(tx);
+    let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    // Ends once every callback has run and dropped its sender.
+    for (i, outcome) in rx {
+        match outcome {
+            JobResult::Completed(v) => out[i] = Some(v),
             JobResult::Panicked(m) => panic!("parallel_map job panicked: {m}"),
-            JobResult::TimedOut | JobResult::Cancelled => {
-                unreachable!("parallel_map jobs have no deadline and are never cancelled")
+            JobResult::TimedOut | JobResult::Rejected(_) => {
+                unreachable!("parallel_map jobs have no deadline and fit the queue")
             }
-        })
+        }
+    }
+    out.into_iter()
+        .map(|v| v.expect("every job reports once"))
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::mpsc;
+    use std::sync::atomic::AtomicBool;
 
     fn pool(workers: usize, capacity: usize) -> Scheduler {
         Scheduler::new(SchedulerConfig {
             workers,
             queue_capacity: capacity,
-            default_timeout: None,
         })
+    }
+
+    /// Submit `f` and return the receiver its outcome arrives on.
+    fn spawn<T: Send + 'static>(
+        s: &Scheduler,
+        f: impl FnOnce() -> T + Send + 'static,
+        timeout: Option<Duration>,
+    ) -> mpsc::Receiver<JobResult<T>> {
+        let (tx, rx) = mpsc::channel();
+        s.submit(f, timeout, move |o| tx.send(o).unwrap());
+        rx
+    }
+
+    fn wait<T>(rx: mpsc::Receiver<JobResult<T>>) -> JobResult<T> {
+        rx.recv_timeout(Duration::from_secs(10)).unwrap()
+    }
+
+    /// A job that holds its worker until the returned sender fires.
+    fn blocker(s: &Scheduler) -> (mpsc::Sender<()>, mpsc::Receiver<JobResult<()>>) {
+        let (tx, rx) = mpsc::channel::<()>();
+        (tx, spawn(s, move || rx.recv().unwrap(), None))
     }
 
     #[test]
     fn jobs_complete_and_stats_count() {
         let s = pool(2, 16);
-        let handles: Vec<_> = (0..8).map(|i| s.submit(move |_| i * 2).unwrap()).collect();
-        let mut out: Vec<i32> = handles
+        let pending: Vec<_> = (0..8).map(|i| spawn(&s, move || i * 2, None)).collect();
+        let mut out: Vec<i32> = pending
             .into_iter()
-            .map(|h| match h.wait() {
+            .map(|rx| match wait(rx) {
                 JobResult::Completed(v) => v,
                 other => panic!("{other:?}"),
             })
@@ -576,54 +410,20 @@ mod tests {
     fn queued_job_times_out_without_running() {
         // One worker, blocked; a job with a tiny timeout expires in queue.
         let s = pool(1, 8);
-        let (tx, rx) = mpsc::channel::<()>();
-        let blocker = s
-            .submit(move |_| {
-                rx.recv().unwrap();
-            })
-            .unwrap();
+        let (release, blocked) = blocker(&s);
         let ran = Arc::new(AtomicBool::new(false));
         let ran2 = Arc::clone(&ran);
-        let doomed = s
-            .submit_with_timeout(
-                move |_| {
-                    ran2.store(true, Ordering::SeqCst);
-                },
-                Some(Duration::from_millis(5)),
-            )
-            .unwrap();
+        let doomed = spawn(
+            &s,
+            move || ran2.store(true, Ordering::SeqCst),
+            Some(Duration::from_millis(5)),
+        );
         std::thread::sleep(Duration::from_millis(30));
-        tx.send(()).unwrap();
-        assert!(matches!(doomed.wait(), JobResult::TimedOut));
-        assert!(matches!(blocker.wait(), JobResult::Completed(())));
+        release.send(()).unwrap();
+        assert!(matches!(wait(doomed), JobResult::TimedOut));
+        assert!(matches!(wait(blocked), JobResult::Completed(())));
         assert!(!ran.load(Ordering::SeqCst), "expired job must never run");
         assert_eq!(s.stats().timed_out, 1);
-        s.shutdown();
-    }
-
-    #[test]
-    fn running_job_timeout_fires_and_flags_cancellation() {
-        let s = pool(1, 4);
-        let h = s
-            .submit_with_timeout(
-                |ctx: &JobCtx| {
-                    // Loop until the deadline-driven cancellation arrives.
-                    while !ctx.cancelled() {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                    "stopped cooperatively"
-                },
-                Some(Duration::from_millis(20)),
-            )
-            .unwrap();
-        let started = Instant::now();
-        assert!(matches!(h.wait(), JobResult::TimedOut));
-        assert!(started.elapsed() < Duration::from_secs(5));
-        assert_eq!(s.stats().timed_out, 1);
-        // Workers must still be alive: the cancelled closure exits and the
-        // pool keeps serving.
-        let h2 = s.submit(|_| 7).unwrap();
-        assert!(matches!(h2.wait(), JobResult::Completed(7)));
         s.shutdown();
     }
 
@@ -633,11 +433,13 @@ mod tests {
         let counter = Arc::new(AtomicU64::new(0));
         for _ in 0..32 {
             let c = Arc::clone(&counter);
-            s.submit(move |_| {
+            let job = move || {
                 std::thread::sleep(Duration::from_micros(200));
                 c.fetch_add(1, Ordering::SeqCst);
-            })
-            .unwrap();
+            };
+            s.submit(job, None, |o| {
+                assert!(matches!(o, JobResult::Completed(())))
+            });
         }
         s.shutdown(); // must not return before every queued job ran
         assert_eq!(counter.load(Ordering::SeqCst), 32);
@@ -646,89 +448,71 @@ mod tests {
     #[test]
     fn submissions_after_shutdown_are_rejected() {
         let s = pool(1, 4);
-        {
-            let mut st = s.inner.state.lock().unwrap();
-            st.closed = true;
-        }
-        assert_eq!(s.submit(|_| ()).err(), Some(SubmitError::Shutdown));
+        s.inner.state().closed = true;
+        // The refusal reaches the callback before `submit` returns.
+        let rx = spawn(&s, || (), None);
+        assert!(matches!(
+            rx.try_recv(),
+            Ok(JobResult::Rejected(SubmitError::Shutdown))
+        ));
         assert_eq!(s.stats().rejected, 1);
     }
 
     #[test]
-    fn try_submit_reports_full_queue() {
+    fn submit_reports_full_queue() {
         let s = pool(1, 1);
-        let (tx, rx) = mpsc::channel::<()>();
-        let h = s
-            .submit(move |_| {
-                rx.recv().unwrap();
-            })
-            .unwrap();
-        // Worker busy; fill the single queue slot, then overflow.
-        let (tx2, rx2) = mpsc::channel::<()>();
-        let h2 = s
-            .submit(move |_| {
-                rx2.recv().unwrap();
-            })
-            .unwrap();
-        // Give the worker a moment to pick up the first job so exactly one
-        // queue slot is occupied.
+        let (release, blocked) = blocker(&s);
+        // Give the worker a moment to pick up the first job, then fill the
+        // single queue slot and overflow it.
         std::thread::sleep(Duration::from_millis(10));
-        let overflow = s.try_submit(|_| ());
-        assert_eq!(overflow.err(), Some(SubmitError::QueueFull));
-        tx.send(()).unwrap();
-        tx2.send(()).unwrap();
-        let _ = h.wait();
-        let _ = h2.wait();
+        let (release2, queued) = blocker(&s);
+        let overflow = spawn(&s, || (), None);
+        assert!(matches!(
+            overflow.try_recv(),
+            Ok(JobResult::Rejected(SubmitError::QueueFull))
+        ));
+        assert_eq!((s.stats().submitted, s.stats().rejected), (2, 1));
+        release.send(()).unwrap();
+        release2.send(()).unwrap();
+        assert!(matches!(wait(blocked), JobResult::Completed(())));
+        assert!(matches!(wait(queued), JobResult::Completed(())));
         s.shutdown();
     }
 
     #[test]
     fn panicking_job_is_reported_not_fatal() {
         let s = pool(1, 4);
-        let h = s.submit(|_| -> i32 { panic!("boom {}", 42) }).unwrap();
-        match h.wait() {
+        match wait(spawn(&s, || -> i32 { panic!("boom {}", 42) }, None)) {
             JobResult::Panicked(m) => assert!(m.contains("boom 42"), "{m}"),
             other => panic!("{other:?}"),
         }
-        let h2 = s.submit(|_| 1).unwrap();
-        assert!(matches!(h2.wait(), JobResult::Completed(1)));
-        s.shutdown();
-    }
-
-    #[test]
-    fn cancel_before_run_skips_the_job() {
-        let s = pool(1, 8);
-        let (tx, rx) = mpsc::channel::<()>();
-        let blocker = s
-            .submit(move |_| {
-                rx.recv().unwrap();
-            })
-            .unwrap();
-        let h = s.submit(|_| "ran").unwrap();
-        h.cancel();
-        tx.send(()).unwrap();
-        assert!(matches!(h.wait(), JobResult::Cancelled));
-        let _ = blocker.wait();
+        assert!(matches!(
+            wait(spawn(&s, || 1, None)),
+            JobResult::Completed(1)
+        ));
+        assert_eq!(s.stats().panicked, 1);
         s.shutdown();
     }
 
     #[test]
     fn submit_callback_delivers_outcomes_off_thread() {
         let s = pool(2, 8);
-        let (tx, rx) = mpsc::channel::<JobResult<i32>>();
+        let (tx, rx) = mpsc::channel::<(JobResult<i32>, Option<String>)>();
         let tx2 = tx.clone();
-        s.submit_callback(|_| 21 * 2, None, move |o| tx.send(o).unwrap())
-            .unwrap();
-        s.submit_callback(
-            |_| -> i32 { panic!("cb boom") },
-            None,
-            move |o| tx2.send(o).unwrap(),
-        )
-        .unwrap();
+        let on_worker = |tx: mpsc::Sender<_>| {
+            move |o| {
+                let name = std::thread::current().name().map(str::to_string);
+                tx.send((o, name)).unwrap();
+            }
+        };
+        s.submit(|| 21 * 2, None, on_worker(tx));
+        s.submit(|| -> i32 { panic!("cb boom") }, None, on_worker(tx2));
         let mut completed = 0;
         let mut panicked = 0;
         for _ in 0..2 {
-            match rx.recv_timeout(Duration::from_secs(5)).unwrap() {
+            let (outcome, thread) = rx.recv_timeout(Duration::from_secs(5)).unwrap();
+            assert!(thread.unwrap().starts_with("eqsql-worker-"));
+            match outcome {
                 JobResult::Completed(v) => {
                     assert_eq!(v, 42);
                     completed += 1;
@@ -743,13 +527,7 @@ mod tests {
         assert_eq!((completed, panicked), (1, 1));
         let st = s.stats();
         assert_eq!((st.completed, st.panicked), (1, 1));
-        // Full-queue and shutdown rejections return Err without invoking cb.
-        {
-            let mut state = s.inner.state.lock().unwrap();
-            state.closed = true;
-        }
-        let err = s.submit_callback(|_| 0, None, |_| panic!("must not run"));
-        assert_eq!(err.err(), Some(SubmitError::Shutdown));
+        s.shutdown();
     }
 
     #[test]

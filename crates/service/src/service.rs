@@ -3,18 +3,23 @@
 //! [`ExtractionService`] is the shared engine of both `eqsql serve` (each
 //! HTTP request becomes one scheduler job) and `eqsql batch` (each corpus
 //! file becomes one job). A request is looked up in the content-addressed
-//! cache first; on a miss the computation is scheduled, awaited, rendered
-//! to its deterministic JSON document, and the document is cached for
-//! replay. Cache status is reported to the caller so transports can expose
-//! it (the HTTP layer sets an `X-Eqsql-Cache: hit|miss` header — the body
-//! is byte-identical either way, which is the whole point).
+//! cache first; on a miss the computation becomes one scheduler job that
+//! renders its deterministic JSON document, and the document is cached
+//! for replay. Cache status is reported to the caller so transports can
+//! expose it (the HTTP layer sets an `X-Eqsql-Cache: hit|miss` header —
+//! the body is byte-identical either way, which is the whole point).
+//!
+//! There is one job path. The event loop's `extract_async`/`lint_async`
+//! pass a callback that receives every outcome; the blocking
+//! `extract`/`lint` are the same call plus a channel to wait on.
 //!
 //! Each parsed schema is kept too: a second, bounded cache maps the DDL
 //! text to its `Catalog`, so the requests of one application, which share
 //! a schema, parse it once between them. A schema that fails to parse is
 //! never cached.
 
-use std::sync::Arc;
+use std::borrow::Cow;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use algebra::ddl::parse_ddl;
@@ -24,7 +29,7 @@ use eqsql_core::{lint_program, Extractor, ExtractorOptions};
 
 use crate::admission::Quota;
 use crate::cache::{CacheKey, CacheStats, ResultCache, ShardedCache};
-use crate::scheduler::{JobResult, Scheduler, SchedulerConfig, SchedulerStats, SubmitError};
+use crate::scheduler::{JobResult, Scheduler, SchedulerConfig, SchedulerStats};
 
 /// Service construction parameters.
 #[derive(Debug, Clone)]
@@ -39,7 +44,9 @@ pub struct ServiceConfig {
     /// contention between the event-loop thread and the workers; the key →
     /// shard mapping is deterministic for a given count.
     pub cache_shards: usize,
-    /// Per-job timeout; `None` = unbounded.
+    /// Per-job deadline; `None` = unbounded. A job still queued when it
+    /// passes never runs and the request is answered with a timeout (504
+    /// over HTTP); a job that has started runs to the end.
     pub job_timeout: Option<Duration>,
     /// Per-tenant admission quota (token bucket); rate 0 never sheds.
     pub quota: Quota,
@@ -237,7 +244,6 @@ impl ExtractionService {
             scheduler: Scheduler::new(SchedulerConfig {
                 workers: config.workers,
                 queue_capacity: config.queue_capacity,
-                default_timeout: config.job_timeout,
             }),
             cache: Arc::new(ShardedCache::new(config.cache_entries, config.cache_shards)),
             catalogs: Arc::new(ResultCache::new(CATALOG_ENTRIES)),
@@ -290,56 +296,34 @@ impl ExtractionService {
         &self.lints
     }
 
-    /// Serve an extraction: cache lookup, then a scheduler job on a miss.
-    /// The returned document is `ExtractionReport::render_json` output.
+    /// Serve an extraction: cache lookup, then a scheduler job on a miss,
+    /// waited for. The returned document is `ExtractionReport::render_json`
+    /// output. A full queue is [`ServiceError::Overloaded`], not a wait.
     pub fn extract(
         &self,
         req: &ExtractRequest,
     ) -> Result<(Arc<String>, CacheStatus), ServiceError> {
-        self.cached(req, "extract", compute_extract)
+        self.wait_for(req, "extract", compute_extract)
     }
 
-    /// Serve a lint run: cache lookup, then a scheduler job on a miss.
+    /// Serve a lint run: cache lookup, then a scheduler job on a miss,
+    /// waited for.
     pub fn lint(&self, req: &ExtractRequest) -> Result<(Arc<String>, CacheStatus), ServiceError> {
-        self.cached(req, "lint", compute_lint)
+        self.wait_for(req, "lint", compute_lint)
     }
 
-    fn cached(
-        &self,
-        req: &ExtractRequest,
-        endpoint: &str,
-        compute: Compute,
-    ) -> Result<(Arc<String>, CacheStatus), ServiceError> {
-        let key = req.key(endpoint);
-        if let Some(doc) = self.cache.get(&key) {
-            // Cache-hit-aware stage accounting: a hit replays a stored
-            // document without running the pipeline, so nothing is added.
-            return Ok((doc, CacheStatus::Hit));
-        }
-        let job_req = req.clone();
-        let catalogs = Arc::clone(&self.catalogs);
-        let handle = self
-            .scheduler
-            .submit(move |_ctx| compute(&job_req, &catalogs))
-            .map_err(|e: SubmitError| ServiceError::Overloaded(e.to_string()))?;
-        match handle.wait() {
-            JobResult::Completed(Ok(out)) => {
-                if let Some(times) = &out.stage {
-                    self.stages.absorb(times);
-                }
-                self.lints.absorb(&out.lints);
-                Ok((self.cache.put(key, out.doc), CacheStatus::Miss))
-            }
-            JobResult::Completed(Err(e)) => Err(e),
-            JobResult::TimedOut => Err(ServiceError::Timeout),
-            JobResult::Cancelled => Err(ServiceError::Overloaded("job cancelled".into())),
-            JobResult::Panicked(m) => Err(ServiceError::Internal(m)),
-        }
+    /// [`ExtractionService::cached_async`] plus a channel.
+    fn wait_for(&self, req: &ExtractRequest, endpoint: &str, compute: Compute) -> Served {
+        let (tx, rx) = mpsc::sync_channel(1);
+        self.cached_async(Cow::Borrowed(req), endpoint, compute, move |r| {
+            let _ = tx.send(r);
+        });
+        rx.recv().expect("cached_async delivers every outcome")
     }
 
     /// Serve an extraction without blocking the caller: the outcome is
     /// delivered to `done` — synchronously, from the calling thread, on a
-    /// cache hit or submit failure; from a worker thread otherwise.
+    /// cache hit or a refused submission; from a worker thread otherwise.
     ///
     /// This is the event loop's path: the loop dispatches the request and
     /// returns to polling; `done` typically queues the response bytes and
@@ -349,7 +333,7 @@ impl ExtractionService {
         req: ExtractRequest,
         done: impl FnOnce(Result<(Arc<String>, CacheStatus), ServiceError>) + Send + 'static,
     ) {
-        self.cached_async(req, "extract", compute_extract, Box::new(done));
+        self.cached_async(Cow::Owned(req), "extract", compute_extract, done);
     }
 
     /// Serve a lint run without blocking the caller; see
@@ -359,34 +343,33 @@ impl ExtractionService {
         req: ExtractRequest,
         done: impl FnOnce(Result<(Arc<String>, CacheStatus), ServiceError>) + Send + 'static,
     ) {
-        self.cached_async(req, "lint", compute_lint, Box::new(done));
+        self.cached_async(Cow::Owned(req), "lint", compute_lint, done);
     }
 
+    /// The one job path: a cache hit answers at once; a miss becomes a
+    /// scheduler job whose every outcome, a refusal included, reaches
+    /// `done` exactly once. A borrowed request is copied only on a miss.
     fn cached_async(
         &self,
-        req: ExtractRequest,
+        req: Cow<'_, ExtractRequest>,
         endpoint: &str,
         compute: Compute,
-        done: DoneCallback,
+        done: impl FnOnce(Served) + Send + 'static,
     ) {
         let key = req.key(endpoint);
         if let Some(doc) = self.cache.get(&key) {
             return done(Ok((doc, CacheStatus::Hit)));
         }
+        let req = req.into_owned();
         let catalogs = Arc::clone(&self.catalogs);
         let cache = Arc::clone(&self.cache);
         let stages = Arc::clone(&self.stages);
         let lints = Arc::clone(&self.lints);
-        // `done` is needed on both the success path (inside the worker
-        // callback) and the rejection path (here, when submit fails); the
-        // shared Option lets exactly one of them consume it.
-        let done = Arc::new(std::sync::Mutex::new(Some(done)));
-        let done_cb = Arc::clone(&done);
-        let submitted = self.scheduler.submit_callback(
-            move |_ctx| compute(&req, &catalogs),
+        self.scheduler.submit(
+            move || compute(&req, &catalogs),
             self.config.job_timeout,
-            move |outcome: JobResult<Result<ComputeOutput, ServiceError>>| {
-                let result = match outcome {
+            move |outcome| {
+                done(match outcome {
                     JobResult::Completed(Ok(out)) => {
                         if let Some(times) = &out.stage {
                             stages.absorb(times);
@@ -396,19 +379,11 @@ impl ExtractionService {
                     }
                     JobResult::Completed(Err(e)) => Err(e),
                     JobResult::TimedOut => Err(ServiceError::Timeout),
-                    JobResult::Cancelled => Err(ServiceError::Overloaded("job cancelled".into())),
                     JobResult::Panicked(m) => Err(ServiceError::Internal(m)),
-                };
-                if let Some(d) = done_cb.lock().unwrap().take() {
-                    d(result);
-                }
+                    JobResult::Rejected(e) => Err(ServiceError::Overloaded(e.to_string())),
+                })
             },
         );
-        if let Err(e) = submitted {
-            if let Some(d) = done.lock().unwrap().take() {
-                d(Err(ServiceError::Overloaded(e.to_string())));
-            }
-        }
     }
 
     /// Drain in-flight jobs and join the workers.
@@ -417,9 +392,9 @@ impl ExtractionService {
     }
 }
 
-/// Completion callback for the `*_async` entry points: receives the
-/// rendered document + cache status, or the service error.
-type DoneCallback = Box<dyn FnOnce(Result<(Arc<String>, CacheStatus), ServiceError>) + Send>;
+/// What a request resolves to: the rendered document and its cache
+/// status, or the service error.
+type Served = Result<(Arc<String>, CacheStatus), ServiceError>;
 
 /// A computed document plus the stage breakdown that produced it (absent
 /// for computations that don't run the extraction pipeline) and a per-code
@@ -656,6 +631,39 @@ mod tests {
         let (doc_b, st_b) = rx2.try_recv().expect("hit delivers synchronously").unwrap();
         assert_eq!(st_b, CacheStatus::Hit);
         assert_eq!(*doc_a, *doc_b);
+        svc.shutdown();
+    }
+
+    #[test]
+    fn a_full_queue_is_overloaded_on_both_paths() {
+        use crate::scheduler::SubmitError;
+        use std::sync::mpsc;
+        let svc = ExtractionService::new(ServiceConfig {
+            workers: 1,
+            queue_capacity: 1,
+            ..ServiceConfig::default()
+        });
+        // Hold the one worker, then fill the one queue slot.
+        let (started_tx, started) = mpsc::channel();
+        let (release_tx, release) = mpsc::channel::<()>();
+        let hold = move || {
+            started_tx.send(()).unwrap();
+            release.recv().unwrap();
+        };
+        svc.scheduler().submit(hold, None, |_| {});
+        started.recv().unwrap();
+        svc.scheduler().submit(|| (), None, |_| {});
+
+        let want = ServiceError::Overloaded(SubmitError::QueueFull.to_string());
+        assert_eq!(svc.extract(&request()), Err(want.clone()));
+        let (tx, rx) = mpsc::channel();
+        svc.extract_async(request(), move |r| tx.send(r).unwrap());
+        // Delivered before `extract_async` returned, and only once: the
+        // callback, and with it the sender, is gone.
+        assert_eq!(rx.try_recv(), Ok(Err(want)));
+        assert_eq!(rx.try_recv(), Err(mpsc::TryRecvError::Disconnected));
+        assert_eq!(svc.scheduler_stats().rejected, 2);
+        release_tx.send(()).unwrap();
         svc.shutdown();
     }
 

@@ -525,3 +525,29 @@ fn a_one_mebibyte_body_does_not_stall_other_connections() {
     assert!(body.contains("\"loops_rewritten\":1"), "{body}");
     server.shutdown();
 }
+
+#[test]
+fn a_ten_thousand_term_chain_is_answered_and_the_server_lives_on() {
+    // `y = x + x + … + x` is parsed in a loop but becomes a left-deep tree
+    // that later passes recurse over. On a spawned thread's default 2 MiB
+    // stack the worker overflowed and took the whole process down.
+    let server = Server::start("127.0.0.1:0", test_config()).unwrap();
+    let source = format!(
+        "fn f(x) {{ y = {}; return y; }}",
+        vec!["x"; 10_000].join(" + ")
+    );
+    let body = Json::Obj(vec![("source".into(), Json::str(source))]).render();
+    let mut stream = connect(server.addr());
+    let mut carry = Vec::new();
+    stream
+        .write_all(raw_request("POST", "/extract", &body, "").as_bytes())
+        .unwrap();
+    let (status, _, body) = read_response(&mut stream, &mut carry);
+    assert_eq!(status, 200, "{body}");
+    stream
+        .write_all(raw_request("GET", "/healthz", "", "").as_bytes())
+        .unwrap();
+    let (status, _, body) = read_response(&mut stream, &mut carry);
+    assert_eq!(status, 200, "{body}");
+    server.shutdown();
+}
