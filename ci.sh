@@ -135,7 +135,8 @@ SERVE_PID=$!
 trap 'kill "$SERVE_PID" 2>/dev/null || true; rm -f "$PORT_FILE"' EXIT
 # The smoke client waits for the port file, then drives the whole
 # endpoint sequence (/healthz, /extract + cached replay, /fuzz, a
-# 10,000-term /extract that needs the workers' stated stack, /metrics
+# 10,000-term /extract that needs the workers' stated stack, a 30,000-term
+# /extract past the parser's operand cap that must answer 400, /metrics
 # with admission counters) over ONE keep-alive connection before POSTing
 # /shutdown for a graceful stop.
 target/release/eqsql-smoke "@$PORT_FILE"

@@ -43,7 +43,12 @@
 //! unary minus opens one. The parser and every pass over its output
 //! recurse once per level, so a deeper input is a [`SqlError`] at the
 //! token that opens the level past the cap rather than a stack overflow.
-//! A chain of binary operators is read in a loop and is not counted.
+//!
+//! A chain of binary operators is read in a loop, but it still becomes a
+//! tree as deep as the chain is long, which binding, evaluation and
+//! rendering recurse over. So one expression may have at most
+//! [`MAX_OPERANDS`] operands, counted over the whole expression, nested
+//! levels and subqueries included: every binary operator adds one.
 
 #![allow(clippy::if_same_then_else)] // `AS alias` vs bare-alias parse paths are intentionally parallel
 
@@ -247,12 +252,23 @@ fn operator(rest: &str) -> Option<Tok<'static>> {
 /// this cap parses, binds and executes there with room to spare.
 pub const MAX_DEPTH: usize = 64;
 
+/// The most operands one expression may have (see the module comment).
+/// Half of `imp::parser::MAX_OPERANDS`: binding and evaluating a chain
+/// take larger frames than the imp passes do. On the 8 MiB stack the CLI
+/// and the service workers run on, a release build aborted running a
+/// `WHERE` chain of 19,000 operands with `eqsql run` (18,000 passed) and
+/// extracting one of 22,000 (21,000 passed).
+pub const MAX_OPERANDS: usize = 10_000;
+
 struct Parser<'a> {
     tokens: Vec<SpTok<'a>>,
     pos: usize,
     params: usize,
     /// Nesting levels open at `pos`.
     depth: usize,
+    /// Operands read so far in the outermost expression being parsed; 0
+    /// outside any expression.
+    operands: usize,
 }
 
 /// A select item before aggregate/projection splitting.
@@ -277,6 +293,7 @@ impl<'a> Parser<'a> {
             pos: 0,
             params: 0,
             depth: 0,
+            operands: 0,
         })
     }
 
@@ -301,6 +318,19 @@ impl<'a> Parser<'a> {
 
     fn peek(&self) -> Option<&Tok<'a>> {
         self.tokens.get(self.pos).map(|t| &t.tok)
+    }
+
+    /// Count one more operand of the current expression; the error points
+    /// at the operator that would join one past [`MAX_OPERANDS`].
+    fn operand(&mut self) -> Result<(), SqlError> {
+        if self.operands == MAX_OPERANDS {
+            return Err(SqlError {
+                message: format!("more than {MAX_OPERANDS} operands in one expression"),
+                offset: self.offset(),
+            });
+        }
+        self.operands += 1;
+        Ok(())
     }
 
     fn offset(&self) -> usize {
@@ -675,12 +705,20 @@ impl<'a> Parser<'a> {
 
     // Precedence climbing: or < and < not < cmp < add < mul < unary.
     fn expr(&mut self) -> Result<Scalar, SqlError> {
-        self.or_expr()
+        if self.operands > 0 {
+            return self.or_expr();
+        }
+        self.operands = 1;
+        let e = self.or_expr();
+        self.operands = 0;
+        e
     }
 
     fn or_expr(&mut self) -> Result<Scalar, SqlError> {
         let mut lhs = self.and_expr()?;
-        while self.eat_kw("or") {
+        while self.at_kw("or") {
+            self.operand()?;
+            self.pos += 1;
             let rhs = self.and_expr()?;
             lhs = Scalar::Bin(BinOp::Or, Box::new(lhs), Box::new(rhs));
         }
@@ -689,7 +727,9 @@ impl<'a> Parser<'a> {
 
     fn and_expr(&mut self) -> Result<Scalar, SqlError> {
         let mut lhs = self.not_expr()?;
-        while self.eat_kw("and") {
+        while self.at_kw("and") {
+            self.operand()?;
+            self.pos += 1;
             let rhs = self.not_expr()?;
             lhs = Scalar::Bin(BinOp::And, Box::new(lhs), Box::new(rhs));
         }
@@ -718,6 +758,7 @@ impl<'a> Parser<'a> {
             _ => None,
         };
         if let Some(op) = op {
+            self.operand()?;
             self.pos += 1;
             let rhs = self.add_expr()?;
             return Ok(Scalar::Bin(op, Box::new(lhs), Box::new(rhs)));
@@ -739,6 +780,7 @@ impl<'a> Parser<'a> {
         let mut lhs = self.mul_expr()?;
         loop {
             if matches!(self.peek(), Some(Tok::PipePipe)) {
+                self.operand()?;
                 self.pos += 1;
                 let rhs = self.mul_expr()?;
                 // Flatten chained concatenation into one call.
@@ -756,6 +798,7 @@ impl<'a> Parser<'a> {
                 Some(Tok::Punct('-')) => BinOp::Sub,
                 _ => break,
             };
+            self.operand()?;
             self.pos += 1;
             let rhs = self.mul_expr()?;
             lhs = Scalar::Bin(op, Box::new(lhs), Box::new(rhs));
@@ -772,6 +815,7 @@ impl<'a> Parser<'a> {
                 Some(Tok::Punct('%')) => BinOp::Mod,
                 _ => break,
             };
+            self.operand()?;
             self.pos += 1;
             let rhs = self.unary_expr()?;
             lhs = Scalar::Bin(op, Box::new(lhs), Box::new(rhs));
@@ -1096,6 +1140,46 @@ mod tests {
 
     fn roundtrip(sql: &str) -> String {
         to_sql(&parse_sql(sql).unwrap(), Dialect::Postgres)
+    }
+
+    #[test]
+    fn operands_are_capped_per_expression() {
+        // A tree this deep is dropped recursively: give the test the stack
+        // the CLI and the service give an unoptimised build.
+        std::thread::Builder::new()
+            .stack_size(32 << 20)
+            .spawn(operand_cap)
+            .unwrap()
+            .join()
+            .unwrap();
+    }
+
+    fn operand_cap() {
+        let head = "SELECT * FROM t WHERE ";
+        let chain = |op: &str, terms: usize| format!("{head}{}", vec!["a"; terms].join(op));
+        for op in [" + ", " * ", " || ", " AND ", " OR "] {
+            parse_sql(&chain(op, MAX_OPERANDS)).unwrap_or_else(|e| panic!("{op}: {e}"));
+            let err = parse_sql(&chain(op, MAX_OPERANDS + 1)).unwrap_err();
+            assert!(err.message.contains("operands"), "{err}");
+            // The error points at the operator that joins one too many.
+            assert_eq!(
+                err.offset,
+                head.len() + (1 + op.len()) * MAX_OPERANDS - op.len() + 1,
+                "{op}"
+            );
+        }
+        // A comparison joins two operands, and a subquery's operands count
+        // towards the expression it sits in ...
+        let half = vec!["a"; MAX_OPERANDS / 2].join(" + ");
+        let sub = format!("{head}{half} + a > (SELECT MAX({half}) FROM t)");
+        assert!(
+            matches!(parse_sql(&sub), Err(e) if e.message.contains("operands")),
+            "a subquery's operands count"
+        );
+        // ... while each select item, and each statement, counts its own.
+        parse_sql(&format!("SELECT {half}, {half} FROM t WHERE {half} > 0")).unwrap();
+        let update = format!("UPDATE t SET a = {half}, b = {half} WHERE {half} = 0");
+        parse_statement(&update).unwrap();
     }
 
     #[test]

@@ -10,6 +10,8 @@
 //! * `OUTER APPLY` / lateral padding with NULLs (Appendix B).
 //!
 //! Tables live in memory or in `storage` pages ([`table`], [`paged`]).
+//! [`key`] holds SQL key equality and the hash index that answers it,
+//! shared by keyed DML and the in-memory tables' primary-key index.
 //! Every query, over either backing, runs on one executor: the volcano
 //! operator tree in [`volcano`], which [`eval_query`] names. [`eval`]
 //! holds the scalar evaluator and accumulators its operators share, and
@@ -24,6 +26,7 @@
 pub mod connection;
 pub mod eval;
 pub mod gen;
+pub mod key;
 pub mod paged;
 pub mod prng;
 pub mod table;

@@ -1,17 +1,27 @@
 //! Tables, rows, relations, and the database.
 //!
-//! A [`Table`] is backed either by an in-memory `Vec<Row>` (the default)
-//! or by a page file through `crates/storage` ([`crate::paged`]). Both
-//! backings present the same observable contract — insertion-order scans,
+//! A [`Table`] is backed either by in-memory rows (the default) or by a
+//! page file through `crates/storage` ([`crate::paged`]). Both backings
+//! present the same observable contract — insertion-order scans,
 //! identical rows — so the executor treats them interchangeably; the
 //! paged backing additionally keeps memory bounded by the buffer pool's
 //! frame budget and collects per-column statistics.
+//!
+//! In-memory rows sit in stable slots, so a keyed point statement can
+//! find its rows through a [`KeyIndex`] on the declared single-column
+//! primary key and touch only them ([`Table::key_slots`],
+//! [`Table::update_slot`], [`Table::delete_slots`]). A point delete
+//! leaves a hole that scans, [`Table::len`] and equality skip; holes are
+//! compacted away, in order, once they outnumber live rows, and whenever
+//! the set-oriented [`Table::mutate_rows`] runs. Scan order is therefore
+//! insertion order on either path.
 
 use std::collections::BTreeMap;
 
 use algebra::schema::{Catalog, TableSchema};
 use storage::{Store, TableStatistics};
 
+use crate::key::{key_hash, KeyIndex};
 use crate::paged::PagedTable;
 use crate::value::Value;
 
@@ -22,9 +32,73 @@ pub type Row = Vec<Value>;
 #[derive(Debug, Clone)]
 enum Backing {
     /// Rows held directly in memory, in insertion order.
-    Mem(Vec<Row>),
+    Mem(MemRows),
     /// Rows encoded into B-tree pages in a shared [`Store`].
     Paged(PagedTable),
+}
+
+/// In-memory rows in stable slots, in insertion order.
+#[derive(Debug, Clone, Default)]
+struct MemRows {
+    /// Rows by slot; a hole holds an empty row.
+    rows: Vec<Row>,
+    /// `dead[s]`: slot `s` is a hole. Empty while there are no holes.
+    dead: Vec<bool>,
+    /// Number of holes.
+    holes: usize,
+    /// The primary-key index over `rows`, once a point statement built it.
+    index: Option<KeyIndex>,
+}
+
+impl MemRows {
+    fn push(&mut self, row: Row) {
+        if let Some(index) = &mut self.index {
+            index.push(&row[index.col()]);
+        }
+        if !self.dead.is_empty() {
+            self.dead.push(false);
+        }
+        self.rows.push(row);
+    }
+
+    fn scan(&self) -> MemScan<'_> {
+        MemScan {
+            rows: self.rows.iter(),
+            dead: self.dead.iter(),
+        }
+    }
+
+    /// Leave a hole in each of `slots` (live, distinct); compact once the
+    /// holes outnumber the live rows.
+    fn delete(&mut self, slots: &[usize]) {
+        if self.dead.is_empty() {
+            self.dead = vec![false; self.rows.len()];
+        }
+        for &s in slots {
+            debug_assert!(!self.dead[s], "slot {s} deleted twice");
+            let row = std::mem::take(&mut self.rows[s]);
+            if let Some(index) = &mut self.index {
+                index.remove(s, &row[index.col()]);
+            }
+            self.dead[s] = true;
+            self.holes += 1;
+        }
+        if self.holes > self.rows.len() - self.holes {
+            self.compact();
+        }
+    }
+
+    /// Drop the holes, keeping the live rows in order. Slots renumber, so
+    /// the index goes too (the next point statement rebuilds it).
+    fn compact(&mut self) {
+        if self.holes == 0 {
+            return;
+        }
+        let mut dead = std::mem::take(&mut self.dead).into_iter();
+        self.rows.retain(|_| !dead.next().unwrap_or(false));
+        self.holes = 0;
+        self.index = None;
+    }
 }
 
 /// A base table: schema plus rows (in-memory or paged).
@@ -48,7 +122,7 @@ impl Table {
     pub fn new(schema: TableSchema) -> Table {
         Table {
             schema,
-            backing: Backing::Mem(Vec::new()),
+            backing: Backing::Mem(MemRows::default()),
         }
     }
 
@@ -65,7 +139,7 @@ impl Table {
     pub fn insert(&mut self, row: Row) {
         debug_assert_eq!(row.len(), self.schema.columns.len(), "row arity mismatch");
         match &mut self.backing {
-            Backing::Mem(rows) => rows.push(row),
+            Backing::Mem(m) => m.push(row),
             Backing::Paged(t) => t.insert(&row),
         }
     }
@@ -73,7 +147,7 @@ impl Table {
     /// Number of rows.
     pub fn len(&self) -> usize {
         match &self.backing {
-            Backing::Mem(rows) => rows.len(),
+            Backing::Mem(m) => m.rows.len() - m.holes,
             Backing::Paged(t) => t.len(),
         }
     }
@@ -87,7 +161,7 @@ impl Table {
     /// paged rows are decoded one leaf page at a time).
     pub fn scan(&self) -> TableScan<'_> {
         match &self.backing {
-            Backing::Mem(rows) => TableScan::Mem(rows.iter()),
+            Backing::Mem(m) => TableScan::Mem(m.scan()),
             Backing::Paged(t) => TableScan::Paged(t.scan()),
         }
     }
@@ -97,35 +171,99 @@ impl Table {
     /// In-memory rows are cloned whole.
     pub fn scan_columns(&self, keep: Vec<bool>) -> TableScan<'_> {
         match &self.backing {
-            Backing::Mem(rows) => TableScan::Mem(rows.iter()),
+            Backing::Mem(m) => TableScan::Mem(m.scan()),
             Backing::Paged(t) => TableScan::Paged(t.scan_columns(keep)),
         }
     }
 
     /// All rows, materialized.
     pub fn rows_vec(&self) -> Vec<Row> {
-        match &self.backing {
-            Backing::Mem(rows) => rows.clone(),
-            Backing::Paged(t) => t.scan().collect(),
-        }
+        let mut rows = Vec::with_capacity(self.len());
+        rows.extend(self.scan());
+        rows
     }
 
     /// Mutate the table's rows through a closure over a `Vec<Row>`.
     ///
-    /// In-memory tables mutate in place. Paged tables materialize their
-    /// rows, run the closure, then rewrite the table (truncate +
-    /// re-append), so survivor order — and therefore scan order — matches
-    /// the in-memory backing exactly. This is the uniform mutation path
-    /// for UPDATE/DELETE in `interp::dml`.
+    /// In-memory tables compact their holes, drop their key index and
+    /// mutate in place. Paged tables materialize their rows, run the
+    /// closure, then rewrite the table (truncate + re-append), so survivor
+    /// order — and therefore scan order — matches the in-memory backing
+    /// exactly. This is the set-oriented mutation path for UPDATE/DELETE
+    /// in `interp::dml`; keyed point statements use [`Table::key_slots`].
     pub fn mutate_rows<R>(&mut self, f: impl FnOnce(&mut Vec<Row>) -> R) -> R {
         match &mut self.backing {
-            Backing::Mem(rows) => f(rows),
+            Backing::Mem(m) => {
+                m.compact();
+                m.index = None;
+                f(&mut m.rows)
+            }
             Backing::Paged(t) => {
                 let mut rows: Vec<Row> = t.scan().collect();
                 let out = f(&mut rows);
                 t.rewrite(&rows);
                 out
             }
+        }
+    }
+
+    /// The slots of the rows whose column `col` is [`sql_eq`] to `key`, in
+    /// scan order, found through the table's key index, which the first
+    /// call builds. `None` when the index cannot answer: `col` is not the
+    /// declared single-column primary key, or the table is paged.
+    ///
+    /// [`sql_eq`]: crate::key::sql_eq
+    pub fn key_slots(&mut self, col: usize, key: &Value) -> Option<Vec<usize>> {
+        let Backing::Mem(m) = &mut self.backing else {
+            return None;
+        };
+        match self.schema.key.as_slice() {
+            [k] if self.schema.column_index(k) == Some(col) => {}
+            _ => return None,
+        }
+        if m.index.as_ref().is_none_or(|index| index.col() != col) {
+            m.compact();
+            m.index = Some(KeyIndex::build(&m.rows, col));
+        }
+        let index = m.index.as_ref().expect("index built above");
+        let mut slots: Vec<usize> = index.matches(&m.rows, key).collect();
+        slots.reverse();
+        Some(slots)
+    }
+
+    /// The row in `slot`, a slot [`Table::key_slots`] returned.
+    pub fn slot(&self, slot: usize) -> &[Value] {
+        match &self.backing {
+            Backing::Mem(m) => &m.rows[slot],
+            Backing::Paged(_) => panic!("a paged table has no slots"),
+        }
+    }
+
+    /// Rewrite the row in `slot` with `f`, moving it in the key index when
+    /// its key changes.
+    pub fn update_slot(&mut self, slot: usize, f: impl FnOnce(&mut Row)) {
+        let Backing::Mem(m) = &mut self.backing else {
+            panic!("a paged table has no slots")
+        };
+        let row = &mut m.rows[slot];
+        match &mut m.index {
+            Some(index) => {
+                let old = key_hash(&row[index.col()]);
+                f(row);
+                index.rekey(slot, old, key_hash(&row[index.col()]));
+            }
+            None => f(row),
+        }
+    }
+
+    /// Delete the rows in `slots` (distinct slots [`Table::key_slots`]
+    /// returned), leaving holes.
+    pub fn delete_slots(&mut self, slots: &[usize]) {
+        let Backing::Mem(m) = &mut self.backing else {
+            panic!("a paged table has no slots")
+        };
+        if !slots.is_empty() {
+            m.delete(slots);
         }
     }
 
@@ -155,7 +293,7 @@ impl Table {
 /// Iterator over a table's rows in insertion order.
 pub enum TableScan<'a> {
     /// Cloning iterator over in-memory rows.
-    Mem(std::slice::Iter<'a, Row>),
+    Mem(MemScan<'a>),
     /// Decoding scan over B-tree leaves.
     Paged(crate::paged::PagedScan),
 }
@@ -166,7 +304,7 @@ impl TableScan<'_> {
     /// `false` at the end of the table.
     pub fn next_into(&mut self, row: &mut Row) -> bool {
         match self {
-            TableScan::Mem(it) => it.next().map(|r| row.clone_from(r)).is_some(),
+            TableScan::Mem(it) => it.next_live().map(|r| row.clone_from(r)).is_some(),
             TableScan::Paged(it) => it.next_into(row),
         }
     }
@@ -177,8 +315,25 @@ impl Iterator for TableScan<'_> {
 
     fn next(&mut self) -> Option<Row> {
         match self {
-            TableScan::Mem(it) => it.next().cloned(),
+            TableScan::Mem(it) => it.next_live().cloned(),
             TableScan::Paged(it) => it.next(),
+        }
+    }
+}
+
+/// The live rows of an in-memory table, by reference, skipping holes.
+pub struct MemScan<'a> {
+    rows: std::slice::Iter<'a, Row>,
+    dead: std::slice::Iter<'a, bool>,
+}
+
+impl<'a> MemScan<'a> {
+    fn next_live(&mut self) -> Option<&'a Row> {
+        loop {
+            let row = self.rows.next()?;
+            if self.dead.next() != Some(&true) {
+                return Some(row);
+            }
         }
     }
 }
@@ -514,6 +669,123 @@ mod tests {
         // The paged rewrite rebuilt statistics from the surviving rows.
         let stats = paged.table("t").unwrap().statistics().unwrap();
         assert_eq!(stats.rows, 10);
+    }
+
+    /// The holes of an in-memory table.
+    fn holes(t: &Table) -> usize {
+        match &t.backing {
+            Backing::Mem(m) => m.holes,
+            Backing::Paged(_) => 0,
+        }
+    }
+
+    #[test]
+    fn point_operations_agree_with_a_linear_scan() {
+        use crate::key::sql_eq;
+        use crate::prng::StdRng;
+        let pool = [
+            Value::Null,
+            Value::Int(1),
+            Value::Int(2),
+            Value::Int(3),
+            Value::Float(3.0),
+            Value::Bool(true),
+            Value::Float(f64::NAN),
+            Value::Str("3".into()),
+        ];
+        let schema =
+            TableSchema::new("t", &[("k", SqlType::Int), ("v", SqlType::Int)]).with_key(&["k"]);
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut compactions = 0;
+        for case in 0..40 {
+            let mut t = Table::new(schema.clone());
+            // The reference: the same rows in a plain vector, matched by scan.
+            let mut model: Vec<Row> = Vec::new();
+            let mut id = 0;
+            for step in 0..120 {
+                let key = pool[rng.gen_range(0..pool.len())].clone();
+                let taken: Vec<usize> = (0..model.len())
+                    .filter(|&i| sql_eq(&model[i][0], &key))
+                    .collect();
+                match rng.gen_range(0..10) {
+                    0..=3 => {
+                        id += 1;
+                        model.push(vec![key.clone(), Value::Int(id)]);
+                        t.insert(vec![key, Value::Int(id)]);
+                    }
+                    4..=6 => {
+                        let slots = t.key_slots(0, &key).unwrap();
+                        let before = holes(&t);
+                        t.delete_slots(&slots);
+                        if holes(&t) < before + slots.len() {
+                            compactions += 1;
+                        }
+                        for i in taken.into_iter().rev() {
+                            model.remove(i);
+                        }
+                    }
+                    7 | 8 => {
+                        let new = pool[rng.gen_range(0..pool.len())].clone();
+                        for s in t.key_slots(0, &key).unwrap() {
+                            t.update_slot(s, |row| row[0] = new.clone());
+                        }
+                        for i in taken {
+                            model[i][0] = new.clone();
+                        }
+                    }
+                    _ => {
+                        // Set-oriented: drop every third row.
+                        let keep = |r: &Row| !matches!(r[1], Value::Int(i) if i % 3 == 0);
+                        t.mutate_rows(|rows| rows.retain(keep));
+                        model.retain(keep);
+                        t = t.clone();
+                    }
+                }
+                // Debug text compares NaN keys equal to themselves.
+                let what = format!("case {case} step {step}");
+                assert_eq!(
+                    format!("{:?}", t.rows_vec()),
+                    format!("{model:?}"),
+                    "{what}"
+                );
+                assert_eq!(t.len(), model.len(), "{what}");
+                for key in &pool {
+                    let got: Vec<Row> = t
+                        .key_slots(0, key)
+                        .unwrap()
+                        .into_iter()
+                        .map(|s| t.slot(s).to_vec())
+                        .collect();
+                    let want: Vec<&Row> = model.iter().filter(|r| sql_eq(&r[0], key)).collect();
+                    assert_eq!(format!("{got:?}"), format!("{want:?}"), "{what}: {key:?}");
+                }
+            }
+        }
+        assert!(
+            compactions > 0,
+            "no point delete crossed the compaction threshold"
+        );
+    }
+
+    #[test]
+    fn key_slots_need_a_single_column_key_in_memory() {
+        let cols = [("a", SqlType::Int), ("b", SqlType::Int)];
+        let one = Value::Int(1);
+        let mut t = Table::new(TableSchema::new("t", &cols));
+        assert_eq!(t.key_slots(0, &one), None, "no key");
+        let mut t2 = Table::new(TableSchema::new("t", &cols).with_key(&["a", "b"]));
+        assert_eq!(t2.key_slots(0, &one), None, "two-column key");
+        let mut t3 = Table::new(TableSchema::new("t", &cols).with_key(&["b"]));
+        assert_eq!(t3.key_slots(0, &one), None, "not the key column");
+        assert_eq!(t3.key_slots(1, &one), Some(vec![]));
+        let mut paged =
+            Database::paged_in_memory(4).with_table(TableSchema::new("t", &cols).with_key(&["a"]));
+        paged.insert("t", vec![one.clone(), one.clone()]);
+        assert_eq!(
+            paged.table_mut("t").unwrap().key_slots(0, &one),
+            None,
+            "paged"
+        );
     }
 
     #[test]

@@ -5,8 +5,13 @@
 //! operator, call's argument list and ternary opens one. The parser and
 //! every pass over the AST recurse once per level, so a deeper input is a
 //! [`ParseError`] at the token that opens the level past the cap rather
-//! than a stack overflow. A chain of binary operators or field accesses is
-//! read in a loop and is not counted.
+//! than a stack overflow.
+//!
+//! A chain of binary operators or field accesses is read in a loop, but it
+//! still becomes a tree as deep as the chain is long, which later passes
+//! recurse over. So one expression may have at most [`MAX_OPERANDS`]
+//! operands, counted over the whole expression, nested levels included:
+//! every binary operator and every `.field` or `.method(..)` adds one.
 
 use std::fmt;
 
@@ -47,6 +52,12 @@ impl From<LexError> for ParseError {
 /// parses, extracts and lints on a 2 MiB thread stack in a debug build.
 pub const MAX_DEPTH: usize = 64;
 
+/// The most operands one expression may have (see the module comment).
+/// On the 8 MiB stack the CLI and the service workers run on, a release
+/// build aborted extracting a chain of 30,000 operands (25,000 passed) and
+/// running one with `eqsql run` of 23,000 (22,000 passed).
+pub const MAX_OPERANDS: usize = 20_000;
+
 /// Parse a full program (a sequence of `fn` definitions).
 pub fn parse_program(src: &str) -> Result<Program, ParseError> {
     let tokens = lex(src)?;
@@ -55,6 +66,7 @@ pub fn parse_program(src: &str) -> Result<Program, ParseError> {
         pos: 0,
         next_id: 0,
         depth: 0,
+        operands: 0,
     };
     let mut functions = Vec::new();
     while !p.at(&TokenKind::Eof) {
@@ -69,6 +81,9 @@ struct Parser {
     next_id: u32,
     /// Nesting levels open at `pos`.
     depth: usize,
+    /// Operands read so far in the outermost expression being parsed; 0
+    /// outside any expression.
+    operands: usize,
 }
 
 impl Parser {
@@ -85,6 +100,18 @@ impl Parser {
         let out = f(self);
         self.depth -= 1;
         out
+    }
+
+    /// Count one more operand of the current expression; the error points
+    /// at the operator that would join one past [`MAX_OPERANDS`].
+    fn operand(&mut self) -> Result<(), ParseError> {
+        if self.operands == MAX_OPERANDS {
+            return Err(self.err(format!(
+                "more than {MAX_OPERANDS} operands in one expression"
+            )));
+        }
+        self.operands += 1;
+        Ok(())
     }
 
     fn peek(&self) -> &TokenKind {
@@ -321,7 +348,13 @@ impl Parser {
 
     // Expression grammar, lowest precedence first.
     fn expr(&mut self) -> Result<Expr, ParseError> {
-        self.ternary()
+        if self.operands > 0 {
+            return self.ternary();
+        }
+        self.operands = 1;
+        let e = self.ternary();
+        self.operands = 0;
+        e
     }
 
     fn ternary(&mut self) -> Result<Expr, ParseError> {
@@ -342,6 +375,7 @@ impl Parser {
     fn or_expr(&mut self) -> Result<Expr, ParseError> {
         let mut lhs = self.and_expr()?;
         while self.at(&TokenKind::OrOr) {
+            self.operand()?;
             self.bump();
             let rhs = self.and_expr()?;
             lhs = Expr::Binary(BinaryOp::Or, Box::new(lhs), Box::new(rhs));
@@ -352,6 +386,7 @@ impl Parser {
     fn and_expr(&mut self) -> Result<Expr, ParseError> {
         let mut lhs = self.equality()?;
         while self.at(&TokenKind::AndAnd) {
+            self.operand()?;
             self.bump();
             let rhs = self.equality()?;
             lhs = Expr::Binary(BinaryOp::And, Box::new(lhs), Box::new(rhs));
@@ -367,6 +402,7 @@ impl Parser {
                 TokenKind::NotEq => BinaryOp::Ne,
                 _ => break,
             };
+            self.operand()?;
             self.bump();
             let rhs = self.relational()?;
             lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
@@ -384,6 +420,7 @@ impl Parser {
                 TokenKind::Ge => BinaryOp::Ge,
                 _ => break,
             };
+            self.operand()?;
             self.bump();
             let rhs = self.additive()?;
             lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
@@ -399,6 +436,7 @@ impl Parser {
                 TokenKind::Minus => BinaryOp::Sub,
                 _ => break,
             };
+            self.operand()?;
             self.bump();
             let rhs = self.multiplicative()?;
             lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
@@ -415,6 +453,7 @@ impl Parser {
                 TokenKind::Percent => BinaryOp::Mod,
                 _ => break,
             };
+            self.operand()?;
             self.bump();
             let rhs = self.unary()?;
             lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
@@ -443,6 +482,7 @@ impl Parser {
         let mut e = self.primary()?;
         loop {
             if self.at(&TokenKind::Dot) {
+                self.operand()?;
                 self.bump();
                 let name = self.ident()?;
                 if self.at(&TokenKind::LParen) {
@@ -702,6 +742,47 @@ mod tests {
         // A single-statement body opens its level at the statement.
         ("fn f(x) { ", "while (x) ", "y = x;", "", " }", 10),
     ];
+
+    #[test]
+    fn operands_are_capped_per_expression() {
+        // `terms` operands joined by `op`, as one assigned expression.
+        let chain = |term: &str, op: &str, terms: usize| {
+            format!(
+                "fn f(x) {{ y = {}; return y; }}",
+                vec![term; terms].join(op)
+            )
+        };
+        for (term, op) in [
+            ("x", " + "),
+            ("x", " * "),
+            ("x", " && "),
+            ("(x)", " < "),
+            ("x", "."),
+        ] {
+            let src = chain(term, op, MAX_OPERANDS);
+            parse_program(&src).unwrap_or_else(|e| panic!("{op}: {e}"));
+            let err = parse_program(&chain(term, op, MAX_OPERANDS + 1)).unwrap_err();
+            assert!(err.message.contains("operands"), "{err}");
+            // The error points at the operator that joins one too many.
+            let joined = "fn f(x) { y = ".len() + (term.len() + op.len()) * MAX_OPERANDS;
+            assert_eq!(
+                err.offset,
+                joined - op.len() + op.find(|c| c != ' ').unwrap(),
+                "{op}"
+            );
+        }
+        // Operands inside parentheses and call arguments count towards
+        // the expression around them ...
+        let half = vec!["x"; MAX_OPERANDS / 2].join(" + ");
+        let nested = format!("fn f(x) {{ y = g({half}) + ({half} + x); }}");
+        assert!(parse_program(&nested)
+            .unwrap_err()
+            .message
+            .contains("operands"));
+        // ... but every statement's expression has a count of its own.
+        let each = format!("fn f(x) {{ y = {half}; z = {half}; print({half}, {half}); }}");
+        parse_program(&each).unwrap();
+    }
 
     #[test]
     fn nesting_is_capped_at_the_opening_token() {

@@ -16,26 +16,36 @@
 //!   error leaves the table untouched.
 //! * `UPDATE … FROM` and `DELETE … IN` match target rows against their
 //!   source rows through one hash build over the source keys per
-//!   statement, never a nested loop. Target rows match on their
-//!   **pre-statement** keys, as in SQL: a key an earlier source row
-//!   rewrites is not matched again by a later one. When several source
-//!   rows match one target row, the last of them in source order wins,
-//!   which is the per-row loop's behaviour; the affected count counts
-//!   every (source, target) match pair.
+//!   statement ([`dbms::key::KeyIndex`]), never a nested loop. Target rows
+//!   match on their **pre-statement** keys, as in SQL: a key an earlier
+//!   source row rewrites is not matched again by a later one. When several
+//!   source rows match one target row, the last of them in source order
+//!   wins, which is the per-row loop's behaviour; the affected count
+//!   counts every (source, target) match pair.
 //! * `WHERE col = <literal or ?>` and key matches compare by column index
-//!   with SQL equality: `NULL` matches nothing, even another `NULL`. Any
-//!   other predicate is evaluated per row; `NULL` counts as not taken.
+//!   with SQL equality ([`dbms::key::sql_eq`]): `NULL` matches nothing,
+//!   even another `NULL`, and `3` matches `3.0`. Any other predicate is
+//!   evaluated per row; `NULL` counts as not taken.
+//! * A keyed point statement — `UPDATE`/`DELETE … WHERE k = <literal or
+//!   ?>` on an in-memory table whose declared single-column primary key is
+//!   `k` — visits only its rows: the table's key index
+//!   ([`dbms::Table::key_slots`], shared with the hash build above) finds
+//!   them, computed `SET` values are evaluated for those rows alone, and
+//!   [`dbms::Table::update_slot`] / [`dbms::Table::delete_slots`] write
+//!   them in place. Scan order, and so every result, is the same as a
+//!   scan's.
 //! * Both backings run every form: paged tables rewrite through
-//!   [`dbms::Table::mutate_rows`] and end identical to in-memory ones.
+//!   [`dbms::Table::mutate_rows`], keyed statements included, and end
+//!   identical to in-memory ones.
 
 use std::borrow::Cow;
-use std::collections::HashMap;
 
 use algebra::dml::{InsertSource, Stmt};
 use algebra::parse::parse_statement;
 use algebra::scalar::{BinOp, ColRef, Scalar};
 use algebra::RaExpr;
 use dbms::eval::{eval_query, eval_scalar, fields_of, Bound, Scope};
+use dbms::key::{sql_eq, KeyIndex};
 use dbms::table::Field;
 use dbms::{Database, EvalError, Row, Table, Value};
 
@@ -57,90 +67,17 @@ impl From<EvalError> for DmlError {
     }
 }
 
-/// SQL equality: `NULL` compares equal to nothing (not even `NULL`).
-fn sql_eq(a: &Value, b: &Value) -> bool {
-    !a.is_null() && !b.is_null() && a.group_eq(b)
-}
-
-/// A hash bucket that coarsens [`sql_eq`]: values it calls equal share a
-/// bucket. Numbers bucket by their `f64` value, so `Int(3)`, `Float(3.0)`
-/// and `Bool(true)`/`Int(1)` meet, while two `Int`s past ±2⁵³ may share a
-/// bucket without being equal.
-#[derive(PartialEq, Eq, Hash)]
-enum Bucket<'a> {
-    Num(u64),
-    Str(&'a str),
-}
-
-/// The bucket of a value; `NULL` and NaN equal nothing and get none.
-fn bucket(v: &Value) -> Option<Bucket<'_>> {
-    match v {
-        Value::Null => None,
-        Value::Str(s) => Some(Bucket::Str(s)),
-        v => {
-            let x = v.as_f64()?;
-            // `-0.0 == 0.0`, so both take the bits of `0.0`.
-            (!x.is_nan()).then(|| Bucket::Num(if x == 0.0 { 0 } else { x.to_bits() }))
-        }
-    }
-}
-
-/// End of a [`KeyIndex`] chain.
-const END: usize = usize::MAX;
-
-/// An equality index over column `col` of a statement's source rows,
-/// built once per statement: two allocations, not one per key.
-struct KeyIndex<'a> {
-    rows: &'a [Row],
-    col: usize,
-    /// Each bucket's newest source row.
-    heads: HashMap<Bucket<'a>, usize>,
-    /// `next[i]`: the next older source row in row `i`'s bucket, or [`END`].
-    next: Vec<usize>,
-}
-
-impl<'a> KeyIndex<'a> {
-    fn build(rows: &'a [Row], col: usize) -> KeyIndex<'a> {
-        let mut heads = HashMap::with_capacity(rows.len());
-        let mut next = vec![END; rows.len()];
-        for (i, row) in rows.iter().enumerate() {
-            if let Some(prev) = bucket(&row[col]).and_then(|b| heads.insert(b, i)) {
-                next[i] = prev;
-            }
-        }
-        KeyIndex {
-            rows,
-            col,
-            heads,
-            next,
-        }
-    }
-
-    /// The source rows whose key is [`sql_eq`] to `key`, newest first:
-    /// the first one is `key`'s last writer.
-    fn matches<'s>(&'s self, key: &'s Value) -> impl Iterator<Item = usize> + 's {
-        let mut at = bucket(key)
-            .and_then(|b| self.heads.get(&b).copied())
-            .unwrap_or(END);
-        std::iter::from_fn(move || {
-            while at != END {
-                let i = at;
-                at = self.next[i];
-                if sql_eq(&self.rows[i][self.col], key) {
-                    return Some(i);
-                }
-            }
-            None
-        })
-    }
-}
-
-/// Execute a DML statement; returns the number of affected rows.
-/// `params` substitute `?` placeholders, numbered left to right over the
-/// whole statement.
+/// Parse and execute a DML statement; returns the number of affected
+/// rows. `params` substitute `?` placeholders, numbered left to right over
+/// the whole statement.
 pub fn execute_update(db: &mut Database, sql: &str, params: &[Value]) -> Result<i64, DmlError> {
     let stmt = parse_statement(sql).map_err(|e| DmlError(e.to_string()))?;
-    match &stmt {
+    execute_stmt(db, &stmt, params)
+}
+
+/// Execute a parsed DML statement; returns the number of affected rows.
+pub fn execute_stmt(db: &mut Database, stmt: &Stmt, params: &[Value]) -> Result<i64, DmlError> {
+    match stmt {
         Stmt::Insert {
             table,
             columns,
@@ -339,6 +276,11 @@ fn exec_update(
         .map(|(_, e)| constant(e, params))
         .collect::<Option<Result<Vec<_>, _>>>()
         .transpose()?;
+    if let Filter::Key(col, v) = &filter {
+        if let Some(slots) = table_mut(db, name).key_slots(*col, v) {
+            return update_slots(db, name, &slots, sets, &cols, consts.as_deref(), params);
+        }
+    }
     if let (Some(vals), Filter::All | Filter::Key(..)) = (&consts, &filter) {
         // Constant values under a key filter: no pre-pass needed.
         return Ok(table_mut(db, name).mutate_rows(|rows| {
@@ -351,6 +293,7 @@ fn exec_update(
         }));
     }
     // Each taken row's new values, computed against the pre-statement state.
+    let t = table(db, name)?;
     let fields = table_fields(db, t)?;
     let pred = match filter {
         Filter::Pred(p) => Some(Bound::new(p, &fields)),
@@ -383,6 +326,44 @@ fn exec_update(
     }))
 }
 
+/// A keyed `UPDATE` on the rows in `slots`, found through the table's key
+/// index: only those rows are visited. Computed values are evaluated for
+/// each, in scan order, against the pre-statement state, then written.
+fn update_slots(
+    db: &mut Database,
+    name: &str,
+    slots: &[usize],
+    sets: &[(String, Scalar)],
+    cols: &[usize],
+    consts: Option<&[Value]>,
+    params: &[Value],
+) -> Result<i64, DmlError> {
+    let computed = match consts {
+        Some(_) => Vec::new(),
+        None => {
+            let t = table(db, name)?;
+            let fields = table_fields(db, t)?;
+            let values: Vec<Bound<'_>> = sets.iter().map(|(_, e)| Bound::new(e, &fields)).collect();
+            slots
+                .iter()
+                .map(|&s| {
+                    let scope = Scope::new(&fields, t.slot(s));
+                    values
+                        .iter()
+                        .map(|v| v.eval(db, params, &scope).map(Cow::into_owned))
+                        .collect::<Result<Vec<_>, _>>()
+                })
+                .collect::<Result<Vec<_>, _>>()?
+        }
+    };
+    let t = table_mut(db, name);
+    for (i, &s) in slots.iter().enumerate() {
+        let vals = consts.unwrap_or_else(|| &computed[i]);
+        t.update_slot(s, |row| assign(row, cols, vals));
+    }
+    Ok(slots.len() as i64)
+}
+
 fn exec_update_from(
     db: &mut Database,
     name: &str,
@@ -406,7 +387,7 @@ fn exec_update_from(
         let mut affected = 0;
         for row in rows.iter_mut() {
             // Match on the pre-statement key, before the row is written.
-            let mut hits = index.matches(&row[key_idx]);
+            let mut hits = index.matches(&rel.rows, &row[key_idx]);
             let Some(last) = hits.next() else { continue };
             affected += 1 + hits.count() as i64;
             let srow = &rel.rows[last];
@@ -426,8 +407,15 @@ fn exec_delete(
     filter: Option<&Scalar>,
     params: &[Value],
 ) -> Result<i64, DmlError> {
+    let filter = Filter::of(table(db, name)?, filter, params)?;
+    if let Filter::Key(col, v) = &filter {
+        let t = table_mut(db, name);
+        if let Some(slots) = t.key_slots(*col, v) {
+            t.delete_slots(&slots);
+            return Ok(slots.len() as i64);
+        }
+    }
     let t = table(db, name)?;
-    let filter = Filter::of(t, filter, params)?;
     let doomed = match filter {
         Filter::Pred(p) => {
             let fields = table_fields(db, t)?;
@@ -472,7 +460,7 @@ fn exec_delete_in(
     let idx = column(table(db, name)?, column_name)?;
     Ok(table_mut(db, name).mutate_rows(|rows| {
         let before = rows.len();
-        rows.retain(|r| index.matches(&r[idx]).next().is_none());
+        rows.retain(|r| index.matches(&rel.rows, &r[idx]).next().is_none());
         (before - rows.len()) as i64
     }))
 }
@@ -840,64 +828,152 @@ mod tests {
         (out, gone)
     }
 
+    /// One statement of [`keyed_point_statements_agree_with_a_scan_and_the_paged_backing`].
+    fn random_stmt(
+        rng: &mut dbms::prng::StdRng,
+        pool: &[Value],
+        id: &mut i64,
+    ) -> (String, Vec<Value>) {
+        let mut key = || pool[rng.gen_range(0..pool.len())].clone();
+        let (k1, k2) = (key(), key());
+        let n = Value::Int(rng.gen_range(0..40i64));
+        *id += 1;
+        let (sql, params) = match rng.gen_range(0..14) {
+            0..=2 => ("INSERT INTO t VALUES (?, ?)", vec![k1, Value::Int(*id)]),
+            3 => ("UPDATE t SET v = ? WHERE k = ?", vec![n, k1]),
+            4 => ("UPDATE t SET v = v + ? WHERE k = ?", vec![n, k1]),
+            5 => ("UPDATE t SET k = ? WHERE k = ?", vec![k2, k1]),
+            // A text key fails `k + ?`: no row may change on any copy.
+            6 => ("UPDATE t SET k = k + ?, v = 0 WHERE k = ?", vec![n, k1]),
+            7 | 8 => ("DELETE FROM t WHERE k = ?", vec![k1]),
+            9 => ("UPDATE t SET v = v + 1 WHERE v > ?", vec![n]),
+            10 => (
+                "DELETE FROM t WHERE v < ?",
+                vec![Value::Int(rng.gen_range(0..8i64))],
+            ),
+            11 => (UPDATE_T_KEYS_FROM_SRC, vec![]),
+            12 => (DELETE_T_IN_SRC, vec![]),
+            _ => (
+                "INSERT INTO t SELECT k, v + 100 FROM t WHERE v < ?",
+                vec![n],
+            ),
+        };
+        (sql.to_string(), params)
+    }
+
+    /// `t`'s rows, as text: Debug text compares NaN keys equal to
+    /// themselves.
+    fn rows_text(db: &Database) -> String {
+        format!("{:?}", db.table("t").unwrap().rows_vec())
+    }
+
     #[test]
-    fn key_index_agrees_with_the_nested_loop_reference() {
+    fn keyed_point_statements_agree_with_a_scan_and_the_paged_backing() {
         use dbms::prng::StdRng;
         let pool = [
             Value::Null,
-            Value::Int(0),
             Value::Int(1),
-            Value::Int(2),
-            Value::Float(1.0),
-            Value::Float(-0.0),
-            Value::Float(2.5),
-            Value::Float(f64::NAN),
+            Value::Int(3),
+            Value::Float(3.0),
             Value::Bool(true),
-            Value::Bool(false),
-            Value::Str("1".into()),
-            Value::Str("a".into()),
+            Value::Int(7),
+            Value::Str("3".into()),
         ];
-        // Up to 7 rows: `keys` columns drawn from `pool`, then `v`
-        // numbered from `base`.
-        let gen_rows = |rng: &mut StdRng, keys: usize, base: i64| -> Vec<Row> {
-            (0..rng.gen_range(0..8i64))
-                .map(|i| {
-                    let mut row: Row = (0..keys)
-                        .map(|_| pool[rng.gen_range(0..pool.len())].clone())
-                        .collect();
-                    row.push(Value::Int(base + i));
-                    row
-                })
-                .collect()
-        };
         let int = |c| (c, SqlType::Int);
-        let t_schema = TableSchema::new("t", &[int("k"), int("v")]);
+        let keyed = TableSchema::new("t", &[int("k"), int("v")]).with_key(&["k"]);
+        // The linear-scan reference: the same table with no declared key,
+        // so every keyed statement scans.
+        let unkeyed = TableSchema::new("t", &[int("k"), int("v")]);
         let src_schema = TableSchema::new("src", &[int("k"), int("nk"), int("v")]);
         let mut rng = StdRng::seed_from_u64(42);
-        for case in 0..300 {
-            let t = gen_rows(&mut rng, 1, 0);
-            let src = gen_rows(&mut rng, 2, 100);
-            let tables = [
-                (t_schema.clone(), t.clone()),
-                (src_schema.clone(), src.clone()),
+        for case in 0..30 {
+            let mut id = 0;
+            let t: Vec<Row> = (0..12)
+                .map(|_| {
+                    id += 1;
+                    vec![pool[rng.gen_range(0..pool.len())].clone(), Value::Int(id)]
+                })
+                .collect();
+            let src: Vec<Row> = (0..4)
+                .map(|i| {
+                    let mut k = || pool[rng.gen_range(0..pool.len())].clone();
+                    vec![k(), k(), Value::Int(50 + i)]
+                })
+                .collect();
+            let tables = |t_schema: &TableSchema| {
+                [
+                    (t_schema.clone(), t.clone()),
+                    (src_schema.clone(), src.clone()),
+                ]
+            };
+            // [index, scan reference, paged]
+            let mut dbs = [
+                load(Database::new(), &tables(&keyed)),
+                load(Database::new(), &tables(&unkeyed)),
+                load(Database::paged_in_memory(4), &tables(&keyed)),
             ];
-            for (sql, reference) in [
-                (
-                    UPDATE_T_KEYS_FROM_SRC,
-                    reference_update_from as fn(&[Row], &[Row]) -> _,
-                ),
-                (DELETE_T_IN_SRC, reference_delete_in),
-            ] {
-                let mut db = load(Database::new(), &tables);
-                let n = execute_update(&mut db, sql, &[]).unwrap();
-                let (want, pairs) = reference(&t, &src);
-                // Debug text compares NaN keys equal to themselves.
-                let got: Vec<Row> = db.table("t").unwrap().scan().collect();
-                assert_eq!(
-                    (format!("{got:?}"), n),
-                    (format!("{want:?}"), pairs),
-                    "case {case}: `{sql}` on t = {t:?}, src = {src:?}"
-                );
+            let mut forked: Option<(Database, String)> = None;
+            for step in 0..60 {
+                let (sql, params) = if step == 59 {
+                    // A set-oriented rewrite makes every key a distinct
+                    // integer; the deletes below then empty the table key
+                    // by key, so the holes outnumber the live rows and the
+                    // indexed copy compacts.
+                    ("UPDATE t SET k = v, v = k".to_string(), vec![])
+                } else if rng.gen_range(0..20) == 0 {
+                    // Fork every copy and go on with the forks; the
+                    // originals must not see the next statement.
+                    forked = Some((dbs[0].fork(), rows_text(&dbs[0])));
+                    dbs = dbs.map(|db| db.fork());
+                    continue;
+                } else {
+                    random_stmt(&mut rng, &pool, &mut id)
+                };
+                let before = dbs[0].table("t").unwrap().rows_vec();
+                let got = dbs.each_mut().map(|db| execute_update(db, &sql, &params));
+                let what = format!("case {case} step {step}: `{sql}` with {params:?}");
+                assert_eq!(got[0], got[1], "index vs scan, {what}");
+                assert_eq!(got[0], got[2], "index vs paged, {what}");
+                let texts = dbs.each_ref().map(rows_text);
+                assert_eq!(texts[0], texts[1], "index vs scan, {what}");
+                assert_eq!(texts[0], texts[2], "index vs paged, {what}");
+                let reference = match sql.as_str() {
+                    UPDATE_T_KEYS_FROM_SRC => Some(reference_update_from(&before, &src)),
+                    DELETE_T_IN_SRC => Some(reference_delete_in(&before, &src)),
+                    _ => None,
+                };
+                if let Some((rows, n)) = reference {
+                    assert_eq!(
+                        (texts[0].clone(), got[0].clone()),
+                        (format!("{rows:?}"), Ok(n)),
+                        "{what}"
+                    );
+                }
+                if let Some((orig, text)) = forked.take() {
+                    assert_eq!(
+                        rows_text(&orig),
+                        text,
+                        "a fork's statement reached its original, {what}"
+                    );
+                }
+                // A scan through the executor sees the same rows.
+                let q = parse_sql("SELECT v, k FROM t WHERE k = 3 OR v > 20").unwrap();
+                let seen = dbs
+                    .each_ref()
+                    .map(|db| format!("{:?}", eval_query(&q, db, &[])));
+                assert_eq!(seen[0], seen[1], "{what}");
+                assert_eq!(seen[0], seen[2], "{what}");
+            }
+            let keys: Vec<Row> = dbs[0].table("t").unwrap().rows_vec();
+            for row in keys {
+                let got = dbs
+                    .each_mut()
+                    .map(|db| execute_update(db, "DELETE FROM t WHERE k = ?", &row[..1]));
+                assert_eq!(got[0], got[1], "case {case}: drain {row:?}");
+                assert_eq!(got[0], got[2], "case {case}: drain {row:?}");
+            }
+            for db in &dbs {
+                assert!(db.table("t").unwrap().is_empty(), "case {case}: drained");
             }
         }
     }

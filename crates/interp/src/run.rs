@@ -5,13 +5,15 @@ use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
 
-use algebra::parse::parse_sql;
+use algebra::dml::Stmt;
+use algebra::parse::{parse_sql, parse_statement};
+use algebra::RaExpr;
 use dbms::eval::eval_binop;
 use dbms::{Connection, Value};
 use imp::ast::{BinaryOp, Block, Expr, Literal, Program, StmtKind, UnaryOp};
 use intern::Symbol;
 
-use crate::dml::execute_update;
+use crate::dml::{execute_stmt, DmlError};
 use crate::value::{loose_eq, RtValue};
 
 /// A runtime error.
@@ -94,6 +96,55 @@ fn truth(v: &RtValue) -> Option<bool> {
     }
 }
 
+/// A SQL call's parameters as scalars; `what` is the error otherwise.
+fn scalars(vals: &[RtValue], what: &str) -> Result<Vec<Value>, RtError> {
+    vals.iter()
+        .map(|v| {
+            v.as_scalar()
+                .cloned()
+                .ok_or_else(|| RtError::Type(what.into()))
+        })
+        .collect()
+}
+
+/// The SQL text of an `execute*` call.
+enum SqlText<'e> {
+    /// A string literal of the program: parsed once, through the cache.
+    Lit(&'e str),
+    /// A computed string: parsed on every call.
+    Computed(String),
+}
+
+/// Parsed SQL by literal text, so a literal parses once per interpreter
+/// and the cache grows only with the program text.
+type ParseCache<T> = HashMap<String, Rc<T>>;
+
+/// The parse of `sql`: for a literal, from `cache`, parsing it on first
+/// use; for a computed string, parsed afresh. A failed parse is not
+/// cached, so it fails the same way on every call.
+fn parsed<T, E: fmt::Display>(
+    cache: &mut ParseCache<T>,
+    sql: &SqlText<'_>,
+    parse: impl Fn(&str) -> Result<T, E>,
+) -> Result<Rc<T>, RtError> {
+    let fresh = |s: &str| {
+        parse(s)
+            .map(Rc::new)
+            .map_err(|e| RtError::Sql(e.to_string()))
+    };
+    match sql {
+        SqlText::Computed(s) => fresh(s),
+        SqlText::Lit(s) => {
+            if let Some(t) = cache.get(*s) {
+                return Ok(Rc::clone(t));
+            }
+            let t = fresh(s)?;
+            cache.insert(s.to_string(), Rc::clone(&t));
+            Ok(t)
+        }
+    }
+}
+
 /// An interpreter instance bound to a program and a metered connection.
 pub struct Interp<'a> {
     program: &'a Program,
@@ -105,6 +156,11 @@ pub struct Interp<'a> {
     pub output: Vec<String>,
     steps: u64,
     max_steps: u64,
+    /// Parsed query literals (`executeQuery`, `executeScalar`,
+    /// `executeBatch`).
+    queries: ParseCache<RaExpr>,
+    /// Parsed statement literals (`executeUpdate`).
+    statements: ParseCache<Stmt>,
 }
 
 impl<'a> Interp<'a> {
@@ -116,6 +172,8 @@ impl<'a> Interp<'a> {
             output: Vec::new(),
             steps: 0,
             max_steps: 50_000_000,
+            queries: HashMap::new(),
+            statements: HashMap::new(),
         }
     }
 
@@ -423,19 +481,8 @@ impl<'a> Interp<'a> {
                 // for a whole batch of parameter values (the batching
                 // baseline's primitive; results align with the input list,
                 // NULL on miss).
-                let mut vals = Vec::new();
-                for a in args {
-                    vals.push(self.eval(a, env)?);
-                }
-                let sql = match vals.first() {
-                    Some(RtValue::Scalar(Value::Str(s))) => s.clone(),
-                    other => {
-                        return Err(RtError::Type(format!(
-                            "executeBatch needs a SQL string, got {other:?}"
-                        )))
-                    }
-                };
-                let params = match vals.get(1) {
+                let (sql, vals) = self.sql_call("executeBatch", args, env)?;
+                let params = match vals.first() {
                     Some(RtValue::List(xs)) | Some(RtValue::Set(xs)) => xs.clone(),
                     other => {
                         return Err(RtError::Type(format!(
@@ -443,7 +490,7 @@ impl<'a> Interp<'a> {
                         )))
                     }
                 };
-                let ra = parse_sql(&sql).map_err(|e| RtError::Sql(e.to_string()))?;
+                let ra = parsed(&mut self.queries, &sql, parse_sql)?;
                 // Charge: one round trip + parameter upload + result
                 // transfer (batching's cost structure).
                 let upload: usize = params
@@ -474,30 +521,15 @@ impl<'a> Interp<'a> {
                 Ok(RtValue::List(out))
             }
             "executeUpdate" => {
-                let mut vals = Vec::new();
-                for a in args {
-                    vals.push(self.eval(a, env)?);
-                }
-                let sql = match vals.first() {
-                    Some(RtValue::Scalar(Value::Str(s))) => s.clone(),
-                    other => {
-                        return Err(RtError::Type(format!(
-                            "executeUpdate needs a SQL string, got {other:?}"
-                        )))
-                    }
-                };
-                let params: Vec<Value> = vals[1..]
-                    .iter()
-                    .map(|v| {
-                        v.as_scalar()
-                            .cloned()
-                            .ok_or_else(|| RtError::Type("DML parameters must be scalars".into()))
-                    })
-                    .collect::<Result<_, _>>()?;
+                let (sql, vals) = self.sql_call("executeUpdate", args, env)?;
+                let params = scalars(&vals, "DML parameters must be scalars")?;
                 // One round trip for the DML statement.
                 self.conn.stats.queries += 1;
                 self.conn.stats.sim_us += self.conn.cost.latency_us;
-                let n = execute_update(&mut self.conn.db, &sql, &params)
+                let stmt = parsed(&mut self.statements, &sql, |s| {
+                    parse_statement(s).map_err(|e| DmlError(e.to_string()))
+                })?;
+                let n = execute_stmt(&mut self.conn.db, &stmt, &params)
                     .map_err(|e| RtError::Sql(e.to_string()))?;
                 Ok(RtValue::int(n))
             }
@@ -606,30 +638,49 @@ impl<'a> Interp<'a> {
     }
 
     fn run_query(&mut self, args: &[Expr], env: &mut Env) -> Result<dbms::Relation, RtError> {
-        let mut vals = Vec::new();
-        for a in args {
-            vals.push(self.eval(a, env)?);
-        }
-        let sql = match vals.first() {
-            Some(RtValue::Scalar(Value::Str(s))) => s.clone(),
-            other => {
-                return Err(RtError::Type(format!(
-                    "executeQuery needs a SQL string, got {other:?}"
-                )))
-            }
-        };
-        let params: Vec<Value> = vals[1..]
-            .iter()
-            .map(|v| {
-                v.as_scalar()
-                    .cloned()
-                    .ok_or_else(|| RtError::Type("query parameters must be scalars".into()))
-            })
-            .collect::<Result<_, _>>()?;
-        let ra = parse_sql(&sql).map_err(|e| RtError::Sql(e.to_string()))?;
+        let (sql, vals) = self.sql_call("executeQuery", args, env)?;
+        let params = scalars(&vals, "query parameters must be scalars")?;
+        let ra = parsed(&mut self.queries, &sql, parse_sql)?;
         self.conn
             .execute(&ra, &params)
             .map_err(|e| RtError::Sql(e.to_string()))
+    }
+
+    /// Evaluate the arguments of the SQL call `name`, in order: its SQL
+    /// text, then the values of the rest. A string literal is borrowed
+    /// from the program, not copied, and charged the step [`Self::eval`]
+    /// charges for it.
+    fn sql_call<'e>(
+        &mut self,
+        name: &str,
+        args: &'e [Expr],
+        env: &mut Env,
+    ) -> Result<(SqlText<'e>, Vec<RtValue>), RtError> {
+        let Some((first, rest)) = args.split_first() else {
+            return Err(RtError::Type(format!(
+                "{name} needs a SQL string, got None"
+            )));
+        };
+        // A first argument that is not a string is reported only after
+        // the rest are evaluated, whose errors come first.
+        let sql = match first {
+            Expr::Lit(Literal::Str(s)) => {
+                self.tick()?;
+                Ok(SqlText::Lit(s))
+            }
+            e => match self.eval(e, env)? {
+                RtValue::Scalar(Value::Str(s)) => Ok(SqlText::Computed(s)),
+                other => Err(other),
+            },
+        };
+        let mut vals = Vec::with_capacity(rest.len());
+        for a in rest {
+            vals.push(self.eval(a, env)?);
+        }
+        let sql = sql.map_err(|other| {
+            RtError::Type(format!("{name} needs a SQL string, got {:?}", Some(&other)))
+        })?;
+        Ok((sql, vals))
     }
 
     fn eval_method(
@@ -734,6 +785,66 @@ mod tests {
         let mut i = Interp::new(&p, Connection::new(db));
         let v = i.call(f, vec![]).unwrap();
         (v, i.output.clone(), i.conn.stats)
+    }
+
+    #[test]
+    fn sql_literals_parse_once_and_computed_strings_on_every_call() {
+        let src = r#"
+            fn f() {
+                n = 0;
+                for (e in executeQuery("SELECT * FROM emp WHERE salary > ?", 0)) {
+                    n = n + executeScalar("SELECT COUNT(*) FROM emp WHERE id = ?", e.id);
+                    executeUpdate("UPDATE emp SET salary = ? WHERE id = ?", 1, e.id);
+                    n = n + executeScalar("SELECT COUNT(*) FROM emp WHERE id = " + e.id);
+                }
+                return n;
+            }
+        "#;
+        let p = parse_program(src).unwrap();
+        let mut it = Interp::new(&p, Connection::new(gen_emp(30, 3)));
+        assert_eq!(it.call("f", vec![]), Ok(RtValue::int(60)));
+        assert_eq!(it.queries.len(), 2, "the two query literals, once each");
+        assert_eq!(it.statements.len(), 1);
+        assert!(it
+            .conn
+            .db
+            .table("emp")
+            .unwrap()
+            .scan()
+            .all(|r| r[3] == Value::Int(1)));
+
+        // Unparsable SQL fails with the parser's own message, every time:
+        // a failed parse is not cached.
+        let sql_err = |sql: &str| RtError::Sql(parse_sql(sql).unwrap_err().to_string());
+        let dml_err = |sql: &str| {
+            let e = parse_statement(sql).unwrap_err();
+            RtError::Sql(DmlError(e.to_string()).to_string())
+        };
+        for (src, want) in [
+            (
+                r#"fn f() { return executeQuery("SELEC 1"); }"#,
+                sql_err("SELEC 1"),
+            ),
+            (
+                r#"fn f() { return executeScalar("SEL" + "EC 1"); }"#,
+                sql_err("SELEC 1"),
+            ),
+            (
+                r#"fn f() { return executeUpdate("UPDAT emp"); }"#,
+                dml_err("UPDAT emp"),
+            ),
+            (
+                r#"fn f() { return executeUpdate("UPDAT" + " emp"); }"#,
+                dml_err("UPDAT emp"),
+            ),
+        ] {
+            let p = parse_program(src).unwrap();
+            let mut it = Interp::new(&p, Connection::new(gen_emp(3, 3)));
+            for _ in 0..2 {
+                assert_eq!(it.call("f", vec![]), Err(want.clone()), "{src}");
+            }
+            assert!(it.queries.is_empty() && it.statements.is_empty(), "{src}");
+        }
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! Connects to a running `eqsql serve` instance and drives the whole
 //! sequence over **one persistent keep-alive connection** — `GET /healthz`,
 //! `POST /extract`, a small `POST /fuzz` sweep, a 10,000-term `POST
-//! /extract` (deep recursion on the worker's stack), `GET /metrics`
+//! /extract` (deep recursion on the worker's stack), a 30,000-term one
+//! (past the parser's operand cap: a 400, not a crash), `GET /metrics`
 //! (checking the fuzz counters it just incremented), then `POST /shutdown`
 //! so the server exits cleanly. Responses are framed by `Content-Length`
 //! rather than connection close, and the client verifies the server
@@ -85,6 +86,17 @@ fn run(target: &str) -> Result<(), String> {
     let (status, body) = conn.request("POST", "/extract", Some(&chain_body))?;
     expect_json_200("/extract (10,000-term chain)", status, &body)?;
 
+    // Past `imp::parser::MAX_OPERANDS` a chain is a parse error: the
+    // server answers 400 and keeps the connection.
+    let chain = vec!["x"; 30_000].join(" + ");
+    let chain_body = format!("{{\"source\":\"fn f(x) {{ y = {chain}; return y; }}\"}}");
+    let (status, body) = conn.request("POST", "/extract", Some(&chain_body))?;
+    if status != 400 || !body.contains("operands") {
+        return Err(format!(
+            "/extract (30,000-term chain) returned {status}, not a 400 naming the cap: {body}"
+        ));
+    }
+
     let (status, body) = conn.request("GET", "/metrics", None)?;
     if status != 200 {
         return Err(format!("/metrics returned {status}"));
@@ -98,9 +110,9 @@ fn run(target: &str) -> Result<(), String> {
         return Err(format!("/metrics missing admission counters:\n{body}"));
     }
 
-    if conn.requests_served() != 6 {
+    if conn.requests_served() != 7 {
         return Err(format!(
-            "expected 6 requests on one connection before shutdown, served {}",
+            "expected 7 requests on one connection before shutdown, served {}",
             conn.requests_served()
         ));
     }

@@ -551,3 +551,29 @@ fn a_ten_thousand_term_chain_is_answered_and_the_server_lives_on() {
     assert_eq!(status, 200, "{body}");
     server.shutdown();
 }
+
+#[test]
+fn a_chain_past_the_operand_cap_is_a_400_and_the_server_lives_on() {
+    // 30,000 terms overflowed an 8 MiB worker stack and aborted the
+    // process; past `imp::parser::MAX_OPERANDS` the parser refuses them.
+    let server = Server::start("127.0.0.1:0", test_config()).unwrap();
+    let source = format!(
+        "fn f(x) {{ y = {}; return y; }}",
+        vec!["x"; 30_000].join(" + ")
+    );
+    let body = Json::Obj(vec![("source".into(), Json::str(source))]).render();
+    let mut stream = connect(server.addr());
+    let mut carry = Vec::new();
+    stream
+        .write_all(raw_request("POST", "/extract", &body, "").as_bytes())
+        .unwrap();
+    let (status, _, body) = read_response(&mut stream, &mut carry);
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("more than 20000 operands"), "{body}");
+    stream
+        .write_all(raw_request("GET", "/healthz", "", "").as_bytes())
+        .unwrap();
+    let (status, _, body) = read_response(&mut stream, &mut carry);
+    assert_eq!(status, 200, "{body}");
+    server.shutdown();
+}
