@@ -15,6 +15,18 @@ for t in tests/*.rs; do
     fi
 done
 
+echo "==> one #[global_allocator] under crates/ and tests/"
+# Allocation gates, perf_pipeline and every other counter share one
+# thread-local counting allocator, included with `#[path]`; a second
+# declaration would fork what the counts mean. eqbench, a workspace of its
+# own, is not scanned.
+for f in $(grep -rlE --include='*.rs' '^[[:space:]]*#\[global_allocator\]' crates tests); do
+    if [ "$f" != tests/support/counting_alloc.rs ]; then
+        echo "error: $f declares #[global_allocator]; include tests/support/counting_alloc.rs instead" >&2
+        exit 1
+    fi
+done
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 

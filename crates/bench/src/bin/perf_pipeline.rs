@@ -22,47 +22,15 @@
 //! beforehand, and reports the fastest of `--runs` lint sweeps under
 //! `"lint"`.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::PathBuf;
 use std::time::Instant;
 
 use analysis::json::Json;
 use eqsql_core::{lint_program, Extractor, ExtractorOptions, StageTimes};
+use workloads::sweep::Unit;
 
-/// A `System` wrapper counting every allocation the sweep performs.
-struct CountingAlloc;
-
-static ALLOC_COUNT: AtomicU64 = AtomicU64::new(0);
-static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_COUNT.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_COUNT.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-/// One program to push through the pipeline.
-struct Unit {
-    name: String,
-    source: String,
-    catalog: algebra::schema::Catalog,
-}
+#[path = "../../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
 /// Counters for one full sweep.
 #[derive(Default, Clone, Copy)]
@@ -76,94 +44,26 @@ struct Sweep {
     loops_rewritten: u64,
 }
 
-fn corpus_units(root: &Path) -> Vec<Unit> {
-    let dir = root.join("examples/corpus");
-    let schema = std::fs::read_to_string(dir.join("schema.sql")).unwrap_or_default();
-    let catalog = algebra::ddl::parse_ddl(&schema).expect("corpus schema parses");
-    let mut paths: Vec<PathBuf> = std::fs::read_dir(&dir)
-        .expect("examples/corpus exists")
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|x| x == "imp"))
-        .collect();
-    paths.sort();
-    paths
-        .into_iter()
-        .map(|p| Unit {
-            name: format!("corpus/{}", p.file_name().unwrap().to_string_lossy()),
-            source: std::fs::read_to_string(&p).expect("corpus file readable"),
-            catalog: catalog.clone(),
-        })
-        .collect()
-}
-
-fn workload_units() -> Vec<Unit> {
-    let mut units = Vec::new();
-    let wilos_cat = workloads::wilos::catalog();
-    for s in workloads::wilos::samples() {
-        units.push(Unit {
-            name: format!("wilos/{}", s.label),
-            source: s.source.to_string(),
-            catalog: wilos_cat.clone(),
-        });
-    }
-    for (app, servlets, cat) in [
-        (
-            "rubis",
-            workloads::servlets::rubis(),
-            workloads::servlets::rubis_catalog(),
-        ),
-        (
-            "rubbos",
-            workloads::servlets::rubbos(),
-            workloads::servlets::rubbos_catalog(),
-        ),
-        (
-            "acadportal",
-            workloads::servlets::acadportal(),
-            workloads::servlets::acadportal_catalog(),
-        ),
-    ] {
-        for s in servlets {
-            units.push(Unit {
-                name: format!("{app}/{}", s.name),
-                source: s.source,
-                catalog: cat.clone(),
-            });
-        }
-    }
-    units.push(Unit {
-        name: "matoso/find_max_score".into(),
-        source: workloads::matoso::FIND_MAX_SCORE.to_string(),
-        catalog: workloads::matoso::catalog(),
-    });
-    units.push(Unit {
-        name: "jobportal/applicant_report".into(),
-        source: workloads::jobportal::APPLICANT_REPORT.to_string(),
-        catalog: workloads::jobportal::catalog(),
-    });
-    units
-}
-
 /// Run every unit once, accumulating per-stage counters.
 fn sweep(units: &[Unit]) -> Sweep {
     let mut out = Sweep::default();
-    let allocs0 = ALLOC_COUNT.load(Ordering::Relaxed);
-    let bytes0 = ALLOC_BYTES.load(Ordering::Relaxed);
     let started = Instant::now();
-    for u in units {
-        let parse_started = Instant::now();
-        let program = imp::parse_and_normalize(&u.source)
-            .unwrap_or_else(|e| panic!("{} fails to parse: {e}", u.name));
-        out.parse_ns += parse_started.elapsed().as_nanos() as u64;
-        out.functions += program.functions.len() as u64;
-        let report = Extractor::with_options(u.catalog.clone(), ExtractorOptions::default())
-            .extract_program(&program);
-        out.stage.absorb(&report.stage);
-        out.loops_rewritten += report.loops_rewritten as u64;
-    }
+    let ((), allocs, alloc_bytes) = counting_alloc::measure(|| {
+        for u in units {
+            let parse_started = Instant::now();
+            let program = imp::parse_and_normalize(&u.source)
+                .unwrap_or_else(|e| panic!("{} fails to parse: {e}", u.name));
+            out.parse_ns += parse_started.elapsed().as_nanos() as u64;
+            out.functions += program.functions.len() as u64;
+            let report = Extractor::with_options(u.catalog.clone(), ExtractorOptions::default())
+                .extract_program(&program);
+            out.stage.absorb(&report.stage);
+            out.loops_rewritten += report.loops_rewritten as u64;
+        }
+    });
     out.total_ns = started.elapsed().as_nanos() as u64;
-    out.allocs = ALLOC_COUNT.load(Ordering::Relaxed) - allocs0;
-    out.alloc_bytes = ALLOC_BYTES.load(Ordering::Relaxed) - bytes0;
+    out.allocs = allocs;
+    out.alloc_bytes = alloc_bytes;
     out
 }
 
@@ -178,13 +78,13 @@ fn lint_sweep(units: &[Unit]) -> (u64, u64) {
         })
         .collect();
     let opts = ExtractorOptions::default();
-    let allocs0 = ALLOC_COUNT.load(Ordering::Relaxed);
     let started = Instant::now();
-    for (u, program) in units.iter().zip(&programs) {
-        std::hint::black_box(lint_program(program, &u.catalog, &opts));
-    }
-    let ns = started.elapsed().as_nanos() as u64;
-    (ns, ALLOC_COUNT.load(Ordering::Relaxed) - allocs0)
+    let ((), allocs) = counting_alloc::count(|| {
+        for (u, program) in units.iter().zip(&programs) {
+            std::hint::black_box(lint_program(program, &u.catalog, &opts));
+        }
+    });
+    (started.elapsed().as_nanos() as u64, allocs)
 }
 
 fn sweep_json(s: &Sweep, n_units: usize, runs: usize) -> Json {
@@ -264,12 +164,12 @@ fn main() {
 
     // The binary lives in target/…; the repo root is CARGO_MANIFEST_DIR/../..
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let mut units = corpus_units(&root);
-    if check {
+    let units = if check {
         runs = 1;
+        workloads::sweep::corpus()
     } else {
-        units.extend(workload_units());
-    }
+        workloads::sweep::units()
+    };
 
     let mut best: Option<Sweep> = None;
     for r in 0..runs {

@@ -658,9 +658,14 @@ impl<'a> DirBuilder<'a> {
 }
 
 /// Build the D-IR for one function of a program, computing the program's
-/// effect summaries for this one call (a test and bench helper; the
-/// extractor builds them once per run and calls [`DirBuilder::new`]).
-pub fn build_function_dir(program: &Program, catalog: &Catalog, fname: &str) -> Option<DirResult> {
+/// effect summaries for this one call (a test helper; the extractor builds
+/// them once per run and calls [`DirBuilder::new`]).
+#[cfg(test)]
+pub(crate) fn build_function_dir(
+    program: &Program,
+    catalog: &Catalog,
+    fname: &str,
+) -> Option<DirResult> {
     let du_ctx = DefUseCtx::of_program(program);
     Some(DirBuilder::new(program, catalog, &du_ctx).build(program.function(fname)?))
 }

@@ -692,14 +692,20 @@ impl Extractor {
                         .find(|n| n.loop_stmt == cand.stmt && &n.var == var)
                         .and_then(|n| n.result.clone().err())
                         .unwrap_or_else(|| {
-                            Diagnostic::new(
+                            let d = Diagnostic::new(
                                 Code::NonAlgebraic,
                                 loop_span,
                                 format!("value of `{var}` after this loop is not algebraic"),
                             )
                             .with_primary_label("loop could not be converted to a fold")
                             .with_var(*var)
-                            .with_pass("fir")
+                            .with_pass("fir");
+                            match crate::fir::first_opaque_reason(&dag, *node) {
+                                Some(reason) => {
+                                    d.with_note(format!("opaque sub-expression: {reason}"))
+                                }
+                                None => d,
+                            }
                         })
                         .with_function(fname);
                     outcome = ExtractionOutcome::FoldFailed(diag);

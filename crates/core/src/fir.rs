@@ -34,7 +34,7 @@ use std::ops::ControlFlow;
 
 use intern::Symbol;
 
-use analysis::ddg::{Ddg, DepKind};
+use analysis::ddg::Ddg;
 use analysis::defuse::DefUseCtx;
 use analysis::diag::{Code, Diagnostic};
 use analysis::slice::slice_for_var;
@@ -436,7 +436,7 @@ fn convert_var(
 }
 
 /// The reason string of the first `Opaque` node under `id`, if any.
-fn first_opaque_reason(dag: &EeDag, id: NodeId) -> Option<String> {
+pub(crate) fn first_opaque_reason(dag: &EeDag, id: NodeId) -> Option<String> {
     dag.walk(id, |_, n| match n {
         Node::Opaque { reason, .. } => ControlFlow::Break(reason.clone()),
         _ => ControlFlow::Continue(()),
@@ -471,12 +471,6 @@ fn abrupt_exit(b: &Block) -> Option<(&'static str, Span)> {
         }
     }
     None
-}
-
-/// The lcfd/flow edge summary of a loop body, exposed for the ablation
-/// benchmarks (slice-restricted vs whole-body precondition checking).
-pub fn whole_body_lcfd_count(ddg: &Ddg) -> usize {
-    ddg.edges.iter().filter(|e| e.kind == DepKind::Lcfd).count()
 }
 
 // ===========================================================================

@@ -4,59 +4,9 @@
 //! column, a group key per row, a second clone of a kept row — fails here
 //! instead of hiding in benchmark noise.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
-
-/// Counts allocations while switched on; otherwise a plain `System`.
-struct CountingAlloc;
-
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static COUNT: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every method forwards to `System` with the caller's arguments
-// unchanged; the counters are plain statistics and publish no memory.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump();
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn bump() {
-    if ENABLED.load(Ordering::Relaxed) {
-        COUNT.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// Allocations made while `f` runs. Each test holds this lock for its
-/// whole body, so no other test thread allocates inside the bracket.
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn count<R>(f: impl FnOnce() -> R) -> (R, u64) {
-    let before = COUNT.load(Ordering::Relaxed);
-    ENABLED.store(true, Ordering::Relaxed);
-    let out = f();
-    ENABLED.store(false, Ordering::Relaxed);
-    (out, COUNT.load(Ordering::Relaxed) - before)
-}
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::count;
 
 const ROWS: usize = 20_000;
 
@@ -71,7 +21,6 @@ const SETUP: u64 = 64;
 /// never be decoded.
 #[test]
 fn global_sum_allocates_nothing_per_row() {
-    let _serial = SERIAL.lock().unwrap();
     let q = algebra::parse::parse_sql("SELECT SUM(salary) AS total FROM emp").unwrap();
     let allocs = [ROWS, 2 * ROWS].map(|rows| {
         let db = dbms::gen::gen_emp_paged(rows, 7, storage::Store::in_memory(8));
@@ -101,7 +50,6 @@ fn global_sum_allocates_nothing_per_row() {
 /// doubling and a fixed per-query setup.
 #[test]
 fn in_memory_filter_clones_each_scanned_row_once() {
-    let _serial = SERIAL.lock().unwrap();
     let db = dbms::gen::gen_emp(ROWS, 7);
     let text_columns = 2; // name, dept
     let q = algebra::parse::parse_sql("SELECT * FROM emp WHERE salary > 150000").unwrap();

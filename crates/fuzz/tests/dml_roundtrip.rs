@@ -3,8 +3,6 @@
 //! generator, must parse with `algebra::parse::parse_statement` and
 //! render back to the same bytes with `algebra::render::stmt_to_sql`.
 
-use std::path::Path;
-
 use algebra::parse::parse_statement;
 use algebra::render::stmt_to_sql;
 use algebra::Dialect;
@@ -22,19 +20,10 @@ fn dml_statements(report: &ExtractionReport) -> Vec<String> {
 
 #[test]
 fn extracted_dml_round_trips_through_the_statement_parser() {
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/corpus");
-    let schema = std::fs::read_to_string(dir.join("schema.sql")).unwrap();
-    let catalog = algebra::ddl::parse_ddl(&schema).unwrap();
-    let mut files: Vec<_> = std::fs::read_dir(&dir)
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .filter(|p| p.extension().is_some_and(|x| x == "imp"))
-        .collect();
-    files.sort();
     let mut stmts = Vec::new();
-    for f in &files {
-        let program = imp::parse_and_normalize(&std::fs::read_to_string(f).unwrap()).unwrap();
-        let report = Extractor::with_options(catalog.clone(), ExtractorOptions::default())
+    for u in workloads::sweep::corpus() {
+        let program = imp::parse_and_normalize(&u.source).unwrap();
+        let report = Extractor::with_options(u.catalog, ExtractorOptions::default())
             .extract_program(&program);
         stmts.extend(dml_statements(&report));
     }

@@ -22,12 +22,14 @@
 //!   source rows match one target row, the last of them in source order
 //!   wins, which is the per-row loop's behaviour; the affected count
 //!   counts every (source, target) match pair.
-//! * `WHERE col = <literal or ?>` and key matches compare by column index
+//! * `WHERE col = <constant>` and key matches compare by column index
 //!   with SQL equality ([`dbms::key::sql_eq`]): `NULL` matches nothing,
 //!   even another `NULL`, and `3` matches `3.0`. Any other predicate is
-//!   evaluated per row; `NULL` counts as not taken.
-//! * A keyed point statement — `UPDATE`/`DELETE … WHERE k = <literal or
-//!   ?>` on an in-memory table whose declared single-column primary key is
+//!   evaluated per row; `NULL` counts as not taken. A constant is any
+//!   scalar that reads no row: a literal, a `?`, or an expression over
+//!   them such as `-1` or `? + 1`, evaluated once per statement.
+//! * A keyed point statement — `UPDATE`/`DELETE … WHERE k = <constant>`
+//!   on an in-memory table whose declared single-column primary key is
 //!   `k` — visits only its rows: the table's key index
 //!   ([`dbms::Table::key_slots`], shared with the hash build above) finds
 //!   them, computed `SET` values are evaluated for those rows alone, and
@@ -120,8 +122,11 @@ fn column(t: &Table, name: &str) -> Result<usize, DmlError> {
         .ok_or_else(|| DmlError(format!("unknown column {name}")))
 }
 
-/// The value of a `?` or a literal, which needs no row.
-fn constant(e: &Scalar, params: &[Value]) -> Option<Result<Value, DmlError>> {
+/// The value of a scalar that reads no row — a literal, a `?`, or
+/// operators and functions over them, such as `-1` — evaluated once. A
+/// missing `?` is an error; any other expression that fails to evaluate
+/// is left to the per-row path, so it fails exactly where a scan would.
+fn constant(e: &Scalar, db: &Database, params: &[Value]) -> Option<Result<Value, DmlError>> {
     match e {
         Scalar::Lit(l) => Some(Ok(Value::from_lit(l))),
         Scalar::Param(i) => Some(
@@ -130,7 +135,16 @@ fn constant(e: &Scalar, params: &[Value]) -> Option<Result<Value, DmlError>> {
                 .cloned()
                 .ok_or_else(|| EvalError::MissingParam(*i).into()),
         ),
-        _ => None,
+        _ => {
+            let mut row_free = true;
+            e.walk(&mut |s| {
+                row_free &= !matches!(s, Scalar::Col(_) | Scalar::Exists(_) | Scalar::Subquery(_))
+            });
+            if !row_free {
+                return None;
+            }
+            eval_scalar(e, db, params, None).ok().map(Ok)
+        }
     }
 }
 
@@ -160,19 +174,24 @@ fn per_row<T>(
 enum Filter<'a> {
     /// No `WHERE`.
     All,
-    /// `col = <literal or ?>`, compared by column index.
+    /// `col = <constant>`, compared by column index.
     Key(usize, Value),
     /// Any other predicate, evaluated per row.
     Pred(&'a Scalar),
 }
 
 impl<'a> Filter<'a> {
-    fn of(t: &Table, filter: Option<&'a Scalar>, params: &[Value]) -> Result<Filter<'a>, DmlError> {
+    fn of(
+        db: &Database,
+        t: &Table,
+        filter: Option<&'a Scalar>,
+        params: &[Value],
+    ) -> Result<Filter<'a>, DmlError> {
         let Some(pred) = filter else {
             return Ok(Filter::All);
         };
         if let Scalar::Bin(BinOp::Eq, l, r) = pred {
-            if let (Scalar::Col(c), Some(v)) = (l.as_ref(), constant(r, params)) {
+            if let (Scalar::Col(c), Some(v)) = (l.as_ref(), constant(r, db, params)) {
                 if c.qualifier.as_deref().is_none_or(|q| q == t.schema.name) {
                     return Ok(Filter::Key(column(t, &c.column)?, v?));
                 }
@@ -270,10 +289,10 @@ fn exec_update(
         .iter()
         .map(|(c, _)| column(t, c))
         .collect::<Result<Vec<_>, _>>()?;
-    let filter = Filter::of(t, filter, params)?;
+    let filter = Filter::of(db, t, filter, params)?;
     let consts = sets
         .iter()
-        .map(|(_, e)| constant(e, params))
+        .map(|(_, e)| constant(e, db, params))
         .collect::<Option<Result<Vec<_>, _>>>()
         .transpose()?;
     if let Filter::Key(col, v) = &filter {
@@ -407,7 +426,7 @@ fn exec_delete(
     filter: Option<&Scalar>,
     params: &[Value],
 ) -> Result<i64, DmlError> {
-    let filter = Filter::of(table(db, name)?, filter, params)?;
+    let filter = Filter::of(db, table(db, name)?, filter, params)?;
     if let Filter::Key(col, v) = &filter {
         let t = table_mut(db, name);
         if let Some(slots) = t.key_slots(*col, v) {
@@ -838,7 +857,7 @@ mod tests {
         let (k1, k2) = (key(), key());
         let n = Value::Int(rng.gen_range(0..40i64));
         *id += 1;
-        let (sql, params) = match rng.gen_range(0..14) {
+        let (sql, params) = match rng.gen_range(0..17) {
             0..=2 => ("INSERT INTO t VALUES (?, ?)", vec![k1, Value::Int(*id)]),
             3 => ("UPDATE t SET v = ? WHERE k = ?", vec![n, k1]),
             4 => ("UPDATE t SET v = v + ? WHERE k = ?", vec![n, k1]),
@@ -853,6 +872,10 @@ mod tests {
             ),
             11 => (UPDATE_T_KEYS_FROM_SRC, vec![]),
             12 => (DELETE_T_IN_SRC, vec![]),
+            // Keys written as expressions: constants, found by the index.
+            13 => ("DELETE FROM t WHERE k = -?", vec![k1]),
+            14 => ("UPDATE t SET v = v + ? WHERE k = -1", vec![n]),
+            15 => ("UPDATE t SET v = ? WHERE k = ? + 2", vec![n, k1]),
             _ => (
                 "INSERT INTO t SELECT k, v + 100 FROM t WHERE v < ?",
                 vec![n],
@@ -872,6 +895,7 @@ mod tests {
         use dbms::prng::StdRng;
         let pool = [
             Value::Null,
+            Value::Int(-1),
             Value::Int(1),
             Value::Int(3),
             Value::Float(3.0),

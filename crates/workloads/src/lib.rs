@@ -6,7 +6,9 @@
 //! * [`matoso`] — the Figure 2 ranking-page fragment (Experiment 7);
 //! * [`jobportal`] — the Figure 12 star-schema fragment (Experiment 8);
 //! * [`servlets`] — the keyword-search corpora: RuBiS (17), RuBBoS (16) and
-//!   AcadPortal (79) servlet-style programs (Experiment 3).
+//!   AcadPortal (79) servlet-style programs (Experiment 3);
+//! * [`sweep`] — those programs after `examples/corpus`, each with its
+//!   catalog: the 158-program sweep the tests and `perf_pipeline` share.
 //!
 //! Every module ships its schema catalog and a deterministic data
 //! generator, so experiments are reproducible end to end.
@@ -14,6 +16,7 @@
 pub mod jobportal;
 pub mod matoso;
 pub mod servlets;
+pub mod sweep;
 pub mod wilos;
 
 /// What the EqSQL implementation is expected to do with a sample

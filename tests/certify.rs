@@ -110,22 +110,12 @@ fn servlet_corpora_fully_certify() {
 
 #[test]
 fn example_corpus_fully_certifies() {
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/corpus");
-    let ddl = std::fs::read_to_string(dir.join("schema.sql")).unwrap();
-    let catalog = algebra::ddl::parse_ddl(&ddl).unwrap();
     let mut programs = 0;
-    let mut entries: Vec<_> = std::fs::read_dir(&dir)
-        .unwrap()
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|x| x == "imp"))
-        .collect();
-    entries.sort();
-    for path in entries {
-        let src = std::fs::read_to_string(&path).unwrap();
-        let program = imp::parse_and_normalize(&src).unwrap();
-        let report = Extractor::with_options(catalog.clone(), certified(Default::default()))
+    for u in workloads::sweep::corpus() {
+        let program = imp::parse_and_normalize(&u.source).unwrap();
+        let report = Extractor::with_options(u.catalog, certified(Default::default()))
             .extract_program(&program);
-        assert_fully_certified(&path.display().to_string(), &report);
+        assert_fully_certified(&u.name, &report);
         programs += 1;
     }
     assert!(programs >= 5, "corpus shrank to {programs} programs");

@@ -16,28 +16,14 @@ use eqsql::prelude::*;
 #[test]
 fn corpus_lint_codes_match_golden() {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let corpus = root.join("examples/corpus");
-    let schema = std::fs::read_to_string(corpus.join("schema.sql")).unwrap();
-    let catalog = algebra::ddl::parse_ddl(&schema).unwrap();
-
-    let mut files: Vec<PathBuf> = std::fs::read_dir(&corpus)
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .filter(|p| p.extension().is_some_and(|x| x == "imp"))
-        .collect();
-    files.sort();
-    assert!(!files.is_empty(), "corpus is empty");
-
     let mut lines = Vec::new();
-    for path in &files {
-        let src = std::fs::read_to_string(path).unwrap();
-        let program = imp::parse_and_normalize(&src)
-            .unwrap_or_else(|e| panic!("{} does not parse: {e}", path.display()));
-        let diags = lint_program(&program, &catalog, &ExtractorOptions::default());
+    for u in workloads::sweep::corpus() {
+        let program = imp::parse_and_normalize(&u.source)
+            .unwrap_or_else(|e| panic!("{} does not parse: {e}", u.name));
+        let diags = lint_program(&program, &u.catalog, &ExtractorOptions::default());
         let codes: BTreeSet<&str> = diags.iter().map(|d| d.code.as_str()).collect();
-        let name = path.file_name().unwrap().to_string_lossy();
         let suffix: String = codes.iter().map(|c| format!(" {c}")).collect();
-        lines.push(format!("{name}:{suffix}"));
+        lines.push(format!("{}:{suffix}", u.name.trim_start_matches("corpus/")));
     }
     let got = lines.join("\n") + "\n";
 

@@ -1,11 +1,14 @@
-//! Growth gate for shared ee-DAG nodes. A cursor loop whose body is `n`
+//! Growth gates for shared ee-DAG nodes. A cursor loop whose body is `n`
 //! sequential guarded updates builds a D-IR in which every update reads
 //! the previous value twice (condition and both branches), so the DAG is
 //! linear in `n` but its unfolding as a tree is exponential. Extraction
 //! must stay linear: every walk visits a shared node once and the F-IR
 //! text is capped. The gate counts allocations, which repeat exactly on
-//! every machine, rather than time.
+//! every machine, rather than time. A second family checks the D-IR
+//! itself: hash-consing keeps a `max` chain's DAG linear in its depth.
 
+use analysis::defuse::DefUseCtx;
+use eqsql_core::dir::DirBuilder;
 use eqsql_core::eedag::DISPLAY_CAP;
 use eqsql_core::Extractor;
 
@@ -61,6 +64,27 @@ fn sequential_guards_grow_linearly() {
         assert!(
             large < 3 * small,
             "else = {with_else}: {small} allocations at n = 8, {large} at n = 16"
+        );
+    }
+}
+
+/// `x = max(x + x, x);` `depth` times: each statement reads the previous
+/// value three times, so a tree would have about 3^depth nodes while the
+/// hash-consed DAG adds a constant number per statement.
+#[test]
+fn max_chains_build_a_linear_dag() {
+    let catalog = algebra::schema::Catalog::new();
+    for depth in [8, 16, 32] {
+        let body = "x = max(x + x, x);\n".repeat(depth);
+        let src = format!("fn f(a, b) {{ x = a + b;\n{body} return x; }}");
+        let program = imp::parse_and_normalize(&src).unwrap();
+        let du_ctx = DefUseCtx::of_program(&program);
+        let dir =
+            DirBuilder::new(&program, &catalog, &du_ctx).build(program.function("f").unwrap());
+        assert!(
+            dir.dag.len() < 16 * depth + 16,
+            "depth {depth}: {} DAG nodes",
+            dir.dag.len()
         );
     }
 }

@@ -22,11 +22,6 @@ use analysis::reaching::ReachingDefs;
 use analysis::taint::Taint;
 use imp::ast::{Expr, Program, StmtKind};
 
-// The dataflow answers need no schema: each unit's catalog goes unread.
-#[allow(dead_code)]
-#[path = "support/sweep.rs"]
-mod sweep;
-
 fn names<T: std::fmt::Display>(set: impl IntoIterator<Item = T>) -> String {
     set.into_iter()
         .map(|v| format!(" {v}"))
@@ -79,7 +74,7 @@ fn render(program: &Program, out: &mut String) {
 #[test]
 fn dataflow_answers_match_golden() {
     let mut got = String::new();
-    for unit in sweep::units() {
+    for unit in workloads::sweep::units() {
         let name = &unit.name;
         let program = imp::parse_and_normalize(&unit.source)
             .unwrap_or_else(|e| panic!("{name} does not parse: {e}"));

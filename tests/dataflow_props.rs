@@ -316,25 +316,14 @@ fn transfer_block<A: Analysis>(
 // --- Corpus helpers -----------------------------------------------------
 
 fn corpus_programs() -> Vec<(String, imp::ast::Program)> {
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/corpus");
-    let mut out = Vec::new();
-    let mut paths: Vec<_> = std::fs::read_dir(&dir)
-        .unwrap_or_else(|e| panic!("missing corpus dir {}: {e}", dir.display()))
-        .map(|e| e.unwrap().path())
-        .filter(|p| p.extension().is_some_and(|x| x == "imp"))
-        .collect();
-    paths.sort();
-    assert!(!paths.is_empty(), "corpus is empty");
-    for p in paths {
-        let src = std::fs::read_to_string(&p).unwrap();
-        let program = imp::parse_and_normalize(&src)
-            .unwrap_or_else(|e| panic!("{} does not parse: {e}", p.display()));
-        out.push((
-            p.file_name().unwrap().to_string_lossy().into_owned(),
-            program,
-        ));
-    }
-    out
+    workloads::sweep::corpus()
+        .into_iter()
+        .map(|u| {
+            let program = imp::parse_and_normalize(&u.source)
+                .unwrap_or_else(|e| panic!("{} does not parse: {e}", u.name));
+            (u.name, program)
+        })
+        .collect()
 }
 
 /// The oracle refinement contract only holds for structured control flow:

@@ -12,7 +12,8 @@
 //!    uncached sweeps over the full workload corpus must agree
 //!    byte-for-byte, diagnostics and rule traces included.
 
-use eqsql_core::dir::build_function_dir;
+use analysis::defuse::DefUseCtx;
+use eqsql_core::dir::DirBuilder;
 use eqsql_core::{Extractor, ExtractorOptions};
 use proptest::prelude::*;
 
@@ -80,8 +81,9 @@ proptest! {
             .unwrap_or_else(|e| panic!("generated source invalid: {e}\n{src}"));
         let catalog = dbms::gen::gen_emp(0, 0).catalog();
 
-        let d1 = build_function_dir(&program, &catalog, "f").expect("dir");
-        let d2 = build_function_dir(&program, &catalog, "f").expect("dir");
+        let f = program.function("f").expect("generated program has `f`");
+        let dir = || DirBuilder::new(&program, &catalog, &DefUseCtx::of_program(&program)).build(f);
+        let (d1, d2) = (dir(), dir());
         prop_assert_eq!(d1.dag.len(), d2.dag.len(), "arena sizes differ\n{}", &src);
         for i in 0..d1.dag.len() {
             let id = eqsql_core::eedag::NodeId(i as u32);
@@ -122,78 +124,33 @@ proptest! {
     }
 }
 
-/// Every (source, catalog, options) triple the corpus sweeps exercise.
-fn corpus_units() -> Vec<(String, String, algebra::schema::Catalog, ExtractorOptions)> {
-    let mut units = Vec::new();
-    let wilos_cat = workloads::wilos::catalog();
-    for s in workloads::wilos::samples() {
-        units.push((
-            format!("wilos/{}", s.label),
-            s.source.to_string(),
-            wilos_cat.clone(),
-            ExtractorOptions::default(),
-        ));
+/// The options an application of the 158-program sweep is extracted
+/// under: the servlets rewrite prints and ignore order, as keyword search
+/// does; the rest use the defaults.
+fn options(app: &str) -> ExtractorOptions {
+    match app {
+        "rubis" | "rubbos" | "acadportal" => ExtractorOptions {
+            rewrite_prints: true,
+            ordered: false,
+            ..Default::default()
+        },
+        _ => ExtractorOptions::default(),
     }
-    let servlet_opts = ExtractorOptions {
-        rewrite_prints: true,
-        ordered: false,
-        ..Default::default()
-    };
-    for (app, servlets, cat) in [
-        (
-            "rubis",
-            workloads::servlets::rubis(),
-            workloads::servlets::rubis_catalog(),
-        ),
-        (
-            "rubbos",
-            workloads::servlets::rubbos(),
-            workloads::servlets::rubbos_catalog(),
-        ),
-        (
-            "acadportal",
-            workloads::servlets::acadportal(),
-            workloads::servlets::acadportal_catalog(),
-        ),
-    ] {
-        for s in servlets {
-            units.push((
-                format!("{app}/{}", s.name),
-                s.source,
-                cat.clone(),
-                servlet_opts.clone(),
-            ));
-        }
-    }
-    units.push((
-        "matoso/find_max_score".to_string(),
-        workloads::matoso::FIND_MAX_SCORE.to_string(),
-        workloads::matoso::catalog(),
-        ExtractorOptions::default(),
-    ));
-    units.push((
-        "jobportal/applicant_report".to_string(),
-        workloads::jobportal::APPLICANT_REPORT.to_string(),
-        workloads::jobportal::catalog(),
-        ExtractorOptions::default(),
-    ));
-    units
 }
 
 /// Regression: cached rule rewrites equal uncached ones on the full corpus.
 #[test]
 fn rule_cache_is_transparent_on_full_corpus() {
     let mut mismatches = Vec::new();
-    for (name, source, catalog, opts) in corpus_units() {
-        let program = match imp::parse_and_normalize(&source) {
-            Ok(p) => p,
-            Err(e) => panic!("{name}: corpus source fails to parse: {e}"),
-        };
+    for u in workloads::sweep::units() {
+        let opts = options(u.app);
+        let program = imp::parse_and_normalize(&u.source)
+            .unwrap_or_else(|e| panic!("{}: corpus source fails to parse: {e}", u.name));
         let Some(fname) = program.functions.first().map(|f| f.name.to_string()) else {
             continue;
         };
         let cached = Extractor::with_options(
-            catalog.clone(),
+            u.catalog.clone(),
             ExtractorOptions {
                 rule_cache: true,
                 ..opts.clone()
@@ -201,7 +158,7 @@ fn rule_cache_is_transparent_on_full_corpus() {
         )
         .extract_function(&program, &fname);
         let uncached = Extractor::with_options(
-            catalog,
+            u.catalog,
             ExtractorOptions {
                 rule_cache: false,
                 ..opts
@@ -212,10 +169,11 @@ fn rule_cache_is_transparent_on_full_corpus() {
         // when enabled, and are asserted in aggregate below.
         assert_eq!(
             uncached.stage.rule_cache_hits, 0,
-            "{name}: disabled cache reported hits"
+            "{}: disabled cache reported hits",
+            u.name
         );
-        if cached.render_json(&source) != uncached.render_json(&source) {
-            mismatches.push(name);
+        if cached.render_json(&u.source) != uncached.render_json(&u.source) {
+            mismatches.push(u.name);
         }
     }
     assert!(
@@ -230,15 +188,14 @@ fn rule_cache_is_transparent_on_full_corpus() {
 #[test]
 fn rule_cache_engages_on_corpus() {
     let mut total_hits = 0u64;
-    for (name, source, catalog, opts) in corpus_units() {
-        let program = match imp::parse_and_normalize(&source) {
-            Ok(p) => p,
-            Err(e) => panic!("{name}: corpus source fails to parse: {e}"),
-        };
+    for u in workloads::sweep::units() {
+        let opts = options(u.app);
+        let program = imp::parse_and_normalize(&u.source)
+            .unwrap_or_else(|e| panic!("{}: corpus source fails to parse: {e}", u.name));
         let Some(fname) = program.functions.first().map(|f| f.name.to_string()) else {
             continue;
         };
-        let report = Extractor::with_options(catalog, opts).extract_function(&program, &fname);
+        let report = Extractor::with_options(u.catalog, opts).extract_function(&program, &fname);
         total_hits += report.stage.rule_cache_hits;
     }
     assert!(

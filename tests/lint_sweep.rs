@@ -18,8 +18,6 @@ use eqsql_core::{lint_program, Extractor, ExtractorOptions};
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
-#[path = "support/sweep.rs"]
-mod sweep;
 
 use counting_alloc::count;
 
@@ -36,7 +34,7 @@ fn lint_sweep_matches_golden() {
         ),
     ];
     let mut got = String::new();
-    for unit in sweep::units() {
+    for unit in workloads::sweep::units() {
         let program = imp::parse_and_normalize(&unit.source)
             .unwrap_or_else(|e| panic!("{} does not parse: {e}", unit.name));
         for (label, opts) in &option_sets {
@@ -80,7 +78,7 @@ fn lint_sweep_matches_golden() {
 fn lint_allocates_at_most_a_quarter_more_than_extraction() {
     let opts = ExtractorOptions::default();
     let (mut lint, mut extract) = (0, 0);
-    for unit in sweep::units() {
+    for unit in workloads::sweep::units() {
         let program = imp::parse_and_normalize(&unit.source)
             .unwrap_or_else(|e| panic!("{} does not parse: {e}", unit.name));
         let extractor = Extractor::with_options(unit.catalog.clone(), opts.clone());

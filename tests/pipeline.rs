@@ -6,8 +6,10 @@ use std::collections::BTreeSet;
 
 use algebra::Dialect;
 use analysis::cfg::{BlockId, Cfg, Terminator};
+use analysis::defuse::DefUseCtx;
 use dbms::gen::{gen_emp, gen_wilos};
 use dbms::Connection;
+use eqsql_core::dir::DirBuilder;
 use eqsql_core::{ExtractionOutcome, Extractor, ExtractorOptions};
 use interp::{Interp, RtValue};
 
@@ -155,17 +157,10 @@ fn extraction_does_not_depend_on_function_order() {
             return s + base;
         }
     "#;
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/corpus");
-    let catalog =
-        algebra::ddl::parse_ddl(&std::fs::read_to_string(dir.join("schema.sql")).unwrap()).unwrap();
+    let corpus = workloads::sweep::corpus();
+    let catalog = corpus[0].catalog.clone();
     let mut sources = vec![("three".to_string(), three.to_string())];
-    for entry in std::fs::read_dir(&dir).unwrap() {
-        let path = entry.unwrap().path();
-        if path.extension().is_some_and(|x| x == "imp") {
-            let name = path.file_name().unwrap().to_string_lossy().to_string();
-            sources.push((name, std::fs::read_to_string(&path).unwrap()));
-        }
-    }
+    sources.extend(corpus.into_iter().map(|u| (u.name, u.source)));
     let row = |v: &eqsql_core::VarExtraction| {
         (
             v.function.clone(),
@@ -292,10 +287,10 @@ fn regions_validate_against_cfg_on_realistic_code() {
         }
         seen
     };
+    let du_ctx = DefUseCtx::of_program(&program);
     for f in &program.functions {
         let cfg = Cfg::build(f);
-        let dir = eqsql_core::dir::build_function_dir(&program, &catalog, f.name.as_str())
-            .expect("D-IR builds");
+        let dir = DirBuilder::new(&program, &catalog, &du_ctx).build(f);
         assert_eq!(dir.loops.len(), 2);
         for l in &dir.loops {
             let (h, body) = cfg

@@ -8,7 +8,7 @@
 
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::Duration;
 
 use analysis::json::Json;
@@ -231,7 +231,7 @@ fn malformed_requests_get_4xx_not_5xx() {
 fn batch_output_is_identical_across_worker_counts() {
     // Acceptance: `eqsql batch … --jobs 4` must be byte-identical to
     // `--jobs 1`. `run_batch` is exactly what the CLI subcommand calls.
-    let corpus = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../examples/corpus");
+    let corpus = workloads::sweep::corpus_dir();
     let run = |jobs: usize| {
         run_batch(
             &corpus,
@@ -248,6 +248,9 @@ fn batch_output_is_identical_across_worker_counts() {
     assert!(one.contains("== summary:"), "{one}");
     // Paths are reported from the repository root, so the golden does not
     // depend on where the checkout lives.
-    let root = format!("{}/../../", env!("CARGO_MANIFEST_DIR"));
+    let root = format!(
+        "{}/",
+        corpus.parent().and_then(Path::parent).unwrap().display()
+    );
     golden("service_batch.txt", &one.replace(&root, ""));
 }
