@@ -11,8 +11,10 @@
 //! Modes:
 //!
 //! * default — starts an in-process keep-alive server and measures it with
-//!   `--clients` (64) × `--requests` (50); JSON written to `--out`
-//!   (default `BENCH_service.json`).
+//!   `--clients` (64) × `--requests` (200); JSON written to `--out`
+//!   (default `BENCH_service.json`). 12,800 requests leave about 13
+//!   samples above p999, so the tail percentiles rest on more than a
+//!   handful of requests.
 //! * `--addr HOST:PORT` — measure an already-running server instead. The
 //!   client reconnects whenever the server closes the connection, so the
 //!   same binary can A/B a `Connection: close` thread-per-connection
@@ -366,7 +368,7 @@ struct Opts {
 fn main() {
     let mut opts = Opts {
         clients: 64,
-        requests: 50,
+        requests: 200,
         seed: 42,
         addr: None,
         out: "BENCH_service.json".to_string(),

@@ -18,9 +18,12 @@
 //!   with the row count, JSON written to `--out`
 //!   (default `BENCH_storage.json`).
 //! * `--check` — the 10⁴-row size only; the emitted JSON is validated,
-//!   compared structurally against the tracked `BENCH_storage.json`
-//!   (same bench identity and per-size fields — never absolute timings),
-//!   and printed. Used by `ci.sh`; exit 0 on success.
+//!   compared against the tracked `BENCH_storage.json`, and printed. The
+//!   bench identity and per-size fields must match, and so must the work
+//!   the 10⁴ size does, exactly: each side's queries, rows and bytes
+//!   transferred and simulated cost, and the buffer pool's hits, misses
+//!   and evictions. Timings are never compared. Used by `ci.sh`; exit 0
+//!   on success.
 
 use std::path::PathBuf;
 use std::time::Instant;
@@ -144,9 +147,24 @@ fn measure(rows: usize) -> (Json, f64) {
     (record, speedup)
 }
 
-/// Structural comparison of a freshly generated document against the
-/// tracked one: identity fields must match and every size record must
-/// carry the same field set. Timings are never compared.
+/// The counters of a size record that repeat exactly from run to run: the
+/// work done, never the time it took.
+const WORK: [(&str, &[&str]); 3] = [
+    (
+        "imperative",
+        &["queries", "rows_transferred", "bytes_transferred", "sim_us"],
+    ),
+    (
+        "extracted",
+        &["queries", "rows_transferred", "bytes_transferred", "sim_us"],
+    ),
+    ("bufpool", &["hits", "misses", "evictions"]),
+];
+
+/// Comparison of a freshly generated document against the tracked one:
+/// identity fields must match, every size record must carry the same
+/// field set, and each fresh size's [`WORK`] counters must equal the
+/// tracked record's for that size. Timings are never compared.
 fn check_against_tracked(doc: &Json, tracked_path: &std::path::Path) {
     let text = std::fs::read_to_string(tracked_path)
         .unwrap_or_else(|e| panic!("tracked {} unreadable: {e}", tracked_path.display()));
@@ -178,6 +196,23 @@ fn check_against_tracked(doc: &Json, tracked_path: &std::path::Path) {
                 "size record missing `{key}`: {}",
                 rec.render()
             );
+        }
+    }
+    for rec in fresh {
+        let rows = rec.get("rows").and_then(Json::as_i64);
+        let want = sizes
+            .iter()
+            .find(|t| t.get("rows").and_then(Json::as_i64) == rows)
+            .unwrap_or_else(|| panic!("tracked file has no record of {rows:?} rows"));
+        for (group, keys) in WORK {
+            for key in keys {
+                let value = |r: &Json| r.get(group).and_then(|g| g.get(key)).map(Json::render);
+                assert_eq!(
+                    value(rec),
+                    value(want),
+                    "{rows:?} rows: `{group}.{key}` differs from the tracked file"
+                );
+            }
         }
     }
 }

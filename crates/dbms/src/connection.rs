@@ -10,7 +10,7 @@
 use algebra::ra::RaExpr;
 
 use crate::eval::{eval_query, EvalError};
-use crate::table::{Database, Relation};
+use crate::table::{row_wire_size, Database, Relation, Row};
 use crate::value::Value;
 
 /// Network/transfer cost model.
@@ -55,6 +55,36 @@ impl Stats {
     }
 }
 
+/// What a result sends to the client: its rows and their wire bytes,
+/// summed one row at a time with [`row_wire_size`]. A caller that pulls a
+/// [`crate::volcano::Cursor`] itself adds each row it sees and then
+/// [`Connection::charge`]s the total, exactly as [`Connection::execute`]
+/// charges a buffered result.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Transfer {
+    /// Rows sent.
+    pub rows: u64,
+    /// Bytes sent.
+    pub bytes: u64,
+}
+
+impl Transfer {
+    /// Count one more row.
+    pub fn add(&mut self, row: &[Value]) {
+        self.rows += 1;
+        self.bytes += row_wire_size(row) as u64;
+    }
+
+    /// The transfer of a whole result.
+    pub fn of(rows: &[Row]) -> Transfer {
+        let mut sent = Transfer::default();
+        for row in rows {
+            sent.add(row);
+        }
+        sent
+    }
+}
+
 /// A database connection with cost accounting.
 #[derive(Debug, Clone)]
 pub struct Connection {
@@ -88,7 +118,7 @@ impl Connection {
     /// Execute a query, paying one round trip plus transfer costs.
     pub fn execute(&mut self, q: &RaExpr, params: &[Value]) -> Result<Relation, EvalError> {
         let rel = eval_query(q, &self.db, params)?;
-        self.charge(&rel);
+        self.charge(Transfer::of(&rel.rows));
         Ok(rel)
     }
 
@@ -102,28 +132,26 @@ impl Connection {
         let mut out = Vec::with_capacity(queries.len());
         for (i, (q, params)) in queries.iter().enumerate() {
             let rel = eval_query(q, &self.db, params)?;
-            let bytes = rel.wire_size() as u64;
-            self.stats.queries += 1;
-            self.stats.rows += rel.len() as u64;
-            self.stats.bytes += bytes;
             // Only the first query in the wave pays latency.
             let lat = if i == 0 { self.cost.latency_us } else { 0.0 };
-            self.stats.sim_us += lat
-                + bytes as f64 * self.cost.per_byte_us
-                + rel.len() as f64 * self.cost.per_row_us;
+            self.meter(Transfer::of(&rel.rows), lat);
             out.push(rel);
         }
         Ok(out)
     }
 
-    fn charge(&mut self, rel: &Relation) {
-        let bytes = rel.wire_size() as u64;
+    /// Pay for one query: a round trip plus the transfer of its result.
+    pub fn charge(&mut self, sent: Transfer) {
+        self.meter(sent, self.cost.latency_us);
+    }
+
+    fn meter(&mut self, sent: Transfer, latency_us: f64) {
         self.stats.queries += 1;
-        self.stats.rows += rel.len() as u64;
-        self.stats.bytes += bytes;
-        self.stats.sim_us += self.cost.latency_us
-            + bytes as f64 * self.cost.per_byte_us
-            + rel.len() as f64 * self.cost.per_row_us;
+        self.stats.rows += sent.rows;
+        self.stats.bytes += sent.bytes;
+        self.stats.sim_us += latency_us
+            + sent.bytes as f64 * self.cost.per_byte_us
+            + sent.rows as f64 * self.cost.per_row_us;
     }
 }
 

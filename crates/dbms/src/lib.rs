@@ -19,7 +19,9 @@
 //!
 //! [`connection::Connection`] wraps the engine behind a simulated
 //! client/server boundary: each query costs one round-trip latency plus a
-//! per-byte transfer cost, and all traffic is metered. Experiments 5–8
+//! per-byte transfer cost, and all traffic is metered; a result pulled
+//! through a [`volcano::Cursor`] is metered row by row with
+//! [`connection::Transfer`], as a buffered one is. Experiments 5–8
 //! measure exactly these quantities (time and data transferred), so the
 //! *shape* of the paper's results is reproducible without a networked MySQL.
 
@@ -33,7 +35,7 @@ pub mod table;
 pub mod value;
 pub mod volcano;
 
-pub use connection::{Connection, CostModel, Stats};
+pub use connection::{Connection, CostModel, Stats, Transfer};
 pub use eval::{eval_query, EvalError};
 pub use paged::PagedTable;
 pub use table::{Database, Relation, Row, Table};

@@ -28,6 +28,15 @@ use crate::value::Value;
 /// A row: values in schema column order.
 pub type Row = Vec<Value>;
 
+/// The bytes one result row costs on the simulated wire: its values plus a
+/// fixed per-row overhead. [`Relation::wire_size`] and
+/// [`crate::connection::Transfer`] both sum it, so a buffered result and a
+/// streamed one are metered alike.
+pub fn row_wire_size(row: &[Value]) -> usize {
+    const PER_ROW_OVERHEAD: usize = 8;
+    PER_ROW_OVERHEAD + row.iter().map(Value::wire_size).sum::<usize>()
+}
+
 /// How a table's rows are stored.
 #[derive(Debug, Clone)]
 enum Backing {
@@ -401,11 +410,7 @@ impl Relation {
 
     /// Total wire size of all rows, for transfer accounting.
     pub fn wire_size(&self) -> usize {
-        const PER_ROW_OVERHEAD: usize = 8;
-        self.rows
-            .iter()
-            .map(|r| PER_ROW_OVERHEAD + r.iter().map(Value::wire_size).sum::<usize>())
-            .sum()
+        self.rows.iter().map(|r| row_wire_size(r)).sum()
     }
 
     /// Number of rows.

@@ -23,6 +23,10 @@
 //! row. `EXISTS` and scalar subqueries pull a single row and stop
 //! (`first_row`).
 //!
+//! A [`Cursor`] is an opened tree: a caller pulls its rows one at a time
+//! into a buffer it owns, as the interpreter's streaming cursor loops do.
+//! [`execute`] opens one and drains it into a [`Relation`].
+//!
 //! The scan decodes only the columns the operators above it read (see
 //! `scan_columns`); the others read as NULL, which nothing above can
 //! observe. A γ with no GROUP BY feeds one accumulator set directly.
@@ -45,19 +49,57 @@ use crate::eval::{empty_agg, fields_of, Accumulator, Bound, EvalError, Scope};
 use crate::table::{Database, Field, Relation, Row, TableScan};
 use crate::value::Value;
 
-/// Execute a plan, draining the operator tree into a [`Relation`]. Every
-/// query runs here: [`crate::eval_query`] is this function.
+/// Execute a plan: open a [`Cursor`] on it and drain it into a
+/// [`Relation`]. Every buffered query runs here: [`crate::eval_query`] is
+/// this function.
 pub fn execute(ra: &RaExpr, db: &Database, params: &[Value]) -> Result<Relation, EvalError> {
-    let columns = scan_columns(ra);
-    let cx = Ctx {
-        db,
-        params,
-        outer: None,
-    };
-    let mut op = build(ra, cx, columns.as_deref())?;
-    let fields = op.fields().to_vec();
-    let rows = drain(op.as_mut())?;
+    let mut cursor = Cursor::open(ra, db, params)?;
+    let fields = cursor.fields().to_vec();
+    let rows = drain(cursor.op.as_mut())?;
     Ok(Relation { fields, rows })
+}
+
+/// An open query: the operator tree of a plan, yielding its result one row
+/// at a time. It borrows the plan, the database and the parameters until
+/// it is dropped, and holds only operator state, never the whole result
+/// (unless an operator below must, as τ does). A caller that pulls rows
+/// itself meters them with [`crate::connection::Transfer`].
+pub struct Cursor<'a> {
+    op: Box<dyn Op + 'a>,
+}
+
+impl<'a> Cursor<'a> {
+    /// Build the operator tree for `ra` over `db`. An error found while
+    /// building (an unknown table, a failing join input, which is
+    /// materialized here) is returned now; one found on a row is returned
+    /// by the [`Cursor::next`] that reaches it.
+    pub fn open(
+        ra: &'a RaExpr,
+        db: &'a Database,
+        params: &'a [Value],
+    ) -> Result<Cursor<'a>, EvalError> {
+        let columns = scan_columns(ra);
+        let cx = Ctx {
+            db,
+            params,
+            outer: None,
+        };
+        Ok(Cursor {
+            op: build(ra, cx, columns.as_deref())?,
+        })
+    }
+
+    /// The result's columns.
+    pub fn fields(&self) -> &[Field] {
+        self.op.fields()
+    }
+
+    /// Overwrite `row` with the next result row, reusing its allocations;
+    /// `false` once the result is exhausted, leaving `row` unspecified.
+    /// After an error the cursor must not be pulled again.
+    pub fn next(&mut self, row: &mut Row) -> Result<bool, EvalError> {
+        self.op.next(row)
+    }
 }
 
 /// Pull every remaining row out of `op`.

@@ -27,12 +27,32 @@
 //!   read a variable in place; only the scalar or element produced is
 //!   copied. A receiver whose arguments contain a mutating call is copied
 //!   first, since it is evaluated before them.
-//! * `for (e in xs)` consumes an owned iterable (`executeQuery(..)`)
-//!   without copying it, and iterates a snapshot of a variable: one copy,
-//!   so the body may change or reassign the variable without affecting
-//!   the iteration.
+//! * `for (e in xs)` consumes an owned iterable without copying it, and
+//!   iterates a snapshot of a variable: one copy, so the body may change
+//!   or reassign the variable without affecting the iteration.
 //! * Row fields resolve on the row's shared field list (leftmost match for
 //!   an unqualified name), and binary operators consume their operands.
+//!
+//! # Cursor loops stream
+//!
+//! A `for (e in executeQuery(…))` whose body makes no database call,
+//! directly or through a user function, pulls its rows from the query's
+//! [`dbms::volcano::Cursor`] as the body asks for them instead of
+//! buffering the whole result first, so it holds one row at a time rather
+//! than the result twice over (once as a relation, once as a list). Which
+//! loops qualify is decided once per program, on the first such loop, by
+//! a fixpoint over the call graph; every other `for` keeps the buffered
+//! rows, through the same loop. The row is pulled into one of two buffers
+//! that swap with the loop variable's, so a warm loop allocates nothing
+//! per row and `e` still holds the last row after the loop. Nothing
+//! observable changes: every exit (the end, `break`, `return`, an error
+//! in the body) drains the cursor and charges the query once, so
+//! `conn.stats` match the buffered loop's, and a query error met on a
+//! later row still wins over the body: its printed lines and steps are
+//! undone and the same error is returned. While the loop runs, the
+//! database is moved out of the connection for the cursor to borrow; the
+//! body cannot reach it, which a debug assertion in the SQL entry points
+//! checks.
 //!
 //! None of this changes the step accounting: every expression, variable
 //! read included, charges the same one step against

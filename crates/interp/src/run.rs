@@ -1,15 +1,19 @@
 //! The interpreter proper.
 
 use std::borrow::Cow;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 
 use algebra::dml::Stmt;
 use algebra::parse::{parse_sql, parse_statement};
 use algebra::RaExpr;
-use dbms::eval::eval_binop;
-use dbms::{Connection, Value};
+use dbms::eval::{eval_binop, EvalError};
+use dbms::table::Field;
+use dbms::volcano::Cursor;
+use dbms::{Connection, Database, Row, Transfer, Value};
+use imp::ast::builtins::{DB_FUNCTIONS, EXECUTE_QUERY};
 use imp::ast::{BinaryOp, Block, Expr, Literal, Program, StmtKind, UnaryOp};
 use intern::Symbol;
 
@@ -49,7 +53,29 @@ enum Flow {
     Continue,
 }
 
-type Env = HashMap<Symbol, RtValue>;
+/// The hasher of an [`Env`]: a [`Symbol`] hashes as its `u32` ticket, and
+/// one multiply by an odd constant spreads distinct tickets over the word.
+/// SipHash cost more than the variable read it keyed. Tickets are dense
+/// counters the interner hands out, not values a program chooses, so a
+/// program cannot cheaply line its variables up in one bucket.
+#[derive(Default)]
+struct TicketHasher(u64);
+
+impl Hasher for TicketHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("an Env hashes only Symbol tickets")
+    }
+
+    fn write_u32(&mut self, ticket: u32) {
+        self.0 = u64::from(ticket).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+type Env = HashMap<Symbol, RtValue, BuildHasherDefault<TicketHasher>>;
 
 /// Collection methods that change their receiver variable in place.
 const MUTATING_METHODS: [&str; 6] = ["add", "insert", "append", "remove", "clear", "addAll"];
@@ -85,6 +111,11 @@ impl Recv {
             Recv::Value(x) => x,
         }
     }
+}
+
+/// A query's evaluation error as the interpreter reports it.
+fn sql_error(e: EvalError) -> RtError {
+    RtError::Sql(e.to_string())
 }
 
 /// Three-valued truth of a runtime value: `None` for SQL NULL, otherwise
@@ -145,6 +176,136 @@ fn parsed<T, E: fmt::Display>(
     }
 }
 
+/// Does `block` call the database, directly or through one of `db`, the
+/// functions known to?
+fn calls_db(block: &Block, db: &HashSet<Symbol>) -> bool {
+    let mut found = false;
+    block.walk_exprs(&mut |e| {
+        if let Expr::Call { name, .. } = e {
+            found |= DB_FUNCTIONS.contains(&name.as_str()) || db.contains(name);
+        }
+    });
+    found
+}
+
+/// The program's functions that call the database, directly or through
+/// the functions they call: the least fixpoint over the call graph. A name
+/// shared by several functions, or by a builtin, counts if any of them
+/// calls the database, which can only keep a loop buffered.
+fn db_functions(program: &Program) -> HashSet<Symbol> {
+    let mut db = HashSet::new();
+    loop {
+        let known = db.len();
+        for f in &program.functions {
+            if !db.contains(&f.name) && calls_db(&f.body, &db) {
+                db.insert(f.name);
+            }
+        }
+        if db.len() == known {
+            return db;
+        }
+    }
+}
+
+/// The bodies of the program's `for (e in executeQuery(…))` loops that may
+/// stream their rows: those that make no database call, directly or
+/// through a user function. A loop is known by its body's address, which
+/// is fixed while the interpreter borrows the program.
+fn streaming_loops(program: &Program) -> HashSet<*const Block> {
+    let db = db_functions(program);
+    let mut loops = HashSet::new();
+    for f in &program.functions {
+        f.body.walk(&mut |s, _| {
+            if let StmtKind::ForEach {
+                iterable: Expr::Call { name, .. },
+                body,
+                ..
+            } = &s.kind
+            {
+                if *name == EXECUTE_QUERY && !calls_db(body, &db) {
+                    loops.insert(body as *const Block);
+                }
+            }
+        });
+    }
+    loops
+}
+
+/// Where a `for` loop's elements come from: a query result pulled from its
+/// cursor row by row, or a collection already in hand.
+enum Elems<'c> {
+    Live(Live<'c>),
+    Buffered(std::vec::IntoIter<RtValue>),
+}
+
+/// A query result being streamed into a loop variable.
+struct Live<'c> {
+    cursor: Cursor<'c>,
+    fields: Rc<Vec<Field>>,
+    /// The buffer the next row is pulled into. It swaps with the loop
+    /// variable's values, so the two buffers alternate and a warm loop
+    /// allocates nothing per row.
+    spare: Row,
+    /// The rows pulled so far.
+    sent: Transfer,
+    /// The query error that ended the loop early, if one did.
+    failed: Option<EvalError>,
+}
+
+impl Elems<'_> {
+    /// Bind `var` to the next element; `false` at the end. A query error
+    /// ends the loop here and is reported by [`Elems::finish`].
+    fn next_into(&mut self, env: &mut Env, var: Symbol) -> bool {
+        let live = match self {
+            Elems::Buffered(elems) => {
+                return elems.next().map(|el| env.insert(var, el)).is_some();
+            }
+            Elems::Live(live) => live,
+        };
+        match live.cursor.next(&mut live.spare) {
+            Ok(true) => {}
+            Ok(false) => return false,
+            Err(e) => {
+                live.failed = Some(e);
+                return false;
+            }
+        }
+        live.sent.add(&live.spare);
+        match env.get_mut(&var) {
+            Some(RtValue::Row { fields, values }) if Rc::ptr_eq(fields, &live.fields) => {
+                std::mem::swap(values, &mut live.spare);
+            }
+            _ => {
+                let values = std::mem::take(&mut live.spare);
+                env.insert(
+                    var,
+                    RtValue::Row {
+                        fields: Rc::clone(&live.fields),
+                        values,
+                    },
+                );
+            }
+        }
+        true
+    }
+
+    /// Pull whatever rows the loop left, so the query costs what it costs
+    /// buffered: its whole result, or the error that ends it. A buffered
+    /// collection was paid for when it was fetched.
+    fn finish(self) -> Result<Transfer, EvalError> {
+        let Elems::Live(mut live) = self else {
+            return Ok(Transfer::default());
+        };
+        if let Some(e) = live.failed {
+            return Err(e);
+        }
+        while live.cursor.next(&mut live.spare)? {
+            live.sent.add(&live.spare);
+        }
+        Ok(live.sent)
+    }
+}
+
 /// An interpreter instance bound to a program and a metered connection.
 pub struct Interp<'a> {
     program: &'a Program,
@@ -161,6 +322,12 @@ pub struct Interp<'a> {
     queries: ParseCache<RaExpr>,
     /// Parsed statement literals (`executeUpdate`).
     statements: ParseCache<Stmt>,
+    /// [`streaming_loops`] of the program, found on the first loop over
+    /// `executeQuery`.
+    streaming: Option<HashSet<*const Block>>,
+    /// A cursor loop is streaming: `conn.db` is moved out, so no SQL call
+    /// may run until the loop ends.
+    in_cursor: bool,
 }
 
 impl<'a> Interp<'a> {
@@ -174,6 +341,8 @@ impl<'a> Interp<'a> {
             max_steps: 50_000_000,
             queries: HashMap::new(),
             statements: HashMap::new(),
+            streaming: None,
+            in_cursor: false,
         }
     }
 
@@ -244,20 +413,29 @@ impl<'a> Interp<'a> {
                     iterable,
                     body,
                 } => {
-                    // An owned iterable is consumed; a variable is copied
-                    // once, so the body may change it without affecting
-                    // the iteration.
-                    let elems = match self.eval(iterable, env)? {
-                        RtValue::List(xs) | RtValue::Set(xs) => xs,
-                        other => return Err(RtError::Type(format!("cannot iterate over {other}"))),
-                    };
-                    'iters: for el in elems {
-                        env.insert(*var, el);
-                        match self.exec_block(body, env)? {
-                            Flow::Normal | Flow::Continue => {}
-                            Flow::Break => break 'iters,
-                            r @ Flow::Return(_) => return Ok(r),
+                    let flow = match iterable {
+                        Expr::Call { name, args }
+                            if *name == EXECUTE_QUERY && self.streams(body) =>
+                        {
+                            self.stream_for(*var, args, body, env)?
                         }
+                        // An owned iterable is consumed; a variable is
+                        // copied once, so the body may change it without
+                        // affecting the iteration.
+                        _ => match self.eval(iterable, env)? {
+                            RtValue::List(xs) | RtValue::Set(xs) => self.exec_for(
+                                *var,
+                                &mut Elems::Buffered(xs.into_iter()),
+                                body,
+                                env,
+                            )?,
+                            other => {
+                                return Err(RtError::Type(format!("cannot iterate over {other}")))
+                            }
+                        },
+                    };
+                    if let Flow::Return(_) = flow {
+                        return Ok(flow);
                     }
                 }
                 StmtKind::While { cond, body } => loop {
@@ -290,6 +468,95 @@ impl<'a> Interp<'a> {
             }
         }
         Ok(Flow::Normal)
+    }
+
+    /// Run `body` once per element of `elems`, bound to `var`: the one loop
+    /// behind every `for`. `Normal` once the elements run out or the body
+    /// breaks; `Return` when it returns.
+    fn exec_for(
+        &mut self,
+        var: Symbol,
+        elems: &mut Elems<'_>,
+        body: &Block,
+        env: &mut Env,
+    ) -> Result<Flow, RtError> {
+        while elems.next_into(env, var) {
+            match self.exec_block(body, env)? {
+                Flow::Normal | Flow::Continue => {}
+                Flow::Break => break,
+                r @ Flow::Return(_) => return Ok(r),
+            }
+        }
+        Ok(Flow::Normal)
+    }
+
+    /// May the `for (e in executeQuery(…))` loop over `body` stream?
+    fn streams(&mut self, body: &Block) -> bool {
+        let program = self.program;
+        self.streaming
+            .get_or_insert_with(|| streaming_loops(program))
+            .contains(&(body as *const Block))
+    }
+
+    /// `for (var in executeQuery(args…)) body` with the rows pulled from
+    /// the query's cursor as the body asks for them, not buffered first.
+    /// The body makes no database call ([`streaming_loops`]), so the
+    /// database is moved out of the connection for the cursor to borrow,
+    /// and moved back on every exit.
+    fn stream_for(
+        &mut self,
+        var: Symbol,
+        args: &[Expr],
+        body: &Block,
+        env: &mut Env,
+    ) -> Result<Flow, RtError> {
+        // The step `eval` charges for the call expression.
+        self.tick()?;
+        let (ra, params) = self.prepare_query(args, env)?;
+        let db = std::mem::take(&mut self.conn.db);
+        self.in_cursor = true;
+        let flow = self.stream_rows(var, &ra, &params, &db, body, env);
+        self.in_cursor = false;
+        self.conn.db = db;
+        flow
+    }
+
+    /// The loop of [`Self::stream_for`] over `db`. Whatever ends it — the
+    /// last row, `break`, `return` or an error in the body — the cursor is
+    /// drained and the query charged once, as a buffered result is. A query
+    /// error met on any row wins over what the body did, as it does when
+    /// the error stops the fetch before the body runs: the lines the body
+    /// printed and the steps it took are undone, and the error returned.
+    fn stream_rows(
+        &mut self,
+        var: Symbol,
+        ra: &RaExpr,
+        params: &[Value],
+        db: &Database,
+        body: &Block,
+        env: &mut Env,
+    ) -> Result<Flow, RtError> {
+        let cursor = Cursor::open(ra, db, params).map_err(sql_error)?;
+        let (steps, lines) = (self.steps, self.output.len());
+        let mut elems = Elems::Live(Live {
+            fields: Rc::new(cursor.fields().to_vec()),
+            cursor,
+            spare: Row::new(),
+            sent: Transfer::default(),
+            failed: None,
+        });
+        let flow = self.exec_for(var, &mut elems, body, env);
+        match elems.finish() {
+            Ok(sent) => {
+                self.conn.charge(sent);
+                flow
+            }
+            Err(e) => {
+                self.steps = steps;
+                self.output.truncate(lines);
+                Err(sql_error(e))
+            }
+        }
     }
 
     fn print_values(&mut self, vals: &[RtValue]) {
@@ -505,8 +772,7 @@ impl<'a> Interp<'a> {
                     let key = p.as_scalar().cloned().ok_or_else(|| {
                         RtError::Type("executeBatch parameters must be scalars".into())
                     })?;
-                    let rel = dbms::eval_query(&ra, &self.conn.db, &[key])
-                        .map_err(|e| RtError::Sql(e.to_string()))?;
+                    let rel = dbms::eval_query(&ra, &self.conn.db, &[key]).map_err(sql_error)?;
                     let v = rel
                         .rows
                         .first()
@@ -638,12 +904,20 @@ impl<'a> Interp<'a> {
     }
 
     fn run_query(&mut self, args: &[Expr], env: &mut Env) -> Result<dbms::Relation, RtError> {
-        let (sql, vals) = self.sql_call("executeQuery", args, env)?;
+        let (ra, params) = self.prepare_query(args, env)?;
+        self.conn.execute(&ra, &params).map_err(sql_error)
+    }
+
+    /// The parsed query and parameter values of an `executeQuery` call.
+    fn prepare_query(
+        &mut self,
+        args: &[Expr],
+        env: &mut Env,
+    ) -> Result<(Rc<RaExpr>, Vec<Value>), RtError> {
+        let (sql, vals) = self.sql_call(EXECUTE_QUERY, args, env)?;
         let params = scalars(&vals, "query parameters must be scalars")?;
         let ra = parsed(&mut self.queries, &sql, parse_sql)?;
-        self.conn
-            .execute(&ra, &params)
-            .map_err(|e| RtError::Sql(e.to_string()))
+        Ok((ra, params))
     }
 
     /// Evaluate the arguments of the SQL call `name`, in order: its SQL
@@ -656,6 +930,10 @@ impl<'a> Interp<'a> {
         args: &'e [Expr],
         env: &mut Env,
     ) -> Result<(SqlText<'e>, Vec<RtValue>), RtError> {
+        debug_assert!(
+            !self.in_cursor,
+            "{name} called while a cursor loop holds the database"
+        );
         let Some((first, rest)) = args.split_first() else {
             return Err(RtError::Type(format!(
                 "{name} needs a SQL string, got None"

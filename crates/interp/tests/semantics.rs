@@ -192,3 +192,130 @@ fn cursor_loop_step_count_is_pinned() {
         Err(RtError::BudgetExhausted)
     );
 }
+
+/// `emp` over 12 rows, in memory and paged behind 4 buffer-pool frames.
+fn emp_backings() -> [dbms::Database; 2] {
+    let mem = gen_emp(12, 5);
+    let emp = mem.table("emp").unwrap();
+    let mut paged = dbms::Database::paged_in_memory(4);
+    paged.create_table(emp.schema.clone());
+    for row in emp.scan() {
+        paged.insert("emp", row);
+    }
+    [mem, paged]
+}
+
+/// Everything a run leaves to observe: the value or error of `f`, the
+/// printed lines and the connection's meter.
+fn observe(src: &str, db: &dbms::Database) -> (Result<RtValue, RtError>, Vec<String>, dbms::Stats) {
+    let p = parse_program(src).unwrap();
+    let mut it = Interp::new(&p, Connection::new(db.clone()));
+    let v = it.call("f", vec![]);
+    (v, it.output, it.conn.stats)
+}
+
+/// `src` with `LOOP` written as a cursor loop over `executeQuery(query)`
+/// and, for the reference, as the same loop over a variable holding the
+/// result, which buffers it: the two must agree on the value or error of
+/// `f`, the printed lines and the meter, in memory and paged.
+fn streams_like_buffered(src: &str, query: &str) {
+    let streamed = src.replace("LOOP", &format!("for (e in executeQuery({query}))"));
+    let buffered = src.replace(
+        "LOOP",
+        &format!("rows = executeQuery({query}); for (e in rows)"),
+    );
+    for db in emp_backings() {
+        let want = observe(&buffered, &db);
+        assert_eq!(observe(&streamed, &db), want, "{streamed}");
+    }
+}
+
+const ALL: &str = r#""SELECT * FROM emp""#;
+
+#[test]
+fn a_streamed_loop_breaks_and_returns_like_a_buffered_one() {
+    streams_like_buffered(
+        "fn f() { s = 0; n = 0; LOOP { n = n + 1; s = s + e.salary; if (n >= 3) break; } return pair(n, s); }",
+        ALL,
+    );
+    streams_like_buffered(
+        "fn f() { LOOP { if (e.salary > 100000) return e.name; } return \"none\"; }",
+        ALL,
+    );
+    streams_like_buffered(
+        "fn f() { s = 0; LOOP { if (e.dept == \"eng\") continue; s = s + e.salary; } return s; }",
+        r#""SELECT * FROM emp WHERE salary > ?", 60000"#,
+    );
+}
+
+#[test]
+fn a_streamed_loop_prints_like_a_buffered_one() {
+    streams_like_buffered(
+        "fn f() { print(\"start\"); LOOP { print(e.name, \":\", e.salary); } print(\"end\"); return 0; }",
+        ALL,
+    );
+}
+
+#[test]
+fn a_body_that_queries_through_a_function_stays_buffered() {
+    // `g` queries directly and `h` through `g`; a loop calling either must
+    // not stream (the interpreter's debug assertion fails if it does), and
+    // the inner loop of the last program, whose body makes no call, may.
+    let src = r#"
+        fn g(id) { return executeScalar("SELECT salary FROM emp WHERE id = ?", id); }
+        fn h(id) { return g(id); }
+        fn f() { s = 0; LOOP { s = s + h(e.id) - g(e.id) + e.salary; } return s; }
+    "#;
+    streams_like_buffered(src, ALL);
+    streams_like_buffered(
+        r#"fn f() {
+            s = 0;
+            LOOP {
+                for (d in executeQuery("SELECT * FROM emp WHERE id <= ?", e.id)) { s = s + d.salary; }
+            }
+            return s;
+        }"#,
+        ALL,
+    );
+}
+
+#[test]
+fn a_query_failing_mid_result_wins_over_the_body() {
+    // Rows with id < 3 pass on the left of the OR; the first row past them
+    // compares an integer with a string, a type error.
+    let query = r#""SELECT * FROM emp WHERE id < 3 OR salary < 'z'""#;
+    let prefix = format!("fn f() {{ return executeQuery({query} + \" LIMIT 3\").size(); }}");
+    for db in emp_backings() {
+        assert_eq!(observe(&prefix, &db).0, Ok(RtValue::int(3)));
+    }
+    for body in [
+        "print(e.id);",
+        "print(e.id); if (e.id == 1) break;",
+        "print(e.id); return e.id;",
+        "print(e.id); x = e.nope;",
+    ] {
+        let src =
+            format!("fn f() {{ print(\"start\"); LOOP {{ {body} }} print(\"end\"); return 0; }}");
+        streams_like_buffered(&src, query);
+        let (v, out, _) = observe(
+            &src.replace("LOOP", &format!("for (e in executeQuery({query}))")),
+            &gen_emp(12, 5),
+        );
+        assert!(matches!(v, Err(RtError::Sql(_))), "{body}: {v:?}");
+        assert_eq!(out, ["start"], "{body}");
+    }
+}
+
+#[test]
+fn the_loop_variable_holds_the_last_row_after_a_streamed_loop() {
+    for src in [
+        "fn f() { LOOP { } return e; }",
+        "fn f() { LOOP { if (e.id == 4) break; } return e; }",
+        "fn f() { LOOP { x = e; } return pair(e, x); }",
+        "fn f() { LOOP { e = e.id; } return e; }",
+        "fn f() { e = 5; LOOP { } return e; }",
+    ] {
+        streams_like_buffered(src, ALL);
+        streams_like_buffered(src, r#""SELECT * FROM emp WHERE id < 0""#);
+    }
+}
