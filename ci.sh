@@ -135,8 +135,10 @@ echo "==> eqbench tests (--check smoke + unit tests)"
 cargo test --release --offline --manifest-path eqbench/Cargo.toml
 
 echo "==> perf_pipeline --check"
-# Small-corpus sweep: asserts the bench harness runs end to end and emits
-# valid JSON. No timing gates — CI machines are too noisy for that.
+# One sweep of the 158 programs: asserts the bench harness runs end to
+# end, emits valid JSON, and does the tracked work exactly (units, peak
+# ee-DAG size, rule-cache hits and misses in BENCH_extract.json). No
+# timing gates — CI machines are too noisy for that.
 cargo run -q --release -p bench --bin perf_pipeline -- --check
 
 echo "==> service smoke test (persistent connection)"

@@ -9,6 +9,14 @@
 //! A statement is removable when its result is dead **and** it has no
 //! external *write* effect. Pure external *reads* (queries) are removable:
 //! eliminating an unused query round trip is precisely the optimization.
+//!
+//! Each round replays every CFG block backward from its live-out and
+//! drops a dead write's reads as it goes, so a straight-line chain of dead
+//! assignments (`s = 0; s = s + 1; …` before an extracted loop) goes in
+//! one round. Rounds repeat for what one sweep uncovers across blocks: a
+//! branch or loop body emptied, a read in another block gone. A removal
+//! only ever shrinks liveness, so the fixpoint is the one a round per
+//! removed link would reach.
 
 use imp::ast::{Block, Expr, Function, Stmt, StmtId, StmtKind};
 
@@ -37,26 +45,31 @@ pub(crate) fn eliminate_dead_code_from(f: &mut Function, mut dead: Vec<StmtId>) 
 }
 
 /// The assignments, and the mutations of a variable receiver, whose
-/// variable is dead after them under `live`, sorted by id. One liveness
-/// replay of every block.
+/// variable is dead after them under `live`, sorted by id. One backward
+/// replay of every block, in which a dead write the sweep removes no
+/// longer reads its operands, so a straight-line chain of dead writes is
+/// found at once.
 pub(crate) fn dead_writes(live: &Liveness<'_>) -> Vec<StmtId> {
     let mut dead = Vec::new();
     live.replay(|s, is_live| {
-        let written = match &s.kind {
-            StmtKind::Assign { target, .. } => *target,
-            StmtKind::Expr(Expr::MethodCall { recv, name, .. })
+        let (written, effect) = match &s.kind {
+            StmtKind::Assign { target, value } => (*target, value),
+            StmtKind::Expr(e @ Expr::MethodCall { recv, name, .. })
                 if crate::defuse::MUTATING_METHODS.contains(&name.as_str()) =>
             {
                 match recv.as_ref() {
-                    Expr::Var(v) => *v,
-                    _ => return,
+                    Expr::Var(v) => (*v, e),
+                    _ => return true,
                 }
             }
-            _ => return,
+            _ => return true,
         };
-        if !is_live(written) {
-            dead.push(s.id);
+        if is_live(written) {
+            return true;
         }
+        dead.push(s.id);
+        // As `keeps` judges a dead write.
+        has_side_effect(effect)
     });
     dead.sort_unstable();
     dead

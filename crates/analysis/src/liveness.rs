@@ -251,14 +251,25 @@ impl<'a> Liveness<'a> {
     }
 
     /// Call `visit(stmt, is_live)` for every statement, each block replayed
-    /// once, where `is_live(v)` says whether `v` is live after `stmt`. For a
-    /// loop header that is the live set at the loop top, not
-    /// [`Liveness::after`]'s.
-    pub fn replay(&self, mut visit: impl FnMut(&'a Stmt, &dyn Fn(Symbol) -> bool)) {
+    /// backward once, where `is_live(v)` says whether `v` is live after
+    /// `stmt`. For a loop header that is the live set at the loop top, not
+    /// [`Liveness::after`]'s. `visit` returns whether `stmt` stays: the
+    /// statements before a dropped one see liveness as if it were gone.
+    pub fn replay(&self, mut visit: impl FnMut(&'a Stmt, &dyn Fn(Symbol) -> bool) -> bool) {
         let ix = self.a.ix;
-        self.sol.replay(&self.a, ix, |_, s, live| {
-            visit(s, &|v| ix.var(v).is_some_and(|i| live.contains(i)))
-        });
+        let mut live = self.a.bottom();
+        for (b, block) in ix.cfg().blocks.iter().enumerate() {
+            live.clone_from(&self.sol.exit[b]);
+            if let Some(t) = &block.terminator {
+                self.a.apply_terminator(BlockId(b), t, &mut live);
+            }
+            for at in ix.block_range(BlockId(b)).rev() {
+                let s = ix.stmt(at);
+                if visit(s, &|v| ix.var(v).is_some_and(|i| live.contains(i))) {
+                    self.a.apply_stmt(at, s, &mut live);
+                }
+            }
+        }
     }
 }
 

@@ -11,9 +11,11 @@
 //!
 //! * default — N runs (`--runs`, default 3) over the full sweep, fastest
 //!   run reported, JSON written to `--out` (default `BENCH_extract.json`).
-//! * `--check` — one run over the small corpus only, JSON printed to
-//!   stdout and re-parsed to prove well-formedness; exit 0 on success.
-//!   Used by `ci.sh`; never gates on absolute timings.
+//! * `--check` — one run over the full sweep, JSON printed to stdout and
+//!   re-parsed to prove well-formedness. The work it did must equal the
+//!   tracked `BENCH_extract.json`'s exactly: `units`, `nodes.peak_dag`
+//!   and `rule_cache`. Used by `ci.sh`; never gates on timings or
+//!   allocation counts; exit 0 on success.
 //! * `--baseline FILE` — embed a previously recorded run (e.g. the
 //!   pre-optimization numbers) under `"baseline"` and report the
 //!   end-to-end speedup against it.
@@ -22,7 +24,7 @@
 //! beforehand, and reports the fastest of `--runs` lint sweeps under
 //! `"lint"`.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use analysis::json::Json;
@@ -135,6 +137,32 @@ fn sweep_json(s: &Sweep, n_units: usize, runs: usize) -> Json {
     ])
 }
 
+/// The counters of a sweep that repeat exactly from run to run: the work
+/// done, never the time it took.
+const WORK: [(&str, &[&str]); 3] = [
+    ("units", &["programs", "functions", "loops_rewritten"]),
+    ("nodes", &["peak_dag"]),
+    ("rule_cache", &["hits", "misses"]),
+];
+
+/// Fail, naming the counter, unless each [`WORK`] counter of `doc` equals
+/// the tracked file's.
+fn check_against_tracked(doc: &Json, tracked_path: &Path) {
+    let text = std::fs::read_to_string(tracked_path)
+        .unwrap_or_else(|e| panic!("tracked {} unreadable: {e}", tracked_path.display()));
+    let tracked = analysis::json::parse(&text).expect("tracked BENCH_extract.json is valid JSON");
+    for (group, keys) in WORK {
+        for key in keys {
+            let value = |d: &Json| d.get(group).and_then(|g| g.get(key)).map(Json::render);
+            assert_eq!(
+                value(doc),
+                value(&tracked),
+                "`{group}.{key}` differs from the tracked file"
+            );
+        }
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut check = false;
@@ -164,12 +192,10 @@ fn main() {
 
     // The binary lives in target/…; the repo root is CARGO_MANIFEST_DIR/../..
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let units = if check {
+    if check {
         runs = 1;
-        workloads::sweep::corpus()
-    } else {
-        workloads::sweep::units()
-    };
+    }
+    let units = workloads::sweep::units();
 
     let mut best: Option<Sweep> = None;
     for r in 0..runs {
@@ -222,9 +248,10 @@ fn main() {
     let doc = Json::Obj(fields).render();
 
     if check {
-        // Prove the emitted document parses back, with its lint line;
-        // print it for inspection.
+        // Prove the emitted document parses back, with its lint line and
+        // the tracked work; print it for inspection.
         let parsed = analysis::json::parse(&doc).expect("perf_pipeline emits valid JSON");
+        check_against_tracked(&parsed, &root.join("BENCH_extract.json"));
         for key in ["ns", "allocs"] {
             let value = parsed
                 .get("lint")

@@ -31,7 +31,7 @@
 //!     --schema, a schema.sql next to each .imp file applies.
 //!
 //! eqsql serve [--addr HOST:PORT] [--jobs N] [--queue N]
-//!             [--cache-entries N] [--cache-shards N] [--keep-alive on|off]
+//!             [--cache-entries N] [--cache-shards N]
 //!             [--quota RATE[:BURST]] [--timeout-ms N] [--port-file PATH]
 //!     Run the extraction service: POST /extract, POST /lint, GET /healthz,
 //!     GET /metrics (Prometheus), POST /shutdown. --addr defaults to
@@ -155,7 +155,6 @@ struct Opts {
     queue: usize,
     cache_entries: usize,
     cache_shards: usize,
-    keep_alive: bool,
     quota: service::Quota,
     timeout_ms: Option<u64>,
     port_file: Option<String>,
@@ -191,7 +190,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         queue: 64,
         cache_entries: 256,
         cache_shards: 8,
-        keep_alive: true,
         quota: service::Quota::unlimited(),
         timeout_ms: Some(30_000),
         port_file: None,
@@ -253,13 +251,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
                 o.cache_shards = next(&mut it, "--cache-shards")?
                     .parse()
                     .map_err(|e| format!("bad --cache-shards: {e}"))?
-            }
-            "--keep-alive" => {
-                o.keep_alive = match next(&mut it, "--keep-alive")?.as_str() {
-                    "on" | "true" => true,
-                    "off" | "false" => false,
-                    v => return Err(format!("bad --keep-alive {v:?}: use on|off")),
-                }
             }
             "--quota" => {
                 o.quota = service::Quota::parse(&next(&mut it, "--quota")?)
@@ -568,7 +559,6 @@ fn run_serve(opts: &Opts) -> Result<(), String> {
         queue_capacity: opts.queue,
         cache_entries: opts.cache_entries,
         cache_shards: opts.cache_shards,
-        keep_alive: opts.keep_alive,
         quota: opts.quota,
         job_timeout: opts.timeout_ms.map(std::time::Duration::from_millis),
         ..service::ServiceConfig::default()
@@ -667,7 +657,7 @@ fn print_usage() {
          [--prints] [--dependent-agg] [--partial] [--certify] [--data <data.sql>] [--arg N]...\n\
        \x20      eqsql batch <dir> [--jobs N] [--schema <schema.sql>] [options]\n\
        \x20      eqsql serve [--addr HOST:PORT] [--jobs N] [--queue N] \
-         [--cache-entries N] [--cache-shards N] [--keep-alive on|off] \
+         [--cache-entries N] [--cache-shards N] \
          [--quota RATE[:BURST]] [--timeout-ms N] [--port-file PATH]\n\
        \x20      eqsql fuzz [--seed N] [--iters N] [--shrink] [--repros DIR] \
          [--max-divergences N] [--store] [--store-rows N] [--dml]"

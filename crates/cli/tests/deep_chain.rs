@@ -1,16 +1,23 @@
 //! A long operator chain needs deep recursion. The command runs on a
 //! thread of a stated stack size, so `eqsql extract` accepts it whatever
 //! stack the shell's `ulimit -s` gives the main thread; a chain past the
-//! parsers' operand caps is refused, never a stack overflow.
+//! parsers' operand caps is refused, never a stack overflow. A chain of
+//! statements builds an ee-DAG chain as deep, which the bottom-up passes
+//! walk on an explicit stack.
 
 use std::process::{Command, Output};
 
 /// `eqsql extract` of `src`, written to a file named after `name`.
 fn extract(name: &str, src: &str) -> Output {
+    eqsql(&["extract"], name, src)
+}
+
+/// `eqsql <args> <file>` with `src` written to a file named after `name`.
+fn eqsql(args: &[&str], name: &str, src: &str) -> Output {
     let path = std::env::temp_dir().join(format!("eqsql-{name}-{}.imp", std::process::id()));
     std::fs::write(&path, src).unwrap();
     let out = Command::new(env!("CARGO_BIN_EXE_eqsql"))
-        .arg("extract")
+        .args(args)
         .arg(&path)
         .output()
         .unwrap();
@@ -94,4 +101,36 @@ fn a_50000_term_sql_chain_is_a_diagnostic() {
             "{name}: the program is printed unchanged"
         );
     }
+}
+
+#[test]
+fn a_60000_statement_chain_into_an_untranslatable_fold_is_a_diagnostic() {
+    // `s = 0;`, 60,000 × `s = s + 1;`, then a product loop no rule
+    // translates: the fold's init is a 60,000-deep ee-DAG chain.
+    let schema = std::env::temp_dir().join(format!("eqsql-mulchain-{}.sql", std::process::id()));
+    std::fs::write(
+        &schema,
+        "CREATE TABLE emp (id INT PRIMARY KEY, name TEXT, dept TEXT, salary INT);",
+    )
+    .unwrap();
+    let src = format!(
+        "fn f() {{\n    rows = executeQuery(\"SELECT * FROM emp\");\n    s = 0;\n{}    \
+         for (e in rows) {{\n        s = s * e.salary;\n    }}\n    return s;\n}}\n",
+        "    s = s + 1;\n".repeat(60_000)
+    );
+    for cmd in ["lint", "extract"] {
+        let out = eqsql(
+            &[cmd, "--schema", schema.to_str().unwrap()],
+            "mulchain",
+            &src,
+        );
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{cmd}: {stderr}");
+        assert!(
+            stdout.contains("E006") || stderr.contains("E006"),
+            "{cmd}: {stderr}"
+        );
+    }
+    std::fs::remove_file(&schema).unwrap();
 }

@@ -24,7 +24,7 @@
 //! fold's accumulator/tuple parameters back by the region inputs must
 //! reproduce the original loop-body expression.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::ControlFlow;
 
 use algebra::scalar::{BinOp, Lit};
@@ -38,7 +38,7 @@ use imp::ast::StmtId;
 use imp::token::Span;
 use intern::Symbol;
 
-use crate::eedag::{EeDag, Node, NodeId, NodeList, OpKind};
+use crate::eedag::{EeDag, Node, NodeId, NodeList, OpKind, Rewriter};
 
 /// What kind of step an obligation certifies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -295,14 +295,22 @@ impl<'a> Certifier<'a> {
     /// loop-body expression, and the fold's init must be the region input
     /// of the accumulated variable.
     fn check_fold_intro(&self, dag: &mut EeDag, ob: &Obligation) -> Verdict {
-        let (func, init, cursor, var) = match dag.node(ob.after).clone() {
+        let (expect, init_ok, what) = match dag.node(ob.after).clone() {
             Node::Fold {
                 func,
                 init,
                 cursor,
                 origin: (_, var),
                 ..
-            } => (func, init, cursor, var),
+            } => {
+                let unsub = unsubstitute_params(dag, func, Some(var), Some(cursor));
+                let init_ok = matches!(dag.node(init), Node::Input(v) if *v == var);
+                (
+                    unsub,
+                    init_ok,
+                    "inverse substitution of the folding function",
+                )
+            }
             // A dependent aggregation: the body must be
             // `?[key ⋛ v₀, value, w₀]` with the argmax pieces substituted
             // back over the cursor input.
@@ -315,25 +323,13 @@ impl<'a> Certifier<'a> {
                 cursor,
                 ..
             } => {
-                let mut memo = HashMap::new();
                 // Only the tuple parameter was substituted for argmax; the
                 // accumulator symbol plays no role.
-                let key_u = unsubstitute_params(dag, key, None, Some(cursor), &mut memo);
-                let val_u = unsubstitute_params(dag, value, None, Some(cursor), &mut memo);
+                let key_u = unsubstitute_params(dag, key, None, Some(cursor));
+                let val_u = unsubstitute_params(dag, value, None, Some(cursor));
                 let cmp = if is_max { OpKind::Gt } else { OpKind::Lt };
                 let cond = dag.op(cmp, vec![key_u, v_init]);
-                let expect = dag.cond(cond, val_u, w_init);
-                if expect == ob.before || nf(dag, expect) == nf(dag, ob.before) {
-                    return Verdict::DischargedNormalize;
-                }
-                return Verdict::Inconclusive {
-                    reason: format!(
-                        "argmax reconstruction does not reproduce the loop body \
-                         (got {}, expected {})",
-                        dag.display(expect),
-                        dag.display(ob.before)
-                    ),
-                };
+                (dag.cond(cond, val_u, w_init), true, "argmax reconstruction")
             }
             _ => {
                 return Verdict::Inconclusive {
@@ -341,22 +337,15 @@ impl<'a> Certifier<'a> {
                 }
             }
         };
-        let mut memo = HashMap::new();
-        let unsub = unsubstitute_params(dag, func, Some(var), Some(cursor), &mut memo);
-        let init_ok = matches!(dag.node(init), Node::Input(v) if *v == var);
-        if unsub == ob.before && init_ok {
-            return Verdict::DischargedNormalize;
-        }
         // Structural mismatch can still be a semantic match (the converter
         // may have simplified); fall back to the normalizer.
-        if init_ok && nf(dag, unsub) == nf(dag, ob.before) {
+        if init_ok && (expect == ob.before || nf(dag, expect) == nf(dag, ob.before)) {
             return Verdict::DischargedNormalize;
         }
         Verdict::Inconclusive {
             reason: format!(
-                "inverse substitution of the folding function does not reproduce the loop body \
-                 (got {}, expected {})",
-                dag.display(unsub),
+                "{what} does not reproduce the loop body (got {}, expected {})",
+                dag.display(expect),
                 dag.display(ob.before)
             ),
         }
@@ -703,41 +692,50 @@ fn fold_const(op: OpKind, args: &[CLit]) -> Option<CLit> {
 /// Replace `AccParam(var)` by `Input(var)` and `TupleParam(cursor)` by
 /// `Input(cursor)` throughout `id`, interning the rebuilt nodes. A nested
 /// fold (or argmax) whose own binder reuses one of these symbols shadows
-/// it inside its bound operands, so the substitution is suspended there
-/// (`None`); the memo is keyed by the active binder context because the
-/// same shared node can need different rewrites under different binders.
+/// it inside its bound operands, so the substitution is suspended there.
+/// The rewrite's context is the set of the two still unshadowed, as bits:
+/// the same shared node can need different rewrites under different
+/// binders.
 fn unsubstitute_params(
     dag: &mut EeDag,
     id: NodeId,
     var: Option<Symbol>,
     cursor: Option<Symbol>,
-    memo: &mut HashMap<(NodeId, Option<Symbol>, Option<Symbol>), NodeId>,
 ) -> NodeId {
-    if let Some(r) = memo.get(&(id, var, cursor)) {
-        return *r;
-    }
-    // Under a bound operand: a fold binds its accumulator and cursor, an
-    // argmax only its cursor. Init and source are outside the binder.
-    let (bound_var, bound_cursor) = match dag.node(id) {
-        Node::Fold {
-            cursor: fc, origin, ..
-        } => (var.filter(|v| *v != origin.1), cursor.filter(|c| c != fc)),
-        Node::ArgExtreme { cursor: ac, .. } => (var, cursor.filter(|c| c != ac)),
-        _ => (var, cursor),
-    };
-    let result = match *dag.node(id) {
-        Node::AccParam(v) if Some(v) == var => dag.input(v),
-        Node::TupleParam(c) if Some(c) == cursor => dag.input(c),
-        _ => dag.rebuild(id, |dag, c, bound| {
-            if bound {
-                unsubstitute_params(dag, c, bound_var, bound_cursor, memo)
-            } else {
-                unsubstitute_params(dag, c, var, cursor, memo)
+    dag.rewrite(id, VAR | CURSOR, &mut Unsubst { var, cursor })
+}
+
+const VAR: u32 = 1;
+const CURSOR: u32 = 2;
+
+struct Unsubst {
+    var: Option<Symbol>,
+    cursor: Option<Symbol>,
+}
+
+impl Rewriter for Unsubst {
+    fn enter(&mut self, dag: &mut EeDag, id: NodeId, ctx: u32) -> Option<NodeId> {
+        match *dag.node(id) {
+            Node::AccParam(v) if ctx & VAR != 0 && self.var == Some(v) => Some(dag.input(v)),
+            Node::TupleParam(c) if ctx & CURSOR != 0 && self.cursor == Some(c) => {
+                Some(dag.input(c))
             }
-        }),
-    };
-    memo.insert((id, var, cursor), result);
-    result
+            _ => None,
+        }
+    }
+
+    /// Under a bound operand: a fold binds its accumulator and cursor, an
+    /// argmax only its cursor. Init and source are outside the binder.
+    fn operand(&self, node: &Node, ctx: u32, bound: bool) -> Option<u32> {
+        let hide = |name: Option<Symbol>, binder, bit| (bound && name == Some(binder)) as u32 * bit;
+        Some(match *node {
+            Node::Fold { cursor, origin, .. } => {
+                ctx & !(hide(self.var, origin.1, VAR) | hide(self.cursor, cursor, CURSOR))
+            }
+            Node::ArgExtreme { cursor, .. } => ctx & !hide(self.cursor, cursor, CURSOR),
+            _ => ctx,
+        })
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -122,11 +122,7 @@ impl Hash for NodeList {
 impl From<Vec<NodeId>> for NodeList {
     fn from(v: Vec<NodeId>) -> NodeList {
         if v.len() <= NodeList::INLINE {
-            let mut out = NodeList::new();
-            for id in v {
-                out.push(id);
-            }
-            out
+            v.into_iter().collect()
         } else {
             NodeList::Heap(v)
         }
@@ -465,12 +461,63 @@ fn structural_hash(node: &Node) -> u64 {
 /// structural hash, and one index slot mapping hash → candidate ids. The
 /// index holds *ids*, not nodes — interning no longer clones every `Node`
 /// into a map key the way the old `HashMap<Node, NodeId>` index did.
-#[derive(Debug, Clone, Default)]
+///
+/// Ids are a topological order: [`EeDag::intern`] only appends, and a
+/// node's operands are interned before it, so every operand's id is below
+/// its user's. Bottom-up passes run on `EeDag::rewrite`, which keeps its
+/// memo and work stack here between calls.
+#[derive(Debug, Default)]
 pub struct EeDag {
     nodes: Vec<Node>,
     /// `hashes[i]` is the structural hash of `nodes[i]`.
     hashes: Vec<u64>,
     index: HashMap<u64, Bucket, IdentityState>,
+    scratch: Scratch,
+}
+
+/// One bottom-up pass over the ee-DAG, driven by [`EeDag::rewrite`]. A
+/// context is a number the pass gives to what it knows about the binders
+/// above a node; a node reached under two contexts is rewritten twice.
+pub(crate) trait Rewriter {
+    /// Settle `id`, first reached under `ctx`, without visiting its
+    /// operands; `None` visits them.
+    fn enter(&mut self, dag: &mut EeDag, id: NodeId, ctx: u32) -> Option<NodeId>;
+
+    /// The context an operand of `node` (reached under `ctx`; `bound` as in
+    /// [`Node::children`]) is rewritten under; `None` keeps it as built.
+    fn operand(&self, _node: &Node, ctx: u32, _bound: bool) -> Option<u32> {
+        Some(ctx)
+    }
+
+    /// The result for `id`, given `rebuilt`: `id` with each operand
+    /// replaced by its result (`id` itself when none changed).
+    fn finish(&mut self, _dag: &mut EeDag, _id: NodeId, rebuilt: NodeId, _ctx: u32) -> NodeId {
+        rebuilt
+    }
+
+    /// A pair settled earlier in this call was reached again.
+    fn revisit(&mut self) {}
+}
+
+/// The memo and work stack of [`EeDag::rewrite`], sized by what one call
+/// reaches and reused by the next.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// The result of each `(id, ctx)` pair this call settled, keyed by
+    /// `(ctx << 32 | id) × K` for an odd `K`: a bijection, so keys stay
+    /// distinct, and already spread for the identity hasher.
+    memo: HashMap<u64, NodeId, IdentityState>,
+    /// Nodes whose operands are being rewritten, innermost last, each with
+    /// its context and the index of its next operand to settle.
+    frames: Vec<(NodeId, u32, usize)>,
+    /// The operands of every open frame, in frame order, each with the
+    /// context it is rewritten under (`None`: kept as built). An operand's
+    /// id is replaced by its result once settled.
+    operands: Vec<(NodeId, Option<u32>)>,
+}
+
+fn memo_key(id: NodeId, ctx: u32) -> u64 {
+    ((ctx as u64) << 32 | id.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
 impl EeDag {
@@ -500,6 +547,7 @@ impl EeDag {
             }
         }
         let id = NodeId(self.nodes.len() as u32);
+        node.children(|c, _| debug_assert!(c < id, "an operand is interned before its user"));
         self.nodes.push(node);
         self.hashes.push(hash);
         match self.index.entry(hash) {
@@ -638,61 +686,100 @@ impl EeDag {
         out
     }
 
-    /// `id` with each operand mapped through `f`, which is also told whether
-    /// the operand is under the node's binder (see [`Node::children`]). A
-    /// node without operands is returned without a clone; otherwise the
-    /// rebuilt node is interned only if some operand changed.
-    pub fn rebuild(
-        &mut self,
-        id: NodeId,
-        mut f: impl FnMut(&mut EeDag, NodeId, bool) -> NodeId,
-    ) -> NodeId {
-        let mut leaf = true;
-        self.node(id).children(|_, _| leaf = false);
-        if leaf {
-            return id;
+    /// Rebuild `root`, reached under `ctx`, bottom-up with `pass`, on an
+    /// explicit stack. Each reachable `(node, context)` pair is settled
+    /// once, operands in [`Node::children`] order, and a node is finished
+    /// right after its last operand: the order a recursive pass finishes
+    /// nodes in, so the pass's side effects and interned ids are the same.
+    pub(crate) fn rewrite(&mut self, root: NodeId, ctx: u32, pass: &mut impl Rewriter) -> NodeId {
+        // A pass that starts another rewrite from a callback finds the
+        // scratch taken and gets fresh buffers.
+        let mut s = std::mem::take(&mut self.scratch);
+        // The root is the one operand of a bottom frame that never finishes.
+        s.operands.push((root, Some(ctx)));
+        s.frames.push((root, ctx, 0));
+        loop {
+            let top = s.frames.last_mut().expect("the bottom frame");
+            let k = top.2;
+            if k < s.operands.len() {
+                top.2 += 1;
+                let (id, Some(ctx)) = s.operands[k] else {
+                    continue;
+                };
+                let key = memo_key(id, ctx);
+                if let Some(&r) = s.memo.get(&key) {
+                    pass.revisit();
+                    s.operands[k].0 = r;
+                } else if let Some(r) = pass.enter(self, id, ctx) {
+                    s.memo.insert(key, r);
+                    s.operands[k].0 = r;
+                } else {
+                    let node = &self.nodes[id.0 as usize];
+                    s.frames.push((id, ctx, s.operands.len()));
+                    node.children(|c, bound| s.operands.push((c, pass.operand(node, ctx, bound))));
+                }
+            } else if s.frames.len() > 1 {
+                let (id, ctx, _) = s.frames.pop().expect("an open frame");
+                let rebuilt = self.reassemble(id, &mut s.operands);
+                let r = pass.finish(self, id, rebuilt, ctx);
+                s.memo.insert(memo_key(id, ctx), r);
+                let parent = s.frames.last().expect("the bottom frame");
+                s.operands[parent.2 - 1].0 = r;
+            } else {
+                break;
+            }
         }
-        let mut node = self.node(id).clone();
+        let out = s.operands.pop().expect("the root").0;
+        s.frames.clear();
+        // Keep the table for the next call, but not one a much larger call
+        // grew: clearing costs its capacity.
+        let keep = 4 * s.memo.len().max(256);
+        s.memo.clear();
+        s.memo.shrink_to(keep);
+        self.scratch = s;
+        out
+    }
+
+    /// `id` with its operands replaced, in [`Node::children`] order, by the
+    /// results at the end of `operands`, which it pops; interned only if
+    /// one of them changed.
+    fn reassemble(&mut self, id: NodeId, operands: &mut Vec<(NodeId, Option<u32>)>) -> NodeId {
+        let mut start = operands.len();
+        self.node(id).children(|_, _| start -= 1);
+        let mut new = operands[start..].iter().map(|(r, _)| *r);
         let mut changed = false;
-        node.children_mut(|c, bound| {
-            let new = f(self, *c, bound);
-            changed |= new != *c;
-            *c = new;
-        });
-        if changed {
+        self.node(id)
+            .children(|c, _| changed |= new.next() != Some(c));
+        let out = if changed {
+            let mut node = self.node(id).clone();
+            let mut new = operands[start..].iter().map(|(r, _)| *r);
+            node.children_mut(|c, _| *c = new.next().expect("one result per operand"));
             self.intern(node)
         } else {
             id
-        }
+        };
+        operands.truncate(start);
+        out
     }
 
     /// Substitute region inputs by expressions: every `Input(v)` with an
     /// entry in `subs` is replaced by the mapped node. This is the
     /// sequential-region merge of the paper (Appendix D.3): "for each leaf
     /// in eeDag2 that is a 0-subscripted variable, replace it with the
-    /// ee-DAG obtained from a lookup in veMap1".
+    /// ee-DAG obtained from a lookup in veMap1". A folding function may
+    /// read region inputs (loop-invariant values), so it is substituted
+    /// like any other operand.
     pub fn substitute_inputs(&mut self, id: NodeId, subs: &VeMap) -> NodeId {
-        let mut memo = HashMap::new();
-        self.subst_rec(id, subs, &mut memo)
-    }
-
-    fn subst_rec(
-        &mut self,
-        id: NodeId,
-        subs: &VeMap,
-        memo: &mut HashMap<NodeId, NodeId>,
-    ) -> NodeId {
-        if let Some(r) = memo.get(&id) {
-            return *r;
+        struct Subst<'a>(&'a VeMap);
+        impl Rewriter for Subst<'_> {
+            fn enter(&mut self, dag: &mut EeDag, id: NodeId, _: u32) -> Option<NodeId> {
+                match dag.node(id) {
+                    Node::Input(name) => Some(self.0.get(name).copied().unwrap_or(id)),
+                    _ => None,
+                }
+            }
         }
-        // A folding function may read region inputs (loop-invariant
-        // values), so it is substituted like any other operand.
-        let result = match self.node(id) {
-            Node::Input(name) => subs.get(name).copied().unwrap_or(id),
-            _ => self.rebuild(id, |dag, c, _| dag.subst_rec(c, subs, memo)),
-        };
-        memo.insert(id, result);
-        result
+        self.rewrite(id, 0, &mut Subst(subs))
     }
 
     /// Pretty-print an expression for diagnostics. A shared node prints at
@@ -1010,19 +1097,107 @@ mod tests {
         assert!(s.starts_with("Add[Add[Add["));
     }
 
+    /// Replaces one node by another, and counts how often it settles one.
+    struct Swap(NodeId, NodeId, usize);
+
+    impl Rewriter for Swap {
+        fn enter(&mut self, _: &mut EeDag, id: NodeId, _: u32) -> Option<NodeId> {
+            self.2 += 1;
+            (id == self.0).then_some(self.1)
+        }
+    }
+
     #[test]
-    fn rebuild_interns_only_on_change() {
+    fn rewrite_interns_only_on_change() {
         let mut d = EeDag::new();
         let x = d.input("x");
         let one = d.int(1);
         let e = d.op(OpKind::Add, vec![x, one]);
+        let root = d.op(OpKind::Mul, vec![e, e]);
         let before = d.len();
-        assert_eq!(d.rebuild(e, |_, c, _| c), e);
-        assert_eq!(d.rebuild(x, |_, _, _| unreachable!("a leaf")), x);
+        let mut keep = Swap(NodeId(u32::MAX), x, 0);
+        assert_eq!(d.rewrite(root, 0, &mut keep), root);
+        assert_eq!(keep.2, 4, "each reachable node is entered once");
         assert_eq!(d.len(), before);
         let two = d.int(2);
-        let out = d.rebuild(e, |_, c, _| if c == one { two } else { c });
-        assert_eq!(d.display(out), "Add[x₀, 2]");
+        let out = d.rewrite(root, 0, &mut Swap(one, two, 0));
+        assert_eq!(d.display(out), "Mul[Add[x₀, 2], Add[x₀, 2]]");
+    }
+
+    /// A 100,000-deep chain through a fold's binder: `depth / 2` products
+    /// `acc * e.salary * x` in the folding function, then the fold times
+    /// `x`, `depth / 2` times. Returns the root, the fold and the loop body
+    /// the fold introduces.
+    fn deep_fold_chain(d: &mut EeDag, depth: usize) -> (NodeId, NodeId, NodeId) {
+        let (s, e, x) = (
+            Symbol::intern("s"),
+            Symbol::intern("e"),
+            Symbol::intern("x"),
+        );
+        let xin = d.input(x);
+        let salary = |d: &mut EeDag, base| {
+            d.intern(Node::FieldOf {
+                base,
+                field: Symbol::intern("salary"),
+            })
+        };
+        let t = d.intern(Node::TupleParam(e));
+        let t_salary = salary(d, t);
+        let cursor = d.input(e);
+        let cursor_salary = salary(d, cursor);
+        let (mut func, mut body) = (d.intern(Node::AccParam(s)), d.input(s));
+        for _ in 0..depth / 4 {
+            func = d.op(OpKind::Mul, vec![func, t_salary]);
+            func = d.op(OpKind::Mul, vec![func, xin]);
+            body = d.op(OpKind::Mul, vec![body, cursor_salary]);
+            body = d.op(OpKind::Mul, vec![body, xin]);
+        }
+        let source = d.intern(Node::Query {
+            ra: RaExpr::table("emp"),
+            params: NodeList::new(),
+        });
+        let init = d.input(s);
+        let fold = d.intern(Node::Fold {
+            func,
+            init,
+            source,
+            cursor: e,
+            origin: (StmtId(1), s),
+        });
+        let mut root = fold;
+        for _ in 0..depth / 2 {
+            root = d.op(OpKind::Mul, vec![root, xin]);
+        }
+        (root, fold, body)
+    }
+
+    #[test]
+    fn bottom_up_passes_run_a_deep_chain_on_a_small_stack() {
+        std::thread::Builder::new()
+            .stack_size(256 << 10)
+            .spawn(|| {
+                let catalog = algebra::schema::Catalog::new();
+                let mut d = EeDag::new();
+                let (root, fold, body) = deep_fold_chain(&mut d, 100_000);
+
+                let mut subs = VeMap::new();
+                let two = d.int(2);
+                subs.insert(Symbol::intern("x"), two);
+                let out = d.substitute_inputs(root, &subs);
+                assert!(!d.inputs_of(out).contains(&Symbol::intern("x")));
+
+                let mut engine = crate::rules::RuleEngine::new(&catalog, Default::default());
+                assert_eq!(engine.transform(&mut d, root), root);
+                assert!(engine.trace.is_empty(), "{:?}", engine.trace);
+
+                let ob =
+                    crate::certify::Obligation::fold_intro(body, fold, (StmtId(1), "s".into()));
+                let verdict = crate::certify::Certifier::new(&catalog).check(&mut d, &ob);
+                assert_eq!(verdict, crate::certify::Verdict::DischargedNormalize);
+            })
+            .unwrap()
+            .join()
+            .unwrap();
     }
 
     #[test]

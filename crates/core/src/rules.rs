@@ -34,7 +34,7 @@ use algebra::scalar::{BinOp, ColRef, Lit, Scalar, ScalarFunc, UnOp};
 use algebra::schema::Catalog;
 
 use crate::certify::Obligation;
-use crate::eedag::{EeDag, Node, NodeId, OpKind};
+use crate::eedag::{EeDag, Node, NodeId, OpKind, Rewriter};
 
 /// Options controlling rule application.
 #[derive(Debug, Clone)]
@@ -143,12 +143,12 @@ impl<'c> RuleEngine<'c> {
         after
     }
 
-    /// Transform an expression to fixpoint.
+    /// Transform an expression to fixpoint, one bottom-up
+    /// `EeDag::rewrite` pass at a time.
     pub fn transform(&mut self, dag: &mut EeDag, id: NodeId) -> NodeId {
         let mut cur = id;
         for _ in 0..20 {
-            let mut memo = HashMap::new();
-            let next = self.rewrite(dag, cur, &mut memo);
+            let next = dag.rewrite(cur, 0, self);
             if next == cur {
                 return cur;
             }
@@ -160,69 +160,6 @@ impl<'c> RuleEngine<'c> {
     fn fresh_alias(&mut self, prefix: &str) -> String {
         self.fresh += 1;
         format!("{prefix}{}", self.fresh)
-    }
-
-    /// One bottom-up pass.
-    fn rewrite(
-        &mut self,
-        dag: &mut EeDag,
-        id: NodeId,
-        memo: &mut HashMap<NodeId, NodeId>,
-    ) -> NodeId {
-        if let Some(r) = memo.get(&id) {
-            // A shared subdag already rewritten this pass (the ee-DAG is
-            // hash-consed, so diamond sharing is the common case).
-            if self.cache_enabled {
-                self.cache_hits += 1;
-            }
-            return *r;
-        }
-        if self.cache_enabled && self.clean.contains(&id) {
-            self.cache_hits += 1;
-            return id;
-        }
-        // Leaf fast path: nothing to rewrite, no clone needed.
-        match dag.node(id) {
-            Node::Const(_)
-            | Node::Input(_)
-            | Node::AccParam(_)
-            | Node::TupleParam(_)
-            | Node::EmptyColl(_)
-            | Node::NotDetermined
-            | Node::Opaque { .. } => {
-                memo.insert(id, id);
-                return id;
-            }
-            _ => {}
-        }
-        self.cache_misses += 1;
-        // An argmax's bound key and value are left as built (they reach SQL
-        // through `try_arg_extreme`'s scalar translation); a fold's bound
-        // function is rewritten like its other operands.
-        let keep_bound = matches!(dag.node(id), Node::ArgExtreme { .. });
-        let node = dag.rebuild(id, |dag, c, bound| {
-            if keep_bound && bound {
-                c
-            } else {
-                self.rewrite(dag, c, memo)
-            }
-        });
-        let rebuilt = match *dag.node(node) {
-            Node::Op { .. } => self.simplify_op(dag, node),
-            Node::Fold { .. } => self.try_fold_rules(dag, node).unwrap_or(node),
-            Node::ArgExtreme { origin, .. } => match self.try_arg_extreme(dag, node) {
-                Some(n) => self.certified(node, n, origin),
-                None => node,
-            },
-            _ => node,
-        };
-        if rebuilt == id && self.cache_enabled {
-            // Rebuilt to itself: the whole subdag is in normal form and can
-            // be skipped by every later pass.
-            self.clean.insert(id);
-        }
-        memo.insert(id, rebuilt);
-        rebuilt
     }
 
     /// Constant-folding simplifications that keep extracted expressions
@@ -347,17 +284,17 @@ impl<'c> RuleEngine<'c> {
         } = dag.node(func).clone()
         {
             let acc = dag.intern(Node::AccParam(var));
-            let (g, pred_node, negate) = if else_val == acc {
-                (then_val, cond, false)
+            let guarded = if else_val == acc {
+                Some((then_val, false))
             } else if then_val == acc {
-                (else_val, cond, true)
+                Some((else_val, true))
             } else {
-                (NodeId(u32::MAX), cond, false)
+                None
             };
-            if g != NodeId(u32::MAX) {
+            if let Some((g, negate)) = guarded {
                 let mut sb = ScalarBuild::new(dag, self.catalog, qp.to_vec());
                 sb.bind_tuple(cursor, None);
-                match sb.to_scalar(pred_node) {
+                match sb.to_scalar(cond) {
                     Some(mut pred) => {
                         if negate {
                             pred = Scalar::Un(UnOp::Not, Box::new(pred));
@@ -396,57 +333,39 @@ impl<'c> RuleEngine<'c> {
             {
                 let elem = args[1];
                 let is_set = op == OpKind::Insert;
-                let ordered = self.opts.ordered && op == OpKind::Append;
                 if !self.init_is_empty_coll(dag, init) {
                     self.miss(
                         "T1",
                         format!("initial value of `{var}` is not the empty collection"),
                     );
+                    return None;
                 }
                 // T5.2 (GROUP BY) and T7 (OUTER APPLY) can both match the
                 // nested-aggregation shape; either is correct (confluence,
                 // Sec. 5.3) — the option picks which to try first.
-                if self.opts.prefer_lateral {
-                    if let Some(n) =
-                        self.try_outer_apply(dag, &q, &qp, cursor, elem, is_set, ordered, init)
-                    {
-                        return Some(self.certified(fold, n, origin));
-                    }
-                    if let Some(n) = self.try_group_by(dag, &q, &qp, cursor, elem, is_set, init) {
-                        return Some(self.certified(fold, n, origin));
-                    }
-                } else {
-                    if let Some(n) = self.try_group_by(dag, &q, &qp, cursor, elem, is_set, init) {
-                        return Some(self.certified(fold, n, origin));
-                    }
-                    if let Some(n) =
-                        self.try_outer_apply(dag, &q, &qp, cursor, elem, is_set, ordered, init)
-                    {
+                for lateral in [self.opts.prefer_lateral, !self.opts.prefer_lateral] {
+                    let n = if lateral {
+                        self.try_outer_apply(dag, &q, &qp, cursor, elem, is_set)
+                    } else {
+                        self.try_group_by(dag, &q, &qp, cursor, elem, is_set)
+                    };
+                    if let Some(n) = n {
                         return Some(self.certified(fold, n, origin));
                     }
                 }
                 // T1/T3: plain projection.
-                if let Some(n) =
-                    self.try_projection(dag, &q, &qp, cursor, elem, is_set, ordered, init)
-                {
-                    return Some(self.certified(fold, n, origin));
-                }
-                return None;
+                let n = self.try_projection(dag, &q, &qp, cursor, elem, is_set)?;
+                return Some(self.certified(fold, n, origin));
             }
             // T5.1/T6: scalar aggregation.
-            if args.len() == 2 {
-                let (acc_pos, e) = if args[0] == acc {
-                    (0, args[1])
-                } else if args[1] == acc {
-                    (1, args[0])
-                } else {
-                    (2, args[0])
-                };
-                if acc_pos < 2 {
-                    if let Some(n) = self.try_scalar_agg(dag, &q, &qp, cursor, op, e, init, var) {
-                        return Some(self.certified(fold, n, origin));
-                    }
+            let agg = match args[..] {
+                [a, e] | [e, a] if a == acc => {
+                    self.try_scalar_agg(dag, &q, &qp, cursor, op, e, init)
                 }
+                _ => None,
+            };
+            if let Some(n) = agg {
+                return Some(self.certified(fold, n, origin));
             }
         }
         // T4: the folding function is itself a fold whose initial value is
@@ -508,7 +427,6 @@ impl<'c> RuleEngine<'c> {
     }
 
     /// T1/T3: `fold[append/insert, coll, Q]` with a scalar element.
-    #[allow(clippy::too_many_arguments)]
     fn try_projection(
         &mut self,
         dag: &mut EeDag,
@@ -517,49 +435,18 @@ impl<'c> RuleEngine<'c> {
         cursor: Symbol,
         elem: NodeId,
         is_set: bool,
-        ordered: bool,
-        init: NodeId,
     ) -> Option<NodeId> {
-        if !self.init_is_empty_coll(dag, init) {
-            return None;
-        }
         // Whole-tuple append: the collection is the query result itself
         // (T1.1/T1.2 verbatim).
         if matches!(dag.node(elem), Node::TupleParam(c) if *c == cursor) {
-            let ra = if is_set { q.clone().dedup() } else { q.clone() };
-            self.trace.push(if is_set { "T1.2" } else { "T1.1" });
-            return Some(dag.intern(Node::Query {
-                ra,
-                params: qp.to_vec().into(),
-            }));
+            let rule = if is_set { "T1.2" } else { "T1.1" };
+            return Some(self.emit(dag, rule, q.clone(), is_set, qp.to_vec()));
         }
         let mut sb = ScalarBuild::new(dag, self.catalog, qp.to_vec());
         sb.bind_tuple(cursor, None);
-        // Pair element without aggregation: two projected columns.
-        let items = if let Node::Op {
-            op: OpKind::Pair,
-            args,
-        } = dag.node(elem).clone()
-        {
-            let a = sb.to_scalar(args[0])?;
-            let b = sb.to_scalar(args[1])?;
-            vec![ProjItem::new(a, "first"), ProjItem::new(b, "second")]
-        } else {
-            let s = sb.to_scalar(elem)?;
-            let alias = default_proj_alias(&s);
-            vec![ProjItem::new(s, alias)]
-        };
+        let items = sb.elem_items(elem)?;
         let params = sb.params;
-        let mut ra = q.clone().project(items);
-        if is_set {
-            ra = ra.dedup();
-        }
-        let _ = ordered; // π preserves order; nothing extra needed.
-        self.trace.push("T1+T3");
-        Some(dag.intern(Node::Query {
-            ra,
-            params: params.into(),
-        }))
+        Some(self.emit(dag, "T1+T3", q.clone().project(items), is_set, params))
     }
 
     /// T4: nested cursor loops flattening into a join.
@@ -623,11 +510,7 @@ impl<'c> RuleEngine<'c> {
         // references on Q1, invariants are lifted into the combined params.
         let mut sb = ScalarBuild::new(dag, self.catalog, q1p.to_vec());
         sb.bind_tuple(outer_cursor, Some(ob.clone()));
-        let mut subs = Vec::new();
-        for p in &q2p {
-            subs.push(sb.to_scalar(*p)?);
-        }
-        let q2c = q2.clone().substitute_params(&subs);
+        let q2c = sb.inline_params(q2.clone(), &q2p)?;
         // Decompose Q2 so the correlated selection becomes an explicit join
         // predicate (the paper's `Q1 ⋈_pred Q2`).
         let Some(d) = decorrelate_simple(q2c) else {
@@ -650,35 +533,22 @@ impl<'c> RuleEngine<'c> {
             let g_scalar = sb.to_scalar(g)?;
             pred = pred.and(g_scalar);
         }
-        let items = if let Node::Op {
-            op: OpKind::Pair,
-            args,
-        } = dag.node(elem).clone()
-        {
-            let a = sb.to_scalar(args[0])?;
-            let b = sb.to_scalar(args[1])?;
-            vec![ProjItem::new(a, "first"), ProjItem::new(b, "second")]
-        } else {
-            let s = sb.to_scalar(elem)?;
-            let alias = default_proj_alias(&s);
-            vec![ProjItem::new(s, alias)]
-        };
+        let items = sb.elem_items(elem)?;
         let params = sb.params;
-        let mut ra = q1a.join(right, pred).project(items);
-        if is_set {
-            ra = ra.dedup();
-        }
-        self.trace.push(if is_set {
+        let rule = if is_set {
             "T4.2"
         } else if is_append && self.opts.ordered {
             "T4.1"
         } else {
             "T4.3"
-        });
-        Some(dag.intern(Node::Query {
-            ra,
-            params: params.into(),
-        }))
+        };
+        Some(self.emit(
+            dag,
+            rule,
+            q1a.join(right, pred).project(items),
+            is_set,
+            params,
+        ))
     }
 
     /// T5.1/T6: scalar aggregation, including the EXISTS/NOT-EXISTS
@@ -693,7 +563,6 @@ impl<'c> RuleEngine<'c> {
         op: OpKind,
         e: NodeId,
         init: NodeId,
-        _var: Symbol,
     ) -> Option<NodeId> {
         let mut sb = ScalarBuild::new(dag, self.catalog, qp.to_vec());
         sb.bind_tuple(cursor, None);
@@ -868,7 +737,6 @@ impl<'c> RuleEngine<'c> {
     /// T5.2: the element is `pair(key(t), agg-subquery(t))` — a nested
     /// aggregation loop already reduced by T5.1 to a correlated scalar
     /// aggregate. Rewrites to a GROUP BY over a left outer join.
-    #[allow(clippy::too_many_arguments)]
     fn try_group_by(
         &mut self,
         dag: &mut EeDag,
@@ -877,11 +745,7 @@ impl<'c> RuleEngine<'c> {
         cursor: Symbol,
         elem: NodeId,
         is_set: bool,
-        init: NodeId,
     ) -> Option<NodeId> {
-        if !self.init_is_empty_coll(dag, init) {
-            return None;
-        }
         let Node::Op {
             op: OpKind::Pair,
             args,
@@ -933,11 +797,7 @@ impl<'c> RuleEngine<'c> {
 
         let mut sb = ScalarBuild::new(dag, self.catalog, q1p.to_vec());
         sb.bind_tuple(cursor, Some(ob.clone()));
-        let mut subs = Vec::new();
-        for p in &ip {
-            subs.push(sb.to_scalar(*p)?);
-        }
-        let q2c = (*iq_input).clone().substitute_params(&subs);
+        let q2c = sb.inline_params((*iq_input).clone(), &ip)?;
         let d = decorrelate_simple(q2c)?;
         let (right, ib) = self.alias_inner(d.table, &ob);
         let pred = qualify_unqualified(&d.pred, &ib);
@@ -978,23 +838,14 @@ impl<'c> RuleEngine<'c> {
         sb2.replace(sq, Scalar::col("agg0"));
         let key_s = sb2.to_scalar(key_node)?;
         let val_s = sb2.to_scalar(val_node)?;
-        let params = sb2.params;
-        let mut ra = grouped.project(vec![
+        let ra = grouped.project(vec![
             ProjItem::new(key_s, "first"),
             ProjItem::new(val_s, "second"),
         ]);
-        if is_set {
-            ra = ra.dedup();
-        }
-        self.trace.push("T5.2");
-        Some(dag.intern(Node::Query {
-            ra,
-            params: params.into(),
-        }))
+        Some(self.emit(dag, "T5.2", ra, is_set, sb2.params))
     }
 
     /// T7: correlated scalar lookups become an OUTER APPLY chain.
-    #[allow(clippy::too_many_arguments)]
     fn try_outer_apply(
         &mut self,
         dag: &mut EeDag,
@@ -1003,12 +854,7 @@ impl<'c> RuleEngine<'c> {
         cursor: Symbol,
         elem: NodeId,
         is_set: bool,
-        _ordered: bool,
-        init: NodeId,
     ) -> Option<NodeId> {
-        if !self.init_is_empty_coll(dag, init) {
-            return None;
-        }
         let sqs = correlated_scalar_queries(dag, elem, cursor);
         if sqs.is_empty() {
             return None;
@@ -1023,11 +869,7 @@ impl<'c> RuleEngine<'c> {
                 Node::ScalarQuery { ra, params } => (ra, params),
                 _ => return None,
             };
-            let mut subs = Vec::new();
-            for p in &ps {
-                subs.push(sb.to_scalar(*p)?);
-            }
-            let corr = ra.substitute_params(&subs);
+            let corr = sb.inline_params(ra, &ps)?;
             // A scalar query yields the first column of the first row —
             // LIMIT 1 keeps the apply from multiplying outer rows.
             let col = corr.output_columns(self.catalog)?.first()?.clone();
@@ -1038,29 +880,9 @@ impl<'c> RuleEngine<'c> {
         }
         // The projected element, with subqueries now columns of the chain.
         sb.bind_tuple(cursor, Some(ob));
-        let items = if let Node::Op {
-            op: OpKind::Pair,
-            args,
-        } = dag.node(elem).clone()
-        {
-            let a = sb.to_scalar(args[0])?;
-            let b = sb.to_scalar(args[1])?;
-            vec![ProjItem::new(a, "first"), ProjItem::new(b, "second")]
-        } else {
-            let s = sb.to_scalar(elem)?;
-            let alias = default_proj_alias(&s);
-            vec![ProjItem::new(s, alias)]
-        };
+        let items = sb.elem_items(elem)?;
         let params = sb.params;
-        let mut ra = chain.project(items);
-        if is_set {
-            ra = ra.dedup();
-        }
-        self.trace.push("T7");
-        Some(dag.intern(Node::Query {
-            ra,
-            params: params.into(),
-        }))
+        Some(self.emit(dag, "T7", chain.project(items), is_set, params))
     }
 
     /// Dependent aggregation (Appendix B): argmax/argmin via
@@ -1110,6 +932,24 @@ impl<'c> RuleEngine<'c> {
         Some(dag.op(OpKind::Coalesce, vec![sq, w_init]))
     }
 
+    /// Record `rule` and intern its collection result: the query `ra` over
+    /// `params`, deduplicated for a set.
+    fn emit(
+        &mut self,
+        dag: &mut EeDag,
+        rule: &'static str,
+        ra: RaExpr,
+        is_set: bool,
+        params: Vec<NodeId>,
+    ) -> NodeId {
+        let ra = if is_set { ra.dedup() } else { ra };
+        self.trace.push(rule);
+        dag.intern(Node::Query {
+            ra,
+            params: params.into(),
+        })
+    }
+
     fn init_is_empty_coll(&self, dag: &EeDag, init: NodeId) -> bool {
         matches!(dag.node(init), Node::EmptyColl(_))
     }
@@ -1137,6 +977,62 @@ impl<'c> RuleEngine<'c> {
                 let fresh = self.fresh_alias("eqi");
                 (other.aliased(fresh.clone()), fresh)
             }
+        }
+    }
+}
+
+/// One bottom-up pass of [`RuleEngine::transform`].
+impl Rewriter for RuleEngine<'_> {
+    fn enter(&mut self, dag: &mut EeDag, id: NodeId, _: u32) -> Option<NodeId> {
+        if self.cache_enabled && self.clean.contains(&id) {
+            self.cache_hits += 1;
+            return Some(id);
+        }
+        match dag.node(id) {
+            Node::Const(_)
+            | Node::Input(_)
+            | Node::AccParam(_)
+            | Node::TupleParam(_)
+            | Node::EmptyColl(_)
+            | Node::NotDetermined
+            | Node::Opaque { .. } => Some(id),
+            _ => {
+                self.cache_misses += 1;
+                None
+            }
+        }
+    }
+
+    /// An argmax's bound key and value are left as built (they reach SQL
+    /// through `try_arg_extreme`'s scalar translation); a fold's bound
+    /// function is rewritten like its other operands.
+    fn operand(&self, node: &Node, ctx: u32, bound: bool) -> Option<u32> {
+        (!bound || !matches!(node, Node::ArgExtreme { .. })).then_some(ctx)
+    }
+
+    fn finish(&mut self, dag: &mut EeDag, id: NodeId, node: NodeId, _: u32) -> NodeId {
+        let rebuilt = match *dag.node(node) {
+            Node::Op { .. } => self.simplify_op(dag, node),
+            Node::Fold { .. } => self.try_fold_rules(dag, node).unwrap_or(node),
+            Node::ArgExtreme { origin, .. } => match self.try_arg_extreme(dag, node) {
+                Some(n) => self.certified(node, n, origin),
+                None => node,
+            },
+            _ => node,
+        };
+        if rebuilt == id && self.cache_enabled {
+            // Rebuilt to itself: the whole subdag is in normal form and can
+            // be skipped by every later pass.
+            self.clean.insert(id);
+        }
+        rebuilt
+    }
+
+    /// A shared subdag already rewritten this pass (the ee-DAG is
+    /// hash-consed, so diamond sharing is the common case).
+    fn revisit(&mut self) {
+        if self.cache_enabled {
+            self.cache_hits += 1;
         }
     }
 }
@@ -1554,6 +1450,33 @@ impl<'d, 'c> ScalarBuild<'d, 'c> {
             }
         }
         Some(())
+    }
+
+    /// `ra` with each parameter replaced by its translation here.
+    fn inline_params(&mut self, ra: RaExpr, params: &[NodeId]) -> Option<RaExpr> {
+        let mut subs = Vec::new();
+        for p in params {
+            subs.push(self.to_scalar(*p)?);
+        }
+        Some(ra.substitute_params(&subs))
+    }
+
+    /// The projection of a collection element: a pair's two components as
+    /// `first` and `second`, anything else as one column.
+    fn elem_items(&mut self, elem: NodeId) -> Option<Vec<ProjItem>> {
+        let dag = self.dag;
+        if let Node::Op {
+            op: OpKind::Pair,
+            args,
+        } = dag.node(elem)
+        {
+            let a = self.to_scalar(args[0])?;
+            let b = self.to_scalar(args[1])?;
+            return Some(vec![ProjItem::new(a, "first"), ProjItem::new(b, "second")]);
+        }
+        let s = self.to_scalar(elem)?;
+        let alias = default_proj_alias(&s);
+        Some(vec![ProjItem::new(s, alias)])
     }
 
     /// Lift a loop-invariant node into a query parameter.

@@ -717,7 +717,6 @@ fn step_conn(
     completions: &Completions,
     wake: &Arc<Wakeup>,
 ) {
-    let cfg_keep_alive = state.service.config().keep_alive;
     // Parse as many complete requests as are buffered.
     while conn.pending.len() < MAX_PIPELINE && !conn.refusing() {
         match try_parse(&mut conn.buf) {
@@ -751,7 +750,7 @@ fn step_conn(
             }
             Some(Pending::Request(req)) => req,
         };
-        let keep_alive = cfg_keep_alive && req.keep_alive;
+        let keep_alive = req.keep_alive;
         match dispatch(req, conn.token, state, completions, wake) {
             Dispatched::Inline(resp) => {
                 conn.queue_response(&resp, keep_alive, state);
@@ -837,7 +836,6 @@ fn dispatch(
                     ),
                     ("cache_entries".into(), Json::int(cfg.cache_entries as i64)),
                     ("cache_shards".into(), Json::int(cfg.cache_shards as i64)),
-                    ("keep_alive".into(), Json::Bool(cfg.keep_alive)),
                 ])
                 .render(),
             ))

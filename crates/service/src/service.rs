@@ -50,9 +50,6 @@ pub struct ServiceConfig {
     pub job_timeout: Option<Duration>,
     /// Per-tenant admission quota (token bucket); rate 0 never sheds.
     pub quota: Quota,
-    /// Serve HTTP/1.1 keep-alive (persistent connections + pipelining).
-    /// When false every response carries `Connection: close`.
-    pub keep_alive: bool,
     /// Close a connection idle (no read/write progress) this long.
     pub idle_timeout: Duration,
     /// Close a connection whose peer stalls reading our response bytes
@@ -72,7 +69,6 @@ impl Default for ServiceConfig {
             cache_shards: 8,
             job_timeout: Some(Duration::from_secs(30)),
             quota: Quota::unlimited(),
-            keep_alive: true,
             idle_timeout: Duration::from_secs(10),
             write_timeout: Duration::from_secs(10),
             deterministic_metrics: false,

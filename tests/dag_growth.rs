@@ -14,7 +14,7 @@ use eqsql_core::Extractor;
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
-use counting_alloc::count;
+use counting_alloc::{count, measure};
 
 /// A cursor loop whose body is `n` lines of
 /// `if (e.salary > i) { s = s + i; }`, each with an `else` arm when asked.
@@ -87,4 +87,22 @@ fn max_chains_build_a_linear_dag() {
             dir.dag.len()
         );
     }
+}
+
+#[test]
+fn sequential_regions_merge_linearly() {
+    let catalog = algebra::schema::Catalog::new();
+    let allocs = |n: usize| {
+        let body = "    if (a > i) { s = s + i; }\n".repeat(n);
+        let src = format!("fn g(a, i) {{\n    s = 0;\n{body}    return s;\n}}\n");
+        let program = imp::parse_and_normalize(&src).unwrap();
+        let extractor = Extractor::new(catalog.clone());
+        let (_, count, bytes) = measure(|| extractor.extract_program(&program));
+        (count, bytes)
+    };
+    let (small, large) = (allocs(256), allocs(512));
+    assert!(
+        2 * large.0 <= 5 * small.0 && 2 * large.1 <= 5 * small.1,
+        "(allocations, bytes): {small:?} at n = 256, {large:?} at n = 512"
+    );
 }

@@ -4,6 +4,8 @@
 //! proportion to `n`, and one that keeps block-level facts does not. The
 //! gate counts allocations, which repeat exactly on every machine, rather
 //! than time. Each count covers the index build and the solve together.
+//! A last gate holds dead-code elimination linear on a dead chain of
+//! assignments, by bytes allocated.
 
 use std::hint::black_box;
 
@@ -15,7 +17,7 @@ use imp::ast::Function;
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
-use counting_alloc::count;
+use counting_alloc::{count, measure};
 
 const VARS: usize = 32;
 
@@ -73,4 +75,40 @@ fn reaching_defs_allocations_do_not_grow_with_the_block() {
         })
         .1
     });
+}
+
+/// `s = 0;`, `n` × `s = s + 1;`, then a sum loop over `emp`. Extraction
+/// folds the prefix into the loop's query, and dead-code elimination then
+/// deletes the whole chain.
+fn dead_chain(n: usize) -> String {
+    format!(
+        "fn f() {{\n    rows = executeQuery(\"SELECT * FROM emp\");\n    s = 0;\n{}    \
+         for (e in rows) {{\n        s = s + e.salary;\n    }}\n    return s;\n}}\n",
+        "    s = s + 1;\n".repeat(n)
+    )
+}
+
+#[test]
+fn dead_code_elimination_removes_a_dead_chain_in_one_round() {
+    // Bytes, not allocations: a round per removed link allocates about the
+    // same number of times each round, but each round's tables span the
+    // whole function.
+    let bytes = |n: usize| {
+        let catalog = algebra::ddl::parse_ddl(
+            "CREATE TABLE emp (id INT PRIMARY KEY, name TEXT, dept TEXT, salary INT);",
+        )
+        .unwrap();
+        let program = imp::parse_and_normalize(&dead_chain(n)).unwrap();
+        let extractor = eqsql_core::Extractor::new(catalog);
+        let (report, _, bytes) = measure(|| extractor.extract_program(&program));
+        assert_eq!(report.loops_rewritten, 1, "n = {n}");
+        let body = &report.program.functions[0].body.stmts;
+        assert_eq!(body.len(), 2, "n = {n}: the chain is left: {body:?}");
+        bytes
+    };
+    let (small, large) = (bytes(256), bytes(512));
+    assert!(
+        2 * large <= 5 * small,
+        "{small} bytes at n = 256, {large} at n = 512"
+    );
 }
