@@ -13,7 +13,8 @@
 //! );
 //! ```
 //!
-//! Statements are `;`-separated; `--` line comments are skipped.
+//! Statements are `;`-separated; `--` line comments are skipped
+//! ([`split_statements`], which `eqsql run --data` also uses).
 
 use crate::parse::SqlError;
 use crate::schema::{Catalog, ColumnDef, SqlType, TableSchema};
@@ -35,8 +36,11 @@ pub fn parse_ddl(input: &str) -> Result<Catalog, SqlError> {
     Ok(catalog)
 }
 
-/// Split on `;`, respecting quoted strings and stripping `--` comments.
-fn split_statements(input: &str) -> Vec<(usize, String)> {
+/// Split a SQL script into statements: on every `;` outside a quoted
+/// string, with `--` line comments replaced by a space. Each statement
+/// comes with the byte offset it starts at and is not trimmed; a blank one
+/// (between two `;`, or holding only a comment) is the caller's to skip.
+pub fn split_statements(input: &str) -> Vec<(usize, String)> {
     let mut out = Vec::new();
     let mut cur = String::new();
     let mut start = 0usize;

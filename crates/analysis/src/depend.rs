@@ -5,18 +5,21 @@
 //! calls `executeUpdate` — needs a different legality argument: the loop
 //! may be replaced by one set-oriented statement only when no iteration
 //! depends on the database state left behind by an earlier iteration.
-//! This module proves (or refutes) that property with a forward monotone
-//! dataflow pass on the Kildall framework in [`crate::dataflow`]:
+//! This module proves (or refutes) that property with one forward walk
+//! over the body's statements:
 //!
-//! * The abstract state ([`AccessFact`]) tracks, per iteration, which
+//! * The abstract state (`AccessFact`) tracks, per iteration, which
 //!   tables the body *reads* (inner `executeQuery`/`executeScalar`),
 //!   which it *writes* (table, DML kind, written column set, and a key
 //!   predicate abstracted over the cursor variable), which scalars are
 //!   read before they are assigned (loop-carried values), and whether the
 //!   body has effects we cannot model (dynamic SQL, unknown calls,
 //!   collection mutation, printing).
-//! * Facts from the body's branches are joined across its CFG, so guards
-//!   (`if` around the DML call) are handled exactly, not syntactically.
+//! * Both arms of an `if` are walked from the fact before it and joined
+//!   after it, so guards (`if` around the DML call) are handled exactly,
+//!   not syntactically. Early exits, nested loops and consumed updates are
+//!   rejected before the walk, so the walked body is acyclic and
+//!   `if`-structured and one pass is the exact fixpoint.
 //! * The summary fact at the body's exit is classified into the classic
 //!   loop-carried dependences:
 //!   - **flow** — an iteration reads state (a table or a scalar) a
@@ -46,12 +49,9 @@ use algebra::dml::{InsertSource, Stmt as SqlStmt};
 use algebra::parse::{parse_sql, parse_statement};
 use algebra::scalar::{BinOp, ColRef, Lit, Scalar, UnOp};
 use algebra::RaExpr;
-use imp::ast::{builtins, Block, Expr, Function, Literal, Stmt, StmtId, StmtKind};
+use imp::ast::{builtins, Block, Expr, Literal, StmtId, StmtKind};
 use imp::token::Span;
 use intern::Symbol;
-
-use crate::cfg::{BlockId, Terminator};
-use crate::dataflow::{self, Analysis, Direction, FnIndex};
 
 // ---------------------------------------------------------------------------
 // DML statement templates
@@ -288,72 +288,62 @@ pub struct TableWrite {
     pub key: KeyPred,
 }
 
-/// Must-assigned variable set: intersection join, with `All` as the
-/// bottom element (identity) so unreachable paths do not spuriously
-/// shrink the set.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MustSet {
-    /// ⊥ — every variable (holds on no path).
-    All,
-    /// Exactly these variables are assigned on every path so far.
-    Only(BTreeSet<Symbol>),
-}
-
-impl MustSet {
-    fn contains(&self, v: Symbol) -> bool {
-        match self {
-            MustSet::All => true,
-            MustSet::Only(s) => s.contains(&v),
-        }
-    }
-    fn insert(&mut self, v: Symbol) {
-        if let MustSet::Only(s) = self {
-            s.insert(v);
-        }
-    }
-    fn join(&self, other: &MustSet) -> MustSet {
-        match (self, other) {
-            (MustSet::All, x) | (x, MustSet::All) => x.clone(),
-            (MustSet::Only(a), MustSet::Only(b)) => {
-                MustSet::Only(a.intersection(b).cloned().collect())
-            }
-        }
-    }
-}
-
-/// The dataflow fact: one iteration's abstract effect, joined over all
+/// The walk's fact: one iteration's abstract effect, joined over all
 /// paths through the body reaching a program point.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AccessFact {
+#[derive(Debug, Clone, Default)]
+struct AccessFact {
     /// Tables read by inner queries (lowercased).
-    pub reads: BTreeSet<String>,
+    reads: BTreeSet<String>,
     /// Per-table write abstraction.
-    pub writes: BTreeMap<String, TableWrite>,
+    writes: BTreeMap<String, TableWrite>,
     /// Scalars read before being must-assigned this iteration (excluding
     /// the cursor). Intersected with the body's assigned set, these are
     /// the loop-carried scalars.
-    pub carried: BTreeSet<Symbol>,
+    carried: BTreeSet<Symbol>,
     /// Variables assigned on every path so far (kills `carried`).
-    pub assigned: MustSet,
+    assigned: BTreeSet<Symbol>,
     /// Body produces output (`print`).
-    pub prints: bool,
+    prints: bool,
     /// Effects the abstraction cannot model, by reason.
-    pub opaque: BTreeSet<String>,
+    opaque: BTreeSet<String>,
 }
 
-/// The forward dependence-collection analysis over the loop body.
-struct DependAnalysis {
+impl AccessFact {
+    /// Join the fact of another path into this one.
+    fn join(&mut self, b: AccessFact) {
+        for (t, w) in b.writes {
+            match self.writes.get_mut(&t) {
+                Some(e) => {
+                    e.kinds.extend(w.kinds);
+                    e.columns = e.columns.join(&w.columns);
+                    e.key = e.key.join(&w.key);
+                }
+                None => {
+                    self.writes.insert(t, w);
+                }
+            }
+        }
+        self.reads.extend(b.reads);
+        self.carried.extend(b.carried);
+        self.assigned.retain(|v| b.assigned.contains(v));
+        self.prints |= b.prints;
+        self.opaque.extend(b.opaque);
+    }
+}
+
+/// The forward dependence-collection walk over the loop body.
+struct DependWalk {
     /// Cursor variable of the enclosing loop.
     cursor: Symbol,
 }
 
-impl DependAnalysis {
+impl DependWalk {
     /// Record every read/effect of `e` into `fact`.
     fn scan_expr(&self, e: &Expr, fact: &mut AccessFact) {
         match e {
             Expr::Lit(_) => {}
             Expr::Var(v) => {
-                if *v != self.cursor && !fact.assigned.contains(*v) {
+                if *v != self.cursor && !fact.assigned.contains(v) {
                     fact.carried.insert(*v);
                 }
             }
@@ -474,116 +464,47 @@ impl DependAnalysis {
         entry.columns = entry.columns.join(&columns);
         entry.key = entry.key.join(&key);
     }
-}
 
-impl Analysis for DependAnalysis {
-    type Fact = AccessFact;
-
-    fn name(&self) -> &'static str {
-        "depend"
-    }
-
-    fn direction(&self) -> Direction {
-        Direction::Forward
-    }
-
-    fn bottom(&self) -> AccessFact {
-        AccessFact {
-            reads: BTreeSet::new(),
-            writes: BTreeMap::new(),
-            carried: BTreeSet::new(),
-            assigned: MustSet::All,
-            prints: false,
-            opaque: BTreeSet::new(),
-        }
-    }
-
-    fn boundary(&self, _ix: &FnIndex<'_>) -> AccessFact {
-        AccessFact {
-            assigned: MustSet::Only(BTreeSet::new()),
-            ..self.bottom()
-        }
-    }
-
-    fn join_into(&self, into: &mut AccessFact, b: &AccessFact) -> bool {
-        let before = into.clone();
-        for (t, w) in &b.writes {
-            match into.writes.get_mut(t) {
-                Some(e) => {
-                    e.kinds.extend(w.kinds.iter().cloned());
-                    e.columns = e.columns.join(&w.columns);
-                    e.key = e.key.join(&w.key);
+    /// Apply `block`'s statements to `fact` in program order. An `if`
+    /// scans its condition, walks both branches from the same fact and
+    /// joins them after it. The body holds no loops and no jumps by the
+    /// time it is walked (`analyze_body` rejects them first), so this
+    /// one pass is the exact fixpoint of the forward problem over the
+    /// body's acyclic control flow.
+    fn walk(&self, block: &Block, fact: &mut AccessFact) {
+        for s in &block.stmts {
+            match &s.kind {
+                StmtKind::Assign { target, value } => {
+                    self.scan_expr(value, fact);
+                    fact.assigned.insert(*target);
                 }
-                None => {
-                    into.writes.insert(t.clone(), w.clone());
+                StmtKind::Expr(e) => self.scan_expr(e, fact),
+                StmtKind::Print(es) => {
+                    for e in es {
+                        self.scan_expr(e, fact);
+                    }
+                    fact.prints = true;
+                }
+                StmtKind::If {
+                    cond,
+                    then_branch,
+                    else_branch,
+                } => {
+                    self.scan_expr(cond, fact);
+                    let mut other = fact.clone();
+                    self.walk(then_branch, fact);
+                    self.walk(else_branch, &mut other);
+                    fact.join(other);
+                }
+                StmtKind::ForEach { .. }
+                | StmtKind::While { .. }
+                | StmtKind::Return(_)
+                | StmtKind::Break
+                | StmtKind::Continue => {
+                    unreachable!("loops and early exits are rejected before the walk")
                 }
             }
         }
-        into.reads.extend(b.reads.iter().cloned());
-        into.carried.extend(b.carried.iter().cloned());
-        into.assigned = into.assigned.join(&b.assigned);
-        into.prints |= b.prints;
-        into.opaque.extend(b.opaque.iter().cloned());
-        *into != before
-    }
-
-    fn apply_stmt(&self, _at: usize, s: &Stmt, out: &mut AccessFact) {
-        match &s.kind {
-            StmtKind::Assign { target, value } => {
-                self.scan_expr(value, out);
-                out.assigned.insert(*target);
-            }
-            StmtKind::Expr(e) => self.scan_expr(e, out),
-            StmtKind::Print(es) => {
-                for e in es {
-                    self.scan_expr(e, out);
-                }
-                out.prints = true;
-            }
-            StmtKind::Return(v) => {
-                if let Some(v) = v {
-                    self.scan_expr(v, out);
-                }
-            }
-            // Nested loops are rejected syntactically before solving; keep
-            // the transfer total (and conservative) anyway.
-            StmtKind::ForEach { iterable, .. } => {
-                self.scan_expr(iterable, out);
-                out.opaque.insert("contains a nested loop".to_string());
-            }
-            StmtKind::While { .. } => {
-                out.opaque.insert("contains a nested loop".to_string());
-            }
-            // `If` ids sit on no block; `Break`/`Continue` are rejected
-            // before solving.
-            StmtKind::If { .. } | StmtKind::Break | StmtKind::Continue => {}
-        }
-    }
-
-    fn apply_terminator(&self, _b: BlockId, t: &Terminator, out: &mut AccessFact) {
-        match t {
-            Terminator::Branch { cond, .. } => self.scan_expr(cond, out),
-            Terminator::ForDispatch { iterable, .. } => self.scan_expr(iterable, out),
-            Terminator::Return(Some(v)) => self.scan_expr(v, out),
-            Terminator::Return(None) | Terminator::Goto(_) | Terminator::End => {}
-        }
-    }
-
-    fn height(&self, ix: &FnIndex<'_>) -> usize {
-        // Chains are bounded by the syntactic material: every byte of a
-        // SQL literal can add at most one read/write/column element, every
-        // variable one `carried`/`assigned` element, every statement one
-        // opaque reason; key lattices have height 2 and flags height 1.
-        let f = ix.function();
-        let mut tokens = 0usize;
-        let mut stmts = 0usize;
-        f.body.walk(&mut |_, _| stmts += 1);
-        f.body.walk_exprs(&mut |e| {
-            if let Expr::Lit(Literal::Str(sql)) = e {
-                tokens += sql.len();
-            }
-        });
-        ix.var_count() * 2 + tokens * 4 + stmts * 2 + 8
     }
 }
 
@@ -843,9 +764,8 @@ pub fn analyze_body(body: &Block, drv: &DrivingInfo) -> LoopDependence {
 
     let blocked = |kind, detail: String, span| Verdict::Blocked(Blocking { kind, detail, span });
 
-    // Control dependences are syntactic — and rejecting them before
-    // solving keeps the synthetic body-function's CFG free of top-level
-    // `break`/`continue` edges that have no enclosing loop there.
+    // Control dependences are syntactic; rejecting them (and consumed
+    // updates) first leaves the walk an acyclic, `if`-structured body.
     if let Some((word, span)) = syn.abrupt {
         dep.verdict = blocked(
             DependenceKind::Control,
@@ -871,18 +791,8 @@ pub fn analyze_body(body: &Block, drv: &DrivingInfo) -> LoopDependence {
         return dep;
     }
 
-    // Solve the forward access analysis over the body's own CFG, wrapped
-    // in a synthetic single-parameter function (the cursor).
-    let f = Function {
-        name: "__depend_body".into(),
-        params: vec![drv.cursor],
-        body: body.clone(),
-        span: drv.loop_span,
-    };
-    let a = DependAnalysis { cursor: drv.cursor };
-    let ix = FnIndex::build(&f);
-    let sol = dataflow::solve(&a, &ix);
-    let summary = sol.entry[ix.cfg().end.0].clone();
+    let mut summary = AccessFact::default();
+    DependWalk { cursor: drv.cursor }.walk(body, &mut summary);
     dep.reads = summary.reads.clone();
     dep.writes = summary.writes.clone();
 

@@ -5,16 +5,16 @@
 //! * [`defuse`] — per-statement def/use/external-access sets. The whole
 //!   database is conservatively one external location, and accessing any
 //!   element of a collection accesses the whole collection (Sec. 4.2);
-//! * [`ddg`] — the data-dependence graph of a loop body, with loop-carried
-//!   flow-dependence (lcfd) and external-dependence edges, used to check
-//!   preconditions P1–P3 of `loopToFold` (Fig. 6);
+//! * [`ddg`] — the flattened atoms of a loop body, answering the
+//!   loop-carried flow-dependence (lcfd) and external-write queries of
+//!   preconditions P1–P3 of `loopToFold` (Fig. 6) without building edges;
 //! * [`slice`](mod@slice) — backward program slices `slice(R, l, v)` (Weiser-style,
 //!   including control predicates);
 //! * [`dataflow`] — the reusable monotone-framework engine (forward or
 //!   backward worklist over [`cfg`](mod@cfg) with a configurable join-semilattice,
 //!   height-bounded termination, deterministic iteration order);
 //! * [`depend`] — loop-carried dependence analysis for DML (write) loops,
-//!   a forward [`dataflow`] client: per-iteration abstract read/write sets
+//!   one structural walk over the body: per-iteration abstract read/write sets
 //!   over tables and scalars, classified into flow/anti/output/control/
 //!   effect dependences; its `Batchable` verdict licenses foreach-dml
 //!   extraction (`E010`/`W010`);
@@ -60,7 +60,7 @@ pub mod taint;
 pub use callgraph::CallGraph;
 pub use cfg::{BlockId, Cfg};
 pub use dataflow::{Analysis, Direction, Solution};
-pub use ddg::{Ddg, DepKind};
+pub use ddg::Ddg;
 pub use defuse::{DefUse, DefUseCtx};
 pub use diag::{Code, Diagnostic, Label, Severity};
 pub use effects::{effect_summaries, EffectSet, EffectSummary};

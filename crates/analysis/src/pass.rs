@@ -325,16 +325,16 @@ impl Pass for LoopEffectsPass {
         let mut found: Vec<(imp::token::Span, Vec<imp::token::Span>)> = Vec::new();
         let mut visit = |s: &Stmt, _in_loop: bool| {
             if let StmtKind::ForEach { var, body, .. } = &s.kind {
-                let ddg = Ddg::build_with(body, var, &BTreeSet::new(), ctx);
-                let scope: BTreeSet<_> = ddg.atoms.iter().map(|a| a.id).collect();
-                let writers = ddg.external_writers_within(&scope);
-                if writers.is_empty() {
+                let ddg = Ddg::build_with(body, var, ctx);
+                let spans = ddg
+                    .atoms
+                    .iter()
+                    .filter(|a| a.ext_write)
+                    .filter_map(|a| body.find(a.id).map(|s| s.span))
+                    .collect::<Vec<_>>();
+                if spans.is_empty() {
                     return;
                 }
-                let spans = writers
-                    .iter()
-                    .filter_map(|id| body.find(*id).map(|s| s.span))
-                    .collect::<Vec<_>>();
                 found.push((s.span, spans));
             }
         };

@@ -22,34 +22,32 @@ use crate::ddg::Ddg;
 /// the loop header, not the body), so it never pulls statements in by
 /// itself.
 pub fn slice_for_var(ddg: &Ddg, var: impl Into<Symbol>) -> BTreeSet<StmtId> {
-    let mut relevant: BTreeSet<Symbol> = BTreeSet::from([var.into()]);
+    // A def of a relevant variable joins the slice and makes its own uses
+    // relevant. Each variable is expanded once, through its defining
+    // atoms, so a chain of copies costs its length, not its square.
+    let var = var.into();
+    let mut relevant: BTreeSet<Symbol> = BTreeSet::from([var]);
+    let mut work = vec![var];
     let mut in_slice: BTreeSet<StmtId> = BTreeSet::new();
-    loop {
-        let mut changed = false;
-        // Walk atoms backwards: a def of a relevant variable joins the
-        // slice and makes its own uses relevant.
-        for a in ddg.atoms.iter().rev() {
-            if a.defs.iter().any(|d| relevant.contains(d)) && !in_slice.contains(&a.id) {
-                in_slice.insert(a.id);
-                changed = true;
-            }
-            if in_slice.contains(&a.id) {
+    while let Some(v) = work.pop() {
+        for i in ddg.defining_atoms(v) {
+            let a = &ddg.atoms[i];
+            if in_slice.insert(a.id) {
                 for u in &a.uses {
-                    if u != &ddg.cursor_var && relevant.insert(*u) {
-                        changed = true;
+                    if *u != ddg.cursor_var && relevant.insert(*u) {
+                        work.push(*u);
                     }
                 }
             }
         }
-        if !changed {
-            return in_slice;
-        }
     }
+    in_slice
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::defuse::DefUseCtx;
     use imp::ast::StmtKind;
     use imp::parser::parse_program;
 
@@ -57,7 +55,10 @@ mod tests {
         let p = parse_program(src).unwrap();
         for s in &p.functions[0].body.stmts {
             if let StmtKind::ForEach { var, body, .. } = &s.kind {
-                return (Ddg::build(body, var, &BTreeSet::new()), body.stmts.clone());
+                return (
+                    Ddg::build_with(body, var, &DefUseCtx::default()),
+                    body.stmts.clone(),
+                );
             }
         }
         panic!("no loop");

@@ -474,9 +474,9 @@ fn run(args: &[String], out: &mut impl Write) -> Result<(), Fail> {
             }
             if let Some(path) = &opts.data {
                 let script = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-                for stmt in script.split(';') {
+                for (_, stmt) in algebra::ddl::split_statements(&script) {
                     let stmt = stmt.trim();
-                    if stmt.is_empty() || stmt.starts_with("--") {
+                    if stmt.is_empty() {
                         continue;
                     }
                     interp::dml::execute_update(&mut db, stmt, &[])

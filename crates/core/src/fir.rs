@@ -106,7 +106,7 @@ pub fn loop_to_fold(
         // Nothing to fold: the dependence graph would go unread.
         return out;
     }
-    let ddg = Ddg::build_with(body, cursor, &BTreeSet::new(), ctx);
+    let ddg = Ddg::build_with(body, cursor, ctx);
     for var in &updated {
         let cx = ConvertCx {
             body,
@@ -229,13 +229,12 @@ fn try_dependent_agg(
     }
     // Only the (v, w) pair may carry dependences in w's slice.
     let slice = slice_for_var(ddg, w);
-    if ddg.external_write_within(&slice) {
+    if !ddg.external_writers_within(&slice).is_empty()
+        || ddg
+            .first_lcfd_outside(&[w, v_name, cursor], &slice)
+            .is_some()
+    {
         return None;
-    }
-    for e in ddg.lcfd_within(&slice) {
-        if e.var != w && e.var != v_name && e.var != cursor {
-            return None;
-        }
     }
     // key/g over the tuple parameter; they must not read v or w themselves.
     let mut subs = VeMap::new();
@@ -291,12 +290,9 @@ fn convert_var(
     let sacc = ddg.writers_of(var);
 
     // P3 — no external dependencies in the slice.
-    if ddg.external_write_within(&slice) {
-        let writers = ddg.external_writers_within(&slice);
-        let span = writers
-            .first()
-            .map(|id| cx.span_of(*id))
-            .unwrap_or(cx.loop_span);
+    let writers = ddg.external_writers_within(&slice);
+    if let Some(first) = writers.first() {
+        let span = cx.span_of(*first);
         let mut d = Diagnostic::new(
             Code::ExternalWriteInSlice,
             span,
@@ -308,9 +304,9 @@ fn convert_var(
         .with_note("precondition P3: the variable's slice must be free of external effects");
         // Name the offending effect (interprocedural effect summaries): a
         // rejection should say *what* writes, not just where.
-        if let Some(why) = writers
-            .first()
-            .and_then(|id| cx.body.find(*id))
+        if let Some(why) = cx
+            .body
+            .find(*first)
             .and_then(|s| analysis::effects::describe_external_write(s, &cx.ctx.summaries))
         {
             d = d.with_note(format!("the statement {why}"));
@@ -321,12 +317,9 @@ fn convert_var(
         return Err(d);
     }
 
-    // P1/P2 — loop-carried dependence structure.
-    let lcfd = ddg.lcfd_within(&slice);
-    let has_cycle_on_var = lcfd
-        .iter()
-        .any(|e| e.var == var && sacc.contains(&e.writer));
-    if !has_cycle_on_var {
+    // P1/P2 — loop-carried dependence structure. Every lcfd on `var` has
+    // its writer in `sacc`.
+    if !ddg.has_lcfd_on(var, &slice) {
         let mut d = Diagnostic::new(
             Code::NoAccumulation,
             cx.first_span(&sacc),
@@ -346,26 +339,23 @@ fn convert_var(
         }
         return Err(d);
     }
-    for e in &lcfd {
-        let allowed = (e.var == var && sacc.contains(&e.writer)) || e.var == cx.cursor;
-        if !allowed {
-            return Err(Diagnostic::new(
-                Code::ExtraLoopDependence,
-                cx.span_of(e.writer),
-                format!(
-                    "P2: extra loop-carried dependence on {} ({} → {})",
-                    e.var, e.writer, e.reader
-                ),
-            )
-            .with_primary_label(format!("{} is written here on one iteration …", e.var))
-            .with_label(cx.span_of(e.reader), "… and read here on the next")
-            .with_var(var.as_str())
-            .with_pass("fir")
-            .with_note(
-                "precondition P2: only the accumulator itself (and the cursor) may \
-                 carry values across iterations",
-            ));
-        }
+    if let Some(e) = ddg.first_lcfd_outside(&[var, cx.cursor], &slice) {
+        return Err(Diagnostic::new(
+            Code::ExtraLoopDependence,
+            cx.span_of(e.writer),
+            format!(
+                "P2: extra loop-carried dependence on {} ({} → {})",
+                e.var, e.writer, e.reader
+            ),
+        )
+        .with_primary_label(format!("{} is written here on one iteration …", e.var))
+        .with_label(cx.span_of(e.reader), "… and read here on the next")
+        .with_var(var.as_str())
+        .with_pass("fir")
+        .with_note(
+            "precondition P2: only the accumulator itself (and the cursor) may \
+             carry values across iterations",
+        ));
     }
 
     if dag.is_poisoned(expr) {
@@ -923,6 +913,28 @@ mod tests {
             "a = a + t.salary;"
         );
         assert!(!err.secondary.is_empty());
+    }
+
+    #[test]
+    fn p2_reports_the_first_carried_edge_past_a_kill() {
+        // `k` is killed before `s` reads it; `c` and `b` both carry a value
+        // into `s`'s update. The first extra lcfd by writer order is `c`'s.
+        let src = format!(
+            "{PREFIX} s = 0; b = 0; c = 0; k = 0; for (t in q) {{ k = t.id; s = s + b + c + k; \
+             c = c + t.salary; b = b + 1; }} return s; }}"
+        );
+        let err = fold_result(&src, "s").unwrap_err();
+        assert_eq!(err.code, Code::ExtraLoopDependence);
+        assert_eq!(
+            err.message,
+            "P2: extra loop-carried dependence on c (S8 → S7)"
+        );
+        let text = |span: Span| &src[span.start..span.end];
+        assert_eq!(text(err.primary.span), "c = c + t.salary;");
+        assert_eq!(err.primary.message, "c is written here on one iteration …");
+        assert_eq!(err.secondary.len(), 1);
+        assert_eq!(text(err.secondary[0].span), "s = s + b + c + k;");
+        assert_eq!(err.secondary[0].message, "… and read here on the next");
     }
 
     #[test]

@@ -512,11 +512,10 @@ pub fn read_repro(imp_path: &Path) -> std::io::Result<Case> {
     let ddl = std::fs::read_to_string(dir.join(format!("{stem}.schema.sql")))?;
     let data_text =
         std::fs::read_to_string(dir.join(format!("{stem}.data.sql"))).unwrap_or_default();
-    let data: Vec<String> = data_text
-        .split(';')
-        .map(str::trim)
-        .filter(|s| !s.is_empty() && !s.starts_with("--"))
-        .map(str::to_string)
+    let data: Vec<String> = algebra::ddl::split_statements(&data_text)
+        .into_iter()
+        .map(|(_, s)| s.trim().to_string())
+        .filter(|s| !s.is_empty())
         .collect();
     Ok(Case {
         ddl,
@@ -584,6 +583,28 @@ mod tests {
         assert_eq!(back.args, case.args);
         // The program gains header comments but must still run identically.
         assert!(matches!(run_case(&back), CaseOutcome::Agree { .. }));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn repro_data_keeps_rows_after_comments_and_quoted_semicolons() {
+        let dir = std::env::temp_dir().join("eqsql-fuzz-oracle-comments");
+        let case = tiny_case();
+        write_repro(&dir, "001", &case, "n/a").unwrap();
+        std::fs::write(
+            dir.join("001.data.sql"),
+            "-- seed rows\nINSERT INTO t VALUES (0, 1, 2);\n\
+             INSERT INTO s VALUES ('a;b'); -- trailing\n",
+        )
+        .unwrap();
+        let back = read_repro(&dir.join("001.imp")).unwrap();
+        assert_eq!(
+            back.data,
+            [
+                "INSERT INTO t VALUES (0, 1, 2)",
+                "INSERT INTO s VALUES ('a;b')"
+            ]
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

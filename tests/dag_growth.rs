@@ -6,11 +6,14 @@
 //! text is capped. The gate counts allocations, which repeat exactly on
 //! every machine, rather than time. A second family checks the D-IR
 //! itself: hash-consing keeps a `max` chain's DAG linear in its depth.
+//! A third counts bytes on a loop body of `n` accumulating statements, the
+//! shape in which a quadratic table (one dependence edge per statement
+//! pair) is a single growing allocation an allocation count cannot see.
 
 use analysis::defuse::DefUseCtx;
 use eqsql_core::dir::DirBuilder;
 use eqsql_core::eedag::DISPLAY_CAP;
-use eqsql_core::Extractor;
+use eqsql_core::{lint_program, Extractor, ExtractorOptions};
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
@@ -104,5 +107,34 @@ fn sequential_regions_merge_linearly() {
     assert!(
         2 * large.0 <= 5 * small.0 && 2 * large.1 <= 5 * small.1,
         "(allocations, bytes): {small:?} at n = 256, {large:?} at n = 512"
+    );
+}
+
+/// One cursor loop whose body is `n` × `s = s + e.salary;`: every
+/// statement reads and writes the accumulator, so every ordered statement
+/// pair carries a dependence on it.
+#[test]
+fn loop_body_dependences_grow_linearly_in_bytes() {
+    let catalog = algebra::ddl::parse_ddl(
+        "CREATE TABLE emp (id INT PRIMARY KEY, name TEXT, dept TEXT, salary INT);",
+    )
+    .unwrap();
+    let bytes = |n: usize| {
+        let body = "        s = s + e.salary;\n".repeat(n);
+        let src = format!(
+            "fn f() {{\n    rows = executeQuery(\"SELECT * FROM emp\");\n    s = 0;\n    \
+             for (e in rows) {{\n{body}    }}\n    return s;\n}}\n"
+        );
+        let program = imp::parse_and_normalize(&src).unwrap();
+        let extractor = Extractor::new(catalog.clone());
+        let (_, _, extract) = measure(|| extractor.extract_program(&program));
+        let opts = ExtractorOptions::default();
+        let (_, _, lint) = measure(|| lint_program(&program, &catalog, &opts));
+        (extract, lint)
+    };
+    let (small, large) = (bytes(256), bytes(512));
+    assert!(
+        2 * large.0 <= 5 * small.0 && 2 * large.1 <= 5 * small.1,
+        "(extract, lint) bytes: {small:?} at n = 256, {large:?} at n = 512"
     );
 }

@@ -1,8 +1,8 @@
 //! Property tests for the loop-carried dependence analysis
 //! (`analysis::depend`) that certifies batchable write loops.
 //!
-//! The verdicts rest on a forward monotone dataflow pass whose facts are
-//! joined over the body's CFG. Five properties pin the pass down:
+//! The verdicts rest on one forward walk over the body whose facts are
+//! joined after each `if`. Five properties pin the walk down:
 //!
 //! 1. **Prefix monotonicity.** Every blocking feature — early exits,
 //!    opaque effects, carried scalars, write conflicts — is monotone in
@@ -12,13 +12,13 @@
 //!    `Batchable` body has no `Blocked` prefix.
 //! 2. **Key-knowledge monotonicity.** Learning the driving table's unique
 //!    key (`key: None → Some(k)`) only enables more batching, never less.
-//! 3. **Branch-order independence.** The CFG join is commutative, so
+//! 3. **Branch-order independence.** The join after an `if` is commutative, so
 //!    swapping an `if`'s branches while negating its condition leaves the
 //!    blocking dependence *kind* unchanged (spans and scan order differ,
 //!    the abstract summary does not).
 //! 4. **Schedule independence.** The verdict is a function of the AST
-//!    alone: re-analyzing, re-parsing, and renumbering statement ids (the
-//!    raw material of any worklist priority) all yield identical results.
+//!    alone: re-analyzing, re-parsing, and renumbering statement ids all
+//!    yield identical results.
 //! 5. **Key rewrites block.** A keyed `UPDATE` that also writes its
 //!    `WHERE` column moves rows under a later iteration's key; adding one
 //!    anywhere in a body never leaves the loop `Batchable`.
