@@ -1,8 +1,8 @@
 //! Value semantics the interpreter's by-reference reads must keep: `for`
 //! iterates a snapshot, a method's receiver is read before its arguments,
-//! field lookup binds leftmost, error texts, and the exact step count of
-//! a cursor loop (the QBS verifier runs under `with_budget`, so one step
-//! more or less changes which candidates pass).
+//! field lookup binds leftmost, error texts, and the exact step counts of
+//! a cursor loop and of each construct (the QBS verifier runs under
+//! `with_budget`, so one step more or less changes which candidates pass).
 
 use dbms::gen::gen_emp;
 use dbms::Connection;
@@ -318,4 +318,151 @@ fn the_loop_variable_holds_the_last_row_after_a_streamed_loop() {
         streams_like_buffered(src, ALL);
         streams_like_buffered(src, r#""SELECT * FROM emp WHERE id < 0""#);
     }
+}
+
+/// Assert the step count of `f` in `src` over `db`: it finishes (with a
+/// value or an error) under a budget of `budget` and runs out at one less.
+fn assert_steps(src: &str, db: &dbms::Database, budget: u64) {
+    let want = run(src, db.clone());
+    assert_ne!(want, Err(RtError::BudgetExhausted), "{src}");
+    assert_eq!(run_budget(src, db, budget), want, "{src}");
+    assert_eq!(
+        run_budget(src, db, budget - 1),
+        Err(RtError::BudgetExhausted),
+        "{src}"
+    );
+}
+
+#[test]
+fn logic_ternary_and_while_step_counts_are_pinned() {
+    let db = dbms::Database::new();
+    let src = r#"
+        fn f() {
+            n = null;
+            a = n && true; b = false && n; c = n || false; d = true || n;
+            e = n && false; g = n || true;
+            return pair(pair(a, b), pair(pair(c, d), pair(e, g)));
+        }
+    "#;
+    assert_eq!(
+        run(src, db.clone()),
+        Ok(RtValue::Pair(
+            Box::new(RtValue::Pair(
+                Box::new(RtValue::null()),
+                Box::new(RtValue::bool(false))
+            )),
+            Box::new(RtValue::Pair(
+                Box::new(RtValue::Pair(
+                    Box::new(RtValue::null()),
+                    Box::new(RtValue::bool(true))
+                )),
+                Box::new(RtValue::Pair(
+                    Box::new(RtValue::bool(false)),
+                    Box::new(RtValue::bool(true))
+                )),
+            )),
+        ))
+    );
+    assert_steps(src, &db, 36);
+    assert_steps(
+        "fn f() { x = 3; y = x > 2 ? x * 2 : x - 1; z = x < 2 ? 1 : 0; return y + z; }",
+        &db,
+        20,
+    );
+    assert_steps(
+        "fn f() { i = 0; s = 0; while (i < 5) { i = i + 1; if (i == 2) continue; if (i == 4) break; s = s + i; } return s; }",
+        &db,
+        77,
+    );
+}
+
+#[test]
+fn method_call_step_counts_are_pinned() {
+    let db = dbms::Database::new();
+    // The argument mutates the receiver, so the receiver is copied first.
+    assert_steps(
+        "fn f() { xs = list(); xs.add(1); xs.add(2); return xs.contains(xs.add(3)); }",
+        &db,
+        13,
+    );
+    // The argument does not: the receiver is read in place.
+    assert_steps(
+        "fn f() { xs = list(); xs.add(1); xs.add(2); i = 1; return xs.get(i - 1) + xs.size(); }",
+        &db,
+        19,
+    );
+}
+
+#[test]
+fn user_function_call_step_count_is_pinned() {
+    assert_steps(
+        "fn g(a, b) { c = a * b; return c + 1; } fn f() { x = g(2, 3); return g(x, x); }",
+        &dbms::Database::new(),
+        24,
+    );
+}
+
+#[test]
+fn sql_call_step_counts_are_pinned() {
+    let db = gen_emp(6, 4);
+    // Each SQL call with a literal and with a computed string, and the
+    // budget of `[executeScalar, executeBatch, executeUpdate]` with it.
+    for (query, update, budgets) in [
+        (
+            r#""SELECT salary FROM emp WHERE id = ?""#,
+            r#""UPDATE emp SET salary = ? WHERE id = ?""#,
+            [8, 15, 5],
+        ),
+        (
+            r#""SELECT salary FROM " + "emp WHERE id = ?""#,
+            r#""UPDATE " + "emp SET salary = ? WHERE id = ?""#,
+            [10, 17, 7],
+        ),
+    ] {
+        let scalar = format!("fn f() {{ x = 2; return executeScalar({query}, x + 1); }}");
+        assert_steps(&scalar, &db, budgets[0]);
+        let batch = format!(
+            "fn f() {{ ids = list(); ids.add(1); ids.add(3); ids.add(99); return executeBatch({query}, ids); }}"
+        );
+        assert_steps(&batch, &db, budgets[1]);
+        let update = format!("fn f() {{ return executeUpdate({update}, 7, 2); }}");
+        assert_eq!(run(&update, db.clone()), Ok(RtValue::int(1)), "{update}");
+        assert_steps(&update, &db, budgets[2]);
+    }
+}
+
+#[test]
+fn an_unparsable_literal_fails_when_called_and_every_time() {
+    let src = r#"
+        fn g(k) {
+            print("before", k);
+            return executeQuery("SELEC salary FROM emp");
+        }
+        fn f() {
+            if (false) { return executeScalar("SELEC 1"); }
+            return g(1);
+        }
+    "#;
+    let db = gen_emp(3, 1);
+    let p = parse_program(src).unwrap();
+    let mut it = Interp::new(&p, Connection::new(db.clone()));
+    let first = it.call("f", vec![]);
+    assert!(matches!(first, Err(RtError::Sql(_))), "{first:?}");
+    assert_eq!(it.call("f", vec![]), first);
+    assert_eq!(it.output, ["before1", "before1"]);
+    assert_eq!(it.conn.stats, dbms::Stats::default());
+    assert_steps(src, &db, 11);
+}
+
+#[test]
+fn an_undefined_function_in_a_branch_never_taken_is_no_error() {
+    let src = "fn f() { x = 1; if (x > 2) { x = nowhere(x); } return x; }";
+    assert_eq!(run(src, dbms::Database::new()), Ok(RtValue::int(1)));
+    assert_steps(src, &dbms::Database::new(), 8);
+    let err = run(
+        "fn f() { x = 3; if (x > 2) { x = nowhere(x); } return x; }",
+        dbms::Database::new(),
+    )
+    .unwrap_err();
+    assert_eq!(err.to_string(), "undefined name `function nowhere`");
 }
