@@ -74,7 +74,7 @@ use std::process::ExitCode;
 use algebra::ddl::parse_ddl;
 use algebra::Dialect;
 use analysis::diag::{render_json, Severity};
-use dbms::{Connection, Database, Value};
+use dbms::{Connection, Database};
 use eqsql_core::{lint_program, ExtractionOutcome, Extractor, ExtractorOptions};
 use interp::{Interp, RtValue};
 
@@ -517,7 +517,6 @@ fn run(args: &[String], out: &mut impl Write) -> Result<(), Fail> {
                 new.conn.stats.sim_ms(),
                 orig.conn.stats.sim_us / new.conn.stats.sim_us.max(1e-9),
             )?;
-            let _ = Value::Null;
             Ok(())
         }
         other => {

@@ -134,3 +134,22 @@ fn a_60000_statement_chain_into_an_untranslatable_fold_is_a_diagnostic() {
     }
     std::fs::remove_file(&schema).unwrap();
 }
+
+#[test]
+fn a_20000_term_chain_runs() {
+    // At imp's operand cap: the interpreter evaluates the 20,000-deep
+    // `Add` chain on the command's thread.
+    let src = format!(
+        "fn f(x) {{ y = {}; return y; }}\n",
+        vec!["x"; 20_000].join(" + ")
+    );
+    let out = eqsql(&["run", "--arg", "1"], "runchain20000", &src);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains("result = 20000"), "{stdout}");
+}

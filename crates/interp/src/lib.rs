@@ -59,6 +59,7 @@
 //! [`Interp::with_budget`] as a copying read did, so the QBS verifier's
 //! budgets select the same candidates.
 
+mod compile;
 pub mod dml;
 pub mod run;
 pub mod value;

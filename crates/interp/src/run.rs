@@ -1,22 +1,21 @@
-//! The interpreter proper.
+//! The interpreter proper: evaluation of the compiled form
+//! ([`crate::compile`]).
 
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 
 use algebra::dml::Stmt;
 use algebra::parse::{parse_sql, parse_statement};
 use algebra::RaExpr;
 use dbms::eval::{eval_binop, EvalError};
-use dbms::table::Field;
+use dbms::table::{resolve_fields, Field};
 use dbms::volcano::Cursor;
 use dbms::{Connection, Database, Row, Transfer, Value};
-use imp::ast::builtins::{DB_FUNCTIONS, EXECUTE_QUERY};
-use imp::ast::{BinaryOp, Block, Expr, Literal, Program, StmtKind, UnaryOp};
+use imp::ast::{BinaryOp, Program, UnaryOp};
 use intern::Symbol;
 
+use crate::compile::{self, Builtin, Code, FieldCache, Id, Method, Mutation, Node, Sql, SqlCall};
 use crate::dml::{execute_stmt, DmlError};
 use crate::value::{loose_eq, RtValue};
 
@@ -53,63 +52,70 @@ enum Flow {
     Continue,
 }
 
-/// The hasher of an [`Env`]: a [`Symbol`] hashes as its `u32` ticket, and
-/// one multiply by an odd constant spreads distinct tickets over the word.
-/// SipHash cost more than the variable read it keyed. Tickets are dense
-/// counters the interner hands out, not values a program chooses, so a
-/// program cannot cheaply line its variables up in one bucket.
-#[derive(Default)]
-struct TicketHasher(u64);
+/// A call's variables, one slot each; `None` until assigned.
+type Frame = [Option<RtValue>];
 
-impl Hasher for TicketHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("an Env hashes only Symbol tickets")
-    }
-
-    fn write_u32(&mut self, ticket: u32) {
-        self.0 = u64::from(ticket).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+#[inline(always)]
+fn lookup(frame: &Frame, slot: u32, name: Symbol) -> Result<&RtValue, RtError> {
+    match &frame[slot as usize] {
+        Some(v) => Ok(v),
+        None => Err(undefined_variable(name)),
     }
 }
 
-type Env = HashMap<Symbol, RtValue, BuildHasherDefault<TicketHasher>>;
-
-/// Collection methods that change their receiver variable in place.
-const MUTATING_METHODS: [&str; 6] = ["add", "insert", "append", "remove", "clear", "addAll"];
-
-fn lookup(env: &Env, v: Symbol) -> Result<&RtValue, RtError> {
-    env.get(&v)
-        .ok_or_else(|| RtError::Undefined(format!("variable {v}")))
+#[cold]
+#[inline(never)]
+fn undefined_variable(name: Symbol) -> RtError {
+    RtError::Undefined(format!("variable {name}"))
 }
 
-/// Whether evaluating `e` can change a variable of the current frame: only
-/// a mutating method call can (assignments are statements, and a user
-/// function runs in a frame of its own).
-fn mutates_env(e: &Expr) -> bool {
-    let mut found = false;
-    e.walk(&mut |x| {
-        found |= matches!(x, Expr::MethodCall { name, .. }
-            if MUTATING_METHODS.contains(&name.as_str()));
-    });
-    found
-}
-
-/// The receiver of a non-mutating method: a variable read in place, or the
+/// The receiver of a reading method: a variable read in place, or the
 /// value of any other expression.
 enum Recv {
-    Var(Symbol),
+    Slot(u32),
     Value(RtValue),
 }
 
 impl Recv {
-    fn get<'a>(&'a self, env: &'a Env) -> &'a RtValue {
+    fn get<'f>(&'f self, frame: &'f Frame) -> &'f RtValue {
         match self {
-            Recv::Var(v) => &env[v],
+            Recv::Slot(s) => frame[*s as usize].as_ref().expect("read before"),
             Recv::Value(x) => x,
         }
+    }
+}
+
+/// `*var = Some(v)`; a scalar that owns nothing is overwritten without a
+/// call to its drop.
+#[inline(always)]
+fn store(var: &mut Option<RtValue>, v: RtValue) {
+    match var {
+        None
+        | Some(RtValue::Scalar(Value::Int(_) | Value::Float(_) | Value::Bool(_) | Value::Null)) => {
+            std::mem::forget(var.replace(v))
+        }
+        _ => *var = Some(v),
+    }
+}
+
+/// A copy of `v`; a number or a bool without the general clone.
+#[inline(always)]
+fn copy(v: &RtValue) -> RtValue {
+    match v {
+        RtValue::Scalar(v) => RtValue::Scalar(copy_value(v)),
+        other => other.clone(),
+    }
+}
+
+/// [`copy`] of a scalar.
+#[inline(always)]
+fn copy_value(v: &Value) -> Value {
+    match v {
+        Value::Int(i) => Value::Int(*i),
+        Value::Float(f) => Value::Float(*f),
+        Value::Bool(b) => Value::Bool(*b),
+        Value::Null => Value::Null,
+        other => other.clone(),
     }
 }
 
@@ -127,108 +133,143 @@ fn truth(v: &RtValue) -> Option<bool> {
     }
 }
 
-/// A SQL call's parameters as scalars; `what` is the error otherwise.
-fn scalars(vals: &[RtValue], what: &str) -> Result<Vec<Value>, RtError> {
-    vals.iter()
-        .map(|v| {
-            v.as_scalar()
-                .cloned()
-                .ok_or_else(|| RtError::Type(what.into()))
-        })
-        .collect()
+/// Argument `i` of the `len` at `args`; like indexing a missing argument,
+/// a panic when there is none.
+fn arg(args: Id, len: u32, i: u32) -> Id {
+    assert!(i < len, "argument {i} of a call with {len}");
+    args + i
+}
+
+/// `op v` for a unary operator.
+fn unary(op: UnaryOp, v: RtValue) -> Result<RtValue, RtError> {
+    match (op, v) {
+        // checked_neg: -i64::MIN → NULL-on-error, like dbms::eval.
+        (UnaryOp::Neg, RtValue::Scalar(Value::Int(i))) => Ok(RtValue::Scalar(
+            i.checked_neg().map_or(Value::Null, Value::Int),
+        )),
+        (UnaryOp::Neg, RtValue::Scalar(Value::Float(f))) => Ok(RtValue::Scalar(Value::Float(-f))),
+        // NULL propagates through unary operators (SQL semantics).
+        (UnaryOp::Neg | UnaryOp::Not, RtValue::Scalar(Value::Null)) => Ok(RtValue::null()),
+        (UnaryOp::Not, RtValue::Scalar(Value::Bool(b))) => Ok(RtValue::bool(!b)),
+        (op, v) => Err(RtError::Type(format!("cannot apply {op:?} to {v}"))),
+    }
+}
+
+/// `a op b` on two ints, the loop's common case, without the general
+/// path's conversions; integer errors yield NULL, as in `dbms::eval`.
+#[inline(always)]
+fn int_binary(op: BinaryOp, a: i64, b: i64) -> Value {
+    match op {
+        BinaryOp::Add => a.checked_add(b).map_or(Value::Null, Value::Int),
+        BinaryOp::Sub => a.checked_sub(b).map_or(Value::Null, Value::Int),
+        BinaryOp::Mul => a.checked_mul(b).map_or(Value::Null, Value::Int),
+        BinaryOp::Div => a.checked_div(b).map_or(Value::Null, Value::Int),
+        BinaryOp::Mod if b == 0 => Value::Null,
+        BinaryOp::Mod => Value::Int(a.wrapping_rem(b)),
+        BinaryOp::Eq => Value::Bool(a == b),
+        BinaryOp::Ne => Value::Bool(a != b),
+        BinaryOp::Lt => Value::Bool(a < b),
+        BinaryOp::Le => Value::Bool(a <= b),
+        BinaryOp::Gt => Value::Bool(a > b),
+        BinaryOp::Ge => Value::Bool(a >= b),
+        BinaryOp::And | BinaryOp::Or => unreachable!("logic is evaluated in chain"),
+    }
+}
+
+/// `lv op rv` for a binary operator other than `&&` and `||`.
+fn binary(op: BinaryOp, lv: RtValue, rv: RtValue) -> Result<RtValue, RtError> {
+    if let (RtValue::Scalar(Value::Int(a)), RtValue::Scalar(Value::Int(b))) = (&lv, &rv) {
+        return Ok(RtValue::Scalar(int_binary(op, *a, *b)));
+    }
+    // Structural (in)equality for non-scalars.
+    if matches!(op, BinaryOp::Eq | BinaryOp::Ne)
+        && (lv.as_scalar().is_none() || rv.as_scalar().is_none())
+    {
+        let eq = loose_eq(&lv, &rv);
+        return Ok(RtValue::bool(if op == BinaryOp::Eq { eq } else { !eq }));
+    }
+    let (a, b) = match (lv, rv) {
+        (RtValue::Scalar(a), RtValue::Scalar(b)) => (a, b),
+        (lv, rv) => {
+            return Err(RtError::Type(format!(
+                "operator {} needs scalars, got {lv} and {rv}",
+                op.as_str()
+            )))
+        }
+    };
+    // Java-like `+` on strings is concatenation.
+    if op == BinaryOp::Add && (matches!(a, Value::Str(_)) || matches!(b, Value::Str(_))) {
+        return Ok(RtValue::Scalar(Value::Str(format!("{a}{b}"))));
+    }
+    let sop = match op {
+        BinaryOp::Add => algebra::BinOp::Add,
+        BinaryOp::Sub => algebra::BinOp::Sub,
+        BinaryOp::Mul => algebra::BinOp::Mul,
+        BinaryOp::Div => algebra::BinOp::Div,
+        BinaryOp::Mod => algebra::BinOp::Mod,
+        BinaryOp::Eq => algebra::BinOp::Eq,
+        BinaryOp::Ne => algebra::BinOp::Ne,
+        BinaryOp::Lt => algebra::BinOp::Lt,
+        BinaryOp::Le => algebra::BinOp::Le,
+        BinaryOp::Gt => algebra::BinOp::Gt,
+        BinaryOp::Ge => algebra::BinOp::Ge,
+        BinaryOp::And | BinaryOp::Or => unreachable!("logic is evaluated in chain"),
+    };
+    eval_binop(sop, a, b)
+        .map(RtValue::Scalar)
+        .map_err(|e| RtError::Type(e.to_string()))
+}
+
+/// Field `name` of `v`: a row's column, found through `cache` while rows
+/// share one field list; a pair's `first`/`second`.
+#[inline(always)]
+fn field_of(v: &RtValue, name: Symbol, cache: &FieldCache) -> Option<RtValue> {
+    let RtValue::Row { fields, values } = v else {
+        return v.field(name.as_str());
+    };
+    let i = match cache.get(fields) {
+        Some(i) => i,
+        None => {
+            let i = resolve_fields(fields, None, name.as_str()).ok()?;
+            cache.set(fields, i);
+            i
+        }
+    };
+    Some(RtValue::Scalar(copy_value(&values[i])))
 }
 
 /// The SQL text of an `execute*` call.
-enum SqlText<'e> {
-    /// A string literal of the program: parsed once, through the cache.
-    Lit(&'e str),
+enum SqlText<'c> {
+    /// A string literal of the program, parsed when it was lowered.
+    Lit(&'c Sql),
     /// A computed string: parsed on every call.
     Computed(String),
 }
 
-/// Parsed SQL by literal text, so a literal parses once per interpreter
-/// and the cache grows only with the program text.
-type ParseCache<T> = HashMap<String, Rc<T>>;
-
-/// The parse of `sql`: for a literal, from `cache`, parsing it on first
-/// use; for a computed string, parsed afresh. A failed parse is not
-/// cached, so it fails the same way on every call.
-fn parsed<T, E: fmt::Display>(
-    cache: &mut ParseCache<T>,
-    sql: &SqlText<'_>,
-    parse: impl Fn(&str) -> Result<T, E>,
-) -> Result<Rc<T>, RtError> {
-    let fresh = |s: &str| {
-        parse(s)
-            .map(Rc::new)
-            .map_err(|e| RtError::Sql(e.to_string()))
-    };
-    match sql {
-        SqlText::Computed(s) => fresh(s),
-        SqlText::Lit(s) => {
-            if let Some(t) = cache.get(*s) {
-                return Ok(Rc::clone(t));
-            }
-            let t = fresh(s)?;
-            cache.insert(s.to_string(), Rc::clone(&t));
-            Ok(t)
+impl<'c> SqlText<'c> {
+    fn query(self) -> Result<Cow<'c, RaExpr>, RtError> {
+        match self {
+            SqlText::Lit(Sql::Query(ra)) => Ok(Cow::Borrowed(ra)),
+            SqlText::Lit(Sql::Bad(e)) => Err(RtError::Sql(e.clone())),
+            SqlText::Lit(Sql::Stmt(_)) => unreachable!("a query's literal parses as a query"),
+            SqlText::Computed(s) => parse_sql(&s)
+                .map(Cow::Owned)
+                .map_err(|e| RtError::Sql(e.to_string())),
         }
     }
-}
 
-/// Does `block` call the database, directly or through one of `db`, the
-/// functions known to?
-fn calls_db(block: &Block, db: &HashSet<Symbol>) -> bool {
-    let mut found = false;
-    block.walk_exprs(&mut |e| {
-        if let Expr::Call { name, .. } = e {
-            found |= DB_FUNCTIONS.contains(&name.as_str()) || db.contains(name);
-        }
-    });
-    found
-}
-
-/// The program's functions that call the database, directly or through
-/// the functions they call: the least fixpoint over the call graph. A name
-/// shared by several functions, or by a builtin, counts if any of them
-/// calls the database, which can only keep a loop buffered.
-fn db_functions(program: &Program) -> HashSet<Symbol> {
-    let mut db = HashSet::new();
-    loop {
-        let known = db.len();
-        for f in &program.functions {
-            if !db.contains(&f.name) && calls_db(&f.body, &db) {
-                db.insert(f.name);
+    fn statement(self) -> Result<Cow<'c, Stmt>, RtError> {
+        match self {
+            SqlText::Lit(Sql::Stmt(st)) => Ok(Cow::Borrowed(st)),
+            SqlText::Lit(Sql::Bad(e)) => Err(RtError::Sql(e.clone())),
+            SqlText::Lit(Sql::Query(_)) => {
+                unreachable!("an update's literal parses as a statement")
             }
-        }
-        if db.len() == known {
-            return db;
+            SqlText::Computed(s) => parse_statement(&s)
+                .map(Cow::Owned)
+                .map_err(|e| RtError::Sql(DmlError(e.to_string()).to_string())),
         }
     }
-}
-
-/// The bodies of the program's `for (e in executeQuery(…))` loops that may
-/// stream their rows: those that make no database call, directly or
-/// through a user function. A loop is known by its body's address, which
-/// is fixed while the interpreter borrows the program.
-fn streaming_loops(program: &Program) -> HashSet<*const Block> {
-    let db = db_functions(program);
-    let mut loops = HashSet::new();
-    for f in &program.functions {
-        f.body.walk(&mut |s, _| {
-            if let StmtKind::ForEach {
-                iterable: Expr::Call { name, .. },
-                body,
-                ..
-            } = &s.kind
-            {
-                if *name == EXECUTE_QUERY && !calls_db(body, &db) {
-                    loops.insert(body as *const Block);
-                }
-            }
-        });
-    }
-    loops
 }
 
 /// Where a `for` loop's elements come from: a query result pulled from its
@@ -253,13 +294,12 @@ struct Live<'c> {
 }
 
 impl Elems<'_> {
-    /// Bind `var` to the next element; `false` at the end. A query error
-    /// ends the loop here and is reported by [`Elems::finish`].
-    fn next_into(&mut self, env: &mut Env, var: Symbol) -> bool {
+    /// Bind the loop variable, `var`, to the next element; `false` at the
+    /// end. A query error ends the loop here and is reported by
+    /// [`Elems::finish`].
+    fn next_into(&mut self, var: &mut Option<RtValue>) -> bool {
         let live = match self {
-            Elems::Buffered(elems) => {
-                return elems.next().map(|el| env.insert(var, el)).is_some();
-            }
+            Elems::Buffered(elems) => return elems.next().map(|el| *var = Some(el)).is_some(),
             Elems::Live(live) => live,
         };
         match live.cursor.next(&mut live.spare) {
@@ -271,19 +311,15 @@ impl Elems<'_> {
             }
         }
         live.sent.add(&live.spare);
-        match env.get_mut(&var) {
+        match var {
             Some(RtValue::Row { fields, values }) if Rc::ptr_eq(fields, &live.fields) => {
                 std::mem::swap(values, &mut live.spare);
             }
             _ => {
-                let values = std::mem::take(&mut live.spare);
-                env.insert(
-                    var,
-                    RtValue::Row {
-                        fields: Rc::clone(&live.fields),
-                        values,
-                    },
-                );
+                *var = Some(RtValue::Row {
+                    fields: Rc::clone(&live.fields),
+                    values: std::mem::take(&mut live.spare),
+                });
             }
         }
         true
@@ -317,14 +353,9 @@ pub struct Interp<'a> {
     pub output: Vec<String>,
     steps: u64,
     max_steps: u64,
-    /// Parsed query literals (`executeQuery`, `executeScalar`,
-    /// `executeBatch`).
-    queries: ParseCache<RaExpr>,
-    /// Parsed statement literals (`executeUpdate`).
-    statements: ParseCache<Stmt>,
-    /// [`streaming_loops`] of the program, found on the first loop over
-    /// `executeQuery`.
-    streaming: Option<HashSet<*const Block>>,
+    /// The program's functions, each lowered on its first call. It is
+    /// moved out while a call runs, which borrows it.
+    code: Code<'a>,
     /// A cursor loop is streaming: `conn.db` is moved out, so no SQL call
     /// may run until the loop ends.
     in_cursor: bool,
@@ -339,9 +370,7 @@ impl<'a> Interp<'a> {
             output: Vec::new(),
             steps: 0,
             max_steps: 50_000_000,
-            queries: HashMap::new(),
-            statements: HashMap::new(),
-            streaming: None,
+            code: Code::default(),
             in_cursor: false,
         }
     }
@@ -354,26 +383,37 @@ impl<'a> Interp<'a> {
 
     /// Call a function by name with arguments; returns its value.
     pub fn call(&mut self, name: &str, args: Vec<RtValue>) -> Result<RtValue, RtError> {
-        let f = self
+        let index = self
             .program
-            .function(name)
+            .functions
+            .iter()
+            .position(|f| f.name == name)
             .ok_or_else(|| RtError::Undefined(format!("function {name}")))?;
-        if f.params.len() != args.len() {
+        let arity = self.program.functions[index].params.len();
+        if arity != args.len() {
             return Err(RtError::Type(format!(
-                "{name} expects {} args, got {}",
-                f.params.len(),
+                "{name} expects {arity} args, got {}",
                 args.len()
             )));
         }
-        let mut env: Env = f.params.iter().copied().zip(args).collect();
-        match self.exec_block(&f.body, &mut env)? {
-            Flow::Return(v) => Ok(v),
-            _ => Ok(RtValue::Unit),
+        compile::lower(&mut self.code, self.program, index);
+        let code = std::mem::take(&mut self.code);
+        let (mut frame, params, body) = enter(&code, index as Id);
+        for (i, v) in args.into_iter().enumerate() {
+            frame[param(&code, params, i as u32)] = Some(v);
         }
+        let v = self.run(&code, &mut frame, body);
+        self.code = code;
+        v
     }
 
     fn tick(&mut self) -> Result<(), RtError> {
-        self.steps += 1;
+        self.charge(1)
+    }
+
+    /// Charge `n` steps at once: `n` ticks with nothing between them.
+    fn charge(&mut self, n: u32) -> Result<(), RtError> {
+        self.steps += u64::from(n);
         if self.steps > self.max_steps {
             Err(RtError::BudgetExhausted)
         } else {
@@ -381,107 +421,126 @@ impl<'a> Interp<'a> {
         }
     }
 
-    fn exec_block(&mut self, b: &Block, env: &mut Env) -> Result<Flow, RtError> {
-        for s in &b.stmts {
+    /// Run the body of a function in `frame`; its value.
+    fn run(&mut self, code: &Code<'a>, frame: &mut Frame, body: Id) -> Result<RtValue, RtError> {
+        match self.exec_block(code, frame, body)? {
+            Flow::Return(v) => Ok(v),
+            _ => Ok(RtValue::Unit),
+        }
+    }
+
+    fn exec_block(
+        &mut self,
+        code: &Code<'a>,
+        frame: &mut Frame,
+        block: Id,
+    ) -> Result<Flow, RtError> {
+        let Node::Block { first, len } = code.nodes[block as usize] else {
+            unreachable!("a block")
+        };
+        for s in first..first + len {
             self.tick()?;
-            match &s.kind {
-                StmtKind::Assign { target, value } => {
-                    let v = self.eval(value, env)?;
-                    env.insert(*target, v);
+            match &code.nodes[s as usize] {
+                Node::Assign { slot, value } => {
+                    let v = self.eval(code, frame, *value)?;
+                    store(&mut frame[*slot as usize], v);
                 }
-                StmtKind::Expr(e) => {
-                    self.eval(e, env)?;
+                Node::ExprStmt(e) => {
+                    self.eval(code, frame, *e)?;
                 }
-                StmtKind::If {
+                Node::If {
                     cond,
                     then_branch,
                     else_branch,
                 } => {
-                    let c = self.eval(cond, env)?;
-                    let flow = if c.is_true() {
-                        self.exec_block(then_branch, env)?
+                    let branch = if self.eval(code, frame, *cond)?.is_true() {
+                        then_branch
                     } else {
-                        self.exec_block(else_branch, env)?
+                        else_branch
                     };
-                    match flow {
+                    match self.exec_block(code, frame, *branch)? {
                         Flow::Normal => {}
                         other => return Ok(other),
                     }
                 }
-                StmtKind::ForEach {
-                    var,
+                Node::For {
+                    slot,
                     iterable,
                     body,
+                    streams,
                 } => {
-                    let flow = match iterable {
-                        Expr::Call { name, args }
-                            if *name == EXECUTE_QUERY && self.streams(body) =>
-                        {
-                            self.stream_for(*var, args, body, env)?
-                        }
+                    let flow = if *streams {
+                        self.stream_for(code, frame, *slot, *iterable, *body)?
+                    } else {
                         // An owned iterable is consumed; a variable is
                         // copied once, so the body may change it without
                         // affecting the iteration.
-                        _ => match self.eval(iterable, env)? {
+                        match self.eval(code, frame, *iterable)? {
                             RtValue::List(xs) | RtValue::Set(xs) => self.exec_for(
-                                *var,
+                                code,
+                                frame,
+                                *slot,
                                 &mut Elems::Buffered(xs.into_iter()),
-                                body,
-                                env,
+                                *body,
                             )?,
                             other => {
                                 return Err(RtError::Type(format!("cannot iterate over {other}")))
                             }
-                        },
+                        }
                     };
                     if let Flow::Return(_) = flow {
                         return Ok(flow);
                     }
                 }
-                StmtKind::While { cond, body } => loop {
+                Node::While { cond, body } => loop {
                     self.tick()?;
-                    if !self.eval(cond, env)?.is_true() {
+                    if !self.eval(code, frame, *cond)?.is_true() {
                         break;
                     }
-                    match self.exec_block(body, env)? {
+                    match self.exec_block(code, frame, *body)? {
                         Flow::Normal | Flow::Continue => {}
                         Flow::Break => break,
                         r @ Flow::Return(_) => return Ok(r),
                     }
                 },
-                StmtKind::Return(v) => {
+                Node::Return(v) => {
                     let rv = match v {
-                        Some(e) => self.eval(e, env)?,
+                        // The frame dies with the return: a variable's
+                        // value moves out of it, for the step a read takes.
+                        Some(e) => match code.nodes[*e as usize] {
+                            Node::Var { slot, name } => {
+                                self.tick()?;
+                                lookup(frame, slot, name)?;
+                                frame[slot as usize].take().expect("looked up")
+                            }
+                            _ => self.eval(code, frame, *e)?,
+                        },
                         None => RtValue::Unit,
                     };
                     return Ok(Flow::Return(rv));
                 }
-                StmtKind::Break => return Ok(Flow::Break),
-                StmtKind::Continue => return Ok(Flow::Continue),
-                StmtKind::Print(args) => {
-                    let mut vals = Vec::new();
-                    for a in args {
-                        vals.push(self.eval(a, env)?);
-                    }
-                    self.print_values(&vals);
-                }
+                Node::Break => return Ok(Flow::Break),
+                Node::Continue => return Ok(Flow::Continue),
+                Node::Print { first, len } => self.print(code, frame, *first, *len)?,
+                _ => unreachable!("a statement"),
             }
         }
         Ok(Flow::Normal)
     }
 
-    /// Run `body` once per element of `elems`, bound to `var`: the one loop
-    /// behind every `for`. `Normal` once the elements run out or the body
-    /// breaks; `Return` when it returns.
+    /// Run `body` once per element of `elems`, bound to `slot`: the one
+    /// loop behind every `for`. `Normal` once the elements run out or the
+    /// body breaks; `Return` when it returns.
     fn exec_for(
         &mut self,
-        var: Symbol,
+        code: &Code<'a>,
+        frame: &mut Frame,
+        slot: u32,
         elems: &mut Elems<'_>,
-        body: &Block,
-        env: &mut Env,
+        body: Id,
     ) -> Result<Flow, RtError> {
-        while elems.next_into(env, var) {
-            match self.exec_block(body, env)? {
+        while elems.next_into(&mut frame[slot as usize]) {
+            match self.exec_block(code, frame, body)? {
                 Flow::Normal | Flow::Continue => {}
                 Flow::Break => break,
                 r @ Flow::Return(_) => return Ok(r),
@@ -490,32 +549,29 @@ impl<'a> Interp<'a> {
         Ok(Flow::Normal)
     }
 
-    /// May the `for (e in executeQuery(…))` loop over `body` stream?
-    fn streams(&mut self, body: &Block) -> bool {
-        let program = self.program;
-        self.streaming
-            .get_or_insert_with(|| streaming_loops(program))
-            .contains(&(body as *const Block))
-    }
-
     /// `for (var in executeQuery(args…)) body` with the rows pulled from
     /// the query's cursor as the body asks for them, not buffered first.
-    /// The body makes no database call ([`streaming_loops`]), so the
+    /// The body makes no database call (its lowering checked), so the
     /// database is moved out of the connection for the cursor to borrow,
     /// and moved back on every exit.
+    #[inline(never)]
     fn stream_for(
         &mut self,
-        var: Symbol,
-        args: &[Expr],
-        body: &Block,
-        env: &mut Env,
+        code: &Code<'a>,
+        frame: &mut Frame,
+        slot: u32,
+        query: Id,
+        body: Id,
     ) -> Result<Flow, RtError> {
+        let Node::Sql { args, len, .. } = code.nodes[query as usize] else {
+            unreachable!("a streamed loop iterates an executeQuery call")
+        };
         // The step `eval` charges for the call expression.
         self.tick()?;
-        let (ra, params) = self.prepare_query(args, env)?;
+        let (ra, params) = self.prepare_query(code, frame, args, len)?;
         let db = std::mem::take(&mut self.conn.db);
         self.in_cursor = true;
-        let flow = self.stream_rows(var, &ra, &params, &db, body, env);
+        let flow = self.stream_rows(code, frame, slot, &ra, &params, &db, body);
         self.in_cursor = false;
         self.conn.db = db;
         flow
@@ -527,14 +583,16 @@ impl<'a> Interp<'a> {
     /// error met on any row wins over what the body did, as it does when
     /// the error stops the fetch before the body runs: the lines the body
     /// printed and the steps it took are undone, and the error returned.
+    #[allow(clippy::too_many_arguments)]
     fn stream_rows(
         &mut self,
-        var: Symbol,
+        code: &Code<'a>,
+        frame: &mut Frame,
+        slot: u32,
         ra: &RaExpr,
         params: &[Value],
         db: &Database,
-        body: &Block,
-        env: &mut Env,
+        body: Id,
     ) -> Result<Flow, RtError> {
         let cursor = Cursor::open(ra, db, params).map_err(sql_error)?;
         let (steps, lines) = (self.steps, self.output.len());
@@ -545,7 +603,7 @@ impl<'a> Interp<'a> {
             sent: Transfer::default(),
             failed: None,
         });
-        let flow = self.exec_for(var, &mut elems, body, env);
+        let flow = self.exec_for(code, frame, slot, &mut elems, body);
         match elems.finish() {
             Ok(sent) => {
                 self.conn.charge(sent);
@@ -559,171 +617,323 @@ impl<'a> Interp<'a> {
         }
     }
 
-    fn print_values(&mut self, vals: &[RtValue]) {
-        // Printing a single list flattens to one line per element (see the
-        // struct docs); everything else concatenates into one line.
-        if vals.len() == 1 {
-            if let RtValue::List(items) | RtValue::Set(items) = &vals[0] {
-                for it in items {
-                    self.output.push(it.render());
+    /// `print(args…)`: a single list prints one line per element (see the
+    /// struct docs); everything else concatenates into one line.
+    #[inline(never)]
+    fn print(
+        &mut self,
+        code: &Code<'a>,
+        frame: &mut Frame,
+        args: Id,
+        len: u32,
+    ) -> Result<(), RtError> {
+        if len == 1 {
+            match self.eval(code, frame, args)? {
+                RtValue::List(items) | RtValue::Set(items) => {
+                    self.output.extend(items.iter().map(RtValue::render));
                 }
-                return;
+                v => self.output.push(v.render()),
             }
+            return Ok(());
         }
-        let line: String = vals
-            .iter()
-            .map(RtValue::render)
-            .collect::<Vec<_>>()
-            .join("");
+        let mut line = String::new();
+        for a in args..args + len {
+            line.push_str(&self.eval(code, frame, a)?.render());
+        }
         self.output.push(line);
+        Ok(())
     }
 
-    fn eval(&mut self, e: &Expr, env: &mut Env) -> Result<RtValue, RtError> {
+    /// Evaluate expression `e`: a literal or a variable inline, anything
+    /// else through [`Self::eval_node`].
+    #[inline(always)]
+    fn eval(&mut self, code: &Code<'a>, frame: &mut Frame, e: Id) -> Result<RtValue, RtError> {
+        match &code.nodes[e as usize] {
+            Node::Lit(v) => {
+                self.tick()?;
+                Ok(RtValue::Scalar(copy_value(v)))
+            }
+            Node::Var { slot, name } => {
+                self.tick()?;
+                lookup(frame, *slot, *name).map(copy)
+            }
+            _ => self.eval_node(code, frame, e),
+        }
+    }
+
+    #[inline(never)]
+    fn eval_node(&mut self, code: &Code<'a>, frame: &mut Frame, e: Id) -> Result<RtValue, RtError> {
+        let node = &code.nodes[e as usize];
+        if let Node::Chain { first, steps, len } = node {
+            return self.chain(code, frame, *first, *steps, *len);
+        }
         self.tick()?;
-        match e {
-            Expr::Lit(l) => Ok(RtValue::Scalar(match l {
-                Literal::Int(i) => Value::Int(*i),
-                Literal::Float(v) => Value::Float(*v),
-                Literal::Bool(b) => Value::Bool(*b),
-                Literal::Str(s) => Value::Str(s.clone()),
-                Literal::Null => Value::Null,
-            })),
-            Expr::Var(v) => lookup(env, *v).cloned(),
-            Expr::Unary(op, x) => {
-                let v = self.eval(x, env)?;
-                match (op, v) {
-                    // checked_neg: -i64::MIN → NULL-on-error, like dbms::eval.
-                    (UnaryOp::Neg, RtValue::Scalar(Value::Int(i))) => Ok(RtValue::Scalar(
-                        i.checked_neg().map_or(Value::Null, Value::Int),
-                    )),
-                    (UnaryOp::Neg, RtValue::Scalar(Value::Float(f))) => {
-                        Ok(RtValue::Scalar(Value::Float(-f)))
-                    }
-                    // NULL propagates through unary operators (SQL semantics).
-                    (UnaryOp::Neg | UnaryOp::Not, RtValue::Scalar(Value::Null)) => {
-                        Ok(RtValue::null())
-                    }
-                    (UnaryOp::Not, RtValue::Scalar(Value::Bool(b))) => Ok(RtValue::bool(!b)),
-                    (op, v) => Err(RtError::Type(format!("cannot apply {op:?} to {v}"))),
-                }
+        match node {
+            Node::Lit(v) => Ok(RtValue::Scalar(v.clone())),
+            Node::Str(s) => Ok(RtValue::Scalar(Value::Str(s.to_string()))),
+            Node::Var { slot, name } => lookup(frame, *slot, *name).map(copy),
+            Node::Unary { op, operand } => {
+                let v = self.eval(code, frame, *operand)?;
+                unary(*op, v)
             }
-            Expr::Binary(op, l, r) => self.eval_binary(*op, l, r, env),
-            Expr::Ternary(c, a, b) => {
-                if self.eval(c, env)?.is_true() {
-                    self.eval(a, env)
+            Node::Ternary {
+                cond,
+                then_value,
+                else_value,
+            } => {
+                if self.eval(code, frame, *cond)?.is_true() {
+                    self.eval(code, frame, *then_value)
                 } else {
-                    self.eval(b, env)
+                    self.eval(code, frame, *else_value)
                 }
             }
-            Expr::Field(o, name) => {
-                let v = self.read(o, env)?;
-                v.field(name)
+            Node::Field { obj, name, cache } => {
+                let owned;
+                let v = match code.nodes[*obj as usize] {
+                    // A variable is read in place, for the step a read takes.
+                    Node::Var { slot, name } => {
+                        self.tick()?;
+                        lookup(frame, slot, name)?
+                    }
+                    _ => {
+                        owned = self.eval(code, frame, *obj)?;
+                        &owned
+                    }
+                };
+                field_of(v, *name, cache)
                     .ok_or_else(|| RtError::Type(format!("no field {name} on {v}")))
             }
-            Expr::Call { name, args } => self.eval_call(name, args, env),
-            Expr::MethodCall { recv, name, args } => self.eval_method(recv, name, args, env),
+            Node::Builtin { f, args, len } => self.builtin(code, frame, *f, *args, *len),
+            Node::Sql { call, args, len } => self.sql(code, frame, *call, *args, *len),
+            Node::User { func, args, len } => self.call_user(code, frame, *func, *args, *len),
+            Node::Undefined(name) => Err(RtError::Undefined(format!("function {name}"))),
+            Node::Method {
+                method,
+                name,
+                recv,
+                in_place,
+                args,
+                len,
+            } => self.method(code, frame, *method, *name, *recv, *in_place, *args, *len),
+            Node::Mutate {
+                mutation,
+                name,
+                slot,
+                var,
+                args,
+                len,
+            } => self.mutate(code, frame, *mutation, *name, *slot, *var, *args, *len),
+            Node::BadReceiver { name, recv } => Err(RtError::Type(format!(
+                "mutating method {name} needs a variable receiver, got {recv:?}"
+            ))),
+            _ => unreachable!("an expression"),
         }
     }
 
-    /// Evaluate `e` for reading: a variable is borrowed in place, with the
-    /// same step charged as [`Self::eval`] charges for it.
-    fn read<'e>(&mut self, e: &Expr, env: &'e mut Env) -> Result<Cow<'e, RtValue>, RtError> {
-        match e {
-            Expr::Var(v) => {
-                self.tick()?;
-                lookup(env, *v).map(Cow::Borrowed)
-            }
-            _ => self.eval(e, env).map(Cow::Owned),
-        }
-    }
-
-    fn eval_binary(
+    /// A left-deep chain of binary operators: one step per operator, all
+    /// charged before the first operand, where a recursive walk charges
+    /// them. `&&` and `||` short-circuit with SQL three-valued logic: NULL
+    /// operands make the result NULL unless the other operand decides it
+    /// (FALSE for AND, TRUE for OR). `if`/`while` conditions still treat
+    /// NULL as not-true, matching WHERE-clause filtering.
+    fn chain(
         &mut self,
-        op: BinaryOp,
-        l: &Expr,
-        r: &Expr,
-        env: &mut Env,
+        code: &Code<'a>,
+        frame: &mut Frame,
+        first: Id,
+        steps: Id,
+        len: u32,
     ) -> Result<RtValue, RtError> {
-        // Short-circuit logical operators with SQL three-valued logic:
-        // NULL operands make the result NULL unless the other operand
-        // decides it (FALSE for AND, TRUE for OR). `if`/`while` conditions
-        // still treat NULL as not-true, matching WHERE-clause filtering.
-        match op {
-            BinaryOp::And => {
-                let lv = self.eval(l, env)?;
-                match truth(&lv) {
-                    Some(false) => return Ok(RtValue::bool(false)),
-                    lt => {
-                        let rv = self.eval(r, env)?;
-                        return Ok(match (lt, truth(&rv)) {
-                            (_, Some(false)) => RtValue::bool(false),
-                            (Some(true), Some(true)) => RtValue::bool(true),
-                            _ => RtValue::null(),
-                        });
-                    }
-                }
+        self.charge(len)?;
+        let mut acc = self.eval(code, frame, first)?;
+        for s in steps..steps + len {
+            let Node::Step { op, rhs } = code.nodes[s as usize] else {
+                unreachable!("a chain's step")
+            };
+            if let BinaryOp::And | BinaryOp::Or = op {
+                acc = self.logic(code, frame, op, &acc, rhs)?;
+                continue;
             }
-            BinaryOp::Or => {
-                let lv = self.eval(l, env)?;
-                match truth(&lv) {
-                    Some(true) => return Ok(RtValue::bool(true)),
-                    lt => {
-                        let rv = self.eval(r, env)?;
-                        return Ok(match (lt, truth(&rv)) {
-                            (_, Some(true)) => RtValue::bool(true),
-                            (Some(false), Some(false)) => RtValue::bool(false),
-                            _ => RtValue::null(),
-                        });
-                    }
-                }
+            let rv = self.eval(code, frame, rhs)?;
+            if let (RtValue::Scalar(Value::Int(a)), RtValue::Scalar(Value::Int(b))) = (&acc, &rv) {
+                // Ints own nothing: both are overwritten without a drop.
+                let v = int_binary(op, *a, *b);
+                std::mem::forget(rv);
+                std::mem::forget(std::mem::replace(&mut acc, RtValue::Scalar(v)));
+            } else {
+                acc = binary(op, acc, rv)?;
             }
-            _ => {}
         }
-        let lv = self.eval(l, env)?;
-        let rv = self.eval(r, env)?;
-        // Structural (in)equality for non-scalars.
-        if matches!(op, BinaryOp::Eq | BinaryOp::Ne)
-            && (lv.as_scalar().is_none() || rv.as_scalar().is_none())
-        {
-            let eq = loose_eq(&lv, &rv);
-            return Ok(RtValue::bool(if op == BinaryOp::Eq { eq } else { !eq }));
-        }
-        let (a, b) = match (lv, rv) {
-            (RtValue::Scalar(a), RtValue::Scalar(b)) => (a, b),
-            (lv, rv) => {
-                return Err(RtError::Type(format!(
-                    "operator {} needs scalars, got {lv} and {rv}",
-                    op.as_str()
-                )))
-            }
-        };
-        // Java-like `+` on strings is concatenation.
-        if op == BinaryOp::Add && (matches!(a, Value::Str(_)) || matches!(b, Value::Str(_))) {
-            return Ok(RtValue::Scalar(Value::Str(format!("{a}{b}"))));
-        }
-        let sop = match op {
-            BinaryOp::Add => algebra::BinOp::Add,
-            BinaryOp::Sub => algebra::BinOp::Sub,
-            BinaryOp::Mul => algebra::BinOp::Mul,
-            BinaryOp::Div => algebra::BinOp::Div,
-            BinaryOp::Mod => algebra::BinOp::Mod,
-            BinaryOp::Eq => algebra::BinOp::Eq,
-            BinaryOp::Ne => algebra::BinOp::Ne,
-            BinaryOp::Lt => algebra::BinOp::Lt,
-            BinaryOp::Le => algebra::BinOp::Le,
-            BinaryOp::Gt => algebra::BinOp::Gt,
-            BinaryOp::Ge => algebra::BinOp::Ge,
-            BinaryOp::And | BinaryOp::Or => unreachable!("handled above"),
-        };
-        eval_binop(sop, a, b)
-            .map(RtValue::Scalar)
-            .map_err(|e| RtError::Type(e.to_string()))
+        Ok(acc)
     }
 
-    fn eval_call(&mut self, name: &str, args: &[Expr], env: &mut Env) -> Result<RtValue, RtError> {
-        match name {
-            "executeQuery" => {
-                let dbms::Relation { fields, rows } = self.run_query(args, env)?;
+    /// `lv && rhs` or `lv || rhs`: `rhs` is evaluated only when `lv` does
+    /// not decide the result.
+    fn logic(
+        &mut self,
+        code: &Code<'a>,
+        frame: &mut Frame,
+        op: BinaryOp,
+        lv: &RtValue,
+        rhs: Id,
+    ) -> Result<RtValue, RtError> {
+        let and = op == BinaryOp::And;
+        let lt = truth(lv);
+        if lt == Some(!and) {
+            return Ok(RtValue::bool(!and));
+        }
+        Ok(match (lt, truth(&self.eval(code, frame, rhs)?)) {
+            (_, Some(r)) if r != and => RtValue::bool(r),
+            (Some(l), Some(r)) if l == and && r == and => RtValue::bool(and),
+            _ => RtValue::null(),
+        })
+    }
+
+    #[inline(never)]
+    fn builtin(
+        &mut self,
+        code: &Code<'a>,
+        frame: &mut Frame,
+        f: Builtin,
+        args: Id,
+        len: u32,
+    ) -> Result<RtValue, RtError> {
+        let name = f.name();
+        match f {
+            Builtin::Max | Builtin::Min => {
+                // GREATEST/LEAST semantics (the eval.rs spec): NULL
+                // arguments are ignored; NULL only when all are NULL.
+                let mut best: Option<Value> = None;
+                for a in args..args + len {
+                    let v = match self.eval(code, frame, a)? {
+                        RtValue::Scalar(v) => v,
+                        _ => return Err(RtError::Type(format!("{name} needs scalars"))),
+                    };
+                    if v.is_null() {
+                        continue;
+                    }
+                    best = Some(match best {
+                        None => v,
+                        Some(b) => {
+                            let take = match v.sql_cmp(&b) {
+                                Some(std::cmp::Ordering::Greater) => f == Builtin::Max,
+                                Some(std::cmp::Ordering::Less) => f == Builtin::Min,
+                                _ => false,
+                            };
+                            if take {
+                                v
+                            } else {
+                                b
+                            }
+                        }
+                    });
+                }
+                Ok(best.map(RtValue::Scalar).unwrap_or(RtValue::null()))
+            }
+            Builtin::Abs => {
+                let v = self.eval(code, frame, arg(args, len, 0))?;
+                match v.as_scalar() {
+                    // checked_abs: abs(i64::MIN) → NULL-on-error.
+                    Some(Value::Int(i)) => Ok(RtValue::Scalar(
+                        i.checked_abs().map_or(Value::Null, Value::Int),
+                    )),
+                    Some(Value::Float(f)) => Ok(RtValue::Scalar(Value::Float(f.abs()))),
+                    Some(Value::Null) => Ok(RtValue::null()),
+                    other => Err(RtError::Type(format!("abs of {other:?}"))),
+                }
+            }
+            Builtin::Concat => {
+                // CONCAT skips NULL arguments (matches ScalarFunc::Concat).
+                let mut s = String::new();
+                for a in args..args + len {
+                    let v = self.eval(code, frame, a)?;
+                    if !matches!(v, RtValue::Scalar(Value::Null)) {
+                        s.push_str(&v.render());
+                    }
+                }
+                Ok(RtValue::str(s))
+            }
+            Builtin::Lower | Builtin::Upper => {
+                let v = self.eval(code, frame, arg(args, len, 0))?;
+                match v.as_scalar() {
+                    Some(Value::Str(s)) => Ok(RtValue::str(if f == Builtin::Lower {
+                        s.to_lowercase()
+                    } else {
+                        s.to_uppercase()
+                    })),
+                    Some(Value::Null) => Ok(RtValue::null()),
+                    other => Err(RtError::Type(format!("{name} of {other:?}"))),
+                }
+            }
+            Builtin::Length => {
+                let v = self.eval(code, frame, arg(args, len, 0))?;
+                match v.as_scalar() {
+                    Some(Value::Str(s)) => Ok(RtValue::int(s.len() as i64)),
+                    Some(Value::Null) => Ok(RtValue::null()),
+                    other => Err(RtError::Type(format!("length of {other:?}"))),
+                }
+            }
+            Builtin::Coalesce => {
+                for a in args..args + len {
+                    let v = self.eval(code, frame, a)?;
+                    if !matches!(v, RtValue::Scalar(Value::Null)) {
+                        return Ok(v);
+                    }
+                }
+                Ok(RtValue::null())
+            }
+            Builtin::List => Ok(RtValue::List(Vec::new())),
+            Builtin::Set => Ok(RtValue::Set(Vec::new())),
+            Builtin::Pair => {
+                let a = self.eval(code, frame, arg(args, len, 0))?;
+                let b = self.eval(code, frame, arg(args, len, 1))?;
+                Ok(RtValue::Pair(Box::new(a), Box::new(b)))
+            }
+        }
+    }
+
+    /// A call of a user function: its arguments are evaluated into the
+    /// callee's frame, then its arity checked.
+    #[inline(never)]
+    fn call_user(
+        &mut self,
+        code: &Code<'a>,
+        frame: &mut Frame,
+        func: Id,
+        args: Id,
+        len: u32,
+    ) -> Result<RtValue, RtError> {
+        let (mut callee, params, body) = enter(code, func);
+        let Node::Fn { arity, .. } = code.nodes[func as usize] else {
+            unreachable!("lowered before the run")
+        };
+        for i in 0..len {
+            let v = self.eval(code, frame, args + i)?;
+            if len == arity {
+                callee[param(code, params, i)] = Some(v);
+            }
+        }
+        if len != arity {
+            return Err(RtError::Type(format!(
+                "{} expects {arity} args, got {len}",
+                self.program.functions[func as usize].name
+            )));
+        }
+        self.run(code, &mut callee, body)
+    }
+
+    #[inline(never)]
+    fn sql(
+        &mut self,
+        code: &Code<'a>,
+        frame: &mut Frame,
+        call: SqlCall,
+        args: Id,
+        len: u32,
+    ) -> Result<RtValue, RtError> {
+        match call {
+            SqlCall::Query => {
+                let dbms::Relation { fields, rows } = self.run_query(code, frame, args, len)?;
                 let fields = Rc::new(fields);
                 Ok(RtValue::List(
                     rows.into_iter()
@@ -734,8 +944,8 @@ impl<'a> Interp<'a> {
                         .collect(),
                 ))
             }
-            "executeScalar" => {
-                let rel = self.run_query(args, env)?;
+            SqlCall::Scalar => {
+                let rel = self.run_query(code, frame, args, len)?;
                 Ok(RtValue::Scalar(
                     rel.rows
                         .first()
@@ -743,21 +953,24 @@ impl<'a> Interp<'a> {
                         .unwrap_or(Value::Null),
                 ))
             }
-            "executeBatch" => {
+            SqlCall::Batch => {
                 // One round trip answering a parameterized scalar lookup
                 // for a whole batch of parameter values (the batching
                 // baseline's primitive; results align with the input list,
                 // NULL on miss).
-                let (sql, vals) = self.sql_call("executeBatch", args, env)?;
-                let params = match vals.first() {
-                    Some(RtValue::List(xs)) | Some(RtValue::Set(xs)) => xs.clone(),
+                let mut list = None;
+                let sql = self.sql_args(code, frame, call, args, len, |v| {
+                    list.get_or_insert(v);
+                })?;
+                let params = match list {
+                    Some(RtValue::List(xs) | RtValue::Set(xs)) => xs,
                     other => {
                         return Err(RtError::Type(format!(
                             "executeBatch needs a parameter list, got {other:?}"
                         )))
                     }
                 };
-                let ra = parsed(&mut self.queries, &sql, parse_sql)?;
+                let ra = sql.query()?;
                 // Charge: one round trip + parameter upload + result
                 // transfer (batching's cost structure).
                 let upload: usize = params
@@ -768,10 +981,12 @@ impl<'a> Interp<'a> {
                 self.conn.stats.sim_us +=
                     self.conn.cost.latency_us + upload as f64 * self.conn.cost.per_byte_us;
                 let mut out = Vec::with_capacity(params.len());
-                for p in &params {
-                    let key = p.as_scalar().cloned().ok_or_else(|| {
-                        RtError::Type("executeBatch parameters must be scalars".into())
-                    })?;
+                for p in params {
+                    let RtValue::Scalar(key) = p else {
+                        return Err(RtError::Type(
+                            "executeBatch parameters must be scalars".into(),
+                        ));
+                    };
                     let rel = dbms::eval_query(&ra, &self.conn.db, &[key]).map_err(sql_error)?;
                     let v = rel
                         .rows
@@ -786,270 +1001,251 @@ impl<'a> Interp<'a> {
                 }
                 Ok(RtValue::List(out))
             }
-            "executeUpdate" => {
-                let (sql, vals) = self.sql_call("executeUpdate", args, env)?;
-                let params = scalars(&vals, "DML parameters must be scalars")?;
+            SqlCall::Update => {
+                let (sql, params) = self.scalar_args(
+                    code,
+                    frame,
+                    call,
+                    args,
+                    len,
+                    "DML parameters must be scalars",
+                )?;
                 // One round trip for the DML statement.
                 self.conn.stats.queries += 1;
                 self.conn.stats.sim_us += self.conn.cost.latency_us;
-                let stmt = parsed(&mut self.statements, &sql, |s| {
-                    parse_statement(s).map_err(|e| DmlError(e.to_string()))
-                })?;
+                let stmt = sql.statement()?;
                 let n = execute_stmt(&mut self.conn.db, &stmt, &params)
                     .map_err(|e| RtError::Sql(e.to_string()))?;
                 Ok(RtValue::int(n))
             }
-            "max" | "min" => {
-                // GREATEST/LEAST semantics (the eval.rs spec): NULL
-                // arguments are ignored; NULL only when all are NULL.
-                let mut best: Option<Value> = None;
-                for a in args {
-                    let v = self.eval(a, env)?;
-                    let v = v
-                        .as_scalar()
-                        .cloned()
-                        .ok_or_else(|| RtError::Type(format!("{name} needs scalars")))?;
-                    if v.is_null() {
-                        continue;
-                    }
-                    best = Some(match best {
-                        None => v,
-                        Some(b) => {
-                            let take = match v.sql_cmp(&b) {
-                                Some(std::cmp::Ordering::Greater) => name == "max",
-                                Some(std::cmp::Ordering::Less) => name == "min",
-                                _ => false,
-                            };
-                            if take {
-                                v
-                            } else {
-                                b
-                            }
-                        }
-                    });
-                }
-                Ok(best.map(RtValue::Scalar).unwrap_or(RtValue::null()))
-            }
-            "abs" => {
-                let v = self.eval(&args[0], env)?;
-                match v.as_scalar() {
-                    // checked_abs: abs(i64::MIN) → NULL-on-error.
-                    Some(Value::Int(i)) => Ok(RtValue::Scalar(
-                        i.checked_abs().map_or(Value::Null, Value::Int),
-                    )),
-                    Some(Value::Float(f)) => Ok(RtValue::Scalar(Value::Float(f.abs()))),
-                    Some(Value::Null) => Ok(RtValue::null()),
-                    other => Err(RtError::Type(format!("abs of {other:?}"))),
-                }
-            }
-            "concat" => {
-                // CONCAT skips NULL arguments (matches ScalarFunc::Concat).
-                let mut s = String::new();
-                for a in args {
-                    let v = self.eval(a, env)?;
-                    if !matches!(v, RtValue::Scalar(Value::Null)) {
-                        s.push_str(&v.render());
-                    }
-                }
-                Ok(RtValue::str(s))
-            }
-            "lower" | "upper" => {
-                let v = self.eval(&args[0], env)?;
-                match v.as_scalar() {
-                    Some(Value::Str(s)) => Ok(RtValue::str(if name == "lower" {
-                        s.to_lowercase()
-                    } else {
-                        s.to_uppercase()
-                    })),
-                    Some(Value::Null) => Ok(RtValue::null()),
-                    other => Err(RtError::Type(format!("{name} of {other:?}"))),
-                }
-            }
-            "length" => {
-                let v = self.eval(&args[0], env)?;
-                match v.as_scalar() {
-                    Some(Value::Str(s)) => Ok(RtValue::int(s.len() as i64)),
-                    Some(Value::Null) => Ok(RtValue::null()),
-                    other => Err(RtError::Type(format!("length of {other:?}"))),
-                }
-            }
-            "coalesce" => {
-                for a in args {
-                    let v = self.eval(a, env)?;
-                    if !matches!(v, RtValue::Scalar(Value::Null)) {
-                        return Ok(v);
-                    }
-                }
-                Ok(RtValue::null())
-            }
-            "list" => Ok(RtValue::List(Vec::new())),
-            "set" => Ok(RtValue::Set(Vec::new())),
-            "pair" => {
-                let a = self.eval(&args[0], env)?;
-                let b = self.eval(&args[1], env)?;
-                Ok(RtValue::Pair(Box::new(a), Box::new(b)))
-            }
-            user => {
-                // User-defined imp function.
-                if self.program.function(user).is_none() {
-                    return Err(RtError::Undefined(format!("function {user}")));
-                }
-                let mut vals = Vec::new();
-                for a in args {
-                    vals.push(self.eval(a, env)?);
-                }
-                self.call(user, vals)
-            }
         }
     }
 
-    fn run_query(&mut self, args: &[Expr], env: &mut Env) -> Result<dbms::Relation, RtError> {
-        let (ra, params) = self.prepare_query(args, env)?;
+    fn run_query(
+        &mut self,
+        code: &Code<'a>,
+        frame: &mut Frame,
+        args: Id,
+        len: u32,
+    ) -> Result<dbms::Relation, RtError> {
+        let (ra, params) = self.prepare_query(code, frame, args, len)?;
         self.conn.execute(&ra, &params).map_err(sql_error)
     }
 
     /// The parsed query and parameter values of an `executeQuery` call.
-    fn prepare_query(
+    fn prepare_query<'c>(
         &mut self,
-        args: &[Expr],
-        env: &mut Env,
-    ) -> Result<(Rc<RaExpr>, Vec<Value>), RtError> {
-        let (sql, vals) = self.sql_call(EXECUTE_QUERY, args, env)?;
-        let params = scalars(&vals, "query parameters must be scalars")?;
-        let ra = parsed(&mut self.queries, &sql, parse_sql)?;
-        Ok((ra, params))
+        code: &'c Code<'a>,
+        frame: &mut Frame,
+        args: Id,
+        len: u32,
+    ) -> Result<(Cow<'c, RaExpr>, Vec<Value>), RtError> {
+        let what = "query parameters must be scalars";
+        let (sql, params) = self.scalar_args(code, frame, SqlCall::Query, args, len, what)?;
+        Ok((sql.query()?, params))
     }
 
-    /// Evaluate the arguments of the SQL call `name`, in order: its SQL
-    /// text, then the values of the rest. A string literal is borrowed
-    /// from the program, not copied, and charged the step [`Self::eval`]
-    /// charges for it.
-    fn sql_call<'e>(
+    /// [`Self::sql_args`] with the values after the SQL text as scalar
+    /// parameters; `what` is the error when one is not a scalar.
+    #[allow(clippy::too_many_arguments)]
+    fn scalar_args<'c>(
         &mut self,
-        name: &str,
-        args: &'e [Expr],
-        env: &mut Env,
-    ) -> Result<(SqlText<'e>, Vec<RtValue>), RtError> {
+        code: &'c Code<'a>,
+        frame: &mut Frame,
+        call: SqlCall,
+        args: Id,
+        len: u32,
+        what: &str,
+    ) -> Result<(SqlText<'c>, Vec<Value>), RtError> {
+        let mut params = Vec::with_capacity(len.saturating_sub(1) as usize);
+        let mut scalars = true;
+        let sql = self.sql_args(code, frame, call, args, len, |v| match v {
+            RtValue::Scalar(v) => params.push(v),
+            _ => scalars = false,
+        })?;
+        if !scalars {
+            return Err(RtError::Type(what.into()));
+        }
+        Ok((sql, params))
+    }
+
+    /// Evaluate the arguments of the SQL call `call`, in order: its SQL
+    /// text, then each of the rest, passed to `rest`. A string literal was
+    /// parsed when the call was lowered, and is charged the step `eval`
+    /// charges for it.
+    #[allow(clippy::too_many_arguments)]
+    fn sql_args<'c>(
+        &mut self,
+        code: &'c Code<'a>,
+        frame: &mut Frame,
+        call: SqlCall,
+        args: Id,
+        len: u32,
+        mut rest: impl FnMut(RtValue),
+    ) -> Result<SqlText<'c>, RtError> {
+        let name = call.name();
         debug_assert!(
             !self.in_cursor,
             "{name} called while a cursor loop holds the database"
         );
-        let Some((first, rest)) = args.split_first() else {
+        if len == 0 {
             return Err(RtError::Type(format!(
                 "{name} needs a SQL string, got None"
             )));
-        };
+        }
         // A first argument that is not a string is reported only after
         // the rest are evaluated, whose errors come first.
-        let sql = match first {
-            Expr::Lit(Literal::Str(s)) => {
+        let sql = match code.nodes[args as usize] {
+            Node::SqlLit(i) => {
                 self.tick()?;
-                Ok(SqlText::Lit(s))
+                Ok(SqlText::Lit(&code.sql[i as usize]))
             }
-            e => match self.eval(e, env)? {
+            _ => match self.eval(code, frame, args)? {
                 RtValue::Scalar(Value::Str(s)) => Ok(SqlText::Computed(s)),
                 other => Err(other),
             },
         };
-        let mut vals = Vec::with_capacity(rest.len());
-        for a in rest {
-            vals.push(self.eval(a, env)?);
+        for a in args + 1..args + len {
+            rest(self.eval(code, frame, a)?);
         }
-        let sql = sql.map_err(|other| {
+        sql.map_err(|other| {
             RtError::Type(format!("{name} needs a SQL string, got {:?}", Some(&other)))
-        })?;
-        Ok((sql, vals))
+        })
     }
 
-    fn eval_method(
+    /// `recv.name(args…)` of a reading method. The receiver is evaluated
+    /// before the arguments; a variable is read in place unless an argument
+    /// could change it, in which case it is copied first.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(never)]
+    fn method(
         &mut self,
-        recv: &Expr,
-        name: &str,
-        args: &[Expr],
-        env: &mut Env,
+        code: &Code<'a>,
+        frame: &mut Frame,
+        method: Method,
+        name: Symbol,
+        recv: Id,
+        in_place: bool,
+        args: Id,
+        len: u32,
     ) -> Result<RtValue, RtError> {
-        // Mutating methods require a variable receiver so the mutation is
-        // visible (matching the analysis crate's model).
-        if MUTATING_METHODS.contains(&name) {
-            let var = match recv {
-                Expr::Var(v) => *v,
-                other => {
-                    return Err(RtError::Type(format!(
-                        "mutating method {name} needs a variable receiver, got {other:?}"
-                    )))
-                }
-            };
-            let mut arg_vals = Vec::new();
-            for a in args {
-                arg_vals.push(self.eval(a, env)?);
-            }
-            let coll = env
-                .get_mut(&var)
-                .ok_or_else(|| RtError::Undefined(format!("variable {var}")))?;
-            match (coll, name) {
-                (RtValue::List(items), "add" | "append" | "insert") => {
-                    items.push(arg_vals.remove(0));
-                }
-                (RtValue::Set(items), "add" | "append" | "insert") => {
-                    let v = arg_vals.remove(0);
-                    if !items.iter().any(|e| loose_eq(e, &v)) {
-                        items.push(v);
-                    }
-                }
-                (RtValue::List(items) | RtValue::Set(items), "remove") => {
-                    let v = arg_vals.remove(0);
-                    items.retain(|e| !loose_eq(e, &v));
-                }
-                (RtValue::List(items) | RtValue::Set(items), "clear") => items.clear(),
-                (RtValue::List(items), "addAll") => match arg_vals.remove(0) {
-                    RtValue::List(more) | RtValue::Set(more) => items.extend(more),
-                    other => {
-                        return Err(RtError::Type(format!(
-                            "addAll needs a collection, got {other}"
-                        )))
-                    }
-                },
-                (c, m) => return Err(RtError::Type(format!("cannot {m} on {c}"))),
-            }
-            return Ok(RtValue::Unit);
-        }
-        // The receiver is evaluated before the arguments. A variable is
-        // read in place unless an argument could change it, in which case
-        // it is copied first.
-        let recv = match recv {
-            Expr::Var(v) if !args.iter().any(mutates_env) => {
+        let recv = match code.nodes[recv as usize] {
+            Node::Var { slot, name: var } if in_place => {
                 self.tick()?;
-                lookup(env, *v)?;
-                Recv::Var(*v)
+                lookup(frame, slot, var)?;
+                Recv::Slot(slot)
             }
-            _ => Recv::Value(self.eval(recv, env)?),
+            _ => Recv::Value(self.eval(code, frame, recv)?),
         };
-        let takes_arg = match (name, recv.get(env)) {
-            ("size" | "isEmpty" | "first", RtValue::List(_) | RtValue::Set(_)) => false,
-            ("contains", RtValue::List(_) | RtValue::Set(_)) | ("get", RtValue::List(_)) => true,
-            (m, r) => return Err(RtError::Type(format!("unknown method {m} on {r}"))),
+        let takes_arg = match (method, recv.get(frame)) {
+            (
+                Method::Size | Method::IsEmpty | Method::First,
+                RtValue::List(_) | RtValue::Set(_),
+            ) => false,
+            (Method::Contains, RtValue::List(_) | RtValue::Set(_))
+            | (Method::Get, RtValue::List(_)) => true,
+            (_, r) => return Err(RtError::Type(format!("unknown method {name} on {r}"))),
         };
         let arg = if takes_arg {
-            Some(self.eval(&args[0], env)?)
+            Some(self.eval(code, frame, arg(args, len, 0))?)
         } else {
             None
         };
-        match (name, recv.get(env), arg) {
-            ("size", RtValue::List(v) | RtValue::Set(v), _) => Ok(RtValue::int(v.len() as i64)),
-            ("isEmpty", RtValue::List(v) | RtValue::Set(v), _) => Ok(RtValue::bool(v.is_empty())),
-            ("first", RtValue::List(v) | RtValue::Set(v), _) => {
+        match (method, recv.get(frame), arg) {
+            (Method::Size, RtValue::List(v) | RtValue::Set(v), _) => {
+                Ok(RtValue::int(v.len() as i64))
+            }
+            (Method::IsEmpty, RtValue::List(v) | RtValue::Set(v), _) => {
+                Ok(RtValue::bool(v.is_empty()))
+            }
+            (Method::First, RtValue::List(v) | RtValue::Set(v), _) => {
                 Ok(v.first().cloned().unwrap_or(RtValue::null()))
             }
-            ("contains", RtValue::List(v) | RtValue::Set(v), Some(needle)) => {
+            (Method::Contains, RtValue::List(v) | RtValue::Set(v), Some(needle)) => {
                 Ok(RtValue::bool(v.iter().any(|e| loose_eq(e, &needle))))
             }
-            ("get", RtValue::List(v), Some(idx)) => match idx.as_scalar() {
+            (Method::Get, RtValue::List(v), Some(idx)) => match idx.as_scalar() {
                 Some(Value::Int(i)) if (*i as usize) < v.len() => Ok(v[*i as usize].clone()),
                 other => Err(RtError::Type(format!("bad index {other:?}"))),
             },
             _ => unreachable!("the receiver's shape was checked above"),
         }
     }
+
+    /// `var.name(args…)` of a mutating method: every argument is evaluated,
+    /// then the variable changed in place (matching the analysis crate's
+    /// model, which requires a variable receiver).
+    #[allow(clippy::too_many_arguments)]
+    #[inline(never)]
+    fn mutate(
+        &mut self,
+        code: &Code<'a>,
+        frame: &mut Frame,
+        mutation: Mutation,
+        name: Symbol,
+        slot: u32,
+        var: Symbol,
+        args: Id,
+        len: u32,
+    ) -> Result<RtValue, RtError> {
+        let mut arg0 = None;
+        for a in args..args + len {
+            let v = self.eval(code, frame, a)?;
+            arg0.get_or_insert(v);
+        }
+        let coll = frame[slot as usize]
+            .as_mut()
+            .ok_or_else(|| RtError::Undefined(format!("variable {var}")))?;
+        let mut first = || arg0.take().expect("a mutating method's argument");
+        match (coll, mutation) {
+            (RtValue::List(items), Mutation::Add) => items.push(first()),
+            (RtValue::Set(items), Mutation::Add) => {
+                let v = first();
+                if !items.iter().any(|e| loose_eq(e, &v)) {
+                    items.push(v);
+                }
+            }
+            (RtValue::List(items) | RtValue::Set(items), Mutation::Remove) => {
+                let v = first();
+                items.retain(|e| !loose_eq(e, &v));
+            }
+            (RtValue::List(items) | RtValue::Set(items), Mutation::Clear) => items.clear(),
+            (RtValue::List(items), Mutation::AddAll) => match first() {
+                RtValue::List(more) | RtValue::Set(more) => items.extend(more),
+                other => {
+                    return Err(RtError::Type(format!(
+                        "addAll needs a collection, got {other}"
+                    )))
+                }
+            },
+            (c, _) => return Err(RtError::Type(format!("cannot {name} on {c}"))),
+        }
+        Ok(RtValue::Unit)
+    }
+}
+
+/// A fresh frame for a call of the lowered function `func`, with the index
+/// of its parameters' slots and its body.
+fn enter(code: &Code<'_>, func: Id) -> (Vec<Option<RtValue>>, Id, Id) {
+    let Node::Fn {
+        slots,
+        params,
+        body,
+        ..
+    } = code.nodes[func as usize]
+    else {
+        unreachable!("lowered before the run")
+    };
+    (vec![None; slots as usize], params, body)
+}
+
+/// The slot of parameter `i` of the function whose parameters are at
+/// `params`.
+fn param(code: &Code<'_>, params: Id, i: u32) -> usize {
+    let Node::Slot(s) = code.nodes[(params + i) as usize] else {
+        unreachable!("a parameter's slot")
+    };
+    s as usize
 }
 
 #[cfg(test)]
@@ -1081,8 +1277,13 @@ mod tests {
         let p = parse_program(src).unwrap();
         let mut it = Interp::new(&p, Connection::new(gen_emp(30, 3)));
         assert_eq!(it.call("f", vec![]), Ok(RtValue::int(60)));
-        assert_eq!(it.queries.len(), 2, "the two query literals, once each");
-        assert_eq!(it.statements.len(), 1);
+        let parsed = |is: fn(&Sql) -> bool| it.code.sql.iter().filter(|s| is(s)).count();
+        assert_eq!(
+            parsed(|s| matches!(s, Sql::Query(_))),
+            2,
+            "the two query literals, once each"
+        );
+        assert_eq!(parsed(|s| matches!(s, Sql::Stmt(_))), 1);
         assert!(it
             .conn
             .db
@@ -1091,8 +1292,8 @@ mod tests {
             .scan()
             .all(|r| r[3] == Value::Int(1)));
 
-        // Unparsable SQL fails with the parser's own message, every time:
-        // a failed parse is not cached.
+        // Unparsable SQL fails with the parser's own message, when the call
+        // runs and every time: a literal's failed parse is kept.
         let sql_err = |sql: &str| RtError::Sql(parse_sql(sql).unwrap_err().to_string());
         let dml_err = |sql: &str| {
             let e = parse_statement(sql).unwrap_err();
@@ -1121,7 +1322,10 @@ mod tests {
             for _ in 0..2 {
                 assert_eq!(it.call("f", vec![]), Err(want.clone()), "{src}");
             }
-            assert!(it.queries.is_empty() && it.statements.is_empty(), "{src}");
+            assert!(
+                it.code.sql.iter().all(|s| matches!(s, Sql::Bad(_))),
+                "{src}"
+            );
         }
     }
 
