@@ -1,4 +1,4 @@
-//! `interp` — a tree-walking interpreter for `imp` programs.
+//! `interp` — an interpreter for `imp` programs.
 //!
 //! The interpreter serves three roles in the reproduction:
 //!
@@ -15,11 +15,28 @@
 //! the connection; a tiny DML subset (`INSERT INTO … VALUES`, `DELETE FROM …
 //! [WHERE col = lit]`) backs `executeUpdate`.
 //!
+//! # Compiled once, then run
+//!
+//! A function is not walked as a syntax tree. On its first call the
+//! interpreter lowers it, with every user function it may call, into one
+//! flat arena of nodes, and runs that. Names are resolved by the lowering,
+//! not per evaluation: a variable is a dense slot of its call's frame (a
+//! call's environment is one `Vec`), a builtin, method or SQL call an
+//! enum, a user function an index. A string-literal SQL argument is parsed
+//! once and held by its call; a literal that does not parse keeps its
+//! error, which the call raises each time it runs, as a computed string's
+//! would. A field read `e.f` caches the column it found against the row's
+//! shared field list, and Int/Int arithmetic takes an inline path with
+//! the same NULL-on-overflow results. A left-deep chain of binary
+//! operators lowers to one node, so neither the lowering nor the run
+//! recurses along it.
+//!
 //! # Value semantics
 //!
-//! Values are plain owned trees: assigning, returning or passing a list
-//! copies it, and a mutating method (`add`, `remove`, …) changes only the
-//! variable it is called on. Reads avoid those copies where nothing can
+//! Values are plain owned trees: assigning or passing a list copies it,
+//! and a mutating method (`add`, `remove`, …) changes only the variable it
+//! is called on. Returning a variable moves its value, since nothing can
+//! read the frame it leaves. Reads avoid those copies where nothing can
 //! observe the difference, so a cursor loop allocates nothing per row
 //! beyond the fetched result:
 //!
@@ -40,11 +57,11 @@
 //! [`dbms::volcano::Cursor`] as the body asks for them instead of
 //! buffering the whole result first, so it holds one row at a time rather
 //! than the result twice over (once as a relation, once as a list). Which
-//! loops qualify is decided once per program, on the first such loop, by
-//! a fixpoint over the call graph; every other `for` keeps the buffered
-//! rows, through the same loop. The row is pulled into one of two buffers
-//! that swap with the loop variable's, so a warm loop allocates nothing
-//! per row and `e` still holds the last row after the loop. Nothing
+//! loops qualify is decided when the loop is lowered, by a fixpoint over
+//! the call graph; every other `for` keeps the buffered rows, through the
+//! same loop. The row is pulled into one of two buffers that swap with the
+//! loop variable's, so a warm loop allocates nothing per row and `e` still
+//! holds the last row after the loop. Nothing
 //! observable changes: every exit (the end, `break`, `return`, an error
 //! in the body) drains the cursor and charges the query once, so
 //! `conn.stats` match the buffered loop's, and a query error met on a
@@ -54,10 +71,11 @@
 //! body cannot reach it, which a debug assertion in the SQL entry points
 //! checks.
 //!
-//! None of this changes the step accounting: every expression, variable
-//! read included, charges the same one step against
-//! [`Interp::with_budget`] as a copying read did, so the QBS verifier's
-//! budgets select the same candidates.
+//! None of this changes the step accounting: every statement and every
+//! expression, variable read included, charges one step against
+//! [`Interp::with_budget`] where a walk over the syntax tree would, in the
+//! same order, so the QBS verifier's budgets select the same candidates.
+//! `return x` moves `x` out of the dying frame, for the step a read takes.
 
 mod compile;
 pub mod dml;

@@ -69,6 +69,12 @@ fn undefined_variable(name: Symbol) -> RtError {
     RtError::Undefined(format!("variable {name}"))
 }
 
+#[cold]
+#[inline(never)]
+fn no_field(name: Symbol, v: &RtValue) -> RtError {
+    RtError::Type(format!("no field {name} on {v}"))
+}
+
 /// The receiver of a reading method: a variable read in place, or the
 /// value of any other expression.
 enum Recv {
@@ -356,6 +362,8 @@ pub struct Interp<'a> {
     /// The program's functions, each lowered on its first call. It is
     /// moved out while a call runs, which borrows it.
     code: Code<'a>,
+    /// The variables of the function running.
+    frame: Vec<Option<RtValue>>,
     /// A cursor loop is streaming: `conn.db` is moved out, so no SQL call
     /// may run until the loop ends.
     in_cursor: bool,
@@ -371,6 +379,7 @@ impl<'a> Interp<'a> {
             steps: 0,
             max_steps: 50_000_000,
             code: Code::default(),
+            frame: Vec::new(),
             in_cursor: false,
         }
     }
@@ -402,7 +411,7 @@ impl<'a> Interp<'a> {
         for (i, v) in args.into_iter().enumerate() {
             frame[param(&code, params, i as u32)] = Some(v);
         }
-        let v = self.run(&code, &mut frame, body);
+        let v = self.run(&code, frame, body);
         self.code = code;
         v
     }
@@ -421,20 +430,24 @@ impl<'a> Interp<'a> {
         }
     }
 
-    /// Run the body of a function in `frame`; its value.
-    fn run(&mut self, code: &Code<'a>, frame: &mut Frame, body: Id) -> Result<RtValue, RtError> {
-        match self.exec_block(code, frame, body)? {
+    /// Run the body of a function with `frame` as the current frame; its
+    /// value. The caller's frame is restored on every exit.
+    fn run(
+        &mut self,
+        code: &Code<'a>,
+        frame: Vec<Option<RtValue>>,
+        body: Id,
+    ) -> Result<RtValue, RtError> {
+        let caller = std::mem::replace(&mut self.frame, frame);
+        let flow = self.exec_block(code, body);
+        self.frame = caller;
+        match flow? {
             Flow::Return(v) => Ok(v),
             _ => Ok(RtValue::Unit),
         }
     }
 
-    fn exec_block(
-        &mut self,
-        code: &Code<'a>,
-        frame: &mut Frame,
-        block: Id,
-    ) -> Result<Flow, RtError> {
+    fn exec_block(&mut self, code: &Code<'a>, block: Id) -> Result<Flow, RtError> {
         let Node::Block { first, len } = code.nodes[block as usize] else {
             unreachable!("a block")
         };
@@ -442,23 +455,23 @@ impl<'a> Interp<'a> {
             self.tick()?;
             match &code.nodes[s as usize] {
                 Node::Assign { slot, value } => {
-                    let v = self.eval(code, frame, *value)?;
-                    store(&mut frame[*slot as usize], v);
+                    let v = self.eval(code, *value)?;
+                    store(&mut self.frame[*slot as usize], v);
                 }
                 Node::ExprStmt(e) => {
-                    self.eval(code, frame, *e)?;
+                    self.eval(code, *e)?;
                 }
                 Node::If {
                     cond,
                     then_branch,
                     else_branch,
                 } => {
-                    let branch = if self.eval(code, frame, *cond)?.is_true() {
+                    let branch = if self.eval(code, *cond)?.is_true() {
                         then_branch
                     } else {
                         else_branch
                     };
-                    match self.exec_block(code, frame, *branch)? {
+                    match self.exec_block(code, *branch)? {
                         Flow::Normal => {}
                         other => return Ok(other),
                     }
@@ -470,15 +483,14 @@ impl<'a> Interp<'a> {
                     streams,
                 } => {
                     let flow = if *streams {
-                        self.stream_for(code, frame, *slot, *iterable, *body)?
+                        self.stream_for(code, *slot, *iterable, *body)?
                     } else {
                         // An owned iterable is consumed; a variable is
                         // copied once, so the body may change it without
                         // affecting the iteration.
-                        match self.eval(code, frame, *iterable)? {
+                        match self.eval(code, *iterable)? {
                             RtValue::List(xs) | RtValue::Set(xs) => self.exec_for(
                                 code,
-                                frame,
                                 *slot,
                                 &mut Elems::Buffered(xs.into_iter()),
                                 *body,
@@ -494,10 +506,10 @@ impl<'a> Interp<'a> {
                 }
                 Node::While { cond, body } => loop {
                     self.tick()?;
-                    if !self.eval(code, frame, *cond)?.is_true() {
+                    if !self.eval(code, *cond)?.is_true() {
                         break;
                     }
-                    match self.exec_block(code, frame, *body)? {
+                    match self.exec_block(code, *body)? {
                         Flow::Normal | Flow::Continue => {}
                         Flow::Break => break,
                         r @ Flow::Return(_) => return Ok(r),
@@ -510,10 +522,10 @@ impl<'a> Interp<'a> {
                         Some(e) => match code.nodes[*e as usize] {
                             Node::Var { slot, name } => {
                                 self.tick()?;
-                                lookup(frame, slot, name)?;
-                                frame[slot as usize].take().expect("looked up")
+                                lookup(&self.frame, slot, name)?;
+                                self.frame[slot as usize].take().expect("looked up")
                             }
-                            _ => self.eval(code, frame, *e)?,
+                            _ => self.eval(code, *e)?,
                         },
                         None => RtValue::Unit,
                     };
@@ -521,7 +533,7 @@ impl<'a> Interp<'a> {
                 }
                 Node::Break => return Ok(Flow::Break),
                 Node::Continue => return Ok(Flow::Continue),
-                Node::Print { first, len } => self.print(code, frame, *first, *len)?,
+                Node::Print { first, len } => self.print(code, *first, *len)?,
                 _ => unreachable!("a statement"),
             }
         }
@@ -534,13 +546,12 @@ impl<'a> Interp<'a> {
     fn exec_for(
         &mut self,
         code: &Code<'a>,
-        frame: &mut Frame,
         slot: u32,
         elems: &mut Elems<'_>,
         body: Id,
     ) -> Result<Flow, RtError> {
-        while elems.next_into(&mut frame[slot as usize]) {
-            match self.exec_block(code, frame, body)? {
+        while elems.next_into(&mut self.frame[slot as usize]) {
+            match self.exec_block(code, body)? {
                 Flow::Normal | Flow::Continue => {}
                 Flow::Break => break,
                 r @ Flow::Return(_) => return Ok(r),
@@ -558,7 +569,6 @@ impl<'a> Interp<'a> {
     fn stream_for(
         &mut self,
         code: &Code<'a>,
-        frame: &mut Frame,
         slot: u32,
         query: Id,
         body: Id,
@@ -568,10 +578,10 @@ impl<'a> Interp<'a> {
         };
         // The step `eval` charges for the call expression.
         self.tick()?;
-        let (ra, params) = self.prepare_query(code, frame, args, len)?;
+        let (ra, params) = self.prepare_query(code, args, len)?;
         let db = std::mem::take(&mut self.conn.db);
         self.in_cursor = true;
-        let flow = self.stream_rows(code, frame, slot, &ra, &params, &db, body);
+        let flow = self.stream_rows(code, slot, &ra, &params, &db, body);
         self.in_cursor = false;
         self.conn.db = db;
         flow
@@ -587,7 +597,6 @@ impl<'a> Interp<'a> {
     fn stream_rows(
         &mut self,
         code: &Code<'a>,
-        frame: &mut Frame,
         slot: u32,
         ra: &RaExpr,
         params: &[Value],
@@ -603,7 +612,7 @@ impl<'a> Interp<'a> {
             sent: Transfer::default(),
             failed: None,
         });
-        let flow = self.exec_for(code, frame, slot, &mut elems, body);
+        let flow = self.exec_for(code, slot, &mut elems, body);
         match elems.finish() {
             Ok(sent) => {
                 self.conn.charge(sent);
@@ -620,15 +629,9 @@ impl<'a> Interp<'a> {
     /// `print(args…)`: a single list prints one line per element (see the
     /// struct docs); everything else concatenates into one line.
     #[inline(never)]
-    fn print(
-        &mut self,
-        code: &Code<'a>,
-        frame: &mut Frame,
-        args: Id,
-        len: u32,
-    ) -> Result<(), RtError> {
+    fn print(&mut self, code: &Code<'a>, args: Id, len: u32) -> Result<(), RtError> {
         if len == 1 {
-            match self.eval(code, frame, args)? {
+            match self.eval(code, args)? {
                 RtValue::List(items) | RtValue::Set(items) => {
                     self.output.extend(items.iter().map(RtValue::render));
                 }
@@ -638,16 +641,17 @@ impl<'a> Interp<'a> {
         }
         let mut line = String::new();
         for a in args..args + len {
-            line.push_str(&self.eval(code, frame, a)?.render());
+            line.push_str(&self.eval(code, a)?.render());
         }
         self.output.push(line);
         Ok(())
     }
 
-    /// Evaluate expression `e`: a literal or a variable inline, anything
-    /// else through [`Self::eval_node`].
+    /// Evaluate expression `e`. The nodes a loop body is made of, literals,
+    /// variables, field reads and operator chains, are dispatched inline;
+    /// the rest through [`Self::eval_node`].
     #[inline(always)]
-    fn eval(&mut self, code: &Code<'a>, frame: &mut Frame, e: Id) -> Result<RtValue, RtError> {
+    fn eval(&mut self, code: &Code<'a>, e: Id) -> Result<RtValue, RtError> {
         match &code.nodes[e as usize] {
             Node::Lit(v) => {
                 self.tick()?;
@@ -655,25 +659,50 @@ impl<'a> Interp<'a> {
             }
             Node::Var { slot, name } => {
                 self.tick()?;
-                lookup(frame, *slot, *name).map(copy)
+                lookup(&self.frame, *slot, *name).map(copy)
             }
-            _ => self.eval_node(code, frame, e),
+            Node::Field { obj, name, cache } => self.field(code, *obj, *name, cache),
+            Node::Chain { first, steps, len } => self.chain(code, *first, *steps, *len),
+            _ => self.eval_node(code, e),
         }
     }
 
+    /// `obj.name`; a variable `obj` is read in place, for the step a read
+    /// takes.
+    #[inline(always)]
+    fn field(
+        &mut self,
+        code: &Code<'a>,
+        obj: Id,
+        name: Symbol,
+        cache: &FieldCache,
+    ) -> Result<RtValue, RtError> {
+        self.tick()?;
+        let owned;
+        let v = match code.nodes[obj as usize] {
+            Node::Var { slot, name } => {
+                self.tick()?;
+                lookup(&self.frame, slot, name)?
+            }
+            _ => {
+                owned = self.eval_node(code, obj)?;
+                &owned
+            }
+        };
+        field_of(v, name, cache).ok_or_else(|| no_field(name, v))
+    }
+
     #[inline(never)]
-    fn eval_node(&mut self, code: &Code<'a>, frame: &mut Frame, e: Id) -> Result<RtValue, RtError> {
+    fn eval_node(&mut self, code: &Code<'a>, e: Id) -> Result<RtValue, RtError> {
         let node = &code.nodes[e as usize];
-        if let Node::Chain { first, steps, len } = node {
-            return self.chain(code, frame, *first, *steps, *len);
+        if let Node::Lit(_) | Node::Var { .. } | Node::Field { .. } | Node::Chain { .. } = node {
+            return self.eval(code, e);
         }
         self.tick()?;
         match node {
-            Node::Lit(v) => Ok(RtValue::Scalar(v.clone())),
             Node::Str(s) => Ok(RtValue::Scalar(Value::Str(s.to_string()))),
-            Node::Var { slot, name } => lookup(frame, *slot, *name).map(copy),
             Node::Unary { op, operand } => {
-                let v = self.eval(code, frame, *operand)?;
+                let v = self.eval(code, *operand)?;
                 unary(*op, v)
             }
             Node::Ternary {
@@ -681,31 +710,15 @@ impl<'a> Interp<'a> {
                 then_value,
                 else_value,
             } => {
-                if self.eval(code, frame, *cond)?.is_true() {
-                    self.eval(code, frame, *then_value)
+                if self.eval(code, *cond)?.is_true() {
+                    self.eval(code, *then_value)
                 } else {
-                    self.eval(code, frame, *else_value)
+                    self.eval(code, *else_value)
                 }
             }
-            Node::Field { obj, name, cache } => {
-                let owned;
-                let v = match code.nodes[*obj as usize] {
-                    // A variable is read in place, for the step a read takes.
-                    Node::Var { slot, name } => {
-                        self.tick()?;
-                        lookup(frame, slot, name)?
-                    }
-                    _ => {
-                        owned = self.eval(code, frame, *obj)?;
-                        &owned
-                    }
-                };
-                field_of(v, *name, cache)
-                    .ok_or_else(|| RtError::Type(format!("no field {name} on {v}")))
-            }
-            Node::Builtin { f, args, len } => self.builtin(code, frame, *f, *args, *len),
-            Node::Sql { call, args, len } => self.sql(code, frame, *call, *args, *len),
-            Node::User { func, args, len } => self.call_user(code, frame, *func, *args, *len),
+            Node::Builtin { f, args, len } => self.builtin(code, *f, *args, *len),
+            Node::Sql { call, args, len } => self.sql(code, *call, *args, *len),
+            Node::User { func, args, len } => self.call_user(code, *func, *args, *len),
             Node::Undefined(name) => Err(RtError::Undefined(format!("function {name}"))),
             Node::Method {
                 method,
@@ -714,7 +727,7 @@ impl<'a> Interp<'a> {
                 in_place,
                 args,
                 len,
-            } => self.method(code, frame, *method, *name, *recv, *in_place, *args, *len),
+            } => self.method(code, *method, *name, *recv, *in_place, *args, *len),
             Node::Mutate {
                 mutation,
                 name,
@@ -722,7 +735,7 @@ impl<'a> Interp<'a> {
                 var,
                 args,
                 len,
-            } => self.mutate(code, frame, *mutation, *name, *slot, *var, *args, *len),
+            } => self.mutate(code, *mutation, *name, *slot, *var, *args, *len),
             Node::BadReceiver { name, recv } => Err(RtError::Type(format!(
                 "mutating method {name} needs a variable receiver, got {recv:?}"
             ))),
@@ -739,22 +752,21 @@ impl<'a> Interp<'a> {
     fn chain(
         &mut self,
         code: &Code<'a>,
-        frame: &mut Frame,
         first: Id,
         steps: Id,
         len: u32,
     ) -> Result<RtValue, RtError> {
         self.charge(len)?;
-        let mut acc = self.eval(code, frame, first)?;
+        let mut acc = self.eval(code, first)?;
         for s in steps..steps + len {
             let Node::Step { op, rhs } = code.nodes[s as usize] else {
                 unreachable!("a chain's step")
             };
             if let BinaryOp::And | BinaryOp::Or = op {
-                acc = self.logic(code, frame, op, &acc, rhs)?;
+                acc = self.logic(code, op, &acc, rhs)?;
                 continue;
             }
-            let rv = self.eval(code, frame, rhs)?;
+            let rv = self.eval(code, rhs)?;
             if let (RtValue::Scalar(Value::Int(a)), RtValue::Scalar(Value::Int(b))) = (&acc, &rv) {
                 // Ints own nothing: both are overwritten without a drop.
                 let v = int_binary(op, *a, *b);
@@ -772,7 +784,6 @@ impl<'a> Interp<'a> {
     fn logic(
         &mut self,
         code: &Code<'a>,
-        frame: &mut Frame,
         op: BinaryOp,
         lv: &RtValue,
         rhs: Id,
@@ -782,7 +793,7 @@ impl<'a> Interp<'a> {
         if lt == Some(!and) {
             return Ok(RtValue::bool(!and));
         }
-        Ok(match (lt, truth(&self.eval(code, frame, rhs)?)) {
+        Ok(match (lt, truth(&self.eval(code, rhs)?)) {
             (_, Some(r)) if r != and => RtValue::bool(r),
             (Some(l), Some(r)) if l == and && r == and => RtValue::bool(and),
             _ => RtValue::null(),
@@ -793,7 +804,6 @@ impl<'a> Interp<'a> {
     fn builtin(
         &mut self,
         code: &Code<'a>,
-        frame: &mut Frame,
         f: Builtin,
         args: Id,
         len: u32,
@@ -805,7 +815,7 @@ impl<'a> Interp<'a> {
                 // arguments are ignored; NULL only when all are NULL.
                 let mut best: Option<Value> = None;
                 for a in args..args + len {
-                    let v = match self.eval(code, frame, a)? {
+                    let v = match self.eval(code, a)? {
                         RtValue::Scalar(v) => v,
                         _ => return Err(RtError::Type(format!("{name} needs scalars"))),
                     };
@@ -831,7 +841,7 @@ impl<'a> Interp<'a> {
                 Ok(best.map(RtValue::Scalar).unwrap_or(RtValue::null()))
             }
             Builtin::Abs => {
-                let v = self.eval(code, frame, arg(args, len, 0))?;
+                let v = self.eval(code, arg(args, len, 0))?;
                 match v.as_scalar() {
                     // checked_abs: abs(i64::MIN) → NULL-on-error.
                     Some(Value::Int(i)) => Ok(RtValue::Scalar(
@@ -846,7 +856,7 @@ impl<'a> Interp<'a> {
                 // CONCAT skips NULL arguments (matches ScalarFunc::Concat).
                 let mut s = String::new();
                 for a in args..args + len {
-                    let v = self.eval(code, frame, a)?;
+                    let v = self.eval(code, a)?;
                     if !matches!(v, RtValue::Scalar(Value::Null)) {
                         s.push_str(&v.render());
                     }
@@ -854,7 +864,7 @@ impl<'a> Interp<'a> {
                 Ok(RtValue::str(s))
             }
             Builtin::Lower | Builtin::Upper => {
-                let v = self.eval(code, frame, arg(args, len, 0))?;
+                let v = self.eval(code, arg(args, len, 0))?;
                 match v.as_scalar() {
                     Some(Value::Str(s)) => Ok(RtValue::str(if f == Builtin::Lower {
                         s.to_lowercase()
@@ -866,7 +876,7 @@ impl<'a> Interp<'a> {
                 }
             }
             Builtin::Length => {
-                let v = self.eval(code, frame, arg(args, len, 0))?;
+                let v = self.eval(code, arg(args, len, 0))?;
                 match v.as_scalar() {
                     Some(Value::Str(s)) => Ok(RtValue::int(s.len() as i64)),
                     Some(Value::Null) => Ok(RtValue::null()),
@@ -875,7 +885,7 @@ impl<'a> Interp<'a> {
             }
             Builtin::Coalesce => {
                 for a in args..args + len {
-                    let v = self.eval(code, frame, a)?;
+                    let v = self.eval(code, a)?;
                     if !matches!(v, RtValue::Scalar(Value::Null)) {
                         return Ok(v);
                     }
@@ -885,8 +895,8 @@ impl<'a> Interp<'a> {
             Builtin::List => Ok(RtValue::List(Vec::new())),
             Builtin::Set => Ok(RtValue::Set(Vec::new())),
             Builtin::Pair => {
-                let a = self.eval(code, frame, arg(args, len, 0))?;
-                let b = self.eval(code, frame, arg(args, len, 1))?;
+                let a = self.eval(code, arg(args, len, 0))?;
+                let b = self.eval(code, arg(args, len, 1))?;
                 Ok(RtValue::Pair(Box::new(a), Box::new(b)))
             }
         }
@@ -898,7 +908,6 @@ impl<'a> Interp<'a> {
     fn call_user(
         &mut self,
         code: &Code<'a>,
-        frame: &mut Frame,
         func: Id,
         args: Id,
         len: u32,
@@ -908,7 +917,7 @@ impl<'a> Interp<'a> {
             unreachable!("lowered before the run")
         };
         for i in 0..len {
-            let v = self.eval(code, frame, args + i)?;
+            let v = self.eval(code, args + i)?;
             if len == arity {
                 callee[param(code, params, i)] = Some(v);
             }
@@ -919,21 +928,20 @@ impl<'a> Interp<'a> {
                 self.program.functions[func as usize].name
             )));
         }
-        self.run(code, &mut callee, body)
+        self.run(code, callee, body)
     }
 
     #[inline(never)]
     fn sql(
         &mut self,
         code: &Code<'a>,
-        frame: &mut Frame,
         call: SqlCall,
         args: Id,
         len: u32,
     ) -> Result<RtValue, RtError> {
         match call {
             SqlCall::Query => {
-                let dbms::Relation { fields, rows } = self.run_query(code, frame, args, len)?;
+                let dbms::Relation { fields, rows } = self.run_query(code, args, len)?;
                 let fields = Rc::new(fields);
                 Ok(RtValue::List(
                     rows.into_iter()
@@ -945,7 +953,7 @@ impl<'a> Interp<'a> {
                 ))
             }
             SqlCall::Scalar => {
-                let rel = self.run_query(code, frame, args, len)?;
+                let rel = self.run_query(code, args, len)?;
                 Ok(RtValue::Scalar(
                     rel.rows
                         .first()
@@ -959,7 +967,7 @@ impl<'a> Interp<'a> {
                 // baseline's primitive; results align with the input list,
                 // NULL on miss).
                 let mut list = None;
-                let sql = self.sql_args(code, frame, call, args, len, |v| {
+                let sql = self.sql_args(code, call, args, len, |v| {
                     list.get_or_insert(v);
                 })?;
                 let params = match list {
@@ -1002,14 +1010,8 @@ impl<'a> Interp<'a> {
                 Ok(RtValue::List(out))
             }
             SqlCall::Update => {
-                let (sql, params) = self.scalar_args(
-                    code,
-                    frame,
-                    call,
-                    args,
-                    len,
-                    "DML parameters must be scalars",
-                )?;
+                let (sql, params) =
+                    self.scalar_args(code, call, args, len, "DML parameters must be scalars")?;
                 // One round trip for the DML statement.
                 self.conn.stats.queries += 1;
                 self.conn.stats.sim_us += self.conn.cost.latency_us;
@@ -1024,11 +1026,10 @@ impl<'a> Interp<'a> {
     fn run_query(
         &mut self,
         code: &Code<'a>,
-        frame: &mut Frame,
         args: Id,
         len: u32,
     ) -> Result<dbms::Relation, RtError> {
-        let (ra, params) = self.prepare_query(code, frame, args, len)?;
+        let (ra, params) = self.prepare_query(code, args, len)?;
         self.conn.execute(&ra, &params).map_err(sql_error)
     }
 
@@ -1036,12 +1037,11 @@ impl<'a> Interp<'a> {
     fn prepare_query<'c>(
         &mut self,
         code: &'c Code<'a>,
-        frame: &mut Frame,
         args: Id,
         len: u32,
     ) -> Result<(Cow<'c, RaExpr>, Vec<Value>), RtError> {
         let what = "query parameters must be scalars";
-        let (sql, params) = self.scalar_args(code, frame, SqlCall::Query, args, len, what)?;
+        let (sql, params) = self.scalar_args(code, SqlCall::Query, args, len, what)?;
         Ok((sql.query()?, params))
     }
 
@@ -1051,7 +1051,6 @@ impl<'a> Interp<'a> {
     fn scalar_args<'c>(
         &mut self,
         code: &'c Code<'a>,
-        frame: &mut Frame,
         call: SqlCall,
         args: Id,
         len: u32,
@@ -1059,7 +1058,7 @@ impl<'a> Interp<'a> {
     ) -> Result<(SqlText<'c>, Vec<Value>), RtError> {
         let mut params = Vec::with_capacity(len.saturating_sub(1) as usize);
         let mut scalars = true;
-        let sql = self.sql_args(code, frame, call, args, len, |v| match v {
+        let sql = self.sql_args(code, call, args, len, |v| match v {
             RtValue::Scalar(v) => params.push(v),
             _ => scalars = false,
         })?;
@@ -1077,7 +1076,6 @@ impl<'a> Interp<'a> {
     fn sql_args<'c>(
         &mut self,
         code: &'c Code<'a>,
-        frame: &mut Frame,
         call: SqlCall,
         args: Id,
         len: u32,
@@ -1100,13 +1098,13 @@ impl<'a> Interp<'a> {
                 self.tick()?;
                 Ok(SqlText::Lit(&code.sql[i as usize]))
             }
-            _ => match self.eval(code, frame, args)? {
+            _ => match self.eval(code, args)? {
                 RtValue::Scalar(Value::Str(s)) => Ok(SqlText::Computed(s)),
                 other => Err(other),
             },
         };
         for a in args + 1..args + len {
-            rest(self.eval(code, frame, a)?);
+            rest(self.eval(code, a)?);
         }
         sql.map_err(|other| {
             RtError::Type(format!("{name} needs a SQL string, got {:?}", Some(&other)))
@@ -1121,7 +1119,6 @@ impl<'a> Interp<'a> {
     fn method(
         &mut self,
         code: &Code<'a>,
-        frame: &mut Frame,
         method: Method,
         name: Symbol,
         recv: Id,
@@ -1132,12 +1129,12 @@ impl<'a> Interp<'a> {
         let recv = match code.nodes[recv as usize] {
             Node::Var { slot, name: var } if in_place => {
                 self.tick()?;
-                lookup(frame, slot, var)?;
+                lookup(&self.frame, slot, var)?;
                 Recv::Slot(slot)
             }
-            _ => Recv::Value(self.eval(code, frame, recv)?),
+            _ => Recv::Value(self.eval(code, recv)?),
         };
-        let takes_arg = match (method, recv.get(frame)) {
+        let takes_arg = match (method, recv.get(&self.frame)) {
             (
                 Method::Size | Method::IsEmpty | Method::First,
                 RtValue::List(_) | RtValue::Set(_),
@@ -1147,11 +1144,11 @@ impl<'a> Interp<'a> {
             (_, r) => return Err(RtError::Type(format!("unknown method {name} on {r}"))),
         };
         let arg = if takes_arg {
-            Some(self.eval(code, frame, arg(args, len, 0))?)
+            Some(self.eval(code, arg(args, len, 0))?)
         } else {
             None
         };
-        match (method, recv.get(frame), arg) {
+        match (method, recv.get(&self.frame), arg) {
             (Method::Size, RtValue::List(v) | RtValue::Set(v), _) => {
                 Ok(RtValue::int(v.len() as i64))
             }
@@ -1180,7 +1177,6 @@ impl<'a> Interp<'a> {
     fn mutate(
         &mut self,
         code: &Code<'a>,
-        frame: &mut Frame,
         mutation: Mutation,
         name: Symbol,
         slot: u32,
@@ -1190,10 +1186,10 @@ impl<'a> Interp<'a> {
     ) -> Result<RtValue, RtError> {
         let mut arg0 = None;
         for a in args..args + len {
-            let v = self.eval(code, frame, a)?;
+            let v = self.eval(code, a)?;
             arg0.get_or_insert(v);
         }
-        let coll = frame[slot as usize]
+        let coll = self.frame[slot as usize]
             .as_mut()
             .ok_or_else(|| RtError::Undefined(format!("variable {var}")))?;
         let mut first = || arg0.take().expect("a mutating method's argument");
