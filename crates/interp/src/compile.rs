@@ -625,12 +625,10 @@ impl<'a> Lower<'a, '_> {
     fn expr_at(&mut self, e: &'a Expr, at: Id) {
         let node = match e {
             Expr::Lit(Literal::Str(s)) => Node::Str(s),
-            Expr::Lit(l) => Node::Lit(match l {
-                Literal::Int(i) => Value::Int(*i),
-                Literal::Float(v) => Value::Float(*v),
-                Literal::Bool(b) => Value::Bool(*b),
-                Literal::Null | Literal::Str(_) => Value::Null,
-            }),
+            Expr::Lit(Literal::Int(i)) => Node::Lit(Value::Int(*i)),
+            Expr::Lit(Literal::Float(v)) => Node::Lit(Value::Float(*v)),
+            Expr::Lit(Literal::Bool(b)) => Node::Lit(Value::Bool(*b)),
+            Expr::Lit(Literal::Null) => Node::Lit(Value::Null),
             Expr::Var(v) => Node::Var {
                 slot: self.slot(*v),
                 name: *v,

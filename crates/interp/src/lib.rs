@@ -17,9 +17,8 @@
 //!
 //! # Compiled once, then run
 //!
-//! A function is not walked as a syntax tree. On its first call the
-//! interpreter lowers it, with every user function it may call, into one
-//! flat arena of nodes, and runs that. Names are resolved by the lowering,
+//! On a function's first call the interpreter lowers it, with every user
+//! function it may call, into one flat arena of nodes, and runs that. Names are resolved by the lowering,
 //! not per evaluation: a variable is a dense slot of its call's frame (a
 //! call's environment is one `Vec`), a builtin, method or SQL call an
 //! enum, a user function an index. A string-literal SQL argument is parsed
@@ -71,11 +70,15 @@
 //! body cannot reach it, which a debug assertion in the SQL entry points
 //! checks.
 //!
-//! None of this changes the step accounting: every statement and every
-//! expression, variable read included, charges one step against
-//! [`Interp::with_budget`] where a walk over the syntax tree would, in the
-//! same order, so the QBS verifier's budgets select the same candidates.
-//! `return x` moves `x` out of the dying frame, for the step a read takes.
+//! # Steps
+//!
+//! Every statement and every expression of the source, variable reads
+//! included, charges one step against [`Interp::with_budget`] when it
+//! runs, an expression before its operands, whatever the compiled form
+//! fuses: an operator chain charges its operators' steps together, a
+//! streamed loop's query call its own, a field read of a variable both.
+//! The QBS verifier's budgets depend on these counts, and
+//! `crates/interp/tests/semantics.rs` pins them per construct.
 
 mod compile;
 pub mod dml;

@@ -182,11 +182,9 @@ fn int_binary(op: BinaryOp, a: i64, b: i64) -> Value {
     }
 }
 
-/// `lv op rv` for a binary operator other than `&&` and `||`.
+/// `lv op rv` for a binary operator other than `&&` and `||`, when the
+/// operands are not two ints.
 fn binary(op: BinaryOp, lv: RtValue, rv: RtValue) -> Result<RtValue, RtError> {
-    if let (RtValue::Scalar(Value::Int(a)), RtValue::Scalar(Value::Int(b))) = (&lv, &rv) {
-        return Ok(RtValue::Scalar(int_binary(op, *a, *b)));
-    }
     // Structural (in)equality for non-scalars.
     if matches!(op, BinaryOp::Eq | BinaryOp::Ne)
         && (lv.as_scalar().is_none() || rv.as_scalar().is_none())
@@ -744,8 +742,8 @@ impl<'a> Interp<'a> {
     }
 
     /// A left-deep chain of binary operators: one step per operator, all
-    /// charged before the first operand, where a recursive walk charges
-    /// them. `&&` and `||` short-circuit with SQL three-valued logic: NULL
+    /// charged before the first operand, since each operator's step comes
+    /// before its operands' and nothing runs between them. `&&` and `||` short-circuit with SQL three-valued logic: NULL
     /// operands make the result NULL unless the other operand decides it
     /// (FALSE for AND, TRUE for OR). `if`/`while` conditions still treat
     /// NULL as not-true, matching WHERE-clause filtering.
