@@ -174,16 +174,13 @@ pub(crate) enum Node<'a> {
     Unlowered,
     /// The header of a function a lowered call reaches, not yet lowered.
     Queued,
-    /// The header of a lowered function: its frame has `slots` slots, its
-    /// parameters' slots are the [`Node::Slot`]s at `params..params + arity`.
+    /// The header of a lowered function: its frame has `slots` slots, the
+    /// first `arity` its parameters'.
     Fn {
         slots: u32,
-        params: Id,
         arity: u32,
         body: Id,
     },
-    /// A parameter's slot.
-    Slot(u32),
 
     /// Statements `first..first + len`.
     Block {
@@ -403,68 +400,22 @@ fn sql_literal(call: &Expr) -> Option<&str> {
     }
 }
 
-/// The nodes and SQL literals lowering `e` appends: what [`Lower::expr`]
-/// pushes, counted first so the arena grows once per function.
-fn count_expr(e: &Expr, n: &mut Size) {
-    n.nodes += 1;
-    if sql_literal(e).is_some() {
-        n.sql += 1;
-    }
-    match e {
-        Expr::Lit(_) | Expr::Var(_) => {}
-        Expr::Unary(_, x) | Expr::Field(x, _) => count_expr(x, n),
-        Expr::Binary(..) => {
-            let mut first = e;
-            while let Expr::Binary(_, l, r) = first {
-                n.nodes += 1;
-                count_expr(r, n);
-                first = l;
-            }
-            count_expr(first, n);
-        }
-        Expr::Ternary(c, a, b) => {
-            count_expr(c, n);
-            count_expr(a, n);
-            count_expr(b, n);
-        }
-        Expr::Call { args, .. } => args.iter().for_each(|a| count_expr(a, n)),
-        Expr::MethodCall { recv, name, args } => {
-            if !MUTATING_METHODS.contains(&name.as_str()) {
-                count_expr(recv, n);
-            }
-            if !MUTATING_METHODS.contains(&name.as_str()) || matches!(**recv, Expr::Var(_)) {
-                args.iter().for_each(|a| count_expr(a, n));
-            }
-        }
-    }
-}
-
-fn count_block(b: &Block, n: &mut Size) {
-    n.nodes += 1 + b.stmts.len();
-    for s in &b.stmts {
-        match &s.kind {
-            StmtKind::If {
-                then_branch,
-                else_branch,
-                ..
-            } => {
-                count_block(then_branch, n);
-                count_block(else_branch, n);
-            }
-            StmtKind::ForEach { body, .. } | StmtKind::While { body, .. } => count_block(body, n),
-            _ => {}
-        }
-        s.kind.exprs().iter().for_each(|e| count_expr(e, n));
-    }
-}
-
-/// The nodes and SQL literals lowering `f` appends.
+/// At least the nodes and SQL literals lowering `f` appends, so the arena
+/// grows once per function: one node per block, statement and expression,
+/// and one more per binary operator, which may start a chain.
 fn size(f: &Function) -> Size {
-    let mut size = Size {
-        nodes: f.params.len(),
-        sql: 0,
-    };
-    count_block(&f.body, &mut size);
+    let mut size = Size { nodes: 1, sql: 0 };
+    f.body.walk(&mut |s, _| {
+        size.nodes += match s.kind {
+            StmtKind::If { .. } => 3,
+            StmtKind::ForEach { .. } | StmtKind::While { .. } => 2,
+            _ => 1,
+        };
+    });
+    f.body.walk_exprs(&mut |e| {
+        size.nodes += if matches!(e, Expr::Binary(..)) { 2 } else { 1 };
+        size.sql += usize::from(sql_literal(e).is_some());
+    });
     size
 }
 
@@ -491,6 +442,7 @@ pub(crate) fn lower<'a>(code: &mut Code<'a>, program: &'a Program, index: usize)
         code,
         program,
         slots: HashMap::new(),
+        next_slot: 0,
         db: None,
     };
     let mut next = Some(index);
@@ -505,6 +457,8 @@ struct Lower<'a, 'c> {
     program: &'a Program,
     /// The current function's variables and their slots.
     slots: HashMap<Symbol, u32>,
+    /// The current function's next free slot.
+    next_slot: u32,
     /// [`db_functions`], found on the first cursor loop.
     db: Option<HashSet<Symbol>>,
 }
@@ -517,25 +471,26 @@ impl<'a> Lower<'a, '_> {
         self.code.sql.reserve_exact(size.sql);
         let end = self.code.nodes.len() + size.nodes;
 
+        // A name repeated in the parameters is its last one, which binds
+        // last.
         self.slots.clear();
-        let params = self.reserve(f.params.len());
-        for (i, p) in f.params.iter().enumerate() {
-            let slot = self.slot(*p);
-            self.set(params + i as Id, Node::Slot(slot));
-        }
+        self.slots
+            .extend(f.params.iter().enumerate().map(|(i, p)| (*p, i as u32)));
+        self.next_slot = f.params.len() as u32;
         let body = self.block(&f.body);
-        debug_assert_eq!(self.code.nodes.len(), end, "the count of {}", f.name);
+        debug_assert!(self.code.nodes.len() <= end, "the size of {}", f.name);
         self.code.nodes[index] = Node::Fn {
-            slots: self.slots.len() as u32,
-            params,
+            slots: self.next_slot,
             arity: f.params.len() as u32,
             body,
         };
     }
 
     fn slot(&mut self, v: Symbol) -> u32 {
-        let next = self.slots.len() as u32;
-        *self.slots.entry(v).or_insert(next)
+        *self.slots.entry(v).or_insert_with(|| {
+            self.next_slot += 1;
+            self.next_slot - 1
+        })
     }
 
     /// Push `n` placeholder nodes; returns the first one's index.

@@ -405,9 +405,9 @@ impl<'a> Interp<'a> {
         }
         compile::lower(&mut self.code, self.program, index);
         let code = std::mem::take(&mut self.code);
-        let (mut frame, params, body) = enter(&code, index as Id);
-        for (i, v) in args.into_iter().enumerate() {
-            frame[param(&code, params, i as u32)] = Some(v);
+        let (mut frame, body) = enter(&code, index as Id);
+        for (slot, v) in frame.iter_mut().zip(args) {
+            *slot = Some(v);
         }
         let v = self.run(&code, frame, body);
         self.code = code;
@@ -910,14 +910,14 @@ impl<'a> Interp<'a> {
         args: Id,
         len: u32,
     ) -> Result<RtValue, RtError> {
-        let (mut callee, params, body) = enter(code, func);
+        let (mut callee, body) = enter(code, func);
         let Node::Fn { arity, .. } = code.nodes[func as usize] else {
             unreachable!("lowered before the run")
         };
         for i in 0..len {
             let v = self.eval(code, args + i)?;
             if len == arity {
-                callee[param(code, params, i)] = Some(v);
+                callee[i as usize] = Some(v);
             }
         }
         if len != arity {
@@ -1218,28 +1218,13 @@ impl<'a> Interp<'a> {
     }
 }
 
-/// A fresh frame for a call of the lowered function `func`, with the index
-/// of its parameters' slots and its body.
-fn enter(code: &Code<'_>, func: Id) -> (Vec<Option<RtValue>>, Id, Id) {
-    let Node::Fn {
-        slots,
-        params,
-        body,
-        ..
-    } = code.nodes[func as usize]
-    else {
+/// A fresh frame for a call of the lowered function `func`, its
+/// parameters' slots first, and its body.
+fn enter(code: &Code<'_>, func: Id) -> (Vec<Option<RtValue>>, Id) {
+    let Node::Fn { slots, body, .. } = code.nodes[func as usize] else {
         unreachable!("lowered before the run")
     };
-    (vec![None; slots as usize], params, body)
-}
-
-/// The slot of parameter `i` of the function whose parameters are at
-/// `params`.
-fn param(code: &Code<'_>, params: Id, i: u32) -> usize {
-    let Node::Slot(s) = code.nodes[(params + i) as usize] else {
-        unreachable!("a parameter's slot")
-    };
-    s as usize
+    (vec![None; slots as usize], body)
 }
 
 #[cfg(test)]

@@ -466,3 +466,15 @@ fn an_undefined_function_in_a_branch_never_taken_is_no_error() {
     .unwrap_err();
     assert_eq!(err.to_string(), "undefined name `function nowhere`");
 }
+
+#[test]
+fn a_repeated_parameter_binds_its_last_argument() {
+    let src = "fn g(a, a) { b = a; return b; } fn f() { return g(1, 2); }";
+    assert_eq!(run(src, dbms::Database::new()), Ok(RtValue::int(2)));
+    let p = parse_program(src).unwrap();
+    let mut it = Interp::new(&p, Connection::new(dbms::Database::new()));
+    assert_eq!(
+        it.call("g", vec![RtValue::int(3), RtValue::int(4)]),
+        Ok(RtValue::int(4))
+    );
+}
