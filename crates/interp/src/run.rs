@@ -1,5 +1,5 @@
-//! The interpreter proper: evaluation of the compiled form
-//! ([`crate::compile`]).
+//! The interpreter proper: it runs the nodes each function is lowered
+//! to (the crate's `compile` module).
 
 use std::borrow::Cow;
 use std::fmt;
