@@ -94,24 +94,6 @@ pub(crate) enum Builtin {
     Pair,
 }
 
-impl Builtin {
-    pub fn name(self) -> &'static str {
-        match self {
-            Builtin::Max => "max",
-            Builtin::Min => "min",
-            Builtin::Abs => "abs",
-            Builtin::Concat => "concat",
-            Builtin::Lower => "lower",
-            Builtin::Upper => "upper",
-            Builtin::Length => "length",
-            Builtin::Coalesce => "coalesce",
-            Builtin::List => "list",
-            Builtin::Set => "set",
-            Builtin::Pair => "pair",
-        }
-    }
-}
-
 /// Collection methods that read their receiver.
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Method {

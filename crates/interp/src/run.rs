@@ -591,7 +591,6 @@ impl<'a> Interp<'a> {
     /// error met on any row wins over what the body did, as it does when
     /// the error stops the fetch before the body runs: the lines the body
     /// printed and the steps it took are undone, and the error returned.
-    #[allow(clippy::too_many_arguments)]
     fn stream_rows(
         &mut self,
         code: &Code<'a>,
@@ -690,6 +689,9 @@ impl<'a> Interp<'a> {
         field_of(v, name, cache).ok_or_else(|| no_field(name, v))
     }
 
+    /// [`Self::eval`] out of line: what `eval` inlines is reached from
+    /// here too, so a field read can evaluate its object without inlining
+    /// itself.
     #[inline(never)]
     fn eval_node(&mut self, code: &Code<'a>, e: Id) -> Result<RtValue, RtError> {
         let node = &code.nodes[e as usize];
@@ -743,10 +745,11 @@ impl<'a> Interp<'a> {
 
     /// A left-deep chain of binary operators: one step per operator, all
     /// charged before the first operand, since each operator's step comes
-    /// before its operands' and nothing runs between them. `&&` and `||` short-circuit with SQL three-valued logic: NULL
-    /// operands make the result NULL unless the other operand decides it
-    /// (FALSE for AND, TRUE for OR). `if`/`while` conditions still treat
-    /// NULL as not-true, matching WHERE-clause filtering.
+    /// before its operands' and nothing runs between them. `&&` and `||`
+    /// short-circuit with SQL three-valued logic: NULL operands make the
+    /// result NULL unless the other operand decides it (FALSE for AND, TRUE
+    /// for OR). `if`/`while` conditions still treat NULL as not-true,
+    /// matching WHERE-clause filtering.
     fn chain(
         &mut self,
         code: &Code<'a>,
@@ -806,7 +809,6 @@ impl<'a> Interp<'a> {
         args: Id,
         len: u32,
     ) -> Result<RtValue, RtError> {
-        let name = f.name();
         match f {
             Builtin::Max | Builtin::Min => {
                 // GREATEST/LEAST semantics (the eval.rs spec): NULL
@@ -815,7 +817,10 @@ impl<'a> Interp<'a> {
                 for a in args..args + len {
                     let v = match self.eval(code, a)? {
                         RtValue::Scalar(v) => v,
-                        _ => return Err(RtError::Type(format!("{name} needs scalars"))),
+                        _ => {
+                            let name = if f == Builtin::Max { "max" } else { "min" };
+                            return Err(RtError::Type(format!("{name} needs scalars")));
+                        }
                     };
                     if v.is_null() {
                         continue;
@@ -870,7 +875,14 @@ impl<'a> Interp<'a> {
                         s.to_uppercase()
                     })),
                     Some(Value::Null) => Ok(RtValue::null()),
-                    other => Err(RtError::Type(format!("{name} of {other:?}"))),
+                    other => {
+                        let name = if f == Builtin::Lower {
+                            "lower"
+                        } else {
+                            "upper"
+                        };
+                        Err(RtError::Type(format!("{name} of {other:?}")))
+                    }
                 }
             }
             Builtin::Length => {
@@ -1045,7 +1057,6 @@ impl<'a> Interp<'a> {
 
     /// [`Self::sql_args`] with the values after the SQL text as scalar
     /// parameters; `what` is the error when one is not a scalar.
-    #[allow(clippy::too_many_arguments)]
     fn scalar_args<'c>(
         &mut self,
         code: &'c Code<'a>,
@@ -1070,7 +1081,6 @@ impl<'a> Interp<'a> {
     /// text, then each of the rest, passed to `rest`. A string literal was
     /// parsed when the call was lowered, and is charged the step `eval`
     /// charges for it.
-    #[allow(clippy::too_many_arguments)]
     fn sql_args<'c>(
         &mut self,
         code: &'c Code<'a>,

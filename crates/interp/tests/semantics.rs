@@ -478,3 +478,18 @@ fn a_repeated_parameter_binds_its_last_argument() {
         Ok(RtValue::int(4))
     );
 }
+
+#[test]
+fn builtin_error_texts() {
+    for (src, want) in [
+        ("fn f() { return max(1, list()); }", "max needs scalars"),
+        ("fn f() { return min(list()); }", "min needs scalars"),
+        ("fn f() { return lower(1); }", "lower of Some(Int(1))"),
+        ("fn f() { return upper(true); }", "upper of Some(Bool(true))"),
+        ("fn f() { return length(2); }", "length of Some(Int(2))"),
+        ("fn f() { return abs(\"x\"); }", "abs of Some(Str(\"x\"))"),
+    ] {
+        let err = run(src, dbms::Database::new()).unwrap_err();
+        assert_eq!(err.to_string(), format!("type error: {want}"), "{src}");
+    }
+}
