@@ -485,7 +485,10 @@ fn builtin_error_texts() {
         ("fn f() { return max(1, list()); }", "max needs scalars"),
         ("fn f() { return min(list()); }", "min needs scalars"),
         ("fn f() { return lower(1); }", "lower of Some(Int(1))"),
-        ("fn f() { return upper(true); }", "upper of Some(Bool(true))"),
+        (
+            "fn f() { return upper(true); }",
+            "upper of Some(Bool(true))",
+        ),
         ("fn f() { return length(2); }", "length of Some(Int(2))"),
         ("fn f() { return abs(\"x\"); }", "abs of Some(Str(\"x\"))"),
     ] {
